@@ -23,8 +23,8 @@ from .lattice import (
     open_transfer,
     periodic_transfer,
     toda_monodromy,
-    toda_to_partition_map,
     translation_op,
+    window_to_partitions,
 )
 from .partitions import (
     occupation_basis,
@@ -98,6 +98,12 @@ def site_null_vector_check(a: int, c: int, z, t):
     return ok11 and ok12 and ok22, {"null": ok12, "upper": ok11, "lower": ok22}
 
 
+def _reject_t_one(t) -> None:
+    if t == 1:
+        raise ValueError("t = 1 is a singular point of the Q-matrix: "
+                         "its t-factorial quotients are 0/0 there")
+
+
 def build_qmatrix(N: int, n: int, x, t) -> GradedOperator:
     """Degree-n Q-matrix on the (N, n) occupation sector.
 
@@ -109,6 +115,7 @@ def build_qmatrix(N: int, n: int, x, t) -> GradedOperator:
     shift of delta = n - out_1 carrying x^delta.
     """
     t, x = as_scalar(t), as_scalar(x)
+    _reject_t_one(t)
     basis = occupation_basis(N, n)
     dim = len(basis)
     blocks = {}
@@ -185,6 +192,34 @@ def ll_G_op(t, cap: int) -> SparseMatrix:
     return out
 
 
+def _two_window_ops(t, cap: int):
+    """Operators on the product of two spin windows [0, cap]^2, state
+    (a, b) at index a * (cap + 1) + b.
+
+    Returns (S, s, sinv, X, x, xinv, inner): S/X raise the first/second
+    label (dropping at the window edge), s/x are the diagonals t^a / t^b,
+    and inner lists the states with two units of headroom in both labels,
+    where matrix elements cannot see the edge.
+    """
+    dim = (cap + 1) ** 2
+    S, sdiag, sinv, X, xdiag, xinv = (SparseMatrix(dim) for _ in range(6))
+    inner = []
+    for a in range(cap + 1):
+        for b in range(cap + 1):
+            j = a * (cap + 1) + b
+            if a + 1 <= cap:
+                S.set_entry(j + cap + 1, j, ONE)
+            if b + 1 <= cap:
+                X.set_entry(j + 1, j, ONE)
+            sdiag.set_entry(j, j, t ** a)
+            sinv.set_entry(j, j, t ** (-a))
+            xdiag.set_entry(j, j, t ** b)
+            xinv.set_entry(j, j, t ** (-b))
+            if a <= cap - 2 and b <= cap - 2:
+                inner.append(j)
+    return S, sdiag, sinv, X, xdiag, xinv, inner
+
+
 def ll_relations_check(u, t, cap: int):
     """The four commutation relations pinning the auxiliary Lax operator.
 
@@ -206,26 +241,10 @@ def ll_relations_check(u, t, cap: int):
             for r, v in col.items():
                 Lc.add_to(r, idx(a, b), v)
 
-    S = SparseMatrix(dim)
-    sdiag = SparseMatrix(dim)
-    X = SparseMatrix(dim)
-    xdiag = SparseMatrix(dim)
-    for a in range(cap + 1):
-        for b in range(cap + 1):
-            if a + 1 <= cap:
-                S.set_entry(idx(a + 1, b), idx(a, b), ONE)
-            if b + 1 <= cap:
-                X.set_entry(idx(a, b + 1), idx(a, b), ONE)
-            sdiag.set_entry(idx(a, b), idx(a, b), t ** a)
-            xdiag.set_entry(idx(a, b), idx(a, b), t ** b)
-
+    S, sdiag, sinv, X, xdiag, xinv, inner = _two_window_ops(t, cap)
     I = SparseMatrix.identity(dim)
-    x_over_s = SparseMatrix(dim)
-    s_over_x = SparseMatrix(dim)
-    for a in range(cap + 1):
-        for b in range(cap + 1):
-            x_over_s.set_entry(idx(a, b), idx(a, b), t ** (b - a))
-            s_over_x.set_entry(idx(a, b), idx(a, b), t ** (a - b))
+    x_over_s = xdiag.mul(sinv)
+    s_over_x = sdiag.mul(xinv)
 
     relations = [
         ("Lc x = x Lc", Lc.mul(xdiag), xdiag.mul(Lc)),
@@ -236,22 +255,10 @@ def ll_relations_check(u, t, cap: int):
          S.mul(Lc)),
     ]
 
-    def interior(i):
-        a, b = divmod(i, cap + 1)
-        return a <= cap - 2 and b <= cap - 2
-
     report = []
     ok = True
     for name, lhs, rhs in relations:
-        good = True
-        for j in range(dim):
-            if not interior(j):
-                continue
-            for i in range(dim):
-                if not interior(i):
-                    continue
-                if lhs.entry(i, j) != rhs.entry(i, j):
-                    good = False
+        good = not lhs.mismatches(rhs, inner, inner)
         ok = ok and good
         report.append({"relation": name, "ok": good})
     return ok, report
@@ -266,26 +273,7 @@ def toda_intertwine_check(z, u, t, cap: int):
     """
     z, u, t = as_scalar(z), as_scalar(u), as_scalar(t)
     dim = (cap + 1) ** 2
-
-    def idx(a, b):
-        return a * (cap + 1) + b
-
-    S = SparseMatrix(dim)
-    sdiag = SparseMatrix(dim)
-    sinv = SparseMatrix(dim)
-    X = SparseMatrix(dim)
-    xdiag = SparseMatrix(dim)
-    xinv = SparseMatrix(dim)
-    for a in range(cap + 1):
-        for b in range(cap + 1):
-            if a + 1 <= cap:
-                S.set_entry(idx(a + 1, b), idx(a, b), ONE)
-            if b + 1 <= cap:
-                X.set_entry(idx(a, b + 1), idx(a, b), ONE)
-            sdiag.set_entry(idx(a, b), idx(a, b), t ** a)
-            sinv.set_entry(idx(a, b), idx(a, b), t ** (-a))
-            xdiag.set_entry(idx(a, b), idx(a, b), t ** b)
-            xinv.set_entry(idx(a, b), idx(a, b), t ** (-b))
+    S, sdiag, sinv, X, xdiag, xinv, inner = _two_window_ops(t, cap)
     I = SparseMatrix.identity(dim)
     LL = build_LL(u, t, cap, cap)
 
@@ -306,21 +294,11 @@ def toda_intertwine_check(z, u, t, cap: int):
     rhs = m2mul(L_tilde, R)
     rhs = [[LL.mul(rhs[i][j]) for j in range(2)] for i in range(2)]
 
-    def interior(i):
-        a, b = divmod(i, cap + 1)
-        return a <= cap - 2 and b <= cap - 2
-
     failures = []
     for i in range(2):
         for j in range(2):
-            for col in range(dim):
-                if not interior(col):
-                    continue
-                for row in range(dim):
-                    if not interior(row):
-                        continue
-                    if lhs[i][j].entry(row, col) != rhs[i][j].entry(row, col):
-                        failures.append({"aux": (i, j), "row": row, "col": col})
+            for row, col, _, _ in lhs[i][j].mismatches(rhs[i][j], inner, inner):
+                failures.append({"aux": (i, j), "row": row, "col": col})
     return not failures, failures
 
 
@@ -335,6 +313,7 @@ def trace_qmatrix(N: int, n: int, z, x, t) -> GradedOperator:
     z, x, t = as_scalar(z), as_scalar(x), as_scalar(t)
     if z == 0:
         raise ValueError("sample z must be nonzero")
+    _reject_t_one(t)
     u = -ONE / z  # so the spectral monomial base 1/u equals -z
     basis = occupation_basis(N, n)
     dim = len(basis)
@@ -401,9 +380,9 @@ def tq_check(N: int, n: int, x, t, sample_z=None):
         good = lhs.block(k) == rhs.block(k)
         ok = ok and good
         if not good:
-            diff = [(r, c) for r, c, v in lhs.block(k).entries()
-                    if v != rhs.block(k).entry(r, c)]
-            report.append({"degree": k, "ok": False, "first_bad": diff[:3]})
+            diff = lhs.block(k).mismatches(rhs.block(k), range(lam.dim))
+            report.append({"degree": k, "ok": False,
+                           "first_bad": [(r, c) for r, c, _, _ in diff[:3]]})
     if sample_z is not None:
         zz = as_scalar(sample_z)
         lm = lam.eval_at(zz).mul(q.eval_at(zz))
@@ -495,17 +474,7 @@ def ar_project_check(N: int, z, u, t, max_weight: int, max_len: int):
     # Atilde^L_{N+1}(z) = (Ttilde_{N+1})_11 - (Ttilde_{N+1})_12, conjugate side
     w = free_window_basis(N + 1, 0, max_len + N + 1)
     Tt = toda_monodromy("toda_tilde", w, N + 1, t)
-    tilde_entry = Tt[0][0].add(Tt[0][1].scale(-1))
-    mapping = toda_to_partition_map(w, basis)
-    atilde_blocks = {}
-    for k in tilde_entry.degrees():
-        mm = SparseMatrix(dim)
-        for r, c, v in tilde_entry.block(k).entries():
-            if r in mapping and c in mapping:
-                mm.add_to(mapping[r], mapping[c], v)
-        if not mm.is_zero():
-            atilde_blocks[k] = mm
-    atilde = GradedOperator(dim, atilde_blocks, max_degree=N + 1)
+    atilde = window_to_partitions(Tt[0][0].add(Tt[0][1].scale(-1)), w, basis, N + 1)
 
     base = a_left.compose(GradedOperator(dim, {0: abar_ninv}), N + 1)
     lhs = base.add(base.shift(1).scale(uinv))  # (1 + z/u) times the product
@@ -517,8 +486,6 @@ def ar_project_check(N: int, z, u, t, max_weight: int, max_len: int):
         if weight(sigma) + (N + 1) > max_weight or len(sigma) + (N + 1) > max_len:
             continue
         for k in range(N + 2):
-            bl, br = lhs.block(k), rhs.block(k)
-            for i in range(dim):
-                if bl.entry(i, j) != br.entry(i, j):
-                    failures.append({"degree": k, "row": i, "col": j})
+            for i, _, _, _ in lhs.block(k).mismatches(rhs.block(k), [j]):
+                failures.append({"degree": k, "row": i, "col": j})
     return not failures, failures

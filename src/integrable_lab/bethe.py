@@ -367,15 +367,14 @@ def periodic_eigen_residual(system: BetheSystem, z: complex) -> float:
 
     The eigenvalue is w1^N prod (1-z t u)/(1-z u) + X w3^N t^M prod
     (1-z u/t)/(1-z u); the column sums run over raw wrapped targets, the
-    ansatz being evaluated on them directly.
+    ansatz being evaluated on them directly.  Rejects M = 0: the
+    column sums need at least one particle.
     """
     N, M = system.N, system.M
+    if M == 0:
+        raise ValueError("periodic eigen residual needs M >= 1")
     tf, sf, xf = complex(float(system.t)), complex(float(system.s)), complex(float(system.x))
     zf = complex(z)
-    if M == 0:
-        # one-dimensional sector: the transfer is w1^N + X w3^N on the nose
-        w = boltzmann_weights(zf, sf, tf)
-        return abs((w[1] ** N + xf * w[3] ** N) - (w[1] ** N + xf * w[3] ** N))
     worst = 0.0
     from itertools import combinations
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
 from .bethe import bethe_amplitude, bethe_vector, xi
-from .scalars import ONE, ZERO, as_scalar, tbinom, tfact
+from .scalars import ONE, ZERO, as_scalar, tbinom, tfact, tpoch
 
 
 def spin_state_norm(mu, t, s) -> Fraction:
@@ -28,8 +28,6 @@ def spin_state_norm(mu, t, s) -> Fraction:
     occupy site 0 and do count.
     """
     t, s = as_scalar(t), as_scalar(s)
-    from .scalars import tpoch
-
     norm = ONE
     for v in set(mu):
         m = sum(1 for p in mu if p == v)
@@ -91,6 +89,17 @@ def _tail_geometric(n: int, rho: Fraction, K: int) -> Fraction:
     return full - partial
 
 
+def spin_norm_floor(n: int, t, s) -> Fraction:
+    """Lower bound on |<mu|mu>_s| over every n-part mu.
+
+    The norm is a product of at most n factors f(m) = (t)_m / (s^2)_m,
+    one per distinct part, with multiplicity m <= n; so min(1, |f|)^n
+    bounds it from below even when some |f(m)| exceeds 1.
+    """
+    smallest = min(_abs(tfact(m, t) / tpoch(s * s, m, t)) for m in range(1, n + 1))
+    return min(ONE, smallest) ** n
+
+
 def gaudin_sum(n: int, U, V, t, s, truncation: int):
     """Truncated half-line scalar product with a rigorous tail bound.
 
@@ -117,8 +126,6 @@ def gaudin_sum(n: int, U, V, t, s, truncation: int):
         total += bethe_vector(mu, U, t, s, normalized=True) * \
             bethe_vector(mu, V, t, s, normalized=True) / spin_state_norm(mu, t, s)
     # |R_mu| <= prefactor * sum_P |B(P)| * maxxi^{|mu|}
-    from .scalars import tpoch
-
     def bound_R(alo):
         pref = ONE
         for a in alo:
@@ -128,8 +135,7 @@ def gaudin_sum(n: int, U, V, t, s, truncation: int):
             amp += _abs(bethe_amplitude(list(P), t))
         return pref * amp
 
-    norm_floor = min(_abs(tfact(m, t) / tpoch(s * s, m, t)) ** n
-                     for m in range(1, n + 1))
+    norm_floor = spin_norm_floor(n, t, s)
     if norm_floor == 0:
         raise ValueError("degenerate spin norm")
     const = bound_R(U) * bound_R(V) / norm_floor

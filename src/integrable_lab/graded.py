@@ -8,6 +8,13 @@ bug class this module refuses to host.
 
 Sparse storage is per-column (col -> {row: Fraction}); transfer matrices
 are interlacing-sparse so zero entries are never stored.
+
+Interior-window identities (lhs equals rhs on the columns, and
+optionally rows, whose intermediate states stay inside the truncated
+basis) are all decided by `SparseMatrix.mismatches`.  It walks only the
+rows stored in either column and reads a missing entry as zero; every
+row outside that union is zero on both sides, so the result is exactly
+the dense entrywise comparison at O(nnz) cost.
 """
 
 from __future__ import annotations
@@ -136,6 +143,29 @@ class SparseMatrix:
                     acc += covec[r] * v
             if acc != 0:
                 out[c] = acc
+        return out
+
+    def mismatches(self, other: "SparseMatrix", cols, rows=None) -> list:
+        """(row, col, self entry, other entry) for every differing entry.
+
+        Only the given columns are compared, and only rows in `rows` when
+        it is given.  Results come column by column in the order of
+        `cols`, rows ascending, as a dense entrywise loop would find them.
+        """
+        if self.dim != other.dim:
+            raise ValueError("dimension mismatch")
+        if rows is not None:
+            rows = set(rows)
+        out = []
+        for c in cols:
+            a = self.cols.get(c, {})
+            b = other.cols.get(c, {})
+            for r in sorted(a.keys() | b.keys()):
+                if rows is not None and r not in rows:
+                    continue
+                va, vb = a.get(r, ZERO), b.get(r, ZERO)
+                if va != vb:
+                    out.append((r, c, va, vb))
         return out
 
     def commutes_with(self, other: "SparseMatrix") -> bool:

@@ -152,13 +152,9 @@ def gamma_commutation_check(fam_plus: str, fam_minus: str, basis: Basis, t,
                 if K[r] == 0:
                     continue
                 rhs = rhs.add(minus.block(b - r).mul(plus.block(a - r)).scale(K[r]))
-            bad = []
-            for j, mu in enumerate(basis.states):
-                if weight(mu) + b > cap:
-                    continue  # intermediate would leak; outside the window
-                for i in range(len(basis)):
-                    if lhs.entry(i, j) != rhs.entry(i, j):
-                        bad.append((i, j))
+            # sources whose lowering intermediate would leak are outside the window
+            cols = [j for j, mu in enumerate(basis.states) if weight(mu) + b <= cap]
+            bad = [(i, j) for i, j, _, _ in lhs.mismatches(rhs, cols)]
             good = not bad
             ok = ok and good
             report.append({"bidegree": (a, b), "ok": good, "bad_elements": bad[:5]})
@@ -174,12 +170,10 @@ def pair_commutation_check(family: str, sign: str, basis: Basis, t, max_degree: 
         for b in range(max_degree + 1):
             lhs = vop.block(a).mul(vop.block(b))
             rhs = vop.block(b).mul(vop.block(a))
-            for j, mu in enumerate(basis.states):
-                if sign == "-" and weight(mu) + max(a, b) > cap:
-                    continue
-                for i in range(len(basis)):
-                    if lhs.entry(i, j) != rhs.entry(i, j):
-                        ok = False
+            cols = [j for j, mu in enumerate(basis.states)
+                    if sign == "+" or weight(mu) + max(a, b) <= cap]
+            if lhs.mismatches(rhs, cols):
+                ok = False
     return ok
 
 
@@ -300,13 +294,5 @@ def adjoint_pair_check(family: str, basis: Basis, t) -> bool:
     plus = build_gamma(family, "+", basis, t)
     minus = build_gamma(family, "-", basis, t)
     norms = [state_norm(s, t) for s in basis.states]
-    for k in range(plus.weight_cap + 1):
-        mp = plus.block(k)
-        mm = minus.block(k)
-        for r, c, v in mp.entries():
-            if v != mm.entry(c, r) * norms[c] / norms[r]:
-                return False
-        for r, c, v in mm.entries():
-            if mp.entry(c, r) != v * norms[r] / norms[c]:
-                return False
-    return True
+    return all(plus.block(k) == minus.block(k).conjugate_by_norm(norms)
+               for k in range(plus.weight_cap + 1))

@@ -20,7 +20,8 @@ from integrable_lab.baxter_q import (
     tq_check,
     trace_qmatrix,
 )
-from integrable_lab.graded import SparseMatrix
+from integrable_lab import baxter_q
+from integrable_lab.graded import GradedOperator, SparseMatrix
 from integrable_lab.lattice import periodic_transfer
 from integrable_lab.partitions import occupation_basis
 from integrable_lab.scalars import tbinom, tfact
@@ -86,6 +87,22 @@ def test_tq_empty_sector():
     assert lam.block(N).entry(0, 0) == X
     ok, _ = tq_check(N, 0, X, T)
     assert ok
+
+
+def test_tq_report_names_rhs_only_entries(monkeypatch):
+    # a zero transfer matrix empties the lhs: every wrong entry is rhs-only
+    monkeypatch.setattr(baxter_q, "periodic_transfer",
+                        lambda N, n, x, t: GradedOperator.zero(len(occupation_basis(N, n))))
+    ok, report = tq_check(2, 2, X, T)
+    assert not ok and report
+    assert all(entry["first_bad"] for entry in report)
+
+
+def test_qmatrix_rejects_t_one():
+    with pytest.raises(ValueError, match="t = 1"):
+        build_qmatrix(2, 0, X, F(1))
+    with pytest.raises(ValueError, match="t = 1"):
+        trace_qmatrix(2, 2, F(3, 4), X, F(1))
 
 
 def test_commutation_checks():

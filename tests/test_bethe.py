@@ -147,9 +147,9 @@ def test_bethe_solve_m2_and_residual():
 def test_m0_trivial():
     system = bethe_solve(4, 0, F(1, 3), F(0), F(2), seeds=1, seed=0)
     assert system.roots == [tuple()]
-    # eigenvalue reduces to w1^N + X w3^N; nothing to check beyond shape
-    out = spin_eigen_check("periodic", system=system, z=0.3)
-    assert out["ok"]
+    # the periodic residual needs a particle; M = 0 is rejected, not passed
+    with pytest.raises(ValueError, match="M >= 1"):
+        spin_eigen_check("periodic", system=system, z=0.3)
 
 
 def test_json_roundtrip():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -9,6 +10,7 @@ from integrable_lab.gaudin import (
     gaudin_sum,
     hecke_symmetrize,
     lascoux_reduction_check,
+    spin_norm_floor,
     spin_state_norm,
     omega_t_product,
 )
@@ -26,6 +28,14 @@ def test_spin_state_norm():
         (tfact(2, T) / tpoch(S * S, 2, T)) * (tfact(1, T) / tpoch(S * S, 1, T))
     # s = 0: plain t-factorial norms, zeros included
     assert spin_state_norm((0, 0), T, F(0)) == tfact(2, T)
+
+
+def test_norm_floor_holds_when_a_norm_factor_exceeds_one():
+    # at t = -1/2 every factor (t)_m / (s^2)_m exceeds 1 for m <= 3
+    for n, s in [(2, F(0)), (3, F(1, 6))]:
+        floor = spin_norm_floor(n, F(-1, 2), s)
+        for mu in combinations_with_replacement(range(4), n):
+            assert floor <= abs(spin_state_norm(mu, F(-1, 2), s)), (n, s, mu)
 
 
 def test_gaudin_det_n1_frozen():

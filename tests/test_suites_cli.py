@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from integrable_lab import cli
 from integrable_lab.suites import SUITE_NAMES, SuiteSpec, draw_params, run_suite
 
 
@@ -151,6 +152,11 @@ def test_cli_env_seed_and_config(tmp_path, monkeypatch):
                            "--config", str(conf), "--t", "1/2")
     dump = json.loads(out)
     assert {"degree": 1, "row": 1, "col": 0, "value": "3/4"} in dump["entries"]
+
+
+def test_cli_matrix_q_rejects_t_one(capsys):
+    assert cli.main(["matrix", "q", "--t=1"]) == 2
+    assert "t = 1" in capsys.readouterr().err
 
 
 def test_cli_usage_errors():
