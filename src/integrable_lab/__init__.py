@@ -29,13 +29,11 @@ from .hall_littlewood import (
     complete_q_coeffs,
     elementary_e_coeffs,
     hl_P,
-    hl_PQ,
     hl_Q,
     hl_R,
     p_omega,
     pieri_coeff,
     skew_eval,
-    sym_gen_coeffs,
 )
 from .vertex_ops import (
     VertexOp,

@@ -22,11 +22,15 @@ from .lattice import (
     free_window_basis,
     open_transfer,
     periodic_transfer,
+    single_site_basis,
     toda_monodromy,
+    toda_shift_op,
+    toda_x_op,
     translation_op,
     window_to_partitions,
 )
 from .partitions import (
+    Basis,
     occupation_basis,
     occupation_to_partition,
     partition_basis,
@@ -176,10 +180,8 @@ def build_LL(u, t, s_cap: int, x_cap: int):
 def ll_F_op(u, t, cap: int) -> SparseMatrix:
     """Diagonal F: |m> -> (1/u)^m / m!_t |m> in the eigenbasis of the spin."""
     u, t = as_scalar(u), as_scalar(t)
-    out = SparseMatrix(cap + 1)
-    for m in range(cap + 1):
-        out.set_entry(m, m, (ONE / u) ** m / tfact(m, t))
-    return out
+    return SparseMatrix.from_state_map(
+        single_site_basis(cap), lambda v: (v, (ONE / u) ** v[0] / tfact(v[0], t)))
 
 
 def ll_G_op(t, cap: int) -> SparseMatrix:
@@ -201,23 +203,12 @@ def _two_window_ops(t, cap: int):
     and inner lists the states with two units of headroom in both labels,
     where matrix elements cannot see the edge.
     """
-    dim = (cap + 1) ** 2
-    S, sdiag, sinv, X, xdiag, xinv = (SparseMatrix(dim) for _ in range(6))
-    inner = []
-    for a in range(cap + 1):
-        for b in range(cap + 1):
-            j = a * (cap + 1) + b
-            if a + 1 <= cap:
-                S.set_entry(j + cap + 1, j, ONE)
-            if b + 1 <= cap:
-                X.set_entry(j + 1, j, ONE)
-            sdiag.set_entry(j, j, t ** a)
-            sinv.set_entry(j, j, t ** (-a))
-            xdiag.set_entry(j, j, t ** b)
-            xinv.set_entry(j, j, t ** (-b))
-            if a <= cap - 2 and b <= cap - 2:
-                inner.append(j)
-    return S, sdiag, sinv, X, xdiag, xinv, inner
+    pair = Basis(list(iproduct(range(cap + 1), repeat=2)), f"spin windows [0,{cap}]^2",
+                 kind="window")
+    inner = [j for j, (a, b) in enumerate(pair.states) if a <= cap - 2 and b <= cap - 2]
+    return (toda_shift_op(pair, [1], +1), toda_x_op(pair, 1, t), toda_x_op(pair, 1, t, -1),
+            toda_shift_op(pair, [2], +1), toda_x_op(pair, 2, t), toda_x_op(pair, 2, t, -1),
+            inner)
 
 
 def ll_relations_check(u, t, cap: int):
@@ -463,9 +454,7 @@ def ar_project_check(N: int, z, u, t, max_weight: int, max_len: int):
                 continue
             abar.add_to(r, c, v * uinv ** k)
 
-    ninv = SparseMatrix(dim)
-    for j, lam in enumerate(basis.states):
-        ninv.set_entry(j, j, ONE / state_norm(lam, t))
+    ninv = SparseMatrix.from_state_map(basis, lambda lam: (lam, ONE / state_norm(lam, t)))
     abar_ninv = abar.mul(ninv)
 
     # A^L_N(z): open projected product, zero on sources with lam_1 = N+1

@@ -7,7 +7,8 @@ bethe (solve a small root system), gaudin (truncated sum vs determinant).
 All parameters are exact rational strings; the only floats anywhere are
 the Bethe solver tolerances.  Exit codes: 0 pass, 1 identity failure,
 2 usage error.  INTEGRABLE_LAB_SEED overrides the default seed, and a
-flat key=value config file can supply any flag (explicit flags win).
+flat key=value config file can supply any flag (explicit flags win; a key
+naming no flag is a usage error).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .baxter_q import build_qmatrix
@@ -71,14 +73,15 @@ def _load_config(path: str) -> dict:
 
 
 def _merge_config(args, parser_defaults):
-    """Config file supplies values for flags left at their defaults."""
+    """Config file supplies values for flags left at their defaults; a key
+    naming no flag of the subcommand is an error."""
     if not getattr(args, "config", None):
         return args
     conf = _load_config(args.config)
     for key, val in conf.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            continue
+        if attr not in parser_defaults:
+            raise ValueError(f"config key {key!r} names no flag of {args.command!r}")
         if getattr(args, attr) == parser_defaults.get(attr):
             current = parser_defaults.get(attr)
             if isinstance(current, int) and not isinstance(current, bool):
@@ -101,10 +104,6 @@ def cmd_verify(args) -> int:
         val = getattr(args, key, None)
         if val is not None:
             params[key if key not in ("N", "n") else {"N": "N_range", "n": "n_range"}[key]] = int(val)
-    if args.t is not None:
-        params["t"] = parse_scalar(args.t)
-    if args.x is not None:
-        params["x"] = parse_scalar(args.x)
     try:
         report = run_suite(SuiteSpec(args.suite, seed=args.seed, params=params))
     except KeyError as exc:
@@ -219,7 +218,7 @@ def build_parser():
                     "Hall-Littlewood polynomials, Baxter Q-matrices and Bethe systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run a named identity suite")
+    p_verify = sub.add_parser("verify", help="run a named identity suite", allow_abbrev=False)
     p_verify.add_argument("suite", help=f"one of: {', '.join(SUITE_NAMES)}")
     p_verify.add_argument("--seed", type=int, default=_default_seed())
     p_verify.add_argument("--json", action="store_true")
@@ -227,11 +226,9 @@ def build_parser():
     for flag in ("N", "n", "D", "degree", "cap", "draws", "truncation",
                  "max_weight", "max_len", "vars"):
         p_verify.add_argument(f"--{flag}", type=int, default=None)
-    p_verify.add_argument("--t", default=None)
-    p_verify.add_argument("--x", default=None)
     p_verify.set_defaults(fn=cmd_verify)
 
-    p_eval = sub.add_parser("eval", help="evaluate a polynomial exactly")
+    p_eval = sub.add_parser("eval", help="evaluate a polynomial exactly", allow_abbrev=False)
     p_eval.add_argument("kind", choices=["P", "Q", "R", "skew", "qr", "er"])
     p_eval.add_argument("--lambda", dest="lam", default="[]")
     p_eval.add_argument("--mu", default=None)
@@ -242,7 +239,7 @@ def build_parser():
     p_eval.add_argument("--config")
     p_eval.set_defaults(fn=cmd_eval)
 
-    p_matrix = sub.add_parser("matrix", help="dump an operator as JSON")
+    p_matrix = sub.add_parser("matrix", help="dump an operator as JSON", allow_abbrev=False)
     p_matrix.add_argument("which", choices=["lambda", "q", "gamma", "lax"])
     p_matrix.add_argument("--N", type=int, default=2)
     p_matrix.add_argument("--n", type=int, default=2)
@@ -256,7 +253,7 @@ def build_parser():
     p_matrix.add_argument("--config")
     p_matrix.set_defaults(fn=cmd_matrix)
 
-    p_bethe = sub.add_parser("bethe", help="solve a small Bethe system")
+    p_bethe = sub.add_parser("bethe", help="solve a small Bethe system", allow_abbrev=False)
     p_bethe.add_argument("--N", type=int, required=True)
     p_bethe.add_argument("--M", type=int, required=True)
     p_bethe.add_argument("--t", default="1/3")
@@ -267,7 +264,8 @@ def build_parser():
     p_bethe.add_argument("--config")
     p_bethe.set_defaults(fn=cmd_bethe)
 
-    p_gaudin = sub.add_parser("gaudin", help="truncated scalar product vs determinant")
+    p_gaudin = sub.add_parser("gaudin", help="truncated scalar product vs determinant",
+                              allow_abbrev=False)
     p_gaudin.add_argument("--U", required=True, help="comma-separated rationals")
     p_gaudin.add_argument("--V", required=True)
     p_gaudin.add_argument("--t", default="2/7")
@@ -279,8 +277,22 @@ def build_parser():
     return parser
 
 
+def _attach_negative_values(argv):
+    """["--t", "-1/2"] -> ["--t=-1/2"]: argparse reads a token that starts
+    with "-" and is not a plain number as an option, so a negative rational
+    given as its own token would leave its flag without a value."""
+    out = []
+    for token in argv:
+        if out and re.match(r"-[\d.]", token) and re.fullmatch(r"--\w+", out[-1]):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -49,6 +49,23 @@ def _det(rows) -> Fraction:
     return total
 
 
+def singular_point(U, V, t):
+    """The first pair with u v = 1 or t u v = 1, where the kernel
+    1/((1 - u v)(1 - t u v)) has a pole, described; None if there is none."""
+    for u in U:
+        for v in V:
+            for name, w in (("u v", u * v), ("t u v", t * u * v)):
+                if w == 1:
+                    return f"u={u}, v={v}, t={t}: {name} = 1"
+    return None
+
+
+def _reject_singular(U, V, t) -> None:
+    where = singular_point(U, V, t)
+    if where is not None:
+        raise ValueError(f"singular evaluation point {where}")
+
+
 def gaudin_det(n: int, U, V, t) -> Fraction:
     """The determinant form of the half-line scalar product, exact."""
     U = [as_scalar(u) for u in U]
@@ -56,10 +73,7 @@ def gaudin_det(n: int, U, V, t) -> Fraction:
     t = as_scalar(t)
     if len(U) != n or len(V) != n:
         raise ValueError("alphabet sizes must equal n")
-    for u in U:
-        for v in V:
-            if u * v == 1 or t * u * v == 1:
-                raise ValueError("singular evaluation point")
+    _reject_singular(U, V, t)
     if n == 0:
         return ONE
     D = [[ONE / ((1 - U[k] * V[l]) * (1 - t * U[k] * V[l])) for l in range(n)]
@@ -185,6 +199,7 @@ def lascoux_reduction_check(n: int, U, V, t) -> bool:
     t = as_scalar(t)
     if len(set(U)) != len(U):
         raise ValueError("coincident values rejected")
+    _reject_singular(U, V, t)
 
     def shifted_kernel(us, j):
         # tau^j: the last j variables are sent to zero

@@ -15,6 +15,10 @@ basis) are all decided by `SparseMatrix.mismatches`.  It walks only the
 rows stored in either column and reads a missing entry as zero; every
 row outside that union is zero on both sides, so the result is exactly
 the dense entrywise comparison at O(nnz) cost.
+
+Operators that send each basis state to at most one target (site
+operators, window shifts, diagonals, the translation) are all built by
+`SparseMatrix.from_state_map`, which drops targets outside the basis.
 """
 
 from __future__ import annotations
@@ -34,6 +38,26 @@ class SparseMatrix:
     @classmethod
     def identity(cls, dim: int) -> "SparseMatrix":
         return cls(dim, {j: {j: ONE} for j in range(dim)})
+
+    @classmethod
+    def from_state_map(cls, basis, fn) -> "SparseMatrix":
+        """Matrix sending each basis state to at most one target.
+
+        fn(state) returns (target state, value) or None.  A target outside
+        the basis, or a zero value, leaves that column empty, so edge drops
+        need no test in fn and no zero is stored.
+        """
+        index = basis.index
+        cols = {}
+        for j, state in enumerate(basis.states):
+            hit = fn(state)
+            if hit is not None:
+                i = index.get(hit[0])
+                if i is not None:
+                    value = as_scalar(hit[1])
+                    if value:
+                        cols[j] = {i: value}
+        return cls(len(basis.states), cols)
 
     def copy(self) -> "SparseMatrix":
         return SparseMatrix(self.dim, {c: dict(col) for c, col in self.cols.items()})
@@ -168,9 +192,6 @@ class SparseMatrix:
                     out.append((r, c, va, vb))
         return out
 
-    def commutes_with(self, other: "SparseMatrix") -> bool:
-        return self.mul(other) == other.mul(self)
-
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix) or self.dim != other.dim:
             return NotImplemented
@@ -263,6 +284,23 @@ class GradedOperator:
         for k, m in self.blocks.items():
             out = out.add(m.scale(z ** k))
         return out
+
+    def restrict(self, mapping: dict, dim: int, max_degree: int) -> "GradedOperator":
+        """Entries whose row and column both lie in `mapping` (old index ->
+        new index), relabelled onto a basis of size dim; the rest dropped."""
+        blocks = {}
+        for k, m in self.blocks.items():
+            out = SparseMatrix(dim)
+            for c, col in m.cols.items():
+                jc = mapping.get(c)
+                if jc is None:
+                    continue
+                for r, v in col.items():
+                    i = mapping.get(r)
+                    if i is not None:
+                        out.add_to(i, jc, v)
+            blocks[k] = out
+        return GradedOperator(dim, blocks, max_degree=max_degree)
 
     def bar_adjoint(self, norms) -> "GradedOperator":
         """Blockwise N^-1 A_k^T N.

@@ -177,14 +177,6 @@ def hl_P(lam, values, t) -> Fraction:
     return hl_Q(lam, values, t) / state_norm(lam, t)
 
 
-def hl_PQ(which: str, lam, values, t) -> Fraction:
-    if which == "P":
-        return hl_P(lam, values, t)
-    if which == "Q":
-        return hl_Q(lam, values, t)
-    raise ValueError(f"unknown family {which!r}")
-
-
 # ---------------------------------------------------------------------------
 # skew tableau route
 
@@ -296,16 +288,6 @@ def elementary_e_coeffs(values, max_r: int):
         factor = [ONE, x] + [ZERO] * max(0, max_r - 1)
         series = _series_mul(series, factor[: max_r + 1], max_r)
     return series
-
-
-def sym_gen_coeffs(kind: str, values, t, max_r: int):
-    if max_r < 0:
-        raise ValueError("max_r must be >= 0")
-    if kind == "complete-q":
-        return complete_q_coeffs(values, t, max_r)
-    if kind == "elementary-e":
-        return elementary_e_coeffs(values, max_r)
-    raise ValueError(f"unknown generating function kind {kind!r}")
 
 
 def omega_t_pair_coeffs(U, V, t, max_deg: int):

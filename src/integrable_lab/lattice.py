@@ -16,6 +16,7 @@ restriction is applied only to initial and final states.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product as iproduct
 
 from .graded import GradedOperator, SparseMatrix
@@ -37,63 +38,70 @@ def single_site_basis(cap: int) -> Basis:
     return Basis([(m,) for m in range(cap + 1)], f"site occupancy <= {cap}", kind="occupation")
 
 
-def site_create(basis: Basis) -> SparseMatrix:
-    out = SparseMatrix(len(basis))
-    for j, (m,) in enumerate(basis.states):
-        if (m + 1,) in basis.index:
-            out.set_entry(basis.index[(m + 1,)], j, ONE)
-    return out
+def _state_occ(basis: Basis, state, N: int):
+    if basis.kind == "occupation":
+        return state
+    return partition_to_occupation(state, N)
 
 
-def site_annihilate(basis: Basis, t) -> SparseMatrix:
-    t = as_scalar(t)
-    out = SparseMatrix(len(basis))
-    for j, (m,) in enumerate(basis.states):
-        if m >= 1:
-            out.set_entry(basis.index[(m - 1,)], j, ONE - t**m)
-    return out
+def _occ_state(basis: Basis, occ):
+    if basis.kind == "occupation":
+        return tuple(occ)
+    return occupation_to_partition(occ)
 
 
-def spin_site_ops(basis: Basis, t, s):
-    """K = s tau, S- = Sbar, S+ = S (1 - s^2 tau) on a capped site."""
-    t, s = as_scalar(t), as_scalar(s)
-    dim = len(basis)
-    K = SparseMatrix(dim)
-    Sp = SparseMatrix(dim)
-    Sm = SparseMatrix(dim)
-    for j, (m,) in enumerate(basis.states):
-        K.set_entry(j, j, s * t**m)
-        if (m + 1,) in basis.index:
-            Sp.set_entry(basis.index[(m + 1,)], j, ONE - s * s * t**m)
-        if m >= 1:
-            Sm.set_entry(basis.index[(m - 1,)], j, ONE - t**m)
-    return K, Sp, Sm
+def site_op(basis: Basis, N: int, site: int, step: int, amp) -> SparseMatrix:
+    """Adds `step` bosons at `site` (1-based) of an N-site chain basis
+    (occupation tuples or partitions), with amplitude amp(m) of the source
+    occupancy m there; a single site is N = site = 1.
+
+    S is step +1 with amp 1, Sbar step -1 with amp 1 - t^m, and step 0
+    gives a diagonal.  Sources with fewer than -step bosons at the site and
+    targets outside the basis are dropped.
+    """
+    k = site - 1
+
+    def move(state):
+        occ = list(_state_occ(basis, state, N))
+        m = occ[k]
+        if m + step < 0:
+            return None
+        occ[k] = m + step
+        return _occ_state(basis, occ), amp(m)
+
+    return SparseMatrix.from_state_map(basis, move)
 
 
 def build_lax(kind: str, z_site_basis: Basis, params: dict):
     """2x2 matrix of GradedOperators for one site.
 
     qboson: [[1, z Sbar], [S, z]]
-    spin_s: the cleared form (1+zs) L^s = [[1+zK, z S-], [S+, z+K]]
-    toda / toda_bar: delegated to the integer-window realization, with
-    params["site"] selecting the coordinate.
+    spin_s: the cleared form (1+zs) L^s = [[1+zK, z S-], [S+, z+K]] with
+    K = s tau, S- = Sbar, S+ = S (1 - s^2 tau)
+    Both act on site params["site"] of a params["N"]-site chain basis (both
+    default to 1, a single site).
+    toda / toda_bar / toda_tilde: delegated to the integer-window
+    realization, with params["site"] selecting the coordinate.
     """
     t = as_scalar(params["t"])
+    site = int(params.get("site", 1))
     if kind in ("toda", "toda_bar", "toda_tilde"):
-        return toda_lax(kind, z_site_basis, int(params.get("site", 1)), t)
+        return toda_lax(kind, z_site_basis, site, t)
+    if kind not in ("qboson", "spin_s"):
+        raise ValueError(f"unknown single-site lax kind {kind!r}")
+    N = int(params.get("N", 1))
     dim = len(z_site_basis)
     I = SparseMatrix.identity(dim)
+    Sb = site_op(z_site_basis, N, site, -1, lambda m: ONE - t ** m)
     if kind == "qboson":
-        S = site_create(z_site_basis)
-        Sb = site_annihilate(z_site_basis, t)
+        S = site_op(z_site_basis, N, site, +1, lambda m: ONE)
         return [[GradedOperator(dim, {0: I}), GradedOperator(dim, {1: Sb})],
                 [GradedOperator(dim, {0: S}), GradedOperator(dim, {1: I})]]
-    if kind == "spin_s":
-        s = as_scalar(params["s"])
-        K, Sp, Sm = spin_site_ops(z_site_basis, t, s)
-        return [[GradedOperator(dim, {0: I, 1: K}), GradedOperator(dim, {1: Sm})],
-                [GradedOperator(dim, {0: Sp}), GradedOperator(dim, {0: K, 1: I})]]
-    raise ValueError(f"unknown single-site lax kind {kind!r}")
+    s = as_scalar(params["s"])
+    K = site_op(z_site_basis, N, site, 0, lambda m: s * t ** m)
+    Sp = site_op(z_site_basis, N, site, +1, lambda m: ONE - s * s * t ** m)
+    return [[GradedOperator(dim, {0: I, 1: K}), GradedOperator(dim, {1: Sb})],
+            [GradedOperator(dim, {0: Sp}), GradedOperator(dim, {0: K, 1: I})]]
 
 
 # ---------------------------------------------------------------------------
@@ -125,15 +133,11 @@ def rll_check_qboson(u, v, t, cap: int):
     truncated site space.  Returns (ok, report of failing entries).
     """
     basis = single_site_basis(cap)
-    dim = len(basis)
-    S = site_create(basis)
-    Sb = site_annihilate(basis, as_scalar(t))
-    I = SparseMatrix.identity(dim)
-    Z = SparseMatrix(dim)
+    Z = SparseMatrix(len(basis))
+    L = build_lax("qboson", basis, {"t": t})
 
     def lax(z):
-        z = as_scalar(z)
-        return [[I, Sb.scale(z)], [S, I.scale(z)]]
+        return [[entry.eval_at(z) for entry in row] for row in L]
 
     R = build_sixvertex_r(u, v, t)
     Lu, Lv = lax(u), lax(v)
@@ -239,12 +243,8 @@ def periodic_transfer(N: int, n: int, x, t) -> GradedOperator:
 def translation_op(N: int, n: int, x) -> SparseMatrix:
     """One-step translation: every boson moves one site right, seam carries x."""
     x = as_scalar(x)
-    basis = occupation_basis(N, n)
-    out = SparseMatrix(len(basis))
-    for j, m in enumerate(basis.states):
-        target = (m[-1],) + m[:-1]
-        out.set_entry(basis.index[target], j, x ** m[-1])
-    return out
+    return SparseMatrix.from_state_map(occupation_basis(N, n),
+                                       lambda m: ((m[-1],) + m[:-1], x ** m[-1]))
 
 
 def periodic_hamiltonian(N: int, n: int, x, t) -> SparseMatrix:
@@ -358,42 +358,14 @@ def mat2_mul(A, B, max_degree: int):
     return out
 
 
-def _state_occ(basis: Basis, state, N: int):
-    if basis.kind == "occupation":
-        return state
-    return partition_to_occupation(state, N)
-
-
-def _occ_state(basis: Basis, occ):
-    if basis.kind == "occupation":
-        return tuple(occ)
-    return occupation_to_partition(occ)
-
-
-def chain_site_create(basis: Basis, N: int, site: int) -> SparseMatrix:
-    """S_site on an N-site chain basis (occupation tuples or partitions)."""
-    out = SparseMatrix(len(basis))
-    for j, state in enumerate(basis.states):
-        occ = list(_state_occ(basis, state, N))
-        occ[site - 1] += 1
-        target = _occ_state(basis, occ)
-        if target in basis.index:
-            out.set_entry(basis.index[target], j, ONE)
-    return out
-
-
-def chain_site_annihilate(basis: Basis, N: int, site: int, t) -> SparseMatrix:
-    t = as_scalar(t)
-    out = SparseMatrix(len(basis))
-    for j, state in enumerate(basis.states):
-        m = _state_occ(basis, state, N)
-        if m[site - 1] >= 1:
-            occ = list(m)
-            occ[site - 1] -= 1
-            target = _occ_state(basis, occ)
-            if target in basis.index:
-                out.set_entry(basis.index[target], j, ONE - t ** m[site - 1])
-    return out
+def monodromy(laxes, max_degree: int):
+    """Ordered product L_1 L_2 ... of 2x2 Lax matrices, degrees capped at
+    max_degree.  laxes may be a generator: only the running product and
+    the current factor are alive at once."""
+    T = None
+    for L in laxes:
+        T = L if T is None else mat2_mul(T, L, max_degree)
+    return T
 
 
 def qboson_monodromy(basis: Basis, N: int, t, trivial_first=False):
@@ -403,24 +375,13 @@ def qboson_monodromy(basis: Basis, N: int, t, trivial_first=False):
     which amounts to left-multiplying by [[1, z], [1, z]].
     """
     t = as_scalar(t)
-    dim = len(basis)
-    I = GradedOperator.identity(dim)
-
-    def lax(site):
-        S = GradedOperator(dim, {0: chain_site_create(basis, N, site)})
-        Sb = GradedOperator(dim, {1: chain_site_annihilate(basis, N, site, t)})
-        zI = GradedOperator(dim, {1: SparseMatrix.identity(dim)})
-        return [[I, Sb], [S, zI]]
-
-    T = None
-    for site in range(1, N + 1):
-        L = lax(site)
-        T = L if T is None else mat2_mul(T, L, N + 1)
+    T = monodromy((build_lax("qboson", basis, {"t": t, "site": site, "N": N})
+                   for site in range(1, N + 1)), N + 1)
     if trivial_first:
-        one = GradedOperator(dim, {0: SparseMatrix.identity(dim)})
+        dim = len(basis)
+        one = GradedOperator.identity(dim)
         zI = GradedOperator(dim, {1: SparseMatrix.identity(dim)})
-        L0 = [[one, zI], [one, zI]]
-        T = mat2_mul(L0, T, N + 1)
+        T = mat2_mul([[one, zI], [one, zI]], T, N + 1)
     return T
 
 
@@ -432,7 +393,6 @@ def open_A_via_monodromy(basis: Basis, N: int, t):
     """
     t = as_scalar(t)
     M = qboson_monodromy(basis, N, t, trivial_first=False)
-    dim = len(basis)
     A = M[0][0].add(M[1][0].shift(1))
     up = M[0][1].add(M[1][1].shift(1))
     Abar = up.reflect(N + 1)
@@ -451,22 +411,19 @@ def free_window_basis(N: int, lo: int, hi: int) -> Basis:
 def toda_x_op(basis: Basis, k: int, t, power: int = 1) -> SparseMatrix:
     """Diagonal t^{power * v_k} (1-based coordinate)."""
     t = as_scalar(t)
-    out = SparseMatrix(len(basis))
-    for j, v in enumerate(basis.states):
-        out.set_entry(j, j, t ** (power * v[k - 1]))
-    return out
+    x = cache(lambda e: t ** (power * e))  # a window repeats each v_k many times
+    return SparseMatrix.from_state_map(basis, lambda v: (v, x(v[k - 1])))
 
 
 def toda_shift_op(basis: Basis, coords, step: int) -> SparseMatrix:
     """Joint shift of the listed coordinates by step; drops at window edges."""
-    out = SparseMatrix(len(basis))
-    for j, v in enumerate(basis.states):
+    def shift(v):
         w = list(v)
         for c in coords:
             w[c - 1] += step
-        if tuple(w) in basis.index:
-            out.set_entry(basis.index[tuple(w)], j, ONE)
-    return out
+        return tuple(w), ONE
+
+    return SparseMatrix.from_state_map(basis, shift)
 
 
 def toda_lax(kind: str, basis: Basis, k: int, t):
@@ -519,18 +476,19 @@ def qboson_lax_toda_vars(basis: Basis, k: int, t, open_x0=True):
     dim = len(basis)
     I = SparseMatrix.identity(dim)
     if k == 0:
-        S = SparseMatrix.identity(dim)
-        Sb = SparseMatrix.identity(dim) if open_x0 else None
-        if Sb is None:
+        if not open_x0:
             raise ValueError("periodic site 0 not realized here")
+        S = Sb = I
     else:
-        S = toda_shift_op(basis, list(range(1, k + 1)), +1)
-        factor = SparseMatrix(dim)
-        for j, v in enumerate(basis.states):
-            N = len(v)
-            ratio = t ** (v[k - 1] - v[k]) if k < N else t ** v[k - 1]
-            factor.set_entry(j, j, ONE - ratio)
-        Sb = toda_shift_op(basis, list(range(1, k + 1)), -1).mul(factor)
+        prefix = list(range(1, k + 1))
+        S = toda_shift_op(basis, prefix, +1)
+
+        one_minus = cache(lambda e: ONE - t ** e)
+
+        def factor(v):  # 1 - x_k / x_{k+1}, with x_{N+1} = 1
+            return v, one_minus(v[k - 1] - v[k] if k < len(v) else v[k - 1])
+
+        Sb = toda_shift_op(basis, prefix, -1).mul(SparseMatrix.from_state_map(basis, factor))
     return [[GradedOperator(dim, {0: I}), GradedOperator(dim, {1: Sb})],
             [GradedOperator(dim, {0: S}), GradedOperator(dim, {1: I})]]
 
@@ -538,11 +496,7 @@ def qboson_lax_toda_vars(basis: Basis, k: int, t, open_x0=True):
 def toda_monodromy(kind: str, basis: Basis, N: int, t, max_degree=None):
     """L_1 ... L_N over window coordinates, graded degree capped at N."""
     cap = max_degree if max_degree is not None else N
-    T = None
-    for k in range(1, N + 1):
-        L = toda_lax(kind, basis, k, t)
-        T = L if T is None else mat2_mul(T, L, cap)
-    return T
+    return monodromy((toda_lax(kind, basis, k, t) for k in range(1, N + 1)), cap)
 
 
 def cone_states(basis: Basis, require_nonneg=True):
@@ -564,15 +518,7 @@ def window_to_partitions(entry: GradedOperator, window: Basis, basis_p: Basis,
         lam = conjugate(partition(window.states[j]))
         if lam in basis_p.index:
             mapping[j] = basis_p.index[lam]
-    dim = len(basis_p)
-    blocks = {}
-    for k in entry.degrees():
-        m = SparseMatrix(dim)
-        for r, c, val in entry.block(k).entries():
-            if r in mapping and c in mapping:
-                m.add_to(mapping[r], mapping[c], val)
-        blocks[k] = m
-    return GradedOperator(dim, blocks, max_degree=max_degree)
+    return entry.restrict(mapping, len(basis_p), max_degree)
 
 
 def toda_open_A(N: int, t, max_len: int, basis_p: Basis):
@@ -621,10 +567,7 @@ def toda_gauge_check(N: int, t, window_top: int):
     # monodromy level: U_0 T^Toda_N = (L_0 ... L_{N-1}) U_N
     T_toda = toda_monodromy("toda", w, N, t)
     lhs = mat2_mul(toda_U(w, 0, t, x0=0), T_toda, N)
-    T_qb = None
-    for k in range(0, N):
-        L = qboson_lax_toda_vars(w, k, t)
-        T_qb = L if T_qb is None else mat2_mul(T_qb, L, N)
+    T_qb = monodromy((qboson_lax_toda_vars(w, k, t) for k in range(N)), N)
     rhs = mat2_mul(T_qb, toda_U(w, N, t), N)
     good = agrees(lhs, rhs, N, interior(N + 1))
     ok = ok and good
@@ -697,46 +640,12 @@ def spin_periodic_transfer_cleared(N: int, M: int, X, t, s) -> GradedOperator:
     t, s, X = as_scalar(t), as_scalar(s), as_scalar(X)
     # monodromy intermediates carry one extra or one missing particle
     big = chain_basis(N, M + 1)
-    dim = len(big)
-
-    def site_ops(site):
-        K = SparseMatrix(dim)
-        Sp = SparseMatrix(dim)
-        Sm = SparseMatrix(dim)
-        for j, m in enumerate(big.states):
-            mk = m[site - 1]
-            K.set_entry(j, j, s * t ** mk)
-            occ = list(m)
-            occ[site - 1] += 1
-            if tuple(occ) in big.index:
-                Sp.set_entry(big.index[tuple(occ)], j, ONE - s * s * t ** mk)
-            if mk >= 1:
-                occ = list(m)
-                occ[site - 1] -= 1
-                Sm.set_entry(big.index[tuple(occ)], j, ONE - t ** mk)
-        return K, Sp, Sm
-
-    I = SparseMatrix.identity(dim)
-    T = None
-    for site in range(1, N + 1):
-        K, Sp, Sm = site_ops(site)
-        L = [[GradedOperator(dim, {0: I, 1: K}), GradedOperator(dim, {1: Sm})],
-             [GradedOperator(dim, {0: Sp}), GradedOperator(dim, {0: K, 1: I})]]
-        T = L if T is None else mat2_mul(T, L, N)
+    T = monodromy((build_lax("spin_s", big, {"t": t, "s": s, "site": site})
+                   for site in range(1, N + 1)), N)
     traced = T[0][0].add(T[1][1].scale(X))
     sector = occupation_basis(N, M)
-    keep = [big.index[m] for m in sector.states]
-    blocks = {}
-    for d in traced.degrees():
-        m_out = SparseMatrix(len(sector))
-        for jj, j_big in enumerate(keep):
-            for r, v in traced.block(d).cols.get(j_big, {}).items():
-                state = big.states[r]
-                if state in sector.index:
-                    m_out.add_to(sector.index[state], jj, v)
-        if not m_out.is_zero():
-            blocks[d] = m_out
-    return GradedOperator(len(sector), blocks, max_degree=N)
+    return traced.restrict({big.index[m]: j for j, m in enumerate(sector.states)},
+                           len(sector), N)
 
 
 # ---------------------------------------------------------------------------
@@ -762,16 +671,11 @@ def build_toda_q_r(z, t, cap: int):
     """The q-deformed auxiliary R as a 2x2 matrix of spin-window operators:
     [[1 + z S, s], [-s^{-1}(1 - S), -1]] with S the raise, s = diag t^m."""
     z, t = as_scalar(z), as_scalar(t)
-    dim = cap + 1
-    S = SparseMatrix(dim)
-    sdiag = SparseMatrix(dim)
-    sinv = SparseMatrix(dim)
-    for m in range(dim):
-        if m + 1 <= cap:
-            S.set_entry(m + 1, m, ONE)
-        sdiag.set_entry(m, m, t ** m)
-        sinv.set_entry(m, m, t ** (-m))
-    I = SparseMatrix.identity(dim)
+    spin = single_site_basis(cap)
+    S = toda_shift_op(spin, [1], +1)
+    sdiag = toda_x_op(spin, 1, t)
+    sinv = toda_x_op(spin, 1, t, -1)
+    I = SparseMatrix.identity(cap + 1)
     return [[I.add(S.scale(z)), sdiag],
             [sinv.mul(I.add(S.scale(-1))).scale(-1), I.scale(-1)]]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import count
 
 from .scalars import ONE, ZERO, format_scalar
 from . import baxter_q, bethe, gaudin, hall_littlewood as hl, lattice, vertex_ops
@@ -381,17 +382,24 @@ def _suite_gaudin(spec):
     return checks
 
 
+# seed offset between successive redraws of a singular lascoux draw
+LASCOUX_REDRAW = 1000
+
+
 def _suite_lascoux(spec):
     checks = []
     t = _small_t(spec.seed, 0)
     for n in (1, 2, 3):
-        U = draw_params(spec.seed + 3 * n, f"distinct-{n}")
-        V = draw_params(spec.seed + 7 * n + 1, f"distinct-{n}")
-        U = [u / 4 for u in U]
-        V = [v / 4 for v in V]
+        for redraw in count():
+            seed = spec.seed + LASCOUX_REDRAW * redraw
+            U = [u / 4 for u in draw_params(seed + 3 * n, f"distinct-{n}")]
+            V = [v / 4 for v in draw_params(seed + 7 * n + 1, f"distinct-{n}")]
+            if gaudin.singular_point(U, V, t) is None:
+                break
         ok = gaudin.lascoux_reduction_check(n, U, V, t)
         checks.append(_check(f"symmetrizer reduction n={n}",
-                             "Hecke symmetrizer kernel reduction", ok))
+                             "Hecke symmetrizer kernel reduction", ok,
+                             detail=f"redrawn {redraw}x past singular draws" if redraw else ""))
     return checks
 
 

@@ -132,3 +132,12 @@ def test_warnaar_style_sum_converges_monotonically():
         if prev_gap is not None:
             assert gap <= prev_gap
         prev_gap = gap
+
+
+def test_lascoux_rejects_singular_point():
+    # u v = 1 and t u v = 1 are poles of the kernel: a ValueError naming the
+    # pair, not a ZeroDivisionError from deep inside the expansion
+    with pytest.raises(ValueError, match=r"u=2, v=1/2.*u v = 1"):
+        lascoux_reduction_check(2, [F(1, 3), F(2)], [F(1, 2), F(1, 7)], T)
+    with pytest.raises(ValueError, match=r"t u v = 1"):
+        lascoux_reduction_check(1, [F(7, 2)], [F(1)], T)

@@ -2,14 +2,25 @@
 
 `SparseMatrix.mismatches` must agree with a dense entrywise comparison
 (even on matrices that store zeros), the arithmetic must never store a
-zero, and a single wrong entry must be reported exactly once.
+zero, and a single wrong entry must be reported exactly once.  The
+state-map constructor and `GradedOperator.restrict` must equal the loops
+they replace, drop what leaves the basis and store no zero; partitions,
+occupation vectors and conjugates must round-trip.
 """
 
 from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from integrable_lab.graded import SparseMatrix
+from integrable_lab.graded import GradedOperator, SparseMatrix
+from integrable_lab.partitions import (
+    Basis,
+    conjugate,
+    occupation_to_partition,
+    partition,
+    partition_to_occupation,
+    weight,
+)
 
 DIM = 4
 INDEX = st.integers(0, DIM - 1)
@@ -74,3 +85,65 @@ def test_one_perturbed_entry_is_reported_once(a, r, c, delta):
     b.add_to(r, c, delta)
     assert a.mismatches(b, range(DIM)) == [(r, c, a.entry(r, c), a.entry(r, c) + delta)]
     assert a.mismatches(b, [j for j in range(DIM) if j != c]) == []
+
+
+# states 0..DIM-1 are in the basis; DIM..DIM+1 are targets outside it
+STATE_MAPS = st.dictionaries(st.integers(0, DIM - 1),
+                             st.none() | st.tuples(st.integers(0, DIM + 1), VALUES))
+
+
+@SETTINGS
+@given(STATE_MAPS, st.permutations(range(DIM)))
+def test_state_map_equals_the_loop_it_replaces(table, order):
+    basis = Basis([(v,) for v in order], "shuffled states")
+
+    def fn(state):
+        hit = table.get(state[0])
+        return None if hit is None else ((hit[0],), hit[1])
+
+    built = SparseMatrix.from_state_map(basis, fn)
+    loop = SparseMatrix(DIM)
+    for j, state in enumerate(basis.states):
+        hit = fn(state)
+        if hit is not None and hit[0] in basis.index:
+            loop.set_entry(basis.index[hit[0]], j, hit[1])
+    assert built == loop
+    assert not stores_zero(built)
+    for j, state in enumerate(basis.states):
+        hit = fn(state)
+        if hit is None or hit[0] not in basis.index or hit[1] == 0:
+            assert j not in built.cols
+
+
+@SETTINGS
+@given(st.dictionaries(st.integers(0, 2), raw_matrices(), max_size=3),
+       st.dictionaries(INDEX, st.integers(0, 2)), st.integers(0, 4))
+def test_restrict_equals_the_loop_it_replaces(blocks, mapping, max_degree):
+    op = GradedOperator(DIM, blocks)
+    got = op.restrict(mapping, 3, max_degree)
+    loop = {}
+    for k in op.degrees():
+        m = SparseMatrix(3)
+        for r, c, v in op.block(k).entries():
+            if r in mapping and c in mapping:
+                m.add_to(mapping[r], mapping[c], v)
+        loop[k] = m
+    assert got == GradedOperator(3, loop)
+    assert got.max_degree == max_degree
+    assert not any(stores_zero(m) for m in got.blocks.values())
+
+
+PARTITIONS = st.lists(st.integers(1, 4), max_size=6).map(
+    lambda parts: tuple(sorted(parts, reverse=True)))
+
+
+@SETTINGS
+@given(PARTITIONS, st.lists(st.integers(0, 3), min_size=1, max_size=5))
+def test_partition_occupation_conjugate_round_trips(lam, occ):
+    occ = tuple(occ)
+    assert partition(lam) == lam
+    assert occupation_to_partition(partition_to_occupation(lam, 4)) == lam
+    assert partition_to_occupation(occupation_to_partition(occ), len(occ)) == occ
+    assert conjugate(conjugate(lam)) == lam
+    assert weight(conjugate(lam)) == weight(lam)
+    assert len(conjugate(lam)) == (lam[0] if lam else 0)

@@ -19,6 +19,7 @@ from integrable_lab.lattice import (
     qboson_monodromy,
     rll_check_qboson,
     single_site_basis,
+    site_op,
     sixvertex_weights,
     spin_periodic_transfer_cleared,
     toda_gauge_check,
@@ -136,6 +137,20 @@ def test_spin_lax_reduces_to_qboson():
     for i in range(2):
         for j in range(2):
             assert qb[i][j] == sp[i][j]
+
+
+def test_single_site_lax_is_the_one_site_chain():
+    basis = single_site_basis(4)
+    lax = build_lax("qboson", basis, {"t": T_SAMPLE})
+    mono = qboson_monodromy(basis, 1, T_SAMPLE)
+    for i in range(2):
+        for j in range(2):
+            assert lax[i][j] == mono[i][j]
+    # S raises up to the cap, Sbar lowers with 1 - t^m and drops at m = 0
+    S = site_op(basis, 1, 1, +1, lambda m: F(1))
+    Sb = site_op(basis, 1, 1, -1, lambda m: 1 - T_SAMPLE ** m)
+    assert sorted(S.entries()) == [(m + 1, m, 1) for m in range(4)]
+    assert sorted(Sb.entries()) == [(m - 1, m, 1 - T_SAMPLE ** m) for m in range(1, 5)]
 
 
 def test_open_transfer_matches_gamma_restriction():

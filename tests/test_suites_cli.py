@@ -71,6 +71,16 @@ def test_small_suites_pass():
         assert report["status"] == "pass", (name, report)
 
 
+def test_lascoux_redraws_past_singular_draws():
+    # these seeds draw u v = 1 (19) or t u v = 1 (30, 40) and used to raise
+    # ZeroDivisionError; each singular draw is now replaced deterministically
+    for seed in (19, 30, 40):
+        report = run_suite(SuiteSpec("lascoux", seed=seed))
+        assert report["status"] == "pass", report
+        assert any("redrawn" in check["detail"] for check in report["checks"])
+        assert report == run_suite(SuiteSpec("lascoux", seed=seed))
+
+
 def run_cli(*argv):
     proc = subprocess.run(
         [sys.executable, "-m", "integrable_lab.cli", *argv],
@@ -164,3 +174,27 @@ def test_cli_usage_errors():
     assert code == 2
     code, _, _ = run_cli("nonsense")
     assert code == 2
+
+
+def test_cli_verify_has_no_t_or_x(capsys):
+    # no suite reads t or x, so the flags are gone rather than ignored (an
+    # abbreviation of --truncation does not stand in for --t either)
+    assert cli.main(["verify", "paper-matrices", "--t", "5", "--x", "7"]) == 2
+    assert cli.main(["verify", "paper-matrices", "--t", "5"]) == 2
+    assert cli.main(["verify", "paper-matrices", "--trunc", "5"]) == 2
+
+
+def test_cli_config_key_without_flag_is_usage_error(tmp_path, capsys):
+    conf = tmp_path / "lab.conf"
+    conf.write_text("bogus=3\n")
+    assert cli.main(["verify", "paper-matrices", "--config", str(conf)]) == 2
+    assert "bogus" in capsys.readouterr().err
+
+
+def test_cli_negative_rational_as_its_own_token(capsys):
+    assert cli.main(["gaudin", "--U", "1/3", "--V", "1/2", "--t", "-1/2"]) == 0
+    assert json.loads(capsys.readouterr().out)["within_bound"] is True
+    assert cli.main(["matrix", "lambda", "--x", "-3/5"]) == 0
+    separate = capsys.readouterr().out
+    assert cli.main(["matrix", "lambda", "--x=-3/5"]) == 0
+    assert capsys.readouterr().out == separate
