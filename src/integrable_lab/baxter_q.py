@@ -15,6 +15,7 @@ commutation with the transfer matrix and the translation.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import product as iproduct
 
 from .graded import GradedOperator, SparseMatrix
@@ -123,10 +124,16 @@ def build_qmatrix(N: int, n: int, x, t) -> GradedOperator:
     basis = occupation_basis(N, n)
     dim = len(basis)
     blocks = {}
+    # a sector repeats each t-binomial and phase many times: one table per call
+    binom = cache(lambda a, b: tbinom(a, b, t))
+    phase = cache(lambda deg, delta: (-ONE) ** deg * x ** delta)
 
     def add(d, i, j, val):
         if val != 0:
-            blocks.setdefault(d, SparseMatrix(dim)).add_to(i, j, val)
+            block = blocks.get(d)
+            if block is None:
+                block = blocks[d] = SparseMatrix(dim)
+            block.add_to(i, j, val)
 
     for j, m in enumerate(basis.states):
         rev = tuple(reversed(m))
@@ -136,14 +143,14 @@ def build_qmatrix(N: int, n: int, x, t) -> GradedOperator:
         ranges = [range(nu[k + 1], nu[k] + 1) for k in range(1, N + 1)]
         for out in iproduct(*ranges):
             deg = sum(nu[k] - out[k - 1] for k in range(1, N + 1))
-            amp = ONE
-            for k in range(1, N + 1):
-                amp *= tbinom(nu[k] - nu[k + 1], nu[k] - out[k - 1], t)
             delta = n - out[0]
+            amp = phase(deg, delta)
+            for k in range(1, N + 1):
+                amp *= binom(nu[k] - nu[k + 1], nu[k] - out[k - 1])
             shifted = [v + delta for v in out]
             rev_target = tuple(shifted[k] - shifted[k + 1] for k in range(N - 1)) + (shifted[N - 1],)
             target = tuple(reversed(rev_target))
-            add(deg, basis.index[target], j, (-ONE) ** deg * amp * x ** delta)
+            add(deg, basis.index[target], j, amp)
     return GradedOperator(dim, blocks, max_degree=n)
 
 

@@ -309,10 +309,14 @@ def bethe_solve(N: int, M: int, t, s, x, seeds: int = 20, seed: int = 0,
 
     Returns every distinct solution found with residual below 1e-10 in
     the original (uncleared) equations; per-seed non-convergence is not
-    fatal.
+    fatal.  Rejects t = 1, where the weight w5 = z(1 - t) vanishes and
+    the transfer-matrix column weights divide by it.
     """
     if M > 3 or N > 6:
         raise ValueError("root solver is desk-scale: N <= 6, M <= 3")
+    if t == 1:
+        raise ValueError("t = 1 is a singular point of the Bethe system: "
+                         "the weight w5 = z(1 - t) vanishes there")
     tf, sf, xf = float(t), float(s), float(x)
     if M == 0:
         return BetheSystem(N, M, t, s, x, [tuple()], [0.0])

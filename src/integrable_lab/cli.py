@@ -5,8 +5,9 @@ polynomial), matrix (dump an operator in the documented JSON schema),
 bethe (solve a small root system), gaudin (truncated sum vs determinant).
 
 All parameters are exact rational strings; the only floats anywhere are
-the Bethe solver tolerances.  Exit codes: 0 pass, 1 identity failure,
-2 usage error.  INTEGRABLE_LAB_SEED overrides the default seed, and a
+the Bethe solver tolerances.  Exit codes: 0 pass, 1 identity failure
+(including a suite that raised), 2 usage error (including a `verify` flag
+the chosen suite does not read).  INTEGRABLE_LAB_SEED overrides the default seed, and a
 flat key=value config file can supply any flag (explicit flags win; a key
 naming no flag is a usage error).
 """
@@ -18,6 +19,7 @@ import json
 import os
 import re
 import sys
+import traceback
 
 from .baxter_q import build_qmatrix
 from .bethe import bethe_solve, periodic_eigen_residual
@@ -39,12 +41,16 @@ from .partitions import (
     partition_basis,
 )
 from .scalars import format_scalar, parse_scalar
-from .suites import SUITE_NAMES, SuiteSpec, run_suite
+from .suites import SUITE_NAMES, SuiteSpec, run_suite, suite_flags
 from .vertex_ops import build_gamma
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+# integer flags of `verify`; each suite reads a subset (suites.suite_flags)
+VERIFY_FLAGS = ("N", "n", "D", "degree", "cap", "draws", "truncation",
+                "max_weight", "max_len", "vars")
 
 
 def _parse_vars(text: str):
@@ -98,17 +104,25 @@ def _default_seed():
 
 
 def cmd_verify(args) -> int:
-    params = {}
-    for key in ("N", "n", "D", "degree", "cap", "draws", "truncation",
-                "max_weight", "max_len", "vars"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key if key not in ("N", "n") else {"N": "N_range", "n": "n_range"}[key]] = int(val)
+    """Usage errors (an unknown suite, a flag the suite does not read) exit
+    2 before the suite starts; an exception raised inside the suite is a
+    failed check and exits 1."""
+    reads = suite_flags(args.suite)  # KeyError (exit 2) for an unknown suite
+    given = [flag for flag in VERIFY_FLAGS if getattr(args, flag) is not None]
+    unread = [f"--{flag}" for flag in given if flag not in reads]
+    if unread:
+        known = ", ".join(f"--{flag}" for flag in reads) or "none"
+        print(f"error: suite {args.suite!r} does not read {', '.join(unread)} "
+              f"(its flags: {known})", file=sys.stderr)
+        return EXIT_USAGE
+    params = {reads[flag]: int(getattr(args, flag)) for flag in given}
     try:
         report = run_suite(SuiteSpec(args.suite, seed=args.seed, params=params))
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception as exc:  # the suite ran and broke: a failure, not misuse
+        traceback.print_exc(file=sys.stderr)
+        print(f"error: suite {args.suite!r} raised {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_FAIL
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -223,8 +237,7 @@ def build_parser():
     p_verify.add_argument("--seed", type=int, default=_default_seed())
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--config")
-    for flag in ("N", "n", "D", "degree", "cap", "draws", "truncation",
-                 "max_weight", "max_len", "vars"):
+    for flag in VERIFY_FLAGS:
         p_verify.add_argument(f"--{flag}", type=int, default=None)
     p_verify.set_defaults(fn=cmd_verify)
 

@@ -19,6 +19,12 @@ the dense entrywise comparison at O(nnz) cost.
 Operators that send each basis state to at most one target (site
 operators, window shifts, diagonals, the translation) are all built by
 `SparseMatrix.from_state_map`, which drops targets outside the basis.
+
+Sums of products are fused: `sum_of_products` adds every block product
+of a list of graded pairs column by column into one accumulator per
+degree and drops zeros once, at the end.  `GradedOperator.compose` is
+its one-pair case and every 2x2 monodromy entry is one call; `mul`,
+`add` and `eval_at` share the same column accumulators.
 """
 
 from __future__ import annotations
@@ -26,6 +32,45 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import ONE, ZERO, as_scalar
+
+
+def _add_product(acc: dict, a: "SparseMatrix", b: "SparseMatrix") -> None:
+    """acc += a @ b on a column map (col -> {row: value}); zeros may remain."""
+    acols = a.cols
+    for c, bcol in b.cols.items():
+        tgt = acc.get(c)
+        if tgt is None:
+            tgt = acc[c] = {}
+        for k, vb in bcol.items():
+            acol = acols.get(k)
+            if acol:
+                for r, va in acol.items():
+                    old = tgt.get(r)
+                    tgt[r] = va * vb if old is None else old + va * vb
+
+
+def _add_scaled(acc: dict, m: "SparseMatrix", factor=ONE) -> None:
+    """acc += factor * m on a column map; zeros may remain."""
+    scaled = factor != 1
+    for c, col in m.cols.items():
+        tgt = acc.get(c)
+        if tgt is None:
+            tgt = acc[c] = {}
+        for r, v in col.items():
+            if scaled:
+                v = v * factor
+            old = tgt.get(r)
+            tgt[r] = v if old is None else old + v
+
+
+def _nonzero(acc: dict) -> dict:
+    """The column map without its zero entries and empty columns."""
+    out = {}
+    for c, col in acc.items():
+        col = {r: v for r, v in col.items() if v}
+        if col:
+            out[c] = col
+    return out
 
 
 class SparseMatrix:
@@ -103,25 +148,16 @@ class SparseMatrix:
         """Matrix product self @ other (other acts first on kets)."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        out = SparseMatrix(self.dim)
-        for c, col in other.cols.items():
-            acc = {}
-            for k, vb in col.items():
-                for r, va in self.cols.get(k, {}).items():
-                    acc[r] = acc.get(r, ZERO) + va * vb
-            acc = {r: v for r, v in acc.items() if v != 0}
-            if acc:
-                out.cols[c] = acc
-        return out
+        acc = {}
+        _add_product(acc, self, other)
+        return SparseMatrix(self.dim, _nonzero(acc))
 
     def add(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        out = self.copy()
-        for c, col in other.cols.items():
-            for r, v in col.items():
-                out.add_to(r, c, v)
-        return out
+        acc = {c: dict(col) for c, col in self.cols.items()}
+        _add_scaled(acc, other)
+        return SparseMatrix(self.dim, _nonzero(acc))
 
     def scale(self, factor) -> "SparseMatrix":
         factor = as_scalar(factor)
@@ -237,25 +273,12 @@ class GradedOperator:
 
     def compose(self, other: "GradedOperator", max_degree: int) -> "GradedOperator":
         """Cauchy product truncated at max_degree (explicit, always)."""
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        out = {}
-        for i, a in self.blocks.items():
-            for j, b in other.blocks.items():
-                k = i + j
-                if k > max_degree:
-                    continue
-                prod = a.mul(b)
-                if k in out:
-                    out[k] = out[k].add(prod)
-                else:
-                    out[k] = prod
-        return GradedOperator(self.dim, out, max_degree=max_degree)
+        return sum_of_products([(self, other)], max_degree)
 
     def add(self, other: "GradedOperator") -> "GradedOperator":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        out = {k: m.copy() for k, m in self.blocks.items()}
+        out = dict(self.blocks)
         for k, m in other.blocks.items():
             out[k] = out[k].add(m) if k in out else m
         return GradedOperator(self.dim, out,
@@ -279,11 +302,12 @@ class GradedOperator:
                               max_degree=self.max_degree + k0)
 
     def eval_at(self, z) -> SparseMatrix:
+        """A(z) = sum_k z^k A_k, summed into one column map."""
         z = as_scalar(z)
-        out = SparseMatrix(self.dim)
+        acc = {}
         for k, m in self.blocks.items():
-            out = out.add(m.scale(z ** k))
-        return out
+            _add_scaled(acc, m, z ** k)
+        return SparseMatrix(self.dim, _nonzero(acc))
 
     def restrict(self, mapping: dict, dim: int, max_degree: int) -> "GradedOperator":
         """Entries whose row and column both lie in `mapping` (old index ->
@@ -352,6 +376,28 @@ class GradedOperator:
 
     def __repr__(self):
         return f"GradedOperator(dim={self.dim}, degrees={self.degrees()})"
+
+
+def sum_of_products(pairs, max_degree: int) -> GradedOperator:
+    """sum over (A, B) in pairs of the Cauchy product A B, truncated at
+    max_degree (explicit, always).
+
+    Each block product A_i B_j with i + j <= max_degree is added column by
+    column into one accumulator per degree; zeros are dropped once, at the
+    end, so no block product is built on its own.
+    """
+    pairs = list(pairs)
+    dim = pairs[0][0].dim
+    if any(A.dim != dim or B.dim != dim for A, B in pairs):
+        raise ValueError("dimension mismatch")
+    acc = {}
+    for A, B in pairs:
+        for i, a in A.blocks.items():
+            for j, b in B.blocks.items():
+                if i + j <= max_degree:
+                    _add_product(acc.setdefault(i + j, {}), a, b)
+    return GradedOperator(dim, {k: SparseMatrix(dim, _nonzero(cols)) for k, cols in acc.items()},
+                          max_degree=max_degree)
 
 
 def commutator_vanishes(A: GradedOperator, B: GradedOperator) -> bool:

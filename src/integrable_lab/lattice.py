@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import product as iproduct
 
-from .graded import GradedOperator, SparseMatrix
+from .graded import GradedOperator, SparseMatrix, sum_of_products
 from .partitions import (
     Basis,
     conjugate,
@@ -347,15 +347,9 @@ def open_hamiltonian(basis: Basis, N: int, t) -> SparseMatrix:
 # 2x2 operator matrices and monodromy
 
 def mat2_mul(A, B, max_degree: int):
-    out = [[None, None], [None, None]]
-    for i in range(2):
-        for j in range(2):
-            acc = None
-            for k in range(2):
-                term = A[i][k].compose(B[k][j], max_degree)
-                acc = term if acc is None else acc.add(term)
-            out[i][j] = acc
-    return out
+    """2x2 product of graded operator matrices, each entry one fused sum."""
+    return [[sum_of_products([(A[i][0], B[0][j]), (A[i][1], B[1][j])], max_degree)
+             for j in range(2)] for i in range(2)]
 
 
 def monodromy(laxes, max_degree: int):

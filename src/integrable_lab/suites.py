@@ -483,33 +483,59 @@ def _suite_paper_matrices(spec):
     return checks
 
 
+# name -> (suite, the params it reads); each param maps to the `verify`
+# flag that sets it, or to None when only run_suite can pass it (values
+# that are not a single integer, and max_r)
 _SUITES = {
-    "rll": _suite_rll,
-    "pieri": _suite_pieri,
-    "hall-pieri": _suite_hall_pieri,
-    "cauchy": lambda s: _suite_cauchy(s, "cauchy"),
-    "dual-cauchy": lambda s: _suite_cauchy(s, "dual"),
-    "gamma-commute": _suite_gamma_commute,
-    "gamma-eigen": _suite_gamma_eigen,
-    "tq": _suite_tq,
-    "lambda-q": _suite_lambda_q,
-    "ar-project": _suite_ar_project,
-    "bethe": _suite_bethe,
-    "gaudin": _suite_gaudin,
-    "lascoux": _suite_lascoux,
-    "adjoint": _suite_adjoint,
-    "gauge": _suite_gauge,
-    "paper-matrices": _suite_paper_matrices,
+    "rll": (_suite_rll, {"cap": "cap", "draws": "draws"}),
+    "pieri": (_suite_pieri, {"draws": "draws", "max_weight": "max_weight",
+                             "max_r": None, "vars": "vars"}),
+    "hall-pieri": (_suite_hall_pieri, {"draws": "draws", "max_weight": "max_weight",
+                                       "max_r": None, "vars": "vars"}),
+    "cauchy": (lambda s: _suite_cauchy(s, "cauchy"),
+               {"draws": "draws", "degree": "degree", "vars": "vars"}),
+    "dual-cauchy": (lambda s: _suite_cauchy(s, "dual"),
+                    {"draws": "draws", "degree": "degree", "vars": "vars"}),
+    "gamma-commute": (_suite_gamma_commute, {"D": "D", "degree": "degree"}),
+    "gamma-eigen": (_suite_gamma_eigen, {"D": "D", "degree": "degree", "vars": "vars"}),
+    "tq": (_suite_tq, {"draws": "draws", "N_range": "N", "n_range": "n"}),
+    "lambda-q": (_suite_lambda_q, {"draws": "draws", "pairs": None}),
+    "ar-project": (_suite_ar_project, {"draws": "draws", "N_max": "N",
+                                       "max_weight": "max_weight", "max_len": "max_len"}),
+    "bethe": (_suite_bethe, {}),
+    "gaudin": (_suite_gaudin, {"truncation": "truncation"}),
+    "lascoux": (_suite_lascoux, {}),
+    "adjoint": (_suite_adjoint, {"max_weight": "max_weight"}),
+    "gauge": (_suite_gauge, {}),
+    "paper-matrices": (_suite_paper_matrices, {"draws": "draws"}),
 }
 
 SUITE_NAMES = sorted(_SUITES)
 
 
+def _registered(name: str):
+    """(suite, params it reads); the KeyError for an unknown name lists the known ones."""
+    if name not in _SUITES:
+        raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
+    return _SUITES[name]
+
+
+def suite_flags(name: str) -> dict:
+    """{verify flag: param} for the flags the named suite reads."""
+    return {flag: param for param, flag in _registered(name)[1].items() if flag}
+
+
 def run_suite(spec: SuiteSpec) -> dict:
-    """Run a registered suite; the report is reproducible from (name, seed)."""
-    if spec.name not in _SUITES:
-        raise KeyError(f"unknown suite {spec.name!r}; known: {', '.join(SUITE_NAMES)}")
-    checks = _SUITES[spec.name](spec)
+    """Run a registered suite; the report is reproducible from (name, seed).
+
+    A param the suite does not read is rejected, not ignored.
+    """
+    suite, reads = _registered(spec.name)
+    unread = sorted(set(spec.params) - set(reads))
+    if unread:
+        raise KeyError(f"suite {spec.name!r} does not read {', '.join(unread)}; "
+                       f"it reads {', '.join(sorted(reads)) or 'no params'}")
+    checks = suite(spec)
     status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
     return {
         "suite": spec.name,

@@ -158,3 +158,11 @@ def test_json_roundtrip():
     assert dump["N"] == 3 and len(dump["roots"]) == len(system.residuals)
     assert all(isinstance(pair, list) and len(pair) == 2
                for root in dump["roots"] for pair in root)
+
+
+def test_bethe_solve_rejects_t_one():
+    # at t = 1 the weight w5 = z(1 - t) vanishes and the column weights
+    # divide by it; the solver refuses up front instead
+    for t in (F(1), 1, 1.0):
+        with pytest.raises(ValueError, match="t = 1"):
+            bethe_solve(2, 1, t, F(0), F(1), seeds=2, seed=0)

@@ -5,7 +5,10 @@
 zero, and a single wrong entry must be reported exactly once.  The
 state-map constructor and `GradedOperator.restrict` must equal the loops
 they replace, drop what leaves the basis and store no zero; partitions,
-occupation vectors and conjugates must round-trip.
+occupation vectors and conjugates must round-trip.  The graded algebra
+(`compose`, `lattice.mat2_mul`, `eval_at`) must equal dense truncated
+Cauchy products of Fraction lists, cancelling terms included, with no
+stored zero and no degree above the cap.
 """
 
 from fractions import Fraction as F
@@ -13,6 +16,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings, strategies as st
 
 from integrable_lab.graded import GradedOperator, SparseMatrix
+from integrable_lab.lattice import mat2_mul
 from integrable_lab.partitions import (
     Basis,
     conjugate,
@@ -147,3 +151,104 @@ def test_partition_occupation_conjugate_round_trips(lam, occ):
     assert conjugate(conjugate(lam)) == lam
     assert weight(conjugate(lam)) == weight(lam)
     assert len(conjugate(lam)) == (lam[0] if lam else 0)
+
+
+# few distinct values, so that sums of products often cancel to zero
+SMALL = st.sampled_from([F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2)])
+
+
+@st.composite
+def graded_ops(draw, max_degree=3):
+    blocks = {}
+    for k in range(draw(st.integers(0, max_degree)) + 1):
+        m = SparseMatrix(DIM)
+        for (r, c), v in draw(st.dictionaries(st.tuples(INDEX, INDEX), SMALL,
+                                              max_size=2 * DIM)).items():
+            m.set_entry(r, c, v)
+        blocks[k] = m
+    return GradedOperator(DIM, blocks)
+
+
+def dense(m):
+    return [[m.entry(r, c) for c in range(DIM)] for r in range(DIM)]
+
+
+def dense_zero():
+    return [[F(0)] * DIM for _ in range(DIM)]
+
+
+def dense_add(a, b):
+    return [[a[r][c] + b[r][c] for c in range(DIM)] for r in range(DIM)]
+
+
+def dense_mul(a, b):
+    return [[sum((a[r][m] * b[m][c] for m in range(DIM)), F(0)) for c in range(DIM)]
+            for r in range(DIM)]
+
+
+def dense_cauchy(A, B, max_degree):
+    """[C_0, ..., C_max_degree] with C_k = sum_{i+j=k} A_i B_j, dense."""
+    out = [dense_zero() for _ in range(max_degree + 1)]
+    for i in A.degrees():
+        for j in B.degrees():
+            if i + j <= max_degree:
+                out[i + j] = dense_add(out[i + j], dense_mul(dense(A.block(i)),
+                                                             dense(B.block(j))))
+    return out
+
+
+def assert_graded_equals_dense(op, want, max_degree):
+    assert op.max_degree == max_degree
+    assert all(0 <= k <= max_degree for k in op.degrees())
+    assert not any(stores_zero(m) or m.is_zero() for m in op.blocks.values())
+    assert [dense(op.block(k)) for k in range(max_degree + 1)] == want
+
+
+@SETTINGS
+@given(graded_ops(), graded_ops(), st.integers(0, 6), st.booleans())
+def test_compose_equals_dense_cauchy_product(A, B, max_degree, cancel):
+    if cancel:
+        # A = M + z M, B = N - z N: the degree-1 block M(-N) + M N cancels
+        A = GradedOperator(DIM, {0: A.block(0), 1: A.block(0)})
+        B = GradedOperator(DIM, {0: B.block(0), 1: B.block(0).scale(-1)})
+    got = A.compose(B, max_degree)
+    assert_graded_equals_dense(got, dense_cauchy(A, B, max_degree), max_degree)
+    if cancel and max_degree >= 1:
+        assert 1 not in got.blocks
+
+
+@SETTINGS
+@given(st.lists(graded_ops(2), min_size=8, max_size=8), st.integers(0, 4), st.booleans())
+def test_mat2_mul_equals_dense_products(ops, max_degree, cancel):
+    A = [ops[0:2], ops[2:4]]
+    B = [ops[4:6], ops[6:8]]
+    if cancel:
+        # entry (0, 0) = A00 B00 + A00 (-B00) = 0
+        A[0][1] = A[0][0]
+        B[1][0] = B[0][0].scale(-1)
+    got = mat2_mul(A, B, max_degree)
+    for i in range(2):
+        for j in range(2):
+            want = [dense_add(x, y) for x, y in zip(dense_cauchy(A[i][0], B[0][j], max_degree),
+                                                    dense_cauchy(A[i][1], B[1][j], max_degree))]
+            assert_graded_equals_dense(got[i][j], want, max_degree)
+    if cancel:
+        assert not got[0][0].blocks
+
+
+@SETTINGS
+@given(graded_ops(), st.fractions(min_value=-2, max_value=2, max_denominator=3),
+       st.booleans())
+def test_eval_at_equals_dense_sum(A, z, cancel):
+    if cancel:
+        # A(z) = M - z M vanishes at z = 1
+        A = GradedOperator(DIM, {0: A.block(0), 1: A.block(0).scale(-1)})
+        z = F(1)
+    want = dense_zero()
+    for k in A.degrees():
+        want = dense_add(want, [[v * z ** k for v in row] for row in dense(A.block(k))])
+    got = A.eval_at(z)
+    assert dense(got) == want
+    assert not stores_zero(got)
+    if cancel:
+        assert got.is_zero() and not got.cols

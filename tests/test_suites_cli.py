@@ -169,6 +169,11 @@ def test_cli_matrix_q_rejects_t_one(capsys):
     assert "t = 1" in capsys.readouterr().err
 
 
+def test_cli_bethe_rejects_t_one(capsys):
+    assert cli.main(["bethe", "--N", "2", "--M", "1", "--t", "1"]) == 2
+    assert "t = 1" in capsys.readouterr().err
+
+
 def test_cli_usage_errors():
     code, _, _ = run_cli("eval", "P", "--lambda", "oops", "--vars", "1/2", "--t", "1/5")
     assert code == 2
@@ -198,3 +203,35 @@ def test_cli_negative_rational_as_its_own_token(capsys):
     separate = capsys.readouterr().out
     assert cli.main(["matrix", "lambda", "--x=-3/5"]) == 0
     assert capsys.readouterr().out == separate
+
+
+def test_verify_rejects_flags_the_suite_does_not_read(capsys):
+    assert cli.main(["verify", "lascoux", "--draws", "5", "--cap", "9"]) == 2
+    err = capsys.readouterr().err
+    assert "--draws" in err and "--cap" in err
+    assert cli.main(["verify", "lascoux", "--vars", "2", "--json"]) == 2
+    assert "--vars" in capsys.readouterr().err
+
+
+def test_run_suite_rejects_params_the_suite_does_not_read():
+    with pytest.raises(KeyError, match="vars"):
+        run_suite(SuiteSpec("lascoux", params={"vars": 2}))
+
+
+def test_verify_N_reaches_ar_project_as_N_max(capsys):
+    argv = ["verify", "ar-project", "--N", "1", "--draws", "1", "--max_len", "3", "--json"]
+    assert cli.main(argv) == 0
+    params = json.loads(capsys.readouterr().out)["params"]
+    assert params == {"N_max": "1", "draws": "1", "max_len": "3"}
+
+
+def test_verify_reports_a_raising_suite_as_a_failure(monkeypatch, capsys):
+    from integrable_lab import gaudin
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("singular draw")
+
+    monkeypatch.setattr(gaudin, "lascoux_reduction_check", broken)
+    assert cli.main(["verify", "lascoux"]) == 1
+    err = capsys.readouterr().err
+    assert "lascoux" in err and "ZeroDivisionError" in err and "singular draw" in err
