@@ -122,36 +122,29 @@ def build_qmatrix(N: int, n: int, x, t) -> GradedOperator:
     t, x = as_scalar(t), as_scalar(x)
     _reject_t_one(t)
     basis = occupation_basis(N, n)
-    dim = len(basis)
-    blocks = {}
     # a sector repeats each t-binomial and phase many times: one table per call
     binom = cache(lambda a, b: tbinom(a, b, t))
     phase = cache(lambda deg, delta: (-ONE) ** deg * x ** delta)
 
-    def add(d, i, j, val):
-        if val != 0:
-            block = blocks.get(d)
-            if block is None:
-                block = blocks[d] = SparseMatrix(dim)
-            block.add_to(i, j, val)
+    def entries():
+        for j, m in enumerate(basis.states):
+            rev = tuple(reversed(m))
+            nu = [0] * (N + 2)
+            for k in range(N, 0, -1):
+                nu[k] = nu[k + 1] + rev[k - 1]
+            ranges = [range(nu[k + 1], nu[k] + 1) for k in range(1, N + 1)]
+            for out in iproduct(*ranges):
+                deg = sum(nu[k] - out[k - 1] for k in range(1, N + 1))
+                delta = n - out[0]
+                amp = phase(deg, delta)
+                for k in range(1, N + 1):
+                    amp *= binom(nu[k] - nu[k + 1], nu[k] - out[k - 1])
+                shifted = [v + delta for v in out]
+                rev_target = tuple(shifted[k] - shifted[k + 1]
+                                   for k in range(N - 1)) + (shifted[N - 1],)
+                yield deg, basis.index[tuple(reversed(rev_target))], j, amp
 
-    for j, m in enumerate(basis.states):
-        rev = tuple(reversed(m))
-        nu = [0] * (N + 2)
-        for k in range(N, 0, -1):
-            nu[k] = nu[k + 1] + rev[k - 1]
-        ranges = [range(nu[k + 1], nu[k] + 1) for k in range(1, N + 1)]
-        for out in iproduct(*ranges):
-            deg = sum(nu[k] - out[k - 1] for k in range(1, N + 1))
-            delta = n - out[0]
-            amp = phase(deg, delta)
-            for k in range(1, N + 1):
-                amp *= binom(nu[k] - nu[k + 1], nu[k] - out[k - 1])
-            shifted = [v + delta for v in out]
-            rev_target = tuple(shifted[k] - shifted[k + 1] for k in range(N - 1)) + (shifted[N - 1],)
-            target = tuple(reversed(rev_target))
-            add(deg, basis.index[target], j, amp)
-    return GradedOperator(dim, blocks, max_degree=n)
+    return GradedOperator.from_entries(len(basis), entries(), n)
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +165,17 @@ def build_LL(u, t, s_cap: int, x_cap: int):
     def idx(a, b):
         return a * (x_cap + 1) + b
 
-    out = SparseMatrix(dim)
-    for ns in range(s_cap + 1):
-        for nx in range(x_cap + 1):
-            if nx < ns:
-                continue
-            base = w ** (nx - ns) / tfact(nx - ns, t)
-            for ms in range(nx, s_cap + 1):
-                if ns <= x_cap:
-                    out.add_to(idx(ms, ns), idx(ns, nx), base / tfact(ms - nx, t))
-    return out
+    def entries():
+        for ns in range(s_cap + 1):
+            for nx in range(x_cap + 1):
+                if nx < ns:
+                    continue
+                base = w ** (nx - ns) / tfact(nx - ns, t)
+                for ms in range(nx, s_cap + 1):
+                    if ns <= x_cap:
+                        yield idx(ms, ns), idx(ns, nx), base / tfact(ms - nx, t)
+
+    return SparseMatrix.from_entries(dim, entries())
 
 
 def ll_F_op(u, t, cap: int) -> SparseMatrix:
@@ -194,11 +188,9 @@ def ll_F_op(u, t, cap: int) -> SparseMatrix:
 def ll_G_op(t, cap: int) -> SparseMatrix:
     """G: |m> -> sum_{k >= m} 1/(k-m)!_t |k>."""
     t = as_scalar(t)
-    out = SparseMatrix(cap + 1)
-    for m in range(cap + 1):
-        for k in range(m, cap + 1):
-            out.set_entry(k, m, ONE / tfact(k - m, t))
-    return out
+    return SparseMatrix.from_entries(cap + 1, ((k, m, ONE / tfact(k - m, t))
+                                               for m in range(cap + 1)
+                                               for k in range(m, cap + 1)))
 
 
 def _two_window_ops(t, cap: int):
@@ -232,12 +224,9 @@ def ll_relations_check(u, t, cap: int):
         return a * (cap + 1) + b
 
     LL = build_LL(u, t, cap, cap)
-    Lc = SparseMatrix(dim)
-    for a in range(cap + 1):
-        for b in range(cap + 1):
-            col = LL.cols.get(idx(b, a), {})
-            for r, v in col.items():
-                Lc.add_to(r, idx(a, b), v)
+    Lc = SparseMatrix.from_entries(dim, ((r, idx(a, b), v)
+                                         for a in range(cap + 1) for b in range(cap + 1)
+                                         for r, v in LL.cols.get(idx(b, a), {}).items()))
 
     S, sdiag, sinv, X, xdiag, xinv, inner = _two_window_ops(t, cap)
     I = SparseMatrix.identity(dim)
@@ -453,13 +442,9 @@ def ar_project_check(N: int, z, u, t, max_weight: int, max_len: int):
 
     # Abar^R_N(u): R-family raising operator, targets capped at lam_1 <= N
     gr = build_gamma("R", "+", basis, t)
-    abar = SparseMatrix(dim)
-    for k in range(gr.weight_cap + 1):
-        for r, c, v in gr.block(k).entries():
-            lam_t = basis.states[r]
-            if lam_t and lam_t[0] > N:
-                continue
-            abar.add_to(r, c, v * uinv ** k)
+    abar = SparseMatrix.from_entries(dim, (
+        (r, c, v) for r, c, v in gr.op.eval_at(uinv).entries()
+        if not (basis.states[r] and basis.states[r][0] > N)))
 
     ninv = SparseMatrix.from_state_map(basis, lambda lam: (lam, ONE / state_norm(lam, t)))
     abar_ninv = abar.mul(ninv)

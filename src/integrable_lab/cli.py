@@ -7,9 +7,11 @@ bethe (solve a small root system), gaudin (truncated sum vs determinant).
 All parameters are exact rational strings; the only floats anywhere are
 the Bethe solver tolerances.  Exit codes: 0 pass, 1 identity failure
 (including a suite that raised), 2 usage error (including a `verify` flag
-the chosen suite does not read).  INTEGRABLE_LAB_SEED overrides the default seed, and a
-flat key=value config file can supply any flag (explicit flags win; a key
-naming no flag is a usage error).
+the chosen suite does not read).  INTEGRABLE_LAB_SEED overrides the default
+seed.  A flat key=value config file (`--config file`) can supply any flag
+that takes a value, required ones included: each line is passed to the
+parser as `--key=value` ahead of the typed flags, so a typed flag wins.  A
+key naming no such flag, and a missing or malformed file, are usage errors.
 """
 
 from __future__ import annotations
@@ -78,22 +80,16 @@ def _load_config(path: str) -> dict:
     return out
 
 
-def _merge_config(args, parser_defaults):
-    """Config file supplies values for flags left at their defaults; a key
-    naming no flag of the subcommand is an error."""
-    if not getattr(args, "config", None):
-        return args
-    conf = _load_config(args.config)
-    for key, val in conf.items():
-        attr = key.replace("-", "_")
-        if attr not in parser_defaults:
-            raise ValueError(f"config key {key!r} names no flag of {args.command!r}")
-        if getattr(args, attr) == parser_defaults.get(attr):
-            current = parser_defaults.get(attr)
-            if isinstance(current, int) and not isinstance(current, bool):
-                val = int(val)
-            setattr(args, attr, val)
-    return args
+def _config_flags(argv) -> list:
+    """The lines of the `--config` file among argv, as `--key=value` tokens
+    (none without the flag).  Raises OSError or ValueError for a file that
+    cannot be read."""
+    pre = argparse.ArgumentParser(prog="integrable-lab", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return []
+    return [f"--{key}={val}" for key, val in _load_config(path).items()]
 
 
 def _default_seed():
@@ -115,7 +111,7 @@ def cmd_verify(args) -> int:
         print(f"error: suite {args.suite!r} does not read {', '.join(unread)} "
               f"(its flags: {known})", file=sys.stderr)
         return EXIT_USAGE
-    params = {reads[flag]: int(getattr(args, flag)) for flag in given}
+    params = {reads[flag]: getattr(args, flag) for flag in given}
     try:
         report = run_suite(SuiteSpec(args.suite, seed=args.seed, params=params))
     except Exception as exc:  # the suite ran and broke: a failure, not misuse
@@ -307,15 +303,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
+        # config keys follow the subcommand and precede the typed flags
+        args = parser.parse_args(argv[:1] + _config_flags(argv[1:]) + argv[1:])
+    except (OSError, ValueError) as exc:
+        print(f"error: config file: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
-    defaults = {}
-    for action in parser._subparsers._group_actions[0].choices[args.command]._actions:
-        if action.dest != "help":
-            defaults[action.dest] = action.default
     try:
-        args = _merge_config(args, defaults)
         return args.fn(args)
     except (ValueError, KeyError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

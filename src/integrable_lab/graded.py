@@ -20,6 +20,13 @@ Operators that send each basis state to at most one target (site
 operators, window shifts, diagonals, the translation) are all built by
 `SparseMatrix.from_state_map`, which drops targets outside the basis.
 
+Every operator built entry by entry from combinatorial weights (transfer
+matrices from runs of hops, the Q-matrix from label chains, the half
+vertex operators from Pieri coefficients, relabellings) is built by
+`SparseMatrix.from_entries` or `GradedOperator.from_entries`: the
+builder yields its entries, repeated positions add up and zeros are
+dropped once, at the end.
+
 Sums of products are fused: `sum_of_products` adds every block product
 of a list of graded pairs column by column into one accumulator per
 degree and drops zeros once, at the end.  `GradedOperator.compose` is
@@ -104,6 +111,20 @@ class SparseMatrix:
                         cols[j] = {i: value}
         return cls(len(basis.states), cols)
 
+    @classmethod
+    def from_entries(cls, dim: int, entries) -> "SparseMatrix":
+        """Sum of (row, col, value) entries: a repeated position adds up,
+        and zeros, given or cancelled, are dropped once, at the end."""
+        acc = {}
+        for r, c, v in entries:
+            col = acc.get(c)
+            if col is None:
+                acc[c] = {r: v}
+            else:
+                old = col.get(r)
+                col[r] = v if old is None else old + v
+        return cls(dim, _nonzero(acc))
+
     def copy(self) -> "SparseMatrix":
         return SparseMatrix(self.dim, {c: dict(col) for c, col in self.cols.items()})
 
@@ -167,10 +188,7 @@ class SparseMatrix:
                                        for c, col in self.cols.items()})
 
     def transpose(self) -> "SparseMatrix":
-        out = SparseMatrix(self.dim)
-        for r, c, v in self.entries():
-            out.set_entry(c, r, v)
-        return out
+        return SparseMatrix.from_entries(self.dim, ((c, r, v) for r, c, v in self.entries()))
 
     def conjugate_by_norm(self, norms) -> "SparseMatrix":
         """N^-1 A^T N for a diagonal N given as a list of nonzero Fractions."""
@@ -179,11 +197,9 @@ class SparseMatrix:
         norms = [as_scalar(v) for v in norms]
         if any(v == 0 for v in norms):
             raise ValueError("zero norm entry")
-        out = SparseMatrix(self.dim)
-        for r, c, v in self.entries():
-            # (N^-1 A^T N)[c, r] = A[r, c] * norm_r / norm_c
-            out.set_entry(c, r, v * norms[r] / norms[c])
-        return out
+        # (N^-1 A^T N)[c, r] = A[r, c] * norm_r / norm_c
+        return SparseMatrix.from_entries(
+            self.dim, ((c, r, v * norms[r] / norms[c]) for r, c, v in self.entries()))
 
     def apply(self, vec: dict) -> dict:
         """Apply to a sparse vector {index: Fraction}."""
@@ -265,6 +281,25 @@ class GradedOperator:
     def zero(cls, dim: int) -> "GradedOperator":
         return cls(dim, {}, max_degree=0)
 
+    @classmethod
+    def from_entries(cls, dim: int, entries, max_degree: int) -> "GradedOperator":
+        """Sum of (degree, row, col, value) entries, as in
+        `SparseMatrix.from_entries`; a degree keeps a block only when it
+        has a nonzero entry."""
+        acc = {}
+        for k, r, c, v in entries:
+            cols = acc.get(k)
+            if cols is None:
+                cols = acc[k] = {}
+            col = cols.get(c)
+            if col is None:
+                cols[c] = {r: v}
+            else:
+                old = col.get(r)
+                col[r] = v if old is None else old + v
+        return cls(dim, {k: SparseMatrix(dim, _nonzero(cols)) for k, cols in acc.items()},
+                   max_degree=max_degree)
+
     def block(self, k: int) -> SparseMatrix:
         return self.blocks.get(k, SparseMatrix(self.dim))
 
@@ -312,19 +347,11 @@ class GradedOperator:
     def restrict(self, mapping: dict, dim: int, max_degree: int) -> "GradedOperator":
         """Entries whose row and column both lie in `mapping` (old index ->
         new index), relabelled onto a basis of size dim; the rest dropped."""
-        blocks = {}
-        for k, m in self.blocks.items():
-            out = SparseMatrix(dim)
-            for c, col in m.cols.items():
-                jc = mapping.get(c)
-                if jc is None:
-                    continue
-                for r, v in col.items():
-                    i = mapping.get(r)
-                    if i is not None:
-                        out.add_to(i, jc, v)
-            blocks[k] = out
-        return GradedOperator(dim, blocks, max_degree=max_degree)
+        return GradedOperator.from_entries(dim, (
+            (k, mapping[r], mapping[c], v)
+            for k, m in self.blocks.items()
+            for c, col in m.cols.items() if c in mapping
+            for r, v in col.items() if r in mapping), max_degree)
 
     def bar_adjoint(self, norms) -> "GradedOperator":
         """Blockwise N^-1 A_k^T N.
@@ -345,26 +372,6 @@ class GradedOperator:
                 raise ValueError("reflection would produce a negative degree")
             out[top - k] = m
         return GradedOperator(self.dim, out, max_degree=top)
-
-    def apply(self, vec: dict) -> dict:
-        """Apply to a graded vector {degree: {index: Fraction}} or plain {index: Fraction}."""
-        if vec and isinstance(next(iter(vec.values())), dict):
-            out = {}
-            for k, m in self.blocks.items():
-                for d, comp in vec.items():
-                    res = m.apply(comp)
-                    if res:
-                        tgt = out.setdefault(k + d, {})
-                        for i, v in res.items():
-                            tgt[i] = tgt.get(i, ZERO) + v
-            return {d: {i: v for i, v in comp.items() if v != 0}
-                    for d, comp in out.items() if comp}
-        out = {}
-        for k, m in self.blocks.items():
-            res = m.apply(vec)
-            if res:
-                out[k] = res
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, GradedOperator) or self.dim != other.dim:

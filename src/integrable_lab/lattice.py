@@ -203,41 +203,37 @@ def periodic_transfer(N: int, n: int, x, t) -> GradedOperator:
     """
     t, x = as_scalar(t), as_scalar(x)
     basis = occupation_basis(N, n)
-    dim = len(basis)
-    blocks = {}
 
-    def add(k, i, j, val):
-        if val != 0:
-            blocks.setdefault(k, SparseMatrix(dim)).add_to(i, j, val)
+    def entries():
+        for j, m in enumerate(basis.states):
+            for bits in range(2 ** N):
+                bonds = [k for k in range(N) if (bits >> k) & 1]
+                d = len(bonds)
+                if d == 0:
+                    yield 0, j, j, ONE
+                    continue
+                if d == N:
+                    yield N, j, j, x
+                    continue
+                occ = list(m)
+                amp = ONE
+                ok = True
+                runs = _runs_cyclic(bonds, N)
+                for a, b in runs:
+                    if occ[a] == 0:
+                        ok = False
+                        break
+                    amp *= ONE - t ** m[a]
+                    occ[a] -= 1
+                if not ok:
+                    continue
+                for a, b in runs:
+                    occ[(b + 1) % N] += 1
+                if (N - 1) in bonds:
+                    amp *= x
+                yield d, basis.index[tuple(occ)], j, amp
 
-    for j, m in enumerate(basis.states):
-        for bits in range(2 ** N):
-            bonds = [k for k in range(N) if (bits >> k) & 1]
-            d = len(bonds)
-            if d == 0:
-                add(0, j, j, ONE)
-                continue
-            if d == N:
-                add(N, j, j, x)
-                continue
-            occ = list(m)
-            amp = ONE
-            ok = True
-            runs = _runs_cyclic(bonds, N)
-            for a, b in runs:
-                if occ[a] == 0:
-                    ok = False
-                    break
-                amp *= ONE - t ** m[a]
-                occ[a] -= 1
-            if not ok:
-                continue
-            for a, b in runs:
-                occ[(b + 1) % N] += 1
-            if (N - 1) in bonds:
-                amp *= x
-            add(d, basis.index[tuple(occ)], j, amp)
-    return GradedOperator(dim, blocks, max_degree=N)
+    return GradedOperator.from_entries(len(basis), entries(), N)
 
 
 def translation_op(N: int, n: int, x) -> SparseMatrix:
@@ -251,17 +247,19 @@ def periodic_hamiltonian(N: int, n: int, x, t) -> SparseMatrix:
     """Right-mover H: sum of single hops k -> k+1, seam twisted."""
     t, x = as_scalar(t), as_scalar(x)
     basis = occupation_basis(N, n)
-    out = SparseMatrix(len(basis))
-    for j, m in enumerate(basis.states):
-        for k in range(N):
-            if m[k] == 0:
-                continue
-            occ = list(m)
-            occ[k] -= 1
-            occ[(k + 1) % N] += 1
-            amp = (ONE - t ** m[k]) * (x if k == N - 1 else ONE)
-            out.add_to(basis.index[tuple(occ)], j, amp)
-    return out
+
+    def entries():
+        for j, m in enumerate(basis.states):
+            for k in range(N):
+                if m[k] == 0:
+                    continue
+                occ = list(m)
+                occ[k] -= 1
+                occ[(k + 1) % N] += 1
+                amp = (ONE - t ** m[k]) * (x if k == N - 1 else ONE)
+                yield basis.index[tuple(occ)], j, amp
+
+    return SparseMatrix.from_entries(len(basis), entries())
 
 
 def open_transfer(basis: Basis, N: int, t, direction: str = "right") -> GradedOperator:
@@ -274,73 +272,69 @@ def open_transfer(basis: Basis, N: int, t, direction: str = "right") -> GradedOp
     by powers of 1/z stored positively.
     """
     t = as_scalar(t)
-    dim = len(basis)
-    blocks = {}
 
-    def add(k, i, j, val):
-        if val != 0:
-            blocks.setdefault(k, SparseMatrix(dim)).add_to(i, j, val)
-
-    for j, lam in enumerate(basis.states):
-        if lam and lam[0] > N:
-            continue  # outside the N-site projector: zero column
-        m = partition_to_occupation(lam, N)
-        for bits in range(2 ** N):
-            bonds = [k + 1 for k in range(N) if (bits >> k) & 1]
-            if not bonds:
-                add(0, j, j, ONE)
-                continue
-            occ = list(m)
-            amp = ONE
-            ok = True
-            for a, b in _runs_linear(bonds):
-                if direction == "right":
-                    if a >= 2:
-                        if occ[a - 2] == 0:
+    def entries():
+        for j, lam in enumerate(basis.states):
+            if lam and lam[0] > N:
+                continue  # outside the N-site projector: zero column
+            m = partition_to_occupation(lam, N)
+            for bits in range(2 ** N):
+                bonds = [k + 1 for k in range(N) if (bits >> k) & 1]
+                if not bonds:
+                    yield 0, j, j, ONE
+                    continue
+                occ = list(m)
+                amp = ONE
+                ok = True
+                for a, b in _runs_linear(bonds):
+                    if direction == "right":
+                        if a >= 2:
+                            if occ[a - 2] == 0:
+                                ok = False
+                                break
+                            amp *= ONE - t ** m[a - 2]
+                            occ[a - 2] -= 1
+                        occ[b - 1] += 1
+                    else:
+                        if occ[b - 1] == 0:
                             ok = False
                             break
-                        amp *= ONE - t ** m[a - 2]
-                        occ[a - 2] -= 1
-                    occ[b - 1] += 1
-                else:
-                    if occ[b - 1] == 0:
-                        ok = False
-                        break
-                    amp *= ONE - t ** m[b - 1]
-                    occ[b - 1] -= 1
-                    if a >= 2:
-                        occ[a - 2] += 1
-            if not ok:
-                continue
-            target = occupation_to_partition(occ)
-            if target not in basis.index:
-                continue
-            add(len(bonds), basis.index[target], j, amp)
-    return GradedOperator(dim, blocks, max_degree=N)
+                        amp *= ONE - t ** m[b - 1]
+                        occ[b - 1] -= 1
+                        if a >= 2:
+                            occ[a - 2] += 1
+                if not ok:
+                    continue
+                target = occupation_to_partition(occ)
+                if target in basis.index:
+                    yield len(bonds), basis.index[target], j, amp
+
+    return GradedOperator.from_entries(len(basis), entries(), N)
 
 
 def open_hamiltonian(basis: Basis, N: int, t) -> SparseMatrix:
     """S_1 + sum_{k} S_{k+1} Sbar_k, built directly from single hops."""
     t = as_scalar(t)
-    dim = len(basis)
-    out = SparseMatrix(dim)
-    for j, lam in enumerate(basis.states):
-        m = partition_to_occupation(lam, N)
-        occ = list(m)
-        occ[0] += 1
-        target = occupation_to_partition(occ)
-        if target in basis.index:
-            out.add_to(basis.index[target], j, ONE)
-        for k in range(N - 1):
-            if m[k] == 0:
-                continue
+
+    def entries():
+        for j, lam in enumerate(basis.states):
+            m = partition_to_occupation(lam, N)
             occ = list(m)
-            occ[k] -= 1
-            occ[k + 1] += 1
+            occ[0] += 1
             target = occupation_to_partition(occ)
             if target in basis.index:
-                out.add_to(basis.index[target], j, ONE - t ** m[k])
-    return out
+                yield basis.index[target], j, ONE
+            for k in range(N - 1):
+                if m[k] == 0:
+                    continue
+                occ = list(m)
+                occ[k] -= 1
+                occ[k + 1] += 1
+                target = occupation_to_partition(occ)
+                if target in basis.index:
+                    yield basis.index[target], j, ONE - t ** m[k]
+
+    return SparseMatrix.from_entries(len(basis), entries())
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +579,6 @@ def folded_toda_transfer(N: int, n: int, x, t) -> GradedOperator:
     tn = t ** n
     traced = T[0][0].add(T[1][1].scale(tn))
     occ = occupation_basis(N, n)
-    dim = len(occ)
 
     def canonical_labels(m):
         out = []
@@ -605,23 +598,19 @@ def folded_toda_transfer(N: int, n: int, x, t) -> GradedOperator:
         m = tuple(shifted[k] - shifted[k + 1] for k in range(N - 1)) + (shifted[-1],)
         return m, delta
 
-    blocks = {}
-    for d in traced.degrees():
-        m_out = SparseMatrix(dim)
-        for j, m in enumerate(occ.states):
-            src = canonical_labels(m)
-            if src not in w.index:
-                continue
-            col = traced.block(d).cols.get(w.index[src], {})
-            for r, val in col.items():
-                folded = fold(w.states[r])
-                if folded is None:
+    def entries():
+        for d, block in traced.blocks.items():
+            for j, m in enumerate(occ.states):
+                src = canonical_labels(m)
+                if src not in w.index:
                     continue
-                tgt, delta = folded
-                m_out.add_to(occ.index[tgt], j, val * x ** delta)
-        if not m_out.is_zero():
-            blocks[d] = m_out
-    return GradedOperator(dim, blocks, max_degree=N)
+                for r, val in block.cols.get(w.index[src], {}).items():
+                    folded = fold(w.states[r])
+                    if folded is not None:
+                        tgt, delta = folded
+                        yield d, occ.index[tgt], j, val * x ** delta
+
+    return GradedOperator.from_entries(len(occ), entries(), N)
 
 
 # ---------------------------------------------------------------------------

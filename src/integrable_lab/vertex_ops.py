@@ -77,32 +77,25 @@ def build_gamma(family: str, sign: str, basis: Basis, t) -> VertexOp:
     t = as_scalar(t)
     dim = len(basis)
     cap = max((weight(s) for s in basis), default=0)
-    blocks = {}
+    if family == "L":
+        strips, coeff = horizontal_strips_above, pieri_psi if sign == "-" else pieri_phi
+    else:
+        strips, coeff = vertical_strips_above, pieri_phi_prime if sign == "-" else pieri_psi_prime
 
-    def add(k, row, col, val):
-        if val == 0:
-            return
-        blocks.setdefault(k, SparseMatrix(dim)).add_to(row, col, val)
+    def entries():
+        for j, mu in enumerate(basis.states):
+            for lam in strips(mu, cap - weight(mu)):
+                i = basis.index.get(lam)
+                if i is None:
+                    continue
+                k = weight(lam) - weight(mu)
+                if sign == "-":
+                    yield k, i, j, coeff(lam, mu, t)
+                else:
+                    # raising: matrix element (mu <- lam)
+                    yield k, j, i, coeff(lam, mu, t)
 
-    for j, mu in enumerate(basis.states):
-        room = cap - weight(mu)
-        if family == "L":
-            ups = horizontal_strips_above(mu, room)
-            coeff = pieri_psi if sign == "-" else pieri_phi
-        else:
-            ups = vertical_strips_above(mu, room)
-            coeff = pieri_phi_prime if sign == "-" else pieri_psi_prime
-        for lam in ups:
-            if lam not in basis.index:
-                continue
-            k = weight(lam) - weight(mu)
-            i = basis.index[lam]
-            if sign == "-":
-                add(k, i, j, coeff(lam, mu, t))
-            else:
-                # raising: matrix element (mu <- lam)
-                add(k, j, i, coeff(lam, mu, t))
-    op = GradedOperator(dim, blocks, max_degree=cap)
+    op = GradedOperator.from_entries(dim, entries(), cap)
     return VertexOp(family, sign, basis, t, op)
 
 

@@ -8,7 +8,9 @@ they replace, drop what leaves the basis and store no zero; partitions,
 occupation vectors and conjugates must round-trip.  The graded algebra
 (`compose`, `lattice.mat2_mul`, `eval_at`) must equal dense truncated
 Cauchy products of Fraction lists, cancelling terms included, with no
-stored zero and no degree above the cap.
+stored zero and no degree above the cap.  Both `from_entries` constructors
+must equal the per-entry `add_to` loop they replace on entry lists with
+repeats, cancelling pairs and explicit zeros.
 """
 
 from fractions import Fraction as F
@@ -252,3 +254,38 @@ def test_eval_at_equals_dense_sum(A, z, cancel):
     assert not stores_zero(got)
     if cancel:
         assert got.is_zero() and not got.cols
+
+
+@st.composite
+def entry_lists(draw):
+    """(degree, row, col, value) entries in any order: repeated positions,
+    some negated copies (pairs that cancel) and some explicit zeros."""
+    entries = draw(st.lists(st.tuples(st.integers(0, 2), INDEX, INDEX, VALUES),
+                            max_size=3 * DIM))
+    extra = [(k, r, c, -v) for k, r, c, v in entries] + \
+            [(k, r, c, F(0)) for k, r, c, _ in entries]
+    keep = draw(st.lists(st.booleans(), min_size=len(extra), max_size=len(extra)))
+    return draw(st.permutations(entries + [e for e, b in zip(extra, keep) if b]))
+
+
+def assert_stored_clean(m):
+    assert not stores_zero(m)
+    assert all(m.cols.values())  # no empty column
+
+
+@SETTINGS
+@given(entry_lists())
+def test_from_entries_equals_the_add_to_loop(entries):
+    loop = {}
+    for k, r, c, v in entries:
+        loop.setdefault(k, SparseMatrix(DIM)).add_to(r, c, v)
+    graded = GradedOperator.from_entries(DIM, iter(entries), 2)
+    assert graded == GradedOperator(DIM, loop)
+    assert graded.max_degree == 2
+    assert sorted(graded.blocks) == sorted(k for k, m in loop.items() if not m.is_zero())
+    for k in range(3):
+        plain = SparseMatrix.from_entries(DIM, ((r, c, v) for d, r, c, v in entries if d == k))
+        assert plain == loop.get(k, SparseMatrix(DIM))
+        assert plain.cols == graded.block(k).cols
+        assert_stored_clean(plain)
+        assert_stored_clean(graded.block(k))

@@ -1,0 +1,37 @@
+"""Seed-0 suite reports are a regression oracle: their bytes must not change.
+
+Each digest is the sha256 of the `verify NAME --json` output at seed 0
+(`json.dumps(report, indent=2, sort_keys=True)` plus a newline), as listed
+in CHANGES.md.  A change that alters a report on purpose updates its
+digest here and says why.  Left out: `bethe`, whose float residuals tie
+its bytes to the platform's libm, and `ar-project`, `gamma-commute` and
+`gamma-eigen`, which take seconds each.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from integrable_lab.suites import SuiteSpec, run_suite
+
+SEED0_DIGESTS = {
+    "adjoint": "1128be2fb79897cb52e52fa7e08bf066c00036ec6c34678f923eca1765a865b0",
+    "cauchy": "e66f20f081bfc53fad6bced244b5f865500fa8ba72bfa4a2afb0b0258dc3945b",
+    "dual-cauchy": "bd1cb6aaca53a8480511e346d8d3db1f6ecd743a4a8f684629f347243e036dbe",
+    "gaudin": "2af15a0bbfc390828393dd3449fc4e0742ebe5c56f778478fbc0748213c98d60",
+    "gauge": "d7a67e0750a0918495d709dae5120ae158cb40ea82dc264bf24122a7a6bc8f58",
+    "hall-pieri": "0ba1033b667271f8b3686f6198bd629dab410f6b704a37602f6bfd7ebbd19dcf",
+    "lambda-q": "852b362efb4da799185cde4a8020081046bc38f28c2c8c53a044d865e1c1f79f",
+    "lascoux": "c27080e13d70ac1e2d4027fdb610c3fb14d306a5ba696a1892e075b29a90e429",
+    "paper-matrices": "c82c49382ad51143af7a6a98b0dff1cfe6f8548643c88d3a08b33f377cd31eb9",
+    "pieri": "450905d8b2c1ee1aaf63d425435ddb42d5c94b0e54183f0cab094bbb2f785298",
+    "rll": "1030f2ec3c035632eccf8e273df675531699effb06fec25251d55511bddd9a03",
+    "tq": "d0ec5a56a5a65355df0d245088f4ca5c3c3b7eb16ebfe56b7ca1f601a67005c5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED0_DIGESTS))
+def test_seed0_report_bytes_are_unchanged(name):
+    text = json.dumps(run_suite(SuiteSpec(name, 0)), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == SEED0_DIGESTS[name]

@@ -196,6 +196,41 @@ def test_cli_config_key_without_flag_is_usage_error(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, conf", [
+    (["bethe"], "N=3\nM=1\n"),
+    (["gaudin"], "U=1/3\nV=1/2\n"),
+    (["eval", "P", "--lambda", "[1]"], "vars=1/2,1/3\nt=1/5\n"),
+])
+def test_cli_config_supplies_required_flags(tmp_path, capsys, argv, conf):
+    path = tmp_path / "lab.conf"
+    path.write_text(conf)
+    assert cli.main(argv + ["--config", str(path)]) == 0
+
+
+def test_cli_typed_flag_at_its_default_beats_config(tmp_path, capsys):
+    conf = tmp_path / "lab.conf"
+    conf.write_text("t=2/7\n")
+    assert cli.main(["matrix", "lambda", "--t", "1/3", "--config", str(conf)]) == 0
+    configured = capsys.readouterr().out
+    assert cli.main(["matrix", "lambda", "--t", "1/3"]) == 0
+    assert configured == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", ["json=false", "json=true"])
+def test_cli_config_key_for_a_flag_without_value_is_usage_error(tmp_path, capsys, line):
+    conf = tmp_path / "lab.conf"
+    conf.write_text(line + "\n")
+    assert cli.main(["verify", "paper-matrices", "--config", str(conf)]) == 2
+    captured = capsys.readouterr()
+    assert "--json" in captured.err and not captured.out
+
+
+def test_cli_missing_config_file_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "absent.conf"
+    assert cli.main(["verify", "paper-matrices", "--config", str(missing)]) == 2
+    assert "absent.conf" in capsys.readouterr().err
+
+
 def test_cli_negative_rational_as_its_own_token(capsys):
     assert cli.main(["gaudin", "--U", "1/3", "--V", "1/2", "--t", "-1/2"]) == 0
     assert json.loads(capsys.readouterr().out)["within_bound"] is True
