@@ -25,6 +25,7 @@ from .partitions import (
 )
 from .graded import GradedOperator, SparseMatrix, commutator_vanishes, matrix_dump
 from .hall_littlewood import (
+    Alphabet,
     cauchy_coeff_check,
     complete_q_coeffs,
     elementary_e_coeffs,
@@ -34,6 +35,7 @@ from .hall_littlewood import (
     p_omega,
     pieri_coeff,
     skew_eval,
+    skew_sweep,
 )
 from .vertex_ops import (
     VertexOp,
@@ -63,6 +65,7 @@ from .baxter_q import (
     trace_qmatrix,
 )
 from .bethe import (
+    AnsatzTable,
     BetheSystem,
     bethe_solve,
     bethe_vector,

@@ -108,28 +108,58 @@ def bethe_amplitude(us, t):
     return r
 
 
-def bethe_vector(mu, us, t, s, normalized=False):
-    """R^s_mu = sum_P B(u_P) prod_i xi(u_{P_i})^{mu_i}, mu weakly decreasing.
+class AnsatzTable:
+    """One spectral alphabet at one (t, s): the n! rows (P, B(u_P)) of the
+    ansatz sum, built once, with xi(u) and its powers tabulated per u.
 
-    With normalized=True the prefactor 1/prod(1 + s u_k) is applied.
+    P lists indices into `us`.  The twin of `hall_littlewood.Alphabet`
+    (both give R_mu at s = 0), kept apart so that each side checks the
+    other.  Exact and complex inputs alike; with s = None only the rows
+    are read (no xi).
     """
-    mu = tuple(mu)
-    if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
-        raise ValueError("exponent vector must be weakly decreasing")
-    if len(set(us)) != len(us):
-        raise ValueError("coincident spectral parameters rejected")
-    exact = not (isinstance(t, complex) or any(isinstance(u, complex) for u in us)
-                 or isinstance(s, complex))
-    total = ZERO if exact else 0j
-    for P in permutations(us):
-        term = bethe_amplitude(list(P), t)
-        for u, e in zip(P, mu):
-            term = term * xi(u, s) ** e
-        total = total + term
-    if normalized:
-        for u in us:
-            total = total / (1 + s * u)
-    return total
+
+    def __init__(self, us, t, s=None):
+        us = list(us)
+        if len(set(us)) != len(us):
+            raise ValueError("coincident spectral parameters rejected")
+        self.us, self.s = us, s
+        self.exact = not (isinstance(t, complex) or any(isinstance(u, complex) for u in us)
+                          or isinstance(s, complex))
+        self.rows = [(P, bethe_amplitude([us[i] for i in P], t))
+                     for P in permutations(range(len(us)))]
+        self.xi = None if s is None else [xi(u, s) for u in us]
+        self._powers = [{} for _ in us]     # index -> {e: xi(u)^e}
+
+    def xi_power(self, i, e):
+        powers = self._powers[i]
+        p = powers.get(e)
+        if p is None:
+            p = powers[e] = self.xi[i] ** e
+        return p
+
+    def vector(self, mu, normalized=False):
+        """R^s_mu = sum_P B(u_P) prod_i xi(u_{P_i})^{mu_i}, mu weakly decreasing.
+
+        With normalized=True the prefactor 1/prod(1 + s u_k) is applied.
+        """
+        mu = tuple(mu)
+        if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
+            raise ValueError("exponent vector must be weakly decreasing")
+        power = self.xi_power
+        total = ZERO if self.exact else 0j
+        for P, term in self.rows:
+            for i, e in zip(P, mu):
+                term = term * power(i, e)
+            total = total + term
+        if normalized:
+            for u in self.us:
+                total = total / (1 + self.s * u)
+        return total
+
+
+def bethe_vector(mu, us, t, s, normalized=False):
+    """R^s_mu at the spectral alphabet `us`; see `AnsatzTable.vector`."""
+    return AnsatzTable(us, t, s).vector(mu, normalized)
 
 
 def x_hat(xv, w):
@@ -184,25 +214,27 @@ def interior_staircase_check(mu, N: int, us, t, s, z):
     if len(us) != M:
         raise ValueError("need one spectral parameter per particle")
     w = boltzmann_weights(z, s, t)
+    table = AnsatzTable(us, t, s)
     lhs = ZERO
     # bulk-only matrix: the seam substitution belongs to the periodic
     # quantization, not to the interior ansatz algebra
     for lam, wgt in spin_transfer_column(mu, N, w, cyclic=False):
-        lhs += bethe_vector(lam, us, t, s) * wgt
+        lhs += table.vector(lam) * wgt
     prev = [mu[-1] + N] + list(mu[:-1])
     L = [prev[i] - mu[i] for i in range(M)]
     if any(l < 1 for l in L):
         raise ValueError("column needs strictly interlacing boundaries")
+    X = [x_hat(xv, w) for xv in table.xi]
+    Y = [y_hat(xv, w) for xv in table.xi]
+    power = table.xi_power
     rhs = ZERO
     for k in range(M + 1):
-        for P in permutations(us):
-            amp = bethe_amplitude(list(P), t)
-            for i in range(M):
-                xv = xi(P[i], s)
+        for P, amp in table.rows:
+            for i, j in enumerate(P):
                 if i < k:
-                    amp *= y_hat(xv, w) * w[3] ** (L[i] - 1) * xv ** prev[i]
+                    amp *= Y[j] * w[3] ** (L[i] - 1) * power(j, prev[i])
                 else:
-                    amp *= x_hat(xv, w) * w[1] ** (L[i] - 1) * xv ** mu[i]
+                    amp *= X[j] * w[1] ** (L[i] - 1) * power(j, mu[i])
             rhs += amp
     return lhs == rhs, lhs, rhs
 
@@ -213,13 +245,14 @@ def graded_pieri_on_integers_check(mu, us, t, max_degree: int):
     sum over horizontal-strip extensions lam of mu (decreasing integers)
     with |lam - mu| = r of psi_{lam/mu} R_lam = q_r(U) R_mu, r <= max_degree.
     """
-    from .hall_littlewood import complete_q_coeffs, hl_R
+    from .hall_littlewood import Alphabet, complete_q_coeffs
 
     mu = tuple(mu)
     M = len(mu)
     us = [as_scalar(u) for u in us]
     t = as_scalar(t)
     series = complete_q_coeffs(us, t, max_degree)
+    R = Alphabet(us, t).R
     ok = True
     report = []
     for r in range(max_degree + 1):
@@ -229,8 +262,8 @@ def graded_pieri_on_integers_check(mu, us, t, max_degree: int):
         for lam in iproduct(*[range(mu[i], tops[i] + 1) for i in range(M)]):
             if sum(lam) - sum(mu) != r:
                 continue
-            total += _integer_psi(lam, mu, t) * hl_R(lam, us, t)
-        good = total == series[r] * hl_R(mu, us, t)
+            total += _integer_psi(lam, mu, t) * R(lam)
+        good = total == series[r] * R(mu)
         ok = ok and good
         report.append({"degree": r, "ok": good})
     return ok, report
@@ -393,11 +426,12 @@ def periodic_eigen_residual(system: BetheSystem, z: complex) -> float:
         for u in us:
             second *= (1 - zf * u / tf) / (1 - zf * u)
         lam_eig += second
+        table = AnsatzTable(us, tf, sf)
         for mu in columns:
             lhs = 0j
             for lam, wgt in spin_transfer_column(mu, N, w):
-                lhs += bethe_vector(lam, us, tf, sf) * wgt
-            rhs = lam_eig * bethe_vector(mu, us, tf, sf)
+                lhs += table.vector(lam) * wgt
+            rhs = lam_eig * table.vector(mu)
             scale = max(1.0, abs(rhs))
             worst = max(worst, abs(lhs - rhs) / scale)
     return worst

@@ -7,17 +7,21 @@ convergent sum over weakly increasing position vectors; it equals
 
 independently of the spin.  The truncated sum comes with a rigorous
 geometric tail bound (parameter draws are constrained so the dominant
-ratio stays below 1/2).  The Hecke-symmetrizer reduction of the same
+ratio stays below 1/2).  It reads one `bethe.AnsatzTable` per alphabet,
+so the n! amplitudes and the xi(u)^k powers are computed once per
+alphabet, not once per term; the determinant, which shares none of this
+code, stays its oracle.  The Hecke-symmetrizer reduction of the same
 kernel is checked as an exact operator identity expanded into shift
 terms.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 
-from .bethe import bethe_amplitude, bethe_vector, xi
+from .bethe import AnsatzTable
 from .scalars import ONE, ZERO, as_scalar, tbinom, tfact, tpoch
 
 
@@ -29,9 +33,10 @@ def spin_state_norm(mu, t, s) -> Fraction:
     """
     t, s = as_scalar(t), as_scalar(s)
     norm = ONE
-    for v in set(mu):
-        m = sum(1 for p in mu if p == v)
-        norm *= tfact(m, t) / tpoch(s * s, m, t)
+    # one factor per distinct multiplicity m, raised to the number of
+    # sites that carry it
+    for m, sites in Counter(Counter(mu).values()).items():
+        norm *= (tfact(m, t) / tpoch(s * s, m, t)) ** sites
     return norm
 
 
@@ -129,30 +134,29 @@ def gaudin_sum(n: int, U, V, t, s, truncation: int):
     t, s = as_scalar(t), as_scalar(s)
     if n == 0:
         return ONE, ZERO
-    M_U = max(_abs(xi(u, s)) for u in U)
-    M_V = max(_abs(xi(v, s)) for v in V)
-    rho = M_U * M_V
+    TU, TV = AnsatzTable(U, t, s), AnsatzTable(V, t, s)
+    rho = max(map(_abs, TU.xi)) * max(map(_abs, TV.xi))
     if rho >= 1:
         raise ValueError("divergent draw: dominant ratio >= 1")
     total = ZERO
     for mu_inc in combinations_with_replacement(range(truncation + 1), n):
         mu = tuple(sorted(mu_inc, reverse=True))
-        total += bethe_vector(mu, U, t, s, normalized=True) * \
-            bethe_vector(mu, V, t, s, normalized=True) / spin_state_norm(mu, t, s)
+        total += TU.vector(mu) * TV.vector(mu) / spin_state_norm(mu, t, s)
+    # the 1/prod(1 + s u) normalization of both vectors, applied once
+    for a in TU.us + TV.us:
+        total /= 1 + s * a
+
     # |R_mu| <= prefactor * sum_P |B(P)| * maxxi^{|mu|}
-    def bound_R(alo):
+    def bound_R(table):
         pref = ONE
-        for a in alo:
+        for a in table.us:
             pref /= _abs(1 + s * a)
-        amp = ZERO
-        for P in permutations(alo):
-            amp += _abs(bethe_amplitude(list(P), t))
-        return pref * amp
+        return pref * sum(_abs(amp) for _, amp in table.rows)
 
     norm_floor = spin_norm_floor(n, t, s)
     if norm_floor == 0:
         raise ValueError("degenerate spin norm")
-    const = bound_R(U) * bound_R(V) / norm_floor
+    const = bound_R(TU) * bound_R(TV) / norm_floor
     tail = const * _tail_geometric(n, rho, truncation)
     return total, tail
 
@@ -177,8 +181,8 @@ def hecke_symmetrize(fn, U, t) -> Fraction:
     t = as_scalar(t)
     n = len(U)
     total = ZERO
-    for P in permutations(U):
-        total += fn(list(P)) * bethe_amplitude(list(P), t)
+    for P, amp in AnsatzTable(U, t).rows:
+        total += fn([U[i] for i in P]) * amp
     return (1 - t) ** n / tfact(n, t) * total
 
 

@@ -187,9 +187,6 @@ class SparseMatrix:
         return SparseMatrix(self.dim, {c: {r: v * factor for r, v in col.items()}
                                        for c, col in self.cols.items()})
 
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix.from_entries(self.dim, ((c, r, v) for r, c, v in self.entries()))
-
     def conjugate_by_norm(self, norms) -> "SparseMatrix":
         """N^-1 A^T N for a diagonal N given as a list of nonzero Fractions."""
         if len(norms) != self.dim:
@@ -257,7 +254,8 @@ class SparseMatrix:
 
 
 class GradedOperator:
-    """Finite z-graded family of sparse matrices on a common basis."""
+    """Finite z-graded family of sparse matrices on a common basis; a
+    nonzero block above a given `max_degree` is rejected."""
 
     def __init__(self, dim: int, blocks=None, max_degree=None):
         self.dim = dim
@@ -268,8 +266,11 @@ class GradedOperator:
                     raise ValueError("negative degree")
                 if m.dim != dim:
                     raise ValueError("dimension mismatch")
-                if not m.is_zero():
-                    self.blocks[k] = m
+                if m.is_zero():
+                    continue
+                if max_degree is not None and k > max_degree:
+                    raise ValueError(f"block of degree {k} above max_degree {max_degree}")
+                self.blocks[k] = m
         self.max_degree = max_degree if max_degree is not None else \
             (max(self.blocks) if self.blocks else 0)
 

@@ -10,6 +10,15 @@ Three independent evaluation routes are provided:
                 phi' (vertical strips), which also give the omega-dual
                 family.
 
+Each symmetric function is evaluated once per (alphabet, t).  An
+`Alphabet` holds the n! permutation table (u_P, B(u_P)) of the
+symmetrized sum and memoizes R, Q and P per argument; hl_R/hl_Q/hl_P
+build one for a single evaluation, and callers that evaluate many
+partitions at one draw build one and read it.  skew_P and skew_Q_omega
+run one strip sweep, generic over the strip generator and the weight;
+`skew_sweep` returns every lam reached from mu under a weight cap from
+a single sweep.  The two routes share no code, so each checks the other.
+
 All identity checks are exact evaluations at rational points: a bounded
 degree polynomial identity that holds at enough generic points holds
 identically, and each exact check is a certificate at that point.
@@ -21,7 +30,9 @@ from fractions import Fraction
 from itertools import permutations
 
 from .partitions import (
+    _partitions_of,
     conjugate,
+    contains,
     horizontal_strips_above,
     is_horizontal_strip,
     is_vertical_strip,
@@ -123,87 +134,165 @@ def pieri_coeff(kind: str, lam, mu, t) -> Fraction:
 # ---------------------------------------------------------------------------
 # symmetrized sum route
 
-def hl_R(mu, values, t) -> Fraction:
-    """R_mu: sum over permutations of u^mu * prod_{i<j} (u_i - t u_j)/(u_i - u_j).
+class Alphabet:
+    """One alphabet at one t: the permutation table of the symmetrized sum,
+    with R, Q and P memoized per argument.
 
-    mu is any weakly decreasing integer sequence (negative parts allowed);
-    values must be pairwise distinct nonzero rationals when negative
-    exponents occur.
+    The table lists (u_P, B(u_P)) with B = prod_{i<j} (u_i - t u_j)/(u_i - u_j)
+    for the n! permutations P; it is built on the first R and read by every
+    later one, so R_mu costs n! monomials.  An Alphabet lives for one call or
+    one parameter draw: nothing is cached across alphabets.
     """
-    mu = tuple(int(v) for v in mu)
-    if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
-        raise ValueError("exponent vector must be weakly decreasing")
-    values = [as_scalar(v) for v in values]
-    n = len(values)
-    if n != len(mu):
-        raise ValueError("alphabet size must match exponent count")
-    if n > MAX_SYMMETRIZE:
-        raise ValueError(f"permutation sum capped at {MAX_SYMMETRIZE} variables")
-    if len(set(values)) != n:
-        raise ValueError("coincident variable values rejected; perturb the alphabet")
-    if any(v == 0 for v in values) and any(e < 0 for e in mu):
-        raise ValueError("zero variable with negative exponent")
-    total = ZERO
-    for perm in permutations(values):
-        term = ONE
-        for v, e in zip(perm, mu):
-            term *= v ** e
-        for i in range(n):
-            for j in range(i + 1, n):
-                term *= (perm[i] - as_scalar(t) * perm[j]) / (perm[i] - perm[j])
-        total += term
-    return total
+
+    def __init__(self, values, t):
+        self.values = [as_scalar(v) for v in values]
+        self.t = as_scalar(t)
+        self._rows = None      # [(value indices of u_P, B(u_P))]
+        self._powers = {}      # (value index, exponent) -> u^e
+        self._memo = {}        # ("R" | "Q" | "P", argument) -> value
+        self._nonzero = None   # the alphabet without its zero values
+
+    def _table(self):
+        if self._rows is None:
+            vals, t, n = self.values, self.t, len(self.values)
+            if n > MAX_SYMMETRIZE:
+                raise ValueError(f"permutation sum capped at {MAX_SYMMETRIZE} variables")
+            if len(set(vals)) != n:
+                raise ValueError("coincident variable values rejected; perturb the alphabet")
+            rows = []
+            for perm in permutations(range(n)):
+                amp = ONE
+                for a in range(n):
+                    for b in range(a + 1, n):
+                        ui, uj = vals[perm[a]], vals[perm[b]]
+                        amp *= (ui - t * uj) / (ui - uj)
+                rows.append((perm, amp))
+            self._rows = rows
+        return self._rows
+
+    def _power(self, i, e):
+        key = (i, e)
+        p = self._powers.get(key)
+        if p is None:
+            p = self._powers[key] = self.values[i] ** e
+        return p
+
+    def R(self, mu) -> Fraction:
+        """R_mu: sum over permutations of u^mu * prod_{i<j} (u_i - t u_j)/(u_i - u_j).
+
+        mu is any weakly decreasing integer sequence (negative parts
+        allowed); values must be pairwise distinct, and nonzero when
+        negative exponents occur.
+        """
+        mu = tuple(int(v) for v in mu)
+        key = ("R", mu)
+        if key in self._memo:
+            return self._memo[key]
+        if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
+            raise ValueError("exponent vector must be weakly decreasing")
+        if len(self.values) != len(mu):
+            raise ValueError("alphabet size must match exponent count")
+        rows = self._table()
+        if any(v == 0 for v in self.values) and any(e < 0 for e in mu):
+            raise ValueError("zero variable with negative exponent")
+        power = self._power
+        total = ZERO
+        for perm, amp in rows:
+            for i, e in zip(perm, mu):
+                amp *= power(i, e)
+            total += amp
+        self._memo[key] = total
+        return total
+
+    def Q(self, lam) -> Fraction:
+        """Q_lam via the zero-padded symmetrized sum; 0 when fewer variables than parts.
+
+        Q is stable under adjoining zero variables, so those are stripped
+        first (they would otherwise collide in the symmetrized sum).
+        """
+        lam = partition(lam)
+        key = ("Q", lam)
+        if key not in self._memo:
+            if 0 in self.values:
+                if self._nonzero is None:
+                    self._nonzero = Alphabet([v for v in self.values if v != 0], self.t)
+                value = self._nonzero.Q(lam)
+            elif len(self.values) < length(lam):
+                value = ZERO
+            else:
+                n, t = len(self.values), self.t
+                m0 = n - length(lam)
+                value = (ONE - t) ** n / tfact(m0, t) * self.R(lam + (0,) * m0)
+            self._memo[key] = value
+        return self._memo[key]
+
+    def P(self, lam) -> Fraction:
+        """P_lam = Q_lam / <lam|lam>."""
+        lam = partition(lam)
+        key = ("P", lam)
+        if key not in self._memo:
+            self._memo[key] = self.Q(lam) / state_norm(lam, self.t)
+        return self._memo[key]
+
+
+def hl_R(mu, values, t) -> Fraction:
+    """R_mu at the alphabet `values`; see `Alphabet.R`."""
+    return Alphabet(values, t).R(mu)
 
 
 def hl_Q(lam, values, t) -> Fraction:
-    """Q_lam via the zero-padded symmetrized sum; 0 when fewer variables than parts.
-
-    Q is stable under adjoining zero variables, so those are stripped
-    first (they would otherwise collide in the symmetrized sum).
-    """
-    lam = partition(lam)
-    values = [as_scalar(v) for v in values if as_scalar(v) != 0]
-    n = len(values)
-    if n < length(lam):
-        return ZERO
-    t = as_scalar(t)
-    m0 = n - length(lam)
-    padded = tuple(lam) + (0,) * m0
-    return (ONE - t) ** n / tfact(m0, t) * hl_R(padded, values, t)
+    """Q_lam at the alphabet `values`; see `Alphabet.Q`."""
+    return Alphabet(values, t).Q(lam)
 
 
 def hl_P(lam, values, t) -> Fraction:
-    """P_lam = Q_lam / <lam|lam>."""
-    return hl_Q(lam, values, t) / state_norm(lam, t)
+    """P_lam = Q_lam / <lam|lam> at the alphabet `values`."""
+    return Alphabet(values, t).P(lam)
 
 
 # ---------------------------------------------------------------------------
 # skew tableau route
+
+def _strip_sweep(mu, values, max_weight, strips, coeff, keep=None) -> dict:
+    """{lam: tableau sum of shape lam/mu} for every lam reached from mu
+    with |lam| <= max_weight.
+
+    One variable per step, v_n first (the sum is symmetric anyway): a step
+    adds a strip nu/kappa from strips(kappa, room) with weight
+    coeff(nu, kappa) v^{|nu/kappa|}.  `keep` prunes the shapes a step may
+    reach.  Each coefficient is computed once per sweep.
+    """
+    weights = {}
+    vec = {mu: ONE}
+    for v in reversed(values):
+        nxt = {}
+        for kappa, c in vec.items():
+            wk = weight(kappa)
+            for nu in strips(kappa, max_weight - wk):
+                if keep is not None and not keep(nu):
+                    continue
+                w = weights.get((nu, kappa))
+                if w is None:
+                    w = weights[nu, kappa] = coeff(nu, kappa)
+                amp = c * w * v ** (weight(nu) - wk)
+                if amp != 0:
+                    nxt[nu] = nxt.get(nu, ZERO) + amp
+        vec = nxt
+    return vec
+
 
 def skew_P(lam, mu, values, t) -> Fraction:
     """P_{lam/mu} as the horizontal-strip tableau sum, one variable per step."""
     lam, mu = partition(lam), partition(mu)
     values = [as_scalar(v) for v in values]
     t = as_scalar(t)
-    from .partitions import contains
-
     if not contains(lam, mu):
         return ZERO
-    # apply one-variable steps from mu upward; v_n first (symmetric anyway)
-    vec = {mu: ONE}
-    target_w = weight(lam)
-    for v in reversed(values):
-        nxt = {}
-        for kappa, coeff in vec.items():
-            gap = target_w - weight(kappa)
-            for nu in horizontal_strips_above(kappa, gap, max_part=lam[0] if lam else 0):
-                if not contains(lam, nu):
-                    continue
-                r = weight(nu) - weight(kappa)
-                amp = coeff * _psi_product(nu, kappa, t) * v ** r
-                if amp != 0:
-                    nxt[nu] = nxt.get(nu, ZERO) + amp
-        vec = nxt
+    top = lam[0] if lam else 0
+    vec = _strip_sweep(mu, values, weight(lam),
+                       lambda kappa, room: horizontal_strips_above(kappa, room, max_part=top),
+                       lambda nu, kappa: _psi_product(nu, kappa, t),
+                       keep=lambda nu: contains(lam, nu))
     return vec.get(lam, ZERO)
 
 
@@ -212,25 +301,33 @@ def skew_Q_omega(lam, mu, values, t) -> Fraction:
     lam, mu = partition(lam), partition(mu)
     values = [as_scalar(v) for v in values]
     t = as_scalar(t)
-    from .partitions import contains
-
     if not contains(lam, mu):
         return ZERO
-    vec = {mu: ONE}
-    target_w = weight(lam)
-    for v in reversed(values):
-        nxt = {}
-        for kappa, coeff in vec.items():
-            gap = target_w - weight(kappa)
-            for nu in vertical_strips_above(kappa, gap, max_length=len(lam)):
-                if not contains(lam, nu):
-                    continue
-                r = weight(nu) - weight(kappa)
-                amp = coeff * pieri_phi_prime(nu, kappa, t) * v ** r
-                if amp != 0:
-                    nxt[nu] = nxt.get(nu, ZERO) + amp
-        vec = nxt
+    vec = _strip_sweep(mu, values, weight(lam),
+                       lambda kappa, room: vertical_strips_above(kappa, room,
+                                                                 max_length=len(lam)),
+                       lambda nu, kappa: pieri_phi_prime(nu, kappa, t),
+                       keep=lambda nu: contains(lam, nu))
     return vec.get(lam, ZERO)
+
+
+def skew_sweep(kind: str, mu, values, t, max_weight: int) -> dict:
+    """{lam: the skew function of kind `kind` at lam/mu} for every lam
+    reached from mu with |lam| <= max_weight, from one sweep.
+
+    Kinds as in `skew_eval`: "P-skew" gives P_{lam/mu}, "Qomega-skew"
+    gives Q^omega_{lam'/mu'}; a lam absent from the result has value 0.
+    """
+    mu = partition(mu)
+    values = [as_scalar(v) for v in values]
+    t = as_scalar(t)
+    if kind == "P-skew":
+        return _strip_sweep(mu, values, max_weight, horizontal_strips_above,
+                            lambda nu, kappa: _psi_product(nu, kappa, t))
+    if kind == "Qomega-skew":
+        return _strip_sweep(mu, values, max_weight, vertical_strips_above,
+                            lambda nu, kappa: pieri_phi_prime(nu, kappa, t))
+    raise ValueError(f"unknown skew kind {kind!r}")
 
 
 def skew_eval(kind: str, lam, mu, values, t) -> Fraction:
@@ -305,12 +402,6 @@ def dual_pair_coeffs(U, V, max_deg: int):
 # ---------------------------------------------------------------------------
 # Cauchy checks
 
-def _partitions_of_weight(d, max_len):
-    from .partitions import _partitions_of
-
-    return list(_partitions_of(d, d, max_len))
-
-
 def cauchy_coeff_check(degree: int, U, V, t, kind: str = "cauchy"):
     """Graded Cauchy identity check through the given total degree.
 
@@ -325,22 +416,24 @@ def cauchy_coeff_check(degree: int, U, V, t, kind: str = "cauchy"):
     t = as_scalar(t)
     if kind == "cauchy":
         rhs = omega_t_pair_coeffs(U, V, t, degree)
+        left = Alphabet(U, t).Q
     elif kind == "dual":
         rhs = dual_pair_coeffs(U, V, degree)
+        # P^omega_{lam'} = <lam|lam> Q^omega_{lam'}, every lam from one
+        # sweep; it is nonzero only for lam_1 <= #U, the shapes it reaches
+        omega = skew_sweep("Qomega-skew", (), U, t, degree)
+
+        def left(lam):
+            return state_norm(lam, t) * omega.get(lam, ZERO)
     else:
         raise ValueError(f"unknown Cauchy kind {kind!r}")
+    right = Alphabet(V, t).P
     report = []
     ok = True
     for d in range(degree + 1):
         lhs = ZERO
-        for lam in _partitions_of_weight(d, max_len=d):
-            lam = partition(lam)
-            if kind == "cauchy":
-                lhs += hl_Q(lam, U, t) * hl_P(lam, V, t)
-            else:
-                # P^omega_{lam'} needs lam_1 <= #U to be nonzero; the
-                # tableau sum enforces that automatically
-                lhs += p_omega(lam, U, t) * hl_P(lam, V, t)
+        for lam in _partitions_of(d, d, d):
+            lhs += left(lam) * right(lam)
         good = lhs == rhs[d]
         ok = ok and good
         report.append({"degree": d, "lhs": lhs, "rhs": rhs[d], "ok": good})

@@ -650,47 +650,6 @@ def hermitian_reflect_check(build, norms, top_degree: int, x, extra_factor) -> b
     return True
 
 
-def build_toda_q_r(z, t, cap: int):
-    """The q-deformed auxiliary R as a 2x2 matrix of spin-window operators:
-    [[1 + z S, s], [-s^{-1}(1 - S), -1]] with S the raise, s = diag t^m."""
-    z, t = as_scalar(z), as_scalar(t)
-    spin = single_site_basis(cap)
-    S = toda_shift_op(spin, [1], +1)
-    sdiag = toda_x_op(spin, 1, t)
-    sinv = toda_x_op(spin, 1, t, -1)
-    I = SparseMatrix.identity(cap + 1)
-    return [[I.add(S.scale(z)), sdiag],
-            [sinv.mul(I.add(S.scale(-1))).scale(-1), I.scale(-1)]]
-
-
-def build_rmatrix(kind: str, u, v, t, cap: int = 4):
-    """sixvertex: the scalar 4x4 entries keyed by aux index pairs;
-    toda_q: the 2x2-with-spin operator at argument u/v."""
-    if kind == "sixvertex":
-        return build_sixvertex_r(u, v, t)
-    if kind == "toda_q":
-        return build_toda_q_r(as_scalar(u) / as_scalar(v), t, cap)
-    raise ValueError(f"unknown R-matrix kind {kind!r}")
-
-
-def rll_check(kind: str, params: dict, cap: int):
-    """Dispatch: qboson six-vertex RLL, or the Toda intertwining relation
-    (checked through its four generating commutation relations plus the
-    full sampled form)."""
-    if cap < 4:
-        raise ValueError("cap must be at least 4")
-    t = as_scalar(params["t"])
-    if kind == "qboson":
-        return rll_check_qboson(params["u"], params["v"], t, cap)
-    if kind == "toda_intertwine":
-        from .baxter_q import ll_relations_check, toda_intertwine_check
-
-        ok1, rep1 = ll_relations_check(params["u"], t, cap)
-        ok2, rep2 = toda_intertwine_check(params["z"], params["u"], t, cap)
-        return ok1 and ok2, {"relations": rep1, "sampled": rep2[:3]}
-    raise ValueError(f"unknown rll kind {kind!r}")
-
-
 def toda_open_Abar(N: int, t, max_len: int, basis_p: Basis) -> GradedOperator:
     """The left-moving open-chain operator from the reciprocal-graded
     Toda monodromy: entry (1,1) minus entry (1,2), conjugation-mapped.

@@ -415,22 +415,3 @@ def monomial_sym(lam, values) -> Fraction:
             term *= v ** e
         total += term
     return total
-
-
-def enumerate_basis(constraint: dict) -> Basis:
-    """Dispatch on a constraint descriptor.
-
-    {"kind": "partitions", "max_weight": D, "max_part"?, "max_length"?}
-    {"kind": "occupations", "N": N, "n": n}
-    {"kind": "windows", "K": K, "M": M}
-    """
-    kind = constraint.get("kind")
-    if kind == "partitions":
-        return partition_basis(constraint["max_weight"],
-                               constraint.get("max_part"),
-                               constraint.get("max_length"))
-    if kind == "occupations":
-        return occupation_basis(constraint["N"], constraint["n"])
-    if kind == "windows":
-        return window_basis(constraint["K"], constraint["M"])
-    raise ValueError(f"unknown or unbounded constraint {constraint!r}")

@@ -15,10 +15,12 @@ from itertools import count
 from .scalars import ONE, ZERO, format_scalar
 from . import baxter_q, bethe, gaudin, hall_littlewood as hl, lattice, vertex_ops
 from .partitions import (
+    horizontal_strips_above,
     occupation_basis,
     occupation_to_partition,
     partition_basis,
     state_norm,
+    vertical_strips_above,
     weight,
 )
 
@@ -125,16 +127,15 @@ def _suite_pieri(spec):
         t = _small_t(spec.seed, i)
         U = draw_params(spec.seed + 7 * i + 1, f"distinct-{nvars}")
         series = hl.complete_q_coeffs(U, t, max_r)
+        Q = hl.Alphabet(U, t).Q
         ok = True
         for mu in partition_basis(max_wt):
             for r in range(1, max_r + 1):
-                lhs = series[r] * hl.hl_Q(mu, U, t)
+                lhs = series[r] * Q(mu)
                 rhs = ZERO
-                from .partitions import horizontal_strips_above
-
                 for lam in horizontal_strips_above(mu, r):
                     if weight(lam) - weight(mu) == r:
-                        rhs += hl.pieri_psi(lam, mu, t) * hl.hl_Q(lam, U, t)
+                        rhs += hl.pieri_psi(lam, mu, t) * Q(lam)
                 ok = ok and lhs == rhs
         checks.append(_check(f"Pieri rule draw {i}", "Hall-Littlewood Pieri rule",
                              ok, detail=f"t={t}"))
@@ -151,16 +152,15 @@ def _suite_hall_pieri(spec):
         t = _small_t(spec.seed, i)
         V = draw_params(spec.seed + 11 * i + 2, f"distinct-{nvars}")
         series = hl.elementary_e_coeffs(V, max_r)
+        P = hl.Alphabet(V, t).P
         ok = True
         for mu in partition_basis(max_wt):
             for r in range(1, max_r + 1):
-                lhs = series[r] * hl.hl_P(mu, V, t)
+                lhs = series[r] * P(mu)
                 rhs = ZERO
-                from .partitions import vertical_strips_above
-
                 for lam in vertical_strips_above(mu, r):
                     if weight(lam) - weight(mu) == r:
-                        rhs += hl.pieri_psi_prime(lam, mu, t) * hl.hl_P(lam, V, t)
+                        rhs += hl.pieri_psi_prime(lam, mu, t) * P(lam)
                 ok = ok and lhs == rhs
         checks.append(_check(f"Hall Pieri rule draw {i}", "Hall Pieri (elementary) rule",
                              ok, detail=f"t={t}"))

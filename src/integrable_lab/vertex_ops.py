@@ -20,15 +20,14 @@ from fractions import Fraction
 
 from .graded import GradedOperator, SparseMatrix
 from .hall_littlewood import (
+    Alphabet,
     elementary_e_coeffs,
     complete_q_coeffs,
-    hl_P,
-    hl_Q,
     pieri_phi,
     pieri_phi_prime,
     pieri_psi,
     pieri_psi_prime,
-    skew_Q_omega,
+    skew_sweep,
 )
 from .partitions import (
     Basis,
@@ -174,32 +173,38 @@ def pair_commutation_check(family: str, sign: str, basis: Basis, t, max_degree: 
 # eigenstates
 
 def build_eigenstate(kind: str, values, basis: Basis, t) -> dict:
-    """|L,V> has components P_lam(V); |R,V> has components Q^omega_{lam'}(V)."""
+    """|L,V> has components P_lam(V); |R,V> has components Q^omega_{lam'}(V).
+
+    One alphabet table (L) or one strip sweep up to the basis weight cap
+    (R) serves every component.
+    """
     t = as_scalar(t)
     values = [as_scalar(v) for v in values]
-    vec = {}
-    for j, lam in enumerate(basis.states):
-        if kind == "L":
-            c = hl_P(lam, values, t)
-        elif kind == "R":
-            c = skew_Q_omega(lam, (), values, t)
-        else:
-            raise ValueError("state kind must be L|R")
-        if c != 0:
-            vec[j] = c
-    return vec
+    if kind == "L":
+        component = Alphabet(values, t).P
+    elif kind == "R":
+        cap = max((weight(s) for s in basis), default=0)
+        components = skew_sweep("Qomega-skew", (), values, t, cap)
+
+        def component(lam):
+            return components.get(lam, ZERO)
+    else:
+        raise ValueError("state kind must be L|R")
+    return _nonzero_components(component, basis)
 
 
 def build_eigencovector(values, basis: Basis, t) -> dict:
     """<U| dual components Q_lam(U) (on the normalized dual basis)."""
-    t = as_scalar(t)
-    values = [as_scalar(v) for v in values]
-    cov = {}
+    return _nonzero_components(Alphabet(values, t).Q, basis)
+
+
+def _nonzero_components(component, basis: Basis) -> dict:
+    out = {}
     for j, lam in enumerate(basis.states):
-        c = hl_Q(lam, values, t)
+        c = component(lam)
         if c != 0:
-            cov[j] = c
-    return cov
+            out[j] = c
+    return out
 
 
 def gamma_eigen_check(vop: VertexOp, state_kind: str, values, max_degree: int,

