@@ -37,7 +37,8 @@ for pair in [("L", "L"), ("L", "R"), ("R", "R")]:
 
 print("\nbigraded exchange check through total degree 3:")
 for fp, fm in [("L", "L"), ("L", "R"), ("R", "L"), ("R", "R")]:
-    ok, _ = gamma_commutation_check(fp, fm, basis, t, 3)
+    ok, _ = gamma_commutation_check(build_gamma(fp, "+", basis, t),
+                                    build_gamma(fm, "-", basis, t), 3)
     print(f"  {fp}+ / {fm}-: {'exact' if ok else 'FAIL'}")
 
 V = [F(1, 2), F(1, 3)]
@@ -54,7 +55,7 @@ for k in range(1, 5):
 plus = build_gamma("L", "+", basis, t)
 ok1, _ = gamma_eigen_check(plus, "L", V, 3)
 ok2, _ = gamma_eigen_check(plus, "R", V, 3)
-ok3, _ = covector_pieri_check(V, basis, t, 3)
+ok3, _ = covector_pieri_check(minus, V, 3)
 print("\nannihilation on the Cauchy state (complete-symmetric eigenvalue):", ok1)
 print("annihilation on the dual state (elementary eigenvalue / open Toda):", ok2)
 print("left covector relation (the Pieri rule in matrix form):", ok3)

@@ -41,8 +41,10 @@ from .vertex_ops import (
     VertexOp,
     build_eigenstate,
     build_gamma,
+    covector_pieri_check,
     gamma_commutation_check,
     gamma_eigen_check,
+    pair_commutation_check,
 )
 from .lattice import (
     build_lax,

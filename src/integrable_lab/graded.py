@@ -30,8 +30,14 @@ dropped once, at the end.
 Sums of products are fused: `sum_of_products` adds every block product
 of a list of graded pairs column by column into one accumulator per
 degree and drops zeros once, at the end.  `GradedOperator.compose` is
-its one-pair case and every 2x2 monodromy entry is one call; `mul`,
-`add` and `eval_at` share the same column accumulators.
+its one-pair case and every 2x2 monodromy entry is one call; `add` and
+`eval_at` share the same column accumulators.
+
+The ungraded sides of exchange relations (RLL = LLR, the Toda
+intertwining, the vertex-operator exchange factors) are fused the same
+way by `sum_of_scaled_products` (sum of c A B, c applied once per entry
+of B); `SparseMatrix.mul` is its one-term case, and `commutator` adds -BA
+into the columns of AB, so AB - BA is compared against zero directly.
 """
 
 from __future__ import annotations
@@ -41,9 +47,11 @@ from fractions import Fraction
 from .scalars import ONE, ZERO, as_scalar
 
 
-def _add_product(acc: dict, a: "SparseMatrix", b: "SparseMatrix") -> None:
-    """acc += a @ b on a column map (col -> {row: value}); zeros may remain."""
+def _add_product(acc: dict, a: "SparseMatrix", b: "SparseMatrix", factor=ONE) -> None:
+    """acc += factor * a @ b on a column map (col -> {row: value}); zeros may
+    remain.  The factor multiplies each entry of b once, and only if it is not 1."""
     acols = a.cols
+    scaled = factor != 1
     for c, bcol in b.cols.items():
         tgt = acc.get(c)
         if tgt is None:
@@ -51,6 +59,8 @@ def _add_product(acc: dict, a: "SparseMatrix", b: "SparseMatrix") -> None:
         for k, vb in bcol.items():
             acol = acols.get(k)
             if acol:
+                if scaled:
+                    vb = vb * factor
                 for r, va in acol.items():
                     old = tgt.get(r)
                     tgt[r] = va * vb if old is None else old + va * vb
@@ -125,9 +135,6 @@ class SparseMatrix:
                 col[r] = v if old is None else old + v
         return cls(dim, _nonzero(acc))
 
-    def copy(self) -> "SparseMatrix":
-        return SparseMatrix(self.dim, {c: dict(col) for c, col in self.cols.items()})
-
     def entry(self, row: int, col: int) -> Fraction:
         return self.cols.get(col, {}).get(row, ZERO)
 
@@ -144,16 +151,6 @@ class SparseMatrix:
         else:
             col_map[row] = new
 
-    def set_entry(self, row: int, col: int, value) -> None:
-        value = as_scalar(value)
-        col_map = self.cols.setdefault(col, {})
-        if value == 0:
-            col_map.pop(row, None)
-            if not col_map:
-                self.cols.pop(col, None)
-        else:
-            col_map[row] = value
-
     def is_zero(self) -> bool:
         return all(not col for col in self.cols.values())
 
@@ -166,12 +163,8 @@ class SparseMatrix:
                 yield r, c, v
 
     def mul(self, other: "SparseMatrix") -> "SparseMatrix":
-        """Matrix product self @ other (other acts first on kets)."""
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        acc = {}
-        _add_product(acc, self, other)
-        return SparseMatrix(self.dim, _nonzero(acc))
+        """self @ other (other acts first on kets): one-term `sum_of_scaled_products`."""
+        return sum_of_scaled_products([(ONE, self, other)])
 
     def add(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.dim != other.dim:
@@ -408,15 +401,36 @@ def sum_of_products(pairs, max_degree: int) -> GradedOperator:
                           max_degree=max_degree)
 
 
+def sum_of_scaled_products(terms) -> SparseMatrix:
+    """sum over (c, A, B) in terms (not empty) of c A B, added column by
+    column into one accumulator; zeros are dropped once, at the end."""
+    terms = list(terms)
+    dim = terms[0][1].dim
+    if any(A.dim != dim or B.dim != dim for _, A, B in terms):
+        raise ValueError("dimension mismatch")
+    acc = {}
+    for c, A, B in terms:
+        if c:
+            _add_product(acc, A, B, c)
+    return SparseMatrix(dim, _nonzero(acc))
+
+
+def commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """ab - ba in one accumulator: -ba is added into the columns of `a.mul(b)`,
+    so that product counts taken at `mul` still see every commutator."""
+    acc = a.mul(b).cols
+    _add_product(acc, b, a, -ONE)
+    return SparseMatrix(a.dim, _nonzero(acc))
+
+
 def commutator_vanishes(A: GradedOperator, B: GradedOperator) -> bool:
-    """[A(z1), B(z2)] = 0 identically: every cross block pair commutes."""
+    """[A(z1), B(z2)] = 0 identically: every cross block pair commutes.  A
+    self-commutator visits only i < j: (j, i) is (i, j) negated, (i, i) zero."""
     if A.dim != B.dim:
         raise ValueError("dimension mismatch")
-    for i, a in A.blocks.items():
-        for j, b in B.blocks.items():
-            if a.mul(b) != b.mul(a):
-                return False
-    return True
+    return all(commutator(a, b).is_zero()
+               for i, a in A.blocks.items() for j, b in B.blocks.items()
+               if A is not B or i < j)
 
 
 def matrix_dump(op: GradedOperator, basis, name: str, metadata=None) -> dict:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import product as iproduct
 
-from .graded import GradedOperator, SparseMatrix, sum_of_products
+from .graded import GradedOperator, SparseMatrix, sum_of_products, sum_of_scaled_products
 from .partitions import (
     Basis,
     conjugate,
@@ -133,7 +133,6 @@ def rll_check_qboson(u, v, t, cap: int):
     truncated site space.  Returns (ok, report of failing entries).
     """
     basis = single_site_basis(cap)
-    Z = SparseMatrix(len(basis))
     L = build_lax("qboson", basis, {"t": t})
 
     def lax(z):
@@ -146,13 +145,10 @@ def rll_check_qboson(u, v, t, cap: int):
     failures = []
     for row in pairs:
         for col in pairs:
-            lhs = Z
-            rhs = Z
-            for mid in pairs:
-                if (row, mid) in R:
-                    lhs = lhs.add(Lu[mid[0]][col[0]].mul(Lv[mid[1]][col[1]]).scale(R[row, mid]))
-                if (mid, col) in R:
-                    rhs = rhs.add(Lv[row[1]][mid[1]].mul(Lu[row[0]][mid[0]]).scale(R[mid, col]))
+            lhs = sum_of_scaled_products((R[row, mid], Lu[mid[0]][col[0]], Lv[mid[1]][col[1]])
+                                         for mid in pairs if (row, mid) in R)
+            rhs = sum_of_scaled_products((R[mid, col], Lv[row[1]][mid[1]], Lu[row[0]][mid[0]])
+                                         for mid in pairs if (mid, col) in R)
             for i, j, _, _ in lhs.mismatches(rhs, interior):
                 failures.append({"aux": (row, col), "state": basis.states[j][0], "target": i})
     return not failures, failures

@@ -190,14 +190,16 @@ def _suite_gamma_commute(spec):
     deg = int(spec.params.get("degree", 4))
     t = _small_t(spec.seed, 0)
     basis = partition_basis(D)
+    gamma = {(fam, sign): vertex_ops.build_gamma(fam, sign, basis, t)
+             for fam in ("L", "R") for sign in ("+", "-")}
     for fp, fm in [("L", "L"), ("L", "R"), ("R", "L"), ("R", "R")]:
-        ok, rep = vertex_ops.gamma_commutation_check(fp, fm, basis, t, deg)
+        ok, rep = vertex_ops.gamma_commutation_check(gamma[fp, "+"], gamma[fm, "-"], deg)
         checks.append(_check(f"raising/lowering exchange {fp}{fm}",
                              "half vertex operator exchange relations", ok,
                              detail=f"D={D} degree<={deg} t={t}"))
     for fam in ("L", "R"):
-        ok = vertex_ops.pair_commutation_check(fam, "-", basis, t, deg)
-        ok2 = vertex_ops.pair_commutation_check(fam, "+", basis, t, deg)
+        ok = vertex_ops.pair_commutation_check(gamma[fam, "-"], deg)
+        ok2 = vertex_ops.pair_commutation_check(gamma[fam, "+"], deg)
         checks.append(_check(f"same-sign commutation {fam}",
                              "commuting half vertex operators", ok and ok2))
     return checks
@@ -212,6 +214,7 @@ def _suite_gamma_eigen(spec):
     basis = partition_basis(D)
     plus_L = vertex_ops.build_gamma("L", "+", basis, t)
     plus_R = vertex_ops.build_gamma("R", "+", basis, t)
+    minus_L = vertex_ops.build_gamma("L", "-", basis, t)
     for nv in range(1, maxvars + 1):
         V = draw_params(spec.seed + nv, f"distinct-{nv}")
         ok, _ = vertex_ops.gamma_eigen_check(plus_L, "L", V, deg)
@@ -223,7 +226,7 @@ def _suite_gamma_eigen(spec):
         ok, _ = vertex_ops.gamma_eigen_check(plus_R, "L", V, deg)
         checks.append(_check(f"Hall-side annihilation, {nv} vars",
                              "Hall Pieri eigen relation", ok))
-        ok, _ = vertex_ops.covector_pieri_check(V, basis, t, deg)
+        ok, _ = vertex_ops.covector_pieri_check(minus_L, V, deg)
         checks.append(_check(f"covector Pieri, {nv} vars",
                              "left eigencovector relation", ok))
         # finite-size form: the restriction to lam_1 <= nv acts on the

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded import GradedOperator, SparseMatrix
+from .graded import GradedOperator, SparseMatrix, commutator, sum_of_scaled_products
 from .hall_littlewood import (
     Alphabet,
     elementary_e_coeffs,
@@ -121,31 +121,27 @@ def commutation_series(fam_plus: str, fam_minus: str, t, max_r: int):
     return out
 
 
-def gamma_commutation_check(fam_plus: str, fam_minus: str, basis: Basis, t,
-                            max_degree: int):
+def gamma_commutation_check(plus: VertexOp, minus: VertexOp, max_degree: int):
     """Bigraded check of Gamma_+(u) Gamma_-(v) = K(v/u) Gamma_-(v) Gamma_+(u).
 
     Compares blocks A_a B_b against sum_r K_r B_{b-r} A_{a-r} for all
     a + b <= max_degree, on matrix elements whose source weight keeps the
     lowering intermediate inside the basis.  Returns (ok, report).
     """
-    t = as_scalar(t)
-    plus = build_gamma(fam_plus, "+", basis, t)
-    minus = build_gamma(fam_minus, "-", basis, t)
-    K = commutation_series(fam_plus, fam_minus, t, max_degree)
+    if ((plus.sign, minus.sign) != ("+", "-") or plus.t != minus.t
+            or plus.basis.states != minus.basis.states):
+        raise ValueError("exchange checks take a Gamma_+ and a Gamma_- on one basis at one t")
+    K = commutation_series(plus.family, minus.family, plus.t, max_degree)
     cap = plus.weight_cap
     report = []
     ok = True
     for a in range(max_degree + 1):
         for b in range(max_degree + 1 - a):
             lhs = plus.block(a).mul(minus.block(b))
-            rhs = SparseMatrix(len(basis))
-            for r in range(min(a, b) + 1):
-                if K[r] == 0:
-                    continue
-                rhs = rhs.add(minus.block(b - r).mul(plus.block(a - r)).scale(K[r]))
+            rhs = sum_of_scaled_products((K[r], minus.block(b - r), plus.block(a - r))
+                                         for r in range(min(a, b) + 1))
             # sources whose lowering intermediate would leak are outside the window
-            cols = [j for j, mu in enumerate(basis.states) if weight(mu) + b <= cap]
+            cols = [j for j, mu in enumerate(plus.basis.states) if weight(mu) + b <= cap]
             bad = [(i, j) for i, j, _, _ in lhs.mismatches(rhs, cols)]
             good = not bad
             ok = ok and good
@@ -153,20 +149,17 @@ def gamma_commutation_check(fam_plus: str, fam_minus: str, basis: Basis, t,
     return ok, report
 
 
-def pair_commutation_check(family: str, sign: str, basis: Basis, t, max_degree: int):
-    """[Gamma_s(z), Gamma_s(z')] = 0: all block pairs commute on the window."""
-    vop = build_gamma(family, sign, basis, t)
+def pair_commutation_check(vop: VertexOp, max_degree: int) -> bool:
+    """[Gamma_s(z), Gamma_s(z')] = 0: all block pairs commute on the window
+    (only a < b is visited: (b, a) is (a, b) negated, (a, a) zero)."""
     cap = vop.weight_cap
-    ok = True
     for a in range(max_degree + 1):
-        for b in range(max_degree + 1):
-            lhs = vop.block(a).mul(vop.block(b))
-            rhs = vop.block(b).mul(vop.block(a))
-            cols = [j for j, mu in enumerate(basis.states)
-                    if sign == "+" or weight(mu) + max(a, b) <= cap]
-            if lhs.mismatches(rhs, cols):
-                ok = False
-    return ok
+        for b in range(a + 1, max_degree + 1):
+            diff = commutator(vop.block(a), vop.block(b))
+            if any(j in diff.cols for j, mu in enumerate(vop.basis.states)
+                   if vop.sign == "+" or weight(mu) + b <= cap):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +200,12 @@ def _nonzero_components(component, basis: Basis) -> dict:
     return out
 
 
-def gamma_eigen_check(vop: VertexOp, state_kind: str, values, max_degree: int,
-                      out_kind=None):
-    """Check Gamma_+ |state> = (series) |out state> degree by degree.
+def gamma_eigen_check(vop: VertexOp, state_kind: str, values, max_degree: int):
+    """Check Gamma_+ |state> = (series) |state> degree by degree.
 
     Eigenvalue series: Omega_t(z V) for Gamma_{L,+} on |L,V>; the
     elementary-symmetric series prod(1 + v/z) for Gamma_{L,+} on |R,V>
-    and for Gamma_{R,+} on |L,V> (the latter lands on |R,V>).
+    and for Gamma_{R,+} on |L,V>.
     Components are compared on weights <= cap - 0 (raising never leaks,
     but the source components above the cap are absent, so the window
     restricts target weights to cap - degree).
@@ -224,7 +216,6 @@ def gamma_eigen_check(vop: VertexOp, state_kind: str, values, max_degree: int,
     basis = vop.basis
     values = [as_scalar(v) for v in values]
     state = build_eigenstate(state_kind, values, basis, t)
-    out_state = state if out_kind is None else build_eigenstate(out_kind, values, basis, t)
     if vop.family == "L" and state_kind == "L":
         series = complete_q_coeffs(values, t, max_degree)
     else:
@@ -238,7 +229,7 @@ def gamma_eigen_check(vop: VertexOp, state_kind: str, values, max_degree: int,
         for j, lam in enumerate(basis.states):
             if weight(lam) + r > cap:
                 continue  # source component was truncated away
-            want = series[r] * out_state.get(j, ZERO)
+            want = series[r] * state.get(j, ZERO)
             if lhs.get(j, ZERO) != want:
                 bad.append(j)
         good = not bad
@@ -247,12 +238,13 @@ def gamma_eigen_check(vop: VertexOp, state_kind: str, values, max_degree: int,
     return ok, report
 
 
-def covector_pieri_check(values, basis: Basis, t, max_degree: int):
+def covector_pieri_check(minus: VertexOp, values, max_degree: int):
     """<U| Gamma_{L,-} degree-r block = q_r(U) <U| on the interior window."""
-    t = as_scalar(t)
-    minus = build_gamma("L", "-", basis, t)
-    cov = build_eigencovector(values, basis, t)
-    series = complete_q_coeffs(values, t, max_degree)
+    if (minus.family, minus.sign) != ("L", "-"):
+        raise ValueError("the covector Pieri check is for Gamma_{L,-}")
+    basis = minus.basis
+    cov = build_eigencovector(values, basis, minus.t)
+    series = complete_q_coeffs(values, minus.t, max_degree)
     cap = minus.weight_cap
     ok = True
     report = []

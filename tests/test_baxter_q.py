@@ -163,3 +163,21 @@ def test_ar_projected_intertwining():
         ok, failures = ar_project_check(N, F(2), F(5), F(1, 3),
                                         max_weight=8, max_len=6)
         assert ok, failures[:4]
+
+
+def test_toda_intertwine_reports_a_perturbed_LL(monkeypatch):
+    cap = 6
+
+    def perturbed(u, t, s_cap, x_cap):
+        LL = build_LL(u, t, s_cap, x_cap)
+        # one extra entry between two inner states (1, 1) -> (2, 1)
+        return LL.add(SparseMatrix.from_entries(LL.dim, [(2 * (cap + 1) + 1, cap + 2, F(1))]))
+
+    monkeypatch.setattr(baxter_q, "build_LL", perturbed)
+    ok, failures = toda_intertwine_check(F(3, 4), F(5, 3), T, cap=cap)
+    assert not ok and failures
+    inner = {a * (cap + 1) + b for a in range(cap - 1) for b in range(cap - 1)}
+    for f in failures:
+        assert set(f) == {"aux", "row", "col"}
+        assert f["aux"] in {(i, j) for i in range(2) for j in range(2)}
+        assert f["row"] in inner and f["col"] in inner

@@ -8,12 +8,9 @@ from integrable_lab.partitions import partition_basis
 
 
 def random_sparse(dim, rng, fill=0.4):
-    m = SparseMatrix(dim)
-    for r in range(dim):
-        for c in range(dim):
-            if rng.random() < fill:
-                m.set_entry(r, c, F(rng.randint(-5, 5), rng.randint(1, 7)))
-    return m
+    return SparseMatrix.from_entries(dim, ((r, c, F(rng.randint(-5, 5), rng.randint(1, 7)))
+                                           for r in range(dim) for c in range(dim)
+                                           if rng.random() < fill))
 
 
 def random_graded(dim, rng, max_deg=3):
@@ -66,9 +63,7 @@ def test_associativity_random_triples():
 
 
 def test_bar_adjoint_diagonal_trivial_norm():
-    d = SparseMatrix(3)
-    for i in range(3):
-        d.set_entry(i, i, F(i + 1, 2))
+    d = SparseMatrix.from_entries(3, ((i, i, F(i + 1, 2)) for i in range(3)))
     A = GradedOperator(3, {0: d})
     assert A.bar_adjoint([F(1)] * 3) == A
 
@@ -157,3 +152,17 @@ def test_blocks_above_max_degree_are_rejected():
     for derived in (op.shift(3), op.reflect(2), op.restrict({0: 0}, 1, 2),
                     op.compose(op, 3), GradedOperator(2, {5: I})):
         assert all(k <= derived.max_degree for k in derived.degrees())
+
+
+def test_commutator_vanishes_reports_non_commuting_operators():
+    e12 = SparseMatrix.from_entries(2, [(0, 1, F(1))])
+    e21 = SparseMatrix.from_entries(2, [(1, 0, F(1))])
+    A = GradedOperator(2, {0: e12})
+    B = GradedOperator(2, {1: e21})
+    assert not commutator_vanishes(A, B)
+    assert not commutator_vanishes(B, A)
+    assert commutator_vanishes(A, A)
+    # with A is B only the pair of degrees (0, 1) can decide, and it fails
+    AB = GradedOperator(2, {0: e12, 1: e21})
+    assert not commutator_vanishes(AB, AB)
+    assert commutator_vanishes(AB, GradedOperator.identity(2))

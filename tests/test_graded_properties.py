@@ -9,7 +9,9 @@ refuses a cap below a block it keeps); partitions,
 occupation vectors and conjugates must round-trip.  The graded algebra
 (`compose`, `lattice.mat2_mul`, `eval_at`) must equal dense truncated
 Cauchy products of Fraction lists, cancelling terms included, with no
-stored zero and no degree above the cap.  Both `from_entries` constructors
+stored zero and no degree above the cap; the ungraded
+`sum_of_scaled_products`, `mul` and `commutator` must equal dense sums
+of scaled products.  Both `from_entries` constructors
 must equal the per-entry `add_to` loop they replace on entry lists with
 repeats, cancelling pairs and explicit zeros.
 """
@@ -19,7 +21,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from integrable_lab.graded import GradedOperator, SparseMatrix
+from integrable_lab.graded import (
+    GradedOperator,
+    SparseMatrix,
+    commutator,
+    sum_of_scaled_products,
+)
 from integrable_lab.lattice import mat2_mul
 from integrable_lab.partitions import (
     Basis,
@@ -49,12 +56,13 @@ def raw_matrices(draw):
 
 @st.composite
 def matrices(draw):
-    """Matrices built through set_entry, so no zero is stored."""
-    m = SparseMatrix(DIM)
-    for (r, c), v in draw(st.dictionaries(st.tuples(INDEX, INDEX), VALUES,
-                                          max_size=2 * DIM)).items():
-        m.set_entry(r, c, v)
-    return m
+    """Matrices built through from_entries, so no zero is stored."""
+    entries = draw(st.dictionaries(st.tuples(INDEX, INDEX), VALUES, max_size=2 * DIM))
+    return SparseMatrix.from_entries(DIM, ((r, c, v) for (r, c), v in entries.items()))
+
+
+def copy_of(m):
+    return SparseMatrix.from_entries(m.dim, m.entries())
 
 
 def stores_zero(m):
@@ -77,11 +85,9 @@ def test_mismatches_equals_dense_comparison(a, b, cols, rows):
 def test_operations_store_no_zero(a, b, r, c, value, factor, norms, cancel):
     if cancel:
         value = -a.entry(r, c)  # drives the entry to zero
-    added = a.copy()
+    added = copy_of(a)
     added.add_to(r, c, value)
-    assigned = a.copy()
-    assigned.set_entry(r, c, value)
-    for out in (a.mul(b), a.add(b), a.add(a.scale(-1)), added, assigned,
+    for out in (a.mul(b), a.add(b), a.add(a.scale(-1)), added,
                 a.scale(factor), a.conjugate_by_norm(norms)):
         assert not stores_zero(out)
 
@@ -89,7 +95,7 @@ def test_operations_store_no_zero(a, b, r, c, value, factor, norms, cancel):
 @SETTINGS
 @given(matrices(), INDEX, INDEX, NONZERO)
 def test_one_perturbed_entry_is_reported_once(a, r, c, delta):
-    b = a.copy()
+    b = copy_of(a)
     b.add_to(r, c, delta)
     assert a.mismatches(b, range(DIM)) == [(r, c, a.entry(r, c), a.entry(r, c) + delta)]
     assert a.mismatches(b, [j for j in range(DIM) if j != c]) == []
@@ -114,7 +120,7 @@ def test_state_map_equals_the_loop_it_replaces(table, order):
     for j, state in enumerate(basis.states):
         hit = fn(state)
         if hit is not None and hit[0] in basis.index:
-            loop.set_entry(basis.index[hit[0]], j, hit[1])
+            loop.add_to(basis.index[hit[0]], j, hit[1])
     assert built == loop
     assert not stores_zero(built)
     for j, state in enumerate(basis.states):
@@ -171,11 +177,8 @@ SMALL = st.sampled_from([F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2)])
 def graded_ops(draw, max_degree=3):
     blocks = {}
     for k in range(draw(st.integers(0, max_degree)) + 1):
-        m = SparseMatrix(DIM)
-        for (r, c), v in draw(st.dictionaries(st.tuples(INDEX, INDEX), SMALL,
-                                              max_size=2 * DIM)).items():
-            m.set_entry(r, c, v)
-        blocks[k] = m
+        entries = draw(st.dictionaries(st.tuples(INDEX, INDEX), SMALL, max_size=2 * DIM))
+        blocks[k] = SparseMatrix.from_entries(DIM, ((r, c, v) for (r, c), v in entries.items()))
     return GradedOperator(DIM, blocks)
 
 
@@ -262,6 +265,29 @@ def test_eval_at_equals_dense_sum(A, z, cancel):
     assert not stores_zero(got)
     if cancel:
         assert got.is_zero() and not got.cols
+
+
+@SETTINGS
+@given(st.lists(st.tuples(SMALL | st.just(F(0)), matrices(), matrices()), min_size=1,
+                max_size=4), st.booleans())
+def test_sum_of_scaled_products_equals_dense_sum(terms, cancel):
+    if cancel:
+        # the first term and its negation cancel entry by entry
+        c, A, B = terms[0]
+        terms.append((-c, A, B))
+    want = dense_zero()
+    for c, A, B in terms:
+        want = dense_add(want, [[c * v for v in row] for row in dense_mul(dense(A), dense(B))])
+    got = sum_of_scaled_products(iter(terms))
+    assert dense(got) == want
+    assert_stored_clean(got)
+    a, b = terms[0][1:]
+    assert dense(a.mul(b)) == dense_mul(dense(a), dense(b))
+    assert dense(commutator(a, b)) == dense_add(dense_mul(dense(a), dense(b)),
+                                                [[-v for v in row]
+                                                 for row in dense_mul(dense(b), dense(a))])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        sum_of_scaled_products([*terms, (F(1), a, SparseMatrix(DIM + 1))])
 
 
 @st.composite

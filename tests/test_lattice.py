@@ -280,3 +280,26 @@ def test_toda_open_Abar_matches_run_expansion():
                 continue
             for i in range(len(basis)):
                 assert Ab_toda.block(d).entry(i, j) == Ab_run.block(d).entry(i, j), (d, lam)
+
+
+def test_rll_reports_a_perturbed_weight(monkeypatch):
+    from integrable_lab import lattice
+
+    cap = 5
+    c_entry = ((1, 0), (0, 1))
+
+    def perturbed(u, v, t):
+        R = build_sixvertex_r(u, v, t)
+        R[c_entry] += 1
+        return R
+
+    monkeypatch.setattr(lattice, "build_sixvertex_r", perturbed)
+    ok, failures = rll_check_qboson(F(3), F(5), T_SAMPLE, cap=cap)
+    assert not ok and failures
+    for f in failures:
+        assert set(f) == {"aux", "state", "target"}
+        # only sides holding the perturbed entry can differ: the left side
+        # reads its row of R, the right side its column
+        row, col = f["aux"]
+        assert row == c_entry[0] or col == c_entry[1]
+        assert 0 <= f["state"] <= cap - 2 and 0 <= f["target"] <= cap

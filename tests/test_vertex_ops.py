@@ -3,11 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from integrable_lab.graded import SparseMatrix
+from integrable_lab.graded import GradedOperator, SparseMatrix
 from integrable_lab.hall_littlewood import hl_Q, pieri_phi, pieri_phi_prime, pieri_psi
 from integrable_lab.partitions import partition_basis, state_norm, weight
 from integrable_lab.scalars import tfact
 from integrable_lab.vertex_ops import (
+    VertexOp,
     adjoint_pair_check,
     build_eigenstate,
     build_gamma,
@@ -78,7 +79,8 @@ def test_gamma_commutation_all_families():
     t = F(3, 7)
     basis = partition_basis(7)
     for fp, fm in [("L", "L"), ("L", "R"), ("R", "L"), ("R", "R")]:
-        ok, report = gamma_commutation_check(fp, fm, basis, t, max_degree=3)
+        ok, report = gamma_commutation_check(build_gamma(fp, "+", basis, t),
+                                             build_gamma(fm, "-", basis, t), max_degree=3)
         assert ok, (fp, fm, [r for r in report if not r["ok"]][:2])
 
 
@@ -86,8 +88,8 @@ def test_same_sign_commutation():
     t = F(2, 9)
     basis = partition_basis(6)
     for fam in ("L", "R"):
-        assert pair_commutation_check(fam, "-", basis, t, 3)
-        assert pair_commutation_check(fam, "+", basis, t, 3)
+        assert pair_commutation_check(build_gamma(fam, "-", basis, t), 3)
+        assert pair_commutation_check(build_gamma(fam, "+", basis, t), 3)
 
 
 def test_eigenstate_components():
@@ -155,7 +157,7 @@ def test_covector_pieri():
     basis = partition_basis(6)
     rng = random.Random(7)
     U = distinct_draws(rng, 2)
-    ok, report = covector_pieri_check(U, basis, t, max_degree=3)
+    ok, report = covector_pieri_check(build_gamma("L", "-", basis, t), U, max_degree=3)
     assert ok, report
 
 
@@ -238,3 +240,54 @@ def test_top_annihilation_on_dual_state():
         assert lhs == rhs, lam
         checked += 1
     assert checked > 5
+
+
+def test_gamma_commutation_reports_a_perturbed_factor(monkeypatch):
+    from integrable_lab import vertex_ops
+
+    t = F(3, 7)
+    basis = partition_basis(6)
+    exact = vertex_ops.commutation_series
+
+    def perturbed(fam_plus, fam_minus, t, max_r):
+        K = exact(fam_plus, fam_minus, t, max_r)
+        K[1] += 1
+        return K
+
+    monkeypatch.setattr(vertex_ops, "commutation_series", perturbed)
+    ok, report = gamma_commutation_check(build_gamma("L", "+", basis, t),
+                                         build_gamma("L", "-", basis, t), max_degree=3)
+    assert not ok
+    assert [set(r) for r in report] == [{"bidegree", "ok", "bad_elements"}] * len(report)
+    # K_1 enters only the bidegrees with a, b >= 1, and fails each of them
+    for r in report:
+        a, b = r["bidegree"]
+        assert r["ok"] == (min(a, b) == 0)
+        assert r["ok"] == (not r["bad_elements"])
+        assert len(r["bad_elements"]) <= 5
+
+
+def test_gamma_commutation_rejects_mismatched_operators():
+    t = F(3, 7)
+    basis = partition_basis(4)
+    plus, minus = build_gamma("L", "+", basis, t), build_gamma("L", "-", basis, t)
+    for bad in [(plus, build_gamma("L", "-", partition_basis(3), t)),
+                (plus, build_gamma("L", "-", basis, F(2, 7))),
+                (minus, plus)]:
+        with pytest.raises(ValueError, match="one basis at one t"):
+            gamma_commutation_check(*bad, 2)
+    with pytest.raises(ValueError, match="Gamma_"):
+        covector_pieri_check(plus, [F(1, 2)], 2)
+
+
+def test_pair_commutation_reports_a_non_commuting_family():
+    t = F(2, 9)
+    basis = partition_basis(6)
+    # reweighting one block by a state-dependent diagonal breaks commutation
+    diag = SparseMatrix.from_entries(len(basis), ((j, j, F(j + 1)) for j in range(len(basis))))
+    for sign in ("+", "-"):
+        vop = build_gamma("L", sign, basis, t)
+        op = GradedOperator(len(basis), {**vop.op.blocks, 2: vop.block(2).mul(diag)},
+                            max_degree=vop.op.max_degree)
+        assert pair_commutation_check(vop, 3)
+        assert not pair_commutation_check(VertexOp("L", sign, basis, t, op), 3)
