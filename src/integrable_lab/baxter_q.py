@@ -33,6 +33,7 @@ from .lattice import (
 )
 from .partitions import (
     Basis,
+    conjugate,
     occupation_basis,
     occupation_to_partition,
     partition_basis,
@@ -425,7 +426,8 @@ def ar_project_check(N: int, z, u, t, max_weight: int, max_len: int):
     cap lam_1 <= N, evaluated at the reciprocal spectral value; Atilde is
     built from the transposed-bar Toda Lax matrices.  The identity is
     asserted on source columns with headroom N+1 in both weight and
-    length.  Returns (ok, report).
+    length, and the Toda monodromy is folded on those columns only.
+    Returns (ok, report).
     """
     z, u, t = as_scalar(z), as_scalar(u), as_scalar(t)
     basis = partition_basis(max_weight, max_part=N + 1, max_length=max_len)
@@ -444,9 +446,19 @@ def ar_project_check(N: int, z, u, t, max_weight: int, max_len: int):
     # A^L_N(z): open projected product, zero on sources with lam_1 = N+1
     a_left = open_transfer(basis, N, t, direction="right")
 
-    # Atilde^L_{N+1}(z) = (Ttilde_{N+1})_11 - (Ttilde_{N+1})_12, conjugate side
+    # the asserted sources: headroom N+1 in both weight and length
+    asserted = [j for j, sigma in enumerate(basis.states)
+                if weight(sigma) + (N + 1) <= max_weight and len(sigma) + (N + 1) <= max_len]
+
+    # Atilde^L_{N+1}(z) = (Ttilde_{N+1})_11 - (Ttilde_{N+1})_12, conjugate side,
+    # folded only on the window states (sigma' padded to N+1 coordinates)
+    # of the asserted sources
     w = free_window_basis(N + 1, 0, max_len + N + 1)
-    Tt = toda_monodromy("toda_tilde", w, N + 1, t)
+    sources = []
+    for j in asserted:
+        conj = conjugate(basis.states[j])
+        sources.append(w.index[conj + (0,) * (N + 1 - len(conj))])
+    Tt = toda_monodromy("toda_tilde", w, N + 1, t, cols=sources)
     atilde = window_to_partitions(Tt[0][0].add(Tt[0][1].scale(-1)), w, basis, N + 1)
 
     base = a_left.compose(GradedOperator(dim, {0: abar_ninv}), N + 1)
@@ -455,9 +467,7 @@ def ar_project_check(N: int, z, u, t, max_weight: int, max_len: int):
     rhs = GradedOperator(dim, {0: abar_ninv}).compose(atilde, N + 1)
 
     failures = []
-    for j, sigma in enumerate(basis.states):
-        if weight(sigma) + (N + 1) > max_weight or len(sigma) + (N + 1) > max_len:
-            continue
+    for j in asserted:
         for k in range(N + 2):
             for i, _, _, _ in lhs.block(k).mismatches(rhs.block(k), [j]):
                 failures.append({"degree": k, "row": i, "col": j})

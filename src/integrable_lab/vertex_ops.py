@@ -54,12 +54,6 @@ class VertexOp:
     def block(self, k: int) -> SparseMatrix:
         return self.op.block(k)
 
-    def safe_degree(self, source_weight: int) -> int:
-        """Largest graded degree whose action from this weight stays in basis."""
-        if self.sign == "-":
-            return self.weight_cap - source_weight
-        return source_weight
-
     def __repr__(self):
         return f"VertexOp(Gamma_{{{self.family},{self.sign}}}, dim={len(self.basis)})"
 

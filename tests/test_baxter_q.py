@@ -22,8 +22,8 @@ from integrable_lab.baxter_q import (
 )
 from integrable_lab import baxter_q
 from integrable_lab.graded import GradedOperator, SparseMatrix
-from integrable_lab.lattice import periodic_transfer
-from integrable_lab.partitions import occupation_basis
+from integrable_lab.lattice import periodic_transfer, toda_monodromy
+from integrable_lab.partitions import occupation_basis, partition_basis, weight
 from integrable_lab.scalars import tbinom, tfact
 
 T = F(2, 7)
@@ -163,6 +163,31 @@ def test_ar_projected_intertwining():
         ok, failures = ar_project_check(N, F(2), F(5), F(1, 3),
                                         max_weight=8, max_len=6)
         assert ok, failures[:4]
+
+
+def test_ar_project_reports_a_perturbed_toda_entry(monkeypatch):
+    # the Toda side is folded on the asserted columns only; a wrong entry
+    # in one of them must still surface, named by that column
+    N, max_weight, max_len = 1, 6, 4
+    basis = partition_basis(max_weight, max_part=N + 1, max_length=max_len)
+    asserted = {j for j, s in enumerate(basis.states)
+                if weight(s) + N + 1 <= max_weight and len(s) + N + 1 <= max_len}
+    folded = []
+
+    def perturbed(kind, w, n, t, cols=None):
+        T = toda_monodromy(kind, w, n, t, cols=cols)
+        empty = w.index[(0,) * n]  # the window state of the empty partition
+        assert empty in cols
+        folded.extend(cols)
+        T[0][0].blocks[0].add_to(empty, empty, 1)
+        return T
+
+    monkeypatch.setattr(baxter_q, "toda_monodromy", perturbed)
+    ok, failures = ar_project_check(N, F(2), F(5), F(1, 3), max_weight, max_len)
+    assert not ok and failures
+    assert len(folded) == len(asserted)
+    assert {f["col"] for f in failures} == {basis.index[()]} and basis.index[()] in asserted
+    assert {f["degree"] for f in failures} == {0}
 
 
 def test_toda_intertwine_reports_a_perturbed_LL(monkeypatch):

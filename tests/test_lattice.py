@@ -11,11 +11,14 @@ from integrable_lab.lattice import (
     folded_toda_transfer,
     free_window_basis,
     hermitian_reflect_check,
+    mat2_mul,
+    monodromy,
     open_A_via_monodromy,
     open_hamiltonian,
     open_transfer,
     periodic_hamiltonian,
     periodic_transfer,
+    qboson_lax_toda_vars,
     qboson_monodromy,
     rll_check_qboson,
     single_site_basis,
@@ -23,7 +26,9 @@ from integrable_lab.lattice import (
     sixvertex_weights,
     spin_periodic_transfer_cleared,
     toda_gauge_check,
+    toda_U,
     toda_lax,
+    toda_monodromy,
     toda_open_A,
     toda_shift_op,
     toda_x_op,
@@ -210,6 +215,60 @@ def test_toda_lax_entries():
     assert L[0][1].block(0).entry(src, src) == T_SAMPLE**0
     st = w.index[(2, -1)]
     assert L[0][1].block(0).entry(st, st) == T_SAMPLE**2
+
+
+def _left_fold(laxes, cap):
+    # the ordered product (L_1 L_2) L_3 ..., independent of `monodromy`
+    T = laxes[0]
+    for L in laxes[1:]:
+        T = mat2_mul(T, L, cap)
+    return T
+
+
+def _columns(T, cols):
+    return [[{d: {c: m.cols[c] for c in cols if c in m.cols} for d, m in e.blocks.items()}
+             for e in row] for row in T]
+
+
+def _fold_cases():
+    for N, lo, hi in [(2, -1, 2), (3, 0, 2)]:
+        w = free_window_basis(N, lo, hi)
+        for kind in ("toda", "toda_bar", "toda_tilde"):
+            yield kind, w, N, [toda_lax(kind, w, k, T_SAMPLE) for k in range(1, N + 1)]
+        # the q-boson-variable side of the gauge relation, U_N last
+        yield "qboson U_N", w, N, [*(qboson_lax_toda_vars(w, k, T_SAMPLE) for k in range(N)),
+                                   toda_U(w, N, T_SAMPLE)]
+
+
+def test_column_fold_equals_columns_of_the_full_fold():
+    rng = random.Random(8)
+    for name, w, N, laxes in _fold_cases():
+        full = monodromy(laxes, N)
+        assert _columns(full, range(len(w))) == _columns(_left_fold(laxes, N), range(len(w)))
+        # edge columns, where the shifts drop targets outside the window,
+        # plus a random handful
+        top, bottom = max(w.states), min(w.states)
+        edges = [w.index[top], w.index[bottom],
+                 w.index[(top[0],) + bottom[1:]], w.index[bottom[:-1] + (top[-1],)]]
+        cols = edges + rng.sample(range(len(w)), 5)
+        folded = monodromy(laxes, N, cols)
+        assert _columns(folded, cols) == _columns(full, cols), name
+        assert _columns(folded, range(len(w))) == _columns(folded, cols), name
+        if name == "toda":
+            assert _columns(toda_monodromy("toda", w, N, T_SAMPLE, cols=cols), cols) == \
+                _columns(full, cols)
+
+
+def test_column_fold_rejects_outside_columns_and_empty_is_zero():
+    w = free_window_basis(2, 0, 2)
+    laxes = [toda_lax("toda", w, k, T_SAMPLE) for k in (1, 2)]
+    for bad in ([len(w)], [-1], [0, len(w) + 3]):
+        with pytest.raises(ValueError):
+            monodromy(laxes, 2, bad)
+        with pytest.raises(ValueError):
+            toda_monodromy("toda_bar", w, 2, T_SAMPLE, cols=bad)
+    empty = monodromy(laxes, 2, [])
+    assert all(not e.blocks for row in empty for e in row)
 
 
 def test_toda_gauge_relations():

@@ -4,7 +4,7 @@ Each digest is the sha256 of the `verify NAME --json` output at seed 0
 (`json.dumps(report, indent=2, sort_keys=True)` plus a newline), as listed
 in CHANGES.md.  A change that alters a report on purpose updates its
 digest here and says why.  Left out: `bethe`, whose float residuals tie
-its bytes to the platform's libm, and `ar-project`, which takes seconds.
+its bytes to the platform's libm.
 """
 
 import hashlib
@@ -16,6 +16,7 @@ from integrable_lab.suites import SuiteSpec, run_suite
 
 SEED0_DIGESTS = {
     "adjoint": "1128be2fb79897cb52e52fa7e08bf066c00036ec6c34678f923eca1765a865b0",
+    "ar-project": "4c4686cf7833bdeebb2cdb778106dc3c517110469ebbe41e0e15696d6e62f995",
     "cauchy": "e66f20f081bfc53fad6bced244b5f865500fa8ba72bfa4a2afb0b0258dc3945b",
     "dual-cauchy": "bd1cb6aaca53a8480511e346d8d3db1f6ecd743a4a8f684629f347243e036dbe",
     "gamma-commute": "a40fdb8af56448b06dafe91ded130a03dabbd5456ab06b087695e34314a60e8d",

@@ -189,14 +189,6 @@ def test_adjoint_pairs():
     assert adjoint_pair_check("R", basis, t)
 
 
-def test_safe_degree_bookkeeping():
-    basis = partition_basis(5)
-    vop = build_gamma("L", "-", basis, F(1, 2))
-    assert vop.safe_degree(2) == 3
-    plus = build_gamma("L", "+", basis, F(1, 2))
-    assert plus.safe_degree(2) == 2
-
-
 def test_dual_state_column_homogeneity():
     # adding a full column (one boson at the top site) multiplies the
     # monic dual polynomial by v_1 ... v_N
