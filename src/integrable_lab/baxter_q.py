@@ -40,7 +40,7 @@ from .partitions import (
     state_norm,
     weight,
 )
-from .scalars import ONE, ZERO, as_scalar, tbinom, tfact
+from .scalars import ONE, ZERO, as_scalar, format_scalar, tbinom, tfact
 from .vertex_ops import build_gamma
 
 
@@ -348,7 +348,9 @@ def trace_qmatrix(N: int, n: int, z, x, t) -> GradedOperator:
 def tq_check(N: int, n: int, x, t, sample_z=None):
     """Lambda_N(z) q_n(z) = q_n(tz) + x z^N t^n q_n(z/t), exactly, graded.
 
-    Optionally also verified at a sampled z.  Returns (ok, report).
+    Optionally also verified at a sampled z.  Returns (ok, report); a
+    failing degree lists its first three wrong entries as occupation labels
+    of row and column with both sides as "p/q" strings.
     """
     t, x = as_scalar(t), as_scalar(x)
     if t == 0:
@@ -365,8 +367,11 @@ def tq_check(N: int, n: int, x, t, sample_z=None):
         ok = ok and good
         if not good:
             diff = lhs.block(k).mismatches(rhs.block(k), range(lam.dim))
-            report.append({"degree": k, "ok": False,
-                           "first_bad": [(r, c) for r, c, _, _ in diff[:3]]})
+            labels = occupation_basis(N, n).labels()
+            report.append({"degree": k, "ok": False, "first_bad": [
+                {"degree": k, "row": labels[r], "col": labels[c],
+                 "lhs": format_scalar(a), "rhs": format_scalar(b)}
+                for r, c, a, b in diff[:3]]})
     if sample_z is not None:
         zz = as_scalar(sample_z)
         lm = lam.eval_at(zz).mul(q.eval_at(zz))

@@ -29,30 +29,39 @@ dropped once, at the end.
 
 Sums of products are fused: `sum_of_products` adds every block product
 of a list of graded pairs column by column into one accumulator per
-degree and drops zeros once, at the end.  `GradedOperator.compose` is
-its one-pair case and every 2x2 monodromy entry is one call; `add` and
-`eval_at` share the same column accumulators.
+degree.  `GradedOperator.compose` is its one-pair case and every 2x2
+monodromy entry is one call; `add` and `eval_at` share the same column
+accumulators.  The graded sum is fraction-free: each block is taken as
+integer numerators over the lcm of its denominators (the left factor
+only on the columns the right factor's rows read), each degree
+accumulates over one common denominator in Python ints, and one
+reduced Fraction is made per nonzero output entry.  A Cauchy product of
+sector operators makes several block products per output entry (the TQ
+compose ~8), so one gcd per output beats one per product.
 
 The ungraded sides of exchange relations (RLL = LLR, the Toda
 intertwining, the vertex-operator exchange factors) are fused the same
 way by `sum_of_scaled_products` (sum of c A B, c applied once per entry
-of B); `SparseMatrix.mul` is its one-term case, and `commutator` adds -BA
-into the columns of AB, so AB - BA is compared against zero directly.
+of B), through the same product loop but on Fractions: there products
+are about as many as output entries, so converting would not pay.
+`SparseMatrix.mul` is its one-term case, and `commutator` adds -BA into
+the columns of AB, so AB - BA is compared against zero directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .scalars import ONE, ZERO, as_scalar
 
 
-def _add_product(acc: dict, a: "SparseMatrix", b: "SparseMatrix", factor=ONE) -> None:
-    """acc += factor * a @ b on a column map (col -> {row: value}); zeros may
-    remain.  The factor multiplies each entry of b once, and only if it is not 1."""
-    acols = a.cols
+def _add_product(acc: dict, acols: dict, bcols: dict, factor=ONE) -> None:
+    """acc += factor * a @ b on column maps (col -> {row: value}) of any exact
+    number type; zeros may remain.  The factor multiplies each entry of b
+    once, and only if it is not 1."""
     scaled = factor != 1
-    for c, bcol in b.cols.items():
+    for c, bcol in bcols.items():
         tgt = acc.get(c)
         if tgt is None:
             tgt = acc[c] = {}
@@ -85,6 +94,27 @@ def _nonzero(acc: dict) -> dict:
     out = {}
     for c, col in acc.items():
         col = {r: v for r, v in col.items() if v}
+        if col:
+            out[c] = col
+    return out
+
+
+def _over_common_denominator(cols: dict, keep=None):
+    """(d, integer column map n) with cols[c][r] == n[c][r] / d on the kept
+    columns (all, or those in the set `keep`), d the lcm of their denominators."""
+    if keep is not None:
+        cols = {c: cols[c] for c in cols.keys() & keep}
+    d = lcm(*{v.denominator for col in cols.values() for v in col.values()})
+    return d, {c: {r: v.numerator * (d // v.denominator) for r, v in col.items()}
+               for c, col in cols.items()}
+
+
+def _nonzero_over(acc: dict, d: int) -> dict:
+    """The column map of Fraction(v, d) over the nonzero entries v of an
+    integer accumulator, without empty columns."""
+    out = {}
+    for c, col in acc.items():
+        col = {r: Fraction(v, d) for r, v in col.items() if v}
         if col:
             out[c] = col
     return out
@@ -380,25 +410,45 @@ class GradedOperator:
 
 
 def sum_of_products(pairs, max_degree: int) -> GradedOperator:
-    """sum over (A, B) in pairs of the Cauchy product A B, truncated at
-    max_degree (explicit, always).
+    """sum over (A, B) in pairs (not empty) of the Cauchy product A B,
+    truncated at max_degree (explicit, always).
 
-    Each block product A_i B_j with i + j <= max_degree is added column by
-    column into one accumulator per degree; zeros are dropped once, at the
-    end, so no block product is built on its own.
+    Fraction-free: each block B_j is taken once per call as integer
+    numerators over d_B, the lcm of its denominators, and each A_i as
+    integer numerators over d_A on the columns that the rows of B's blocks
+    read.  Every block product A_i B_j with i + j = k <= max_degree is added
+    column by column into one integer accumulator over L_k, the lcm of the
+    d_A d_B of degree k, with the factor L_k / (d_A d_B); each nonzero sum
+    becomes one Fraction at the end, so no block product is built on its
+    own and no Fraction is normalized per term.
     """
     pairs = list(pairs)
+    if not pairs:
+        raise ValueError("sum_of_products of no pairs")
     dim = pairs[0][0].dim
     if any(A.dim != dim or B.dim != dim for A, B in pairs):
         raise ValueError("dimension mismatch")
-    acc = {}
+    b_ints = {}  # id(block) -> (d_B, integer columns), once per call
+    terms = {}  # degree -> [(d_A d_B, A columns, B columns)]
     for A, B in pairs:
+        read = set().union(*(col.keys() for b in B.blocks.values() for col in b.cols.values()))
         for i, a in A.blocks.items():
+            da, acols = _over_common_denominator(a.cols, read)
             for j, b in B.blocks.items():
                 if i + j <= max_degree:
-                    _add_product(acc.setdefault(i + j, {}), a, b)
-    return GradedOperator(dim, {k: SparseMatrix(dim, _nonzero(cols)) for k, cols in acc.items()},
-                          max_degree=max_degree)
+                    hit = b_ints.get(id(b))
+                    if hit is None:
+                        hit = b_ints[id(b)] = _over_common_denominator(b.cols)
+                    db, bcols = hit
+                    terms.setdefault(i + j, []).append((da * db, acols, bcols))
+    blocks = {}
+    for k, products in terms.items():
+        L = lcm(*(d for d, _, _ in products))
+        acc = {}
+        for d, acols, bcols in products:
+            _add_product(acc, acols, bcols, L // d)
+        blocks[k] = SparseMatrix(dim, _nonzero_over(acc, L))
+    return GradedOperator(dim, blocks, max_degree=max_degree)
 
 
 def sum_of_scaled_products(terms) -> SparseMatrix:
@@ -411,7 +461,7 @@ def sum_of_scaled_products(terms) -> SparseMatrix:
     acc = {}
     for c, A, B in terms:
         if c:
-            _add_product(acc, A, B, c)
+            _add_product(acc, A.cols, B.cols, c)
     return SparseMatrix(dim, _nonzero(acc))
 
 
@@ -419,7 +469,7 @@ def commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """ab - ba in one accumulator: -ba is added into the columns of `a.mul(b)`,
     so that product counts taken at `mul` still see every commutator."""
     acc = a.mul(b).cols
-    _add_product(acc, b, a, -ONE)
+    _add_product(acc, b.cols, a.cols, -ONE)
     return SparseMatrix(a.dim, _nonzero(acc))
 
 

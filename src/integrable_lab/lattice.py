@@ -199,6 +199,8 @@ def periodic_transfer(N: int, n: int, x, t) -> GradedOperator:
     """
     t, x = as_scalar(t), as_scalar(x)
     basis = occupation_basis(N, n)
+    # a sector repeats each run amplitude many times: one table per call
+    one_minus = cache(lambda e: ONE - t ** e)
 
     def entries():
         for j, m in enumerate(basis.states):
@@ -219,7 +221,7 @@ def periodic_transfer(N: int, n: int, x, t) -> GradedOperator:
                     if occ[a] == 0:
                         ok = False
                         break
-                    amp *= ONE - t ** m[a]
+                    amp *= one_minus(m[a])
                     occ[a] -= 1
                 if not ok:
                     continue

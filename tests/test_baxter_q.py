@@ -24,7 +24,7 @@ from integrable_lab import baxter_q
 from integrable_lab.graded import GradedOperator, SparseMatrix
 from integrable_lab.lattice import periodic_transfer, toda_monodromy
 from integrable_lab.partitions import occupation_basis, partition_basis, weight
-from integrable_lab.scalars import tbinom, tfact
+from integrable_lab.scalars import format_scalar, tbinom, tfact
 
 T = F(2, 7)
 X = F(3, 5)
@@ -97,6 +97,27 @@ def test_tq_report_names_rhs_only_entries(monkeypatch):
     assert not ok and report
     assert all(entry["first_bad"] for entry in report)
 
+
+
+def test_tq_report_names_a_perturbed_entry(monkeypatch):
+    # q_1[r, c] += d moves lhs_1 = q_1 + Lambda_1 q_0 by d and rhs_1 = t q_1
+    # (below degree N) by t d: degree 1 is the first to fail, at that entry only
+    N, n, d = 3, 2, F(1, 3)
+    real = build_qmatrix(N, n, X, T)
+    r, c, v = next((r, c, v) for r, c, v in real.block(1).entries() if r != c)
+
+    def perturbed(*args):
+        q = build_qmatrix(*args)
+        q.block(1).add_to(r, c, d)
+        return q
+
+    monkeypatch.setattr(baxter_q, "build_qmatrix", perturbed)
+    ok, report = tq_check(N, n, X, T)
+    labels = occupation_basis(N, n).labels()
+    assert not ok
+    assert report[0] == {"degree": 1, "ok": False, "first_bad": [
+        {"degree": 1, "row": labels[r], "col": labels[c],
+         "lhs": format_scalar(T * v + d), "rhs": format_scalar(T * (v + d))}]}
 
 def test_qmatrix_rejects_t_one():
     with pytest.raises(ValueError, match="t = 1"):

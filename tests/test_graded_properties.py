@@ -7,9 +7,11 @@ state-map constructor and `GradedOperator.restrict` must equal the loops
 they replace, drop what leaves the basis and store no zero (`restrict`
 refuses a cap below a block it keeps); partitions,
 occupation vectors and conjugates must round-trip.  The graded algebra
-(`compose`, `lattice.mat2_mul`, `eval_at`) must equal dense truncated
-Cauchy products of Fraction lists, cancelling terms included, with no
-stored zero and no degree above the cap; the ungraded
+(`compose`, `lattice.mat2_mul`, `lattice.monodromy` on listed columns,
+`eval_at`) must equal dense truncated Cauchy products of Fraction
+lists, cancelling terms and empty operands included, on values with
+large numerators over many denominators, storing only reduced nonzero
+Fractions and no degree above the cap; the ungraded
 `sum_of_scaled_products`, `mul` and `commutator` must equal dense sums
 of scaled products.  Both `from_entries` constructors
 must equal the per-entry `add_to` loop they replace on entry lists with
@@ -17,6 +19,7 @@ repeats, cancelling pairs and explicit zeros.
 """
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,9 +28,10 @@ from integrable_lab.graded import (
     GradedOperator,
     SparseMatrix,
     commutator,
+    sum_of_products,
     sum_of_scaled_products,
 )
-from integrable_lab.lattice import mat2_mul
+from integrable_lab.lattice import mat2_mul, monodromy
 from integrable_lab.partitions import (
     Basis,
     conjugate,
@@ -171,13 +175,20 @@ def test_partition_occupation_conjugate_round_trips(lam, occ):
 
 # few distinct values, so that sums of products often cancel to zero
 SMALL = st.sampled_from([F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2)])
+# large numerators over denominators up to 60, coprime (primes) or not
+# (4, 6, 12, 60): blocks over different common denominators, so that a
+# wrong lcm or scale factor in the fraction-free graded sum shows
+WIDE = st.builds(F, st.integers(-10 ** 20, 10 ** 20),
+                 st.sampled_from([1, 2, 3, 4, 5, 6, 7, 11, 12, 13, 17, 19, 23, 29, 31,
+                                  37, 41, 43, 47, 53, 59, 60]))
+MIXED = SMALL | WIDE
 
 
 @st.composite
-def graded_ops(draw, max_degree=3):
+def graded_ops(draw, max_degree=3, values=SMALL):
     blocks = {}
     for k in range(draw(st.integers(0, max_degree)) + 1):
-        entries = draw(st.dictionaries(st.tuples(INDEX, INDEX), SMALL, max_size=2 * DIM))
+        entries = draw(st.dictionaries(st.tuples(INDEX, INDEX), values, max_size=2 * DIM))
         blocks[k] = SparseMatrix.from_entries(DIM, ((r, c, v) for (r, c), v in entries.items()))
     return GradedOperator(DIM, blocks)
 
@@ -199,39 +210,64 @@ def dense_mul(a, b):
             for r in range(DIM)]
 
 
+def dense_blocks(A, max_degree):
+    """[A_0, ..., A_max_degree], dense."""
+    return [dense(A.block(k)) for k in range(max_degree + 1)]
+
+
 def dense_cauchy(A, B, max_degree):
-    """[C_0, ..., C_max_degree] with C_k = sum_{i+j=k} A_i B_j, dense."""
+    """[C_0, ..., C_max_degree] with C_k = sum_{i+j=k} A_i B_j, on lists of
+    dense blocks."""
     out = [dense_zero() for _ in range(max_degree + 1)]
-    for i in A.degrees():
-        for j in B.degrees():
+    for i, a in enumerate(A):
+        for j, b in enumerate(B):
             if i + j <= max_degree:
-                out[i + j] = dense_add(out[i + j], dense_mul(dense(A.block(i)),
-                                                             dense(B.block(j))))
+                out[i + j] = dense_add(out[i + j], dense_mul(a, b))
     return out
 
 
+def dense_mat2(M, max_degree):
+    """A 2x2 matrix of graded operators as dense block lists."""
+    return [[dense_blocks(e, max_degree) for e in row] for row in M]
+
+
+def dense_mat2_mul(A, B, max_degree):
+    """2x2 product of 2x2 matrices of dense block lists."""
+    return [[[dense_add(x, y) for x, y in zip(dense_cauchy(A[i][0], B[0][j], max_degree),
+                                              dense_cauchy(A[i][1], B[1][j], max_degree))]
+             for j in range(2)] for i in range(2)]
+
+
 def assert_graded_equals_dense(op, want, max_degree):
+    """op equals the dense blocks `want`, stores only reduced nonzero
+    Fractions and no empty block, and has no degree above max_degree."""
     assert op.max_degree == max_degree
     assert all(0 <= k <= max_degree for k in op.degrees())
-    assert not any(stores_zero(m) or m.is_zero() for m in op.blocks.values())
-    assert [dense(op.block(k)) for k in range(max_degree + 1)] == want
+    assert not any(m.is_zero() for m in op.blocks.values())
+    for m in op.blocks.values():
+        for v in (v for col in m.cols.values() for v in col.values()):
+            assert type(v) is F and v != 0
+            assert v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
+    assert dense_blocks(op, max_degree) == want
 
 
 @SETTINGS
-@given(graded_ops(), graded_ops(), st.integers(0, 6), st.booleans())
+@given(graded_ops(values=MIXED), graded_ops(values=MIXED), st.integers(0, 6), st.booleans())
 def test_compose_equals_dense_cauchy_product(A, B, max_degree, cancel):
     if cancel:
         # A = M + z M, B = N - z N: the degree-1 block M(-N) + M N cancels
         A = GradedOperator(DIM, {0: A.block(0), 1: A.block(0)})
         B = GradedOperator(DIM, {0: B.block(0), 1: B.block(0).scale(-1)})
     got = A.compose(B, max_degree)
-    assert_graded_equals_dense(got, dense_cauchy(A, B, max_degree), max_degree)
+    want = dense_cauchy(dense_blocks(A, max_degree), dense_blocks(B, max_degree), max_degree)
+    assert_graded_equals_dense(got, want, max_degree)
     if cancel and max_degree >= 1:
         assert 1 not in got.blocks
 
 
 @SETTINGS
-@given(st.lists(graded_ops(2), min_size=8, max_size=8), st.integers(0, 4), st.booleans())
+@given(st.lists(graded_ops(2, MIXED), min_size=8, max_size=8), st.integers(0, 4),
+       st.booleans())
 def test_mat2_mul_equals_dense_products(ops, max_degree, cancel):
     A = [ops[0:2], ops[2:4]]
     B = [ops[4:6], ops[6:8]]
@@ -240,13 +276,48 @@ def test_mat2_mul_equals_dense_products(ops, max_degree, cancel):
         A[0][1] = A[0][0]
         B[1][0] = B[0][0].scale(-1)
     got = mat2_mul(A, B, max_degree)
+    want = dense_mat2_mul(dense_mat2(A, max_degree), dense_mat2(B, max_degree), max_degree)
     for i in range(2):
         for j in range(2):
-            want = [dense_add(x, y) for x, y in zip(dense_cauchy(A[i][0], B[0][j], max_degree),
-                                                    dense_cauchy(A[i][1], B[1][j], max_degree))]
-            assert_graded_equals_dense(got[i][j], want, max_degree)
+            assert_graded_equals_dense(got[i][j], want[i][j], max_degree)
     if cancel:
         assert not got[0][0].blocks
+
+
+@SETTINGS
+@given(st.lists(graded_ops(1, MIXED), min_size=12, max_size=12), st.sets(INDEX),
+       st.integers(0, 4))
+def test_column_monodromy_equals_dense_products(ops, cols, max_degree):
+    laxes = [[ops[4 * f:4 * f + 2], ops[4 * f + 2:4 * f + 4]] for f in range(3)]
+    got = monodromy(laxes, max_degree, cols)
+    dense_laxes = [dense_mat2(L, max_degree) for L in laxes]
+    want = dense_laxes[0]
+    for L in dense_laxes[1:]:
+        want = dense_mat2_mul(want, L, max_degree)
+    for i in range(2):
+        for j in range(2):
+            kept = [[[v if c in cols else F(0) for c, v in enumerate(row)] for row in block]
+                    for block in want[i][j]]
+            assert_graded_equals_dense(got[i][j], kept, max_degree)
+
+
+def test_sum_of_products_of_empty_operands():
+    M = SparseMatrix.from_entries(DIM, [(0, 3, F(5, 7))])  # only column 3
+    N = SparseMatrix.from_entries(DIM, [(1, 2, F(-3, 11))])  # reads column 1 of its left
+    zero = GradedOperator.zero(DIM)
+    for A, B in [(zero, zero), (GradedOperator(DIM, {1: M}), zero),
+                 (zero, GradedOperator(DIM, {0: N})),
+                 (GradedOperator(DIM, {0: M}), GradedOperator(DIM, {0: N}))]:
+        got = A.compose(B, 2)
+        assert not got.blocks and got.max_degree == 2
+    # an empty pair beside a nonempty one leaves the nonempty product alone
+    P = SparseMatrix.from_entries(DIM, [(2, 0, F(13, 60))])
+    got = sum_of_products([(zero, GradedOperator(DIM, {0: M})),
+                           (GradedOperator(DIM, {0: N}), GradedOperator(DIM, {1: P}))], 1)
+    assert_graded_equals_dense(got, [dense_zero(), dense(SparseMatrix.from_entries(
+        DIM, [(1, 0, F(-3, 11) * F(13, 60))]))], 1)
+    with pytest.raises(ValueError, match="no pairs"):
+        sum_of_products([], 2)
 
 
 @SETTINGS
