@@ -359,7 +359,13 @@ def tq_check(N: int, n: int, x, t, sample_z=None):
     q = build_qmatrix(N, n, x, t)
     top = N + n
     lhs = lam.compose(q, top)
-    rhs = q.reparameterize(t).add(q.reparameterize(ONE / t).shift(N).scale(x * t ** n))
+    # block k of the rhs is t^k q_k + x t^n t^(N-k) q_(k-N): each block of q
+    # is read once per term, with one factor per degree
+    rhs = GradedOperator.from_entries(lam.dim, (
+        (k + shift, r, c, factor * v)
+        for k, block in q.blocks.items()
+        for shift, factor in ((0, t ** k), (N, x * t ** (n - k)))
+        for r, c, v in block.entries()), top)
     report = []
     ok = True
     for k in range(top + 1):
@@ -432,7 +438,8 @@ def ar_project_check(N: int, z, u, t, max_weight: int, max_len: int):
     built from the transposed-bar Toda Lax matrices.  The identity is
     asserted on source columns with headroom N+1 in both weight and
     length, and the Toda monodromy is folded on those columns only.
-    Returns (ok, report).
+    Returns (ok, report); each failing entry gives its degree, row and
+    column partition labels and both sides as "p/q" strings.
     """
     z, u, t = as_scalar(z), as_scalar(u), as_scalar(t)
     basis = partition_basis(max_weight, max_part=N + 1, max_length=max_len)
@@ -474,6 +481,8 @@ def ar_project_check(N: int, z, u, t, max_weight: int, max_len: int):
     failures = []
     for j in asserted:
         for k in range(N + 2):
-            for i, _, _, _ in lhs.block(k).mismatches(rhs.block(k), [j]):
-                failures.append({"degree": k, "row": i, "col": j})
+            for i, _, a, b in lhs.block(k).mismatches(rhs.block(k), [j]):
+                failures.append({"degree": k, "row": basis.label(basis.states[i]),
+                                 "col": basis.label(basis.states[j]),
+                                 "lhs": format_scalar(a), "rhs": format_scalar(b)})
     return not failures, failures

@@ -18,7 +18,8 @@ the dense entrywise comparison at O(nnz) cost.
 
 Operators that send each basis state to at most one target (site
 operators, window shifts, diagonals, the translation) are all built by
-`SparseMatrix.from_state_map`, which drops targets outside the basis.
+`SparseMatrix.from_state_map`, which drops targets outside the basis
+and, given a list of source indices, builds only those columns.
 
 Every operator built entry by entry from combinatorial weights (transfer
 matrices from runs of hops, the Q-matrix from label chains, the half
@@ -128,21 +129,29 @@ class SparseMatrix:
         self.cols = {} if cols is None else cols
 
     @classmethod
-    def identity(cls, dim: int) -> "SparseMatrix":
-        return cls(dim, {j: {j: ONE} for j in range(dim)})
+    def identity(cls, dim: int, sources=None) -> "SparseMatrix":
+        """The identity, or only its columns at the indices `sources`."""
+        return cls(dim, {j: {j: ONE} for j in (range(dim) if sources is None else sources)})
 
     @classmethod
-    def from_state_map(cls, basis, fn) -> "SparseMatrix":
+    def from_state_map(cls, basis, fn, sources=None) -> "SparseMatrix":
         """Matrix sending each basis state to at most one target.
 
         fn(state) returns (target state, value) or None.  A target outside
         the basis, or a zero value, leaves that column empty, so edge drops
-        need no test in fn and no zero is stored.
+        need no test in fn and no zero is stored.  With `sources` (basis
+        indices) only those columns are built, so a factor that only some
+        columns of a product read costs those columns, not the basis; an
+        index outside the basis raises ValueError.
         """
-        index = basis.index
+        index, states = basis.index, basis.states
+        if sources is None:
+            sources = range(len(states))
+        elif any(not 0 <= j < len(states) for j in sources):
+            raise ValueError(f"source index outside the basis of {len(states)} states")
         cols = {}
-        for j, state in enumerate(basis.states):
-            hit = fn(state)
+        for j in sources:
+            hit = fn(states[j])
             if hit is not None:
                 i = index.get(hit[0])
                 if i is not None:
@@ -455,6 +464,8 @@ def sum_of_scaled_products(terms) -> SparseMatrix:
     """sum over (c, A, B) in terms (not empty) of c A B, added column by
     column into one accumulator; zeros are dropped once, at the end."""
     terms = list(terms)
+    if not terms:
+        raise ValueError("sum_of_scaled_products of no terms")
     dim = terms[0][1].dim
     if any(A.dim != dim or B.dim != dim for _, A, B in terms):
         raise ValueError("dimension mismatch")

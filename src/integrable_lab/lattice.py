@@ -16,7 +16,7 @@ restriction is applied only to initial and final states.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from itertools import product as iproduct
 
 from .graded import GradedOperator, SparseMatrix, sum_of_products, sum_of_scaled_products
@@ -355,24 +355,38 @@ def _keep_columns(L, cols):
              for e in row] for row in L]
 
 
-def monodromy(laxes, max_degree: int, cols=None):
+def _row_support(matrices):
+    """Sorted indices of the rows stored in any of the sparse matrices."""
+    return sorted({r for m in matrices for col in m.cols.values() for r in col})
+
+
+def monodromy(builders, max_degree: int, cols=None):
     """Ordered product L_1 L_2 ... L_N of 2x2 Lax matrices, degrees capped
     at max_degree.
 
-    The product is formed from the right, L_1 (L_2 (... L_N)): with `cols`,
-    the last factor keeps only those source columns and every earlier
-    factor multiplies the running product from the left, so the cost
-    follows the support of the listed columns, not the basis.  The result
-    lives on the same basis and equals the listed columns of the full
-    product exactly (each factor is truncated at the basis edge and the
-    degree cap the same way either way); the other columns are zero.
-    A column outside the basis raises ValueError.
+    Each factor comes from a builder, called as build(sources=...) with the
+    list of source indices its columns are needed on (None: the whole
+    basis).  The product is formed from the right, L_1 (L_2 (... L_N)):
+    with `cols`, the last factor is built on those source columns and
+    keeps only them, and every earlier factor is built on the rows the
+    running product reaches (the row support of its four entries, exactly
+    the columns of the factor that the next product reads) and multiplies
+    it from the left.  So the cost follows the support of the listed
+    columns, not the basis.  The result lives on the same basis and equals
+    the listed columns of the full product exactly (each factor is
+    truncated at the basis edge and the degree cap the same way either
+    way); the other columns are zero.  A builder that ignores its source
+    list only costs more.  Without `cols` every factor is built on the
+    whole basis.  A column outside the basis raises ValueError.
     """
-    *earlier, T = laxes
+    *earlier, last = builders
+    T = last(sources=cols)
     if cols is not None:
         T = _keep_columns(T, set(cols))
-    for L in reversed(earlier):
-        T = mat2_mul(L, T, max_degree)
+    for build in reversed(earlier):
+        rows = None if cols is None else \
+            _row_support(m for row in T for e in row for m in e.blocks.values())
+        T = mat2_mul(build(sources=rows), T, max_degree)
     return T
 
 
@@ -383,8 +397,10 @@ def qboson_monodromy(basis: Basis, N: int, t, trivial_first=False):
     which amounts to left-multiplying by [[1, z], [1, z]].
     """
     t = as_scalar(t)
-    T = monodromy((build_lax("qboson", basis, {"t": t, "site": site, "N": N})
-                   for site in range(1, N + 1)), N + 1)
+    # folded on every column, so each builder is asked for the whole basis
+    T = monodromy([lambda sources, site=site: build_lax("qboson", basis,
+                                                        {"t": t, "site": site, "N": N})
+                   for site in range(1, N + 1)], N + 1)
     if trivial_first:
         dim = len(basis)
         one = GradedOperator.identity(dim)
@@ -416,96 +432,111 @@ def free_window_basis(N: int, lo: int, hi: int) -> Basis:
     return Basis(states, f"free window [{lo},{hi}]^{N}", kind="window")
 
 
-def toda_x_op(basis: Basis, k: int, t, power: int = 1) -> SparseMatrix:
-    """Diagonal t^{power * v_k} (1-based coordinate)."""
+def toda_x_op(basis: Basis, k: int, t, power: int = 1, sources=None) -> SparseMatrix:
+    """Diagonal t^{power * v_k} (1-based coordinate); with `sources`, only
+    those columns."""
     t = as_scalar(t)
     x = cache(lambda e: t ** (power * e))  # a window repeats each v_k many times
-    return SparseMatrix.from_state_map(basis, lambda v: (v, x(v[k - 1])))
+    return SparseMatrix.from_state_map(basis, lambda v: (v, x(v[k - 1])), sources)
 
 
-def toda_shift_op(basis: Basis, coords, step: int) -> SparseMatrix:
-    """Joint shift of the listed coordinates by step; drops at window edges."""
+def toda_shift_op(basis: Basis, coords, step: int, sources=None) -> SparseMatrix:
+    """Joint shift of the listed coordinates by step; drops at window edges.
+    With `sources`, only those columns."""
     def shift(v):
         w = list(v)
         for c in coords:
             w[c - 1] += step
         return tuple(w), ONE
 
-    return SparseMatrix.from_state_map(basis, shift)
+    return SparseMatrix.from_state_map(basis, shift, sources)
 
 
-def toda_lax(kind: str, basis: Basis, k: int, t):
+def toda_lax(kind: str, basis: Basis, k: int, t, sources=None):
     """Toda-variable Lax matrices as 2x2 graded operators on a window.
 
     toda:       [[1+zX_k, x_k], [-z X_k x_k^{-1}, 0]]
     toda_bar:   [[1+w Xinv_k, w Xinv_k x_k], [-x_k^{-1}, 0]], w = 1/z
     toda_tilde: [[1+zX_k, z x_k X_k], [-x_k^{-1}, 0]]
     (graded degree counts powers of z, or of 1/z for toda_bar).
+
+    With `sources` (window indices) every entry is built on those source
+    columns only, as `monodromy` asks of a factor builder; each entry
+    equals the whole-window entry on them.
     """
     t = as_scalar(t)
     dim = len(basis)
-    I = SparseMatrix.identity(dim)
-    X = toda_shift_op(basis, [k], +1)
-    Xi = toda_shift_op(basis, [k], -1)
-    xk = toda_x_op(basis, k, t, 1)
-    xki = toda_x_op(basis, k, t, -1)
+    I = SparseMatrix.identity(dim, sources)
+    xki = toda_x_op(basis, k, t, -1, sources)
     Z = GradedOperator.zero(dim)
     if kind == "toda":
+        X = toda_shift_op(basis, [k], +1, sources)
+        xk = toda_x_op(basis, k, t, 1, sources)
         return [[GradedOperator(dim, {0: I, 1: X}), GradedOperator(dim, {0: xk})],
                 [GradedOperator(dim, {1: X.mul(xki).scale(-1)}), Z]]
     if kind == "toda_bar":
+        Xi = toda_shift_op(basis, [k], -1, sources)
+        xk = toda_x_op(basis, k, t, 1, sources)
         return [[GradedOperator(dim, {0: I, 1: Xi}), GradedOperator(dim, {1: Xi.mul(xk)})],
                 [GradedOperator(dim, {0: xki.scale(-1)}), Z]]
     if kind == "toda_tilde":
+        X = toda_shift_op(basis, [k], +1, sources)
+        # x_k X_k reads x_k at the targets of X, not at its sources
+        xk = toda_x_op(basis, k, t, 1, _row_support([X]))
         return [[GradedOperator(dim, {0: I, 1: X}), GradedOperator(dim, {1: xk.mul(X)})],
                 [GradedOperator(dim, {0: xki.scale(-1)}), Z]]
     raise ValueError(f"unknown toda lax kind {kind!r}")
 
 
-def toda_U(basis: Basis, k: int, t, x0=None):
-    """U_k = [[1, x_k], [S_k, 0]]; k = 0 uses S_0 = 1 and x_0 (open chain: 0)."""
+def toda_U(basis: Basis, k: int, t, x0=None, sources=None):
+    """U_k = [[1, x_k], [S_k, 0]]; k = 0 uses S_0 = 1 and x_0 (open chain: 0).
+    With `sources`, every entry is built on those source columns only."""
     t = as_scalar(t)
     dim = len(basis)
-    I = SparseMatrix.identity(dim)
+    I = SparseMatrix.identity(dim, sources)
     Z = GradedOperator.zero(dim)
     if k == 0:
-        xop = SparseMatrix(dim) if x0 == 0 else SparseMatrix.identity(dim).scale(as_scalar(x0))
+        xop = SparseMatrix(dim) if x0 == 0 else I.scale(as_scalar(x0))
         return [[GradedOperator(dim, {0: I}), GradedOperator(dim, {0: xop})],
                 [GradedOperator(dim, {0: I}), Z]]
-    S = toda_shift_op(basis, list(range(1, k + 1)), +1)
-    return [[GradedOperator(dim, {0: I}), GradedOperator(dim, {0: toda_x_op(basis, k, t)})],
+    S = toda_shift_op(basis, list(range(1, k + 1)), +1, sources)
+    return [[GradedOperator(dim, {0: I}),
+             GradedOperator(dim, {0: toda_x_op(basis, k, t, sources=sources)})],
             [GradedOperator(dim, {0: S}), Z]]
 
 
-def qboson_lax_toda_vars(basis: Basis, k: int, t, open_x0=True):
+def qboson_lax_toda_vars(basis: Basis, k: int, t, open_x0=True, sources=None):
     """q-boson Lax at site k realized with Toda shifts: S_k = prefix raise,
-    Sbar_k = prefix lower times (1 - x_k / x_{k+1}) read on the source."""
+    Sbar_k = prefix lower times (1 - x_k / x_{k+1}) read on the source.
+    With `sources`, every entry is built on those source columns only."""
     t = as_scalar(t)
     dim = len(basis)
-    I = SparseMatrix.identity(dim)
+    I = SparseMatrix.identity(dim, sources)
     if k == 0:
         if not open_x0:
             raise ValueError("periodic site 0 not realized here")
         S = Sb = I
     else:
         prefix = list(range(1, k + 1))
-        S = toda_shift_op(basis, prefix, +1)
+        S = toda_shift_op(basis, prefix, +1, sources)
 
         one_minus = cache(lambda e: ONE - t ** e)
 
         def factor(v):  # 1 - x_k / x_{k+1}, with x_{N+1} = 1
             return v, one_minus(v[k - 1] - v[k] if k < len(v) else v[k - 1])
 
-        Sb = toda_shift_op(basis, prefix, -1).mul(SparseMatrix.from_state_map(basis, factor))
+        Sb = toda_shift_op(basis, prefix, -1, sources).mul(
+            SparseMatrix.from_state_map(basis, factor, sources))
     return [[GradedOperator(dim, {0: I}), GradedOperator(dim, {1: Sb})],
             [GradedOperator(dim, {0: S}), GradedOperator(dim, {1: I})]]
 
 
 def toda_monodromy(kind: str, basis: Basis, N: int, t, max_degree=None, cols=None):
     """L_1 ... L_N over window coordinates, graded degree capped at N; with
-    `cols`, only those source columns (see `monodromy`)."""
+    `cols`, only those source columns, each factor built only on the states
+    the fold reaches (see `monodromy`)."""
     cap = max_degree if max_degree is not None else N
-    return monodromy((toda_lax(kind, basis, k, t) for k in range(1, N + 1)), cap, cols)
+    return monodromy([partial(toda_lax, kind, basis, k, t) for k in range(1, N + 1)], cap, cols)
 
 
 def cone_states(basis: Basis, require_nonneg=True):
@@ -578,8 +609,8 @@ def toda_gauge_check(N: int, t, window_top: int):
     cols = interior(N + 1)
     T_toda = toda_monodromy("toda", w, N, t, cols=cols)
     lhs = mat2_mul(toda_U(w, 0, t, x0=0), T_toda, N)
-    rhs = monodromy([*(qboson_lax_toda_vars(w, k, t) for k in range(N)), toda_U(w, N, t)],
-                    N, cols)
+    rhs = monodromy([*(partial(qboson_lax_toda_vars, w, k, t) for k in range(N)),
+                     partial(toda_U, w, N, t)], N, cols)
     good = agrees(lhs, rhs, N, cols)
     ok = ok and good
     report.append({"relation": "monodromy", "ok": good})
@@ -646,8 +677,10 @@ def spin_periodic_transfer_cleared(N: int, M: int, X, t, s) -> GradedOperator:
     t, s, X = as_scalar(t), as_scalar(s), as_scalar(X)
     # monodromy intermediates carry one extra or one missing particle
     big = chain_basis(N, M + 1)
-    T = monodromy((build_lax("spin_s", big, {"t": t, "s": s, "site": site})
-                   for site in range(1, N + 1)), N)
+    # folded on every column, so each builder is asked for the whole basis
+    T = monodromy([lambda sources, site=site: build_lax("spin_s", big,
+                                                        {"t": t, "s": s, "site": site})
+                   for site in range(1, N + 1)], N)
     traced = T[0][0].add(T[1][1].scale(X))
     sector = occupation_basis(N, M)
     return traced.restrict({big.index[m]: j for j, m in enumerate(sector.states)},

@@ -205,10 +205,13 @@ def test_ar_project_reports_a_perturbed_toda_entry(monkeypatch):
 
     monkeypatch.setattr(baxter_q, "toda_monodromy", perturbed)
     ok, failures = ar_project_check(N, F(2), F(5), F(1, 3), max_weight, max_len)
-    assert not ok and failures
-    assert len(folded) == len(asserted)
-    assert {f["col"] for f in failures} == {basis.index[()]} and basis.index[()] in asserted
-    assert {f["degree"] for f in failures} == {0}
+    assert not ok
+    assert len(folded) == len(asserted) and basis.index[()] in asserted
+    # in degree 0 both sides read 1 at the empty partition (every degree-0
+    # factor is the identity there), so the perturbed right side reads 2
+    empty = basis.label(())
+    assert failures == [{"degree": 0, "row": empty, "col": empty,
+                         "lhs": format_scalar(F(1)), "rhs": format_scalar(F(2))}]
 
 
 def test_toda_intertwine_reports_a_perturbed_LL(monkeypatch):

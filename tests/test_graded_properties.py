@@ -4,10 +4,12 @@
 (even on matrices that store zeros), the arithmetic must never store a
 zero, and a single wrong entry must be reported exactly once.  The
 state-map constructor and `GradedOperator.restrict` must equal the loops
-they replace, drop what leaves the basis and store no zero (`restrict`
+they replace, drop what leaves the basis and store no zero (the state
+map on listed sources equals the whole map on those columns; `restrict`
 refuses a cap below a block it keeps); partitions,
 occupation vectors and conjugates must round-trip.  The graded algebra
 (`compose`, `lattice.mat2_mul`, `lattice.monodromy` on listed columns,
+whether or not its factor builders honour their source lists,
 `eval_at`) must equal dense truncated Cauchy products of Fraction
 lists, cancelling terms and empty operands included, on values with
 large numerators over many denominators, storing only reduced nonzero
@@ -131,6 +133,24 @@ def test_state_map_equals_the_loop_it_replaces(table, order):
         hit = fn(state)
         if hit is None or hit[0] not in basis.index or hit[1] == 0:
             assert j not in built.cols
+
+
+@SETTINGS
+@given(STATE_MAPS, st.permutations(range(DIM)), st.lists(INDEX, max_size=DIM + 1))
+def test_state_map_on_sources_equals_the_whole_map_on_those_columns(table, order, sources):
+    basis = Basis([(v,) for v in order], "shuffled states")
+
+    def fn(state):
+        hit = table.get(state[0])
+        return None if hit is None else ((hit[0],), hit[1])
+
+    whole = SparseMatrix.from_state_map(basis, fn)
+    built = SparseMatrix.from_state_map(basis, fn, sources)
+    assert built == SparseMatrix(DIM, {c: col for c, col in whole.cols.items() if c in sources})
+    assert not stores_zero(built)
+    for bad in ([DIM], [0, -1]):
+        with pytest.raises(ValueError, match="outside the basis"):
+            SparseMatrix.from_state_map(basis, fn, bad)
 
 
 @SETTINGS
@@ -284,12 +304,25 @@ def test_mat2_mul_equals_dense_products(ops, max_degree, cancel):
         assert not got[0][0].blocks
 
 
+def builder(L, honour):
+    """A factor builder for `monodromy`: L on the source columns it is asked
+    for when `honour`, else the whole of L whatever it is asked for."""
+    def build(sources):
+        if sources is None or not honour:
+            return L
+        return [[GradedOperator(DIM, {d: SparseMatrix(DIM, {c: col for c, col in m.cols.items()
+                                                            if c in sources})
+                                      for d, m in e.blocks.items()}, max_degree=e.max_degree)
+                 for e in row] for row in L]
+    return build
+
+
 @SETTINGS
 @given(st.lists(graded_ops(1, MIXED), min_size=12, max_size=12), st.sets(INDEX),
-       st.integers(0, 4))
-def test_column_monodromy_equals_dense_products(ops, cols, max_degree):
+       st.integers(0, 4), st.booleans())
+def test_column_monodromy_equals_dense_products(ops, cols, max_degree, honour):
     laxes = [[ops[4 * f:4 * f + 2], ops[4 * f + 2:4 * f + 4]] for f in range(3)]
-    got = monodromy(laxes, max_degree, cols)
+    got = monodromy([builder(L, honour) for L in laxes], max_degree, cols)
     dense_laxes = [dense_mat2(L, max_degree) for L in laxes]
     want = dense_laxes[0]
     for L in dense_laxes[1:]:
@@ -318,6 +351,13 @@ def test_sum_of_products_of_empty_operands():
         DIM, [(1, 0, F(-3, 11) * F(13, 60))]))], 1)
     with pytest.raises(ValueError, match="no pairs"):
         sum_of_products([], 2)
+
+
+def test_sum_of_scaled_products_of_no_terms():
+    with pytest.raises(ValueError, match="no terms"):
+        sum_of_scaled_products([])
+    with pytest.raises(ValueError, match="no terms"):
+        sum_of_scaled_products(iter([]))
 
 
 @SETTINGS

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
@@ -217,8 +218,10 @@ def test_toda_lax_entries():
     assert L[0][1].block(0).entry(st, st) == T_SAMPLE**2
 
 
-def _left_fold(laxes, cap):
-    # the ordered product (L_1 L_2) L_3 ..., independent of `monodromy`
+def _left_fold(builders, cap):
+    # the ordered product (L_1 L_2) L_3 ... of whole-window factors,
+    # independent of `monodromy`
+    laxes = [build(sources=None) for build in builders]
     T = laxes[0]
     for L in laxes[1:]:
         T = mat2_mul(T, L, cap)
@@ -230,30 +233,48 @@ def _columns(T, cols):
              for e in row] for row in T]
 
 
+def _entries(T, cols):
+    # every stored entry of a 2x2 operator matrix in the given columns
+    return {(i, j, d, r, c): v for i, row in enumerate(T) for j, e in enumerate(row)
+            for d, m in e.blocks.items() for c, col in m.cols.items() if c in cols
+            for r, v in col.items()}
+
+
+def _edge_columns(w):
+    # window corners, where the shifts drop targets outside the window
+    top, bottom = max(w.states), min(w.states)
+    return [w.index[top], w.index[bottom],
+            w.index[(top[0],) + bottom[1:]], w.index[bottom[:-1] + (top[-1],)]]
+
+
 def _fold_cases():
     for N, lo, hi in [(2, -1, 2), (3, 0, 2)]:
         w = free_window_basis(N, lo, hi)
         for kind in ("toda", "toda_bar", "toda_tilde"):
-            yield kind, w, N, [toda_lax(kind, w, k, T_SAMPLE) for k in range(1, N + 1)]
+            yield kind, w, N, [partial(toda_lax, kind, w, k, T_SAMPLE) for k in range(1, N + 1)]
         # the q-boson-variable side of the gauge relation, U_N last
-        yield "qboson U_N", w, N, [*(qboson_lax_toda_vars(w, k, T_SAMPLE) for k in range(N)),
-                                   toda_U(w, N, T_SAMPLE)]
+        yield "qboson U_N", w, N, [*(partial(qboson_lax_toda_vars, w, k, T_SAMPLE)
+                                     for k in range(N)), partial(toda_U, w, N, T_SAMPLE)]
+
+
+def _whole(build):
+    # the same factor, built on the whole window whatever it is asked for
+    return lambda sources: build(sources=None)
 
 
 def test_column_fold_equals_columns_of_the_full_fold():
     rng = random.Random(8)
-    for name, w, N, laxes in _fold_cases():
-        full = monodromy(laxes, N)
-        assert _columns(full, range(len(w))) == _columns(_left_fold(laxes, N), range(len(w)))
-        # edge columns, where the shifts drop targets outside the window,
-        # plus a random handful
-        top, bottom = max(w.states), min(w.states)
-        edges = [w.index[top], w.index[bottom],
-                 w.index[(top[0],) + bottom[1:]], w.index[bottom[:-1] + (top[-1],)]]
-        cols = edges + rng.sample(range(len(w)), 5)
-        folded = monodromy(laxes, N, cols)
+    for name, w, N, builders in _fold_cases():
+        full = monodromy(builders, N)
+        assert _columns(full, range(len(w))) == _columns(_left_fold(builders, N), range(len(w)))
+        # edge columns plus a random handful
+        cols = _edge_columns(w) + rng.sample(range(len(w)), 5)
+        folded = monodromy(builders, N, cols)
         assert _columns(folded, cols) == _columns(full, cols), name
         assert _columns(folded, range(len(w))) == _columns(folded, cols), name
+        # a builder that ignores its source list changes nothing but the cost
+        ignoring = monodromy([_whole(b) for b in builders], N, cols)
+        assert _columns(ignoring, range(len(w))) == _columns(folded, range(len(w))), name
         if name == "toda":
             assert _columns(toda_monodromy("toda", w, N, T_SAMPLE, cols=cols), cols) == \
                 _columns(full, cols)
@@ -261,14 +282,34 @@ def test_column_fold_equals_columns_of_the_full_fold():
 
 def test_column_fold_rejects_outside_columns_and_empty_is_zero():
     w = free_window_basis(2, 0, 2)
-    laxes = [toda_lax("toda", w, k, T_SAMPLE) for k in (1, 2)]
+    builders = [partial(toda_lax, "toda", w, k, T_SAMPLE) for k in (1, 2)]
     for bad in ([len(w)], [-1], [0, len(w) + 3]):
         with pytest.raises(ValueError):
-            monodromy(laxes, 2, bad)
+            monodromy(builders, 2, bad)
+        with pytest.raises(ValueError):
+            monodromy([_whole(b) for b in builders], 2, bad)
         with pytest.raises(ValueError):
             toda_monodromy("toda_bar", w, 2, T_SAMPLE, cols=bad)
-    empty = monodromy(laxes, 2, [])
+    empty = monodromy(builders, 2, [])
     assert all(not e.blocks for row in empty for e in row)
+
+
+def test_window_builders_on_sources_equal_the_whole_window_factor():
+    rng = random.Random(10)
+    for N, lo, hi in [(2, -1, 2), (3, 0, 2)]:
+        w = free_window_basis(N, lo, hi)
+        builders = [(f"{kind} k={k}", partial(toda_lax, kind, w, k, T_SAMPLE))
+                    for kind in ("toda", "toda_bar", "toda_tilde") for k in range(1, N + 1)]
+        builders += [(f"qboson k={k}", partial(qboson_lax_toda_vars, w, k, T_SAMPLE))
+                     for k in range(N + 1)]
+        builders += [(f"U k={k}", partial(toda_U, w, k, T_SAMPLE)) for k in range(1, N + 1)]
+        builders += [(f"U_0 x0={x0}", partial(toda_U, w, 0, T_SAMPLE, x0=x0))
+                     for x0 in (0, X_SAMPLE)]
+        for sources in (_edge_columns(w) + rng.sample(range(len(w)), 4), [], [0]):
+            for name, build in builders:
+                whole = build()
+                on_sources = build(sources=sources)
+                assert _entries(on_sources, range(len(w))) == _entries(whole, sources), name
 
 
 def test_toda_gauge_relations():
@@ -362,3 +403,26 @@ def test_rll_reports_a_perturbed_weight(monkeypatch):
         row, col = f["aux"]
         assert row == c_entry[0] or col == c_entry[1]
         assert 0 <= f["state"] <= cap - 2 and 0 <= f["target"] <= cap
+
+
+def test_ar_project_builds_its_toda_factors_on_few_window_states(monkeypatch):
+    from integrable_lab.baxter_q import ar_project_check
+
+    built = []  # (window size, states visited) per state map on a Toda window
+    whole = SparseMatrix.from_state_map.__func__
+
+    def counting(cls, basis, fn, sources=None):
+        if basis.kind == "window":
+            built.append((len(basis), set(range(len(basis)) if sources is None else sources)))
+        return whole(cls, basis, fn, sources)
+
+    monkeypatch.setattr(SparseMatrix, "from_state_map", classmethod(counting))
+    N = 3  # the ar-project suite's largest N, at its default box
+    ok, failures = ar_project_check(N, F(2), F(5), F(1, 3), max_weight=8, max_len=N + 3)
+    assert ok, failures[:3]
+    (size,) = {n for n, _ in built}
+    assert size == (N + 3 + N + 2) ** (N + 1)  # the free window [0, max_len + N + 1]^(N+1)
+    # every factor is built on the states the column fold visits: fewer than
+    # 1% of the window in all, and under 1% of what whole-window builds cost
+    assert len(set().union(*(s for _, s in built))) < size / 100
+    assert sum(len(s) for _, s in built) < len(built) * size / 100

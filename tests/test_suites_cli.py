@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -81,10 +83,16 @@ def test_lascoux_redraws_past_singular_draws():
         assert report == run_suite(SuiteSpec("lascoux", seed=seed))
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run_cli(*argv):
+    # the CLI of this checkout, whatever PYTHONPATH the tests were started with
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run(
         [sys.executable, "-m", "integrable_lab.cli", *argv],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
 
 
