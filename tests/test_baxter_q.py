@@ -207,8 +207,8 @@ def test_ar_project_reports_a_perturbed_toda_entry(monkeypatch):
     ok, failures = ar_project_check(N, F(2), F(5), F(1, 3), max_weight, max_len)
     assert not ok
     assert len(folded) == len(asserted) and basis.index[()] in asserted
-    # in degree 0 both sides read 1 at the empty partition (every degree-0
-    # factor is the identity there), so the perturbed right side reads 2
+    # in degree 0 both sides read 1 at the empty partition, so the
+    # perturbed right side reads 2 there and nothing else moves
     empty = basis.label(())
     assert failures == [{"degree": 0, "row": empty, "col": empty,
                          "lhs": format_scalar(F(1)), "rhs": format_scalar(F(2))}]
