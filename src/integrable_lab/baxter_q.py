@@ -40,7 +40,7 @@ from .partitions import (
     state_norm,
     weight,
 )
-from .scalars import ONE, ZERO, as_scalar, format_scalar, tbinom, tfact
+from .scalars import ONE, ZERO, TTable, as_scalar, format_scalar, tbinom, tfact
 from .vertex_ops import build_gamma
 
 
@@ -125,7 +125,7 @@ def build_qmatrix(N: int, n: int, x, t) -> GradedOperator:
     _reject_t_one(t)
     basis = occupation_basis(N, n)
     # a sector repeats each t-binomial and phase many times: one table per call
-    binom = cache(lambda a, b: tbinom(a, b, t))
+    binom = TTable(t).binom
     phase = cache(lambda deg, delta: (-ONE) ** deg * x ** delta)
 
     def entries():
@@ -140,7 +140,7 @@ def build_qmatrix(N: int, n: int, x, t) -> GradedOperator:
                 delta = n - out[0]
                 amp = phase(deg, delta)
                 for k in range(1, N + 1):
-                    amp *= binom(nu[k] - nu[k + 1], nu[k] - out[k - 1])
+                    amp *= binom[nu[k] - nu[k + 1], nu[k] - out[k - 1]]
                 shifted = [v + delta for v in out]
                 rev_target = tuple(shifted[k] - shifted[k + 1]
                                    for k in range(N - 1)) + (shifted[N - 1],)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .bethe import AnsatzTable
-from .scalars import ONE, ZERO, as_scalar, tbinom, tfact, tpoch
+from .scalars import ONE, ZERO, TTable, as_scalar, tbinom, tfact, tpoch
 
 
 def spin_state_norm(mu, t, s) -> Fraction:
@@ -115,7 +115,8 @@ def spin_norm_floor(n: int, t, s) -> Fraction:
     one per distinct part, with multiplicity m <= n; so min(1, |f|)^n
     bounds it from below even when some |f(m)| exceeds 1.
     """
-    smallest = min(_abs(tfact(m, t) / tpoch(s * s, m, t)) for m in range(1, n + 1))
+    table = TTable(t)
+    smallest = min(_abs(table.fact[m] / table.poch[s * s, m]) for m in range(1, n + 1))
     return min(ONE, smallest) ** n
 
 

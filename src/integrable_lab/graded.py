@@ -356,12 +356,6 @@ class GradedOperator:
         return GradedOperator(self.dim, {k: m.scale(factor) for k, m in self.blocks.items()},
                               max_degree=self.max_degree)
 
-    def reparameterize(self, c) -> "GradedOperator":
-        """z -> c z: degree-k block picks up c^k."""
-        c = as_scalar(c)
-        return GradedOperator(self.dim, {k: m.scale(c ** k) for k, m in self.blocks.items()},
-                              max_degree=self.max_degree)
-
     def shift(self, k0: int) -> "GradedOperator":
         """Multiply by z^k0: degree k -> k + k0."""
         if k0 < 0:

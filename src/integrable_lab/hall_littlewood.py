@@ -19,6 +19,12 @@ run one strip sweep, generic over the strip generator and the weight;
 `skew_sweep` returns every lam reached from mu under a weight cap from
 a single sweep.  The two routes share no code, so each checks the other.
 
+The four Pieri coefficients psi, phi, psi', phi' are products of lookups
+in one `scalars.TTable` through one kernel; a sweep, like a half vertex
+operator build, reads one table per call.  The symmetrized sums, which
+the Pieri checks compare those coefficients against, keep the literal
+t-factorials, so a table bug cannot certify itself.
+
 All identity checks are exact evaluations at rational points: a bounded
 degree polynomial identity that holds at enough generic points holds
 identically, and each exact check is a certificate at that point.
@@ -34,15 +40,14 @@ from .partitions import (
     conjugate,
     contains,
     horizontal_strips_above,
-    is_horizontal_strip,
-    is_vertical_strip,
     length,
     partition,
     state_norm,
+    strip_test,
     vertical_strips_above,
     weight,
 )
-from .scalars import ONE, ZERO, as_scalar, tfact
+from .scalars import ONE, ZERO, TTable, as_scalar, tfact
 
 MAX_SYMMETRIZE = 7  # n! permutation sums stay desk-scale
 
@@ -52,83 +57,75 @@ MAX_SYMMETRIZE = 7  # n! permutation sums stay desk-scale
 
 def pieri_psi(lam, mu, t) -> Fraction:
     """psi_{lam/mu} = prod over j with m_j(lam) = m_j(mu) - 1 of (1 - t^{m_j(mu)})."""
-    lam, mu = partition(lam), partition(mu)
-    if not is_horizontal_strip(lam, mu):
-        raise ValueError(f"{lam}/{mu} is not a horizontal strip")
-    t = as_scalar(t)
-    return _psi_product(lam, mu, t)
-
-
-def _psi_product(lam, mu, t) -> Fraction:
-    result = ONE
-    top = lam[0] if lam else 0
-    for j in range(1, top + 1):
-        mj_lam = sum(1 for p in lam if p == j)
-        mj_mu = sum(1 for p in mu if p == j)
-        if mj_lam == mj_mu - 1:
-            result *= ONE - t ** mj_mu
-    return result
+    return pieri_coeff("psi", lam, mu, t)
 
 
 def pieri_phi(lam, mu, t) -> Fraction:
     """phi_{lam/mu} = prod over j with m_j(lam) = m_j(mu) + 1 of (1 - t^{m_j(lam)})."""
-    lam, mu = partition(lam), partition(mu)
-    if not is_horizontal_strip(lam, mu):
-        raise ValueError(f"{lam}/{mu} is not a horizontal strip")
-    t = as_scalar(t)
-    result = ONE
-    top = lam[0] if lam else 0
-    for j in range(1, top + 1):
-        mj_lam = sum(1 for p in lam if p == j)
-        mj_mu = sum(1 for p in mu if p == j)
-        if mj_lam == mj_mu + 1:
-            result *= ONE - t ** mj_lam
-    return result
+    return pieri_coeff("phi", lam, mu, t)
 
 
 def pieri_psi_prime(lam, mu, t) -> Fraction:
-    """psi'_{lam/mu} on vertical strips, a product of t-binomials in lam', mu'."""
-    lam, mu = partition(lam), partition(mu)
-    if not is_vertical_strip(lam, mu):
-        raise ValueError(f"{lam}/{mu} is not a vertical strip")
-    t = as_scalar(t)
-    lp = conjugate(lam)
-    mp = conjugate(mu)
-    rows = len(lp)
-    lp = lp + (0,)
-    mp = mp + (0,) * (rows + 1 - len(mp))
-    result = ONE
-    for i in range(rows):
-        result *= tfact(lp[i] - lp[i + 1], t) / (tfact(lp[i] - mp[i], t) * tfact(mp[i] - lp[i + 1], t))
-    return result
+    """psi'_{lam/mu} on vertical strips: prod_i binom(lam'_i - lam'_{i+1}, lam'_i - mu'_i)_t."""
+    return pieri_coeff("psi'", lam, mu, t)
 
 
 def pieri_phi_prime(lam, mu, t) -> Fraction:
-    """phi'_{lam/mu}: as psi' with the (mu'_i - mu'_{i+1})!_t numerator."""
-    lam, mu = partition(lam), partition(mu)
-    if not is_vertical_strip(lam, mu):
-        raise ValueError(f"{lam}/{mu} is not a vertical strip")
-    t = as_scalar(t)
-    lp = conjugate(lam)
-    mp = conjugate(mu)
-    rows = len(lp)
-    lp = lp + (0,)
-    mp = mp + (0,) * (rows + 1 - len(mp))
-    result = ONE
-    for i in range(rows):
-        result *= tfact(mp[i] - mp[i + 1], t) / (tfact(lp[i] - mp[i], t) * tfact(mp[i] - lp[i + 1], t))
-    return result
+    """phi'_{lam/mu}: as psi' with the (mu'_i - mu'_{i+1})!_t numerator,
+    prod_i (mu'_i - mu'_{i+1})!_t / ((lam'_i - mu'_i)!_t (mu'_i - lam'_{i+1})!_t)."""
+    return pieri_coeff("phi'", lam, mu, t)
 
 
-_PIERI = {"psi": pieri_psi, "phi": pieri_phi, "psi'": pieri_psi_prime, "phi'": pieri_phi_prime}
+_STRIPS = {"psi": "horizontal", "phi": "horizontal", "psi'": "vertical", "phi'": "vertical"}
 
 
 def pieri_coeff(kind: str, lam, mu, t) -> Fraction:
-    try:
-        fn = _PIERI[kind]
-    except KeyError:
-        raise ValueError(f"unknown Pieri coefficient kind {kind!r}") from None
-    return fn(lam, mu, t)
+    """The Pieri coefficient `kind` (psi, phi, psi', phi') of lam/mu; raises
+    ValueError for an unknown kind or a pair that is not a strip of its kind."""
+    strip = _STRIPS.get(kind)
+    if strip is None:
+        raise ValueError(f"unknown Pieri coefficient kind {kind!r}")
+    lam, mu = partition(lam), partition(mu)
+    if not strip_test(lam, mu, strip):
+        raise ValueError(f"{lam}/{mu} is not a {strip} strip")
+    return _pieri(kind, pieri_shape(lam), pieri_shape(mu), TTable(t))
+
+
+def pieri_shape(lam) -> tuple:
+    """(lam', (m_1, ..., m_{lam_1})): the conjugate and the part
+    multiplicities m_j = lam'_j - lam'_{j+1} the Pieri coefficients read."""
+    lp = conjugate(lam)
+    return lp, tuple(a - b for a, b in zip(lp, lp[1:] + (0,)))
+
+
+def _pieri(kind, lam_shape, mu_shape, table) -> Fraction:
+    """The Pieri coefficient `kind` of the strip lam/mu from the shapes of
+    lam and mu (`pieri_shape`), as a product of `table` entries; factors
+    equal to 1 are skipped.  The strip itself is not checked."""
+    lp, ml = lam_shape
+    mp, mm = mu_shape
+    mm = mm + (0,) * (len(ml) - len(mm))  # mu inside lam: mu_1 <= lam_1
+    result = ONE
+    if kind in ("psi", "phi"):
+        # psi: a part value losing one of its m_j(mu) copies gives 1 - t^{m_j(mu)};
+        # phi: one gaining a copy gives 1 - t^{m_j(lam)}
+        one_minus = table.one_minus
+        for m, other in (zip(mm, ml) if kind == "psi" else zip(ml, mm)):
+            if m == other + 1:
+                result *= one_minus[m]
+        return result
+    d = [x - y for x, y in zip(lp, mp + (0,) * (len(lp) - len(mp)))]  # lam'_i - mu'_i
+    if kind == "psi'":
+        binom = table.binom
+        for a, di in zip(ml, d):
+            if 0 < di < a:
+                result *= binom[a, di]
+    else:  # phi': m_i(mu)! / ((lam'_i - mu'_i)! (mu'_i - lam'_{i+1})!)
+        fact = table.fact
+        for a, b, di in zip(ml, mm, d):
+            if b != a or 0 < di < a:
+                result *= fact[b] / (fact[di] * fact[a - di])
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +278,13 @@ def _strip_sweep(mu, values, max_weight, strips, coeff, keep=None) -> dict:
     return vec
 
 
+def _sweep_coeff(kind, t):
+    """coeff(nu, kappa) of one Pieri kind at t for one sweep, whose
+    strips are valid by construction: one table, no strip check."""
+    table = TTable(t)
+    return lambda nu, kappa: _pieri(kind, pieri_shape(nu), pieri_shape(kappa), table)
+
+
 def skew_P(lam, mu, values, t) -> Fraction:
     """P_{lam/mu} as the horizontal-strip tableau sum, one variable per step."""
     lam, mu = partition(lam), partition(mu)
@@ -291,7 +295,7 @@ def skew_P(lam, mu, values, t) -> Fraction:
     top = lam[0] if lam else 0
     vec = _strip_sweep(mu, values, weight(lam),
                        lambda kappa, room: horizontal_strips_above(kappa, room, max_part=top),
-                       lambda nu, kappa: _psi_product(nu, kappa, t),
+                       _sweep_coeff("psi", t),
                        keep=lambda nu: contains(lam, nu))
     return vec.get(lam, ZERO)
 
@@ -306,7 +310,7 @@ def skew_Q_omega(lam, mu, values, t) -> Fraction:
     vec = _strip_sweep(mu, values, weight(lam),
                        lambda kappa, room: vertical_strips_above(kappa, room,
                                                                  max_length=len(lam)),
-                       lambda nu, kappa: pieri_phi_prime(nu, kappa, t),
+                       _sweep_coeff("phi'", t),
                        keep=lambda nu: contains(lam, nu))
     return vec.get(lam, ZERO)
 
@@ -323,10 +327,10 @@ def skew_sweep(kind: str, mu, values, t, max_weight: int) -> dict:
     t = as_scalar(t)
     if kind == "P-skew":
         return _strip_sweep(mu, values, max_weight, horizontal_strips_above,
-                            lambda nu, kappa: _psi_product(nu, kappa, t))
+                            _sweep_coeff("psi", t))
     if kind == "Qomega-skew":
         return _strip_sweep(mu, values, max_weight, vertical_strips_above,
-                            lambda nu, kappa: pieri_phi_prime(nu, kappa, t))
+                            _sweep_coeff("phi'", t))
     raise ValueError(f"unknown skew kind {kind!r}")
 
 

@@ -16,7 +16,7 @@ restriction is applied only to initial and final states.
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import partial
 from itertools import product as iproduct
 
 from .graded import GradedOperator, SparseMatrix, sum_of_products, sum_of_scaled_products
@@ -28,7 +28,7 @@ from .partitions import (
     partition,
     partition_to_occupation,
 )
-from .scalars import ONE, as_scalar
+from .scalars import ONE, TTable, as_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +200,7 @@ def periodic_transfer(N: int, n: int, x, t) -> GradedOperator:
     t, x = as_scalar(t), as_scalar(x)
     basis = occupation_basis(N, n)
     # a sector repeats each run amplitude many times: one table per call
-    one_minus = cache(lambda e: ONE - t ** e)
+    one_minus = TTable(t).one_minus
 
     def entries():
         for j, m in enumerate(basis.states):
@@ -221,7 +221,7 @@ def periodic_transfer(N: int, n: int, x, t) -> GradedOperator:
                     if occ[a] == 0:
                         ok = False
                         break
-                    amp *= one_minus(m[a])
+                    amp *= one_minus[m[a]]
                     occ[a] -= 1
                 if not ok:
                     continue
@@ -435,9 +435,8 @@ def free_window_basis(N: int, lo: int, hi: int) -> Basis:
 def toda_x_op(basis: Basis, k: int, t, power: int = 1, sources=None) -> SparseMatrix:
     """Diagonal t^{power * v_k} (1-based coordinate); with `sources`, only
     those columns."""
-    t = as_scalar(t)
-    x = cache(lambda e: t ** (power * e))  # a window repeats each v_k many times
-    return SparseMatrix.from_state_map(basis, lambda v: (v, x(v[k - 1])), sources)
+    x = TTable(t).power  # a window repeats each v_k many times
+    return SparseMatrix.from_state_map(basis, lambda v: (v, x[power * v[k - 1]]), sources)
 
 
 def toda_shift_op(basis: Basis, coords, step: int, sources=None) -> SparseMatrix:
@@ -509,7 +508,6 @@ def qboson_lax_toda_vars(basis: Basis, k: int, t, open_x0=True, sources=None):
     """q-boson Lax at site k realized with Toda shifts: S_k = prefix raise,
     Sbar_k = prefix lower times (1 - x_k / x_{k+1}) read on the source.
     With `sources`, every entry is built on those source columns only."""
-    t = as_scalar(t)
     dim = len(basis)
     I = SparseMatrix.identity(dim, sources)
     if k == 0:
@@ -520,10 +518,10 @@ def qboson_lax_toda_vars(basis: Basis, k: int, t, open_x0=True, sources=None):
         prefix = list(range(1, k + 1))
         S = toda_shift_op(basis, prefix, +1, sources)
 
-        one_minus = cache(lambda e: ONE - t ** e)
+        one_minus = TTable(t).one_minus
 
         def factor(v):  # 1 - x_k / x_{k+1}, with x_{N+1} = 1
-            return v, one_minus(v[k - 1] - v[k] if k < len(v) else v[k - 1])
+            return v, one_minus[v[k - 1] - v[k] if k < len(v) else v[k - 1]]
 
         Sb = toda_shift_op(basis, prefix, -1, sources).mul(
             SparseMatrix.from_state_map(basis, factor, sources))

@@ -249,16 +249,6 @@ def format_occupation(m) -> str:
     return "(" + ",".join(str(v) for v in m) + ")"
 
 
-def parse_occupation(text: str) -> tuple:
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ValueError(f"bad occupation literal {text!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        return ()
-    return tuple(int(v) for v in inner.split(","))
-
-
 # ---------------------------------------------------------------------------
 # bases
 

@@ -9,7 +9,16 @@ terms with positive denominator).  The three factors defined here,
     tbinom(a, b, t) = a!_t / (b!_t (a-b)!_t)
 
 are the building blocks of all state norms, branching coefficients and
-Q-matrix entries.
+Q-matrix entries.  They stay the literal products above.
+
+A `TTable` holds the same factors at one t, each computed once: t^m,
+1 - t^m, m!_t, (a)_m and the t-binomials.  Constructions that read many
+entries at one t (the Pieri coefficients of the half vertex operators,
+the Q-matrix, the transfer and Toda run amplitudes, the commutation
+series) build one per call; nothing is cached across calls.  The
+oracles those constructions are checked against (the auxiliary-spin
+trace, `ll_F_op`/`ll_G_op`, the symmetrized Hall-Littlewood sums) call
+the literal functions, so a table bug cannot certify itself.
 """
 
 from __future__ import annotations
@@ -71,3 +80,64 @@ def tbinom(a: int, b: int, t) -> Fraction:
         raise ValueError(f"tbinom needs 0 <= b <= a, got a={a}, b={b}")
     t = as_scalar(t)
     return tfact(a, t) / (tfact(b, t) * tfact(a - b, t))
+
+
+class _Lookup(dict):
+    """A dict that computes a missing key once, by `fill(key)`."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+class TTable:
+    """t-scalars at one t, each computed on first lookup and kept:
+
+        power[m]     = t^m (any integer m)
+        one_minus[m] = 1 - t^m
+        fact[m]      = m!_t
+        poch[a, m]   = (a)_m
+        binom[a, b]  = (a choose b)_t
+
+    Lookups on known keys are plain dict reads.  A table lives for one
+    call at one t: nothing is cached across calls.
+    """
+
+    def __init__(self, t):
+        t = as_scalar(t)
+        self.power = power = _Lookup(lambda m: t ** m)
+        self.one_minus = one_minus = _Lookup(lambda m: ONE - power[m])
+        facts = [ONE]  # 0!_t .. k!_t, grown in order
+
+        def fill_fact(m):
+            if m < 0:
+                raise ValueError(f"m!_t needs m >= 0, got {m}")
+            while len(facts) <= m:
+                facts.append(facts[-1] * one_minus[len(facts)])
+            return facts[m]
+
+        def fill_poch(key):
+            a, m = key
+            if m < 0:
+                raise ValueError("tpoch needs m >= 0")
+            a = as_scalar(a)
+            result = ONE
+            for j in range(m):
+                result *= ONE - a * power[j]
+            return result
+
+        def fill_binom(key):
+            a, b = key
+            if not 0 <= b <= a:
+                raise ValueError(f"tbinom needs 0 <= b <= a, got a={a}, b={b}")
+            return fact[a] / (fact[b] * fact[a - b])
+
+        self.fact = fact = _Lookup(fill_fact)
+        self.poch = _Lookup(fill_poch)
+        self.binom = _Lookup(fill_binom)

@@ -217,13 +217,14 @@ def _suite_gamma_eigen(spec):
     minus_L = vertex_ops.build_gamma("L", "-", basis, t)
     for nv in range(1, maxvars + 1):
         V = draw_params(spec.seed + nv, f"distinct-{nv}")
-        ok, _ = vertex_ops.gamma_eigen_check(plus_L, "L", V, deg)
+        state_L = vertex_ops.build_eigenstate("L", V, basis, t)
+        ok, _ = vertex_ops.gamma_eigen_check(plus_L, "L", V, deg, state_L)
         checks.append(_check(f"annihilation on the Cauchy state, {nv} vars",
                              "eigenstate of the lowering transfer matrix", ok))
         ok, _ = vertex_ops.gamma_eigen_check(plus_L, "R", V, deg)
         checks.append(_check(f"open Toda eigenvector, {nv} vars",
                              "open Toda chain eigenvectors", ok))
-        ok, _ = vertex_ops.gamma_eigen_check(plus_R, "L", V, deg)
+        ok, _ = vertex_ops.gamma_eigen_check(plus_R, "L", V, deg, state_L)
         checks.append(_check(f"Hall-side annihilation, {nv} vars",
                              "Hall Pieri eigen relation", ok))
         ok, _ = vertex_ops.covector_pieri_check(minus_L, V, deg)

@@ -7,6 +7,12 @@ Lowering operators (sign -) raise the weight by their degree; raising
 operators (sign +) lower it, with powers of 1/z stored as a positive
 grading.
 
+Matrix elements are the Pieri coefficients, read from each basis
+state's conjugate and multiplicities (computed once per build) and one
+t-table per build (`scalars.TTable`).  The |L,V> states and <U|
+covectors the operators are checked on come from the symmetrized sums
+(`Alphabet`), which stay on the literal t-factorials.
+
 Truncation discipline: an identity of graded degree d is asserted only
 on matrix elements whose intermediate states provably stay inside the
 basis (the interior-window rule).  Raising operators never leak, so
@@ -21,12 +27,10 @@ from fractions import Fraction
 from .graded import GradedOperator, SparseMatrix, commutator, sum_of_scaled_products
 from .hall_littlewood import (
     Alphabet,
+    _pieri,
     elementary_e_coeffs,
     complete_q_coeffs,
-    pieri_phi,
-    pieri_phi_prime,
-    pieri_psi,
-    pieri_psi_prime,
+    pieri_shape,
     skew_sweep,
 )
 from .partitions import (
@@ -36,7 +40,7 @@ from .partitions import (
     vertical_strips_above,
     weight,
 )
-from .scalars import ONE, ZERO, as_scalar, tfact
+from .scalars import ONE, ZERO, TTable, as_scalar
 
 
 class VertexOp:
@@ -63,30 +67,34 @@ def build_gamma(family: str, sign: str, basis: Basis, t) -> VertexOp:
 
     Degree-k blocks: lowering operators connect |mu> -> |lam| = |mu|+k
     with weights psi (L) or phi' (R); raising operators connect
-    |lam> -> |mu| = |lam|-k with weights phi (L) or psi' (R).
+    |lam> -> |mu| = |lam|-k with weights phi (L) or psi' (R).  Each
+    basis state's conjugate and multiplicities are read once, and every
+    weight is a product of lookups in one t-table.
     """
     if family not in ("L", "R") or sign not in ("+", "-"):
         raise ValueError("family must be L|R and sign +|-")
     t = as_scalar(t)
     dim = len(basis)
     cap = max((weight(s) for s in basis), default=0)
-    if family == "L":
-        strips, coeff = horizontal_strips_above, pieri_psi if sign == "-" else pieri_phi
-    else:
-        strips, coeff = vertical_strips_above, pieri_phi_prime if sign == "-" else pieri_psi_prime
+    strips = horizontal_strips_above if family == "L" else vertical_strips_above
+    kind = {("L", "-"): "psi", ("L", "+"): "phi", ("R", "-"): "phi'", ("R", "+"): "psi'"}[family, sign]
+    table = TTable(t)
+    shapes = [pieri_shape(s) for s in basis.states]
+    weights = [weight(s) for s in basis.states]
 
     def entries():
         for j, mu in enumerate(basis.states):
-            for lam in strips(mu, cap - weight(mu)):
+            for lam in strips(mu, cap - weights[j]):
                 i = basis.index.get(lam)
                 if i is None:
                     continue
-                k = weight(lam) - weight(mu)
+                k = weights[i] - weights[j]
+                c = _pieri(kind, shapes[i], shapes[j], table)
                 if sign == "-":
-                    yield k, i, j, coeff(lam, mu, t)
+                    yield k, i, j, c
                 else:
                     # raising: matrix element (mu <- lam)
-                    yield k, j, i, coeff(lam, mu, t)
+                    yield k, j, i, c
 
     op = GradedOperator.from_entries(dim, entries(), cap)
     return VertexOp(family, sign, basis, t, op)
@@ -104,12 +112,13 @@ def commutation_series(fam_plus: str, fam_minus: str, t, max_r: int):
     with w = v/u tracked by the bigrading.
     """
     t = as_scalar(t)
+    fact = TTable(t).fact
     out = [ONE]
     for r in range(1, max_r + 1):
         if fam_plus == fam_minus == "L":
             out.append(ONE - t)
         elif fam_plus == fam_minus == "R":
-            out.append(ONE / tfact(r, t))
+            out.append(ONE / fact[r])
         else:
             out.append(ONE if r == 1 else ZERO)
     return out
@@ -194,7 +203,7 @@ def _nonzero_components(component, basis: Basis) -> dict:
     return out
 
 
-def gamma_eigen_check(vop: VertexOp, state_kind: str, values, max_degree: int):
+def gamma_eigen_check(vop: VertexOp, state_kind: str, values, max_degree: int, state=None):
     """Check Gamma_+ |state> = (series) |state> degree by degree.
 
     Eigenvalue series: Omega_t(z V) for Gamma_{L,+} on |L,V>; the
@@ -203,13 +212,16 @@ def gamma_eigen_check(vop: VertexOp, state_kind: str, values, max_degree: int):
     Components are compared on weights <= cap - 0 (raising never leaks,
     but the source components above the cap are absent, so the window
     restricts target weights to cap - degree).
+    `state`, when given, is `build_eigenstate(state_kind, values, vop.basis,
+    vop.t)` built once for several checks.
     """
     if vop.sign != "+":
         raise ValueError("eigen checks are for raising operators")
     t = vop.t
     basis = vop.basis
     values = [as_scalar(v) for v in values]
-    state = build_eigenstate(state_kind, values, basis, t)
+    if state is None:
+        state = build_eigenstate(state_kind, values, basis, t)
     if vop.family == "L" and state_kind == "L":
         series = complete_q_coeffs(values, t, max_degree)
     else:

@@ -26,12 +26,6 @@ def test_identity_compose():
     assert B.compose(I, 6) == B
 
 
-def test_reparameterize_trivial():
-    rng = random.Random(1)
-    A = random_graded(3, rng)
-    assert A.reparameterize(F(1)) == A
-
-
 def test_compose_is_convolution():
     rng = random.Random(2)
     A = random_graded(3, rng, 2)

@@ -22,16 +22,21 @@ from integrable_lab.hall_littlewood import (
     skew_Q_omega,
 )
 from integrable_lab.partitions import (
+    conjugate,
     dominance_leq,
     horizontal_strips_above,
+    horizontal_strips_below,
     is_horizontal_strip,
     monomial_sym,
+    multiplicity,
     partition,
     partition_basis,
     state_norm,
     vertical_strips_above,
+    vertical_strips_below,
     weight,
 )
+from integrable_lab.scalars import tfact
 
 
 def rational_draw(rng, lo=-9, hi=9, den=7):
@@ -121,6 +126,39 @@ def test_psi_prime_trivial_and_phi_prime():
     assert pieri_psi_prime((2, 1), (2, 1), t) == 1
     # phi'_{[1]/[]} = 1/(1-t)
     assert pieri_phi_prime((1,), (), t) == 1 / (1 - t)
+
+
+def literal_pieri(kind, lam, mu, t):
+    """The four Pieri coefficients as literal products of t-powers and tfact."""
+    result = F(1)
+    if kind in ("psi", "phi"):
+        for j in range(1, (lam[0] if lam else 0) + 1):
+            a, b = multiplicity(lam, j), multiplicity(mu, j)
+            if kind == "psi" and a == b - 1:
+                result *= 1 - t**b
+            if kind == "phi" and a == b + 1:
+                result *= 1 - t**a
+        return result
+    lp, mp = conjugate(lam), conjugate(mu)
+    lp, mp = lp + (0,), mp + (0,) * (len(lp) + 1 - len(mp))
+    for i in range(len(lp) - 1):
+        top = lp[i] - lp[i + 1] if kind == "psi'" else mp[i] - mp[i + 1]
+        result *= tfact(top, t) / (tfact(lp[i] - mp[i], t) * tfact(mp[i] - lp[i + 1], t))
+    return result
+
+
+@pytest.mark.parametrize("t", [F(2, 7), F(-5, 3), F(11, 4), F(0)])
+def test_table_pieri_equals_the_literal_product_on_every_strip(t):
+    pieri = {"psi": pieri_psi, "phi": pieri_phi, "psi'": pieri_psi_prime, "phi'": pieri_phi_prime}
+    pairs = 0
+    for lam in partition_basis(8):
+        for kinds, below in ((("psi", "phi"), horizontal_strips_below),
+                             (("psi'", "phi'"), vertical_strips_below)):
+            for mu in below(lam):
+                pairs += 1
+                for kind in kinds:
+                    assert pieri[kind](lam, mu, t) == literal_pieri(kind, lam, mu, t), (kind, lam, mu)
+    assert pairs > 500
 
 
 def test_pieri_coeff_dispatch_and_errors():

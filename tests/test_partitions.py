@@ -18,7 +18,6 @@ from integrable_lab.partitions import (
     multiplicity,
     occupation_basis,
     occupation_to_partition,
-    parse_occupation,
     parse_partition,
     partition,
     partition_basis,
@@ -158,7 +157,6 @@ def test_window_basis_shift():
 def test_text_roundtrip():
     assert parse_partition("[3,1,1]") == (3, 1, 1)
     assert format_partition((3, 1, 1)) == "[3,1,1]"
-    assert parse_occupation("(2,0,1)") == (2, 0, 1)
     assert format_occupation((2, 0, 1)) == "(2,0,1)"
     assert parse_partition("[]") == ()
 

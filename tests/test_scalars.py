@@ -2,8 +2,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from integrable_lab.scalars import format_scalar, parse_scalar, tbinom, tfact, tpoch
+from integrable_lab.scalars import TTable, format_scalar, parse_scalar, tbinom, tfact, tpoch
+
+# wide rationals: negative, |t| > 1, large numerators and denominators
+WIDE = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9)
 
 
 def test_tpoch_empty_product():
@@ -76,3 +80,34 @@ def test_scalar_inverse_property():
     for _ in range(20):
         v = F(rng.randint(1, 50), rng.randint(1, 50)) * rng.choice([1, -1])
         assert v * (1 / v) == 1
+
+
+@settings(deadline=None, max_examples=60)
+@given(WIDE, WIDE)
+def test_table_equals_the_literal_factors(t, a):
+    table = TTable(t)
+    for m in range(13):
+        assert table.fact[m] == tfact(m, t)
+        assert table.poch[a, m] == tpoch(a, m, t)
+        assert table.one_minus[m] == 1 - t**m
+        assert table.power[m] == t**m
+        if t != 0:
+            assert table.power[-m] == t**-m
+        for b in range(m + 1):
+            if tfact(b, t) * tfact(m - b, t) != 0:
+                assert table.binom[m, b] == tbinom(m, b, t)
+
+
+def test_table_fills_out_of_order_and_rejects_what_the_literals_reject():
+    t = F(-7, 3)
+    table = TTable(t)
+    assert table.fact[9] == tfact(9, t)  # fills 1..8 on the way
+    assert [table.fact[m] for m in range(12, -1, -1)] == [tfact(m, t) for m in range(12, -1, -1)]
+    with pytest.raises(ValueError):
+        table.binom[2, 3]
+    with pytest.raises(ValueError):
+        table.binom[2, -1]
+    with pytest.raises(ValueError):
+        table.fact[-1]
+    with pytest.raises(ValueError):
+        table.poch[t, -1]

@@ -20,11 +20,11 @@ from integrable_lab.gaudin import _tail_geometric, gaudin_sum, spin_norm_floor
 from integrable_lab.hall_littlewood import (
     MAX_SYMMETRIZE,
     Alphabet,
-    _psi_product,
     hl_P,
     hl_Q,
     hl_R,
     pieri_phi_prime,
+    pieri_psi,
     skew_P,
     skew_Q_omega,
     skew_sweep,
@@ -147,7 +147,7 @@ def loop_skew_P(lam, mu, values, t):
             for nu in horizontal_strips_above(kappa, gap, max_part=lam[0] if lam else 0):
                 if not contains(lam, nu):
                     continue
-                amp = coeff * _psi_product(nu, kappa, t) * v ** (weight(nu) - weight(kappa))
+                amp = coeff * pieri_psi(nu, kappa, t) * v ** (weight(nu) - weight(kappa))
                 if amp != 0:
                     nxt[nu] = nxt.get(nu, F(0)) + amp
         vec = nxt

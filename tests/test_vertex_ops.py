@@ -4,8 +4,15 @@ from fractions import Fraction as F
 import pytest
 
 from integrable_lab.graded import GradedOperator, SparseMatrix
-from integrable_lab.hall_littlewood import hl_Q, pieri_phi, pieri_phi_prime, pieri_psi
-from integrable_lab.partitions import partition_basis, state_norm, weight
+from integrable_lab import scalars
+from integrable_lab.hall_littlewood import hl_Q, pieri_phi, pieri_phi_prime, pieri_psi, pieri_psi_prime
+from integrable_lab.partitions import (
+    horizontal_strips_above,
+    partition_basis,
+    state_norm,
+    vertical_strips_above,
+    weight,
+)
 from integrable_lab.scalars import tfact
 from integrable_lab.vertex_ops import (
     VertexOp,
@@ -49,6 +56,37 @@ def test_gamma_entries_match_branching_coeffs():
     assert val == pieri_phi_prime((1, 1), (1,), t)
     gp = build_gamma("L", "+", basis, t)
     assert gp.block(1).entry(basis.index[()], basis.index[(1,)]) == pieri_phi((1,), (), t)
+
+
+@pytest.mark.parametrize("t", [F(2, 7), F(-3, 5), F(9, 4)])
+def test_every_gamma_entry_is_its_pieri_coefficient(t):
+    basis = partition_basis(8)
+    cases = [("L", "-", horizontal_strips_above, pieri_psi), ("L", "+", horizontal_strips_above, pieri_phi),
+             ("R", "-", vertical_strips_above, pieri_phi_prime), ("R", "+", vertical_strips_above, pieri_psi_prime)]
+    for family, sign, strips, coeff in cases:
+        op = build_gamma(family, sign, basis, t)
+        for j, mu in enumerate(basis.states):
+            for lam in strips(mu, 8 - weight(mu)):
+                i, k = basis.index[lam], weight(lam) - weight(mu)
+                entry = op.block(k).entry(i, j) if sign == "-" else op.block(k).entry(j, i)
+                assert entry == coeff(lam, mu, t), (family, sign, lam, mu)
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_build_gamma_makes_few_literal_t_factorials(monkeypatch, sign):
+    calls = []  # every literal tfact/tbinom evaluation goes through tpoch
+    literal = scalars.tpoch
+
+    def counting(a, m, t):
+        calls.append(m)
+        return literal(a, m, t)
+
+    monkeypatch.setattr(scalars, "tpoch", counting)
+    D = 8
+    vop = build_gamma("R", sign, partition_basis(D), F(2, 7))
+    assert vop.block(1).nnz() > 0
+    # one t-table serves every entry: at most one literal m!_t for each m <= D
+    assert len(calls) <= D + 1
 
 
 def test_ll_bidegree_11_two_state_oracle():
