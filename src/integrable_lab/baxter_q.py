@@ -124,9 +124,12 @@ def build_qmatrix(N: int, n: int, x, t) -> GradedOperator:
     t, x = as_scalar(t), as_scalar(x)
     _reject_t_one(t)
     basis = occupation_basis(N, n)
-    # a sector repeats each t-binomial and phase many times: one table per call
+    # a sector repeats each t-binomial and phase many times: one table per
+    # call, read as (numerator, denominator) pairs, so that a chain
+    # multiplies integers and makes one Fraction per entry
     binom = TTable(t).binom
-    phase = cache(lambda deg, delta: (-ONE) ** deg * x ** delta)
+    ratio = cache(lambda a, b: binom[a, b].as_integer_ratio())
+    phase = cache(lambda deg, delta: ((-ONE) ** deg * x ** delta).as_integer_ratio())
 
     def entries():
         for j, m in enumerate(basis.states):
@@ -138,13 +141,15 @@ def build_qmatrix(N: int, n: int, x, t) -> GradedOperator:
             for out in iproduct(*ranges):
                 deg = sum(nu[k] - out[k - 1] for k in range(1, N + 1))
                 delta = n - out[0]
-                amp = phase(deg, delta)
+                num, den = phase(deg, delta)
                 for k in range(1, N + 1):
-                    amp *= binom[nu[k] - nu[k + 1], nu[k] - out[k - 1]]
+                    p, q = ratio(nu[k] - nu[k + 1], nu[k] - out[k - 1])
+                    num *= p
+                    den *= q
                 shifted = [v + delta for v in out]
                 rev_target = tuple(shifted[k] - shifted[k + 1]
                                    for k in range(N - 1)) + (shifted[N - 1],)
-                yield deg, basis.index[tuple(reversed(rev_target))], j, amp
+                yield deg, basis.index[tuple(reversed(rev_target))], j, Fraction(num, den)
 
     return GradedOperator.from_entries(len(basis), entries(), n)
 

@@ -7,30 +7,44 @@ convergent sum over weakly increasing position vectors; it equals
 
 independently of the spin.  The truncated sum comes with a rigorous
 geometric tail bound (parameter draws are constrained so the dominant
-ratio stays below 1/2).  It reads one `bethe.AnsatzTable` per alphabet,
-so the n! amplitudes and the xi(u)^k powers are computed once per
-alphabet, not once per term; the determinant, which shares none of this
-code, stays its oracle.  The Hecke-symmetrizer reduction of the same
-kernel is checked as an exact operator identity expanded into shift
-terms.
+ratio stays below 1/2).  It runs on integers and makes one `Fraction`
+at the end.  One `bethe.AnsatzTable` per alphabet gives the n!
+amplitudes B_P and xi_i = a_i / b_i; with the amplitudes over d_B, the
+lcm of their denominators, and c_i[e] = a_i^e b_i^(T-e) tabulated for
+e <= T = truncation, the integer sum_P B_P d_B prod_k c_{P_k}[mu_k] is
+R_mu d_B prod_i b_i^T, over a denominator shared by every term.  The
+norms are products of the <= n factors m!_t / (s^2)_m, read from one
+`TTable` per sum and memoized per multiplicity pattern of mu; a zero or
+undefined factor is rejected before the sum starts.  The integer
+products R_mu(U) R_mu(V) are summed per norm, and the inverse norms are
+put over one denominator.  `AnsatzTable.vector`, the `Fraction` route
+that `bethe` also uses on complex inputs, stays the only public
+evaluator of R_mu; the determinant, which shares none of this code,
+stays the oracle.  The Hecke-symmetrizer reduction of the same kernel is
+checked as an exact operator identity expanded into shift terms.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 
 from .bethe import AnsatzTable
 from .scalars import ONE, ZERO, TTable, as_scalar, tbinom, tfact, tpoch
 
 
-def spin_state_norm(mu, t, s) -> Fraction:
+def spin_state_norm(mu, t, s, factors=None) -> Fraction:
     """<mu|mu>_s = prod over sites j >= 0 of (t)_{m_j} / (s^2)_{m_j}.
 
     mu is a weakly decreasing tuple of nonnegative positions; zeros
-    occupy site 0 and do count.
+    occupy site 0 and do count.  With `factors`, a `_SpinNorms` built at
+    this t and s, the norm is read from its per-pattern memo; without,
+    it is the literal product of `tfact`/`tpoch` quotients.
     """
+    if factors is not None:
+        return factors.norm(mu)
     t, s = as_scalar(t), as_scalar(s)
     norm = ONE
     # one factor per distinct multiplicity m, raised to the number of
@@ -38,6 +52,35 @@ def spin_state_norm(mu, t, s) -> Fraction:
     for m, sites in Counter(Counter(mu).values()).items():
         norm *= (tfact(m, t) / tpoch(s * s, m, t)) ** sites
     return norm
+
+
+class _SpinNorms:
+    """The factors f(m) = m!_t / (s^2)_m, m <= n, of every n-part norm at
+    one (t, s), read from one `TTable`, and the norms memoized per
+    multiplicity pattern of mu.  A zero or undefined f(m) is rejected
+    here, before any norm is formed."""
+
+    def __init__(self, n: int, t, s):
+        table = TTable(t)
+        self.factor = {}
+        for m in range(1, n + 1):
+            num, den = table.fact[m], table.poch[s * s, m]
+            if num == 0 or den == 0:
+                state = "zero" if num == 0 else "undefined"
+                raise ValueError(f"degenerate spin norm: {m}!_t / (s^2)_{m} is {state} "
+                                 f"at t={t}, s={s}")
+            self.factor[m] = num / den
+        self._norms = {}
+
+    def norm(self, mu) -> Fraction:
+        pattern = tuple(sorted(map(mu.count, set(mu))))
+        norm = self._norms.get(pattern)
+        if norm is None:
+            norm = ONE
+            for m in pattern:
+                norm *= self.factor[m]
+            self._norms[pattern] = norm
+        return norm
 
 
 def _det(rows) -> Fraction:
@@ -120,32 +163,75 @@ def spin_norm_floor(n: int, t, s) -> Fraction:
     return min(ONE, smallest) ** n
 
 
+def _ansatz_numerators(table: AnsatzTable, T: int):
+    """R_mu of one exact alphabet as integers over one denominator, for
+    every mu with parts <= T.
+
+    With xi_i = a_i / b_i and the amplitudes B_P over d_B, the lcm of
+    their denominators, c_i[e] = a_i^e b_i^(T-e) gives
+    sum_P B_P d_B prod_k c_{P_k}[mu_k] = R_mu d_B prod_i b_i^T.
+    Returns that numerator as a function of mu, and the denominator.
+    """
+    d_B = lcm(*(amp.denominator for _, amp in table.rows))
+    rows = [(P, amp.numerator * (d_B // amp.denominator)) for P, amp in table.rows]
+    c = [[x.numerator ** e * x.denominator ** (T - e) for e in range(T + 1)]
+         for x in table.xi]
+    denominator = d_B
+    for x in table.xi:
+        denominator *= x.denominator ** T
+
+    def numerator(mu) -> int:
+        total = 0
+        for P, term in rows:
+            for i, e in zip(P, mu):
+                term *= c[i][e]
+            total += term
+        return total
+
+    return numerator, denominator
+
+
 def gaudin_sum(n: int, U, V, t, s, truncation: int):
     """Truncated half-line scalar product with a rigorous tail bound.
 
     Sums R^s_mu(U) R^s_mu(V) / <mu|mu>_s over all position multisets with
     largest part <= truncation, the ansatz vectors carrying the
     1/prod(1+s u) normalization.  Returns (value, tail_bound), both exact
-    rationals; raises on divergent parameter draws.
+    rationals; raises on divergent parameter draws and on a zero or
+    undefined norm factor.
     """
     if n > 3:
         raise ValueError("desk scale: n <= 3")
+    if truncation < 0:
+        raise ValueError("truncation must be >= 0")
     U = [as_scalar(u) for u in U]
     V = [as_scalar(v) for v in V]
     t, s = as_scalar(t), as_scalar(s)
+    if len(U) != n or len(V) != n:
+        raise ValueError("alphabet sizes must equal n")
     if n == 0:
         return ONE, ZERO
+    factors = _SpinNorms(n, t, s)
     TU, TV = AnsatzTable(U, t, s), AnsatzTable(V, t, s)
     rho = max(map(_abs, TU.xi)) * max(map(_abs, TV.xi))
     if rho >= 1:
         raise ValueError("divergent draw: dominant ratio >= 1")
-    total = ZERO
+    RU, dU = _ansatz_numerators(TU, truncation)
+    RV, dV = _ansatz_numerators(TV, truncation)
+    # integer sums of R_mu(U) R_mu(V) per norm p/q; each term still asks
+    # spin_state_norm for its norm, which the memo answers
+    by_norm = defaultdict(int)
     for mu_inc in combinations_with_replacement(range(truncation + 1), n):
-        mu = tuple(sorted(mu_inc, reverse=True))
-        total += TU.vector(mu) * TV.vector(mu) / spin_state_norm(mu, t, s)
+        mu = mu_inc[::-1]
+        by_norm[spin_state_norm(mu, t, s, factors).as_integer_ratio()] += RU(mu) * RV(mu)
+    # the inverse norms q/p over one denominator, the lcm of the p, and
     # the 1/prod(1 + s u) normalization of both vectors, applied once
+    common = lcm(*(p for p, _ in by_norm))
+    numerator = sum(total * q * (common // p) for (p, q), total in by_norm.items())
+    pref = ONE
     for a in TU.us + TV.us:
-        total /= 1 + s * a
+        pref /= 1 + s * a
+    total = Fraction(numerator * pref.numerator, dU * dV * common * pref.denominator)
 
     # |R_mu| <= prefactor * sum_P |B(P)| * maxxi^{|mu|}
     def bound_R(table):
@@ -154,10 +240,7 @@ def gaudin_sum(n: int, U, V, t, s, truncation: int):
             pref /= _abs(1 + s * a)
         return pref * sum(_abs(amp) for _, amp in table.rows)
 
-    norm_floor = spin_norm_floor(n, t, s)
-    if norm_floor == 0:
-        raise ValueError("degenerate spin norm")
-    const = bound_R(TU) * bound_R(TV) / norm_floor
+    const = bound_R(TU) * bound_R(TV) / spin_norm_floor(n, t, s)
     tail = const * _tail_geometric(n, rho, truncation)
     return total, tail
 

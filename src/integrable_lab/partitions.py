@@ -31,6 +31,15 @@ def partition(parts) -> tuple:
     return p
 
 
+def _trimmed(parts) -> tuple:
+    """A weakly decreasing nonnegative sequence, built so by an enumerator,
+    as a partition: trailing zeros dropped, nothing re-validated."""
+    end = len(parts)
+    while end and parts[end - 1] == 0:
+        end -= 1
+    return tuple(parts[:end])
+
+
 def weight(lam) -> int:
     return sum(lam)
 
@@ -128,7 +137,7 @@ def horizontal_strips_below(lam):
 
     def rec(i, acc):
         if i == n:
-            results.append(partition(acc))
+            results.append(_trimmed(acc))
             return
         lo = lam[i + 1] if i + 1 < n else 0
         for v in range(lam[i], lo - 1, -1):
@@ -153,7 +162,7 @@ def horizontal_strips_above(mu, max_size: int, max_part=None):
 
     def rec(i, acc, budget):
         if i == n + 1:
-            results.append(partition(acc))
+            results.append(_trimmed(acc))
             return
         lo = mu[i] if i < n else 0
         hi = top if i == 0 else mu[i - 1]
@@ -175,7 +184,7 @@ def vertical_strips_below(lam):
 
     def rec(i, acc):
         if i == n:
-            results.append(partition(acc))
+            results.append(_trimmed(acc))
             return
         for delta in (0, 1):
             v = lam[i] - delta
@@ -198,7 +207,8 @@ def vertical_strips_below(lam):
 def vertical_strips_above(mu, max_size: int, max_part=None, max_length=None):
     """All lam ⊇ mu with lam/mu a vertical strip of size <= max_size.
 
-    lam = mu + (0/1 per row), weakly decreasing, length capped.
+    lam = mu + (0/1 per row), weakly decreasing, length capped.  A zero
+    part ends the recursion, so every strip built has positive parts.
     """
     mu = partition(mu)
     limit = max_length if max_length is not None else len(mu) + max_size
@@ -208,7 +218,7 @@ def vertical_strips_above(mu, max_size: int, max_part=None, max_length=None):
 
     def rec(i, acc, budget):
         if i == limit:
-            results.append(partition(acc))
+            results.append(tuple(acc))
             return
         base = mu[i] if i < len(mu) else 0
         for delta in (1, 0):
@@ -220,7 +230,7 @@ def vertical_strips_above(mu, max_size: int, max_part=None, max_length=None):
             if max_part is not None and v > max_part:
                 continue
             if v == 0:
-                results.append(partition(acc))
+                results.append(tuple(acc))
                 continue
             rec(i + 1, acc + [v], budget - delta)
 

@@ -1,11 +1,16 @@
+import hashlib
 import random
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from integrable_lab.bethe import bethe_vector, xi
+from integrable_lab import gaudin
+from integrable_lab.bethe import AnsatzTable, bethe_vector, xi
 from integrable_lab.gaudin import (
+    _SpinNorms,
+    _tail_geometric,
     gaudin_det,
     gaudin_sum,
     hecke_symmetrize,
@@ -15,7 +20,8 @@ from integrable_lab.gaudin import (
     omega_t_product,
 )
 from integrable_lab.hall_littlewood import hl_R
-from integrable_lab.scalars import tfact, tpoch
+from integrable_lab.scalars import format_scalar, tfact, tpoch
+from integrable_lab.suites import draw_params
 
 T = F(2, 7)
 S = F(1, 6)
@@ -141,3 +147,88 @@ def test_lascoux_rejects_singular_point():
         lascoux_reduction_check(2, [F(1, 3), F(2)], [F(1, 2), F(1, 7)], T)
     with pytest.raises(ValueError, match=r"t u v = 1"):
         lascoux_reduction_check(1, [F(7, 2)], [F(1)], T)
+
+
+def literal_gaudin_sum(n, U, V, t, s, truncation):
+    """The half-line sum term by term over `AnsatzTable.vector` and the
+    literal norm, with the tail bound written out."""
+    TU, TV = AnsatzTable(U, t, s), AnsatzTable(V, t, s)
+    value = F(0)
+    for mu_inc in combinations_with_replacement(range(truncation + 1), n):
+        mu = tuple(sorted(mu_inc, reverse=True))
+        value += TU.vector(mu, normalized=True) * TV.vector(mu, normalized=True) \
+            / spin_state_norm(mu, t, s)
+
+    def bound(table):
+        pref = F(1)
+        for a in table.us:
+            pref /= abs(1 + s * a)
+        return pref * sum(abs(amp) for _, amp in table.rows)
+
+    rho = max(map(abs, TU.xi)) * max(map(abs, TV.xi))
+    tail = bound(TU) * bound(TV) / spin_norm_floor(n, t, s) * _tail_geometric(n, rho, truncation)
+    return value, tail
+
+
+ALPHABET_VALUE = st.fractions(min_value=F(-1, 2), max_value=F(1, 2), max_denominator=9).filter(
+    lambda v: v != 0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 3), st.data(), st.sampled_from([F(2, 7), F(-1, 2), F(5, 3), F(0)]),
+       st.sampled_from([F(0), S]), st.integers(0, 8))
+def test_integer_sum_equals_the_fraction_route(n, data, t, s, truncation):
+    U = data.draw(st.lists(ALPHABET_VALUE, min_size=n, max_size=n, unique=True))
+    V = data.draw(st.lists(ALPHABET_VALUE, min_size=n, max_size=n, unique=True))
+    assert gaudin_sum(n, U, V, t, s, truncation) == \
+        literal_gaudin_sum(n, U, V, t, s, truncation)
+
+
+def test_tabulated_norm_equals_the_literal_norm():
+    for t in (T, F(-1, 2), F(5, 3), F(0), F(-7, 4)):
+        for s in (F(0), S, F(-1, 5), F(3)):
+            for n in (1, 2, 3):
+                factors = _SpinNorms(n, t, s)
+                for mu_inc in combinations_with_replacement(range(7), n):
+                    mu = mu_inc[::-1]
+                    assert spin_state_norm(mu, t, s, factors) == spin_state_norm(mu, t, s), \
+                        (t, s, mu)
+
+
+# sha256 of the exact gaudin_sum values at the gaudin suite's seed-0 draws
+# (truncation 60), recorded with the term-by-term Fraction sum
+SEED0_SUMS_DIGEST = "8f6d70217a6f98a9de7319d0f630a3ba41d31edb519810575daa5b3bd99a4d0b"
+
+
+def test_seed0_suite_sums_are_pinned():
+    lines = []
+    for n in (1, 2):
+        U = draw_params(n, "gaudin", n)
+        V = draw_params(10 + n, "gaudin", n)
+        for s in (F(0), S):
+            value, tail = gaudin_sum(n, U, V, T, s, 60)
+            lines.append(f"{n} {format_scalar(s)} {format_scalar(value)} {format_scalar(tail)}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SEED0_SUMS_DIGEST
+
+
+@pytest.mark.parametrize("n, t, s, state", [
+    (1, F(1), F(0), "zero"),       # 1!_t = 1 - t
+    (2, F(-1), F(0), "zero"),      # 2!_t = (1 - t)(1 - t^2)
+    (2, F(4), F(1, 2), "undefined"),   # (s^2)_2 = (1 - s^2)(1 - s^2 t)
+    (3, F(2, 7), F(1), "undefined"),   # (s^2)_1 = 1 - s^2
+])
+def test_degenerate_norm_rejected_before_the_loop(monkeypatch, n, t, s, state):
+    calls = []
+    monkeypatch.setattr(gaudin, "spin_state_norm", lambda *args: calls.append(args))
+    U = [F(1, 10), F(1, 5), F(-1, 7)][:n]
+    V = [F(1, 9), F(-1, 4), F(1, 3)][:n]
+    with pytest.raises(ValueError, match=f"degenerate spin norm: .* is {state}"):
+        gaudin_sum(n, U, V, t, s, truncation=4)
+    assert calls == []
+
+
+def test_gaudin_sum_rejects_bad_sizes():
+    with pytest.raises(ValueError, match="truncation"):
+        gaudin_sum(1, [F(1, 3)], [F(1, 2)], T, S, truncation=-1)
+    with pytest.raises(ValueError, match="alphabet sizes"):
+        gaudin_sum(2, [F(1, 3)], [F(1, 2), F(1, 5)], T, S, truncation=5)

@@ -177,3 +177,15 @@ def test_monomial_sym():
 def test_box_basis():
     b = box_basis(2, 2)
     assert set(b.states) == {(), (1,), (2,), (1, 1), (2, 1), (2, 2)}
+
+
+def test_strips_are_canonical_tuples():
+    # the enumerators build their strips without re-validating them
+    for lam in all_partitions_upto(6):
+        for strips in (horizontal_strips_below(lam), vertical_strips_below(lam),
+                       horizontal_strips_above(lam, 3), horizontal_strips_above(lam, 3, max_part=4),
+                       vertical_strips_above(lam, 3), vertical_strips_above(lam, 3, max_part=2),
+                       vertical_strips_above(lam, 3, max_length=len(lam) + 1)):
+            assert len(set(strips)) == len(strips)
+            for nu in strips:
+                assert type(nu) is tuple and partition(nu) == nu, (lam, nu)
