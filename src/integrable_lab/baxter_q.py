@@ -18,7 +18,13 @@ from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
 
-from .graded import GradedOperator, SparseMatrix, commutator_vanishes, sum_of_scaled_products
+from .graded import (
+    GradedOperator,
+    SparseMatrix,
+    commutator_vanishes,
+    mismatch_items,
+    sum_of_scaled_products,
+)
 from .lattice import (
     free_window_basis,
     open_transfer,
@@ -40,7 +46,7 @@ from .partitions import (
     state_norm,
     weight,
 )
-from .scalars import ONE, ZERO, TTable, as_scalar, format_scalar, tbinom, tfact
+from .scalars import ONE, ZERO, TTable, as_scalar, tbinom, tfact
 from .vertex_ops import build_gamma
 
 
@@ -221,6 +227,7 @@ def ll_relations_check(u, t, cap: int):
     With Lc = LL P (the label swap), S/s on the first window, X/x on the
     second:  Lc x = x Lc;  Lc S X = S X Lc;  Lc (x/s) = (x/s)(1-S) Lc;
     u Lc (1 - s/x) S = S Lc.  Checked on interior rows/columns.
+    Returns (ok, failures).
     """
     u, t = as_scalar(u), as_scalar(t)
     dim = (cap + 1) ** 2
@@ -249,13 +256,10 @@ def ll_relations_check(u, t, cap: int):
          S.mul(Lc)),
     ]
 
-    report = []
-    ok = True
-    for name, lhs, rhs in relations:
-        good = not lhs.mismatches(rhs, inner, inner)
-        ok = ok and good
-        report.append({"relation": name, "ok": good})
-    return ok, report
+    failures = [item for name, lhs, rhs in relations
+                for item in mismatch_items(lhs.mismatches(rhs, inner, inner), pair,
+                                           relation=name)]
+    return not failures, failures
 
 
 def toda_intertwine_check(z, u, t, cap: int):
@@ -264,7 +268,7 @@ def toda_intertwine_check(z, u, t, cap: int):
     Built on the product of two spin windows (sigma entries act on the
     first label; L^Toda and Ltilde are `lattice.toda_lax` on the second,
     evaluated at z); sampled at exact rational (z, u).  Returns (ok,
-    report of failing aux entries).
+    failures).
     """
     z, u, t = as_scalar(z), as_scalar(u), as_scalar(t)
     pair, inner = _two_windows(cap)
@@ -286,8 +290,7 @@ def toda_intertwine_check(z, u, t, cap: int):
         for j in range(2):
             lhs = sum_of_scaled_products((ONE, R[i][k], L_toda[k][j]) for k in range(2)).mul(LL)
             rhs = LL.mul(sum_of_scaled_products((ONE, L_tilde[i][k], R[k][j]) for k in range(2)))
-            for row, col, _, _ in lhs.mismatches(rhs, inner, inner):
-                failures.append({"aux": (i, j), "row": row, "col": col})
+            failures += mismatch_items(lhs.mismatches(rhs, inner, inner), pair, aux=(i, j))
     return not failures, failures
 
 
@@ -353,9 +356,7 @@ def trace_qmatrix(N: int, n: int, z, x, t) -> GradedOperator:
 def tq_check(N: int, n: int, x, t, sample_z=None):
     """Lambda_N(z) q_n(z) = q_n(tz) + x z^N t^n q_n(z/t), exactly, graded.
 
-    Optionally also verified at a sampled z.  Returns (ok, report); a
-    failing degree lists its first three wrong entries as occupation labels
-    of row and column with both sides as "p/q" strings.
+    Optionally also verified at a sampled z.  Returns (ok, failures).
     """
     t, x = as_scalar(t), as_scalar(x)
     if t == 0:
@@ -371,26 +372,17 @@ def tq_check(N: int, n: int, x, t, sample_z=None):
         for k, block in q.blocks.items()
         for shift, factor in ((0, t ** k), (N, x * t ** (n - k)))
         for r, c, v in block.entries()), top)
-    report = []
-    ok = True
-    for k in range(top + 1):
-        good = lhs.block(k) == rhs.block(k)
-        ok = ok and good
-        if not good:
-            diff = lhs.block(k).mismatches(rhs.block(k), range(lam.dim))
-            labels = occupation_basis(N, n).labels()
-            report.append({"degree": k, "ok": False, "first_bad": [
-                {"degree": k, "row": labels[r], "col": labels[c],
-                 "lhs": format_scalar(a), "rhs": format_scalar(b)}
-                for r, c, a, b in diff[:3]]})
+    basis = occupation_basis(N, n)
+    cols = range(lam.dim)
+    failures = [item for k in range(top + 1)
+                for item in mismatch_items(lhs.block(k).mismatches(rhs.block(k), cols),
+                                           basis, degree=k)]
     if sample_z is not None:
         zz = as_scalar(sample_z)
         lm = lam.eval_at(zz).mul(q.eval_at(zz))
         rm = q.eval_at(t * zz).add(q.eval_at(zz / t).scale(x * zz ** N * t ** n))
-        good = lm == rm
-        ok = ok and good
-        report.append({"sampled_z": str(zz), "ok": good})
-    return ok, report
+        failures += mismatch_items(lm.mismatches(rm, cols), basis, sampled_z=str(zz))
+    return not failures, failures
 
 
 def lambda_q_commute_check(N: int, n: int, x, t) -> bool:
@@ -443,8 +435,7 @@ def ar_project_check(N: int, z, u, t, max_weight: int, max_len: int):
     built from the transposed-bar Toda Lax matrices.  The identity is
     asserted on source columns with headroom N+1 in both weight and
     length, and the Toda monodromy is folded on those columns only.
-    Returns (ok, report); each failing entry gives its degree, row and
-    column partition labels and both sides as "p/q" strings.
+    Returns (ok, failures).
     """
     z, u, t = as_scalar(z), as_scalar(u), as_scalar(t)
     basis = partition_basis(max_weight, max_part=N + 1, max_length=max_len)
@@ -483,11 +474,7 @@ def ar_project_check(N: int, z, u, t, max_weight: int, max_len: int):
 
     rhs = GradedOperator(dim, {0: abar_ninv}).compose(atilde, N + 1)
 
-    failures = []
-    for j in asserted:
-        for k in range(N + 2):
-            for i, _, a, b in lhs.block(k).mismatches(rhs.block(k), [j]):
-                failures.append({"degree": k, "row": basis.label(basis.states[i]),
-                                 "col": basis.label(basis.states[j]),
-                                 "lhs": format_scalar(a), "rhs": format_scalar(b)})
+    failures = [item for k in range(N + 2)
+                for item in mismatch_items(lhs.block(k).mismatches(rhs.block(k), asserted),
+                                           basis, degree=k)]
     return not failures, failures

@@ -139,12 +139,16 @@ def cmd_eval(args) -> int:
         lam = parse_partition(args.lam)
         value = hl_P(lam, vals, t) if kind == "P" else hl_Q(lam, vals, t)
     elif kind == "R":
+        if args.mu is None:
+            raise ValueError("eval R needs --mu")
         value = hl_R(_parse_mu(args.mu), vals, t)
     elif kind == "skew":
         lam = parse_partition(args.lam)
         mu = parse_partition(args.mu) if args.mu else ()
         fn = skew_P if args.family == "P" else skew_Q_omega
         value = fn(lam, mu, vals, t)
+    elif kind in ("qr", "er") and args.r < 0:
+        raise ValueError(f"--r must be a nonnegative degree, got {args.r}")
     elif kind == "qr":
         value = complete_q_coeffs(vals, t, args.r)[args.r]
     elif kind == "er":
@@ -171,14 +175,16 @@ def cmd_matrix(args) -> int:
         dump = matrix_dump(op, basis, f"qmatrix N={args.N} n={args.n}", meta)
     elif which == "gamma":
         basis = partition_basis(args.D)
-        vop = build_gamma(args.family, args.sign, basis, t)
-        dump = matrix_dump(vop.op, basis, f"gamma {args.family}{args.sign} D={args.D}")
+        vop = build_gamma(args.family or "L", args.sign, basis, t)
+        dump = matrix_dump(vop.op, basis, f"gamma {vop.family}{args.sign} D={args.D}")
     elif which == "lax":
+        family = args.family or "qboson"
+        if family not in ("qboson", "spin_s"):
+            raise ValueError(f"matrix lax takes --family qboson or spin_s, not {family!r}")
         basis = single_site_basis(args.cap)
-        lax = build_lax(args.family if args.family in ("qboson", "spin_s") else "qboson",
-                        basis, {"t": t, "s": parse_scalar(args.s)})
+        lax = build_lax(family, basis, {"t": t, "s": parse_scalar(args.s)})
         dump = {
-            "name": f"lax {args.family}",
+            "name": f"lax {family}",
             "basis": basis.labels(),
             "entries": {f"{i}{j}": matrix_dump(lax[i][j], basis, f"L[{i}][{j}]")["entries"]
                         for i in range(2) for j in range(2)},
@@ -257,7 +263,7 @@ def build_parser():
     p_matrix.add_argument("--t", default="1/3")
     p_matrix.add_argument("--x", default="2")
     p_matrix.add_argument("--s", default="0")
-    p_matrix.add_argument("--family", default="L")
+    p_matrix.add_argument("--family", help="gamma: L|R (default L); lax: qboson|spin_s")
     p_matrix.add_argument("--sign", choices=["+", "-"], default="-")
     p_matrix.add_argument("--config")
     p_matrix.set_defaults(fn=cmd_matrix)

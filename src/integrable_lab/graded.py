@@ -9,12 +9,14 @@ bug class this module refuses to host.
 Sparse storage is per-column (col -> {row: Fraction}); transfer matrices
 are interlacing-sparse so zero entries are never stored.
 
-Interior-window identities (lhs equals rhs on the columns, and
+Every exact identity check (lhs equals rhs on the columns, and
 optionally rows, whose intermediate states stay inside the truncated
-basis) are all decided by `SparseMatrix.mismatches`.  It walks only the
-rows stored in either column and reads a missing entry as zero; every
-row outside that union is zero on both sides, so the result is exactly
-the dense entrywise comparison at O(nnz) cost.
+basis) is decided by `SparseMatrix.mismatches`, or for vectors by its
+per-column `vector_mismatches`, and reports its first three failures
+through `mismatch_items`.  Equal columns are skipped; otherwise only the
+rows stored in either column are walked, a missing entry reading as
+zero, so the result is exactly the dense entrywise comparison at O(nnz)
+cost.
 
 Operators that send each basis state to at most one target (site
 operators, window shifts, diagonals, the translation) are all built by
@@ -54,7 +56,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .scalars import ONE, ZERO, as_scalar
+from .scalars import ONE, ZERO, as_scalar, format_scalar
 
 
 def _add_product(acc: dict, acols: dict, bcols: dict, factor=ONE) -> None:
@@ -119,6 +121,30 @@ def _nonzero_over(acc: dict, d: int) -> dict:
         if col:
             out[c] = col
     return out
+
+
+def vector_mismatches(a: dict, b: dict, rows=None) -> list:
+    """(row, a entry, b entry) for every differing entry of two row maps,
+    rows ascending (only those in the set `rows`, when given)."""
+    out = []
+    for r in sorted(a.keys() | b.keys()):
+        if rows is None or r in rows:
+            va, vb = a.get(r, ZERO), b.get(r, ZERO)
+            if va != vb:
+                out.append((r, va, vb))
+    return out
+
+
+def mismatch_items(found, basis, **where) -> list:
+    """The first three of `found` as report items: the `where` keys, the
+    basis labels `row` (and `col` for a matrix), `lhs` and `rhs` as "p/q"."""
+    items = []
+    for *at, lhs, rhs in found[:3]:
+        item = dict(where)
+        item.update(zip(("row", "col"), (basis.label(basis.states[i]) for i in at)))
+        item["lhs"], item["rhs"] = format_scalar(lhs), format_scalar(rhs)
+        items.append(item)
+    return items
 
 
 class SparseMatrix:
@@ -259,18 +285,15 @@ class SparseMatrix:
         """
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
+        if self.cols == other.cols:
+            return []  # equal maps differ nowhere
         if rows is not None:
             rows = set(rows)
         out = []
         for c in cols:
-            a = self.cols.get(c, {})
-            b = other.cols.get(c, {})
-            for r in sorted(a.keys() | b.keys()):
-                if rows is not None and r not in rows:
-                    continue
-                va, vb = a.get(r, ZERO), b.get(r, ZERO)
-                if va != vb:
-                    out.append((r, c, va, vb))
+            a, b = self.cols.get(c, {}), other.cols.get(c, {})
+            if a != b:  # an equal column needs no sorting
+                out += [(r, c, va, vb) for r, va, vb in vector_mismatches(a, b, rows)]
         return out
 
     def __eq__(self, other):
@@ -490,8 +513,6 @@ def commutator_vanishes(A: GradedOperator, B: GradedOperator) -> bool:
 
 def matrix_dump(op: GradedOperator, basis, name: str, metadata=None) -> dict:
     """JSON-ready dump: basis labels plus (degree, row, col, "p/q") entries."""
-    from .scalars import format_scalar
-
     entries = []
     for k in op.degrees():
         for r, c, v in sorted(op.block(k).entries(), key=lambda e: (e[0], e[1])):

@@ -33,6 +33,7 @@ identically, and each exact check is a certificate at that point.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 
 from .partitions import (
@@ -280,9 +281,10 @@ def _strip_sweep(mu, values, max_weight, strips, coeff, keep=None) -> dict:
 
 def _sweep_coeff(kind, t):
     """coeff(nu, kappa) of one Pieri kind at t for one sweep, whose
-    strips are valid by construction: one table, no strip check."""
+    strips are valid by construction: one table, one shape per partition."""
     table = TTable(t)
-    return lambda nu, kappa: _pieri(kind, pieri_shape(nu), pieri_shape(kappa), table)
+    shape = cache(pieri_shape)
+    return lambda nu, kappa: _pieri(kind, shape(nu), shape(kappa), table)
 
 
 def skew_P(lam, mu, values, t) -> Fraction:

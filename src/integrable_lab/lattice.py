@@ -19,13 +19,18 @@ from __future__ import annotations
 from functools import partial
 from itertools import product as iproduct
 
-from .graded import GradedOperator, SparseMatrix, sum_of_products, sum_of_scaled_products
+from .graded import (
+    GradedOperator,
+    SparseMatrix,
+    mismatch_items,
+    sum_of_products,
+    sum_of_scaled_products,
+)
 from .partitions import (
     Basis,
     conjugate,
     occupation_basis,
     occupation_to_partition,
-    partition,
     partition_to_occupation,
 )
 from .scalars import ONE, TTable, as_scalar
@@ -130,7 +135,7 @@ def rll_check_qboson(u, v, t, cap: int):
     """R12 L1(u) L2(v) = L2(v) L1(u) R12 entrywise on interior states.
 
     Interior = source occupancy <= cap - 2, so no path can leave the
-    truncated site space.  Returns (ok, report of failing entries).
+    truncated site space.  Returns (ok, failures).
     """
     basis = single_site_basis(cap)
     L = build_lax("qboson", basis, {"t": t})
@@ -149,8 +154,7 @@ def rll_check_qboson(u, v, t, cap: int):
                                          for mid in pairs if (row, mid) in R)
             rhs = sum_of_scaled_products((R[mid, col], Lv[row[1]][mid[1]], Lu[row[0]][mid[0]])
                                          for mid in pairs if (mid, col) in R)
-            for i, j, _, _ in lhs.mismatches(rhs, interior):
-                failures.append({"aux": (row, col), "state": basis.states[j][0], "target": i})
+            failures += mismatch_items(lhs.mismatches(rhs, interior), basis, aux=(row, col))
     return not failures, failures
 
 
@@ -537,25 +541,18 @@ def toda_monodromy(kind: str, basis: Basis, N: int, t, max_degree=None, cols=Non
     return monodromy([partial(toda_lax, kind, basis, k, t) for k in range(1, N + 1)], cap, cols)
 
 
-def cone_states(basis: Basis, require_nonneg=True):
-    """Indices of weakly decreasing (and, optionally, nonnegative) tuples."""
-    out = []
-    for j, v in enumerate(basis.states):
-        if all(v[i] >= v[i + 1] for i in range(len(v) - 1)) and \
-           (not require_nonneg or v[-1] >= 0):
-            out.append(j)
-    return out
-
-
 def window_to_partitions(entry: GradedOperator, window: Basis, basis_p: Basis,
                          max_degree: int) -> GradedOperator:
-    """A graded window operator restricted to cone states (lambda'-tuples)
-    and relabelled as partitions of basis_p through conjugation."""
+    """A graded window operator restricted to its stored cone states
+    (lambda'-tuples) and relabelled as partitions of basis_p through conjugation."""
     mapping = {}
-    for j in cone_states(window):
-        lam = conjugate(partition(window.states[j]))
-        if lam in basis_p.index:
-            mapping[j] = basis_p.index[lam]
+    support = {j for m in entry.blocks.values() for c, col in m.cols.items() for j in (c, *col)}
+    for j in support:
+        v = window.states[j]
+        if v[-1] >= 0 and all(v[i] >= v[i + 1] for i in range(len(v) - 1)):
+            lam = conjugate(v)
+            if lam in basis_p.index:
+                mapping[j] = basis_p.index[lam]
     return entry.restrict(mapping, len(basis_p), max_degree)
 
 
@@ -575,32 +572,24 @@ def toda_gauge_check(N: int, t, window_top: int):
     """Local gauge relations U_{k-1} L^Toda_k = L_{k-1} U_k on interior states,
     plus the monodromy-level version with the open boundary S_0 = 1, x_0 = 0.
 
-    Returns (ok, report).  Interior columns keep one unit of headroom at
-    both window edges per elementary shift involved.
+    Returns (ok, failures).  Interior columns keep one
+    unit of headroom at both window edges per elementary shift involved.
     """
     t = as_scalar(t)
-    report = []
-    ok = True
     w = free_window_basis(N, -window_top, window_top)
 
     def interior(pred_margin):
         return [j for j, v in enumerate(w.states)
                 if all(-window_top + pred_margin <= c <= window_top - pred_margin for c in v)]
 
-    def agrees(lhs, rhs, top, cols):
-        return not any(lhs[i][jj].block(d).mismatches(rhs[i][jj].block(d), cols)
-                       for i in range(2) for jj in range(2) for d in range(top + 1))
-
+    sides = []  # (relation, lhs, rhs, top degree, asserted columns)
     for k in range(1, N + 1):
         U_prev = toda_U(w, k - 1, t, x0=0 if k == 1 else None)
         L_toda = toda_lax("toda", w, k, t)
         L_qb = qboson_lax_toda_vars(w, k - 1, t)
         U_k = toda_U(w, k, t)
-        lhs = mat2_mul(U_prev, L_toda, 2)
-        rhs = mat2_mul(L_qb, U_k, 2)
-        good = agrees(lhs, rhs, 2, interior(k + 1))
-        ok = ok and good
-        report.append({"relation": f"local k={k}", "ok": good})
+        sides.append((f"local k={k}", mat2_mul(U_prev, L_toda, 2), mat2_mul(L_qb, U_k, 2),
+                      2, interior(k + 1)))
 
     # monodromy level: U_0 T^Toda_N = (L_0 ... L_{N-1}) U_N, both sides
     # folded on the interior columns only
@@ -609,10 +598,12 @@ def toda_gauge_check(N: int, t, window_top: int):
     lhs = mat2_mul(toda_U(w, 0, t, x0=0), T_toda, N)
     rhs = monodromy([*(partial(qboson_lax_toda_vars, w, k, t) for k in range(N)),
                      partial(toda_U, w, N, t)], N, cols)
-    good = agrees(lhs, rhs, N, cols)
-    ok = ok and good
-    report.append({"relation": "monodromy", "ok": good})
-    return ok, report
+    sides.append(("monodromy", lhs, rhs, N, cols))
+    failures = [item for relation, lhs, rhs, top, cols in sides
+                for i in range(2) for j in range(2) for d in range(top + 1)
+                for item in mismatch_items(lhs[i][j].block(d).mismatches(rhs[i][j].block(d), cols),
+                                           w, relation=relation, aux=(i, j), degree=d)]
+    return not failures, failures
 
 
 # ---------------------------------------------------------------------------

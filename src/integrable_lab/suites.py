@@ -198,8 +198,8 @@ def _suite_gamma_commute(spec):
                              "half vertex operator exchange relations", ok,
                              detail=f"D={D} degree<={deg} t={t}"))
     for fam in ("L", "R"):
-        ok = vertex_ops.pair_commutation_check(gamma[fam, "-"], deg)
-        ok2 = vertex_ops.pair_commutation_check(gamma[fam, "+"], deg)
+        ok, _ = vertex_ops.pair_commutation_check(gamma[fam, "-"], deg)
+        ok2, _ = vertex_ops.pair_commutation_check(gamma[fam, "+"], deg)
         checks.append(_check(f"same-sign commutation {fam}",
                              "commuting half vertex operators", ok and ok2))
     return checks

@@ -24,7 +24,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded import GradedOperator, SparseMatrix, commutator, sum_of_scaled_products
+from .graded import (
+    GradedOperator,
+    SparseMatrix,
+    commutator,
+    mismatch_items,
+    sum_of_scaled_products,
+    vector_mismatches,
+)
 from .hall_littlewood import (
     Alphabet,
     _pieri,
@@ -129,15 +136,14 @@ def gamma_commutation_check(plus: VertexOp, minus: VertexOp, max_degree: int):
 
     Compares blocks A_a B_b against sum_r K_r B_{b-r} A_{a-r} for all
     a + b <= max_degree, on matrix elements whose source weight keeps the
-    lowering intermediate inside the basis.  Returns (ok, report).
+    lowering intermediate inside the basis.  Returns (ok, failures).
     """
     if ((plus.sign, minus.sign) != ("+", "-") or plus.t != minus.t
             or plus.basis.states != minus.basis.states):
         raise ValueError("exchange checks take a Gamma_+ and a Gamma_- on one basis at one t")
     K = commutation_series(plus.family, minus.family, plus.t, max_degree)
     cap = plus.weight_cap
-    report = []
-    ok = True
+    failures = []
     for a in range(max_degree + 1):
         for b in range(max_degree + 1 - a):
             lhs = plus.block(a).mul(minus.block(b))
@@ -145,24 +151,24 @@ def gamma_commutation_check(plus: VertexOp, minus: VertexOp, max_degree: int):
                                          for r in range(min(a, b) + 1))
             # sources whose lowering intermediate would leak are outside the window
             cols = [j for j, mu in enumerate(plus.basis.states) if weight(mu) + b <= cap]
-            bad = [(i, j) for i, j, _, _ in lhs.mismatches(rhs, cols)]
-            good = not bad
-            ok = ok and good
-            report.append({"bidegree": (a, b), "ok": good, "bad_elements": bad[:5]})
-    return ok, report
+            failures += mismatch_items(lhs.mismatches(rhs, cols), plus.basis, bidegree=(a, b))
+    return not failures, failures
 
 
-def pair_commutation_check(vop: VertexOp, max_degree: int) -> bool:
+def pair_commutation_check(vop: VertexOp, max_degree: int):
     """[Gamma_s(z), Gamma_s(z')] = 0: all block pairs commute on the window
-    (only a < b is visited: (b, a) is (a, b) negated, (a, a) zero)."""
+    (only a < b is visited: (b, a) is (a, b) negated, (a, a) zero).
+    Returns (ok, failures), the commutator as `lhs`."""
     cap = vop.weight_cap
+    failures = []
     for a in range(max_degree + 1):
         for b in range(a + 1, max_degree + 1):
+            cols = [j for j, mu in enumerate(vop.basis.states)
+                    if vop.sign == "+" or weight(mu) + b <= cap]
             diff = commutator(vop.block(a), vop.block(b))
-            if any(j in diff.cols for j, mu in enumerate(vop.basis.states)
-                   if vop.sign == "+" or weight(mu) + b <= cap):
-                return False
-    return True
+            failures += mismatch_items(diff.mismatches(SparseMatrix(diff.dim), cols), vop.basis,
+                                       bidegree=(a, b))
+    return not failures, failures
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +219,7 @@ def gamma_eigen_check(vop: VertexOp, state_kind: str, values, max_degree: int, s
     but the source components above the cap are absent, so the window
     restricts target weights to cap - degree).
     `state`, when given, is `build_eigenstate(state_kind, values, vop.basis,
-    vop.t)` built once for several checks.
+    vop.t)` built once for several checks.  Returns (ok, failures).
     """
     if vop.sign != "+":
         raise ValueError("eigen checks are for raising operators")
@@ -226,45 +232,30 @@ def gamma_eigen_check(vop: VertexOp, state_kind: str, values, max_degree: int, s
         series = complete_q_coeffs(values, t, max_degree)
     else:
         series = elementary_e_coeffs(values, max_degree)
-    cap = vop.weight_cap
-    report = []
-    ok = True
-    for r in range(max_degree + 1):
-        lhs = vop.block(r).apply(state)
-        bad = []
-        for j, lam in enumerate(basis.states):
-            if weight(lam) + r > cap:
-                continue  # source component was truncated away
-            want = series[r] * state.get(j, ZERO)
-            if lhs.get(j, ZERO) != want:
-                bad.append(j)
-        good = not bad
-        ok = ok and good
-        report.append({"degree": r, "ok": good, "bad_components": bad[:5]})
-    return ok, report
+    return _series_check(vop, lambda block: block.apply(state), state, series)
 
 
 def covector_pieri_check(minus: VertexOp, values, max_degree: int):
-    """<U| Gamma_{L,-} degree-r block = q_r(U) <U| on the interior window."""
+    """<U| Gamma_{L,-} degree-r block = q_r(U) <U| on the interior window.
+    Returns (ok, failures)."""
     if (minus.family, minus.sign) != ("L", "-"):
         raise ValueError("the covector Pieri check is for Gamma_{L,-}")
-    basis = minus.basis
-    cov = build_eigencovector(values, basis, minus.t)
+    cov = build_eigencovector(values, minus.basis, minus.t)
     series = complete_q_coeffs(values, minus.t, max_degree)
-    cap = minus.weight_cap
-    ok = True
-    report = []
-    for r in range(max_degree + 1):
-        row = minus.block(r).apply_row(cov)
-        bad = []
-        for j, mu in enumerate(basis.states):
-            if weight(mu) + r > cap:
-                continue
-            if row.get(j, ZERO) != series[r] * cov.get(j, ZERO):
-                bad.append(j)
-        ok = ok and not bad
-        report.append({"degree": r, "ok": not bad, "bad_components": bad[:5]})
-    return ok, report
+    return _series_check(minus, lambda block: block.apply_row(cov), cov, series)
+
+
+def _series_check(vop: VertexOp, act, vec: dict, series):
+    """act(degree-r block) = series[r] vec for every r < len(series), on the
+    components of weight <= cap - r (one above the cap was truncated away).
+    Returns (ok, failures)."""
+    failures = []
+    for r, coeff in enumerate(series):
+        window = {j for j, s in enumerate(vop.basis.states) if weight(s) + r <= vop.weight_cap}
+        want = {j: coeff * v for j, v in vec.items()}
+        failures += mismatch_items(vector_mismatches(act(vop.block(r)), want, window),
+                                   vop.basis, degree=r)
+    return not failures, failures
 
 
 def skew_Q_via_ops(lam, mu, values, basis: Basis, t) -> Fraction:

@@ -21,7 +21,7 @@ from integrable_lab.baxter_q import (
     trace_qmatrix,
 )
 from integrable_lab import baxter_q
-from integrable_lab.graded import GradedOperator, SparseMatrix
+from integrable_lab.graded import GradedOperator, SparseMatrix, sum_of_scaled_products
 from integrable_lab.lattice import periodic_transfer, toda_monodromy
 from integrable_lab.partitions import occupation_basis, partition_basis, weight
 from integrable_lab.scalars import format_scalar, tbinom, tfact
@@ -90,13 +90,23 @@ def test_tq_empty_sector():
 
 
 def test_tq_report_names_rhs_only_entries(monkeypatch):
-    # a zero transfer matrix empties the lhs: every wrong entry is rhs-only
+    # a zero transfer matrix empties the lhs: every wrong entry is rhs-only,
+    # so each degree k reports the first three entries of its rhs block
+    # t^k q_k + x t^(n-k+N) q_(k-N) against a zero lhs
+    N, n = 2, 2
+    basis = occupation_basis(N, n)
     monkeypatch.setattr(baxter_q, "periodic_transfer",
                         lambda N, n, x, t: GradedOperator.zero(len(occupation_basis(N, n))))
-    ok, report = tq_check(2, 2, X, T)
-    assert not ok and report
-    assert all(entry["first_bad"] for entry in report)
-
+    ok, failures = tq_check(N, n, X, T)
+    assert not ok
+    q = build_qmatrix(N, n, X, T)
+    labels = basis.labels()
+    for k in range(N + n + 1):
+        rhs = q.block(k).scale(T ** k).add(q.block(k - N).scale(X * T ** (n - k + N)))
+        want = [{"degree": k, "row": labels[r], "col": labels[c], "lhs": "0",
+                 "rhs": format_scalar(v)}
+                for c in range(len(basis)) for r, v in sorted(rhs.cols.get(c, {}).items())]
+        assert [f for f in failures if f["degree"] == k] == want[:3]
 
 
 def test_tq_report_names_a_perturbed_entry(monkeypatch):
@@ -112,12 +122,18 @@ def test_tq_report_names_a_perturbed_entry(monkeypatch):
         return q
 
     monkeypatch.setattr(baxter_q, "build_qmatrix", perturbed)
-    ok, report = tq_check(N, n, X, T)
+    ok, failures = tq_check(N, n, X, T, sample_z=F(3, 4))
     labels = occupation_basis(N, n).labels()
     assert not ok
-    assert report[0] == {"degree": 1, "ok": False, "first_bad": [
+    assert [f for f in failures if f.get("degree") == 1] == [
         {"degree": 1, "row": labels[r], "col": labels[c],
-         "lhs": format_scalar(T * v + d), "rhs": format_scalar(T * (v + d))}]}
+         "lhs": format_scalar(T * v + d), "rhs": format_scalar(T * (v + d))}]
+    assert failures[0]["degree"] == 1
+    # the sampled comparison reports the same column, without a degree
+    sampled = [f for f in failures if "sampled_z" in f]
+    assert sampled and all(f["sampled_z"] == "3/4" and f["col"] == labels[c]
+                           and f["lhs"] != f["rhs"] for f in sampled)
+
 
 def test_qmatrix_rejects_t_one():
     with pytest.raises(ValueError, match="t = 1"):
@@ -161,8 +177,32 @@ def test_ll_operator_examples():
 
 
 def test_ll_four_relations():
-    ok, report = ll_relations_check(F(5, 3), T, cap=6)
-    assert ok, report
+    ok, failures = ll_relations_check(F(5, 3), T, cap=6)
+    assert ok, failures
+
+
+def test_ll_relations_report_a_perturbed_LL(monkeypatch):
+    # Lc = LL P reads LL's column (b, a) as its column (a, b); one extra entry
+    # d at Lc[(1,1), (1,2)], where Lc is zero, breaks Lc x = x Lc there only:
+    # the sides read d t^2 and t^1 d (x = t^label on the second window)
+    cap, u, d = 6, F(5, 3), F(1, 2)
+
+    def idx(a, b):
+        return a * (cap + 1) + b
+
+    assert build_LL(u, T, cap, cap).entry(idx(1, 1), idx(2, 1)) == 0
+
+    def perturbed(u, t, s_cap, x_cap):
+        LL = build_LL(u, t, s_cap, x_cap)
+        LL.add_to(idx(1, 1), idx(2, 1), d)
+        return LL
+
+    monkeypatch.setattr(baxter_q, "build_LL", perturbed)
+    ok, failures = ll_relations_check(u, T, cap=cap)
+    assert not ok
+    assert [f for f in failures if f["relation"] == "Lc x = x Lc"] == [
+        {"relation": "Lc x = x Lc", "row": "(1,1)", "col": "(1,2)",
+         "lhs": format_scalar(d * T ** 2), "rhs": format_scalar(T * d)}]
 
 
 def test_toda_intertwine():
@@ -216,17 +256,34 @@ def test_ar_project_reports_a_perturbed_toda_entry(monkeypatch):
 
 def test_toda_intertwine_reports_a_perturbed_LL(monkeypatch):
     cap = 6
+    LLs, inner_sums = [], []  # the perturbed LL and, per aux entry, R L and Ltilde R
 
     def perturbed(u, t, s_cap, x_cap):
         LL = build_LL(u, t, s_cap, x_cap)
         # one extra entry between two inner states (1, 1) -> (2, 1)
-        return LL.add(SparseMatrix.from_entries(LL.dim, [(2 * (cap + 1) + 1, cap + 2, F(1))]))
+        LLs.append(LL.add(SparseMatrix.from_entries(LL.dim, [(2 * (cap + 1) + 1, cap + 2,
+                                                                F(1))])))
+        return LLs[-1]
+
+    def recorded(terms):
+        inner_sums.append(sum_of_scaled_products(terms))
+        return inner_sums[-1]
 
     monkeypatch.setattr(baxter_q, "build_LL", perturbed)
+    monkeypatch.setattr(baxter_q, "sum_of_scaled_products", recorded)
     ok, failures = toda_intertwine_check(F(3, 4), F(5, 3), T, cap=cap)
     assert not ok and failures
-    inner = {a * (cap + 1) + b for a in range(cap - 1) for b in range(cap - 1)}
+    (LL,) = LLs
+    states = [(a, b) for a in range(cap + 1) for b in range(cap + 1)]
+    index = {f"({a},{b})": k for k, (a, b) in enumerate(states)}
+    aux = [(i, j) for i in range(2) for j in range(2)]
     for f in failures:
-        assert set(f) == {"aux", "row", "col"}
-        assert f["aux"] in {(i, j) for i in range(2) for j in range(2)}
-        assert f["row"] in inner and f["col"] in inner
+        assert set(f) == {"aux", "row", "col", "lhs", "rhs"}
+        r, c = index[f["row"]], index[f["col"]]
+        assert max(states[r] + states[c]) <= cap - 2  # both inner
+        # both sides recomputed densely: (R L) LL and LL (Ltilde R)
+        left, right = inner_sums[2 * aux.index(f["aux"]):][:2]
+        lhs = sum(left.entry(r, k) * LL.entry(k, c) for k in range(len(states)))
+        rhs = sum(LL.entry(r, k) * right.entry(k, c) for k in range(len(states)))
+        assert (f["lhs"], f["rhs"]) == (format_scalar(lhs), format_scalar(rhs))
+        assert lhs != rhs

@@ -3,7 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from integrable_lab.graded import GradedOperator, SparseMatrix, commutator_vanishes, matrix_dump
+from integrable_lab.graded import (
+    GradedOperator,
+    SparseMatrix,
+    commutator_vanishes,
+    matrix_dump,
+    mismatch_items,
+)
 from integrable_lab.partitions import partition_basis
 
 
@@ -160,3 +166,18 @@ def test_commutator_vanishes_reports_non_commuting_operators():
     AB = GradedOperator(2, {0: e12, 1: e21})
     assert not commutator_vanishes(AB, AB)
     assert commutator_vanishes(AB, GradedOperator.identity(2))
+
+
+def test_mismatch_items_label_and_format_the_first_three():
+    basis = partition_basis(3)
+    a = SparseMatrix.from_entries(len(basis), [(r, 0, F(r + 1, 2)) for r in range(len(basis))])
+    found = a.mismatches(SparseMatrix(len(basis)), [0])
+    assert len(found) == len(basis) > 3
+    assert mismatch_items(found, basis, degree=2, aux=(0, 1)) == [
+        {"degree": 2, "aux": (0, 1), "row": basis.label(basis.states[r]),
+         "col": "[]", "lhs": lhs, "rhs": "0"}
+        for r, lhs in [(0, "1/2"), (1, "1"), (2, "3/2")]]
+    # vector mismatches (row, lhs, rhs) give items without a column
+    assert mismatch_items([(1, F(-2, 3), F(0))], basis, degree=0) == [
+        {"degree": 0, "row": "[1]", "lhs": "-2/3", "rhs": "0"}]
+    assert mismatch_items([], basis, degree=0) == []

@@ -1,7 +1,7 @@
 """Property tests for the sparse matrix algebra the window checks rely on.
 
-`SparseMatrix.mismatches` must agree with a dense entrywise comparison
-(even on matrices that store zeros), the arithmetic must never store a
+`SparseMatrix.mismatches` and its per-column `vector_mismatches` must
+agree with a dense entrywise comparison (even on maps that store zeros), the arithmetic must never store a
 zero, and a single wrong entry must be reported exactly once.  The
 state-map constructor and `GradedOperator.restrict` must equal the loops
 they replace, drop what leaves the basis and store no zero (the state
@@ -32,6 +32,7 @@ from integrable_lab.graded import (
     commutator,
     sum_of_products,
     sum_of_scaled_products,
+    vector_mismatches,
 )
 from integrable_lab.lattice import mat2_mul, monodromy
 from integrable_lab.partitions import (
@@ -83,6 +84,17 @@ def test_mismatches_equals_dense_comparison(a, b, cols, rows):
              for c in cols for r in range(DIM)
              if (rows is None or r in rows) and a.entry(r, c) != b.entry(r, c)]
     assert a.mismatches(b, cols, rows) == dense
+
+
+@SETTINGS
+@given(raw_matrices(), raw_matrices(), st.none() | st.sets(INDEX))
+def test_vector_mismatches_equals_dense_comparison(a, b, rows):
+    # column 0 of each raw matrix as a sparse vector
+    va, vb = a.cols.get(0, {}), b.cols.get(0, {})
+    dense = [(r, a.entry(r, 0), b.entry(r, 0)) for r in range(DIM)
+             if (rows is None or r in rows) and a.entry(r, 0) != b.entry(r, 0)]
+    assert vector_mismatches(va, vb, rows) == dense
+    assert vector_mismatches(va, dict(va), rows) == []
 
 
 @SETTINGS

@@ -42,6 +42,7 @@ from integrable_lab.partitions import (
     state_norm,
     weight,
 )
+from integrable_lab.scalars import format_scalar
 from integrable_lab.vertex_ops import build_gamma
 
 
@@ -314,8 +315,40 @@ def test_window_builders_on_sources_equal_the_whole_window_factor():
 
 def test_toda_gauge_relations():
     for N in (2, 3):
-        ok, report = toda_gauge_check(N, T_SAMPLE, window_top=N + 2)
-        assert ok, report
+        ok, failures = toda_gauge_check(N, T_SAMPLE, window_top=N + 2)
+        assert ok, failures
+
+
+def test_toda_gauge_reports_a_perturbed_boundary_lax(monkeypatch):
+    # d added to entry 11 of the boundary q-boson Lax L_0 = [[1, z], [1, z]]
+    # at the window origin e moves the right side of the k = 1 relation
+    # U_0 L^Toda_1 = L_0 U_1 in its first row only: in degree 0 the left
+    # side reads 1 (entry 11) and x_1 = t^0 = 1 (entry 12) at (e, e), the
+    # right side 1 + d for both
+    from integrable_lab import lattice
+
+    N, d = 2, F(1, 3)
+    w = free_window_basis(N, -(N + 2), N + 2)
+    e = w.index[(0,) * N]
+
+    def perturbed(basis, k, t, open_x0=True, sources=None):
+        L = qboson_lax_toda_vars(basis, k, t, open_x0, sources)
+        if k == 0:
+            bump = SparseMatrix(len(basis), {e: {e: d}})
+            L[0][0] = L[0][0].add(GradedOperator(len(basis), {0: bump}))
+        return L
+
+    monkeypatch.setattr(lattice, "qboson_lax_toda_vars", perturbed)
+    ok, failures = toda_gauge_check(N, T_SAMPLE, window_top=N + 2)
+    assert not ok
+    label = w.label(w.states[e])
+    assert [f for f in failures if f["relation"] == "local k=1"] == [
+        {"relation": "local k=1", "aux": (0, j), "degree": 0, "row": label, "col": label,
+         "lhs": "1", "rhs": format_scalar(1 + d)} for j in range(2)]
+    # the monodromy side gains d times row e of (L_1 ... U_N) in its first row
+    fold = [f for f in failures if f["relation"] == "monodromy"]
+    assert fold and all(f["aux"][0] == 0 and f["row"] == label for f in fold)
+    assert {f["relation"] for f in failures} == {"local k=1", "monodromy"}
 
 
 def test_toda_open_A_matches_run_expansion():
@@ -394,15 +427,29 @@ def test_rll_reports_a_perturbed_weight(monkeypatch):
         return R
 
     monkeypatch.setattr(lattice, "build_sixvertex_r", perturbed)
-    ok, failures = rll_check_qboson(F(3), F(5), T_SAMPLE, cap=cap)
+    u, v = F(3), F(5)
+    ok, failures = rll_check_qboson(u, v, T_SAMPLE, cap=cap)
     assert not ok and failures
+    # both sides recomputed entry by entry from the perturbed R
+    R = perturbed(u, v, T_SAMPLE)
+    basis = single_site_basis(cap)
+    L = build_lax("qboson", basis, {"t": T_SAMPLE})
+    Lu, Lv = ([[e.eval_at(z) for e in row] for row in L] for z in (u, v))
+    pairs = [(i, j) for i in range(2) for j in range(2)]
     for f in failures:
-        assert set(f) == {"aux", "state", "target"}
+        assert set(f) == {"aux", "row", "col", "lhs", "rhs"}
         # only sides holding the perturbed entry can differ: the left side
         # reads its row of R, the right side its column
         row, col = f["aux"]
         assert row == c_entry[0] or col == c_entry[1]
-        assert 0 <= f["state"] <= cap - 2 and 0 <= f["target"] <= cap
+        i, j = basis.labels().index(f["row"]), basis.labels().index(f["col"])
+        assert j <= cap - 2
+        lhs = sum(R[row, mid] * Lu[mid[0]][col[0]].mul(Lv[mid[1]][col[1]]).entry(i, j)
+                  for mid in pairs if (row, mid) in R)
+        rhs = sum(R[mid, col] * Lv[row[1]][mid[1]].mul(Lu[row[0]][mid[0]]).entry(i, j)
+                  for mid in pairs if (mid, col) in R)
+        assert (f["lhs"], f["rhs"]) == (format_scalar(lhs), format_scalar(rhs))
+        assert lhs != rhs
 
 
 def test_ar_project_builds_its_toda_factors_on_few_window_states(monkeypatch):

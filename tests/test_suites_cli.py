@@ -172,6 +172,38 @@ def test_cli_env_seed_and_config(tmp_path, monkeypatch):
     assert {"degree": 1, "row": 1, "col": 0, "value": "3/4"} in dump["entries"]
 
 
+def test_cli_matrix_lax_dumps_its_family(capsys):
+    # without --family the q-boson Lax: L_12 = z Sbar, Sbar|1> = (1 - t)|0>
+    assert cli.main(["matrix", "lax", "--cap", "3", "--t", "1/3"]) == 0
+    dump = json.loads(capsys.readouterr().out)
+    assert dump["name"] == "lax qboson" and dump["basis"] == ["(0)", "(1)", "(2)", "(3)"]
+    assert {"degree": 1, "row": 0, "col": 1, "value": "2/3"} in dump["entries"]["01"]
+    assert all(e["degree"] == 0 for e in dump["entries"]["00"])
+    # spin s: L_11 = 1 + z s t^m carries a degree-1 diagonal
+    assert cli.main(["matrix", "lax", "--family", "spin_s", "--s", "1/2", "--cap", "3",
+                     "--t", "1/3"]) == 0
+    dump = json.loads(capsys.readouterr().out)
+    assert dump["name"] == "lax spin_s"
+    assert {"degree": 1, "row": 0, "col": 0, "value": "1/2"} in dump["entries"]["00"]
+
+
+def test_cli_matrix_lax_rejects_other_families(capsys):
+    for family in ("toda", "L", "nonsense"):
+        assert cli.main(["matrix", "lax", "--family", family]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "qboson or spin_s" in captured.err
+
+
+def test_cli_eval_input_errors_are_usage_errors(capsys):
+    assert cli.main(["eval", "R", "--vars", "2,3", "--t", "1/2"]) == 2
+    assert "--mu" in capsys.readouterr().err
+    for kind in ("qr", "er"):
+        assert cli.main(["eval", kind, "--vars", "1/2", "--t", "1/3", "--r", "-1"]) == 2
+        assert "--r" in capsys.readouterr().err
+    assert cli.main(["eval", "R", "--mu", "(1,0)", "--vars", "2,3", "--t", "1/2"]) == 0
+    assert capsys.readouterr().out.strip() == "5"
+
+
 def test_cli_matrix_q_rejects_t_one(capsys):
     assert cli.main(["matrix", "q", "--t=1"]) == 2
     assert "t = 1" in capsys.readouterr().err

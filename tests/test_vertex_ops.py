@@ -5,7 +5,14 @@ import pytest
 
 from integrable_lab.graded import GradedOperator, SparseMatrix
 from integrable_lab import scalars
-from integrable_lab.hall_littlewood import hl_Q, pieri_phi, pieri_phi_prime, pieri_psi, pieri_psi_prime
+from integrable_lab.hall_littlewood import (
+    complete_q_coeffs,
+    hl_Q,
+    pieri_phi,
+    pieri_phi_prime,
+    pieri_psi,
+    pieri_psi_prime,
+)
 from integrable_lab.partitions import (
     horizontal_strips_above,
     partition_basis,
@@ -13,10 +20,11 @@ from integrable_lab.partitions import (
     vertical_strips_above,
     weight,
 )
-from integrable_lab.scalars import tfact
+from integrable_lab.scalars import format_scalar, tfact
 from integrable_lab.vertex_ops import (
     VertexOp,
     adjoint_pair_check,
+    build_eigencovector,
     build_eigenstate,
     build_gamma,
     commutation_series,
@@ -117,17 +125,18 @@ def test_gamma_commutation_all_families():
     t = F(3, 7)
     basis = partition_basis(7)
     for fp, fm in [("L", "L"), ("L", "R"), ("R", "L"), ("R", "R")]:
-        ok, report = gamma_commutation_check(build_gamma(fp, "+", basis, t),
-                                             build_gamma(fm, "-", basis, t), max_degree=3)
-        assert ok, (fp, fm, [r for r in report if not r["ok"]][:2])
+        ok, failures = gamma_commutation_check(build_gamma(fp, "+", basis, t),
+                                               build_gamma(fm, "-", basis, t), max_degree=3)
+        assert ok, (fp, fm, failures[:2])
 
 
 def test_same_sign_commutation():
     t = F(2, 9)
     basis = partition_basis(6)
     for fam in ("L", "R"):
-        assert pair_commutation_check(build_gamma(fam, "-", basis, t), 3)
-        assert pair_commutation_check(build_gamma(fam, "+", basis, t), 3)
+        for sign in ("-", "+"):
+            ok, failures = pair_commutation_check(build_gamma(fam, sign, basis, t), 3)
+            assert ok and failures == [], (fam, sign, failures)
 
 
 def test_eigenstate_components():
@@ -197,6 +206,45 @@ def test_covector_pieri():
     U = distinct_draws(rng, 2)
     ok, report = covector_pieri_check(build_gamma("L", "-", basis, t), U, max_degree=3)
     assert ok, report
+
+
+def test_eigen_check_reports_a_perturbed_entry():
+    # d added at (row [], col [1]) of the degree-1 raising block moves the
+    # [] component of Gamma_+ |L,V> by d times the [1] component; the
+    # eigenvalue side q_1(V) times the [] component stays
+    t, d = F(2, 7), F(1, 5)
+    basis = partition_basis(6)
+    V = distinct_draws(random.Random(4), 2)
+    vop = build_gamma("L", "+", basis, t)
+    i, j = basis.index[()], basis.index[(1,)]
+    state = build_eigenstate("L", V, basis, t)
+    q1 = complete_q_coeffs(V, t, 1)[1]
+    old = vop.block(1).entry(i, j)
+    vop.block(1).add_to(i, j, d)
+    ok, failures = gamma_eigen_check(vop, "L", V, max_degree=3)
+    assert not ok
+    assert failures == [{"degree": 1, "row": "[]",
+                         "lhs": format_scalar((old + d) * state[j]),
+                         "rhs": format_scalar(q1 * state[i])}]
+
+
+def test_covector_pieri_reports_a_perturbed_entry():
+    # d added at (row [1], col []) of the degree-1 lowering block moves the
+    # [] component of <U| Gamma_- by d times the [1] component of <U|
+    t, d = F(4, 11), F(-2, 3)
+    basis = partition_basis(6)
+    U = distinct_draws(random.Random(7), 2)
+    minus = build_gamma("L", "-", basis, t)
+    i, j = basis.index[(1,)], basis.index[()]
+    cov = build_eigencovector(U, basis, t)
+    q1 = complete_q_coeffs(U, t, 1)[1]
+    old = minus.block(1).entry(i, j)
+    minus.block(1).add_to(i, j, d)
+    ok, failures = covector_pieri_check(minus, U, max_degree=3)
+    assert not ok
+    assert failures == [{"degree": 1, "row": "[]",
+                         "lhs": format_scalar(old * cov[i] + d * cov[i]),
+                         "rhs": format_scalar(q1 * cov[j])}]
 
 
 def test_skew_extraction_and_product_rule():
@@ -285,16 +333,22 @@ def test_gamma_commutation_reports_a_perturbed_factor(monkeypatch):
         return K
 
     monkeypatch.setattr(vertex_ops, "commutation_series", perturbed)
-    ok, report = gamma_commutation_check(build_gamma("L", "+", basis, t),
-                                         build_gamma("L", "-", basis, t), max_degree=3)
+    plus, minus = build_gamma("L", "+", basis, t), build_gamma("L", "-", basis, t)
+    ok, failures = gamma_commutation_check(plus, minus, max_degree=3)
     assert not ok
-    assert [set(r) for r in report] == [{"bidegree", "ok", "bad_elements"}] * len(report)
     # K_1 enters only the bidegrees with a, b >= 1, and fails each of them
-    for r in report:
-        a, b = r["bidegree"]
-        assert r["ok"] == (min(a, b) == 0)
-        assert r["ok"] == (not r["bad_elements"])
-        assert len(r["bad_elements"]) <= 5
+    bidegrees = [f["bidegree"] for f in failures]
+    assert set(bidegrees) == {(a, b) for a in range(1, 3) for b in range(1, 4 - a)}
+    assert all(bidegrees.count(ab) <= 3 for ab in bidegrees)
+    index = {basis.label(s): k for k, s in enumerate(basis.states)}
+    for f in failures:
+        assert set(f) == {"bidegree", "row", "col", "lhs", "rhs"}
+        (a, b), r, c = f["bidegree"], index[f["row"]], index[f["col"]]
+        # lhs is A_a B_b; the rhs gains the extra K_1 term B_(b-1) A_(a-1)
+        lhs = plus.block(a).mul(minus.block(b)).entry(r, c)
+        extra = minus.block(b - 1).mul(plus.block(a - 1)).entry(r, c)
+        assert f["lhs"] == format_scalar(lhs) and extra != 0
+        assert F(f["rhs"]) == lhs + extra
 
 
 def test_gamma_commutation_rejects_mismatched_operators():
@@ -319,5 +373,16 @@ def test_pair_commutation_reports_a_non_commuting_family():
         vop = build_gamma("L", sign, basis, t)
         op = GradedOperator(len(basis), {**vop.op.blocks, 2: vop.block(2).mul(diag)},
                             max_degree=vop.op.max_degree)
-        assert pair_commutation_check(vop, 3)
-        assert not pair_commutation_check(VertexOp("L", sign, basis, t, op), 3)
+        assert pair_commutation_check(vop, 3) == (True, [])
+        ok, failures = pair_commutation_check(VertexOp("L", sign, basis, t, op), 3)
+        assert not ok and failures
+        index = {basis.label(s): k for k, s in enumerate(basis.states)}
+        for f in failures:
+            assert set(f) == {"bidegree", "row", "col", "lhs", "rhs"}
+            # only pairs with the reweighted block fail; lhs is the commutator
+            a, b = f["bidegree"]
+            assert 2 in (a, b) and a < b and f["rhs"] == "0"
+            r, c = index[f["row"]], index[f["col"]]
+            A, B = op.block(a), op.block(b)
+            value = A.mul(B).entry(r, c) - B.mul(A).entry(r, c)
+            assert f["lhs"] == format_scalar(value) and value != 0
