@@ -38,11 +38,12 @@ for name, op in [("transfer matrix", lam), ("Q-matrix", q)]:
 ok, _ = tq_check(N, n, x, t, sample_z=F(3, 4))
 print("TQ relation  Lambda(z) q(z) = q(tz) + x z^N t^n q(z/t):",
       "holds exactly" if ok else "FAILS")
-print("[Lambda(z1), q(z2)] = 0:", lambda_q_commute_check(N, n, x, t))
-print("[q(z1), q(z2)] = 0:   ", qq_commute_check(N, n, x, t))
+print("[Lambda(z1), q(z2)] = 0:", lambda_q_commute_check(lam, q))
+print("[q(z1), q(z2)] = 0:   ", qq_commute_check(q))
 
 print("\nLarger sectors (graded, exact):")
 for (NN, nn) in [(3, 2), (3, 3), (4, 2)]:
     ok, _ = tq_check(NN, nn, x, t)
-    print(f"  N={NN}, n={nn}: TQ {'ok' if ok else 'FAIL'},"
-          f" commute {lambda_q_commute_check(NN, nn, x, t)}")
+    commute = lambda_q_commute_check(periodic_transfer(NN, nn, x, t),
+                                     build_qmatrix(NN, nn, x, t))
+    print(f"  N={NN}, n={nn}: TQ {'ok' if ok else 'FAIL'}, commute {commute}")

@@ -26,6 +26,7 @@ from .partitions import (
 from .graded import GradedOperator, SparseMatrix, commutator_vanishes, matrix_dump
 from .hall_littlewood import (
     Alphabet,
+    PieriTable,
     cauchy_coeff_check,
     complete_q_coeffs,
     elementary_e_coeffs,

@@ -385,22 +385,19 @@ def tq_check(N: int, n: int, x, t, sample_z=None):
     return not failures, failures
 
 
-def lambda_q_commute_check(N: int, n: int, x, t) -> bool:
-    """[Lambda(z1), q(z2)] = 0 identically (all graded cross blocks)."""
-    lam = periodic_transfer(N, n, x, t)
-    q = build_qmatrix(N, n, x, t)
+def lambda_q_commute_check(lam: GradedOperator, q: GradedOperator) -> bool:
+    """[Lambda(z1), q(z2)] = 0 identically (all graded cross blocks), for a
+    transfer matrix and a Q-matrix on one sector."""
     return commutator_vanishes(lam, q)
 
 
-def qq_commute_check(N: int, n: int, x, t) -> bool:
+def qq_commute_check(q: GradedOperator) -> bool:
     """[q(z1), q(z2)] = 0 identically."""
-    q = build_qmatrix(N, n, x, t)
     return commutator_vanishes(q, q)
 
 
-def q_translation_check(N: int, n: int, x, t) -> bool:
-    q = build_qmatrix(N, n, x, t)
-    T = translation_op(N, n, x)
+def q_translation_check(q: GradedOperator, T: SparseMatrix) -> bool:
+    """[T, q(z)] = 0 for the one-step translation T of q's sector."""
     return commutator_vanishes(GradedOperator(T.dim, {0: T}), q)
 
 

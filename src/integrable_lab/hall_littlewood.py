@@ -11,19 +11,25 @@ Three independent evaluation routes are provided:
                 family.
 
 Each symmetric function is evaluated once per (alphabet, t).  An
-`Alphabet` holds the n! permutation table (u_P, B(u_P)) of the
-symmetrized sum and memoizes R, Q and P per argument; hl_R/hl_Q/hl_P
-build one for a single evaluation, and callers that evaluate many
-partitions at one draw build one and read it.  skew_P and skew_Q_omega
-run one strip sweep, generic over the strip generator and the weight;
-`skew_sweep` returns every lam reached from mu under a weight cap from
-a single sweep.  The two routes share no code, so each checks the other.
+`Alphabet` holds the n! permutation table of the symmetrized sum, its
+amplitudes B(u_P) as integers over one common denominator, and memoizes
+R, Q and P per argument; R_mu is an integer sum over the table with one
+Fraction at the end.  hl_R/hl_Q/hl_P build one for a single evaluation,
+and callers that evaluate many partitions at one draw build one and
+read it.  skew_P and skew_Q_omega run one strip sweep, generic over the
+strip generator and the weight; `skew_sweep` returns every lam reached
+from mu under a weight cap from a single sweep.  The two routes share
+no code, so each checks the other.
 
 The four Pieri coefficients psi, phi, psi', phi' are products of lookups
-in one `scalars.TTable` through one kernel; a sweep, like a half vertex
-operator build, reads one table per call.  The symmetrized sums, which
-the Pieri checks compare those coefficients against, keep the literal
-t-factorials, so a table bug cannot certify itself.
+in one `scalars.TTable` through one kernel, `PieriTable.coeff`.  A
+`PieriTable` holds that table and the shapes it has read for one t, and
+serves strips that are valid by construction: a sweep and a half vertex
+operator build read one per call, a Pieri suite one per draw.  The
+one-shot `pieri_coeff` (and pieri_psi, ...) validates its pair first and
+builds its own.  The symmetrized sums, which the Pieri checks compare
+those coefficients against, keep the literal t-factorials, so a table
+bug cannot certify itself.
 
 All identity checks are exact evaluations at rational points: a bounded
 degree polynomial identity that holds at enough generic points holds
@@ -33,8 +39,10 @@ identically, and each exact check is a certificate at that point.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import permutations
+from math import lcm, prod
+from operator import getitem
 
 from .partitions import (
     _partitions_of,
@@ -83,13 +91,18 @@ _STRIPS = {"psi": "horizontal", "phi": "horizontal", "psi'": "vertical", "phi'":
 def pieri_coeff(kind: str, lam, mu, t) -> Fraction:
     """The Pieri coefficient `kind` (psi, phi, psi', phi') of lam/mu; raises
     ValueError for an unknown kind or a pair that is not a strip of its kind."""
-    strip = _STRIPS.get(kind)
-    if strip is None:
-        raise ValueError(f"unknown Pieri coefficient kind {kind!r}")
+    strip = _strip_of(kind)
     lam, mu = partition(lam), partition(mu)
     if not strip_test(lam, mu, strip):
         raise ValueError(f"{lam}/{mu} is not a {strip} strip")
-    return _pieri(kind, pieri_shape(lam), pieri_shape(mu), TTable(t))
+    return PieriTable(t).coeff(kind, lam, mu)
+
+
+def _strip_of(kind: str) -> str:
+    strip = _STRIPS.get(kind)
+    if strip is None:
+        raise ValueError(f"unknown Pieri coefficient kind {kind!r}")
+    return strip
 
 
 def pieri_shape(lam) -> tuple:
@@ -99,34 +112,48 @@ def pieri_shape(lam) -> tuple:
     return lp, tuple(a - b for a, b in zip(lp, lp[1:] + (0,)))
 
 
-def _pieri(kind, lam_shape, mu_shape, table) -> Fraction:
-    """The Pieri coefficient `kind` of the strip lam/mu from the shapes of
-    lam and mu (`pieri_shape`), as a product of `table` entries; factors
-    equal to 1 are skipped.  The strip itself is not checked."""
-    lp, ml = lam_shape
-    mp, mm = mu_shape
-    mm = mm + (0,) * (len(ml) - len(mm))  # mu inside lam: mu_1 <= lam_1
-    result = ONE
-    if kind in ("psi", "phi"):
-        # psi: a part value losing one of its m_j(mu) copies gives 1 - t^{m_j(mu)};
-        # phi: one gaining a copy gives 1 - t^{m_j(lam)}
-        one_minus = table.one_minus
-        for m, other in (zip(mm, ml) if kind == "psi" else zip(ml, mm)):
-            if m == other + 1:
-                result *= one_minus[m]
+class PieriTable:
+    """The four Pieri coefficients at one t, for strips that are valid by
+    construction (as the strip enumerators of `partitions` yield them).
+
+    One `scalars.TTable` and one `pieri_shape` memo serve every
+    coefficient; the pair is not checked to be a strip.  A PieriTable
+    lives for one call or one parameter draw, as an `Alphabet` does.
+    """
+
+    def __init__(self, t):
+        self.table = TTable(t)
+        self.shape = cache(pieri_shape)
+
+    def coeff(self, kind: str, lam, mu) -> Fraction:
+        """The coefficient `kind` of the strip lam/mu (canonical tuples), as
+        a product of table entries read from the shapes of lam and mu;
+        factors equal to 1 are skipped."""
+        _strip_of(kind)
+        lp, ml = self.shape(lam)
+        mp, mm = self.shape(mu)
+        mm = mm + (0,) * (len(ml) - len(mm))  # mu inside lam: mu_1 <= lam_1
+        result = ONE
+        if kind in ("psi", "phi"):
+            # psi: a part value losing one of its m_j(mu) copies gives 1 - t^{m_j(mu)};
+            # phi: one gaining a copy gives 1 - t^{m_j(lam)}
+            one_minus = self.table.one_minus
+            for m, other in (zip(mm, ml) if kind == "psi" else zip(ml, mm)):
+                if m == other + 1:
+                    result *= one_minus[m]
+            return result
+        d = [x - y for x, y in zip(lp, mp + (0,) * (len(lp) - len(mp)))]  # lam'_i - mu'_i
+        if kind == "psi'":
+            binom = self.table.binom
+            for a, di in zip(ml, d):
+                if 0 < di < a:
+                    result *= binom[a, di]
+        else:  # phi': m_i(mu)! / ((lam'_i - mu'_i)! (mu'_i - lam'_{i+1})!)
+            fact = self.table.fact
+            for a, b, di in zip(ml, mm, d):
+                if b != a or 0 < di < a:
+                    result *= fact[b] / (fact[di] * fact[a - di])
         return result
-    d = [x - y for x, y in zip(lp, mp + (0,) * (len(lp) - len(mp)))]  # lam'_i - mu'_i
-    if kind == "psi'":
-        binom = table.binom
-        for a, di in zip(ml, d):
-            if 0 < di < a:
-                result *= binom[a, di]
-    else:  # phi': m_i(mu)! / ((lam'_i - mu'_i)! (mu'_i - lam'_{i+1})!)
-        fact = table.fact
-        for a, b, di in zip(ml, mm, d):
-            if b != a or 0 < di < a:
-                result *= fact[b] / (fact[di] * fact[a - di])
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -136,17 +163,25 @@ class Alphabet:
     """One alphabet at one t: the permutation table of the symmetrized sum,
     with R, Q and P memoized per argument.
 
-    The table lists (u_P, B(u_P)) with B = prod_{i<j} (u_i - t u_j)/(u_i - u_j)
-    for the n! permutations P; it is built on the first R and read by every
-    later one, so R_mu costs n! monomials.  An Alphabet lives for one call or
-    one parameter draw: nothing is cached across alphabets.
+    The table lists the n! permutations P with their amplitudes
+    B_P = prod_{i<j} (u_i - t u_j)/(u_i - u_j), at u = u_P, as integers
+    B_P d_B over d_B, the lcm of their denominators.  It is built on the
+    first R and read by every later one.  R_mu is then an integer sum:
+    with u_i = a_i/b_i, lo = min(0, mu_n) and hi = max(0, mu_1),
+
+        R_mu = sum_P B_P d_B prod_k c_{P_k}[mu_k] / (d_B prod_i a_i^-lo b_i^hi),
+        c_i[e] = a_i^(e - lo) b_i^(hi - e),
+
+    so R_mu costs n! integer monomials and one Fraction.  Q and P keep the
+    literal t-factorials and `state_norm`.  An Alphabet lives for one call
+    or one parameter draw: nothing is cached across alphabets.
     """
 
     def __init__(self, values, t):
         self.values = [as_scalar(v) for v in values]
         self.t = as_scalar(t)
-        self._rows = None      # [(value indices of u_P, B(u_P))]
-        self._powers = {}      # (value index, exponent) -> u^e
+        self._rows = None      # [(value indices of u_P, B_P d_B)]
+        self._den = None       # d_B
         self._memo = {}        # ("R" | "Q" | "P", argument) -> value
         self._nonzero = None   # the alphabet without its zero values
 
@@ -157,23 +192,21 @@ class Alphabet:
                 raise ValueError(f"permutation sum capped at {MAX_SYMMETRIZE} variables")
             if len(set(vals)) != n:
                 raise ValueError("coincident variable values rejected; perturb the alphabet")
-            rows = []
+            factor = {(i, j): (vals[i] - t * vals[j]) / (vals[i] - vals[j])
+                      for i in range(n) for j in range(n) if i != j}
+            amps = []
             for perm in permutations(range(n)):
-                amp = ONE
+                num = den = 1
                 for a in range(n):
                     for b in range(a + 1, n):
-                        ui, uj = vals[perm[a]], vals[perm[b]]
-                        amp *= (ui - t * uj) / (ui - uj)
-                rows.append((perm, amp))
-            self._rows = rows
+                        f = factor[perm[a], perm[b]]
+                        num *= f.numerator
+                        den *= f.denominator
+                amps.append((perm, Fraction(num, den)))
+            self._den = d = lcm(*(amp.denominator for _, amp in amps))
+            self._rows = [(perm, amp.numerator * (d // amp.denominator))
+                          for perm, amp in amps]
         return self._rows
-
-    def _power(self, i, e):
-        key = (i, e)
-        p = self._powers.get(key)
-        if p is None:
-            p = self._powers[key] = self.values[i] ** e
-        return p
 
     def R(self, mu) -> Fraction:
         """R_mu: sum over permutations of u^mu * prod_{i<j} (u_i - t u_j)/(u_i - u_j).
@@ -193,14 +226,14 @@ class Alphabet:
         rows = self._table()
         if any(v == 0 for v in self.values) and any(e < 0 for e in mu):
             raise ValueError("zero variable with negative exponent")
-        power = self._power
-        total = ZERO
-        for perm, amp in rows:
-            for i, e in zip(perm, mu):
-                amp *= power(i, e)
-            total += amp
-        self._memo[key] = total
-        return total
+        lo, hi = min((0, *mu)), max((0, *mu))
+        ab = [(v.numerator, v.denominator) for v in self.values]
+        c = {e: [a ** (e - lo) * b ** (hi - e) for a, b in ab] for e in set(mu)}
+        cols = [c[e] for e in mu]  # cols[k][i] = c_i[mu_k]
+        total = sum(prod(map(getitem, cols, perm), start=amp) for perm, amp in rows)
+        value = self._memo[key] = Fraction(
+            total, self._den * prod(a ** -lo * b ** hi for a, b in ab))
+        return value
 
     def Q(self, lam) -> Fraction:
         """Q_lam via the zero-padded symmetrized sum; 0 when fewer variables than parts.
@@ -279,14 +312,6 @@ def _strip_sweep(mu, values, max_weight, strips, coeff, keep=None) -> dict:
     return vec
 
 
-def _sweep_coeff(kind, t):
-    """coeff(nu, kappa) of one Pieri kind at t for one sweep, whose
-    strips are valid by construction: one table, one shape per partition."""
-    table = TTable(t)
-    shape = cache(pieri_shape)
-    return lambda nu, kappa: _pieri(kind, shape(nu), shape(kappa), table)
-
-
 def skew_P(lam, mu, values, t) -> Fraction:
     """P_{lam/mu} as the horizontal-strip tableau sum, one variable per step."""
     lam, mu = partition(lam), partition(mu)
@@ -297,7 +322,7 @@ def skew_P(lam, mu, values, t) -> Fraction:
     top = lam[0] if lam else 0
     vec = _strip_sweep(mu, values, weight(lam),
                        lambda kappa, room: horizontal_strips_above(kappa, room, max_part=top),
-                       _sweep_coeff("psi", t),
+                       partial(PieriTable(t).coeff, "psi"),
                        keep=lambda nu: contains(lam, nu))
     return vec.get(lam, ZERO)
 
@@ -312,7 +337,7 @@ def skew_Q_omega(lam, mu, values, t) -> Fraction:
     vec = _strip_sweep(mu, values, weight(lam),
                        lambda kappa, room: vertical_strips_above(kappa, room,
                                                                  max_length=len(lam)),
-                       _sweep_coeff("phi'", t),
+                       partial(PieriTable(t).coeff, "phi'"),
                        keep=lambda nu: contains(lam, nu))
     return vec.get(lam, ZERO)
 
@@ -329,10 +354,10 @@ def skew_sweep(kind: str, mu, values, t, max_weight: int) -> dict:
     t = as_scalar(t)
     if kind == "P-skew":
         return _strip_sweep(mu, values, max_weight, horizontal_strips_above,
-                            _sweep_coeff("psi", t))
+                            partial(PieriTable(t).coeff, "psi"))
     if kind == "Qomega-skew":
         return _strip_sweep(mu, values, max_weight, vertical_strips_above,
-                            _sweep_coeff("phi'", t))
+                            partial(PieriTable(t).coeff, "phi'"))
     raise ValueError(f"unknown skew kind {kind!r}")
 
 

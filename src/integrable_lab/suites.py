@@ -3,7 +3,8 @@
 Each suite re-derives both sides of its identity through independent
 code paths (different modules where possible), so a shared bug cannot
 self-certify.  A SuiteSpec (name, parameters, seed) reproduces its
-report byte for byte; exact suites report deviation 0 or fail.
+report byte for byte; exact suites report deviation 0 or fail, and a
+failing check lists the failure items its identity check returned.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .scalars import ONE, ZERO, format_scalar
 from . import baxter_q, bethe, gaudin, hall_littlewood as hl, lattice, vertex_ops
 from .partitions import (
     horizontal_strips_above,
+    horizontal_strips_below,
     occupation_basis,
     occupation_to_partition,
     partition_basis,
@@ -89,9 +91,14 @@ def _small_t(rng_seed, idx):
     return vals[0]
 
 
-def _check(name, ref, ok, deviation="0", detail=""):
-    return {"name": name, "paper_ref": ref, "status": "pass" if ok else "fail",
-            "deviation": deviation if ok else str(deviation), "detail": detail}
+def _check(name, ref, ok, deviation="0", detail="", failures=()):
+    """One check's report; a failing check also lists the failure items
+    its identity check returned, so a passing report never changes."""
+    check = {"name": name, "paper_ref": ref, "status": "pass" if ok else "fail",
+             "deviation": deviation if ok else str(deviation), "detail": detail}
+    if not ok and failures:
+        check["failures"] = list(failures)
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -106,14 +113,14 @@ def _suite_rll(spec):
         t = _small_t(spec.seed, i)
         ok, fails = lattice.rll_check_qboson(u, v, t, cap)
         checks.append(_check(f"six-vertex RLL draw {i}", "six-vertex RLL relation",
-                             ok, detail=f"u={u} v={v} t={t} cap={cap}"))
+                             ok, detail=f"u={u} v={v} t={t} cap={cap}", failures=fails))
         z, uu = draw_params(spec.seed + 100 + i, "distinct-2")
-        ok2, rep = baxter_q.ll_relations_check(uu, t, cap + 1)
+        ok2, fails2 = baxter_q.ll_relations_check(uu, t, cap + 1)
         checks.append(_check(f"auxiliary Lax relations draw {i}",
-                             "q-Toda R-matrix commutation relations", ok2))
+                             "q-Toda R-matrix commutation relations", ok2, failures=fails2))
         ok3, fails3 = baxter_q.toda_intertwine_check(z, uu, t, cap + 1)
         checks.append(_check(f"Toda intertwining draw {i}",
-                             "intertwining Yang-Baxter relation", ok3))
+                             "intertwining Yang-Baxter relation", ok3, failures=fails3))
     return checks
 
 
@@ -128,6 +135,7 @@ def _suite_pieri(spec):
         U = draw_params(spec.seed + 7 * i + 1, f"distinct-{nvars}")
         series = hl.complete_q_coeffs(U, t, max_r)
         Q = hl.Alphabet(U, t).Q
+        coeff = hl.PieriTable(t).coeff
         ok = True
         for mu in partition_basis(max_wt):
             for r in range(1, max_r + 1):
@@ -135,7 +143,7 @@ def _suite_pieri(spec):
                 rhs = ZERO
                 for lam in horizontal_strips_above(mu, r):
                     if weight(lam) - weight(mu) == r:
-                        rhs += hl.pieri_psi(lam, mu, t) * Q(lam)
+                        rhs += coeff("psi", lam, mu) * Q(lam)
                 ok = ok and lhs == rhs
         checks.append(_check(f"Pieri rule draw {i}", "Hall-Littlewood Pieri rule",
                              ok, detail=f"t={t}"))
@@ -153,6 +161,7 @@ def _suite_hall_pieri(spec):
         V = draw_params(spec.seed + 11 * i + 2, f"distinct-{nvars}")
         series = hl.elementary_e_coeffs(V, max_r)
         P = hl.Alphabet(V, t).P
+        coeff = hl.PieriTable(t).coeff
         ok = True
         for mu in partition_basis(max_wt):
             for r in range(1, max_r + 1):
@@ -160,7 +169,7 @@ def _suite_hall_pieri(spec):
                 rhs = ZERO
                 for lam in vertical_strips_above(mu, r):
                     if weight(lam) - weight(mu) == r:
-                        rhs += hl.pieri_psi_prime(lam, mu, t) * P(lam)
+                        rhs += coeff("psi'", lam, mu) * P(lam)
                 ok = ok and lhs == rhs
         checks.append(_check(f"Hall Pieri rule draw {i}", "Hall Pieri (elementary) rule",
                              ok, detail=f"t={t}"))
@@ -193,15 +202,18 @@ def _suite_gamma_commute(spec):
     gamma = {(fam, sign): vertex_ops.build_gamma(fam, sign, basis, t)
              for fam in ("L", "R") for sign in ("+", "-")}
     for fp, fm in [("L", "L"), ("L", "R"), ("R", "L"), ("R", "R")]:
-        ok, rep = vertex_ops.gamma_commutation_check(gamma[fp, "+"], gamma[fm, "-"], deg)
+        ok, fails = vertex_ops.gamma_commutation_check(gamma[fp, "+"], gamma[fm, "-"], deg)
         checks.append(_check(f"raising/lowering exchange {fp}{fm}",
                              "half vertex operator exchange relations", ok,
-                             detail=f"D={D} degree<={deg} t={t}"))
+                             detail=f"D={D} degree<={deg} t={t}", failures=fails))
     for fam in ("L", "R"):
-        ok, _ = vertex_ops.pair_commutation_check(gamma[fam, "-"], deg)
-        ok2, _ = vertex_ops.pair_commutation_check(gamma[fam, "+"], deg)
+        failures = []
+        for sign in ("-", "+"):
+            _, fails = vertex_ops.pair_commutation_check(gamma[fam, sign], deg)
+            failures += [{"sign": sign, **f} for f in fails]
         checks.append(_check(f"same-sign commutation {fam}",
-                             "commuting half vertex operators", ok and ok2))
+                             "commuting half vertex operators", not failures,
+                             failures=failures))
     return checks
 
 
@@ -218,25 +230,25 @@ def _suite_gamma_eigen(spec):
     for nv in range(1, maxvars + 1):
         V = draw_params(spec.seed + nv, f"distinct-{nv}")
         state_L = vertex_ops.build_eigenstate("L", V, basis, t)
-        ok, _ = vertex_ops.gamma_eigen_check(plus_L, "L", V, deg, state_L)
+        ok, fails = vertex_ops.gamma_eigen_check(plus_L, "L", V, deg, state_L)
         checks.append(_check(f"annihilation on the Cauchy state, {nv} vars",
-                             "eigenstate of the lowering transfer matrix", ok))
-        ok, _ = vertex_ops.gamma_eigen_check(plus_L, "R", V, deg)
+                             "eigenstate of the lowering transfer matrix", ok, failures=fails))
+        ok, fails = vertex_ops.gamma_eigen_check(plus_L, "R", V, deg)
         checks.append(_check(f"open Toda eigenvector, {nv} vars",
-                             "open Toda chain eigenvectors", ok))
-        ok, _ = vertex_ops.gamma_eigen_check(plus_R, "L", V, deg, state_L)
+                             "open Toda chain eigenvectors", ok, failures=fails))
+        ok, fails = vertex_ops.gamma_eigen_check(plus_R, "L", V, deg, state_L)
         checks.append(_check(f"Hall-side annihilation, {nv} vars",
-                             "Hall Pieri eigen relation", ok))
-        ok, _ = vertex_ops.covector_pieri_check(minus_L, V, deg)
+                             "Hall Pieri eigen relation", ok, failures=fails))
+        ok, fails = vertex_ops.covector_pieri_check(minus_L, V, deg)
         checks.append(_check(f"covector Pieri, {nv} vars",
-                             "left eigencovector relation", ok))
+                             "left eigencovector relation", ok, failures=fails))
         # finite-size form: the restriction to lam_1 <= nv acts on the
         # nv-variable dual state exactly the same way
         cap_basis = partition_basis(D, max_part=nv)
         plus_cap = vertex_ops.build_gamma("L", "+", cap_basis, t)
-        ok, _ = vertex_ops.gamma_eigen_check(plus_cap, "R", V, deg)
+        ok, fails = vertex_ops.gamma_eigen_check(plus_cap, "R", V, deg)
         checks.append(_check(f"finite-size open Toda eigenvector N={nv}",
-                             "open Toda chain eigenvectors, finite size", ok))
+                             "open Toda chain eigenvectors, finite size", ok, failures=fails))
         A_run = lattice.open_transfer(cap_basis, nv, t, direction="right")
         gm = vertex_ops.build_gamma("L", "-", cap_basis, t)
         okA = all(A_run.block(d) == gm.block(d) for d in range(nv + 1))
@@ -259,13 +271,13 @@ def _suite_tq(spec):
     for i in range(draws):
         t = _small_t(spec.seed, i)
         x = draw_params(spec.seed + 31 * i + 5, "generic", 1)[0]
-        ok_all = True
+        failures = []
         for N in N_range:
             for n in n_range:
-                ok, rep = baxter_q.tq_check(N, n, x, t)
-                ok_all = ok_all and ok
+                _, fails = baxter_q.tq_check(N, n, x, t)
+                failures += [{"N": N, "n": n, **f} for f in fails]
         checks.append(_check(f"TQ relation draw {i}", "Baxter TQ relation",
-                             ok_all, detail=f"t={t} x={x}"))
+                             not failures, detail=f"t={t} x={x}", failures=failures))
     return checks
 
 
@@ -276,9 +288,13 @@ def _suite_lambda_q(spec):
     for i in range(draws):
         t = _small_t(spec.seed, i)
         x = draw_params(spec.seed + 41 * i + 6, "generic", 1)[0]
-        ok_lq = all(baxter_q.lambda_q_commute_check(N, n, x, t) for N, n in pairs)
-        ok_qq = all(baxter_q.qq_commute_check(N, n, x, t) for N, n in pairs)
-        ok_tr = all(baxter_q.q_translation_check(N, n, x, t) for N, n in pairs)
+        ok_lq = ok_qq = ok_tr = True
+        for N, n in pairs:  # one Q-matrix per sector for the three checks
+            q = baxter_q.build_qmatrix(N, n, x, t)
+            ok_lq = ok_lq and baxter_q.lambda_q_commute_check(
+                lattice.periodic_transfer(N, n, x, t), q)
+            ok_qq = ok_qq and baxter_q.qq_commute_check(q)
+            ok_tr = ok_tr and baxter_q.q_translation_check(q, lattice.translation_op(N, n, x))
         checks.append(_check(f"transfer/Q commutation draw {i}",
                              "commuting transfer and Q matrices", ok_lq))
         checks.append(_check(f"Q self-commutation draw {i}",
@@ -305,15 +321,15 @@ def _suite_ar_project(spec):
     for i in range(draws):
         t = _small_t(spec.seed, i)
         z, u = draw_params(spec.seed + 51 * i + 7, "distinct-2")
-        ok_all = True
+        failures = []
         for N in range(1, N_max + 1):
             max_weight = int(spec.params.get("max_weight", 8))
             max_len = int(spec.params.get("max_len", N + 3))
-            ok, fails = baxter_q.ar_project_check(N, z, u, t, max_weight, max_len)
-            ok_all = ok_all and ok
+            _, fails = baxter_q.ar_project_check(N, z, u, t, max_weight, max_len)
+            failures += [{"N": N, **f} for f in fails]
         checks.append(_check(f"projected intertwining draw {i}",
-                             "open-chain intertwining relation", ok_all,
-                             detail=f"t={t} z={z} u={u}"))
+                             "open-chain intertwining relation", not failures,
+                             detail=f"t={t} z={z} u={u}", failures=failures))
     return checks
 
 
@@ -411,15 +427,13 @@ def _suite_adjoint(spec):
     checks = []
     t = _small_t(spec.seed, 0)
     x = draw_params(spec.seed + 5, "generic", 1)[0]
-    parts = list(partition_basis(int(spec.params.get("max_weight", 8))))
+    norm = {lam: state_norm(lam, t) for lam in partition_basis(
+        int(spec.params.get("max_weight", 8)))}
+    coeff = hl.PieriTable(t).coeff
     ok = True
-    from .partitions import is_horizontal_strip
-
-    for lam in parts:
-        for mu in parts:
-            if is_horizontal_strip(lam, mu):
-                ok = ok and hl.pieri_phi(lam, mu, t) * state_norm(mu, t) == \
-                    hl.pieri_psi(lam, mu, t) * state_norm(lam, t)
+    for lam in norm:  # every horizontal strip lam/mu, lam/lam included
+        for mu in horizontal_strips_below(lam):
+            ok = ok and coeff("phi", lam, mu) * norm[mu] == coeff("psi", lam, mu) * norm[lam]
     checks.append(_check("branching adjoint relation", "adjoint branching weights", ok))
     basis6 = partition_basis(6)
     checks.append(_check("vertex operator adjoint pairs",
@@ -447,9 +461,9 @@ def _suite_gauge(spec):
     t = _small_t(spec.seed, 0)
     x = draw_params(spec.seed + 5, "generic", 1)[0]
     for N in (2, 3):
-        ok, rep = lattice.toda_gauge_check(N, t, window_top=N + 2)
+        ok, fails = lattice.toda_gauge_check(N, t, window_top=N + 2)
         checks.append(_check(f"gauge relations N={N}",
-                             "q-boson/Toda gauge equivalence", ok))
+                             "q-boson/Toda gauge equivalence", ok, failures=fails))
     ok = True
     for (N, n) in [(2, 2), (3, 2), (3, 3)]:
         ok = ok and lattice.periodic_transfer(N, n, x, t) == \

@@ -7,9 +7,9 @@ Lowering operators (sign -) raise the weight by their degree; raising
 operators (sign +) lower it, with powers of 1/z stored as a positive
 grading.
 
-Matrix elements are the Pieri coefficients, read from each basis
-state's conjugate and multiplicities (computed once per build) and one
-t-table per build (`scalars.TTable`).  The |L,V> states and <U|
+Matrix elements are the Pieri coefficients, read from one
+`hall_littlewood.PieriTable` per build (each basis state's conjugate and
+multiplicities computed once, one t-table).  The |L,V> states and <U|
 covectors the operators are checked on come from the symmetrized sums
 (`Alphabet`), which stay on the literal t-factorials.
 
@@ -23,6 +23,7 @@ and get the window restriction.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .graded import (
     GradedOperator,
@@ -34,10 +35,9 @@ from .graded import (
 )
 from .hall_littlewood import (
     Alphabet,
-    _pieri,
+    PieriTable,
     elementary_e_coeffs,
     complete_q_coeffs,
-    pieri_shape,
     skew_sweep,
 )
 from .partitions import (
@@ -85,8 +85,7 @@ def build_gamma(family: str, sign: str, basis: Basis, t) -> VertexOp:
     cap = max((weight(s) for s in basis), default=0)
     strips = horizontal_strips_above if family == "L" else vertical_strips_above
     kind = {("L", "-"): "psi", ("L", "+"): "phi", ("R", "-"): "phi'", ("R", "+"): "psi'"}[family, sign]
-    table = TTable(t)
-    shapes = [pieri_shape(s) for s in basis.states]
+    coeff = partial(PieriTable(t).coeff, kind)
     weights = [weight(s) for s in basis.states]
 
     def entries():
@@ -96,7 +95,7 @@ def build_gamma(family: str, sign: str, basis: Basis, t) -> VertexOp:
                 if i is None:
                     continue
                 k = weights[i] - weights[j]
-                c = _pieri(kind, shapes[i], shapes[j], table)
+                c = coeff(lam, mu)
                 if sign == "-":
                     yield k, i, j, c
                 else:

@@ -53,8 +53,10 @@ def test_criterion_03_commutation():
         x = draw_params(600 + i, "generic", 1)[0]
         for N in range(1, 4):
             for n in range(1, 4):
-                ok = ok and baxter_q.lambda_q_commute_check(N, n, x, t)
-                ok = ok and baxter_q.qq_commute_check(N, n, x, t)
+                q = baxter_q.build_qmatrix(N, n, x, t)
+                ok = ok and baxter_q.lambda_q_commute_check(
+                    lattice.periodic_transfer(N, n, x, t), q)
+                ok = ok and baxter_q.qq_commute_check(q)
     report(3, "transfer/Q and Q/Q commutation", ok, "(N,n) <= (3,3), 3 draws")
 
 

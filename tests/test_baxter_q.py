@@ -22,7 +22,7 @@ from integrable_lab.baxter_q import (
 )
 from integrable_lab import baxter_q
 from integrable_lab.graded import GradedOperator, SparseMatrix, sum_of_scaled_products
-from integrable_lab.lattice import periodic_transfer, toda_monodromy
+from integrable_lab.lattice import periodic_transfer, toda_monodromy, translation_op
 from integrable_lab.partitions import occupation_basis, partition_basis, weight
 from integrable_lab.scalars import format_scalar, tbinom, tfact
 
@@ -144,9 +144,10 @@ def test_qmatrix_rejects_t_one():
 
 def test_commutation_checks():
     for (N, n) in [(2, 2), (3, 2), (3, 3)]:
-        assert lambda_q_commute_check(N, n, X, T)
-        assert qq_commute_check(N, n, X, T)
-        assert q_translation_check(N, n, X, T)
+        q = build_qmatrix(N, n, X, T)
+        assert lambda_q_commute_check(periodic_transfer(N, n, X, T), q)
+        assert qq_commute_check(q)
+        assert q_translation_check(q, translation_op(N, n, X))
 
 
 def test_q_hermitian_reflect():

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from integrable_lab.hall_littlewood import (
+    PieriTable,
     cauchy_coeff_check,
     complete_q_coeffs,
     dual_pair_coeffs,
@@ -159,6 +160,25 @@ def test_table_pieri_equals_the_literal_product_on_every_strip(t):
                 for kind in kinds:
                     assert pieri[kind](lam, mu, t) == literal_pieri(kind, lam, mu, t), (kind, lam, mu)
     assert pairs > 500
+
+
+@pytest.mark.parametrize("t", [F(2, 7), F(-5, 3), F(0)])
+def test_pieri_table_equals_the_one_shot_coefficients(t):
+    one_shot = {"psi": pieri_psi, "phi": pieri_phi, "psi'": pieri_psi_prime,
+                "phi'": pieri_phi_prime}
+    table = PieriTable(t)  # one table for every pair, as a suite draw reads it
+    pairs = 0
+    for lam in partition_basis(8):
+        for kinds, below in ((("psi", "phi"), horizontal_strips_below),
+                             (("psi'", "phi'"), vertical_strips_below)):
+            for mu in below(lam):
+                pairs += 1
+                for kind in kinds:
+                    assert table.coeff(kind, lam, mu) == one_shot[kind](lam, mu, t), \
+                        (kind, lam, mu)
+    assert pairs > 500
+    with pytest.raises(ValueError, match="unknown Pieri coefficient kind"):
+        table.coeff("nope", (1,), ())
 
 
 def test_pieri_coeff_dispatch_and_errors():

@@ -2,11 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from integrable_lab import cli
+from integrable_lab import baxter_q, cli, hall_littlewood
+from integrable_lab.partitions import is_horizontal_strip, occupation_basis, partition_basis
+from integrable_lab.scalars import format_scalar, parse_scalar
 from integrable_lab.suites import SUITE_NAMES, SuiteSpec, draw_params, run_suite
 
 
@@ -310,3 +313,58 @@ def test_verify_reports_a_raising_suite_as_a_failure(monkeypatch, capsys):
     assert cli.main(["verify", "lascoux"]) == 1
     err = capsys.readouterr().err
     assert "lascoux" in err and "ZeroDivisionError" in err and "singular draw" in err
+
+
+def test_adjoint_suite_visits_every_horizontal_strip_pair_once(monkeypatch):
+    # the suite enumerates strips below each lam; the pairs are those of
+    # the scan over every pair of partitions, lam/lam included
+    seen = []
+
+    class Recording(hall_littlewood.PieriTable):
+        def coeff(self, kind, lam, mu):
+            if kind == "phi":
+                seen.append((lam, mu))
+            return super().coeff(kind, lam, mu)
+
+    monkeypatch.setattr(hall_littlewood, "PieriTable", Recording)
+    report = run_suite(SuiteSpec("adjoint", params={"max_weight": 6}))
+    assert report["checks"][0]["status"] == "pass"
+    parts = partition_basis(6).states
+    scan = {(lam, mu) for lam in parts for mu in parts if is_horizontal_strip(lam, mu)}
+    assert len(seen) == len(set(seen))
+    assert set(seen) == scan
+
+
+def test_verify_json_lists_the_failures_of_a_failing_check(monkeypatch, capsys):
+    # q_1[r, c] += d moves lhs_1 = q_1 + Lambda_1 q_0 by d and rhs_1 = t q_1
+    # (below degree N) by t d: degree 1 fails at that entry
+    N, n, d = 3, 2, F(1, 3)
+    real = baxter_q.build_qmatrix
+
+    def entry(q):
+        return next((r, c, v) for r, c, v in q.block(1).entries() if r != c)
+
+    def perturbed(*args):
+        q = real(*args)
+        r, c, _ = entry(q)
+        q.block(1).add_to(r, c, d)
+        return q
+
+    monkeypatch.setattr(baxter_q, "build_qmatrix", perturbed)
+    argv = ["verify", "tq", "--N", str(N), "--n", str(n), "--draws", "1", "--json"]
+    assert cli.main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    [check] = report["checks"]
+    assert report["status"] == check["status"] == "fail"
+    t, x = (parse_scalar(part.split("=")[1]) for part in check["detail"].split())
+    _, expect = baxter_q.tq_check(N, n, x, t)
+    assert check["failures"] == [{"N": N, "n": n, **f} for f in expect]
+    r, c, v = entry(real(N, n, x, t))
+    labels = occupation_basis(N, n).labels()
+    assert {"N": N, "n": n, "degree": 1, "row": labels[r], "col": labels[c],
+            "lhs": format_scalar(t * v + d), "rhs": format_scalar(t * (v + d))} \
+        in check["failures"]
+    # a passing report has no failures key
+    monkeypatch.setattr(baxter_q, "build_qmatrix", real)
+    assert cli.main(argv) == 0
+    assert "failures" not in json.loads(capsys.readouterr().out)["checks"][0]

@@ -39,6 +39,7 @@ from integrable_lab.partitions import (
 
 SETTINGS = settings(deadline=None, max_examples=30)
 RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+WIDE = st.fractions(min_value=-1000, max_value=1000, max_denominator=10 ** 6)
 T_VALUES = RATIONALS.filter(lambda v: v not in (1, -1))
 
 
@@ -93,13 +94,26 @@ def exponent_vectors(draw, n, lo=-3, hi=4):
 
 
 @SETTINGS
-@given(st.data(), alphabets(), T_VALUES)
-def test_alphabet_R_equals_the_permutation_loop(data, values, t):
+@given(st.data(), st.sampled_from([RATIONALS, WIDE]), st.booleans())
+def test_alphabet_R_equals_the_permutation_loop(data, scalars, with_zero):
+    values = data.draw(st.lists(scalars.filter(lambda v: v != 0), min_size=1, max_size=4,
+                                unique=True))
+    if with_zero:  # a zero value takes only non-negative exponents
+        values.insert(data.draw(st.integers(0, len(values))), F(0))
+    t = data.draw(scalars.filter(lambda v: v not in (1, -1)))
     alphabet = Alphabet(values, t)
-    mus = data.draw(st.lists(exponent_vectors(len(values)), min_size=1, max_size=4))
+    lo = 0 if with_zero else -3
+    mus = data.draw(st.lists(exponent_vectors(len(values), lo=lo), min_size=1, max_size=4))
     for mu in mus + mus:  # the second pass reads the memo
         assert alphabet.R(mu) == literal_R(mu, values, t)
     assert hl_R(mus[0], values, t) == literal_R(mus[0], values, t)
+
+
+def test_empty_alphabet():
+    t = F(2, 7)
+    assert Alphabet([], t).R(()) == 1 == hl_R((), [], t)
+    assert Alphabet([], t).Q(()) == 1
+    assert Alphabet([], t).Q((1,)) == 0
 
 
 @SETTINGS
