@@ -14,7 +14,7 @@ from integrable_lab import (
     hl_Q,
     hl_R,
     pieri_coeff,
-    skew_eval,
+    skew_P,
 )
 from integrable_lab.partitions import horizontal_strips_above, partition_basis, weight
 from integrable_lab.scalars import format_scalar
@@ -27,7 +27,7 @@ print("alphabet", [format_scalar(v) for v in V], "t =", t, "\n")
 for lam in [(1,), (2,), (2, 1), (3, 1)]:
     p = hl_P(lam, V, t)
     q = hl_Q(lam, V, t)
-    tab = skew_eval("P-skew", lam, (), V, t)
+    tab = skew_P(lam, (), V, t)
     print(f"P_{list(lam)} = {format_scalar(p)}   Q = {format_scalar(q)}   "
           f"tableau route agrees: {tab == p}")
 

@@ -35,7 +35,7 @@ from .hall_littlewood import (
     hl_R,
     p_omega,
     pieri_coeff,
-    skew_eval,
+    skew_P,
     skew_sweep,
 )
 from .vertex_ops import (
@@ -73,7 +73,6 @@ from .bethe import (
     bethe_solve,
     bethe_vector,
     interior_staircase_check,
-    spin_eigen_check,
     xi,
 )
 from .gaudin import gaudin_det, gaudin_sum, lascoux_reduction_check

@@ -432,8 +432,13 @@ def ar_project_check(N: int, z, u, t, max_weight: int, max_len: int):
     built from the transposed-bar Toda Lax matrices.  The identity is
     asserted on source columns with headroom N+1 in both weight and
     length, and the Toda monodromy is folded on those columns only.
-    Returns (ok, failures).
+    Returns (ok, failures).  Caps that leave no such column raise
+    ValueError: the empty partition, the last to go, needs max_weight and
+    max_len >= N + 1.
     """
+    if min(max_weight, max_len) < N + 1:
+        raise ValueError(f"ar_project_check asserts no column at N={N}: max_weight={max_weight}"
+                         f" and max_len={max_len} must both be >= {N + 1}")
     z, u, t = as_scalar(z), as_scalar(u), as_scalar(t)
     basis = partition_basis(max_weight, max_part=N + 1, max_length=max_len)
     dim = len(basis)

@@ -24,6 +24,7 @@ from .scalars import ONE, ZERO, as_scalar
 
 TOL_RESIDUAL = 1e-10
 TOL_DEDUP = 1e-8
+MAX_ITER = 200  # Newton steps per seed
 
 
 def xi(u, s):
@@ -336,15 +337,19 @@ def _raw_residual(u, N, t, s, x):
     return worst
 
 
-def bethe_solve(N: int, M: int, t, s, x, seeds: int = 20, seed: int = 0,
-                max_iter: int = 200) -> BetheSystem:
+def bethe_solve(N: int, M: int, t, s, x, seeds: int = 20, seed: int = 0) -> BetheSystem:
     """Newton iteration from random complex seeds; duplicates merged.
 
     Returns every distinct solution found with residual below 1e-10 in
     the original (uncleared) equations; per-seed non-convergence is not
-    fatal.  Rejects t = 1, where the weight w5 = z(1 - t) vanishes and
+    fatal.  Rejects a chain without sites (N < 1: every seed would
+    converge on the constant system), a negative particle number, fewer
+    than one seed, and t = 1, where the weight w5 = z(1 - t) vanishes and
     the transfer-matrix column weights divide by it.
     """
+    if N < 1 or M < 0 or seeds < 1:
+        raise ValueError(f"bethe_solve needs N >= 1, M >= 0 and seeds >= 1, "
+                         f"got N={N}, M={M}, seeds={seeds}")
     if M > 3 or N > 6:
         raise ValueError("root solver is desk-scale: N <= 6, M <= 3")
     if t == 1:
@@ -360,7 +365,7 @@ def bethe_solve(N: int, M: int, t, s, x, seeds: int = 20, seed: int = 0,
         u = np.array([complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
                       for _ in range(M)])
         converged = False
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             Fv = _bethe_F(u, N, tf, sf, xf)
             if max(abs(Fv)) < 1e-13:
                 converged = True
@@ -435,18 +440,3 @@ def periodic_eigen_residual(system: BetheSystem, z: complex) -> float:
             scale = max(1.0, abs(rhs))
             worst = max(worst, abs(lhs - rhs) / scale)
     return worst
-
-
-def spin_eigen_check(mode: str, **kw):
-    """Dispatch: interior-window (exact) or periodic (float residual)."""
-    if mode == "interior-window":
-        ok, lhs, rhs = interior_staircase_check(
-            kw["mu"], kw["N"], kw["us"], kw["t"], kw["s"], kw["z"])
-        return {"mode": mode, "ok": ok, "deviation": 0 if ok else str(lhs - rhs),
-                "note": "ansatz assumed beyond doubly-occupied targets"}
-    if mode == "periodic":
-        res = periodic_eigen_residual(kw["system"], kw["z"])
-        tol = kw.get("tol", 1e-8)
-        return {"mode": mode, "ok": res < tol, "deviation": res,
-                "note": "ansatz assumed beyond doubly-occupied targets"}
-    raise ValueError(f"unknown mode {mode!r}")

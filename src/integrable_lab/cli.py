@@ -6,12 +6,14 @@ bethe (solve a small root system), gaudin (truncated sum vs determinant).
 
 All parameters are exact rational strings; the only floats anywhere are
 the Bethe solver tolerances.  Exit codes: 0 pass, 1 identity failure
-(including a suite that raised), 2 usage error (including a `verify` flag
-the chosen suite does not read).  INTEGRABLE_LAB_SEED overrides the default
-seed.  A flat key=value config file (`--config file`) can supply any flag
-that takes a value, required ones included: each line is passed to the
-parser as `--key=value` ahead of the typed flags, so a typed flag wins.  A
-key naming no such flag, and a missing or malformed file, are usage errors.
+(including a suite that raised), 2 usage error.  A flag that the chosen
+suite (`verify`) or kind (`eval`, `matrix`) does not read is a usage
+error, and so is a `verify` value that would leave a check nothing to
+assert.  INTEGRABLE_LAB_SEED overrides the default seed.  A flat
+key=value config file (`--config file`) can supply any flag that takes a
+value, required ones included: each line is passed to the parser as
+`--key=value` ahead of the typed flags, so a typed flag wins.  A key
+naming no such flag, and a missing or malformed file, are usage errors.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .partitions import (
     partition_basis,
 )
 from .scalars import format_scalar, parse_scalar
-from .suites import SUITE_NAMES, SuiteSpec, run_suite, suite_flags
+from .suites import SUITE_NAMES, SuiteSpec, run_suite, suite_flags, suite_params
 from .vertex_ops import build_gamma
 
 EXIT_PASS = 0
@@ -53,6 +55,23 @@ EXIT_USAGE = 2
 # integer flags of `verify`; each suite reads a subset (suites.suite_flags)
 VERIFY_FLAGS = ("N", "n", "D", "degree", "cap", "draws", "truncation",
                 "max_weight", "max_len", "vars")
+
+# the flags each `eval` and `matrix` kind reads, each with its default
+# (None: required); `matrix lax` reads --s for the spin_s family only
+EVAL_FLAGS = {
+    "P": {"lambda": "[]", "vars": None, "t": None},
+    "Q": {"lambda": "[]", "vars": None, "t": None},
+    "R": {"mu": None, "vars": None, "t": None},
+    "skew": {"lambda": "[]", "mu": "[]", "vars": None, "t": None, "family": "P"},
+    "qr": {"vars": None, "t": None, "r": 1},
+    "er": {"vars": None, "r": 1},
+}
+MATRIX_FLAGS = {
+    "lambda": {"N": 2, "n": 2, "t": "1/3", "x": "2"},
+    "q": {"N": 2, "n": 2, "t": "1/3", "x": "2"},
+    "gamma": {"D": 4, "t": "1/3", "family": "L", "sign": "-"},
+    "lax": {"cap": 4, "t": "1/3", "family": "qboson", "s": "0"},
+}
 
 
 def _parse_vars(text: str):
@@ -92,6 +111,28 @@ def _config_flags(argv) -> list:
     return [f"--{key}={val}" for key, val in _load_config(path).items()]
 
 
+def _reject_unread(args, what: str, flags, reads) -> None:
+    """ValueError naming every flag among `flags` given to `what` (typed or
+    from the config file) that is not among `reads`."""
+    unread = [f"--{flag}" for flag in flags
+              if getattr(args, flag) is not None and flag not in reads]
+    if unread:
+        known = ", ".join(f"--{flag}" for flag in reads) or "none"
+        raise ValueError(f"{what} does not read {', '.join(unread)} (its flags: {known})")
+
+
+def _read_flags(args, what: str, table: dict, reads: dict) -> None:
+    """Reject every flag of `table` given to `what` that is not in `reads`,
+    then set each flag of `reads` left unset to its default; one without a
+    default raises ValueError."""
+    _reject_unread(args, what, dict.fromkeys(f for kind in table.values() for f in kind), reads)
+    for flag, default in reads.items():
+        if getattr(args, flag) is None:
+            if default is None:
+                raise ValueError(f"{what} needs --{flag}")
+            setattr(args, flag, default)
+
+
 def _default_seed():
     env = os.environ.get("INTEGRABLE_LAB_SEED")
     if env is not None:
@@ -100,20 +141,18 @@ def _default_seed():
 
 
 def cmd_verify(args) -> int:
-    """Usage errors (an unknown suite, a flag the suite does not read) exit
-    2 before the suite starts; an exception raised inside the suite is a
-    failed check and exits 1."""
+    """Usage errors (an unknown suite, a flag the suite does not read, a
+    value that would leave a check nothing to assert) exit 2 before the
+    suite starts; an exception raised inside the suite is a failed check
+    and exits 1."""
     reads = suite_flags(args.suite)  # KeyError (exit 2) for an unknown suite
-    given = [flag for flag in VERIFY_FLAGS if getattr(args, flag) is not None]
-    unread = [f"--{flag}" for flag in given if flag not in reads]
-    if unread:
-        known = ", ".join(f"--{flag}" for flag in reads) or "none"
-        print(f"error: suite {args.suite!r} does not read {', '.join(unread)} "
-              f"(its flags: {known})", file=sys.stderr)
-        return EXIT_USAGE
-    params = {reads[flag]: getattr(args, flag) for flag in given}
+    _reject_unread(args, f"suite {args.suite!r}", VERIFY_FLAGS, reads)
+    spec = SuiteSpec(args.suite, seed=args.seed,
+                     params={reads[flag]: getattr(args, flag) for flag in reads
+                             if getattr(args, flag) is not None})
+    suite_params(spec)  # ValueError (exit 2) for a value below its least value
     try:
-        report = run_suite(SuiteSpec(args.suite, seed=args.seed, params=params))
+        report = run_suite(spec)
     except Exception as exc:  # the suite ran and broke: a failure, not misuse
         traceback.print_exc(file=sys.stderr)
         print(f"error: suite {args.suite!r} raised {type(exc).__name__}: {exc}",
@@ -132,37 +171,35 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    t = parse_scalar(args.t)
-    vals = _parse_vars(args.vars)
     kind = args.kind
+    _read_flags(args, f"eval {kind}", EVAL_FLAGS, EVAL_FLAGS[kind])
+    vals = _parse_vars(args.vars)
+    t = None if args.t is None else parse_scalar(args.t)
     if kind in ("P", "Q"):
-        lam = parse_partition(args.lam)
+        lam = parse_partition(getattr(args, "lambda"))
         value = hl_P(lam, vals, t) if kind == "P" else hl_Q(lam, vals, t)
     elif kind == "R":
-        if args.mu is None:
-            raise ValueError("eval R needs --mu")
         value = hl_R(_parse_mu(args.mu), vals, t)
     elif kind == "skew":
-        lam = parse_partition(args.lam)
-        mu = parse_partition(args.mu) if args.mu else ()
         fn = skew_P if args.family == "P" else skew_Q_omega
-        value = fn(lam, mu, vals, t)
-    elif kind in ("qr", "er") and args.r < 0:
+        value = fn(parse_partition(getattr(args, "lambda")), parse_partition(args.mu), vals, t)
+    elif args.r < 0:
         raise ValueError(f"--r must be a nonnegative degree, got {args.r}")
     elif kind == "qr":
         value = complete_q_coeffs(vals, t, args.r)[args.r]
-    elif kind == "er":
-        value = elementary_e_coeffs(vals, args.r)[args.r]
     else:
-        print(f"error: unknown eval kind {kind!r}", file=sys.stderr)
-        return EXIT_USAGE
+        value = elementary_e_coeffs(vals, args.r)[args.r]
     print(format_scalar(value))
     return EXIT_PASS
 
 
 def cmd_matrix(args) -> int:
-    t = parse_scalar(args.t)
     which = args.which
+    reads = dict(MATRIX_FLAGS[which])
+    if which == "lax" and args.family != "spin_s":
+        del reads["s"]  # only the spin-s Lax reads s
+    _read_flags(args, f"matrix {which}", MATRIX_FLAGS, reads)
+    t = parse_scalar(args.t)
     if which == "lambda":
         basis = occupation_basis(args.N, args.n)
         op = periodic_transfer(args.N, args.n, parse_scalar(args.x), t)
@@ -175,23 +212,21 @@ def cmd_matrix(args) -> int:
         dump = matrix_dump(op, basis, f"qmatrix N={args.N} n={args.n}", meta)
     elif which == "gamma":
         basis = partition_basis(args.D)
-        vop = build_gamma(args.family or "L", args.sign, basis, t)
+        vop = build_gamma(args.family, args.sign, basis, t)
         dump = matrix_dump(vop.op, basis, f"gamma {vop.family}{args.sign} D={args.D}")
-    elif which == "lax":
-        family = args.family or "qboson"
+    else:
+        family = args.family
         if family not in ("qboson", "spin_s"):
             raise ValueError(f"matrix lax takes --family qboson or spin_s, not {family!r}")
         basis = single_site_basis(args.cap)
-        lax = build_lax(family, basis, {"t": t, "s": parse_scalar(args.s)})
+        params = {"t": t, "s": parse_scalar(args.s)} if family == "spin_s" else {"t": t}
+        lax = build_lax(family, basis, params)
         dump = {
             "name": f"lax {family}",
             "basis": basis.labels(),
             "entries": {f"{i}{j}": matrix_dump(lax[i][j], basis, f"L[{i}][{j}]")["entries"]
                         for i in range(2) for j in range(2)},
         }
-    else:
-        print(f"error: unknown matrix kind {which!r}", file=sys.stderr)
-        return EXIT_USAGE
     print(json.dumps(dump, indent=2, sort_keys=True))
     return EXIT_PASS
 
@@ -244,27 +279,29 @@ def build_parser():
     p_verify.set_defaults(fn=cmd_verify)
 
     p_eval = sub.add_parser("eval", help="evaluate a polynomial exactly", allow_abbrev=False)
-    p_eval.add_argument("kind", choices=["P", "Q", "R", "skew", "qr", "er"])
-    p_eval.add_argument("--lambda", dest="lam", default="[]")
-    p_eval.add_argument("--mu", default=None)
+    # every kind-specific flag defaults to None: EVAL_FLAGS holds the defaults
+    p_eval.add_argument("kind", choices=list(EVAL_FLAGS))
+    p_eval.add_argument("--lambda")
+    p_eval.add_argument("--mu")
     p_eval.add_argument("--vars", required=True, help="comma-separated rationals")
-    p_eval.add_argument("--t", required=True)
-    p_eval.add_argument("--r", type=int, default=1)
-    p_eval.add_argument("--family", choices=["P", "Qomega"], default="P")
+    p_eval.add_argument("--t", help="required by every kind but er")
+    p_eval.add_argument("--r", type=int)
+    p_eval.add_argument("--family", choices=["P", "Qomega"], help="skew only")
     p_eval.add_argument("--config")
     p_eval.set_defaults(fn=cmd_eval)
 
     p_matrix = sub.add_parser("matrix", help="dump an operator as JSON", allow_abbrev=False)
-    p_matrix.add_argument("which", choices=["lambda", "q", "gamma", "lax"])
-    p_matrix.add_argument("--N", type=int, default=2)
-    p_matrix.add_argument("--n", type=int, default=2)
-    p_matrix.add_argument("--D", type=int, default=4)
-    p_matrix.add_argument("--cap", type=int, default=4)
-    p_matrix.add_argument("--t", default="1/3")
-    p_matrix.add_argument("--x", default="2")
-    p_matrix.add_argument("--s", default="0")
+    # every flag defaults to None: MATRIX_FLAGS holds the defaults
+    p_matrix.add_argument("which", choices=list(MATRIX_FLAGS))
+    p_matrix.add_argument("--N", type=int)
+    p_matrix.add_argument("--n", type=int)
+    p_matrix.add_argument("--D", type=int)
+    p_matrix.add_argument("--cap", type=int)
+    p_matrix.add_argument("--t")
+    p_matrix.add_argument("--x")
+    p_matrix.add_argument("--s", help="lax --family spin_s only")
     p_matrix.add_argument("--family", help="gamma: L|R (default L); lax: qboson|spin_s")
-    p_matrix.add_argument("--sign", choices=["+", "-"], default="-")
+    p_matrix.add_argument("--sign", choices=["+", "-"])
     p_matrix.add_argument("--config")
     p_matrix.set_defaults(fn=cmd_matrix)
 

@@ -275,10 +275,11 @@ def lascoux_reduction_check(n: int, U, V, t) -> bool:
 
     Expands the word prod_k (1 - t^k tau) into 2^n shift terms acting on
     the t-deformed pair kernel, symmetrizes, and compares with the
-    t^{n(n-1)/2} (1-t)^n det-ratio.  tau cycles the variables with the
-    wrapped one killed at q = 0; on the symmetric kernel this amounts to
-    zeroing the last j variables (the forward-cycle reading fails the
-    identity, so the backward one is the intended normalization).
+    t^{n(n-1)/2} (1-t)^n det-ratio, which is (1-t)^{2n} `gaudin_det`.
+    tau cycles the variables with the wrapped one killed at q = 0; on the
+    symmetric kernel this amounts to zeroing the last j variables (the
+    forward-cycle reading fails the identity, so the backward one is the
+    intended normalization).
     """
     if n > 3:
         raise ValueError("desk scale: n <= 3")
@@ -300,9 +301,4 @@ def lascoux_reduction_check(n: int, U, V, t) -> bool:
             acc += (-ONE) ** j * coeff * shifted_kernel(us, j)
         return acc
 
-    lhs = hecke_symmetrize(g, U, t)
-    D = [[ONE / ((1 - U[k] * V[l]) * (1 - t * U[k] * V[l])) for l in range(n)]
-         for k in range(n)]
-    d = [[ONE / (1 - t * U[k] * V[l]) for l in range(n)] for k in range(n)]
-    rhs = t ** (n * (n - 1) // 2) * (1 - t) ** n * _det(D) / _det(d)
-    return lhs == rhs
+    return hecke_symmetrize(g, U, t) == (1 - t) ** (2 * n) * gaudin_det(n, U, V, t)

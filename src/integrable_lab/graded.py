@@ -47,8 +47,8 @@ intertwining, the vertex-operator exchange factors) are fused the same
 way by `sum_of_scaled_products` (sum of c A B, c applied once per entry
 of B), through the same product loop but on Fractions: there products
 are about as many as output entries, so converting would not pay.
-`SparseMatrix.mul` is its one-term case, and `commutator` adds -BA into
-the columns of AB, so AB - BA is compared against zero directly.
+`SparseMatrix.mul` is its one-term case, and a commutator is decided
+as AB == BA, both products through `mul`.
 """
 
 from __future__ import annotations
@@ -493,20 +493,13 @@ def sum_of_scaled_products(terms) -> SparseMatrix:
     return SparseMatrix(dim, _nonzero(acc))
 
 
-def commutator(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    """ab - ba in one accumulator: -ba is added into the columns of `a.mul(b)`,
-    so that product counts taken at `mul` still see every commutator."""
-    acc = a.mul(b).cols
-    _add_product(acc, b.cols, a.cols, -ONE)
-    return SparseMatrix(a.dim, _nonzero(acc))
-
-
 def commutator_vanishes(A: GradedOperator, B: GradedOperator) -> bool:
-    """[A(z1), B(z2)] = 0 identically: every cross block pair commutes.  A
-    self-commutator visits only i < j: (j, i) is (i, j) negated, (i, i) zero."""
+    """[A(z1), B(z2)] = 0 identically: every cross block pair commutes, ab ==
+    ba with both products through `mul`.  A self-commutator visits only
+    i < j: (j, i) is (i, j) swapped, and (i, i) commutes trivially."""
     if A.dim != B.dim:
         raise ValueError("dimension mismatch")
-    return all(commutator(a, b).is_zero()
+    return all(a.mul(b) == b.mul(a)
                for i, a in A.blocks.items() for j, b in B.blocks.items()
                if A is not B or i < j)
 

@@ -346,8 +346,9 @@ def skew_sweep(kind: str, mu, values, t, max_weight: int) -> dict:
     """{lam: the skew function of kind `kind` at lam/mu} for every lam
     reached from mu with |lam| <= max_weight, from one sweep.
 
-    Kinds as in `skew_eval`: "P-skew" gives P_{lam/mu}, "Qomega-skew"
-    gives Q^omega_{lam'/mu'}; a lam absent from the result has value 0.
+    Kinds: "P-skew" gives P_{lam/mu} (as `skew_P`), "Qomega-skew" gives
+    Q^omega_{lam'/mu'} (as `skew_Q_omega`); a lam absent from the result
+    has value 0.
     """
     mu = partition(mu)
     values = [as_scalar(v) for v in values]
@@ -358,14 +359,6 @@ def skew_sweep(kind: str, mu, values, t, max_weight: int) -> dict:
     if kind == "Qomega-skew":
         return _strip_sweep(mu, values, max_weight, vertical_strips_above,
                             partial(PieriTable(t).coeff, "phi'"))
-    raise ValueError(f"unknown skew kind {kind!r}")
-
-
-def skew_eval(kind: str, lam, mu, values, t) -> Fraction:
-    if kind == "P-skew":
-        return skew_P(lam, mu, values, t)
-    if kind == "Qomega-skew":
-        return skew_Q_omega(lam, mu, values, t)
     raise ValueError(f"unknown skew kind {kind!r}")
 
 

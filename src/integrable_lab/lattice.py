@@ -84,14 +84,11 @@ def build_lax(kind: str, z_site_basis: Basis, params: dict):
     spin_s: the cleared form (1+zs) L^s = [[1+zK, z S-], [S+, z+K]] with
     K = s tau, S- = Sbar, S+ = S (1 - s^2 tau)
     Both act on site params["site"] of a params["N"]-site chain basis (both
-    default to 1, a single site).
-    toda / toda_bar / toda_tilde: delegated to the integer-window
-    realization, with params["site"] selecting the coordinate.
+    default to 1, a single site).  The Toda-variable Lax matrices act on
+    integer windows instead: see `toda_lax`.
     """
     t = as_scalar(params["t"])
     site = int(params.get("site", 1))
-    if kind in ("toda", "toda_bar", "toda_tilde"):
-        return toda_lax(kind, z_site_basis, site, t)
     if kind not in ("qboson", "spin_s"):
         raise ValueError(f"unknown single-site lax kind {kind!r}")
     N = int(params.get("N", 1))
@@ -394,33 +391,24 @@ def monodromy(builders, max_degree: int, cols=None):
     return T
 
 
-def qboson_monodromy(basis: Basis, N: int, t, trivial_first=False):
-    """Product of q-boson Lax matrices over sites 1..N of a chain basis.
-
-    With trivial_first, a spectator site with S = Sbar = 1 is prepended,
-    which amounts to left-multiplying by [[1, z], [1, z]].
-    """
+def qboson_monodromy(basis: Basis, N: int, t):
+    """Product of q-boson Lax matrices over sites 1..N of a chain basis."""
     t = as_scalar(t)
     # folded on every column, so each builder is asked for the whole basis
-    T = monodromy([lambda sources, site=site: build_lax("qboson", basis,
-                                                        {"t": t, "site": site, "N": N})
-                   for site in range(1, N + 1)], N + 1)
-    if trivial_first:
-        dim = len(basis)
-        one = GradedOperator.identity(dim)
-        zI = GradedOperator(dim, {1: SparseMatrix.identity(dim)})
-        T = mat2_mul([[one, zI], [one, zI]], T, N + 1)
-    return T
+    return monodromy([lambda sources, site=site: build_lax("qboson", basis,
+                                                           {"t": t, "site": site, "N": N})
+                      for site in range(1, N + 1)], N + 1)
 
 
 def open_A_via_monodromy(basis: Basis, N: int, t):
     """(A_N, Abar_N) from the first row of the monodromy with a trivial site.
 
-    A_N = M_11 + z M_21 and z^{N+1} Abar_N = M_12 + z M_22, so Abar is
-    recovered by reflecting the grading at degree N+1.
+    The trivial site (S = Sbar = 1) left-multiplies the monodromy M by
+    [[1, z], [1, z]], so A_N = M_11 + z M_21 and z^{N+1} Abar_N = M_12 +
+    z M_22; Abar is recovered by reflecting the grading at degree N+1.
     """
     t = as_scalar(t)
-    M = qboson_monodromy(basis, N, t, trivial_first=False)
+    M = qboson_monodromy(basis, N, t)
     A = M[0][0].add(M[1][0].shift(1))
     up = M[0][1].add(M[1][1].shift(1))
     Abar = up.reflect(N + 1)
@@ -508,15 +496,14 @@ def toda_U(basis: Basis, k: int, t, x0=None, sources=None):
             [GradedOperator(dim, {0: S}), Z]]
 
 
-def qboson_lax_toda_vars(basis: Basis, k: int, t, open_x0=True, sources=None):
+def qboson_lax_toda_vars(basis: Basis, k: int, t, sources=None):
     """q-boson Lax at site k realized with Toda shifts: S_k = prefix raise,
-    Sbar_k = prefix lower times (1 - x_k / x_{k+1}) read on the source.
+    Sbar_k = prefix lower times (1 - x_k / x_{k+1}) read on the source; the
+    open boundary site k = 0 has S_0 = Sbar_0 = 1.
     With `sources`, every entry is built on those source columns only."""
     dim = len(basis)
     I = SparseMatrix.identity(dim, sources)
     if k == 0:
-        if not open_x0:
-            raise ValueError("periodic site 0 not realized here")
         S = Sb = I
     else:
         prefix = list(range(1, k + 1))
@@ -533,12 +520,11 @@ def qboson_lax_toda_vars(basis: Basis, k: int, t, open_x0=True, sources=None):
             [GradedOperator(dim, {0: S}), GradedOperator(dim, {1: I})]]
 
 
-def toda_monodromy(kind: str, basis: Basis, N: int, t, max_degree=None, cols=None):
+def toda_monodromy(kind: str, basis: Basis, N: int, t, cols=None):
     """L_1 ... L_N over window coordinates, graded degree capped at N; with
     `cols`, only those source columns, each factor built only on the states
     the fold reaches (see `monodromy`)."""
-    cap = max_degree if max_degree is not None else N
-    return monodromy([partial(toda_lax, kind, basis, k, t) for k in range(1, N + 1)], cap, cols)
+    return monodromy([partial(toda_lax, kind, basis, k, t) for k in range(1, N + 1)], N, cols)
 
 
 def window_to_partitions(entry: GradedOperator, window: Basis, basis_p: Basis,

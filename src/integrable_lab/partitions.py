@@ -187,24 +187,17 @@ def vertical_strips_below(lam):
             results.append(_trimmed(acc))
             return
         for delta in (0, 1):
-            v = lam[i] - delta
-            if v < 0 and delta == 1:
-                continue
+            v = lam[i] - delta  # >= 0: every part is >= 1
             if acc and v > acc[-1]:
                 continue
             rec(i + 1, acc + [v])
 
+    # distinct: each strip is a distinct length-n tuple before trimming
     rec(0, [])
-    seen = set()
-    out = []
-    for mu in results:
-        if mu not in seen:
-            seen.add(mu)
-            out.append(mu)
-    return out
+    return results
 
 
-def vertical_strips_above(mu, max_size: int, max_part=None, max_length=None):
+def vertical_strips_above(mu, max_size: int, max_length=None):
     """All lam ⊇ mu with lam/mu a vertical strip of size <= max_size.
 
     lam = mu + (0/1 per row), weakly decreasing, length capped.  A zero
@@ -226,8 +219,6 @@ def vertical_strips_above(mu, max_size: int, max_part=None, max_length=None):
                 continue
             v = base + delta
             if acc and v > acc[-1]:
-                continue
-            if max_part is not None and v > max_part:
                 continue
             if v == 0:
                 results.append(tuple(acc))

@@ -5,12 +5,16 @@ code paths (different modules where possible), so a shared bug cannot
 self-certify.  A SuiteSpec (name, parameters, seed) reproduces its
 report byte for byte; exact suites report deviation 0 or fail, and a
 failing check lists the failure items its identity check returned.
+Each suite declares the params it reads with their defaults and least
+values; a param it does not read, or a value that would leave one of its
+checks nothing to assert, is rejected before the suite starts.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import count
 
 from .scalars import ONE, ZERO, format_scalar
@@ -104,17 +108,16 @@ def _check(name, ref, ok, deviation="0", detail="", failures=()):
 # ---------------------------------------------------------------------------
 # individual suites
 
-def _suite_rll(spec):
+def _suite_rll(seed, p):
     checks = []
-    cap = int(spec.params.get("cap", 5))
-    draws = int(spec.params.get("draws", 5))
-    for i in range(draws):
-        u, v = draw_params(spec.seed + i, "distinct-2")
-        t = _small_t(spec.seed, i)
+    cap = p["cap"]
+    for i in range(p["draws"]):
+        u, v = draw_params(seed + i, "distinct-2")
+        t = _small_t(seed, i)
         ok, fails = lattice.rll_check_qboson(u, v, t, cap)
         checks.append(_check(f"six-vertex RLL draw {i}", "six-vertex RLL relation",
                              ok, detail=f"u={u} v={v} t={t} cap={cap}", failures=fails))
-        z, uu = draw_params(spec.seed + 100 + i, "distinct-2")
+        z, uu = draw_params(seed + 100 + i, "distinct-2")
         ok2, fails2 = baxter_q.ll_relations_check(uu, t, cap + 1)
         checks.append(_check(f"auxiliary Lax relations draw {i}",
                              "q-Toda R-matrix commutation relations", ok2, failures=fails2))
@@ -124,68 +127,52 @@ def _suite_rll(spec):
     return checks
 
 
-def _suite_pieri(spec):
+# the two omega-dual Pieri rules f_r F_mu = sum over strips lam/mu of size
+# r of c_{lam/mu} F_lam: (check name, paper ref, alphabet draw seed + a i +
+# b as (a, b), series f_r, side F of the alphabet, strips, coefficient c)
+_PIERI_RULES = {
+    "pieri": ("Pieri rule", "Hall-Littlewood Pieri rule", (7, 1),
+              hl.complete_q_coeffs, "Q", horizontal_strips_above, "psi"),
+    "hall-pieri": ("Hall Pieri rule", "Hall Pieri (elementary) rule", (11, 2),
+                   lambda V, t, max_r: hl.elementary_e_coeffs(V, max_r), "P",
+                   vertical_strips_above, "psi'"),
+}
+
+
+def _suite_pieri_rule(rule, seed, p):
+    name, ref, (a, b), series_of, side, strips, kind = _PIERI_RULES[rule]
     checks = []
-    draws = int(spec.params.get("draws", 3))
-    max_wt = int(spec.params.get("max_weight", 5))
-    max_r = int(spec.params.get("max_r", 3))
-    nvars = int(spec.params.get("vars", 3))
-    for i in range(draws):
-        t = _small_t(spec.seed, i)
-        U = draw_params(spec.seed + 7 * i + 1, f"distinct-{nvars}")
-        series = hl.complete_q_coeffs(U, t, max_r)
-        Q = hl.Alphabet(U, t).Q
+    max_r = p["max_r"]
+    for i in range(p["draws"]):
+        t = _small_t(seed, i)
+        alphabet = draw_params(seed + a * i + b, f"distinct-{p['vars']}")
+        series = series_of(alphabet, t, max_r)
+        F = getattr(hl.Alphabet(alphabet, t), side)
         coeff = hl.PieriTable(t).coeff
         ok = True
-        for mu in partition_basis(max_wt):
+        for mu in partition_basis(p["max_weight"]):
+            # one enumeration per mu, bucketed by strip size
+            by_size = [[] for _ in range(max_r + 1)]
+            for lam in strips(mu, max_r):
+                by_size[weight(lam) - weight(mu)].append(lam)
+            F_mu = F(mu)
             for r in range(1, max_r + 1):
-                lhs = series[r] * Q(mu)
                 rhs = ZERO
-                for lam in horizontal_strips_above(mu, r):
-                    if weight(lam) - weight(mu) == r:
-                        rhs += coeff("psi", lam, mu) * Q(lam)
-                ok = ok and lhs == rhs
-        checks.append(_check(f"Pieri rule draw {i}", "Hall-Littlewood Pieri rule",
-                             ok, detail=f"t={t}"))
+                for lam in by_size[r]:
+                    rhs += coeff(kind, lam, mu) * F(lam)
+                ok = ok and series[r] * F_mu == rhs
+        checks.append(_check(f"{name} draw {i}", ref, ok, detail=f"t={t}"))
     return checks
 
 
-def _suite_hall_pieri(spec):
+def _suite_cauchy(kind, seed, p):
     checks = []
-    draws = int(spec.params.get("draws", 3))
-    max_wt = int(spec.params.get("max_weight", 5))
-    max_r = int(spec.params.get("max_r", 3))
-    nvars = int(spec.params.get("vars", 3))
-    for i in range(draws):
-        t = _small_t(spec.seed, i)
-        V = draw_params(spec.seed + 11 * i + 2, f"distinct-{nvars}")
-        series = hl.elementary_e_coeffs(V, max_r)
-        P = hl.Alphabet(V, t).P
-        coeff = hl.PieriTable(t).coeff
-        ok = True
-        for mu in partition_basis(max_wt):
-            for r in range(1, max_r + 1):
-                lhs = series[r] * P(mu)
-                rhs = ZERO
-                for lam in vertical_strips_above(mu, r):
-                    if weight(lam) - weight(mu) == r:
-                        rhs += coeff("psi'", lam, mu) * P(lam)
-                ok = ok and lhs == rhs
-        checks.append(_check(f"Hall Pieri rule draw {i}", "Hall Pieri (elementary) rule",
-                             ok, detail=f"t={t}"))
-    return checks
-
-
-def _suite_cauchy(spec, kind="cauchy"):
-    checks = []
-    draws = int(spec.params.get("draws", 3))
-    degree = int(spec.params.get("degree", 6))
-    nvars = int(spec.params.get("vars", 3))
+    degree = p["degree"]
     label = "Cauchy identity" if kind == "cauchy" else "dual Cauchy identity"
-    for i in range(draws):
-        t = _small_t(spec.seed, i)
-        U = draw_params(spec.seed + 13 * i + 3, f"distinct-{nvars}")
-        V = draw_params(spec.seed + 17 * i + 4, f"distinct-{nvars}")
+    for i in range(p["draws"]):
+        t = _small_t(seed, i)
+        U = draw_params(seed + 13 * i + 3, f"distinct-{p['vars']}")
+        V = draw_params(seed + 17 * i + 4, f"distinct-{p['vars']}")
         ok, report = hl.cauchy_coeff_check(degree, U, V, t, kind=kind)
         bad = [r["degree"] for r in report if not r["ok"]]
         checks.append(_check(f"{label} draw {i}", label, ok,
@@ -193,11 +180,10 @@ def _suite_cauchy(spec, kind="cauchy"):
     return checks
 
 
-def _suite_gamma_commute(spec):
+def _suite_gamma_commute(seed, p):
     checks = []
-    D = int(spec.params.get("D", 10))
-    deg = int(spec.params.get("degree", 4))
-    t = _small_t(spec.seed, 0)
+    D, deg = p["D"], p["degree"]
+    t = _small_t(seed, 0)
     basis = partition_basis(D)
     gamma = {(fam, sign): vertex_ops.build_gamma(fam, sign, basis, t)
              for fam in ("L", "R") for sign in ("+", "-")}
@@ -217,18 +203,16 @@ def _suite_gamma_commute(spec):
     return checks
 
 
-def _suite_gamma_eigen(spec):
+def _suite_gamma_eigen(seed, p):
     checks = []
-    D = int(spec.params.get("D", 10))
-    deg = int(spec.params.get("degree", 4))
-    maxvars = int(spec.params.get("vars", 3))
-    t = _small_t(spec.seed, 0)
+    D, deg = p["D"], p["degree"]
+    t = _small_t(seed, 0)
     basis = partition_basis(D)
     plus_L = vertex_ops.build_gamma("L", "+", basis, t)
     plus_R = vertex_ops.build_gamma("R", "+", basis, t)
     minus_L = vertex_ops.build_gamma("L", "-", basis, t)
-    for nv in range(1, maxvars + 1):
-        V = draw_params(spec.seed + nv, f"distinct-{nv}")
+    for nv in range(1, p["vars"] + 1):
+        V = draw_params(seed + nv, f"distinct-{nv}")
         state_L = vertex_ops.build_eigenstate("L", V, basis, t)
         ok, fails = vertex_ops.gamma_eigen_check(plus_L, "L", V, deg, state_L)
         checks.append(_check(f"annihilation on the Cauchy state, {nv} vars",
@@ -259,18 +243,16 @@ def _suite_gamma_eigen(spec):
     return checks
 
 
-def _suite_tq(spec):
+def _suite_tq(seed, p):
     checks = []
-    draws = int(spec.params.get("draws", 3))
-    N_range = spec.params.get("N_range", range(1, 5))
-    n_range = spec.params.get("n_range", range(0, 5))
+    N_range, n_range = p["N_range"], p["n_range"]
     if isinstance(N_range, int):
         N_range = [N_range]
     if isinstance(n_range, int):
         n_range = [n_range]
-    for i in range(draws):
-        t = _small_t(spec.seed, i)
-        x = draw_params(spec.seed + 31 * i + 5, "generic", 1)[0]
+    for i in range(p["draws"]):
+        t = _small_t(seed, i)
+        x = draw_params(seed + 31 * i + 5, "generic", 1)[0]
         failures = []
         for N in N_range:
             for n in n_range:
@@ -281,15 +263,13 @@ def _suite_tq(spec):
     return checks
 
 
-def _suite_lambda_q(spec):
+def _suite_lambda_q(seed, p):
     checks = []
-    draws = int(spec.params.get("draws", 3))
-    pairs = spec.params.get("pairs", [(2, 2), (3, 2), (2, 3), (3, 3)])
-    for i in range(draws):
-        t = _small_t(spec.seed, i)
-        x = draw_params(spec.seed + 41 * i + 6, "generic", 1)[0]
+    for i in range(p["draws"]):
+        t = _small_t(seed, i)
+        x = draw_params(seed + 41 * i + 6, "generic", 1)[0]
         ok_lq = ok_qq = ok_tr = True
-        for N, n in pairs:  # one Q-matrix per sector for the three checks
+        for N, n in p["pairs"]:  # one Q-matrix per sector for the three checks
             q = baxter_q.build_qmatrix(N, n, x, t)
             ok_lq = ok_lq and baxter_q.lambda_q_commute_check(
                 lattice.periodic_transfer(N, n, x, t), q)
@@ -302,8 +282,8 @@ def _suite_lambda_q(spec):
         checks.append(_check(f"Q translation covariance draw {i}",
                              "Q commutes with the one-step translation", ok_tr))
     # independent construction via the auxiliary-spin trace
-    t = _small_t(spec.seed, 99)
-    x = draw_params(spec.seed + 999, "generic", 1)[0]
+    t = _small_t(seed, 99)
+    x = draw_params(seed + 999, "generic", 1)[0]
     z = Fraction(3, 4)
     ok = True
     for (N, n) in [(2, 2), (3, 2), (3, 3)]:
@@ -314,18 +294,15 @@ def _suite_lambda_q(spec):
     return checks
 
 
-def _suite_ar_project(spec):
+def _suite_ar_project(seed, p):
     checks = []
-    draws = int(spec.params.get("draws", 3))
-    N_max = int(spec.params.get("N_max", 3))
-    for i in range(draws):
-        t = _small_t(spec.seed, i)
-        z, u = draw_params(spec.seed + 51 * i + 7, "distinct-2")
+    for i in range(p["draws"]):
+        t = _small_t(seed, i)
+        z, u = draw_params(seed + 51 * i + 7, "distinct-2")
         failures = []
-        for N in range(1, N_max + 1):
-            max_weight = int(spec.params.get("max_weight", 8))
-            max_len = int(spec.params.get("max_len", N + 3))
-            _, fails = baxter_q.ar_project_check(N, z, u, t, max_weight, max_len)
+        for N in range(1, p["N_max"] + 1):
+            max_len = N + 3 if p["max_len"] is None else p["max_len"]
+            _, fails = baxter_q.ar_project_check(N, z, u, t, p["max_weight"], max_len)
             failures += [{"N": N, **f} for f in fails]
         checks.append(_check(f"projected intertwining draw {i}",
                              "open-chain intertwining relation", not failures,
@@ -333,29 +310,29 @@ def _suite_ar_project(spec):
     return checks
 
 
-def _suite_bethe(spec):
+def _suite_bethe(seed, p):
     checks = []
-    t = _small_t(spec.seed, 0)
+    t = _small_t(seed, 0)
     z = Fraction(3, 4)
     s_vals = [Fraction(0), Fraction(1, 6)]
     for s in s_vals:
         ok = True
         for (mu, N, k) in [((2,), 5, 1), ((4, 1), 6, 2), ((3, 2), 6, 2),
                            ((5, 3, 1), 7, 3), ((4, 3, 1), 7, 3)]:
-            us = draw_params(spec.seed + 61 * k, f"distinct-{len(mu)}")
+            us = draw_params(seed + 61 * k, f"distinct-{len(mu)}")
             good, _, _ = bethe.interior_staircase_check(mu, N, us, t, s, z)
             ok = ok and good
         checks.append(_check(f"interior staircase identity s={s}",
                              "coordinate Bethe ansatz, quantization-free", ok,
                              detail="ansatz assumed beyond doubly-occupied targets"))
-    us = draw_params(spec.seed + 73, "distinct-2")
+    us = draw_params(seed + 73, "distinct-2")
     okp, _ = bethe.graded_pieri_on_integers_check((2, -1), us, t, 3)
     checks.append(_check("integer-window graded relation",
                          "infinite-chain eigen relation", okp))
     # periodic: solver + residual
     X = Fraction(1)
     sysm1 = bethe.bethe_solve(3, 1, Fraction(1, 3), Fraction(0), Fraction(3, 5),
-                              seeds=40, seed=spec.seed + 1)
+                              seeds=40, seed=seed + 1)
     closed = all(abs(root[0] ** 3 - 0.6) < 1e-12 for root in sysm1.roots)
     checks.append(_check("closed-form roots M=1", "Bethe equations, one particle",
                          len(sysm1.roots) == 3 and closed,
@@ -364,7 +341,7 @@ def _suite_bethe(spec):
     worst = 0.0
     for M in (1, 2):
         system = bethe.bethe_solve(3, M, Fraction(1, 3), Fraction(0), X,
-                                   seeds=40, seed=spec.seed + 2)
+                                   seeds=40, seed=seed + 2)
         ok_res = ok_res and bool(system.roots)
         ok_res = ok_res and all(r < 1e-10 for r in system.residuals)
         res = bethe.periodic_eigen_residual(system, complex(0.37))
@@ -373,19 +350,19 @@ def _suite_bethe(spec):
     checks.append(_check("periodic residuals N=3", "Bethe eigenvalue residual",
                          ok_res, deviation=worst,
                          detail="ansatz assumed beyond doubly-occupied targets"))
-    okc = bethe.pair_cancellation_check(*draw_params(spec.seed + 83, "distinct-2"),
+    okc = bethe.pair_cancellation_check(*draw_params(seed + 83, "distinct-2"),
                                         Fraction(3, 4), Fraction(1, 6), t)
     checks.append(_check("two-body cancellation", "Bethe amplitude ratio", okc))
     return checks
 
 
-def _suite_gaudin(spec):
+def _suite_gaudin(seed, p):
     checks = []
     t = Fraction(2, 7)
-    truncation = int(spec.params.get("truncation", 60))
+    truncation = p["truncation"]
     for n in (1, 2):
-        U = draw_params(spec.seed + n, "gaudin", n)
-        V = draw_params(spec.seed + 10 + n, "gaudin", n)
+        U = draw_params(seed + n, "gaudin", n)
+        V = draw_params(seed + 10 + n, "gaudin", n)
         det = gaudin.gaudin_det(n, U, V, t)
         ok = True
         worst = Fraction(0)
@@ -406,14 +383,14 @@ def _suite_gaudin(spec):
 LASCOUX_REDRAW = 1000
 
 
-def _suite_lascoux(spec):
+def _suite_lascoux(seed, p):
     checks = []
-    t = _small_t(spec.seed, 0)
+    t = _small_t(seed, 0)
     for n in (1, 2, 3):
         for redraw in count():
-            seed = spec.seed + LASCOUX_REDRAW * redraw
-            U = [u / 4 for u in draw_params(seed + 3 * n, f"distinct-{n}")]
-            V = [v / 4 for v in draw_params(seed + 7 * n + 1, f"distinct-{n}")]
+            draw = seed + LASCOUX_REDRAW * redraw
+            U = [u / 4 for u in draw_params(draw + 3 * n, f"distinct-{n}")]
+            V = [v / 4 for v in draw_params(draw + 7 * n + 1, f"distinct-{n}")]
             if gaudin.singular_point(U, V, t) is None:
                 break
         ok = gaudin.lascoux_reduction_check(n, U, V, t)
@@ -423,12 +400,11 @@ def _suite_lascoux(spec):
     return checks
 
 
-def _suite_adjoint(spec):
+def _suite_adjoint(seed, p):
     checks = []
-    t = _small_t(spec.seed, 0)
-    x = draw_params(spec.seed + 5, "generic", 1)[0]
-    norm = {lam: state_norm(lam, t) for lam in partition_basis(
-        int(spec.params.get("max_weight", 8)))}
+    t = _small_t(seed, 0)
+    x = draw_params(seed + 5, "generic", 1)[0]
+    norm = {lam: state_norm(lam, t) for lam in partition_basis(p["max_weight"])}
     coeff = hl.PieriTable(t).coeff
     ok = True
     for lam in norm:  # every horizontal strip lam/mu, lam/lam included
@@ -456,10 +432,10 @@ def _suite_adjoint(spec):
     return checks
 
 
-def _suite_gauge(spec):
+def _suite_gauge(seed, p):
     checks = []
-    t = _small_t(spec.seed, 0)
-    x = draw_params(spec.seed + 5, "generic", 1)[0]
+    t = _small_t(seed, 0)
+    x = draw_params(seed + 5, "generic", 1)[0]
     for N in (2, 3):
         ok, fails = lattice.toda_gauge_check(N, t, window_top=N + 2)
         checks.append(_check(f"gauge relations N={N}",
@@ -473,12 +449,11 @@ def _suite_gauge(spec):
     return checks
 
 
-def _suite_paper_matrices(spec):
+def _suite_paper_matrices(seed, p):
     checks = []
-    draws = max(5, int(spec.params.get("draws", 5)))
-    for i in range(draws):
-        t = _small_t(spec.seed, i)
-        z, x = draw_params(spec.seed + 91 * i + 8, "distinct-2")
+    for i in range(p["draws"]):
+        t = _small_t(seed, i)
+        z, x = draw_params(seed + 91 * i + 8, "distinct-2")
         lam = lattice.periodic_transfer(2, 2, x, t).eval_at(z)
         q = baxter_q.build_qmatrix(2, 2, x, t).eval_at(z)
         # displayed in the source layout: reversed basis order, rows=targets
@@ -501,31 +476,51 @@ def _suite_paper_matrices(spec):
     return checks
 
 
-# name -> (suite, the params it reads); each param maps to the `verify`
-# flag that sets it, or to None when only run_suite can pass it (values
-# that are not a single integer, and max_r)
+def _ar_project_least(p):
+    """ar_project_check asserts the columns with headroom N + 1 in weight
+    and length, so the empty partition needs both caps >= N_max + 1."""
+    return p["N_max"] + 1
+
+
+def _gamma_least(p):
+    """The vertex-operator checks assert degree r on the states of weight
+    <= D - r, so the empty partition needs D >= degree."""
+    return p["degree"]
+
+
+_PIERI_PARAMS = {"draws": ("draws", 3, 1), "max_weight": ("max_weight", 5, 0),
+                 "max_r": (None, 3, 1), "vars": ("vars", 3, 1)}
+_CAUCHY_PARAMS = {"draws": ("draws", 3, 1), "degree": ("degree", 6, 1), "vars": ("vars", 3, 1)}
+
+# name -> (suite, {param: (verify flag, default, least value)}) for the
+# params the suite reads.  The flag is None when only run_suite can pass
+# the param (values that are not a single integer, and max_r).  The least
+# value is the smallest that leaves every check something to assert
+# (None: no bound, or a function of the other params); a list or range
+# needs every member at least that.
 _SUITES = {
-    "rll": (_suite_rll, {"cap": "cap", "draws": "draws"}),
-    "pieri": (_suite_pieri, {"draws": "draws", "max_weight": "max_weight",
-                             "max_r": None, "vars": "vars"}),
-    "hall-pieri": (_suite_hall_pieri, {"draws": "draws", "max_weight": "max_weight",
-                                       "max_r": None, "vars": "vars"}),
-    "cauchy": (lambda s: _suite_cauchy(s, "cauchy"),
-               {"draws": "draws", "degree": "degree", "vars": "vars"}),
-    "dual-cauchy": (lambda s: _suite_cauchy(s, "dual"),
-                    {"draws": "draws", "degree": "degree", "vars": "vars"}),
-    "gamma-commute": (_suite_gamma_commute, {"D": "D", "degree": "degree"}),
-    "gamma-eigen": (_suite_gamma_eigen, {"D": "D", "degree": "degree", "vars": "vars"}),
-    "tq": (_suite_tq, {"draws": "draws", "N_range": "N", "n_range": "n"}),
-    "lambda-q": (_suite_lambda_q, {"draws": "draws", "pairs": None}),
-    "ar-project": (_suite_ar_project, {"draws": "draws", "N_max": "N",
-                                       "max_weight": "max_weight", "max_len": "max_len"}),
+    "rll": (_suite_rll, {"cap": ("cap", 5, 2), "draws": ("draws", 5, 1)}),
+    "pieri": (partial(_suite_pieri_rule, "pieri"), _PIERI_PARAMS),
+    "hall-pieri": (partial(_suite_pieri_rule, "hall-pieri"), _PIERI_PARAMS),
+    "cauchy": (partial(_suite_cauchy, "cauchy"), _CAUCHY_PARAMS),
+    "dual-cauchy": (partial(_suite_cauchy, "dual"), _CAUCHY_PARAMS),
+    "gamma-commute": (_suite_gamma_commute, {"D": ("D", 10, _gamma_least),
+                                             "degree": ("degree", 4, 1)}),
+    "gamma-eigen": (_suite_gamma_eigen, {"D": ("D", 10, _gamma_least),
+                                         "degree": ("degree", 4, 1), "vars": ("vars", 3, 1)}),
+    "tq": (_suite_tq, {"draws": ("draws", 3, 1), "N_range": ("N", range(1, 5), 1),
+                       "n_range": ("n", range(0, 5), 0)}),
+    "lambda-q": (_suite_lambda_q, {"draws": ("draws", 3, 1),
+                                   "pairs": (None, [(2, 2), (3, 2), (2, 3), (3, 3)], None)}),
+    "ar-project": (_suite_ar_project, {"draws": ("draws", 3, 1), "N_max": ("N", 3, 1),
+                                       "max_weight": ("max_weight", 8, _ar_project_least),
+                                       "max_len": ("max_len", None, _ar_project_least)}),
     "bethe": (_suite_bethe, {}),
-    "gaudin": (_suite_gaudin, {"truncation": "truncation"}),
+    "gaudin": (_suite_gaudin, {"truncation": ("truncation", 60, 0)}),
     "lascoux": (_suite_lascoux, {}),
-    "adjoint": (_suite_adjoint, {"max_weight": "max_weight"}),
+    "adjoint": (_suite_adjoint, {"max_weight": ("max_weight", 8, 0)}),
     "gauge": (_suite_gauge, {}),
-    "paper-matrices": (_suite_paper_matrices, {"draws": "draws"}),
+    "paper-matrices": (_suite_paper_matrices, {"draws": ("draws", 5, 1)}),
 }
 
 SUITE_NAMES = sorted(_SUITES)
@@ -540,20 +535,50 @@ def _registered(name: str):
 
 def suite_flags(name: str) -> dict:
     """{verify flag: param} for the flags the named suite reads."""
-    return {flag: param for param, flag in _registered(name)[1].items() if flag}
+    return {flag: param for param, (flag, _, _) in _registered(name)[1].items() if flag}
+
+
+def suite_params(spec: SuiteSpec) -> dict:
+    """Every param the suite reads: the given value (made an integer unless
+    it is a list, tuple or range) or its default.
+
+    Raises KeyError for a param the suite does not read and ValueError,
+    naming the param, its flag and the value, for a value below its least
+    value (or an empty list or range).
+    """
+    reads = _registered(spec.name)[1]
+    unread = sorted(set(spec.params) - set(reads))
+    if unread:
+        raise KeyError(f"suite {spec.name!r} does not read {', '.join(unread)}; "
+                       f"it reads {', '.join(sorted(reads)) or 'no params'}")
+    params = {}
+    for param, (_, default, _) in reads.items():
+        value = spec.params.get(param, default)
+        if value is not None and not isinstance(value, (list, tuple, range)):
+            value = int(value)
+        params[param] = value
+    for param, (flag, _, least) in reads.items():
+        value = params[param]
+        if least is None or value is None:
+            continue
+        if callable(least):
+            least = least(params)
+        members = list(value) if isinstance(value, (list, tuple, range)) else [value]
+        if not members or min(members) < least:
+            via = f" (--{flag})" if flag else ""
+            raise ValueError(f"suite {spec.name!r} needs {param} >= {least}{via}, got {value}")
+    return params
 
 
 def run_suite(spec: SuiteSpec) -> dict:
     """Run a registered suite; the report is reproducible from (name, seed).
 
-    A param the suite does not read is rejected, not ignored.
+    Its params are checked first (`suite_params`): a param the suite does
+    not read is rejected, not ignored, and so is a value that would leave a
+    check nothing to assert.
     """
-    suite, reads = _registered(spec.name)
-    unread = sorted(set(spec.params) - set(reads))
-    if unread:
-        raise KeyError(f"suite {spec.name!r} does not read {', '.join(unread)}; "
-                       f"it reads {', '.join(sorted(reads)) or 'no params'}")
-    checks = suite(spec)
+    suite, _ = _registered(spec.name)
+    checks = suite(spec.seed, suite_params(spec))
     status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
     return {
         "suite": spec.name,

@@ -28,7 +28,6 @@ from functools import partial
 from .graded import (
     GradedOperator,
     SparseMatrix,
-    commutator,
     mismatch_items,
     sum_of_scaled_products,
     vector_mismatches,
@@ -156,16 +155,17 @@ def gamma_commutation_check(plus: VertexOp, minus: VertexOp, max_degree: int):
 
 def pair_commutation_check(vop: VertexOp, max_degree: int):
     """[Gamma_s(z), Gamma_s(z')] = 0: all block pairs commute on the window
-    (only a < b is visited: (b, a) is (a, b) negated, (a, a) zero).
-    Returns (ok, failures), the commutator as `lhs`."""
+    (only a < b is visited: (b, a) is (a, b) swapped, (a, a) trivial).
+    Returns (ok, failures), the entry of A_a A_b as `lhs` and of A_b A_a
+    as `rhs`."""
     cap = vop.weight_cap
     failures = []
     for a in range(max_degree + 1):
         for b in range(a + 1, max_degree + 1):
             cols = [j for j, mu in enumerate(vop.basis.states)
                     if vop.sign == "+" or weight(mu) + b <= cap]
-            diff = commutator(vop.block(a), vop.block(b))
-            failures += mismatch_items(diff.mismatches(SparseMatrix(diff.dim), cols), vop.basis,
+            A, B = vop.block(a), vop.block(b)
+            failures += mismatch_items(A.mul(B).mismatches(B.mul(A), cols), vop.basis,
                                        bidegree=(a, b))
     return not failures, failures
 

@@ -288,3 +288,12 @@ def test_toda_intertwine_reports_a_perturbed_LL(monkeypatch):
         rhs = sum(LL.entry(r, k) * right.entry(k, c) for k in range(len(states)))
         assert (f["lhs"], f["rhs"]) == (format_scalar(lhs), format_scalar(rhs))
         assert lhs != rhs
+
+
+@pytest.mark.parametrize("N, max_weight, max_len", [(2, 2, 6), (3, 8, 3), (1, 1, 1)])
+def test_ar_project_check_rejects_caps_that_assert_no_column(N, max_weight, max_len):
+    with pytest.raises(ValueError, match=f"no column at N={N}"):
+        ar_project_check(N, F(2), F(5), F(1, 3), max_weight, max_len)
+    # one more unit on each cap asserts the empty partition
+    ok, _ = ar_project_check(N, F(2), F(5), F(1, 3), N + 1, N + 1)
+    assert ok

@@ -12,7 +12,6 @@ from integrable_lab.bethe import (
     interior_staircase_check,
     pair_cancellation_check,
     periodic_eigen_residual,
-    spin_eigen_check,
     spin_transfer_column,
     x_hat,
     xi,
@@ -83,12 +82,6 @@ def test_interior_staircase_exact():
     assert ok
 
 
-def test_spin_eigen_check_dispatch():
-    out = spin_eigen_check("interior-window", mu=(3, 1), N=5,
-                           us=[F(5, 3), F(-7, 4)], t=T, s=S, z=F(3, 4))
-    assert out["ok"] and "assumed" in out["note"]
-
-
 def test_graded_pieri_on_integers():
     us = [F(5, 3), F(-7, 4)]
     ok, report = graded_pieri_on_integers_check((2, -1), us, T, 3)
@@ -149,7 +142,7 @@ def test_m0_trivial():
     assert system.roots == [tuple()]
     # the periodic residual needs a particle; M = 0 is rejected, not passed
     with pytest.raises(ValueError, match="M >= 1"):
-        spin_eigen_check("periodic", system=system, z=0.3)
+        periodic_eigen_residual(system, 0.3)
 
 
 def test_json_roundtrip():
@@ -166,3 +159,11 @@ def test_bethe_solve_rejects_t_one():
     for t in (F(1), 1, 1.0):
         with pytest.raises(ValueError, match="t = 1"):
             bethe_solve(2, 1, t, F(0), F(1), seeds=2, seed=0)
+
+
+@pytest.mark.parametrize("N, M, seeds", [(0, 1, 20), (-1, 0, 20), (3, -1, 20), (3, 1, 0),
+                                         (3, 1, -2)])
+def test_bethe_solve_rejects_degenerate_inputs(N, M, seeds):
+    # N = 0 used to return every seed as a root of the constant system
+    with pytest.raises(ValueError, match=f"got N={N}, M={M}, seeds={seeds}"):
+        bethe_solve(N, M, F(1, 3), F(0), F(1), seeds=seeds)

@@ -14,8 +14,8 @@ whether or not its factor builders honour their source lists,
 lists, cancelling terms and empty operands included, on values with
 large numerators over many denominators, storing only reduced nonzero
 Fractions and no degree above the cap; the ungraded
-`sum_of_scaled_products`, `mul` and `commutator` must equal dense sums
-of scaled products.  Both `from_entries` constructors
+`sum_of_scaled_products` and `mul` must equal dense sums of scaled
+products, and `commutator_vanishes` must decide the dense AB - BA.  Both `from_entries` constructors
 must equal the per-entry `add_to` loop they replace on entry lists with
 repeats, cancelling pairs and explicit zeros.
 """
@@ -29,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 from integrable_lab.graded import (
     GradedOperator,
     SparseMatrix,
-    commutator,
+    commutator_vanishes,
     sum_of_products,
     sum_of_scaled_products,
     vector_mismatches,
@@ -406,9 +406,12 @@ def test_sum_of_scaled_products_equals_dense_sum(terms, cancel):
     assert_stored_clean(got)
     a, b = terms[0][1:]
     assert dense(a.mul(b)) == dense_mul(dense(a), dense(b))
-    assert dense(commutator(a, b)) == dense_add(dense_mul(dense(a), dense(b)),
-                                                [[-v for v in row]
-                                                 for row in dense_mul(dense(b), dense(a))])
+    ab_minus_ba = dense_add(dense_mul(dense(a), dense(b)),
+                            [[-v for v in row] for row in dense_mul(dense(b), dense(a))])
+    assert dense_add(dense(a.mul(b)), [[-v for v in row] for row in dense(b.mul(a))]) == \
+        ab_minus_ba
+    assert commutator_vanishes(GradedOperator(DIM, {0: a}), GradedOperator(DIM, {1: b})) == \
+        (ab_minus_ba == dense_zero())
     with pytest.raises(ValueError, match="dimension mismatch"):
         sum_of_scaled_products([*terms, (F(1), a, SparseMatrix(DIM + 1))])
 

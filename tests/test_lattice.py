@@ -331,8 +331,8 @@ def test_toda_gauge_reports_a_perturbed_boundary_lax(monkeypatch):
     w = free_window_basis(N, -(N + 2), N + 2)
     e = w.index[(0,) * N]
 
-    def perturbed(basis, k, t, open_x0=True, sources=None):
-        L = qboson_lax_toda_vars(basis, k, t, open_x0, sources)
+    def perturbed(basis, k, t, sources=None):
+        L = qboson_lax_toda_vars(basis, k, t, sources)
         if k == 0:
             bump = SparseMatrix(len(basis), {e: {e: d}})
             L[0][0] = L[0][0].add(GradedOperator(len(basis), {0: bump}))
@@ -387,17 +387,6 @@ def test_window_ops():
     x1 = toda_x_op(w, 1, T_SAMPLE)
     assert x1.mul(X1) == X1.mul(x1).scale(T_SAMPLE)
     assert x2.mul(X1) == X1.mul(x2)
-
-
-def test_build_lax_toda_dispatch():
-    from integrable_lab.lattice import build_lax, toda_lax
-
-    w = free_window_basis(2, -2, 2)
-    via_dispatch = build_lax("toda", w, {"t": T_SAMPLE, "site": 1})
-    direct = toda_lax("toda", w, 1, T_SAMPLE)
-    for i in range(2):
-        for j in range(2):
-            assert via_dispatch[i][j] == direct[i][j]
 
 
 def test_toda_open_Abar_matches_run_expansion():

@@ -368,3 +368,106 @@ def test_verify_json_lists_the_failures_of_a_failing_check(monkeypatch, capsys):
     monkeypatch.setattr(baxter_q, "build_qmatrix", real)
     assert cli.main(argv) == 0
     assert "failures" not in json.loads(capsys.readouterr().out)["checks"][0]
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["eval", "P", "--vars", "1/2", "--t", "1/3", "--mu", "[1]"], "--mu"),
+    (["eval", "Q", "--vars", "1/2", "--t", "1/3", "--mu=[9]", "--r=7", "--family=Qomega"],
+     "--mu, --family, --r"),
+    (["eval", "R", "--mu", "(1,0)", "--vars", "2,3", "--t", "1/2", "--lambda", "[1]"],
+     "--lambda"),
+    (["eval", "skew", "--lambda", "[2]", "--vars", "1/2", "--t", "1/3", "--r", "2"], "--r"),
+    (["eval", "qr", "--vars", "1/2", "--t", "1/3", "--family", "P"], "--family"),
+    (["eval", "er", "--vars", "1/2", "--t", "1/3"], "--t"),
+    (["matrix", "lambda", "--D=9", "--sign=+", "--cap=3", "--s=1/2"],
+     "--D, --sign, --cap, --s"),
+    (["matrix", "q", "--family", "L"], "--family"),
+    (["matrix", "gamma", "--x", "2"], "--x"),
+    (["matrix", "lax", "--s", "1/2"], "--s"),
+])
+def test_eval_and_matrix_reject_flags_the_kind_does_not_read(argv, unread, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"does not read {unread} " in captured.err
+
+
+def test_eval_and_matrix_reject_config_keys_the_kind_does_not_read(tmp_path, capsys):
+    conf = tmp_path / "lab.conf"
+    conf.write_text("t=1/3\n")
+    assert cli.main(["eval", "er", "--vars", "1/2,1/3", "--config", str(conf)]) == 2
+    assert "does not read --t" in capsys.readouterr().err
+    conf.write_text("sign=+\n")
+    assert cli.main(["matrix", "lambda", "--config", str(conf)]) == 2
+    assert "does not read --sign" in capsys.readouterr().err
+
+
+def test_eval_er_needs_no_t_and_the_other_kinds_need_it(capsys):
+    assert cli.main(["eval", "er", "--vars", "1/2,1/3", "--r", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "1/6"
+    assert cli.main(["eval", "qr", "--vars", "1/2", "--r", "1"]) == 2
+    assert "eval qr needs --t" in capsys.readouterr().err
+
+
+def test_matrix_lax_reads_s_for_spin_s_only(capsys):
+    assert cli.main(["matrix", "lax", "--family", "spin_s", "--cap", "2"]) == 0
+    at_zero = capsys.readouterr().out
+    assert cli.main(["matrix", "lax", "--family", "spin_s", "--cap", "2", "--s", "0"]) == 0
+    assert capsys.readouterr().out == at_zero
+    assert cli.main(["matrix", "lax", "--family", "qboson", "--s", "0"]) == 2
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["pieri", "--draws=0"], "draws >= 1 (--draws), got 0"),
+    (["gamma-eigen", "--vars=0"], "vars >= 1 (--vars), got 0"),
+    (["rll", "--cap=0"], "cap >= 2 (--cap), got 0"),
+    (["ar-project", "--N=0"], "N_max >= 1 (--N), got 0"),
+    (["gamma-commute", "--degree=-1"], "degree >= 1 (--degree), got -1"),
+    (["gamma-commute", "--D=0"], "D >= 4 (--D), got 0"),
+    (["gamma-eigen", "--D=2", "--degree=3"], "D >= 3 (--D), got 2"),
+    (["cauchy", "--degree=-1"], "degree >= 1 (--degree), got -1"),
+    (["ar-project", "--max_weight=2"], "max_weight >= 4 (--max_weight), got 2"),
+    (["tq", "--N=0"], "N_range >= 1 (--N), got 0"),
+    (["hall-pieri", "--max_weight=-1"], "max_weight >= 0 (--max_weight), got -1"),
+])
+def test_verify_rejects_values_that_leave_a_check_nothing_to_assert(argv, named, monkeypatch,
+                                                                   capsys):
+    from integrable_lab import suites
+
+    def never(*args, **kwargs):
+        raise AssertionError("the suite started")
+
+    monkeypatch.setattr(suites, "run_suite", never)
+    monkeypatch.setattr(cli, "run_suite", never)
+    assert cli.main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"suite {argv[0]!r} needs {named}" in captured.err
+
+
+def test_run_suite_rejects_values_below_their_least_value():
+    with pytest.raises(ValueError, match="max_len >= 3"):
+        run_suite(SuiteSpec("ar-project", params={"N_max": 2, "max_len": 2}))
+    with pytest.raises(ValueError, match="n_range >= 0"):
+        run_suite(SuiteSpec("tq", params={"n_range": [2, -1]}))
+    with pytest.raises(ValueError, match="N_range"):
+        run_suite(SuiteSpec("tq", params={"N_range": []}))
+    with pytest.raises(ValueError, match="max_r >= 1"):
+        run_suite(SuiteSpec("pieri", params={"max_r": 0}))
+
+
+def test_verify_paper_matrices_honours_draws(capsys):
+    assert cli.main(["verify", "paper-matrices", "--draws=2", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in report["checks"]] == [
+        "printed 3x3 matrices draw 0", "printed 3x3 matrices draw 1"]
+    assert len(run_suite(SuiteSpec("paper-matrices"))["checks"]) == 5
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--N=0", "--M=1"], "N=0"),
+    (["--N=3", "--M=-1"], "M=-1"),
+    (["--N=3", "--M=1", "--seeds=-2"], "seeds=-2"),
+])
+def test_cli_bethe_rejects_degenerate_inputs(argv, named, capsys):
+    assert cli.main(["bethe", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err
