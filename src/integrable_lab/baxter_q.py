@@ -100,7 +100,7 @@ def site_null_vector_check(a: int, c: int, z, t):
     r11 = dict(v0)
     for b, v in apply_X(v0, lambda b: ONE - ta * t ** (-b)).items():
         r11[b] = r11.get(b, ZERO) + z * v
-    ok11 = r11 == {b: v for b, v in psi(-t * z).items() if True}
+    ok11 = r11 == psi(-t * z)
 
     # L'_22 = t^c z X x^{-1}
     r22 = apply_X(v0, lambda b: tc * z * t ** (-b))

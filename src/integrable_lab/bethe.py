@@ -5,9 +5,11 @@ Boltzmann factors between consecutive particle positions, with a
 boundary substitution when a target position collides with its
 neighbour.  The ansatz vector is a permutation sum with two-body
 amplitudes; its algebra is certified by an exact staircase identity that
-holds at generic rational parameters, no quantization imposed.  Complex
-floating point appears only in the root solver and the periodic
-residual check.
+holds at generic rational parameters, no quantization imposed, off the
+locus `singular_point` names.  Complex floating point appears only in the
+Newton root solver and the periodic residual check; both use the standard
+library alone, and the ansatz sums take exact and complex inputs through
+one arithmetic path.
 
 Positions are nonnegative integers, the chain occupying 0..N-1; the
 wrap-around image of the top particle sits at mu_M + N.
@@ -17,8 +19,6 @@ from __future__ import annotations
 
 import random
 from itertools import permutations, product as iproduct
-
-import numpy as np
 
 from .scalars import ONE, ZERO, as_scalar
 
@@ -32,12 +32,12 @@ def xi(u, s):
     if isinstance(u, complex) or isinstance(s, complex):
         den = 1 + u * s
         if abs(den) < 1e-14:
-            raise ZeroDivisionError("xi pole")
+            raise ValueError(f"xi pole: 1 + u s = 0 at u={u}, s={s}")
         return (u + s) / den
     u, s = as_scalar(u), as_scalar(s)
     den = 1 + u * s
     if den == 0:
-        raise ZeroDivisionError("xi pole")
+        raise ValueError(f"xi pole: 1 + u s = 0 at u={u}, s={s}")
     return (u + s) / den
 
 
@@ -87,7 +87,7 @@ def spin_transfer_column(mu, N: int, w, cyclic: bool = True):
     prev = [mu[-1] + N] + list(mu[:-1])
     out = []
     for lam in iproduct(*[range(mu[i], prev[i] + 1) for i in range(M)]):
-        wgt = 1 if isinstance(w[0], complex) else ONE
+        wgt = ONE
         for i in range(M):
             wgt = wgt * _D(mu[i], lam[i], w) * _Dbar(lam[i], prev[i], w)
         for i in range(1, M):
@@ -101,7 +101,7 @@ def spin_transfer_column(mu, N: int, w, cyclic: bool = True):
 
 def bethe_amplitude(us, t):
     """B = prod_{i<j} (u_i - t u_j)/(u_i - u_j)."""
-    r = 1 if isinstance(t, complex) or any(isinstance(u, complex) for u in us) else ONE
+    r = ONE
     n = len(us)
     for i in range(n):
         for j in range(i + 1, n):
@@ -115,8 +115,9 @@ class AnsatzTable:
 
     P lists indices into `us`.  The twin of `hall_littlewood.Alphabet`
     (both give R_mu at s = 0), kept apart so that each side checks the
-    other.  Exact and complex inputs alike; with s = None only the rows
-    are read (no xi).
+    other.  Exact and complex inputs alike (a complex factor turns the
+    Fraction start into a complex); with s = None only the rows are read
+    (no xi).
     """
 
     def __init__(self, us, t, s=None):
@@ -124,8 +125,6 @@ class AnsatzTable:
         if len(set(us)) != len(us):
             raise ValueError("coincident spectral parameters rejected")
         self.us, self.s = us, s
-        self.exact = not (isinstance(t, complex) or any(isinstance(u, complex) for u in us)
-                          or isinstance(s, complex))
         self.rows = [(P, bethe_amplitude([us[i] for i in P], t))
                      for P in permutations(range(len(us)))]
         self.xi = None if s is None else [xi(u, s) for u in us]
@@ -147,7 +146,7 @@ class AnsatzTable:
         if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
             raise ValueError("exponent vector must be weakly decreasing")
         power = self.xi_power
-        total = ZERO if self.exact else 0j
+        total = ZERO
         for P, term in self.rows:
             for i, e in zip(P, mu):
                 term = term * power(i, e)
@@ -173,14 +172,44 @@ def y_hat(xv, w):
     return w[2] - w[5] * w[6] / (w[1] - w[3] * xv)
 
 
+def singular_point(us, z, s, t):
+    """The first divisor of the ansatz checks that vanishes at (us, z, s, t),
+    described; None if there is none.
+
+    The column weights divide by w5 w6 and, at a collision, by w2 w4;
+    xi(u) divides by 1 + u s; Xhat, Yhat and the corrected pair product
+    divide by w1 - w3 xi(u).
+    """
+    us = [as_scalar(u) for u in us]
+    z, s, t = as_scalar(z), as_scalar(s), as_scalar(t)
+    w = boltzmann_weights(z, s, t)
+    for name, value in (("w5 w6", w[5] * w[6]), ("w2 w4", w[2] * w[4])):
+        if value == 0:
+            return f"z={z}, s={s}, t={t}: {name} = 0"
+    for u in us:
+        if 1 + u * s == 0:
+            return f"u={u}, s={s}: 1 + u s = 0"
+        if w[1] - w[3] * xi(u, s) == 0:
+            return f"u={u}, z={z}, s={s}, t={t}: w1 - w3 xi(u) = 0"
+    return None
+
+
+def _reject_singular(us, z, s, t) -> None:
+    where = singular_point(us, z, s, t)
+    if where is not None:
+        raise ValueError(f"singular evaluation point {where}")
+
+
 def pair_cancellation_check(u1, u2, z, s, t) -> bool:
     """Two-body cancellation fixing the amplitude ratio.
 
     The corrected pair product (the w2 w4 monomial replaced by w0 w5)
     summed over the two permutations with the amplitude ratio
-    -(u1 - t u2)/(u2 - t u1) vanishes identically.
+    -(u1 - t u2)/(u2 - t u1) vanishes identically.  Raises ValueError on
+    the locus `singular_point` names.
     """
     u1, u2, z, s, t = (as_scalar(v) for v in (u1, u2, z, s, t))
+    _reject_singular([u1, u2], z, s, t)
     w = boltzmann_weights(z, s, t)
 
     def corrected_pair(xa, xb):
@@ -206,7 +235,8 @@ def interior_staircase_check(mu, N: int, us, t, s, z):
     with L_i = mu_{i-1} - mu_i and mu_0 = mu_M + N.  At Bethe roots the
     middle terms cancel pairwise and the two ends give the eigenvalue.
     The ansatz is proven for at most doubly-occupied targets and assumed
-    beyond; these columns only reach multiplicity two.
+    beyond; these columns only reach multiplicity two.  Raises ValueError
+    on the locus `singular_point` names.
     """
     mu = tuple(mu)
     M = len(mu)
@@ -214,6 +244,7 @@ def interior_staircase_check(mu, N: int, us, t, s, z):
     t, s, z = as_scalar(t), as_scalar(s), as_scalar(z)
     if len(us) != M:
         raise ValueError("need one spectral parameter per particle")
+    _reject_singular(us, z, s, t)
     w = boltzmann_weights(z, s, t)
     table = AnsatzTable(us, t, s)
     lhs = ZERO
@@ -307,7 +338,7 @@ class BetheSystem:
 def _bethe_F(u, N, t, s, x):
     """Cleared polynomial system: one component per particle."""
     M = len(u)
-    out = np.zeros(M, dtype=complex)
+    out = []
     for k in range(M):
         lhs = x * (1 + u[k] * s) ** N
         rhs = (u[k] + s) ** N
@@ -316,8 +347,28 @@ def _bethe_F(u, N, t, s, x):
                 continue
             lhs *= t * u[k] - u[l]
             rhs *= u[k] - t * u[l]
-        out[k] = lhs - rhs
+        out.append(lhs - rhs)
     return out
+
+
+def _solve(J, b):
+    """x with J x = b by elimination with partial pivoting (M <= 3);
+    None when a pivot vanishes."""
+    n = len(b)
+    A = [list(row) + [bk] for row, bk in zip(J, b)]
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(A[r][c]))
+        if A[p][c] == 0:
+            return None
+        A[c], A[p] = A[p], A[c]
+        for r in range(c + 1, n):
+            f = A[r][c] / A[c][c]
+            for k in range(c, n + 1):
+                A[r][k] -= f * A[c][k]
+    x = [0j] * n
+    for r in reversed(range(n)):
+        x[r] = (A[r][n] - sum(A[r][k] * x[k] for k in range(r + 1, n))) / A[r][r]
+    return x
 
 
 def _raw_residual(u, N, t, s, x):
@@ -326,7 +377,7 @@ def _raw_residual(u, N, t, s, x):
     for k in range(M):
         try:
             lhs = x * xi(complex(u[k]), complex(s)) ** (-N)
-        except ZeroDivisionError:
+        except (ValueError, ZeroDivisionError):  # the xi pole, or xi(u) = 0
             return float("inf")
         rhs = 1.0 + 0j
         for l in range(M):
@@ -361,28 +412,28 @@ def bethe_solve(N: int, M: int, t, s, x, seeds: int = 20, seed: int = 0) -> Beth
     rng = random.Random(seed)
     found = []
     residuals = []
+    # keys rounded to 7 digits: two distinct keys differ by >= 1e-7 > TOL_DEDUP
+    keys = set()
+    h = 1e-7
     for _ in range(seeds):
-        u = np.array([complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-                      for _ in range(M)])
+        u = [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(M)]
         converged = False
         for _ in range(MAX_ITER):
             Fv = _bethe_F(u, N, tf, sf, xf)
-            if max(abs(Fv)) < 1e-13:
+            if max(map(abs, Fv)) < 1e-13:
                 converged = True
                 break
-            J = np.zeros((M, M), dtype=complex)
-            h = 1e-7
+            cols = []
             for j in range(M):
-                du = u.copy()
+                du = list(u)
                 du[j] += h
-                J[:, j] = (_bethe_F(du, N, tf, sf, xf) - Fv) / h
-            try:
-                step = np.linalg.solve(J, Fv)
-            except np.linalg.LinAlgError:
+                cols.append([(a - b) / h for a, b in zip(_bethe_F(du, N, tf, sf, xf), Fv)])
+            step = _solve(list(zip(*cols)), Fv)
+            if step is None:
                 break
-            u = u - step
-            if max(abs(step)) < 1e-14:
-                converged = max(abs(_bethe_F(u, N, tf, sf, xf))) < 1e-10
+            u = [a - b for a, b in zip(u, step)]
+            if max(map(abs, step)) < 1e-14:
+                converged = max(map(abs, _bethe_F(u, N, tf, sf, xf))) < 1e-10
                 break
         if not converged:
             continue
@@ -392,13 +443,8 @@ def bethe_solve(N: int, M: int, t, s, x, seeds: int = 20, seed: int = 0) -> Beth
         if res >= TOL_RESIDUAL:
             continue
         key = tuple(sorted((round(z.real, 7), round(z.imag, 7)) for z in u))
-        known = False
-        for root in found:
-            other = tuple(sorted((round(z.real, 7), round(z.imag, 7)) for z in root))
-            if all(abs(complex(*a) - complex(*b)) < TOL_DEDUP for a, b in zip(key, other)):
-                known = True
-                break
-        if not known:
+        if key not in keys:
+            keys.add(key)
             found.append(tuple(u))
             residuals.append(res)
     return BetheSystem(N, M, t, s, x, found, residuals)

@@ -241,9 +241,9 @@ class Alphabet:
         Q is stable under adjoining zero variables, so those are stripped
         first (they would otherwise collide in the symmetrized sum).
         """
-        lam = partition(lam)
-        key = ("Q", lam)
-        if key not in self._memo:
+        key = ("Q", tuple(lam))
+        if key not in self._memo:  # validated once per new argument
+            lam = partition(lam)
             if 0 in self.values:
                 if self._nonzero is None:
                     self._nonzero = Alphabet([v for v in self.values if v != 0], self.t)
@@ -259,9 +259,9 @@ class Alphabet:
 
     def P(self, lam) -> Fraction:
         """P_lam = Q_lam / <lam|lam>."""
-        lam = partition(lam)
-        key = ("P", lam)
-        if key not in self._memo:
+        key = ("P", tuple(lam))
+        if key not in self._memo:  # validated once per new argument
+            lam = partition(lam)
             self._memo[key] = self.Q(lam) / state_norm(lam, self.t)
         return self._memo[key]
 

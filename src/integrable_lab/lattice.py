@@ -479,16 +479,15 @@ def toda_lax(kind: str, basis: Basis, k: int, t, sources=None):
     raise ValueError(f"unknown toda lax kind {kind!r}")
 
 
-def toda_U(basis: Basis, k: int, t, x0=None, sources=None):
-    """U_k = [[1, x_k], [S_k, 0]]; k = 0 uses S_0 = 1 and x_0 (open chain: 0).
+def toda_U(basis: Basis, k: int, t, sources=None):
+    """U_k = [[1, x_k], [S_k, 0]]; k = 0 is the open boundary S_0 = 1, x_0 = 0.
     With `sources`, every entry is built on those source columns only."""
     t = as_scalar(t)
     dim = len(basis)
     I = SparseMatrix.identity(dim, sources)
     Z = GradedOperator.zero(dim)
     if k == 0:
-        xop = SparseMatrix(dim) if x0 == 0 else I.scale(as_scalar(x0))
-        return [[GradedOperator(dim, {0: I}), GradedOperator(dim, {0: xop})],
+        return [[GradedOperator(dim, {0: I}), GradedOperator(dim, {0: SparseMatrix(dim)})],
                 [GradedOperator(dim, {0: I}), Z]]
     S = toda_shift_op(basis, list(range(1, k + 1)), +1, sources)
     return [[GradedOperator(dim, {0: I}),
@@ -570,7 +569,7 @@ def toda_gauge_check(N: int, t, window_top: int):
 
     sides = []  # (relation, lhs, rhs, top degree, asserted columns)
     for k in range(1, N + 1):
-        U_prev = toda_U(w, k - 1, t, x0=0 if k == 1 else None)
+        U_prev = toda_U(w, k - 1, t)
         L_toda = toda_lax("toda", w, k, t)
         L_qb = qboson_lax_toda_vars(w, k - 1, t)
         U_k = toda_U(w, k, t)
@@ -581,7 +580,7 @@ def toda_gauge_check(N: int, t, window_top: int):
     # folded on the interior columns only
     cols = interior(N + 1)
     T_toda = toda_monodromy("toda", w, N, t, cols=cols)
-    lhs = mat2_mul(toda_U(w, 0, t, x0=0), T_toda, N)
+    lhs = mat2_mul(toda_U(w, 0, t), T_toda, N)
     rhs = monodromy([*(partial(qboson_lax_toda_vars, w, k, t) for k in range(N)),
                      partial(toda_U, w, N, t)], N, cols)
     sides.append(("monodromy", lhs, rhs, N, cols))

@@ -95,6 +95,26 @@ def _small_t(rng_seed, idx):
     return vals[0]
 
 
+# seed offset between successive redraws of a singular draw
+REDRAW = 1000
+
+
+def _redraw_past(singular_point, draw, seed):
+    """(values, k): values = draw(seed + REDRAW k) at the least k >= 0 where
+    singular_point(*values) is None, so that a draw on a check's declared
+    singular locus is replaced deterministically, not reported as a failure."""
+    for k in count():
+        values = draw(seed + REDRAW * k)
+        if singular_point(*values) is None:
+            return values, k
+
+
+def _redrawn(k, detail=""):
+    """A check's detail with the redraw count appended when there was one."""
+    note = f"redrawn {k}x past singular draws" if k else ""
+    return "; ".join(filter(None, (detail, note)))
+
+
 def _check(name, ref, ok, deviation="0", detail="", failures=()):
     """One check's report; a failing check also lists the failure items
     its identity check returned, so a passing report never changes."""
@@ -310,21 +330,32 @@ def _suite_ar_project(seed, p):
     return checks
 
 
+# (column mu, chain length N, alphabet draw offset k) of the staircase checks
+_STAIRCASE_COLUMNS = [((2,), 5, 1), ((4, 1), 6, 2), ((3, 2), 6, 2),
+                      ((5, 3, 1), 7, 3), ((4, 3, 1), 7, 3)]
+
+
 def _suite_bethe(seed, p):
     checks = []
     t = _small_t(seed, 0)
     z = Fraction(3, 4)
-    s_vals = [Fraction(0), Fraction(1, 6)]
-    for s in s_vals:
+
+    def on_locus(s):  # a (t, alphabets) draw on the ansatz locus at (z, s)
+        return lambda t, alphabets: bethe.singular_point(
+            [u for us in alphabets for u in us], z, s, t)
+
+    for s in (Fraction(0), Fraction(1, 6)):
+        (ts, alphabets), redraw = _redraw_past(on_locus(s), lambda d: (
+            _small_t(d, 0), [draw_params(d + 61 * k, f"distinct-{len(mu)}")
+                             for mu, _, k in _STAIRCASE_COLUMNS]), seed)
         ok = True
-        for (mu, N, k) in [((2,), 5, 1), ((4, 1), 6, 2), ((3, 2), 6, 2),
-                           ((5, 3, 1), 7, 3), ((4, 3, 1), 7, 3)]:
-            us = draw_params(seed + 61 * k, f"distinct-{len(mu)}")
-            good, _, _ = bethe.interior_staircase_check(mu, N, us, t, s, z)
+        for (mu, N, _), us in zip(_STAIRCASE_COLUMNS, alphabets):
+            good, _, _ = bethe.interior_staircase_check(mu, N, us, ts, s, z)
             ok = ok and good
         checks.append(_check(f"interior staircase identity s={s}",
                              "coordinate Bethe ansatz, quantization-free", ok,
-                             detail="ansatz assumed beyond doubly-occupied targets"))
+                             detail=_redrawn(redraw,
+                                             "ansatz assumed beyond doubly-occupied targets")))
     us = draw_params(seed + 73, "distinct-2")
     okp, _ = bethe.graded_pieri_on_integers_check((2, -1), us, t, 3)
     checks.append(_check("integer-window graded relation",
@@ -350,9 +381,12 @@ def _suite_bethe(seed, p):
     checks.append(_check("periodic residuals N=3", "Bethe eigenvalue residual",
                          ok_res, deviation=worst,
                          detail="ansatz assumed beyond doubly-occupied targets"))
-    okc = bethe.pair_cancellation_check(*draw_params(seed + 83, "distinct-2"),
-                                        Fraction(3, 4), Fraction(1, 6), t)
-    checks.append(_check("two-body cancellation", "Bethe amplitude ratio", okc))
+    s = Fraction(1, 6)
+    (tp, [us]), redraw = _redraw_past(on_locus(s), lambda d: (
+        _small_t(d, 0), [draw_params(d + 83, "distinct-2")]), seed)
+    okc = bethe.pair_cancellation_check(*us, z, s, tp)
+    checks.append(_check("two-body cancellation", "Bethe amplitude ratio", okc,
+                         detail=_redrawn(redraw)))
     return checks
 
 
@@ -379,24 +413,17 @@ def _suite_gaudin(seed, p):
     return checks
 
 
-# seed offset between successive redraws of a singular lascoux draw
-LASCOUX_REDRAW = 1000
-
-
 def _suite_lascoux(seed, p):
     checks = []
     t = _small_t(seed, 0)
     for n in (1, 2, 3):
-        for redraw in count():
-            draw = seed + LASCOUX_REDRAW * redraw
-            U = [u / 4 for u in draw_params(draw + 3 * n, f"distinct-{n}")]
-            V = [v / 4 for v in draw_params(draw + 7 * n + 1, f"distinct-{n}")]
-            if gaudin.singular_point(U, V, t) is None:
-                break
+        (U, V), redraw = _redraw_past(lambda U, V: gaudin.singular_point(U, V, t), lambda d: (
+            [u / 4 for u in draw_params(d + 3 * n, f"distinct-{n}")],
+            [v / 4 for v in draw_params(d + 7 * n + 1, f"distinct-{n}")]), seed)
         ok = gaudin.lascoux_reduction_check(n, U, V, t)
         checks.append(_check(f"symmetrizer reduction n={n}",
                              "Hecke symmetrizer kernel reduction", ok,
-                             detail=f"redrawn {redraw}x past singular draws" if redraw else ""))
+                             detail=_redrawn(redraw)))
     return checks
 
 
@@ -544,7 +571,7 @@ def suite_params(spec: SuiteSpec) -> dict:
 
     Raises KeyError for a param the suite does not read and ValueError,
     naming the param, its flag and the value, for a value below its least
-    value (or an empty list or range).
+    value and for an empty list, tuple or range.
     """
     reads = _registered(spec.name)[1]
     unread = sorted(set(spec.params) - set(reads))
@@ -559,14 +586,15 @@ def suite_params(spec: SuiteSpec) -> dict:
         params[param] = value
     for param, (flag, _, least) in reads.items():
         value = params[param]
-        if least is None or value is None:
+        if value is None:
             continue
         if callable(least):
             least = least(params)
         members = list(value) if isinstance(value, (list, tuple, range)) else [value]
-        if not members or min(members) < least:
+        if not members or least is not None and min(members) < least:
             via = f" (--{flag})" if flag else ""
-            raise ValueError(f"suite {spec.name!r} needs {param} >= {least}{via}, got {value}")
+            need = "nonempty" if least is None else f">= {least}"
+            raise ValueError(f"suite {spec.name!r} needs {param} {need}{via}, got {value}")
     return params
 
 

@@ -1,10 +1,12 @@
 import cmath
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from integrable_lab.bethe import (
+    _solve,
     bethe_solve,
     bethe_vector,
     boltzmann_weights,
@@ -12,6 +14,7 @@ from integrable_lab.bethe import (
     interior_staircase_check,
     pair_cancellation_check,
     periodic_eigen_residual,
+    singular_point,
     spin_transfer_column,
     x_hat,
     xi,
@@ -29,7 +32,7 @@ def test_xi_examples():
     assert xi(F(5, 3), F(0)) == F(5, 3)
     assert xi(F(1), F(2, 9)) == 1
     assert xi(F(2), F(1, 2)) == F(5, 4)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ValueError, match="1 \\+ u s = 0"):
         xi(F(-2), F(1, 2))
 
 
@@ -167,3 +170,30 @@ def test_bethe_solve_rejects_degenerate_inputs(N, M, seeds):
     # N = 0 used to return every seed as a root of the constant system
     with pytest.raises(ValueError, match=f"got N={N}, M={M}, seeds={seeds}"):
         bethe_solve(N, M, F(1, 3), F(0), F(1), seeds=seeds)
+
+
+@pytest.mark.parametrize("us, z, s, t, named", [
+    ([F(5, 3), F(-7, 4)], F(0), F(1, 6), T, "w5 w6 = 0"),
+    # w2 = z + t s vanishes at t = -9/2 for z = 3/4, s = 1/6
+    ([F(5, 3), F(-7, 4)], F(3, 4), F(1, 6), F(-9, 2), "w2 w4 = 0"),
+    ([F(5, 3), F(-6)], F(3, 4), F(1, 6), T, "1 + u s = 0"),
+    # at s = 0, w1 - w3 xi(u) = 1 - z u
+    ([F(5, 3), F(4, 3)], F(3, 4), F(0), T, "w1 - w3 xi(u) = 0"),
+], ids=["w5-w6", "w2-w4", "xi-pole", "xhat-pole"])
+def test_checks_reject_the_declared_singular_locus(us, z, s, t, named):
+    assert named in singular_point(us, z, s, t)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        interior_staircase_check((4, 1), 6, us, t, s, z)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        pair_cancellation_check(*us, z, s, t)
+    assert singular_point([F(5, 3), F(-7, 4)], F(3, 4), F(1, 6), T) is None
+
+
+def test_solve_pivots_and_reports_a_zero_pivot():
+    # the leading entry is zero, so the rows must swap
+    J = [[0j, 2 + 0j, 1j], [1 + 0j, 1 + 0j, 0j], [3 + 0j, 0j, 1 + 0j]]
+    x = [1 + 1j, -2 + 0j, 0.5j]
+    b = [sum(a * v for a, v in zip(row, x)) for row in J]
+    assert all(abs(got - want) < 1e-14 for got, want in zip(_solve(J, b), x))
+    assert _solve([[1 + 0j, 2 + 0j], [2 + 0j, 4 + 0j]], [1j, 0j]) is None
+    assert _solve([[0j]], [1 + 0j]) is None

@@ -296,6 +296,29 @@ def test_run_suite_rejects_params_the_suite_does_not_read():
         run_suite(SuiteSpec("lascoux", params={"vars": 2}))
 
 
+@pytest.mark.parametrize("seed, check", [
+    (17, "two-body cancellation"),                # w1 - w3 xi(u) = 0
+    (19, "interior staircase identity s=1/6"),    # w2 w4 = 0
+    (152, "interior staircase identity s=1/6"),   # 1 + u s = 0
+], ids=["seed17", "seed19", "seed152"])
+def test_bethe_redraws_past_its_singular_locus(seed, check, capsys):
+    # each seed used to raise ZeroDivisionError inside the named check
+    report = run_suite(SuiteSpec("bethe", seed=seed))
+    assert report["status"] == "pass", report
+    details = {c["name"]: c["detail"] for c in report["checks"]}
+    assert "redrawn 1x past singular draws" in details[check]
+    assert report == run_suite(SuiteSpec("bethe", seed=seed))
+    assert cli.main(["verify", "bethe", "--seed", str(seed)]) == 0
+    capsys.readouterr()
+
+
+def test_lambda_q_rejects_an_empty_pairs_list():
+    # an empty list used to pass every check vacuously
+    for pairs in ([], (), range(0)):
+        with pytest.raises(ValueError, match="needs pairs nonempty"):
+            run_suite(SuiteSpec("lambda-q", params={"pairs": pairs}))
+
+
 def test_verify_N_reaches_ar_project_as_N_max(capsys):
     argv = ["verify", "ar-project", "--N", "1", "--draws", "1", "--max_len", "3", "--json"]
     assert cli.main(argv) == 0

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from integrable_lab.bethe import bethe_vector, xi
 from integrable_lab.gaudin import _tail_geometric, gaudin_sum, spin_norm_floor
+from integrable_lab import hall_littlewood
 from integrable_lab.hall_littlewood import (
     MAX_SYMMETRIZE,
     Alphabet,
@@ -32,6 +33,7 @@ from integrable_lab.hall_littlewood import (
 from integrable_lab.partitions import (
     contains,
     horizontal_strips_above,
+    partition,
     partition_basis,
     vertical_strips_above,
     weight,
@@ -126,6 +128,26 @@ def test_alphabet_Q_and_P_equal_the_padded_loop(data, values, t):
         Q = literal_Q(lam, values, t)
         assert alphabet.Q(lam) == Q == hl_Q(lam, values, t)
         assert alphabet.P(lam) == Q / literal_norm(lam, t) == hl_P(lam, values, t)
+
+
+def test_alphabet_validates_each_new_argument_once(monkeypatch):
+    calls = []
+
+    def counted(parts):
+        calls.append(tuple(parts))
+        return partition(parts)
+
+    monkeypatch.setattr(hall_littlewood, "partition", counted)
+    alphabet = Alphabet([F(2), F(1, 3), F(-3, 5)], F(2, 7))
+    first = alphabet.P((2, 1))
+    for _ in range(9):
+        assert alphabet.P((2, 1)) == first
+    assert calls == [(2, 1), (2, 1)]  # once for P's argument, once for Q's
+    for bad in ((1, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            alphabet.Q(bad)
+        with pytest.raises(ValueError):
+            alphabet.P(bad)
 
 
 def test_alphabet_rejects_what_the_loop_cannot_evaluate():
