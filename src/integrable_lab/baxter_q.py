@@ -132,7 +132,7 @@ def build_qmatrix(N: int, n: int, x, t) -> GradedOperator:
     basis = occupation_basis(N, n)
     # a sector repeats each t-binomial and phase many times: one table per
     # call, read as (numerator, denominator) pairs, so that a chain
-    # multiplies integers and makes one Fraction per entry
+    # multiplies integers and hands its block the numerator and denominator
     binom = TTable(t).binom
     ratio = cache(lambda a, b: binom[a, b].as_integer_ratio())
     phase = cache(lambda deg, delta: ((-ONE) ** deg * x ** delta).as_integer_ratio())
@@ -155,9 +155,9 @@ def build_qmatrix(N: int, n: int, x, t) -> GradedOperator:
                 shifted = [v + delta for v in out]
                 rev_target = tuple(shifted[k] - shifted[k + 1]
                                    for k in range(N - 1)) + (shifted[N - 1],)
-                yield deg, basis.index[tuple(reversed(rev_target))], j, Fraction(num, den)
+                yield deg, basis.index[tuple(reversed(rev_target))], j, num, den
 
-    return GradedOperator.from_entries(len(basis), entries(), n)
+    return GradedOperator.from_ratios(len(basis), entries(), n)
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +235,12 @@ def ll_relations_check(u, t, cap: int):
     def idx(a, b):
         return a * (cap + 1) + b
 
+    def swapped(j):  # the index of (b, a) for the state (a, b) at j
+        a, b = divmod(j, cap + 1)
+        return idx(b, a)
+
     LL = build_LL(u, t, cap, cap)
-    Lc = SparseMatrix.from_entries(dim, ((r, idx(a, b), v)
-                                         for a in range(cap + 1) for b in range(cap + 1)
-                                         for r, v in LL.cols.get(idx(b, a), {}).items()))
+    Lc = SparseMatrix.from_entries(dim, ((r, swapped(c), v) for r, c, v in LL.entries()))
 
     pair, inner = _two_windows(cap)
     S, sdiag, sinv = _window_ops(pair, 1, t)
@@ -365,13 +367,10 @@ def tq_check(N: int, n: int, x, t, sample_z=None):
     q = build_qmatrix(N, n, x, t)
     top = N + n
     lhs = lam.compose(q, top)
-    # block k of the rhs is t^k q_k + x t^n t^(N-k) q_(k-N): each block of q
-    # is read once per term, with one factor per degree
-    rhs = GradedOperator.from_entries(lam.dim, (
-        (k + shift, r, c, factor * v)
-        for k, block in q.blocks.items()
-        for shift, factor in ((0, t ** k), (N, x * t ** (n - k)))
-        for r, c, v in block.entries()), top)
+    # q(tz) + x z^N t^n q(z/t): block k of q enters degree k scaled by t^k
+    # and degree k + N scaled by x t^(n-k), each a scaling of its integers
+    rhs = GradedOperator(lam.dim, {k: b.scale(t ** k) for k, b in q.blocks.items()}).add(
+        GradedOperator(lam.dim, {k + N: b.scale(x * t ** (n - k)) for k, b in q.blocks.items()}))
     basis = occupation_basis(N, n)
     cols = range(lam.dim)
     failures = [item for k in range(top + 1)

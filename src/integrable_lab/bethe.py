@@ -178,7 +178,8 @@ def singular_point(us, z, s, t):
 
     The column weights divide by w5 w6 and, at a collision, by w2 w4;
     xi(u) divides by 1 + u s; Xhat, Yhat and the corrected pair product
-    divide by w1 - w3 xi(u).
+    divide by w1 - w3 xi(u); the amplitude B divides by u_i - u_j, so
+    `us` is one alphabet, whose values must be distinct.
     """
     us = [as_scalar(u) for u in us]
     z, s, t = as_scalar(z), as_scalar(s), as_scalar(t)
@@ -191,6 +192,9 @@ def singular_point(us, z, s, t):
             return f"u={u}, s={s}: 1 + u s = 0"
         if w[1] - w[3] * xi(u, s) == 0:
             return f"u={u}, z={z}, s={s}, t={t}: w1 - w3 xi(u) = 0"
+    for i, u in enumerate(us):
+        if u in us[i + 1:]:
+            return f"u={u} twice: u_i = u_j"
     return None
 
 

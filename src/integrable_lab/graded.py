@@ -6,8 +6,15 @@ degrees are zero.  Composition is the Cauchy convolution of blocks and
 always takes an explicit truncation degree; silently exceeding it is a
 bug class this module refuses to host.
 
-Sparse storage is per-column (col -> {row: Fraction}); transfer matrices
-are interlacing-sparse so zero entries are never stored.
+A SparseMatrix stores integer numerators over one denominator: `cols`
+maps col -> {row: int} and `den` is an int, the matrix being cols / den.
+The stored form is canonical: den >= 1, the gcd of den and every
+numerator is 1, no zero is stored and no column is empty.  So two
+matrices are equal exactly when their `den` and `cols` are, `entry` and
+`entries` give reduced Fractions, and no other module reads the storage.
+Every operation multiplies and adds Python ints into one accumulator over
+a common denominator and brings the result back to canonical form once,
+through `_canonical` (drop zeros, divide by one gcd).
 
 Every exact identity check (lhs equals rhs on the columns, and
 optionally rows, whose intermediate states stay inside the truncated
@@ -15,55 +22,45 @@ basis) is decided by `SparseMatrix.mismatches`, or for vectors by its
 per-column `vector_mismatches`, and reports its first three failures
 through `mismatch_items`.  Equal columns are skipped; otherwise only the
 rows stored in either column are walked, a missing entry reading as
-zero, so the result is exactly the dense entrywise comparison at O(nnz)
-cost.
+zero, and entries are compared by cross-multiplied numerators, so the
+result is exactly the dense entrywise comparison at O(nnz) cost; a
+Fraction is made only for an entry that is reported.
 
 Operators that send each basis state to at most one target (site
 operators, window shifts, diagonals, the translation) are all built by
 `SparseMatrix.from_state_map`, which drops targets outside the basis
 and, given a list of source indices, builds only those columns.
 
-Every operator built entry by entry from combinatorial weights (transfer
-matrices from runs of hops, the Q-matrix from label chains, the half
-vertex operators from Pieri coefficients, relabellings) is built by
-`SparseMatrix.from_entries` or `GradedOperator.from_entries`: the
-builder yields its entries, repeated positions add up and zeros are
-dropped once, at the end.
+Every operator built entry by entry from combinatorial weights is built
+by `SparseMatrix.from_entries` or `GradedOperator.from_entries` from
+Fraction entries, or by `GradedOperator.from_ratios` from integer
+(numerator, denominator) pairs, for builders that multiply integers per
+entry (the transfer matrix and the Q-matrix): repeated positions add up
+over the lcm of the denominators of a degree and zeros are dropped once,
+at the end.
 
-Sums of products are fused: `sum_of_products` adds every block product
-of a list of graded pairs column by column into one accumulator per
-degree.  `GradedOperator.compose` is its one-pair case and every 2x2
-monodromy entry is one call; `add` and `eval_at` share the same column
-accumulators.  The graded sum is fraction-free: each block is taken as
-integer numerators over the lcm of its denominators (the left factor
-only on the columns the right factor's rows read), each degree
-accumulates over one common denominator in Python ints, and one
-reduced Fraction is made per nonzero output entry.  A Cauchy product of
-sector operators makes several block products per output entry (the TQ
-compose ~8), so one gcd per output beats one per product.
-
-The ungraded sides of exchange relations (RLL = LLR, the Toda
-intertwining, the vertex-operator exchange factors) are fused the same
-way by `sum_of_scaled_products` (sum of c A B, c applied once per entry
-of B), through the same product loop but on Fractions: there products
-are about as many as output entries, so converting would not pay.
-`SparseMatrix.mul` is its one-term case, and a commutator is decided
-as AB == BA, both products through `mul`.
+Sums of products are fused into one product kernel, `_add_product`:
+`sum_of_scaled_products` adds c A B over a list of terms column by column
+into one integer accumulator over the lcm of the terms' denominators,
+and `sum_of_products` does the same per degree for graded pairs.
+`GradedOperator.compose` is its one-pair case and every 2x2 monodromy
+entry is one call; `SparseMatrix.mul` is the one-term ungraded case,
+and a commutator is decided as AB == BA, both products through `mul`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .scalars import ONE, ZERO, as_scalar, format_scalar
 
+_EMPTY = {}  # read-only stand-in for a column that stores nothing
 
-def _add_product(acc: dict, acols: dict, bcols: dict, factor=ONE) -> None:
-    """acc += factor * a @ b on column maps (col -> {row: value}) of any exact
-    number type; zeros may remain.  The factor multiplies each entry of b
-    once, and only if it is not 1."""
-    scaled = factor != 1
+
+def _add_product(acc: dict, acols: dict, bcols: dict, factor: int) -> None:
+    """acc += factor * a @ b on integer column maps (col -> {row: int});
+    zeros may remain.  The factor multiplies each entry of b once."""
     for c, bcol in bcols.items():
         tgt = acc.get(c)
         if tgt is None:
@@ -71,68 +68,130 @@ def _add_product(acc: dict, acols: dict, bcols: dict, factor=ONE) -> None:
         for k, vb in bcol.items():
             acol = acols.get(k)
             if acol:
-                if scaled:
-                    vb = vb * factor
+                vb *= factor
                 for r, va in acol.items():
-                    old = tgt.get(r)
-                    tgt[r] = va * vb if old is None else old + va * vb
+                    tgt[r] = tgt.get(r, 0) + va * vb
 
 
-def _add_scaled(acc: dict, m: "SparseMatrix", factor=ONE) -> None:
-    """acc += factor * m on a column map; zeros may remain."""
-    scaled = factor != 1
-    for c, col in m.cols.items():
+def _add_scaled(acc: dict, cols: dict, factor: int) -> None:
+    """acc += factor * cols on integer column maps; zeros may remain."""
+    for c, col in cols.items():
         tgt = acc.get(c)
         if tgt is None:
-            tgt = acc[c] = {}
-        for r, v in col.items():
-            if scaled:
-                v = v * factor
-            old = tgt.get(r)
-            tgt[r] = v if old is None else old + v
+            acc[c] = {r: v * factor for r, v in col.items()}
+        else:
+            for r, v in col.items():
+                tgt[r] = tgt.get(r, 0) + v * factor
 
 
-def _nonzero(acc: dict) -> dict:
-    """The column map without its zero entries and empty columns."""
-    out = {}
+def _gcd_with(g: int, cols: dict) -> int:
+    """gcd of g and every numerator of an integer column map, stopping at 1."""
+    for col in cols.values():
+        if g == 1:
+            break
+        g = gcd(g, *col.values())
+    return g
+
+
+def _canonical(acc: dict, den: int):
+    """(cols, den) of the matrix acc / den (den >= 1) in canonical form:
+    zeros and empty columns dropped, numerators and den divided by their gcd."""
+    cols = {}
     for c, col in acc.items():
-        col = {r: v for r, v in col.items() if v}
+        if 0 in col.values():
+            col = {r: v for r, v in col.items() if v}
         if col:
-            out[c] = col
-    return out
+            cols[c] = col
+    g = _gcd_with(den, cols)
+    if g != 1:
+        den //= g
+        cols = {c: {r: v // g for r, v in col.items()} for c, col in cols.items()}
+    return cols, den
 
 
-def _over_common_denominator(cols: dict, keep=None):
-    """(d, integer column map n) with cols[c][r] == n[c][r] / d on the kept
-    columns (all, or those in the set `keep`), d the lcm of their denominators."""
-    if keep is not None:
-        cols = {c: cols[c] for c in cols.keys() & keep}
-    d = lcm(*{v.denominator for col in cols.values() for v in col.values()})
-    return d, {c: {r: v.numerator * (d // v.denominator) for r, v in col.items()}
-               for c, col in cols.items()}
+def _reduced(dim: int, acc: dict, den: int) -> "SparseMatrix":
+    return SparseMatrix._wrap(dim, *_canonical(acc, den))
 
 
-def _nonzero_over(acc: dict, d: int) -> dict:
-    """The column map of Fraction(v, d) over the nonzero entries v of an
-    integer accumulator, without empty columns."""
-    out = {}
-    for c, col in acc.items():
-        col = {r: Fraction(v, d) for r, v in col.items() if v}
-        if col:
-            out[c] = col
+def _check_indices(dim: int, acc: dict) -> None:
+    """Reject a column map (no empty column) with an index outside [0, dim)."""
+    if acc and not (0 <= min(acc) and max(acc) < dim
+                    and 0 <= min(map(min, acc.values()))
+                    and max(map(max, acc.values())) < dim):
+        raise ValueError(f"index outside [0, {dim})")
+
+
+def _sum_ratios(dim: int, entries) -> dict:
+    """{degree: SparseMatrix} summing num/den over (degree, row, col, num,
+    den) integer entries: each degree adds its numerators over the lcm of
+    its denominators, and an index outside [0, dim) raises ValueError."""
+    entries = list(entries)
+    dens = {}
+    for k, _, _, _, d in entries:
+        s = dens.get(k)
+        if s is None:
+            dens[k] = {d}
+        else:
+            s.add(d)
+    lcms = {k: lcm(*s) for k, s in dens.items()}
+    scales = {k: {d: lcms[k] // d for d in s} for k, s in dens.items()}
+    accs = {k: {} for k in dens}
+    for k, r, c, n, d in entries:
+        cols = accs[k]
+        col = cols.get(c)
+        n *= scales[k][d]
+        if col is None:
+            cols[c] = {r: n}
+        else:
+            col[r] = col.get(r, 0) + n
+    for acc in accs.values():
+        _check_indices(dim, acc)
+    return {k: _reduced(dim, acc, lcms[k]) for k, acc in accs.items()}
+
+
+def _ratios_matrix(dim: int, entries) -> "SparseMatrix":
+    """The degree-0 block of `_sum_ratios`, zero when no entry is given."""
+    block = _sum_ratios(dim, entries).get(0)
+    return SparseMatrix(dim) if block is None else block
+
+
+def _products(dim: int, terms) -> "SparseMatrix":
+    """sum of c A B over (c, A, B) in terms (c an int or Fraction), added
+    into one integer accumulator over the lcm of c.denominator A.den B.den."""
+    terms = [(c.numerator, c.denominator * A.den * B.den, A.cols, B.cols)
+             for c, A, B in terms if c]
+    den = lcm(*(d for _, d, _, _ in terms))
+    acc = {}
+    for n, d, acols, bcols in terms:
+        _add_product(acc, acols, bcols, n * (den // d))
+    return _reduced(dim, acc, den)
+
+
+def _over_lcm(vec: dict):
+    """(d, {index: int}) with vec[j] == ints[j] / d, d the lcm of the
+    denominators of a sparse vector of Fractions."""
+    d = lcm(*(v.denominator for v in vec.values()))
+    return d, {j: v.numerator * (d // v.denominator) for j, v in vec.items()}
+
+
+def _column_mismatches(a: dict, da, b: dict, db, rows) -> list:
+    """(row, a entry, b entry) for every differing entry of two row maps of
+    numerators over da and db, compared cross-multiplied, rows ascending
+    (only those in the set `rows`, when given); reported entries as Fractions."""
+    out = []
+    same = da == db
+    for r in sorted(a.keys() | b.keys()):
+        if rows is None or r in rows:
+            va, vb = a.get(r, 0), b.get(r, 0)
+            if va != vb if same else va * db != vb * da:
+                out.append((r, Fraction(va, da), Fraction(vb, db)))
     return out
 
 
 def vector_mismatches(a: dict, b: dict, rows=None) -> list:
-    """(row, a entry, b entry) for every differing entry of two row maps,
-    rows ascending (only those in the set `rows`, when given)."""
-    out = []
-    for r in sorted(a.keys() | b.keys()):
-        if rows is None or r in rows:
-            va, vb = a.get(r, ZERO), b.get(r, ZERO)
-            if va != vb:
-                out.append((r, va, vb))
-    return out
+    """(row, a entry, b entry) for every differing entry of two row maps of
+    Fractions, rows ascending (only those in the set `rows`, when given)."""
+    return _column_mismatches(a, 1, b, 1, rows)
 
 
 def mismatch_items(found, basis, **where) -> list:
@@ -148,16 +207,49 @@ def mismatch_items(found, basis, **where) -> list:
 
 
 class SparseMatrix:
-    """Square sparse matrix over Fractions, stored as per-column row maps."""
+    """Square sparse matrix over Q: integer numerators per column (col ->
+    {row: int}) over one denominator `den`, always in canonical form (see
+    the module docstring).
 
-    def __init__(self, dim: int, cols=None):
+    The constructor takes any integer column map and denominator, drops
+    zeros and empty columns and divides by the gcd; it rejects an index
+    outside [0, dim), a denominator below 1 and a numerator that is not
+    an int.
+    """
+
+    __slots__ = ("dim", "cols", "den")
+
+    def __init__(self, dim: int, cols=None, den: int = 1):
+        if type(den) is not int or den < 1:
+            raise ValueError(f"denominator must be an int >= 1, got {den!r}")
+        acc = {}
+        for c, col in (cols or {}).items():
+            if not 0 <= c < dim:
+                raise ValueError(f"column {c} outside [0, {dim})")
+            for r, v in col.items():
+                if not 0 <= r < dim:
+                    raise ValueError(f"entry ({r}, {c}) outside [0, {dim})")
+                if type(v) is not int:
+                    raise TypeError(f"numerator at ({r}, {c}) must be an int, got {v!r}")
+            acc[c] = dict(col)
         self.dim = dim
-        self.cols = {} if cols is None else cols
+        self.cols, self.den = _canonical(acc, den)
+
+    @classmethod
+    def _wrap(cls, dim: int, cols: dict, den: int) -> "SparseMatrix":
+        """The matrix cols / den, already in canonical form (not checked)."""
+        m = cls.__new__(cls)
+        m.dim, m.cols, m.den = dim, cols, den
+        return m
 
     @classmethod
     def identity(cls, dim: int, sources=None) -> "SparseMatrix":
         """The identity, or only its columns at the indices `sources`."""
-        return cls(dim, {j: {j: ONE} for j in (range(dim) if sources is None else sources)})
+        if sources is None:
+            sources = range(dim)
+        elif any(not 0 <= j < dim for j in sources):
+            raise ValueError(f"source index outside the basis of {dim} states")
+        return cls._wrap(dim, {j: {j: 1} for j in sources}, 1)
 
     @classmethod
     def from_state_map(cls, basis, fn, sources=None) -> "SparseMatrix":
@@ -175,57 +267,74 @@ class SparseMatrix:
             sources = range(len(states))
         elif any(not 0 <= j < len(states) for j in sources):
             raise ValueError(f"source index outside the basis of {len(states)} states")
-        cols = {}
+
+        hits = {}  # a source listed twice is one column
         for j in sources:
             hit = fn(states[j])
             if hit is not None:
                 i = index.get(hit[0])
                 if i is not None:
-                    value = as_scalar(hit[1])
-                    if value:
-                        cols[j] = {i: value}
-        return cls(len(basis.states), cols)
+                    hits[j] = i, as_scalar(hit[1])
+        den = lcm(*(v.denominator for _, v in hits.values()))
+        return _reduced(len(states), {j: {i: v.numerator * (den // v.denominator)}
+                                      for j, (i, v) in hits.items()}, den)
 
     @classmethod
     def from_entries(cls, dim: int, entries) -> "SparseMatrix":
-        """Sum of (row, col, value) entries: a repeated position adds up,
-        and zeros, given or cancelled, are dropped once, at the end."""
-        acc = {}
-        for r, c, v in entries:
-            col = acc.get(c)
-            if col is None:
-                acc[c] = {r: v}
-            else:
-                old = col.get(r)
-                col[r] = v if old is None else old + v
-        return cls(dim, _nonzero(acc))
+        """Sum of (row, col, value) entries, values ints or Fractions: a
+        repeated position adds up, and zeros, given or cancelled, are
+        dropped once, at the end."""
+        return _ratios_matrix(dim, ((0, r, c, v.numerator, v.denominator)
+                                    for r, c, v in entries))
 
     def entry(self, row: int, col: int) -> Fraction:
-        return self.cols.get(col, {}).get(row, ZERO)
+        v = self.cols.get(col, _EMPTY).get(row)
+        return ZERO if v is None else Fraction(v, self.den)
 
     def add_to(self, row: int, col: int, value) -> None:
+        """Add `value` at (row, col) in place.  O(nnz): the sum is brought
+        back to canonical form, over a new denominator when it changes."""
+        if not (0 <= row < self.dim and 0 <= col < self.dim):
+            raise ValueError(f"entry ({row}, {col}) outside [0, {self.dim})")
         value = as_scalar(value)
         if value == 0:
             return
-        col_map = self.cols.setdefault(col, {})
-        new = col_map.get(row, ZERO) + value
-        if new == 0:
-            col_map.pop(row, None)
-            if not col_map:
-                self.cols.pop(col, None)
-        else:
-            col_map[row] = new
+        den = lcm(self.den, value.denominator)
+        cols = dict(self.cols)
+        if den != self.den:
+            f = den // self.den
+            cols = {c: {r: v * f for r, v in cl.items()} for c, cl in cols.items()}
+        column = dict(cols.get(col, _EMPTY))  # columns may be shared: never edit one
+        column[row] = column.get(row, 0) + value.numerator * (den // value.denominator)
+        cols[col] = column
+        self.cols, self.den = _canonical(cols, den)
 
     def is_zero(self) -> bool:
-        return all(not col for col in self.cols.values())
+        return not self.cols
 
     def nnz(self) -> int:
-        return sum(len(col) for col in self.cols.values())
+        return sum(map(len, self.cols.values()))
 
     def entries(self):
+        """(row, col, value) for every stored entry, values as Fractions."""
+        den = self.den
         for c, col in self.cols.items():
             for r, v in col.items():
-                yield r, c, v
+                yield r, c, Fraction(v, den)
+
+    def stored_rows(self) -> set:
+        """Indices of the rows that store an entry."""
+        return set().union(*self.cols.values())
+
+    def stored_columns(self) -> set:
+        """Indices of the columns that store an entry."""
+        return set(self.cols)
+
+    def keep_columns(self, cols) -> "SparseMatrix":
+        """This matrix with every column outside the set `cols` zeroed, in
+        canonical form again."""
+        return _reduced(self.dim, {c: col for c, col in self.cols.items() if c in cols},
+                        self.den)
 
     def mul(self, other: "SparseMatrix") -> "SparseMatrix":
         """self @ other (other acts first on kets): one-term `sum_of_scaled_products`."""
@@ -234,16 +343,24 @@ class SparseMatrix:
     def add(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        acc = {c: dict(col) for c, col in self.cols.items()}
-        _add_scaled(acc, other)
-        return SparseMatrix(self.dim, _nonzero(acc))
+        den = lcm(self.den, other.den)
+        acc = {}
+        _add_scaled(acc, self.cols, den // self.den)
+        _add_scaled(acc, other.cols, den // other.den)
+        return _reduced(self.dim, acc, den)
 
     def scale(self, factor) -> "SparseMatrix":
+        """factor * self in one pass: with factor = p/q in lowest terms, the
+        gcd of den q and the numerators times p is gcd(den, p) gcd(q, numerators)."""
         factor = as_scalar(factor)
-        if factor == 0:
+        p, q = factor.numerator, factor.denominator
+        if p == 0:
             return SparseMatrix(self.dim)
-        return SparseMatrix(self.dim, {c: {r: v * factor for r, v in col.items()}
-                                       for c, col in self.cols.items()})
+        g1, g2 = gcd(self.den, p), _gcd_with(q, self.cols)
+        p //= g1
+        return SparseMatrix._wrap(self.dim, {c: {r: v // g2 * p for r, v in col.items()}
+                                             for c, col in self.cols.items()},
+                                  self.den // g1 * (q // g2))
 
     def conjugate_by_norm(self, norms) -> "SparseMatrix":
         """N^-1 A^T N for a diagonal N given as a list of nonzero Fractions."""
@@ -252,28 +369,42 @@ class SparseMatrix:
         norms = [as_scalar(v) for v in norms]
         if any(v == 0 for v in norms):
             raise ValueError("zero norm entry")
-        # (N^-1 A^T N)[c, r] = A[r, c] * norm_r / norm_c
-        return SparseMatrix.from_entries(
-            self.dim, ((c, r, v * norms[r] / norms[c]) for r, c, v in self.entries()))
+        # (N^-1 A^T N)[c, r] = A[r, c] * norm_r / norm_c, one ratio per entry
+        p = [v.numerator for v in norms]
+        q = [v.denominator for v in norms]
+        den = self.den
+        return _ratios_matrix(self.dim, ((0, c, r, v * p[r] * q[c], den * q[r] * p[c])
+                                         for c, col in self.cols.items()
+                                         for r, v in col.items()))
 
     def apply(self, vec: dict) -> dict:
-        """Apply to a sparse vector {index: Fraction}."""
+        """Apply to a sparse vector {index: Fraction}, on integers: the
+        vector is taken over the lcm D of its denominators, and each output
+        entry is one Fraction over den D."""
+        d, ints = _over_lcm(vec)
         out = {}
-        for j, coeff in vec.items():
-            for r, v in self.cols.get(j, {}).items():
-                out[r] = out.get(r, ZERO) + v * coeff
-        return {r: v for r, v in out.items() if v != 0}
+        for j, a in ints.items():
+            col = self.cols.get(j)
+            if col:
+                for r, v in col.items():
+                    out[r] = out.get(r, 0) + a * v
+        den = self.den * d
+        return {r: Fraction(v, den) for r, v in out.items() if v}
 
     def apply_row(self, covec: dict) -> dict:
-        """Apply a sparse covector on the left: (covec . A)."""
+        """Apply a sparse covector on the left, (covec . A), on integers as
+        `apply` does."""
+        d, ints = _over_lcm(covec)
+        den = self.den * d
         out = {}
         for c, col in self.cols.items():
-            acc = ZERO
+            acc = 0
             for r, v in col.items():
-                if r in covec:
-                    acc += covec[r] * v
-            if acc != 0:
-                out[c] = acc
+                a = ints.get(r)
+                if a is not None:
+                    acc += a * v
+            if acc:
+                out[c] = Fraction(acc, den)
         return out
 
     def mismatches(self, other: "SparseMatrix", cols, rows=None) -> list:
@@ -285,22 +416,22 @@ class SparseMatrix:
         """
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        if self.cols == other.cols:
-            return []  # equal maps differ nowhere
+        da, db = self.den, other.den
+        if da == db and self.cols == other.cols:
+            return []  # equal canonical forms differ nowhere
         if rows is not None:
             rows = set(rows)
         out = []
         for c in cols:
-            a, b = self.cols.get(c, {}), other.cols.get(c, {})
-            if a != b:  # an equal column needs no sorting
-                out += [(r, c, va, vb) for r, va, vb in vector_mismatches(a, b, rows)]
+            a, b = self.cols.get(c, _EMPTY), other.cols.get(c, _EMPTY)
+            if da != db or a != b:  # an equal column needs no sorting
+                out += [(r, c, va, vb) for r, va, vb in _column_mismatches(a, da, b, db, rows)]
         return out
 
     def __eq__(self, other):
         if not isinstance(other, SparseMatrix) or self.dim != other.dim:
             return NotImplemented
-        return {c: col for c, col in self.cols.items() if col} == \
-               {c: col for c, col in other.cols.items() if col}
+        return self.den == other.den and self.cols == other.cols
 
     __hash__ = None  # mutable
 
@@ -339,25 +470,22 @@ class GradedOperator:
 
     @classmethod
     def from_entries(cls, dim: int, entries, max_degree: int) -> "GradedOperator":
-        """Sum of (degree, row, col, value) entries, as in
-        `SparseMatrix.from_entries`; a degree keeps a block only when it
-        has a nonzero entry."""
-        acc = {}
-        for k, r, c, v in entries:
-            cols = acc.get(k)
-            if cols is None:
-                cols = acc[k] = {}
-            col = cols.get(c)
-            if col is None:
-                cols[c] = {r: v}
-            else:
-                old = col.get(r)
-                col[r] = v if old is None else old + v
-        return cls(dim, {k: SparseMatrix(dim, _nonzero(cols)) for k, cols in acc.items()},
-                   max_degree=max_degree)
+        """Sum of (degree, row, col, value) entries, values ints or
+        Fractions, as in `SparseMatrix.from_entries`; a degree keeps a
+        block only when it has a nonzero entry."""
+        return cls.from_ratios(dim, ((k, r, c, v.numerator, v.denominator)
+                                     for k, r, c, v in entries), max_degree)
+
+    @classmethod
+    def from_ratios(cls, dim: int, entries, max_degree: int) -> "GradedOperator":
+        """Sum of (degree, row, col, num, den) entries, each the value
+        num/den of two ints: each degree adds its numerators over the lcm
+        of its denominators, so no Fraction is made per entry."""
+        return cls(dim, _sum_ratios(dim, entries), max_degree=max_degree)
 
     def block(self, k: int) -> SparseMatrix:
-        return self.blocks.get(k, SparseMatrix(self.dim))
+        m = self.blocks.get(k)
+        return SparseMatrix(self.dim) if m is None else m
 
     def degrees(self):
         return sorted(self.blocks)
@@ -387,21 +515,40 @@ class GradedOperator:
                               max_degree=self.max_degree + k0)
 
     def eval_at(self, z) -> SparseMatrix:
-        """A(z) = sum_k z^k A_k, summed into one column map."""
+        """A(z) = sum_k z^k A_k, with z = p/q: block k adds p^k times its
+        numerators over q^k den_k, all in one accumulator over their lcm."""
         z = as_scalar(z)
+        p, q = z.numerator, z.denominator
+        terms = [(p ** k, q ** k * m.den, m.cols) for k, m in self.blocks.items()]
+        den = lcm(*(d for _, d, _ in terms))
         acc = {}
-        for k, m in self.blocks.items():
-            _add_scaled(acc, m, z ** k)
-        return SparseMatrix(self.dim, _nonzero(acc))
+        for n, d, cols in terms:
+            if n:
+                _add_scaled(acc, cols, n * (den // d))
+        return _reduced(self.dim, acc, den)
 
     def restrict(self, mapping: dict, dim: int, max_degree: int) -> "GradedOperator":
         """Entries whose row and column both lie in `mapping` (old index ->
-        new index), relabelled onto a basis of size dim; the rest dropped."""
-        return GradedOperator.from_entries(dim, (
-            (k, mapping[r], mapping[c], v)
-            for k, m in self.blocks.items()
-            for c, col in m.cols.items() if c in mapping
-            for r, v in col.items() if r in mapping), max_degree)
+        new index), relabelled onto a basis of size dim; the rest dropped.
+        Entries mapped to one position add up; a new index outside [0, dim)
+        raises ValueError."""
+        if any(not 0 <= j < dim for j in mapping.values()):
+            raise ValueError(f"mapped index outside [0, {dim})")
+        blocks = {}
+        for k, m in self.blocks.items():
+            acc = {}
+            for c, col in m.cols.items():
+                nc = mapping.get(c)
+                if nc is not None:
+                    tgt = acc.get(nc)
+                    if tgt is None:
+                        tgt = acc[nc] = {}
+                    for r, v in col.items():
+                        nr = mapping.get(r)
+                        if nr is not None:
+                            tgt[nr] = tgt.get(nr, 0) + v
+            blocks[k] = _reduced(dim, acc, m.den)
+        return GradedOperator(dim, blocks, max_degree)
 
     def bar_adjoint(self, norms) -> "GradedOperator":
         """Blockwise N^-1 A_k^T N.
@@ -437,60 +584,35 @@ class GradedOperator:
 
 def sum_of_products(pairs, max_degree: int) -> GradedOperator:
     """sum over (A, B) in pairs (not empty) of the Cauchy product A B,
-    truncated at max_degree (explicit, always).
-
-    Fraction-free: each block B_j is taken once per call as integer
-    numerators over d_B, the lcm of its denominators, and each A_i as
-    integer numerators over d_A on the columns that the rows of B's blocks
-    read.  Every block product A_i B_j with i + j = k <= max_degree is added
-    column by column into one integer accumulator over L_k, the lcm of the
-    d_A d_B of degree k, with the factor L_k / (d_A d_B); each nonzero sum
-    becomes one Fraction at the end, so no block product is built on its
-    own and no Fraction is normalized per term.
-    """
+    truncated at max_degree (explicit, always): every block product A_i B_j
+    with i + j = k <= max_degree adds into one integer accumulator of
+    degree k, so no block product is built on its own."""
     pairs = list(pairs)
     if not pairs:
         raise ValueError("sum_of_products of no pairs")
     dim = pairs[0][0].dim
     if any(A.dim != dim or B.dim != dim for A, B in pairs):
         raise ValueError("dimension mismatch")
-    b_ints = {}  # id(block) -> (d_B, integer columns), once per call
-    terms = {}  # degree -> [(d_A d_B, A columns, B columns)]
+    terms = {}  # degree -> [(1, A_i, B_j)]
     for A, B in pairs:
-        read = set().union(*(col.keys() for b in B.blocks.values() for col in b.cols.values()))
         for i, a in A.blocks.items():
-            da, acols = _over_common_denominator(a.cols, read)
             for j, b in B.blocks.items():
                 if i + j <= max_degree:
-                    hit = b_ints.get(id(b))
-                    if hit is None:
-                        hit = b_ints[id(b)] = _over_common_denominator(b.cols)
-                    db, bcols = hit
-                    terms.setdefault(i + j, []).append((da * db, acols, bcols))
-    blocks = {}
-    for k, products in terms.items():
-        L = lcm(*(d for d, _, _ in products))
-        acc = {}
-        for d, acols, bcols in products:
-            _add_product(acc, acols, bcols, L // d)
-        blocks[k] = SparseMatrix(dim, _nonzero_over(acc, L))
-    return GradedOperator(dim, blocks, max_degree=max_degree)
+                    terms.setdefault(i + j, []).append((1, a, b))
+    return GradedOperator(dim, {k: _products(dim, products) for k, products in terms.items()},
+                          max_degree=max_degree)
 
 
 def sum_of_scaled_products(terms) -> SparseMatrix:
     """sum over (c, A, B) in terms (not empty) of c A B, added column by
-    column into one accumulator; zeros are dropped once, at the end."""
+    column into one integer accumulator; zeros are dropped once, at the end."""
     terms = list(terms)
     if not terms:
         raise ValueError("sum_of_scaled_products of no terms")
     dim = terms[0][1].dim
     if any(A.dim != dim or B.dim != dim for _, A, B in terms):
         raise ValueError("dimension mismatch")
-    acc = {}
-    for c, A, B in terms:
-        if c:
-            _add_product(acc, A.cols, B.cols, c)
-    return SparseMatrix(dim, _nonzero(acc))
+    return _products(dim, terms)
 
 
 def commutator_vanishes(A: GradedOperator, B: GradedOperator) -> bool:

@@ -200,8 +200,12 @@ def periodic_transfer(N: int, n: int, x, t) -> GradedOperator:
     """
     t, x = as_scalar(t), as_scalar(x)
     basis = occupation_basis(N, n)
-    # a sector repeats each run amplitude many times: one table per call
+    # a sector repeats each run amplitude many times: one table per call,
+    # read as (numerator, denominator) pairs, so that an entry multiplies
+    # integers and hands its block the numerator and denominator
     one_minus = TTable(t).one_minus
+    ratio = [one_minus[m].as_integer_ratio() for m in range(n + 1)]
+    xn, xd = x.as_integer_ratio()
 
     def entries():
         for j, m in enumerate(basis.states):
@@ -209,30 +213,33 @@ def periodic_transfer(N: int, n: int, x, t) -> GradedOperator:
                 bonds = [k for k in range(N) if (bits >> k) & 1]
                 d = len(bonds)
                 if d == 0:
-                    yield 0, j, j, ONE
+                    yield 0, j, j, 1, 1
                     continue
                 if d == N:
-                    yield N, j, j, x
+                    yield N, j, j, xn, xd
                     continue
                 occ = list(m)
-                amp = ONE
+                num = den = 1
                 ok = True
                 runs = _runs_cyclic(bonds, N)
                 for a, b in runs:
                     if occ[a] == 0:
                         ok = False
                         break
-                    amp *= one_minus[m[a]]
+                    p, q = ratio[m[a]]
+                    num *= p
+                    den *= q
                     occ[a] -= 1
                 if not ok:
                     continue
                 for a, b in runs:
                     occ[(b + 1) % N] += 1
                 if (N - 1) in bonds:
-                    amp *= x
-                yield d, basis.index[tuple(occ)], j, amp
+                    num *= xn
+                    den *= xd
+                yield d, basis.index[tuple(occ)], j, num, den
 
-    return GradedOperator.from_entries(len(basis), entries(), N)
+    return GradedOperator.from_ratios(len(basis), entries(), N)
 
 
 def translation_op(N: int, n: int, x) -> SparseMatrix:
@@ -350,15 +357,14 @@ def _keep_columns(L, cols):
     dim = L[0][0].dim
     if any(not 0 <= c < dim for c in cols):
         raise ValueError(f"source column outside the basis of {dim} states")
-    return [[GradedOperator(dim, {k: SparseMatrix(dim, {c: m.cols[c] for c in cols
-                                                       if c in m.cols})
-                                  for k, m in e.blocks.items()}, max_degree=e.max_degree)
+    return [[GradedOperator(dim, {k: m.keep_columns(cols) for k, m in e.blocks.items()},
+                            max_degree=e.max_degree)
              for e in row] for row in L]
 
 
 def _row_support(matrices):
     """Sorted indices of the rows stored in any of the sparse matrices."""
-    return sorted({r for m in matrices for col in m.cols.values() for r in col})
+    return sorted(set().union(*(m.stored_rows() for m in matrices)))
 
 
 def monodromy(builders, max_degree: int, cols=None):
@@ -531,7 +537,8 @@ def window_to_partitions(entry: GradedOperator, window: Basis, basis_p: Basis,
     """A graded window operator restricted to its stored cone states
     (lambda'-tuples) and relabelled as partitions of basis_p through conjugation."""
     mapping = {}
-    support = {j for m in entry.blocks.values() for c, col in m.cols.items() for j in (c, *col)}
+    support = set().union(*(m.stored_rows() | m.stored_columns()
+                            for m in entry.blocks.values()))
     for j in support:
         v = window.states[j]
         if v[-1] >= 0 and all(v[i] >= v[i + 1] for i in range(len(v) - 1)):
@@ -629,14 +636,16 @@ def folded_toda_transfer(N: int, n: int, x, t) -> GradedOperator:
         m = tuple(shifted[k] - shifted[k + 1] for k in range(N - 1)) + (shifted[-1],)
         return m, delta
 
+    position = {src: j for j, src in enumerate(sources)}
+
     def entries():
+        # the monodromy was folded on the source columns only
         for d, block in traced.blocks.items():
-            for j, src in enumerate(sources):
-                for r, val in block.cols.get(src, {}).items():
-                    folded = fold(w.states[r])
-                    if folded is not None:
-                        tgt, delta = folded
-                        yield d, occ.index[tgt], j, val * x ** delta
+            for r, src, val in block.entries():
+                folded = fold(w.states[r])
+                if folded is not None:
+                    tgt, delta = folded
+                    yield d, occ.index[tgt], position[src], val * x ** delta
 
     return GradedOperator.from_entries(len(occ), entries(), N)
 

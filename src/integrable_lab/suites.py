@@ -341,8 +341,8 @@ def _suite_bethe(seed, p):
     z = Fraction(3, 4)
 
     def on_locus(s):  # a (t, alphabets) draw on the ansatz locus at (z, s)
-        return lambda t, alphabets: bethe.singular_point(
-            [u for us in alphabets for u in us], z, s, t)
+        return lambda t, alphabets: next(
+            filter(None, (bethe.singular_point(us, z, s, t) for us in alphabets)), None)
 
     for s in (Fraction(0), Fraction(1, 6)):
         (ts, alphabets), redraw = _redraw_past(on_locus(s), lambda d: (

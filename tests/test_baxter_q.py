@@ -105,7 +105,7 @@ def test_tq_report_names_rhs_only_entries(monkeypatch):
         rhs = q.block(k).scale(T ** k).add(q.block(k - N).scale(X * T ** (n - k + N)))
         want = [{"degree": k, "row": labels[r], "col": labels[c], "lhs": "0",
                  "rhs": format_scalar(v)}
-                for c in range(len(basis)) for r, v in sorted(rhs.cols.get(c, {}).items())]
+                for r, c, v in sorted(rhs.entries(), key=lambda e: (e[1], e[0]))]
         assert [f for f in failures if f["degree"] == k] == want[:3]
 
 
@@ -133,6 +133,36 @@ def test_tq_report_names_a_perturbed_entry(monkeypatch):
     sampled = [f for f in failures if "sampled_z" in f]
     assert sampled and all(f["sampled_z"] == "3/4" and f["col"] == labels[c]
                            and f["lhs"] != f["rhs"] for f in sampled)
+
+
+def test_tq_failure_items_are_pinned(monkeypatch):
+    # q_1[(2,0), (1,1)] += 1/5 at x = 2, t = 1/3; the items below are the
+    # report of the Fraction-storage implementation, pinned literally, so a
+    # change of storage or comparison cannot move the degree, the labels
+    # or either value
+    def perturbed(*args):
+        q = build_qmatrix(*args)
+        q.block(1).add_to(0, 1, F(1, 5))
+        return q
+
+    monkeypatch.setattr(baxter_q, "build_qmatrix", perturbed)
+    ok, failures = tq_check(2, 2, F(2), F(1, 3), sample_z=F(3, 4))
+    assert not ok
+    assert failures == [
+        {"degree": 1, "row": "(2,0)", "col": "(1,1)", "lhs": "-7/15", "rhs": "-3/5"},
+        {"degree": 2, "row": "(1,1)", "col": "(1,1)", "lhs": "28/45", "rhs": "4/9"},
+        {"degree": 3, "row": "(2,0)", "col": "(1,1)", "lhs": "-14/15", "rhs": "-6/5"},
+        {"sampled_z": "3/4", "row": "(2,0)", "col": "(1,1)", "lhs": "-119/160",
+         "rhs": "-153/160"},
+        {"sampled_z": "3/4", "row": "(1,1)", "col": "(1,1)", "lhs": "837/320",
+         "rhs": "161/64"}]
+    ok, failures = tq_check(3, 2, F(-3, 7), F(5, 2))
+    assert not ok
+    assert failures == [
+        {"degree": 1, "row": "(2,0,0)", "col": "(1,1,0)", "lhs": "1/5", "rhs": "1/2"},
+        {"degree": 2, "row": "(1,1,0)", "col": "(1,1,0)", "lhs": "-21/20", "rhs": "0"},
+        {"degree": 3, "row": "(1,0,1)", "col": "(1,1,0)", "lhs": "-21/20", "rhs": "0"},
+        {"degree": 4, "row": "(2,0,0)", "col": "(1,1,0)", "lhs": "-3/35", "rhs": "-3/14"}]
 
 
 def test_qmatrix_rejects_t_one():

@@ -179,7 +179,9 @@ def test_bethe_solve_rejects_degenerate_inputs(N, M, seeds):
     ([F(5, 3), F(-6)], F(3, 4), F(1, 6), T, "1 + u s = 0"),
     # at s = 0, w1 - w3 xi(u) = 1 - z u
     ([F(5, 3), F(4, 3)], F(3, 4), F(0), T, "w1 - w3 xi(u) = 0"),
-], ids=["w5-w6", "w2-w4", "xi-pole", "xhat-pole"])
+    # B divides by u_1 - u_2 (this pair raised ZeroDivisionError before)
+    ([F(2), F(2)], F(3, 4), F(1, 6), F(2, 7), "u_i = u_j"),
+], ids=["w5-w6", "w2-w4", "xi-pole", "xhat-pole", "coincident"])
 def test_checks_reject_the_declared_singular_locus(us, z, s, t, named):
     assert named in singular_point(us, z, s, t)
     with pytest.raises(ValueError, match=re.escape(named)):

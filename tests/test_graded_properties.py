@@ -1,8 +1,13 @@
 """Property tests for the sparse matrix algebra the window checks rely on.
 
-`SparseMatrix.mismatches` and its per-column `vector_mismatches` must
-agree with a dense entrywise comparison (even on maps that store zeros), the arithmetic must never store a
-zero, and a single wrong entry must be reported exactly once.  The
+Every matrix is stored as integer numerators over one denominator in
+canonical form (den >= 1, gcd(den, numerators) = 1, no stored zero, no
+empty column), checked through the public surface by `assert_canonical`
+on every result: the constructor brings any integer column map to that
+form and rejects what is not one.  `SparseMatrix.mismatches` and its
+per-column `vector_mismatches` must agree with a dense entrywise
+comparison (vectors storing zeros included) and report reduced
+Fractions, and a single wrong entry must be reported exactly once.  The
 state-map constructor and `GradedOperator.restrict` must equal the loops
 they replace, drop what leaves the basis and store no zero (the state
 map on listed sources equals the whole map on those columns; `restrict`
@@ -13,15 +18,18 @@ whether or not its factor builders honour their source lists,
 `eval_at`) must equal dense truncated Cauchy products of Fraction
 lists, cancelling terms and empty operands included, on values with
 large numerators over many denominators, storing only reduced nonzero
-Fractions and no degree above the cap; the ungraded
+Fractions and no degree above the cap; `sum_of_products` of three or
+more pairs must equal the dense sum of their Cauchy products; the ungraded
 `sum_of_scaled_products` and `mul` must equal dense sums of scaled
-products, and `commutator_vanishes` must decide the dense AB - BA.  Both `from_entries` constructors
-must equal the per-entry `add_to` loop they replace on entry lists with
-repeats, cancelling pairs and explicit zeros.
+products, and `commutator_vanishes` must decide the dense AB - BA;
+`scale`, `conjugate_by_norm`, `apply` and `apply_row` must equal their
+dense counterparts.  Both `from_entries` constructors must equal the
+per-entry `add_to` loop they replace on entry lists with repeats,
+cancelling pairs and explicit zeros.
 """
 
 from fractions import Fraction as F
-from math import gcd
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,12 +61,14 @@ SETTINGS = settings(deadline=None, max_examples=30)
 
 @st.composite
 def raw_matrices(draw):
-    """Any column map, stored zeros included."""
-    entries = draw(st.dictionaries(st.tuples(INDEX, INDEX), VALUES, max_size=2 * DIM))
-    cols = {}
+    """Any integer column map over any denominator, zeros, empty columns and
+    common factors included, through the validating constructor."""
+    entries = draw(st.dictionaries(st.tuples(INDEX, INDEX), st.integers(-6, 6),
+                                   max_size=2 * DIM))
+    cols = {c: {} for c in draw(st.sets(INDEX))}
     for (r, c), v in entries.items():
         cols.setdefault(c, {})[r] = v
-    return SparseMatrix(DIM, cols)
+    return SparseMatrix(DIM, cols, draw(st.integers(1, 12)))
 
 
 @st.composite
@@ -72,27 +82,45 @@ def copy_of(m):
     return SparseMatrix.from_entries(m.dim, m.entries())
 
 
-def stores_zero(m):
-    return any(v == 0 for col in m.cols.values() for v in col.values())
+def assert_canonical(m):
+    """m is stored in canonical form, read through the public surface: every
+    entry a nonzero reduced Fraction, den the lcm of their denominators (so
+    gcd(den, numerators) = 1), and every stored row and column holds one."""
+    entries = list(m.entries())
+    assert all(type(v) is F and v != 0 for _, _, v in entries)
+    assert type(m.den) is int and m.den == lcm(1, *(v.denominator for _, _, v in entries))
+    assert m.stored_columns() == {c for _, c, _ in entries}
+    assert m.stored_rows() == {r for r, _, _ in entries}
+    assert m.nnz() == len(entries)
+
+
+def entry_map(m):
+    return {(r, c): v for r, c, v in m.entries()}
 
 
 @SETTINGS
 @given(raw_matrices(), raw_matrices(), st.lists(INDEX, unique=True),
        st.none() | st.sets(INDEX))
 def test_mismatches_equals_dense_comparison(a, b, cols, rows):
+    assert_canonical(a)
+    assert_canonical(b)
     dense = [(r, c, a.entry(r, c), b.entry(r, c))
              for c in cols for r in range(DIM)
              if (rows is None or r in rows) and a.entry(r, c) != b.entry(r, c)]
-    assert a.mismatches(b, cols, rows) == dense
+    found = a.mismatches(b, cols, rows)
+    assert found == dense
+    assert all(type(v) is F for _, _, va, vb in found for v in (va, vb))
+    # a copy over the same values compares equal everywhere
+    assert a.mismatches(copy_of(a), cols, rows) == []
 
 
 @SETTINGS
-@given(raw_matrices(), raw_matrices(), st.none() | st.sets(INDEX))
-def test_vector_mismatches_equals_dense_comparison(a, b, rows):
-    # column 0 of each raw matrix as a sparse vector
-    va, vb = a.cols.get(0, {}), b.cols.get(0, {})
-    dense = [(r, a.entry(r, 0), b.entry(r, 0)) for r in range(DIM)
-             if (rows is None or r in rows) and a.entry(r, 0) != b.entry(r, 0)]
+@given(st.dictionaries(INDEX, VALUES), st.dictionaries(INDEX, VALUES),
+       st.none() | st.sets(INDEX))
+def test_vector_mismatches_equals_dense_comparison(va, vb, rows):
+    # sparse Fraction vectors, stored zeros included
+    dense = [(r, va.get(r, F(0)), vb.get(r, F(0))) for r in range(DIM)
+             if (rows is None or r in rows) and va.get(r, F(0)) != vb.get(r, F(0))]
     assert vector_mismatches(va, vb, rows) == dense
     assert vector_mismatches(va, dict(va), rows) == []
 
@@ -107,7 +135,9 @@ def test_operations_store_no_zero(a, b, r, c, value, factor, norms, cancel):
     added.add_to(r, c, value)
     for out in (a.mul(b), a.add(b), a.add(a.scale(-1)), added,
                 a.scale(factor), a.conjugate_by_norm(norms)):
-        assert not stores_zero(out)
+        assert_canonical(out)
+    assert entry_map(added) == {k: v for k, v in {**entry_map(a), (r, c): a.entry(r, c) + value}
+                                .items() if v}
 
 
 @SETTINGS
@@ -140,11 +170,11 @@ def test_state_map_equals_the_loop_it_replaces(table, order):
         if hit is not None and hit[0] in basis.index:
             loop.add_to(basis.index[hit[0]], j, hit[1])
     assert built == loop
-    assert not stores_zero(built)
+    assert_canonical(built)
     for j, state in enumerate(basis.states):
         hit = fn(state)
         if hit is None or hit[0] not in basis.index or hit[1] == 0:
-            assert j not in built.cols
+            assert j not in built.stored_columns()
 
 
 @SETTINGS
@@ -158,8 +188,8 @@ def test_state_map_on_sources_equals_the_whole_map_on_those_columns(table, order
 
     whole = SparseMatrix.from_state_map(basis, fn)
     built = SparseMatrix.from_state_map(basis, fn, sources)
-    assert built == SparseMatrix(DIM, {c: col for c, col in whole.cols.items() if c in sources})
-    assert not stores_zero(built)
+    assert built == SparseMatrix.from_entries(DIM, (e for e in whole.entries() if e[1] in sources))
+    assert_canonical(built)
     for bad in ([DIM], [0, -1]):
         with pytest.raises(ValueError, match="outside the basis"):
             SparseMatrix.from_state_map(basis, fn, bad)
@@ -186,7 +216,8 @@ def test_restrict_equals_the_loop_it_replaces(blocks, mapping, max_degree):
     got = op.restrict(mapping, 3, max_degree)
     assert got == expect
     assert got.max_degree == max_degree
-    assert not any(stores_zero(m) for m in got.blocks.values())
+    for m in got.blocks.values():
+        assert_canonical(m)
 
 
 PARTITIONS = st.lists(st.integers(1, 4), max_size=6).map(
@@ -271,15 +302,13 @@ def dense_mat2_mul(A, B, max_degree):
 
 
 def assert_graded_equals_dense(op, want, max_degree):
-    """op equals the dense blocks `want`, stores only reduced nonzero
-    Fractions and no empty block, and has no degree above max_degree."""
+    """op equals the dense blocks `want`, stores every block in canonical
+    form and no empty block, and has no degree above max_degree."""
     assert op.max_degree == max_degree
     assert all(0 <= k <= max_degree for k in op.degrees())
     assert not any(m.is_zero() for m in op.blocks.values())
     for m in op.blocks.values():
-        for v in (v for col in m.cols.values() for v in col.values()):
-            assert type(v) is F and v != 0
-            assert v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
+        assert_canonical(m)
     assert dense_blocks(op, max_degree) == want
 
 
@@ -322,8 +351,8 @@ def builder(L, honour):
     def build(sources):
         if sources is None or not honour:
             return L
-        return [[GradedOperator(DIM, {d: SparseMatrix(DIM, {c: col for c, col in m.cols.items()
-                                                            if c in sources})
+        return [[GradedOperator(DIM, {d: SparseMatrix.from_entries(
+                    DIM, (e for e in m.entries() if e[1] in sources))
                                       for d, m in e.blocks.items()}, max_degree=e.max_degree)
                  for e in row] for row in L]
     return build
@@ -385,9 +414,9 @@ def test_eval_at_equals_dense_sum(A, z, cancel):
         want = dense_add(want, [[v * z ** k for v in row] for row in dense(A.block(k))])
     got = A.eval_at(z)
     assert dense(got) == want
-    assert not stores_zero(got)
+    assert_canonical(got)
     if cancel:
-        assert got.is_zero() and not got.cols
+        assert got.is_zero() and not got.stored_columns()
 
 
 @SETTINGS
@@ -403,7 +432,7 @@ def test_sum_of_scaled_products_equals_dense_sum(terms, cancel):
         want = dense_add(want, [[c * v for v in row] for row in dense_mul(dense(A), dense(B))])
     got = sum_of_scaled_products(iter(terms))
     assert dense(got) == want
-    assert_stored_clean(got)
+    assert_canonical(got)
     a, b = terms[0][1:]
     assert dense(a.mul(b)) == dense_mul(dense(a), dense(b))
     ab_minus_ba = dense_add(dense_mul(dense(a), dense(b)),
@@ -428,17 +457,13 @@ def entry_lists(draw):
     return draw(st.permutations(entries + [e for e, b in zip(extra, keep) if b]))
 
 
-def assert_stored_clean(m):
-    assert not stores_zero(m)
-    assert all(m.cols.values())  # no empty column
-
-
 @SETTINGS
 @given(entry_lists())
 def test_from_entries_equals_the_add_to_loop(entries):
     loop = {}
     for k, r, c, v in entries:
         loop.setdefault(k, SparseMatrix(DIM)).add_to(r, c, v)
+        assert_canonical(loop[k])
     graded = GradedOperator.from_entries(DIM, iter(entries), 2)
     assert graded == GradedOperator(DIM, loop)
     assert graded.max_degree == 2
@@ -446,6 +471,91 @@ def test_from_entries_equals_the_add_to_loop(entries):
     for k in range(3):
         plain = SparseMatrix.from_entries(DIM, ((r, c, v) for d, r, c, v in entries if d == k))
         assert plain == loop.get(k, SparseMatrix(DIM))
-        assert plain.cols == graded.block(k).cols
-        assert_stored_clean(plain)
-        assert_stored_clean(graded.block(k))
+        assert entry_map(plain) == entry_map(graded.block(k))
+        assert_canonical(plain)
+        assert_canonical(graded.block(k))
+
+
+@SETTINGS
+@given(st.lists(graded_ops(2, MIXED), min_size=6, max_size=8), st.integers(0, 4),
+       st.booleans())
+def test_sum_of_products_of_three_or_more_pairs_equals_dense(ops, max_degree, cancel):
+    pairs = list(zip(ops[0::2], ops[1::2]))  # 3 or 4 pairs
+    if cancel:
+        # the last pair cancels the first
+        A, B = pairs[0]
+        pairs[-1] = (A, B.scale(-1))
+    got = sum_of_products(pairs, max_degree)
+    want = [dense_zero() for _ in range(max_degree + 1)]
+    for A, B in pairs:
+        want = [dense_add(w, p) for w, p in zip(want, dense_cauchy(
+            dense_blocks(A, max_degree), dense_blocks(B, max_degree), max_degree))]
+    assert_graded_equals_dense(got, want, max_degree)
+
+
+@SETTINGS
+@given(matrices(), st.fractions(min_value=-3, max_value=3, max_denominator=7),
+       st.lists(NONZERO, min_size=DIM, max_size=DIM),
+       st.dictionaries(INDEX, NONZERO), st.dictionaries(INDEX, NONZERO))
+def test_scale_conjugate_and_apply_equal_dense(a, factor, norms, vec, covec):
+    d = dense(a)
+    scaled = a.scale(factor)
+    assert dense(scaled) == [[factor * v for v in row] for row in d]
+    assert_canonical(scaled)
+    conj = a.conjugate_by_norm(norms)
+    assert dense(conj) == [[d[c][r] * norms[c] / norms[r] for c in range(DIM)]
+                           for r in range(DIM)]
+    assert_canonical(conj)
+    # vectors come back as {index: nonzero reduced Fraction}
+    applied = a.apply(vec)
+    want = {r: sum((d[r][j] * v for j, v in vec.items()), F(0)) for r in range(DIM)}
+    assert applied == {r: v for r, v in want.items() if v}
+    row = a.apply_row(covec)
+    want = {c: sum((v * d[r][c] for r, v in covec.items()), F(0)) for c in range(DIM)}
+    assert row == {c: v for c, v in want.items() if v}
+    assert all(type(v) is F for v in (*applied.values(), *row.values()))
+
+
+def test_constructor_brings_any_integer_map_to_canonical_form():
+    # zeros and empty columns dropped, numerators and den divided by their gcd
+    m = SparseMatrix(3, {0: {0: 0, 1: 4}, 1: {}, 2: {2: -2}}, 6)
+    assert m.den == 3 and m.nnz() == 2
+    assert entry_map(m) == {(1, 0): F(2, 3), (2, 2): F(-1, 3)}
+    assert m == SparseMatrix.from_entries(3, [(1, 0, F(2, 3)), (2, 2, F(-1, 3))])
+    assert_canonical(m)
+    # a zero stored anywhere leaves the zero matrix, equal to the empty one
+    zero = SparseMatrix(3, {1: {2: 0}}, 5)
+    assert zero.is_zero() and zero.nnz() == 0 and zero.den == 1
+    assert zero == SparseMatrix(3)
+
+
+@pytest.mark.parametrize("cols", [{5: {0: 1}}, {1: {7: 2}}, {-1: {0: 1}}, {0: {-1: 1}},
+                                  {3: {0: 0}}, {3: {}}])
+def test_constructor_rejects_an_index_outside_the_basis(cols):
+    with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+        SparseMatrix(3, cols)
+
+
+@pytest.mark.parametrize("den", [0, -2, 1.0, F(1, 2), "3"])
+def test_constructor_rejects_a_denominator_that_is_not_an_int_of_at_least_1(den):
+    with pytest.raises(ValueError, match="denominator must be an int >= 1"):
+        SparseMatrix(3, {0: {0: 1}}, den)
+
+
+@pytest.mark.parametrize("value", [F(2), F(0), 1.5, "1", True])
+def test_constructor_rejects_a_numerator_that_is_not_an_int(value):
+    with pytest.raises(TypeError, match="must be an int"):
+        SparseMatrix(3, {1: {0: value}})
+    # the example of a map once taken as given: a zero at column 5, a
+    # Fraction at row 7, both outside a 3-state basis
+    with pytest.raises(ValueError, match="outside"):
+        SparseMatrix(3, {5: {0: F(0)}, 1: {7: F(2)}})
+
+
+def test_from_entries_and_add_to_reject_an_index_outside_the_basis():
+    with pytest.raises(ValueError, match="outside"):
+        SparseMatrix.from_entries(3, [(0, 3, F(1))])
+    with pytest.raises(ValueError, match="outside"):
+        GradedOperator.from_entries(3, [(1, -1, 0, F(1))], 2)
+    with pytest.raises(ValueError, match="outside"):
+        SparseMatrix(3).add_to(3, 0, F(1))

@@ -230,15 +230,15 @@ def _left_fold(builders, cap):
 
 
 def _columns(T, cols):
-    return [[{d: {c: m.cols[c] for c in cols if c in m.cols} for d, m in e.blocks.items()}
-             for e in row] for row in T]
+    # per entry and degree, the stored entries of the given columns
+    return [[{d: {(r, c): v for r, c, v in m.entries() if c in cols}
+              for d, m in e.blocks.items()} for e in row] for row in T]
 
 
 def _entries(T, cols):
     # every stored entry of a 2x2 operator matrix in the given columns
     return {(i, j, d, r, c): v for i, row in enumerate(T) for j, e in enumerate(row)
-            for d, m in e.blocks.items() for c, col in m.cols.items() if c in cols
-            for r, v in col.items()}
+            for d, m in e.blocks.items() for r, c, v in m.entries() if c in cols}
 
 
 def _edge_columns(w):
@@ -332,7 +332,7 @@ def test_toda_gauge_reports_a_perturbed_boundary_lax(monkeypatch):
     def perturbed(basis, k, t, sources=None):
         L = qboson_lax_toda_vars(basis, k, t, sources)
         if k == 0:
-            bump = SparseMatrix(len(basis), {e: {e: d}})
+            bump = SparseMatrix.from_entries(len(basis), [(e, e, d)])
             L[0][0] = L[0][0].add(GradedOperator(len(basis), {0: bump}))
         return L
 

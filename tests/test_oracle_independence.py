@@ -1,0 +1,110 @@
+"""Oracle independence, made mechanical: each shared kernel is perturbed and
+must be caught.
+
+One row per kernel.  A row monkeypatches one perturbation into the
+kernel, runs the suites the kernel feeds at seed 0, and asserts two
+things: the perturbation fired (it changed at least one result), and
+every listed suite fails.  A kernel that fed both sides of an identity
+the same wrong way would let its suites pass, so a row that stops
+failing is the signal.  `unreached` lists suites that run the kernel's
+module without deciding through the perturbed function; they must keep
+passing, which pins the oracle map down in both directions.
+
+Each row runs only its own suites, at seed 0 and default parameters.
+"""
+
+import pytest
+
+from integrable_lab import graded
+from integrable_lab.graded import SparseMatrix
+from integrable_lab.suites import SuiteSpec, run_suite
+
+
+def drop_left_column_0(monkeypatch, fired):
+    """The product kernel skips column 0 of its left factor: A B becomes
+    A P B with P the projection off basis state 0."""
+    real = graded._add_product
+
+    def perturbed(acc, acols, bcols, factor):
+        if 0 in acols and any(0 in col for col in bcols.values()):
+            fired.append(1)
+        real(acc, {k: col for k, col in acols.items() if k != 0}, bcols, factor)
+
+    monkeypatch.setattr(graded, "_add_product", perturbed)
+
+
+def drop_negative_numerators(monkeypatch, fired):
+    """The canonical reduction's zero test slips to a sign test: every
+    negative numerator is dropped with the zeros."""
+    real = graded._canonical
+
+    def perturbed(acc, den):
+        if any(v < 0 for col in acc.values() for v in col.values()):
+            fired.append(1)
+        return real({c: {r: v for r, v in col.items() if v > 0} for c, col in acc.items()},
+                    den)
+
+    monkeypatch.setattr(graded, "_canonical", perturbed)
+
+
+def keep_the_unreduced_denominator(monkeypatch, fired):
+    """The canonical reduction divides the numerators by their gcd with the
+    denominator but keeps the denominator: the matrix shrinks by that gcd."""
+    real = graded._canonical
+
+    def perturbed(acc, den):
+        cols, reduced = real(acc, den)
+        if reduced != den:
+            fired.append(1)
+        return cols, den
+
+    monkeypatch.setattr(graded, "_canonical", perturbed)
+
+
+def compare_one_column_over(monkeypatch, fired):
+    """`mismatches` reads the other side one column to the right."""
+    real = SparseMatrix.mismatches
+
+    def perturbed(self, other, cols, rows=None):
+        shifted = SparseMatrix.from_entries(
+            other.dim, ((r, (c + 1) % other.dim, v) for r, c, v in other.entries()))
+        found = real(self, shifted, cols, rows)
+        fired.extend(found)
+        return found
+
+    monkeypatch.setattr(SparseMatrix, "mismatches", perturbed)
+
+
+# (kernel, perturbation, suites that must fail, identity sides it feeds,
+#  suites that run the kernel's module but never the perturbed function,
+#  which must keep passing)
+ROWS = [
+    ("graded._add_product", drop_left_column_0, ("tq", "lambda-q", "rll"),
+     "Lambda q of TQ; both orders of every commutator; both sides of RLL and "
+     "of the Toda intertwining", ()),
+    ("graded._canonical", drop_negative_numerators, ("tq", "lambda-q", "rll"),
+     "every stored matrix: both sides of every sparse identity, and the "
+     "closed-form Q against its add_to-built trace", ()),
+    # lambda-q misses this one: both products of a commutator come out of
+    # one accumulator, and matrices that commute still commute when scaled
+    ("graded._canonical", keep_the_unreduced_denominator, ("tq", "rll"),
+     "every stored matrix, scaled by the gcd it failed to take out", ()),
+    # lambda-q decides its commutators and the trace agreement by ==, so
+    # a wrong comparison in mismatches does not reach it
+    ("SparseMatrix.mismatches", compare_one_column_over, ("tq", "rll"),
+     "the comparison of every reported identity", ("lambda-q",)),
+]
+
+
+@pytest.mark.parametrize("kernel, perturb, fail, feeds, unreached", ROWS,
+                         ids=[row[1].__name__ for row in ROWS])
+def test_a_perturbed_kernel_fails_the_suites_it_feeds(monkeypatch, kernel, perturb, fail,
+                                                      feeds, unreached):
+    fired = []
+    perturb(monkeypatch, fired)
+    for name in fail:
+        before = len(fired)
+        assert run_suite(SuiteSpec(name, 0))["status"] == "fail", (kernel, name)
+        assert len(fired) > before, (kernel, name)  # the perturbation took effect
+    for name in unreached:
+        assert run_suite(SuiteSpec(name, 0))["status"] == "pass", (kernel, name)
