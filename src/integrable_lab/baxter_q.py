@@ -1,11 +1,12 @@
 """Baxter Q-matrix for the periodic q-boson / discretized Toda chain.
 
 The Q-matrix is a degree-n polynomial matrix on the (N, n) occupation
-sector, built from a closed-form entry formula: interlaced label chains
-weighted by t-binomials, signs (-z)^degree, and momentum-gauge powers of
-the twist x.  An auxiliary-spin Lax operator gives a second, independent
-construction by tracing over the spin space; the two are compared
-entrywise in the tests and suites.
+sector, built from a closed-form entry formula: a sum of per-site boson
+moves, each site k sending d_k <= m_k bosons to site k+1, weighted by
+t-binomials binom(m_k, d_k)_t, signs (-z)^{d_k}, and the twist x once
+per boson crossing the seam.  An auxiliary-spin Lax operator gives a
+second, independent construction by tracing over the spin space; the two
+are compared entrywise in the tests and suites.
 
 Conventions are anchored by three exact requirements: the 3x3 printed
 example, the TQ relation Lambda(z) q(z) = q(tz) + x z^N t^n q(z/t), and
@@ -15,8 +16,9 @@ commutation with the transfer matrix and the translation.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from itertools import product as iproduct
+from math import prod
+from operator import add, sub
 
 from .graded import (
     GradedOperator,
@@ -111,51 +113,44 @@ def site_null_vector_check(a: int, c: int, z, t):
     return ok11 and ok12 and ok22, {"null": ok12, "upper": ok11, "lower": ok22}
 
 
-def _reject_t_one(t) -> None:
-    if t == 1:
-        raise ValueError("t = 1 is a singular point of the Q-matrix: "
+def _reject_singular_t(t, top: int) -> None:
+    """Reject the t where a Q-matrix construction dividing by the
+    t-factorials k!_t, k <= top, meets 0/0: t = 1, and t = -1 once
+    top >= 2 (k!_t has the factor 1 - t^2 from k = 2 on)."""
+    if t == 1 or t == -1 and top >= 2:
+        raise ValueError(f"t = {t} is a singular point of the Q-matrix: "
                          "its t-factorial quotients are 0/0 there")
 
 
 def build_qmatrix(N: int, n: int, x, t) -> GradedOperator:
     """Degree-n Q-matrix on the (N, n) occupation sector.
 
-    Per source state, the site-reversed label vector nu (partial sums,
-    nu_1 = n, nu_{N+1} = 0) is interlaced by an output chain
-    nu_{k+1} <= out_k <= nu_k; the entry is
-    (-z)^{sum(nu - out)} * prod_k binom(nu_k - nu_{k+1}, nu_k - out_k)_t,
-    with the output brought to the canonical momentum gauge by an upward
-    shift of delta = n - out_1 carrying x^delta.
+    Each site k sends d_k of its m_k bosons to site k+1 (cyclic), for
+    every d with 0 <= d_k <= m_k: the target is m_k - d_k + d_{k-1}, the
+    degree is |d| and the entry is
+    (-1)^{|d|} x^{d_N} * prod_k binom(m_k, d_k)_t,
+    the seam N -> 1 carrying the twist x once per boson it moves.
     """
     t, x = as_scalar(t), as_scalar(x)
-    _reject_t_one(t)
+    _reject_singular_t(t, n)  # binom(m_k, d_k)_t divides by m_k!_t, m_k <= n
     basis = occupation_basis(N, n)
-    # a sector repeats each t-binomial and phase many times: one table per
-    # call, read as (numerator, denominator) pairs, so that a chain
-    # multiplies integers and hands its block the numerator and denominator
+    # a sector repeats each t-binomial many times: one table per call,
+    # read as (numerator, denominator) pairs, so that an entry multiplies
+    # integers and hands its block the numerator and denominator
     binom = TTable(t).binom
-    ratio = cache(lambda a, b: binom[a, b].as_integer_ratio())
-    phase = cache(lambda deg, delta: ((-ONE) ** deg * x ** delta).as_integer_ratio())
+    xn, xd = x.as_integer_ratio()
 
     def entries():
         for j, m in enumerate(basis.states):
-            rev = tuple(reversed(m))
-            nu = [0] * (N + 2)
-            for k in range(N, 0, -1):
-                nu[k] = nu[k + 1] + rev[k - 1]
-            ranges = [range(nu[k + 1], nu[k] + 1) for k in range(1, N + 1)]
-            for out in iproduct(*ranges):
-                deg = sum(nu[k] - out[k - 1] for k in range(1, N + 1))
-                delta = n - out[0]
-                num, den = phase(deg, delta)
-                for k in range(1, N + 1):
-                    p, q = ratio(nu[k] - nu[k + 1], nu[k] - out[k - 1])
-                    num *= p
-                    den *= q
-                shifted = [v + delta for v in out]
-                rev_target = tuple(shifted[k] - shifted[k + 1]
-                                   for k in range(N - 1)) + (shifted[N - 1],)
-                yield deg, basis.index[tuple(reversed(rev_target))], j, num, den
+            # per site k, (d_k, numerator, denominator) of binom(m_k, d_k)_t,
+            # times x^{d_k} on the seam site
+            sites = [[(d, *binom[mk, d].as_integer_ratio()) for d in range(mk + 1)] for mk in m]
+            sites[-1] = [(d, p * xn ** d, q * xd ** d) for d, p, q in sites[-1]]
+            for moves in iproduct(*sites):
+                d, p, q = zip(*moves)
+                degree = sum(d)
+                target = tuple(map(add, map(sub, m, d), d[-1:] + d[:-1]))
+                yield degree, basis.index[target], j, (-1) ** degree * prod(p), prod(q)
 
     return GradedOperator.from_ratios(len(basis), entries(), n)
 
@@ -307,7 +302,7 @@ def trace_qmatrix(N: int, n: int, z, x, t) -> GradedOperator:
     z, x, t = as_scalar(z), as_scalar(x), as_scalar(t)
     if z == 0:
         raise ValueError("sample z must be nonzero")
-    _reject_t_one(t)
+    _reject_singular_t(t, 2 * n)  # the spin labels reach 2n
     u = -ONE / z  # so the spectral monomial base 1/u equals -z
     basis = occupation_basis(N, n)
     dim = len(basis)

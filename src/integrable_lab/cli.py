@@ -52,9 +52,8 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-# integer flags of `verify`; each suite reads a subset (suites.suite_flags)
-VERIFY_FLAGS = ("N", "n", "D", "degree", "cap", "draws", "truncation",
-                "max_weight", "max_len", "vars")
+# integer flags of `verify`: every flag some suite reads (suites.suite_flags)
+VERIFY_FLAGS = tuple(dict.fromkeys(flag for name in SUITE_NAMES for flag in suite_flags(name)))
 
 # the flags each `eval` and `matrix` kind reads, each with its default
 # (None: required); `matrix lax` reads --s for the spin_s family only

@@ -1,12 +1,13 @@
 """Lax matrices, R-matrices, monodromies and transfer matrices.
 
 Chains live on occupation bases (site k holds m_k bosons).  The
-projected products that define the transfer matrices are expanded
-combinatorially: a subset of bond factors decomposes into maximal runs,
-each run contributing a single hop, because the projection erases
-creation/annihilation pairs at intermediate sites.  Naive operator
-multiplication would be wrong here (S Sbar is not 1 as an operator), so
-runs are the primitive.
+projected products that define the transfer matrices are expanded as
+sums of per-site boson moves: each subset of chosen bonds moves one
+boson across every chosen bond, and the projection erases the
+creation/annihilation pair at every site inside a run of chosen bonds,
+so only the sites that end one boson short carry a weight 1 - t^{m_k}.
+Naive operator multiplication would be wrong here (S Sbar is not 1 as an
+operator), so the moves are summed directly.
 
 The Toda-variable realization acts on free integer-tuple windows: the
 shift operators generate a Weyl torus algebra whose products may pass
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import product as iproduct
+from operator import add
 
 from .graded import (
     GradedOperator,
@@ -165,79 +167,46 @@ def chain_basis(N: int, total_cap: int) -> Basis:
     return Basis(states, f"chain N={N} particles<={total_cap}", kind="occupation")
 
 
-def _runs_linear(bonds):
-    """Maximal runs of consecutive integers in a sorted bond set."""
-    runs = []
-    for b in sorted(bonds):
-        if runs and runs[-1][1] == b - 1:
-            runs[-1][1] = b
-        else:
-            runs.append([b, b])
-    return [tuple(r) for r in runs]
-
-
-def _runs_cyclic(bonds, N):
-    bset = set(bonds)
-    if len(bset) == N:
-        raise ValueError("full ring handled separately")
-    runs = []
-    for b in bset:
-        if (b - 1) % N not in bset:
-            end = b
-            while (end + 1) % N in bset:
-                end = (end + 1) % N
-            runs.append((b, end))
-    return runs
-
-
 def periodic_transfer(N: int, n: int, x, t) -> GradedOperator:
     """Projected product over bonds k -> k+1 (cyclic), twist x on the seam.
 
-    Each maximal cyclic run of chosen bonds [a, b] moves one boson from
-    site a to site b+1 with amplitude (1 - t^{m_a}); a run through the
-    seam picks up the twist, and the full ring contributes z^N x times
-    the identity.
+    Each subset of chosen bonds is one term of z-degree its size: every
+    chosen bond k carries one boson from site k to site k+1, so site k
+    gains c_{k-1} - c_k (c_k = 1 when bond k is chosen).  The projection
+    erases the pair a boson leaves inside a run of chosen bonds, so the
+    weight is a factor 1 - t^{m_k} at each run start (bond k chosen,
+    bond k-1 not), the sites that end one boson short, times x when the
+    seam bond N -> 1 is chosen.  An empty run start weighs 1 - t^0 = 0.
+    The empty subset is the identity and the full ring, with no run
+    start, is z^N x times the identity.
     """
     t, x = as_scalar(t), as_scalar(x)
     basis = occupation_basis(N, n)
-    # a sector repeats each run amplitude many times: one table per call,
-    # read as (numerator, denominator) pairs, so that an entry multiplies
-    # integers and hands its block the numerator and denominator
+    # a sector repeats each run-start weight many times: one table per
+    # call, read as (numerator, denominator) pairs, so that an entry
+    # multiplies integers and hands its block the numerator and denominator
     one_minus = TTable(t).one_minus
     ratio = [one_minus[m].as_integer_ratio() for m in range(n + 1)]
     xn, xd = x.as_integer_ratio()
+    subsets = []  # (degree, gain per site, run starts, seam chosen)
+    for bits in range(2 ** N):
+        c = [bits >> k & 1 for k in range(N)]
+        gain = [c[k - 1] - c[k] for k in range(N)]  # c[-1] is the seam
+        subsets.append((sum(c), gain, [k for k in range(N) if gain[k] < 0], c[-1]))
 
     def entries():
         for j, m in enumerate(basis.states):
-            for bits in range(2 ** N):
-                bonds = [k for k in range(N) if (bits >> k) & 1]
-                d = len(bonds)
-                if d == 0:
-                    yield 0, j, j, 1, 1
-                    continue
-                if d == N:
-                    yield N, j, j, xn, xd
-                    continue
-                occ = list(m)
+            for degree, gain, starts, seam in subsets:
                 num = den = 1
-                ok = True
-                runs = _runs_cyclic(bonds, N)
-                for a, b in runs:
-                    if occ[a] == 0:
-                        ok = False
-                        break
-                    p, q = ratio[m[a]]
+                for k in starts:
+                    p, q = ratio[m[k]]
                     num *= p
                     den *= q
-                    occ[a] -= 1
-                if not ok:
-                    continue
-                for a, b in runs:
-                    occ[(b + 1) % N] += 1
-                if (N - 1) in bonds:
-                    num *= xn
-                    den *= xd
-                yield d, basis.index[tuple(occ)], j, num, den
+                if num:  # an empty run start weighs 0 and would go negative
+                    if seam:
+                        num *= xn
+                        den *= xd
+                    yield degree, basis.index[tuple(map(add, m, gain))], j, num, den
 
     return GradedOperator.from_ratios(len(basis), entries(), N)
 
@@ -271,49 +240,38 @@ def periodic_hamiltonian(N: int, n: int, x, t) -> SparseMatrix:
 def open_transfer(basis: Basis, N: int, t, direction: str = "right") -> GradedOperator:
     """Open-chain projected product on a partition basis with lam_1 <= N.
 
-    direction "right": bonds (create at 1), (hop 1->2), ..., (hop N-1 -> N);
-    a run [a, b] moves a boson from a-1 to b (a >= 2) or creates one at b
-    (a = 1), amplitude from the source occupancy.
-    direction "left": the mirror image, annihilating at the origin, graded
-    by powers of 1/z stored positively.
+    Each subset of chosen bonds 1..N is one term of z-degree its size.
+    direction "right": bond 1 creates a boson at site 1 and bond k >= 2
+    carries one from site k-1 to site k, weighted by 1 - t^{m_{k-1}} at
+    every run start (bond k >= 2 chosen, bond k-1 not).  direction
+    "left": the mirror image, bond 1 annihilating at site 1 and bond k
+    carrying one from site k to site k-1, weighted by 1 - t^{m_k} at
+    every run end (bond k chosen, bond k+1 not or k = N), graded by
+    powers of 1/z stored positively.  Either way the weighted sites are
+    those that end one boson short; targets outside the basis are dropped.
     """
     t = as_scalar(t)
+    sign = 1 if direction == "right" else -1  # "left" moves every boson back
+    subsets = []  # (degree, gain per site, weighted sites)
+    for bits in range(2 ** N):
+        c = [bits >> k & 1 for k in range(N)] + [0]
+        gain = [sign * (c[k] - c[k + 1]) for k in range(N)]
+        subsets.append((sum(c), gain, [k for k in range(N) if gain[k] < 0]))
 
     def entries():
         for j, lam in enumerate(basis.states):
             if lam and lam[0] > N:
                 continue  # outside the N-site projector: zero column
             m = partition_to_occupation(lam, N)
-            for bits in range(2 ** N):
-                bonds = [k + 1 for k in range(N) if (bits >> k) & 1]
-                if not bonds:
-                    yield 0, j, j, ONE
-                    continue
-                occ = list(m)
+            weight = [ONE - t ** mk for mk in m]
+            for degree, gain, short in subsets:
                 amp = ONE
-                ok = True
-                for a, b in _runs_linear(bonds):
-                    if direction == "right":
-                        if a >= 2:
-                            if occ[a - 2] == 0:
-                                ok = False
-                                break
-                            amp *= ONE - t ** m[a - 2]
-                            occ[a - 2] -= 1
-                        occ[b - 1] += 1
-                    else:
-                        if occ[b - 1] == 0:
-                            ok = False
-                            break
-                        amp *= ONE - t ** m[b - 1]
-                        occ[b - 1] -= 1
-                        if a >= 2:
-                            occ[a - 2] += 1
-                if not ok:
-                    continue
-                target = occupation_to_partition(occ)
-                if target in basis.index:
-                    yield len(bonds), basis.index[target], j, amp
+                for k in short:
+                    amp *= weight[k]
+                if amp:  # an empty weighted site weighs 0 and would go negative
+                    target = occupation_to_partition(tuple(map(add, m, gain)))
+                    if target in basis.index:
+                        yield degree, basis.index[target], j, amp
 
     return GradedOperator.from_entries(len(basis), entries(), N)
 

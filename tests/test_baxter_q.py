@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from integrable_lab.baxter_q import (
     ar_project_check,
@@ -172,6 +173,19 @@ def test_qmatrix_rejects_t_one():
         trace_qmatrix(2, 2, F(3, 4), X, F(1))
 
 
+def test_qmatrix_rejects_t_minus_one_where_a_t_factorial_vanishes():
+    # 2!_t = (1 - t)(1 - t^2) = 0 at t = -1: binom(2, 2)_t would be 0/0
+    with pytest.raises(ValueError, match="t = -1"):
+        build_qmatrix(2, 2, F(2), F(-1))
+    # the trace's spin labels reach 2n, so 2!_t divides already at n = 1
+    with pytest.raises(ValueError, match="t = -1"):
+        trace_qmatrix(2, 1, F(3, 4), F(2), F(-1))
+    # below those degrees no t-factorial quotient is 0/0
+    assert tq_check(2, 1, F(2), F(-1))[0] and tq_check(3, 1, F(2), F(-1))[0]
+    assert trace_qmatrix(2, 0, F(3, 4), F(2), F(-1)).block(0) == \
+        build_qmatrix(2, 0, F(2), F(-1)).eval_at(F(3, 4))
+
+
 def test_commutation_checks():
     for (N, n) in [(2, 2), (3, 2), (3, 3)]:
         q = build_qmatrix(N, n, X, T)
@@ -248,6 +262,17 @@ def test_trace_construction_matches_closed_form():
         direct = q.eval_at(z)
         traced = trace_qmatrix(N, n, z, X, T).block(0)
         assert direct == traced, (N, n)
+
+
+RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=9)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 4), st.integers(0, 4), RATIONAL.filter(lambda v: v not in (1, -1)),
+       RATIONAL, RATIONAL.filter(lambda v: v != 0))
+def test_trace_construction_matches_closed_form_at_random_points(N, n, t, x, z):
+    # off the declared loci: t = 1 and -1 (the t-factorials), z = 0
+    assert build_qmatrix(N, n, x, t).eval_at(z) == trace_qmatrix(N, n, z, x, t).block(0)
 
 
 def test_ar_projected_intertwining():

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from integrable_lab.graded import GradedOperator, SparseMatrix, commutator_vanishes
 from integrable_lab.lattice import (
@@ -173,6 +174,23 @@ def test_open_transfer_matches_gamma_restriction():
     gp = build_gamma("L", "+", basis, T_SAMPLE)
     for d in range(N + 1):
         assert Ab.block(d) == gp.block(d), d
+
+
+# rationals off the loci of the routes compared below: t = 0 (the Toda
+# x_k^{-1}), t = 1 and t = -1 (the t-factorials of the vertex operators)
+RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=9)
+OFF_LOCI = RATIONAL.filter(lambda v: v not in (0, 1, -1))
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 3), st.integers(0, 7), OFF_LOCI)
+def test_open_transfer_matches_gamma_restriction_at_random_t(N, D, t):
+    basis = partition_basis(D, max_part=N)
+    for direction, sign in (("right", "-"), ("left", "+")):
+        A = open_transfer(basis, N, t, direction=direction)
+        gamma = build_gamma("L", sign, basis, t)
+        for d in range(N + 1):
+            assert A.block(d) == gamma.block(d), (direction, d)
 
 
 def test_open_transfer_z1_is_open_hamiltonian():
@@ -368,6 +386,12 @@ def test_folded_toda_transfer_equals_qboson():
         lam = periodic_transfer(N, n, X_SAMPLE, T_SAMPLE)
         folded = folded_toda_transfer(N, n, X_SAMPLE, T_SAMPLE)
         assert lam == folded, (N, n)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 4), st.integers(0, 4), OFF_LOCI, RATIONAL)
+def test_folded_toda_transfer_equals_qboson_at_random_points(N, n, t, x):
+    assert periodic_transfer(N, n, x, t) == folded_toda_transfer(N, n, x, t)
 
 
 def test_spin_transfer_reduces_at_s0():

@@ -1,8 +1,8 @@
-"""Oracle independence, made mechanical: each shared kernel is perturbed and
-must be caught.
+"""Oracle independence, made mechanical: each shared kernel and each
+operator builder is perturbed and must be caught.
 
-One row per kernel.  A row monkeypatches one perturbation into the
-kernel, runs the suites the kernel feeds at seed 0, and asserts two
+One row per kernel or builder.  A row monkeypatches one perturbation into
+it, runs the suites the kernel feeds at seed 0, and asserts two
 things: the perturbation fired (it changed at least one result), and
 every listed suite fails.  A kernel that fed both sides of an identity
 the same wrong way would let its suites pass, so a row that stops
@@ -13,9 +13,13 @@ passing, which pins the oracle map down in both directions.
 Each row runs only its own suites, at seed 0 and default parameters.
 """
 
+import inspect
+from fractions import Fraction
+
 import pytest
 
-from integrable_lab import graded
+import integrable_lab
+from integrable_lab import baxter_q, cli, graded, lattice, suites
 from integrable_lab.graded import SparseMatrix
 from integrable_lab.suites import SuiteSpec, run_suite
 
@@ -75,6 +79,39 @@ def compare_one_column_over(monkeypatch, fired):
     monkeypatch.setattr(SparseMatrix, "mismatches", perturbed)
 
 
+class FirstPowerOff(Fraction):
+    """A t whose first power reads t + 1 and every other power is exact:
+    the weight 1 - t^1 of a site holding one boson reads -t, and every
+    t-factorial k!_t (k >= 1) carries that one factor off."""
+
+    def __pow__(self, k):
+        return Fraction(self) ** k + (k == 1)
+
+
+def first_power_off(name):
+    """The builder `name` computes its weights at a t whose first power is
+    off (`FirstPowerOff`); every module binding it calls the perturbed
+    builder, which records a firing whenever its output differs."""
+    module = lattice if hasattr(lattice, name) else baxter_q
+    real = getattr(module, name)
+
+    def perturb(monkeypatch, fired):
+        def build(*args, **kwargs):
+            call = inspect.signature(real).bind(*args, **kwargs)
+            call.arguments["t"] = FirstPowerOff(call.arguments["t"])
+            out = real(*call.args, **call.kwargs)
+            if out != real(*args, **kwargs):
+                fired.append(1)
+            return out
+
+        for mod in (integrable_lab, lattice, baxter_q, suites, cli):
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, build)
+
+    perturb.__name__ = f"{name}_first_power_off"
+    return perturb
+
+
 # (kernel, perturbation, suites that must fail, identity sides it feeds,
 #  suites that run the kernel's module but never the perturbed function,
 #  which must keep passing)
@@ -93,6 +130,18 @@ ROWS = [
     # a wrong comparison in mismatches does not reach it
     ("SparseMatrix.mismatches", compare_one_column_over, ("tq", "rll"),
      "the comparison of every reported identity", ("lambda-q",)),
+    ("baxter_q.build_qmatrix", first_power_off("build_qmatrix"),
+     ("tq", "lambda-q", "paper-matrices", "adjoint"),
+     "q of TQ against Lambda, the closed form against the auxiliary-spin trace, "
+     "the printed 3x3 Q, the reflected Q", ()),
+    ("lattice.periodic_transfer", first_power_off("periodic_transfer"),
+     ("tq", "lambda-q", "gauge", "paper-matrices", "adjoint"),
+     "Lambda of TQ and of the commutators, the bond expansion against the folded "
+     "Toda monodromy, the printed 3x3 transfer matrix, the reflected transfer", ()),
+    ("lattice.open_transfer", first_power_off("open_transfer"),
+     ("gamma-eigen", "ar-project"),
+     "the open chain against the half vertex operators, A^L of the projected "
+     "intertwining", ()),
 ]
 
 

@@ -212,6 +212,13 @@ def test_cli_matrix_q_rejects_t_one(capsys):
     assert "t = 1" in capsys.readouterr().err
 
 
+def test_cli_matrix_q_rejects_t_minus_one_from_n_2(capsys):
+    assert cli.main(["matrix", "q", "--N=2", "--n=2", "--t=-1", "--x=2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: t = -1 is a singular point" in captured.err
+    assert cli.main(["matrix", "q", "--N=2", "--n=1", "--t=-1", "--x=2"]) == 0
+
+
 def test_cli_bethe_rejects_t_one(capsys):
     assert cli.main(["bethe", "--N", "2", "--M", "1", "--t", "1"]) == 2
     assert "t = 1" in capsys.readouterr().err
