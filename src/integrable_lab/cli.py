@@ -9,16 +9,19 @@ the Bethe solver tolerances.  Exit codes: 0 pass, 1 identity failure
 (including a suite that raised), 2 usage error.  A flag that the chosen
 suite (`verify`) or kind (`eval`, `matrix`) does not read is a usage
 error, and so is a `verify` value that would leave a check nothing to
-assert.  INTEGRABLE_LAB_SEED overrides the default seed.  A flat
-key=value config file (`--config file`) can supply any flag that takes a
-value, required ones included: each line is passed to the parser as
-`--key=value` ahead of the typed flags, so a typed flag wins.  A key
-naming no such flag, and a missing or malformed file, are usage errors.
+assert.  INTEGRABLE_LAB_SEED overrides the default seed; `verify` and
+`bethe` read it on each call, and a value that is not an integer is a
+usage error.  A flat key=value config file (`--config file`) can supply
+any flag that takes a value, required ones included: each line is passed
+to the parser as `--key=value` ahead of the typed flags, so a typed flag
+wins.  A key naming no such flag, and a missing or malformed file, are
+usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -98,13 +101,18 @@ def _load_config(path: str) -> dict:
     return out
 
 
+@functools.cache
+def _config_parser():
+    pre = argparse.ArgumentParser(prog="integrable-lab", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    return pre
+
+
 def _config_flags(argv) -> list:
     """The lines of the `--config` file among argv, as `--key=value` tokens
     (none without the flag).  Raises OSError or ValueError for a file that
     cannot be read."""
-    pre = argparse.ArgumentParser(prog="integrable-lab", add_help=False, allow_abbrev=False)
-    pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
+    path = _config_parser().parse_known_args(argv)[0].config
     if path is None:
         return []
     return [f"--{key}={val}" for key, val in _load_config(path).items()]
@@ -132,11 +140,16 @@ def _read_flags(args, what: str, table: dict, reads: dict) -> None:
             setattr(args, flag, default)
 
 
-def _default_seed():
-    env = os.environ.get("INTEGRABLE_LAB_SEED")
-    if env is not None:
+def _seed(args) -> int:
+    """--seed if given, else INTEGRABLE_LAB_SEED, else 0; ValueError for a
+    variable that is not an integer."""
+    if args.seed is not None:
+        return args.seed
+    env = os.environ.get("INTEGRABLE_LAB_SEED", "0")
+    try:
         return int(env)
-    return 0
+    except ValueError:
+        raise ValueError(f"INTEGRABLE_LAB_SEED must be an integer, not {env!r}") from None
 
 
 def cmd_verify(args) -> int:
@@ -146,7 +159,7 @@ def cmd_verify(args) -> int:
     and exits 1."""
     reads = suite_flags(args.suite)  # KeyError (exit 2) for an unknown suite
     _reject_unread(args, f"suite {args.suite!r}", VERIFY_FLAGS, reads)
-    spec = SuiteSpec(args.suite, seed=args.seed,
+    spec = SuiteSpec(args.suite, seed=_seed(args),
                      params={reads[flag]: getattr(args, flag) for flag in reads
                              if getattr(args, flag) is not None})
     suite_params(spec)  # ValueError (exit 2) for a value below its least value
@@ -232,7 +245,7 @@ def cmd_matrix(args) -> int:
 
 def cmd_bethe(args) -> int:
     system = bethe_solve(args.N, args.M, parse_scalar(args.t), parse_scalar(args.s),
-                         parse_scalar(args.x), seeds=args.seeds, seed=args.seed)
+                         parse_scalar(args.x), seeds=args.seeds, seed=_seed(args))
     out = system.to_json()
     if args.M > 0 and system.roots:
         out["eigen_residual"] = periodic_eigen_residual(system, complex(0.37))
@@ -261,7 +274,11 @@ def cmd_gaudin(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
+@functools.cache
 def build_parser():
+    """The parser of every subcommand, built on first use and then shared.
+    It holds no per-call state: `_seed` resolves the seed default, and
+    `main` looks up the command's function on each call."""
     parser = argparse.ArgumentParser(
         prog="integrable-lab",
         description="Exact checks for q-boson/Toda transfer matrices, "
@@ -270,12 +287,11 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", help="run a named identity suite", allow_abbrev=False)
     p_verify.add_argument("suite", help=f"one of: {', '.join(SUITE_NAMES)}")
-    p_verify.add_argument("--seed", type=int, default=_default_seed())
+    p_verify.add_argument("--seed", type=int)
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--config")
     for flag in VERIFY_FLAGS:
         p_verify.add_argument(f"--{flag}", type=int, default=None)
-    p_verify.set_defaults(fn=cmd_verify)
 
     p_eval = sub.add_parser("eval", help="evaluate a polynomial exactly", allow_abbrev=False)
     # every kind-specific flag defaults to None: EVAL_FLAGS holds the defaults
@@ -287,7 +303,6 @@ def build_parser():
     p_eval.add_argument("--r", type=int)
     p_eval.add_argument("--family", choices=["P", "Qomega"], help="skew only")
     p_eval.add_argument("--config")
-    p_eval.set_defaults(fn=cmd_eval)
 
     p_matrix = sub.add_parser("matrix", help="dump an operator as JSON", allow_abbrev=False)
     # every flag defaults to None: MATRIX_FLAGS holds the defaults
@@ -302,7 +317,6 @@ def build_parser():
     p_matrix.add_argument("--family", help="gamma: L|R (default L); lax: qboson|spin_s")
     p_matrix.add_argument("--sign", choices=["+", "-"])
     p_matrix.add_argument("--config")
-    p_matrix.set_defaults(fn=cmd_matrix)
 
     p_bethe = sub.add_parser("bethe", help="solve a small Bethe system", allow_abbrev=False)
     p_bethe.add_argument("--N", type=int, required=True)
@@ -311,9 +325,8 @@ def build_parser():
     p_bethe.add_argument("--s", default="0")
     p_bethe.add_argument("--x", default="1")
     p_bethe.add_argument("--seeds", type=int, default=20)
-    p_bethe.add_argument("--seed", type=int, default=_default_seed())
+    p_bethe.add_argument("--seed", type=int)
     p_bethe.add_argument("--config")
-    p_bethe.set_defaults(fn=cmd_bethe)
 
     p_gaudin = sub.add_parser("gaudin", help="truncated scalar product vs determinant",
                               allow_abbrev=False)
@@ -323,7 +336,6 @@ def build_parser():
     p_gaudin.add_argument("--s", default="0")
     p_gaudin.add_argument("--truncation", type=int, default=60)
     p_gaudin.add_argument("--config")
-    p_gaudin.set_defaults(fn=cmd_gaudin)
 
     return parser
 
@@ -352,8 +364,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
+    command = globals()[f"cmd_{args.command}"]  # looked up per call, not bound in the parser
     try:
-        return args.fn(args)
+        return command(args)
     except (ValueError, KeyError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

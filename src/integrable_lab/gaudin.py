@@ -294,11 +294,13 @@ def lascoux_reduction_check(n: int, U, V, t) -> bool:
         # tau^j: the last j variables are sent to zero
         return omega_t_product(us[: n - j], V, t)
 
+    # the word's coefficients (-1)^j t^{j(j+1)/2} [n choose j]_t do not depend on us
+    coeffs = [(-ONE) ** j * t ** (j * (j + 1) // 2) * tbinom(n, j, t) for j in range(n + 1)]
+
     def g(us):
         acc = ZERO
-        for j in range(n + 1):
-            coeff = t ** (j * (j + 1) // 2) * tbinom(n, j, t)
-            acc += (-ONE) ** j * coeff * shifted_kernel(us, j)
+        for j, coeff in enumerate(coeffs):
+            acc += coeff * shifted_kernel(us, j)
         return acc
 
     return hecke_symmetrize(g, U, t) == (1 - t) ** (2 * n) * gaudin_det(n, U, V, t)

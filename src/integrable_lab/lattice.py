@@ -250,6 +250,8 @@ def open_transfer(basis: Basis, N: int, t, direction: str = "right") -> GradedOp
     powers of 1/z stored positively.  Either way the weighted sites are
     those that end one boson short; targets outside the basis are dropped.
     """
+    if direction not in ("right", "left"):
+        raise ValueError(f"direction must be 'right' or 'left', not {direction!r}")
     t = as_scalar(t)
     sign = 1 if direction == "right" else -1  # "left" moves every boson back
     subsets = []  # (degree, gain per site, weighted sites)

@@ -193,6 +193,12 @@ def test_open_transfer_matches_gamma_restriction_at_random_t(N, D, t):
             assert A.block(d) == gamma.block(d), (direction, d)
 
 
+@pytest.mark.parametrize("direction", ["up", "Right", "LEFT", ""])
+def test_open_transfer_rejects_an_unknown_direction(direction):
+    with pytest.raises(ValueError, match="direction"):
+        open_transfer(partition_basis(5), 2, T_SAMPLE, direction)
+
+
 def test_open_transfer_z1_is_open_hamiltonian():
     D, N = 6, 3
     basis = partition_basis(D, max_part=N)

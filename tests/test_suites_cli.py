@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -173,6 +174,15 @@ def test_cli_env_seed_and_config(tmp_path, monkeypatch):
                            "--config", str(conf), "--t", "1/2")
     dump = json.loads(out)
     assert {"degree": 1, "row": 1, "col": 0, "value": "3/4"} in dump["entries"]
+    # the variable replaces the default seed; a typed or configured --seed wins
+    monkeypatch.setenv("INTEGRABLE_LAB_SEED", "7")
+    code, out, _ = run_cli("verify", "paper-matrices", "--json")
+    assert code == 0 and json.loads(out)["seed"] == 7
+    conf.write_text("seed=3\n")
+    code, out, _ = run_cli("verify", "paper-matrices", "--json", "--config", str(conf))
+    assert code == 0 and json.loads(out)["seed"] == 3
+    code, out, _ = run_cli("verify", "paper-matrices", "--json", "--seed", "2")
+    assert code == 0 and json.loads(out)["seed"] == 2
 
 
 def test_cli_matrix_lax_dumps_its_family(capsys):
@@ -501,3 +511,101 @@ def test_cli_bethe_rejects_degenerate_inputs(argv, named, capsys):
     assert cli.main(["bethe", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and named in captured.err
+
+
+@pytest.fixture
+def fresh_parsers():
+    """The CLI's cached parsers are dropped before and after the test."""
+    def clear():
+        cli.build_parser.cache_clear()
+        cli._config_parser.cache_clear()
+    clear()
+    yield clear
+    clear()
+
+
+def mixed_requests(tmp_path):
+    conf = tmp_path / "mixed.conf"
+    conf.write_text("t=2/7\nx=3/5\n")
+    return [
+        ["eval", "Q", "--lambda", "[2,1]", "--vars", "1/2,1/3", "--t", "1/5"],
+        ["eval", "er", "--vars", "1/2,1/3", "--r", "2"],
+        ["matrix", "q", "--N", "2", "--n", "2", "--t", "2/7", "--x", "3/5"],
+        ["verify", "paper-matrices", "--json"],
+        ["verify", "lascoux", "--seed", "3"],
+        ["eval", "P", "--lambda", "oops", "--vars", "1/2", "--t", "1/5"],
+        ["matrix", "lambda", "--bogus", "1"],
+        ["eval", "Q", "--lambda", "[1]"],
+        ["matrix", "lambda", "--N", "2", "--config", str(conf)],
+        ["matrix", "lambda", "--config"],
+        ["bethe", "--N", "2", "--M", "1", "--seeds", "4"],
+        ["gaudin", "--U", "1/3", "--V", "1/2", "--t", "-1/2"],
+        ["--help"],
+        ["verify", "--help"],
+        ["nonsense"],
+    ]
+
+
+def served(argv, capsys):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cli_builds_its_parsers_once_per_process(monkeypatch, capsys, tmp_path, fresh_parsers):
+    # a subclass standing in for argparse.ArgumentParser would recurse
+    # (argparse calls super(ArgumentParser, self)), so the constructor is wrapped
+    built = []
+    construct = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    requests = mixed_requests(tmp_path)
+    served(requests[0], capsys)
+    # the main parser, one parser per subcommand and the --config pre-parser
+    assert len(built) == 7
+    built.clear()
+    for argv in requests * 3:
+        served(argv, capsys)
+    assert built == []
+
+
+def test_cli_requests_in_one_process_match_fresh_parsers(capsys, tmp_path, fresh_parsers):
+    requests = mixed_requests(tmp_path)
+    shared = [served(argv, capsys) for argv in requests + requests[::-1]]
+    fresh = []
+    for argv in requests:
+        fresh_parsers()
+        fresh.append(served(argv, capsys))
+    assert shared == fresh + fresh[::-1]
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 2, 2, 2, 0, 2, 0, 0, 0, 0, 2]
+    assert fresh[1][1] == "1/6\n"
+    assert "usage: integrable-lab verify" in fresh[13][1]
+
+
+def test_cli_reads_the_seed_variable_on_each_call(monkeypatch, capsys):
+    seeds = []
+    for value in ("3", "11", None):
+        if value is None:
+            monkeypatch.delenv("INTEGRABLE_LAB_SEED")
+        else:
+            monkeypatch.setenv("INTEGRABLE_LAB_SEED", value)
+        code, out, _ = served(["verify", "paper-matrices", "--json"], capsys)
+        assert code == 0
+        seeds.append(json.loads(out)["seed"])
+    assert seeds == [3, 11, 0]
+
+
+def test_cli_malformed_seed_variable_is_a_usage_error_where_read(monkeypatch, capsys):
+    monkeypatch.setenv("INTEGRABLE_LAB_SEED", "abc")
+    for argv in (["verify", "paper-matrices"], ["bethe", "--N", "2", "--M", "1"]):
+        code, out, err = served(argv, capsys)
+        assert code == 2 and not out
+        assert err == "error: INTEGRABLE_LAB_SEED must be an integer, not 'abc'\n"
+    # eval reads no seed, and a typed --seed leaves the variable unread
+    code, out, _ = served(["eval", "Q", "--lambda", "[1]", "--vars", "1/2", "--t", "1/3"], capsys)
+    assert code == 0 and out == "1/3\n"
+    assert served(["verify", "paper-matrices", "--seed", "1"], capsys)[0] == 0
