@@ -23,7 +23,7 @@ from .partitions import (
     weight,
     window_basis,
 )
-from .graded import GradedOperator, SparseMatrix, commutator_vanishes, matrix_dump
+from .graded import GradedOperator, SparseMatrix, commutator_items, graded_items, matrix_dump
 from .hall_littlewood import (
     Alphabet,
     PieriTable,
@@ -61,9 +61,7 @@ from .baxter_q import (
     ar_project_check,
     build_LL,
     build_qmatrix,
-    lambda_q_commute_check,
     null_psi,
-    qq_commute_check,
     tq_check,
     trace_qmatrix,
 )

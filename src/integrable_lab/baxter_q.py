@@ -23,9 +23,10 @@ from operator import add, sub
 from .graded import (
     GradedOperator,
     SparseMatrix,
-    commutator_vanishes,
+    graded_items,
     mismatch_items,
     sum_of_scaled_products,
+    vector_mismatches,
 )
 from .lattice import (
     free_window_basis,
@@ -36,7 +37,6 @@ from .lattice import (
     toda_monodromy,
     toda_shift_op,
     toda_x_op,
-    translation_op,
     window_to_partitions,
 )
 from .partitions import (
@@ -70,7 +70,7 @@ def site_null_vector_check(a: int, c: int, z, t):
         L'_11 Psi(-z)   = Psi(-tz)
         L'_22 Psi(-z)   = z X Psi(-z/t)
 
-    Returns (ok, detail).
+    Returns (ok, failures), naming the relation and the spin b.
     """
     z, t = as_scalar(z), as_scalar(t)
     if t == 0:
@@ -96,21 +96,20 @@ def site_null_vector_check(a: int, c: int, z, t):
     hop = apply_X(v0, lambda b: ONE - ta * t ** (-b))
     for b, v in hop.items():
         r12[b] = r12.get(b, ZERO) - tc * z * v
-    ok12 = all(v == 0 for v in r12.values())
 
     # L'_11 = 1 + z X (1 - t^a x^{-1})
     r11 = dict(v0)
-    for b, v in apply_X(v0, lambda b: ONE - ta * t ** (-b)).items():
+    for b, v in hop.items():
         r11[b] = r11.get(b, ZERO) + z * v
-    ok11 = r11 == psi(-t * z)
 
     # L'_22 = t^c z X x^{-1}
     r22 = apply_X(v0, lambda b: tc * z * t ** (-b))
-    want = apply_X(psi(-z / t))
-    for b, v in want.items():
-        want[b] = z * v
-    ok22 = {b: v for b, v in r22.items() if v != 0} == {b: v for b, v in want.items() if v != 0}
-    return ok11 and ok12 and ok22, {"null": ok12, "upper": ok11, "lower": ok22}
+    want = apply_X(psi(-z / t), lambda b: z)
+    failures = [item for relation, got, expect in (("null", r12, {}), ("upper", r11, psi(-t * z)),
+                                                   ("lower", r22, want))
+                for b, lhs, rhs in vector_mismatches(got, expect)
+                for item in mismatch_items([(lhs, rhs)], None, relation=relation, b=b)]
+    return not failures, failures
 
 
 def _reject_singular_t(t, top: int) -> None:
@@ -348,7 +347,7 @@ def trace_qmatrix(N: int, n: int, z, x, t) -> GradedOperator:
 
 
 # ---------------------------------------------------------------------------
-# TQ relation and commutation checks
+# TQ relation
 
 def tq_check(N: int, n: int, x, t, sample_z=None):
     """Lambda_N(z) q_n(z) = q_n(tz) + x z^N t^n q_n(z/t), exactly, graded.
@@ -368,50 +367,13 @@ def tq_check(N: int, n: int, x, t, sample_z=None):
         GradedOperator(lam.dim, {k + N: b.scale(x * t ** (n - k)) for k, b in q.blocks.items()}))
     basis = occupation_basis(N, n)
     cols = range(lam.dim)
-    failures = [item for k in range(top + 1)
-                for item in mismatch_items(lhs.block(k).mismatches(rhs.block(k), cols),
-                                           basis, degree=k)]
+    failures = graded_items(lhs, rhs, top, cols, basis)
     if sample_z is not None:
         zz = as_scalar(sample_z)
         lm = lam.eval_at(zz).mul(q.eval_at(zz))
         rm = q.eval_at(t * zz).add(q.eval_at(zz / t).scale(x * zz ** N * t ** n))
         failures += mismatch_items(lm.mismatches(rm, cols), basis, sampled_z=str(zz))
     return not failures, failures
-
-
-def lambda_q_commute_check(lam: GradedOperator, q: GradedOperator) -> bool:
-    """[Lambda(z1), q(z2)] = 0 identically (all graded cross blocks), for a
-    transfer matrix and a Q-matrix on one sector."""
-    return commutator_vanishes(lam, q)
-
-
-def qq_commute_check(q: GradedOperator) -> bool:
-    """[q(z1), q(z2)] = 0 identically."""
-    return commutator_vanishes(q, q)
-
-
-def q_translation_check(q: GradedOperator, T: SparseMatrix) -> bool:
-    """[T, q(z)] = 0 for the one-step translation T of q's sector."""
-    return commutator_vanishes(GradedOperator(T.dim, {0: T}), q)
-
-
-def q_hermitian_reflect_check(N: int, n: int, x, t) -> bool:
-    """T . N^-1 q_k(1/x)^T N = (-1)^n q_{n-k}(x) for every degree k.
-
-    The (-1)^n comes from the (-z)^degree entry convention: the reflected
-    monomial z^{n/2} is really (-z)^{n/2} in these variables.
-    """
-    t, x = as_scalar(t), as_scalar(x)
-    basis = occupation_basis(N, n)
-    norms = [state_norm(occupation_to_partition(m), t) for m in basis.states]
-    q = build_qmatrix(N, n, x, t)
-    q_bar = build_qmatrix(N, n, ONE / x, t).bar_adjoint(norms)
-    T = translation_op(N, n, x)
-    sign = (-ONE) ** n
-    for k in range(n + 1):
-        if T.mul(q_bar.block(k)) != q.block(n - k).scale(sign):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +432,5 @@ def ar_project_check(N: int, z, u, t, max_weight: int, max_len: int):
 
     rhs = GradedOperator(dim, {0: abar_ninv}).compose(atilde, N + 1)
 
-    failures = [item for k in range(N + 2)
-                for item in mismatch_items(lhs.block(k).mismatches(rhs.block(k), asserted),
-                                           basis, degree=k)]
+    failures = graded_items(lhs, rhs, N + 1, asserted, basis)
     return not failures, failures

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from itertools import permutations, product as iproduct
 
+from .graded import mismatch_items
 from .scalars import ONE, ZERO, as_scalar
 
 TOL_RESIDUAL = 1e-10
@@ -204,13 +205,13 @@ def _reject_singular(us, z, s, t) -> None:
         raise ValueError(f"singular evaluation point {where}")
 
 
-def pair_cancellation_check(u1, u2, z, s, t) -> bool:
+def pair_cancellation_check(u1, u2, z, s, t):
     """Two-body cancellation fixing the amplitude ratio.
 
     The corrected pair product (the w2 w4 monomial replaced by w0 w5)
     summed over the two permutations with the amplitude ratio
-    -(u1 - t u2)/(u2 - t u1) vanishes identically.  Raises ValueError on
-    the locus `singular_point` names.
+    -(u1 - t u2)/(u2 - t u1) vanishes identically: returns (ok, failures).
+    Raises ValueError on the locus `singular_point` names.
     """
     u1, u2, z, s, t = (as_scalar(v) for v in (u1, u2, z, s, t))
     _reject_singular([u1, u2], z, s, t)
@@ -225,7 +226,8 @@ def pair_cancellation_check(u1, u2, z, s, t) -> bool:
     x1, x2 = xi(u1, s), xi(u2, s)
     lhs = bethe_amplitude([u1, u2], t) * corrected_pair(x2, x1) \
         + bethe_amplitude([u2, u1], t) * corrected_pair(x1, x2)
-    return lhs == 0
+    failures = mismatch_items([(lhs, ZERO)] if lhs else [], None)
+    return not failures, failures
 
 
 def interior_staircase_check(mu, N: int, us, t, s, z):
@@ -239,8 +241,8 @@ def interior_staircase_check(mu, N: int, us, t, s, z):
     with L_i = mu_{i-1} - mu_i and mu_0 = mu_M + N.  At Bethe roots the
     middle terms cancel pairwise and the two ends give the eigenvalue.
     The ansatz is proven for at most doubly-occupied targets and assumed
-    beyond; these columns only reach multiplicity two.  Raises ValueError
-    on the locus `singular_point` names.
+    beyond; these columns only reach multiplicity two.  Returns (ok,
+    failures); raises ValueError on the locus `singular_point` names.
     """
     mu = tuple(mu)
     M = len(mu)
@@ -272,14 +274,16 @@ def interior_staircase_check(mu, N: int, us, t, s, z):
                 else:
                     amp *= X[j] * w[1] ** (L[i] - 1) * power(j, mu[i])
             rhs += amp
-    return lhs == rhs, lhs, rhs
+    failures = mismatch_items([(lhs, rhs)] if lhs != rhs else [], None, mu=mu)
+    return not failures, failures
 
 
 def graded_pieri_on_integers_check(mu, us, t, max_degree: int):
     """The infinite-chain relation at s = 0, degree by degree in z.
 
     sum over horizontal-strip extensions lam of mu (decreasing integers)
-    with |lam - mu| = r of psi_{lam/mu} R_lam = q_r(U) R_mu, r <= max_degree.
+    with |lam - mu| = r of psi_{lam/mu} R_lam = q_r(U) R_mu, r <= max_degree:
+    returns (ok, failures).
     """
     from .hall_littlewood import Alphabet, complete_q_coeffs
 
@@ -289,8 +293,7 @@ def graded_pieri_on_integers_check(mu, us, t, max_degree: int):
     t = as_scalar(t)
     series = complete_q_coeffs(us, t, max_degree)
     R = Alphabet(us, t).R
-    ok = True
-    report = []
+    failures = []
     for r in range(max_degree + 1):
         total = ZERO
         # lam_i in [mu_i, mu_{i-1}] (mu_0 = +infinity -> mu_1 + r)
@@ -299,10 +302,9 @@ def graded_pieri_on_integers_check(mu, us, t, max_degree: int):
             if sum(lam) - sum(mu) != r:
                 continue
             total += _integer_psi(lam, mu, t) * R(lam)
-        good = total == series[r] * R(mu)
-        ok = ok and good
-        report.append({"degree": r, "ok": good})
-    return ok, report
+        if total != series[r] * R(mu):
+            failures += mismatch_items([(total, series[r] * R(mu))], None, degree=r)
+    return not failures, failures
 
 
 def _integer_psi(lam, mu, t):

@@ -32,6 +32,7 @@ from itertools import combinations_with_replacement
 from math import lcm
 
 from .bethe import AnsatzTable
+from .graded import mismatch_items
 from .scalars import ONE, ZERO, TTable, as_scalar, tbinom, tfact, tpoch
 
 
@@ -270,7 +271,7 @@ def hecke_symmetrize(fn, U, t) -> Fraction:
     return (1 - t) ** n / tfact(n, t) * total
 
 
-def lascoux_reduction_check(n: int, U, V, t) -> bool:
+def lascoux_reduction_check(n: int, U, V, t):
     """Exact shift-operator reduction of the kernel to the Gaudin ratio.
 
     Expands the word prod_k (1 - t^k tau) into 2^n shift terms acting on
@@ -279,7 +280,7 @@ def lascoux_reduction_check(n: int, U, V, t) -> bool:
     tau cycles the variables with the wrapped one killed at q = 0; on the
     symmetric kernel this amounts to zeroing the last j variables (the
     forward-cycle reading fails the identity, so the backward one is the
-    intended normalization).
+    intended normalization).  Returns (ok, failures), the item naming n.
     """
     if n > 3:
         raise ValueError("desk scale: n <= 3")
@@ -303,4 +304,7 @@ def lascoux_reduction_check(n: int, U, V, t) -> bool:
             acc += coeff * shifted_kernel(us, j)
         return acc
 
-    return hecke_symmetrize(g, U, t) == (1 - t) ** (2 * n) * gaudin_det(n, U, V, t)
+    lhs = hecke_symmetrize(g, U, t)
+    rhs = (1 - t) ** (2 * n) * gaudin_det(n, U, V, t)
+    failures = mismatch_items([(lhs, rhs)] if lhs != rhs else [], None, n=n)
+    return not failures, failures

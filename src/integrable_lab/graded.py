@@ -16,11 +16,14 @@ Every operation multiplies and adds Python ints into one accumulator over
 a common denominator and brings the result back to canonical form once,
 through `_canonical` (drop zeros, divide by one gcd).
 
-Every exact identity check (lhs equals rhs on the columns, and
-optionally rows, whose intermediate states stay inside the truncated
-basis) is decided by `SparseMatrix.mismatches`, or for vectors by its
-per-column `vector_mismatches`, and reports its first three failures
-through `mismatch_items`.  Equal columns are skipped; otherwise only the
+Every check of the 16 suites (rll, pieri, hall-pieri, cauchy,
+dual-cauchy, gamma-commute, gamma-eigen, tq, lambda-q, ar-project,
+bethe, gaudin, lascoux, adjoint, gauge, paper-matrices) returns
+(ok, failures), each item made by `mismatch_items` from the mismatches
+of a matrix (`SparseMatrix.mismatches`), a vector (`vector_mismatches`),
+a graded family (`graded_items`), a commutator (`commutator_items`) or
+a scalar (lhs, rhs) pair, which has no basis and so no `row`/`col`.
+Equal columns are skipped; otherwise only the
 rows stored in either column are walked, a missing entry reading as
 zero, and entries are compared by cross-multiplied numerators, so the
 result is exactly the dense entrywise comparison at O(nnz) cost; a
@@ -45,7 +48,7 @@ into one integer accumulator over the lcm of the terms' denominators,
 and `sum_of_products` does the same per degree for graded pairs.
 `GradedOperator.compose` is its one-pair case and every 2x2 monodromy
 entry is one call; `SparseMatrix.mul` is the one-term ungraded case,
-and a commutator is decided as AB == BA, both products through `mul`.
+and a commutator compares AB with BA, both products through `mul`.
 """
 
 from __future__ import annotations
@@ -196,7 +199,8 @@ def vector_mismatches(a: dict, b: dict, rows=None) -> list:
 
 def mismatch_items(found, basis, **where) -> list:
     """The first three of `found` as report items: the `where` keys, the
-    basis labels `row` (and `col` for a matrix), `lhs` and `rhs` as "p/q"."""
+    basis labels `row` (and `col` for a matrix; none for a scalar pair,
+    passed with no basis), `lhs` and `rhs` as "p/q"."""
     items = []
     for *at, lhs, rhs in found[:3]:
         item = dict(where)
@@ -204,6 +208,28 @@ def mismatch_items(found, basis, **where) -> list:
         item["lhs"], item["rhs"] = format_scalar(lhs), format_scalar(rhs)
         items.append(item)
     return items
+
+
+def graded_items(lhs, rhs, top: int, cols, basis, **where) -> list:
+    """Failure items of lhs_k = rhs_k on the columns `cols`, for every
+    degree k <= top (blocks above top are not asserted), each item tagged
+    with the `where` keys and its `degree`."""
+    return [item for k in range(top + 1)
+            for item in mismatch_items(lhs.block(k).mismatches(rhs.block(k), cols),
+                                       basis, **where, degree=k)]
+
+
+def commutator_items(A, B, basis, **where) -> list:
+    """Failure items of [A(z1), B(z2)] = 0: A_i B_j (`lhs`) against B_j A_i
+    (`rhs`), both through `mul`, for every block pair, tagged `bidegree`
+    (i, j).  A self-commutator visits only i < j: (j, i) is (i, j)
+    swapped, and (i, i) commutes trivially."""
+    if A.dim != B.dim:
+        raise ValueError("dimension mismatch")
+    return [item for i, a in A.blocks.items() for j, b in B.blocks.items()
+            if A is not B or i < j
+            for item in mismatch_items(a.mul(b).mismatches(b.mul(a), range(A.dim)), basis,
+                                       **where, bidegree=(i, j))]
 
 
 class SparseMatrix:
@@ -613,17 +639,6 @@ def sum_of_scaled_products(terms) -> SparseMatrix:
     if any(A.dim != dim or B.dim != dim for _, A, B in terms):
         raise ValueError("dimension mismatch")
     return _products(dim, terms)
-
-
-def commutator_vanishes(A: GradedOperator, B: GradedOperator) -> bool:
-    """[A(z1), B(z2)] = 0 identically: every cross block pair commutes, ab ==
-    ba with both products through `mul`.  A self-commutator visits only
-    i < j: (j, i) is (i, j) swapped, and (i, i) commutes trivially."""
-    if A.dim != B.dim:
-        raise ValueError("dimension mismatch")
-    return all(a.mul(b) == b.mul(a)
-               for i, a in A.blocks.items() for j, b in B.blocks.items()
-               if A is not B or i < j)
 
 
 def matrix_dump(op: GradedOperator, basis, name: str, metadata=None) -> dict:

@@ -26,10 +26,10 @@ in one `scalars.TTable` through one kernel, `PieriTable.coeff`.  A
 `PieriTable` holds that table and the shapes it has read for one t, and
 serves strips that are valid by construction: a sweep and a half vertex
 operator build read one per call, a Pieri suite one per draw.  The
-one-shot `pieri_coeff` (and pieri_psi, ...) validates its pair first and
-builds its own.  The symmetrized sums, which the Pieri checks compare
-those coefficients against, keep the literal t-factorials, so a table
-bug cannot certify itself.
+one-shot `pieri_coeff`, the table's oracle, validates its pair and
+multiplies literal `tfact`s and `tbinom`s.  The symmetrized sums, which
+the Pieri checks compare those coefficients against, keep the literal
+t-factorials, so a table bug cannot certify itself.
 
 All identity checks are exact evaluations at rational points: a bounded
 degree polynomial identity that holds at enough generic points holds
@@ -44,19 +44,21 @@ from itertools import permutations
 from math import lcm, prod
 from operator import getitem
 
+from .graded import mismatch_items
 from .partitions import (
     _partitions_of,
     conjugate,
     contains,
     horizontal_strips_above,
     length,
+    multiplicity,
     partition,
     state_norm,
     strip_test,
     vertical_strips_above,
     weight,
 )
-from .scalars import ONE, ZERO, TTable, as_scalar, tfact
+from .scalars import ONE, ZERO, TTable, as_scalar, tbinom, tfact
 
 MAX_SYMMETRIZE = 7  # n! permutation sums stay desk-scale
 
@@ -64,38 +66,42 @@ MAX_SYMMETRIZE = 7  # n! permutation sums stay desk-scale
 # ---------------------------------------------------------------------------
 # Pieri branching coefficients
 
-def pieri_psi(lam, mu, t) -> Fraction:
-    """psi_{lam/mu} = prod over j with m_j(lam) = m_j(mu) - 1 of (1 - t^{m_j(mu)})."""
-    return pieri_coeff("psi", lam, mu, t)
-
-
-def pieri_phi(lam, mu, t) -> Fraction:
-    """phi_{lam/mu} = prod over j with m_j(lam) = m_j(mu) + 1 of (1 - t^{m_j(lam)})."""
-    return pieri_coeff("phi", lam, mu, t)
-
-
-def pieri_psi_prime(lam, mu, t) -> Fraction:
-    """psi'_{lam/mu} on vertical strips: prod_i binom(lam'_i - lam'_{i+1}, lam'_i - mu'_i)_t."""
-    return pieri_coeff("psi'", lam, mu, t)
-
-
-def pieri_phi_prime(lam, mu, t) -> Fraction:
-    """phi'_{lam/mu}: as psi' with the (mu'_i - mu'_{i+1})!_t numerator,
-    prod_i (mu'_i - mu'_{i+1})!_t / ((lam'_i - mu'_i)!_t (mu'_i - lam'_{i+1})!_t)."""
-    return pieri_coeff("phi'", lam, mu, t)
-
-
 _STRIPS = {"psi": "horizontal", "phi": "horizontal", "psi'": "vertical", "phi'": "vertical"}
 
 
 def pieri_coeff(kind: str, lam, mu, t) -> Fraction:
-    """The Pieri coefficient `kind` (psi, phi, psi', phi') of lam/mu; raises
-    ValueError for an unknown kind or a pair that is not a strip of its kind."""
+    """The Pieri coefficient `kind` of lam/mu as a literal product, the
+    oracle of `PieriTable.coeff` (m_j part multiplicities, ' conjugates):
+
+      psi_{lam/mu}  = prod over j with m_j(lam) = m_j(mu) - 1 of (1 - t^{m_j(mu)})
+      phi_{lam/mu}  = prod over j with m_j(lam) = m_j(mu) + 1 of (1 - t^{m_j(lam)})
+      psi'_{lam/mu} = prod_i binom(lam'_i - lam'_{i+1}, lam'_i - mu'_i)_t
+      phi'_{lam/mu} = prod_i (mu'_i - mu'_{i+1})!_t / ((lam'_i - mu'_i)!_t (mu'_i - lam'_{i+1})!_t)
+
+    Raises ValueError for an unknown kind or a pair not a strip of its kind.
+    """
     strip = _strip_of(kind)
-    lam, mu = partition(lam), partition(mu)
+    lam, mu, t = partition(lam), partition(mu), as_scalar(t)
     if not strip_test(lam, mu, strip):
         raise ValueError(f"{lam}/{mu} is not a {strip} strip")
-    return PieriTable(t).coeff(kind, lam, mu)
+    result = ONE
+    if strip == "horizontal":
+        for j in range(1, (lam[0] if lam else 0) + 1):
+            ml, mm = multiplicity(lam, j), multiplicity(mu, j)
+            if kind == "psi" and ml == mm - 1:
+                result *= 1 - t ** mm
+            elif kind == "phi" and ml == mm + 1:
+                result *= 1 - t ** ml
+        return result
+    lp, mp = conjugate(lam) + (0,), conjugate(mu)
+    mp += (0,) * (len(lp) - len(mp))
+    for i in range(len(lp) - 1):
+        if kind == "psi'":
+            result *= tbinom(lp[i] - lp[i + 1], lp[i] - mp[i], t)
+        else:
+            result *= tfact(mp[i] - mp[i + 1], t) / (tfact(lp[i] - mp[i], t)
+                                                      * tfact(mp[i] - lp[i + 1], t))
+    return result
 
 
 def _strip_of(kind: str) -> str:
@@ -433,7 +439,7 @@ def cauchy_coeff_check(degree: int, U, V, t, kind: str = "cauchy"):
     dual:   sum_{|lam|=d} P^omega_{lam'}(U) P_lam(V) == [z^d] prod (1 + u v)
 
     Both sides are computed through independent routes (symmetrized sums
-    vs series expansion).  Returns (ok, report).
+    vs series expansion).  Returns (ok, failures).
     """
     U = [as_scalar(u) for u in U]
     V = [as_scalar(v) for v in V]
@@ -452,15 +458,11 @@ def cauchy_coeff_check(degree: int, U, V, t, kind: str = "cauchy"):
     else:
         raise ValueError(f"unknown Cauchy kind {kind!r}")
     right = Alphabet(V, t).P
-    report = []
-    ok = True
+    failures = []
     for d in range(degree + 1):
         lhs = ZERO
         for lam in _partitions_of(d, d, d):
             lhs += left(lam) * right(lam)
-        good = lhs == rhs[d]
-        ok = ok and good
-        report.append({"degree": d, "lhs": lhs, "rhs": rhs[d], "ok": good})
-        if not good:
-            break
-    return ok, report
+        if lhs != rhs[d]:
+            failures += mismatch_items([(lhs, rhs[d])], None, degree=d)
+    return not failures, failures

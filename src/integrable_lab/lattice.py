@@ -24,6 +24,7 @@ from operator import add
 from .graded import (
     GradedOperator,
     SparseMatrix,
+    graded_items,
     mismatch_items,
     sum_of_products,
     sum_of_scaled_products,
@@ -552,9 +553,9 @@ def toda_gauge_check(N: int, t, window_top: int):
                      partial(toda_U, w, N, t)], N, cols)
     sides.append(("monodromy", lhs, rhs, N, cols))
     failures = [item for relation, lhs, rhs, top, cols in sides
-                for i in range(2) for j in range(2) for d in range(top + 1)
-                for item in mismatch_items(lhs[i][j].block(d).mismatches(rhs[i][j].block(d), cols),
-                                           w, relation=relation, aux=(i, j), degree=d)]
+                for i in range(2) for j in range(2)
+                for item in graded_items(lhs[i][j], rhs[i][j], top, cols, w,
+                                         relation=relation, aux=(i, j))]
     return not failures, failures
 
 
@@ -633,20 +634,23 @@ def spin_periodic_transfer_cleared(N: int, M: int, X, t, s) -> GradedOperator:
 # ---------------------------------------------------------------------------
 # reciprocal-parameter (bar) reflection checks
 
-def hermitian_reflect_check(build, norms, top_degree: int, x, extra_factor) -> bool:
+def hermitian_reflect_check(build, basis, norms, top_degree: int, x, extra_factor,
+                            translation=None, **where):
     """Square-root-free reflected relation for a transfer family.
 
-    Checks N^-1 A_k(1/x)^T N = extra_factor(x) * A_{top-k}(x) for all k,
-    where `build` maps the twist value to the graded operator.
+    Checks T N^-1 A_k(1/x)^T N = extra_factor(x) * A_{top-k}(x) for all
+    k <= top_degree, where `build` maps the twist value to the graded
+    operator on `basis` and T is `translation` (None: the identity).
+    Returns (ok, failures), each item tagged with the `where` keys.
     """
     x = as_scalar(x)
     A = build(x)
     A_bar = build(ONE / x).bar_adjoint(norms)
-    factor = extra_factor(x)
-    for k in range(top_degree + 1):
-        if A_bar.block(k) != A.block(top_degree - k).scale(factor):
-            return False
-    return True
+    if translation is not None:
+        A_bar = GradedOperator(A.dim, {k: translation.mul(b) for k, b in A_bar.blocks.items()})
+    failures = graded_items(A_bar, A.reflect(top_degree).scale(extra_factor(x)), top_degree,
+                            range(A.dim), basis, **where)
+    return not failures, failures
 
 
 def toda_open_Abar(N: int, t, max_len: int, basis_p: Basis) -> GradedOperator:

@@ -19,6 +19,7 @@ from itertools import count
 
 from .scalars import ONE, ZERO, format_scalar
 from . import baxter_q, bethe, gaudin, hall_littlewood as hl, lattice, vertex_ops
+from .graded import GradedOperator, commutator_items, graded_items, mismatch_items
 from .partitions import (
     horizontal_strips_above,
     horizontal_strips_below,
@@ -115,12 +116,12 @@ def _redrawn(k, detail=""):
     return "; ".join(filter(None, (detail, note)))
 
 
-def _check(name, ref, ok, deviation="0", detail="", failures=()):
-    """One check's report; a failing check also lists the failure items
-    its identity check returned, so a passing report never changes."""
-    check = {"name": name, "paper_ref": ref, "status": "pass" if ok else "fail",
-             "deviation": deviation if ok else str(deviation), "detail": detail}
-    if not ok and failures:
+def _check(name, ref, failures, deviation="0", detail=""):
+    """One check's report: it fails when its identity check returned
+    failure items, and lists them, so a passing report never changes."""
+    check = {"name": name, "paper_ref": ref, "status": "fail" if failures else "pass",
+             "deviation": str(deviation) if failures else deviation, "detail": detail}
+    if failures:
         check["failures"] = list(failures)
     return check
 
@@ -134,16 +135,16 @@ def _suite_rll(seed, p):
     for i in range(p["draws"]):
         u, v = draw_params(seed + i, "distinct-2")
         t = _small_t(seed, i)
-        ok, fails = lattice.rll_check_qboson(u, v, t, cap)
+        _, fails = lattice.rll_check_qboson(u, v, t, cap)
         checks.append(_check(f"six-vertex RLL draw {i}", "six-vertex RLL relation",
-                             ok, detail=f"u={u} v={v} t={t} cap={cap}", failures=fails))
+                             fails, detail=f"u={u} v={v} t={t} cap={cap}"))
         z, uu = draw_params(seed + 100 + i, "distinct-2")
-        ok2, fails2 = baxter_q.ll_relations_check(uu, t, cap + 1)
+        _, fails = baxter_q.ll_relations_check(uu, t, cap + 1)
         checks.append(_check(f"auxiliary Lax relations draw {i}",
-                             "q-Toda R-matrix commutation relations", ok2, failures=fails2))
-        ok3, fails3 = baxter_q.toda_intertwine_check(z, uu, t, cap + 1)
+                             "q-Toda R-matrix commutation relations", fails))
+        _, fails = baxter_q.toda_intertwine_check(z, uu, t, cap + 1)
         checks.append(_check(f"Toda intertwining draw {i}",
-                             "intertwining Yang-Baxter relation", ok3, failures=fails3))
+                             "intertwining Yang-Baxter relation", fails))
     return checks
 
 
@@ -169,7 +170,7 @@ def _suite_pieri_rule(rule, seed, p):
         series = series_of(alphabet, t, max_r)
         F = getattr(hl.Alphabet(alphabet, t), side)
         coeff = hl.PieriTable(t).coeff
-        ok = True
+        failures = []
         for mu in partition_basis(p["max_weight"]):
             # one enumeration per mu, bucketed by strip size
             by_size = [[] for _ in range(max_r + 1)]
@@ -180,8 +181,9 @@ def _suite_pieri_rule(rule, seed, p):
                 rhs = ZERO
                 for lam in by_size[r]:
                     rhs += coeff(kind, lam, mu) * F(lam)
-                ok = ok and series[r] * F_mu == rhs
-        checks.append(_check(f"{name} draw {i}", ref, ok, detail=f"t={t}"))
+                if series[r] * F_mu != rhs:
+                    failures += mismatch_items([(series[r] * F_mu, rhs)], None, mu=mu, r=r)
+        checks.append(_check(f"{name} draw {i}", ref, failures, detail=f"t={t}"))
     return checks
 
 
@@ -193,10 +195,8 @@ def _suite_cauchy(kind, seed, p):
         t = _small_t(seed, i)
         U = draw_params(seed + 13 * i + 3, f"distinct-{p['vars']}")
         V = draw_params(seed + 17 * i + 4, f"distinct-{p['vars']}")
-        ok, report = hl.cauchy_coeff_check(degree, U, V, t, kind=kind)
-        bad = [r["degree"] for r in report if not r["ok"]]
-        checks.append(_check(f"{label} draw {i}", label, ok,
-                             detail=f"degree<={degree}" + (f" first bad {bad[:1]}" if bad else "")))
+        _, fails = hl.cauchy_coeff_check(degree, U, V, t, kind=kind)
+        checks.append(_check(f"{label} draw {i}", label, fails, detail=f"degree<={degree}"))
     return checks
 
 
@@ -208,18 +208,15 @@ def _suite_gamma_commute(seed, p):
     gamma = {(fam, sign): vertex_ops.build_gamma(fam, sign, basis, t)
              for fam in ("L", "R") for sign in ("+", "-")}
     for fp, fm in [("L", "L"), ("L", "R"), ("R", "L"), ("R", "R")]:
-        ok, fails = vertex_ops.gamma_commutation_check(gamma[fp, "+"], gamma[fm, "-"], deg)
+        _, fails = vertex_ops.gamma_commutation_check(gamma[fp, "+"], gamma[fm, "-"], deg)
         checks.append(_check(f"raising/lowering exchange {fp}{fm}",
-                             "half vertex operator exchange relations", ok,
-                             detail=f"D={D} degree<={deg} t={t}", failures=fails))
+                             "half vertex operator exchange relations", fails,
+                             detail=f"D={D} degree<={deg} t={t}"))
     for fam in ("L", "R"):
-        failures = []
-        for sign in ("-", "+"):
-            _, fails = vertex_ops.pair_commutation_check(gamma[fam, sign], deg)
-            failures += [{"sign": sign, **f} for f in fails]
+        failures = [{"sign": sign, **f} for sign in ("-", "+")
+                    for f in vertex_ops.pair_commutation_check(gamma[fam, sign], deg)[1]]
         checks.append(_check(f"same-sign commutation {fam}",
-                             "commuting half vertex operators", not failures,
-                             failures=failures))
+                             "commuting half vertex operators", failures))
     return checks
 
 
@@ -234,32 +231,32 @@ def _suite_gamma_eigen(seed, p):
     for nv in range(1, p["vars"] + 1):
         V = draw_params(seed + nv, f"distinct-{nv}")
         state_L = vertex_ops.build_eigenstate("L", V, basis, t)
-        ok, fails = vertex_ops.gamma_eigen_check(plus_L, "L", V, deg, state_L)
+        _, fails = vertex_ops.gamma_eigen_check(plus_L, "L", V, deg, state_L)
         checks.append(_check(f"annihilation on the Cauchy state, {nv} vars",
-                             "eigenstate of the lowering transfer matrix", ok, failures=fails))
-        ok, fails = vertex_ops.gamma_eigen_check(plus_L, "R", V, deg)
+                             "eigenstate of the lowering transfer matrix", fails))
+        _, fails = vertex_ops.gamma_eigen_check(plus_L, "R", V, deg)
         checks.append(_check(f"open Toda eigenvector, {nv} vars",
-                             "open Toda chain eigenvectors", ok, failures=fails))
-        ok, fails = vertex_ops.gamma_eigen_check(plus_R, "L", V, deg, state_L)
+                             "open Toda chain eigenvectors", fails))
+        _, fails = vertex_ops.gamma_eigen_check(plus_R, "L", V, deg, state_L)
         checks.append(_check(f"Hall-side annihilation, {nv} vars",
-                             "Hall Pieri eigen relation", ok, failures=fails))
-        ok, fails = vertex_ops.covector_pieri_check(minus_L, V, deg)
+                             "Hall Pieri eigen relation", fails))
+        _, fails = vertex_ops.covector_pieri_check(minus_L, V, deg)
         checks.append(_check(f"covector Pieri, {nv} vars",
-                             "left eigencovector relation", ok, failures=fails))
+                             "left eigencovector relation", fails))
         # finite-size form: the restriction to lam_1 <= nv acts on the
         # nv-variable dual state exactly the same way
         cap_basis = partition_basis(D, max_part=nv)
         plus_cap = vertex_ops.build_gamma("L", "+", cap_basis, t)
-        ok, fails = vertex_ops.gamma_eigen_check(plus_cap, "R", V, deg)
+        _, fails = vertex_ops.gamma_eigen_check(plus_cap, "R", V, deg)
         checks.append(_check(f"finite-size open Toda eigenvector N={nv}",
-                             "open Toda chain eigenvectors, finite size", ok, failures=fails))
-        A_run = lattice.open_transfer(cap_basis, nv, t, direction="right")
-        gm = vertex_ops.build_gamma("L", "-", cap_basis, t)
-        okA = all(A_run.block(d) == gm.block(d) for d in range(nv + 1))
-        Ab_run = lattice.open_transfer(cap_basis, nv, t, direction="left")
-        okB = all(Ab_run.block(d) == plus_cap.block(d) for d in range(nv + 1))
+                             "open Toda chain eigenvectors, finite size", fails))
+        minus_cap = vertex_ops.build_gamma("L", "-", cap_basis, t)
+        fails = [item for direction, gamma in (("right", minus_cap), ("left", plus_cap))
+                 for item in graded_items(lattice.open_transfer(cap_basis, nv, t, direction),
+                                          gamma.op, nv, range(len(cap_basis)), cap_basis,
+                                          direction=direction)]
         checks.append(_check(f"finite-size consistency N={nv}",
-                             "open-chain transfer vs vertex operator", okA and okB))
+                             "open-chain transfer vs vertex operator", fails))
     return checks
 
 
@@ -273,13 +270,10 @@ def _suite_tq(seed, p):
     for i in range(p["draws"]):
         t = _small_t(seed, i)
         x = draw_params(seed + 31 * i + 5, "generic", 1)[0]
-        failures = []
-        for N in N_range:
-            for n in n_range:
-                _, fails = baxter_q.tq_check(N, n, x, t)
-                failures += [{"N": N, "n": n, **f} for f in fails]
-        checks.append(_check(f"TQ relation draw {i}", "Baxter TQ relation",
-                             not failures, detail=f"t={t} x={x}", failures=failures))
+        failures = [{"N": N, "n": n, **f} for N in N_range for n in n_range
+                    for f in baxter_q.tq_check(N, n, x, t)[1]]
+        checks.append(_check(f"TQ relation draw {i}", "Baxter TQ relation", failures,
+                             detail=f"t={t} x={x}"))
     return checks
 
 
@@ -288,29 +282,33 @@ def _suite_lambda_q(seed, p):
     for i in range(p["draws"]):
         t = _small_t(seed, i)
         x = draw_params(seed + 41 * i + 6, "generic", 1)[0]
-        ok_lq = ok_qq = ok_tr = True
+        fails_lq, fails_qq, fails_tr = [], [], []
         for N, n in p["pairs"]:  # one Q-matrix per sector for the three checks
+            basis = occupation_basis(N, n)
             q = baxter_q.build_qmatrix(N, n, x, t)
-            ok_lq = ok_lq and baxter_q.lambda_q_commute_check(
-                lattice.periodic_transfer(N, n, x, t), q)
-            ok_qq = ok_qq and baxter_q.qq_commute_check(q)
-            ok_tr = ok_tr and baxter_q.q_translation_check(q, lattice.translation_op(N, n, x))
+            T = GradedOperator(q.dim, {0: lattice.translation_op(N, n, x)})
+            fails_lq += commutator_items(lattice.periodic_transfer(N, n, x, t), q, basis,
+                                         N=N, n=n)
+            fails_qq += commutator_items(q, q, basis, N=N, n=n)
+            fails_tr += commutator_items(T, q, basis, N=N, n=n)
         checks.append(_check(f"transfer/Q commutation draw {i}",
-                             "commuting transfer and Q matrices", ok_lq))
+                             "commuting transfer and Q matrices", fails_lq))
         checks.append(_check(f"Q self-commutation draw {i}",
-                             "Q matrices commute at different arguments", ok_qq))
+                             "Q matrices commute at different arguments", fails_qq))
         checks.append(_check(f"Q translation covariance draw {i}",
-                             "Q commutes with the one-step translation", ok_tr))
+                             "Q commutes with the one-step translation", fails_tr))
     # independent construction via the auxiliary-spin trace
     t = _small_t(seed, 99)
     x = draw_params(seed + 999, "generic", 1)[0]
     z = Fraction(3, 4)
-    ok = True
+    failures = []
     for (N, n) in [(2, 2), (3, 2), (3, 3)]:
         q = baxter_q.build_qmatrix(N, n, x, t)
-        ok = ok and q.eval_at(z) == baxter_q.trace_qmatrix(N, n, z, x, t).block(0)
+        found = q.eval_at(z).mismatches(baxter_q.trace_qmatrix(N, n, z, x, t).block(0),
+                                        range(q.dim))
+        failures += mismatch_items(found, occupation_basis(N, n), N=N, n=n)
     checks.append(_check("trace construction agreement",
-                         "auxiliary-spin trace vs closed form", ok))
+                         "auxiliary-spin trace vs closed form", failures))
     return checks
 
 
@@ -325,8 +323,8 @@ def _suite_ar_project(seed, p):
             _, fails = baxter_q.ar_project_check(N, z, u, t, p["max_weight"], max_len)
             failures += [{"N": N, **f} for f in fails]
         checks.append(_check(f"projected intertwining draw {i}",
-                             "open-chain intertwining relation", not failures,
-                             detail=f"t={t} z={z} u={u}", failures=failures))
+                             "open-chain intertwining relation", failures,
+                             detail=f"t={t} z={z} u={u}"))
     return checks
 
 
@@ -348,25 +346,24 @@ def _suite_bethe(seed, p):
         (ts, alphabets), redraw = _redraw_past(on_locus(s), lambda d: (
             _small_t(d, 0), [draw_params(d + 61 * k, f"distinct-{len(mu)}")
                              for mu, _, k in _STAIRCASE_COLUMNS]), seed)
-        ok = True
-        for (mu, N, _), us in zip(_STAIRCASE_COLUMNS, alphabets):
-            good, _, _ = bethe.interior_staircase_check(mu, N, us, ts, s, z)
-            ok = ok and good
+        failures = [item for (mu, N, _), us in zip(_STAIRCASE_COLUMNS, alphabets)
+                    for item in bethe.interior_staircase_check(mu, N, us, ts, s, z)[1]]
         checks.append(_check(f"interior staircase identity s={s}",
-                             "coordinate Bethe ansatz, quantization-free", ok,
+                             "coordinate Bethe ansatz, quantization-free", failures,
                              detail=_redrawn(redraw,
                                              "ansatz assumed beyond doubly-occupied targets")))
     us = draw_params(seed + 73, "distinct-2")
-    okp, _ = bethe.graded_pieri_on_integers_check((2, -1), us, t, 3)
+    _, fails = bethe.graded_pieri_on_integers_check((2, -1), us, t, 3)
     checks.append(_check("integer-window graded relation",
-                         "infinite-chain eigen relation", okp))
-    # periodic: solver + residual
+                         "infinite-chain eigen relation", fails))
+    # periodic: solver + residual within float tolerances, the worst one reported
     X = Fraction(1)
     sysm1 = bethe.bethe_solve(3, 1, Fraction(1, 3), Fraction(0), Fraction(3, 5),
                               seeds=40, seed=seed + 1)
-    closed = all(abs(root[0] ** 3 - 0.6) < 1e-12 for root in sysm1.roots)
-    checks.append(_check("closed-form roots M=1", "Bethe equations, one particle",
-                         len(sysm1.roots) == 3 and closed,
+    off = max((abs(root[0] ** 3 - 0.6) for root in sysm1.roots), default=0.0)
+    fails = [] if len(sysm1.roots) == 3 and off < 1e-12 else \
+        mismatch_items([(f"{off:.3g}", "1e-12")], None, roots=len(sysm1.roots))
+    checks.append(_check("closed-form roots M=1", "Bethe equations, one particle", fails,
                          deviation=max(sysm1.residuals, default=0.0)))
     ok_res = True
     worst = 0.0
@@ -378,14 +375,15 @@ def _suite_bethe(seed, p):
         res = bethe.periodic_eigen_residual(system, complex(0.37))
         worst = max(worst, res)
         ok_res = ok_res and res < 1e-8
-    checks.append(_check("periodic residuals N=3", "Bethe eigenvalue residual",
-                         ok_res, deviation=worst,
+    fails = [] if ok_res else mismatch_items([(f"{worst:.3g}", "1e-8")], None)
+    checks.append(_check("periodic residuals N=3", "Bethe eigenvalue residual", fails,
+                         deviation=worst,
                          detail="ansatz assumed beyond doubly-occupied targets"))
     s = Fraction(1, 6)
     (tp, [us]), redraw = _redraw_past(on_locus(s), lambda d: (
         _small_t(d, 0), [draw_params(d + 83, "distinct-2")]), seed)
-    okc = bethe.pair_cancellation_check(*us, z, s, tp)
-    checks.append(_check("two-body cancellation", "Bethe amplitude ratio", okc,
+    _, fails = bethe.pair_cancellation_check(*us, z, s, tp)
+    checks.append(_check("two-body cancellation", "Bethe amplitude ratio", fails,
                          detail=_redrawn(redraw)))
     return checks
 
@@ -398,16 +396,16 @@ def _suite_gaudin(seed, p):
         U = draw_params(seed + n, "gaudin", n)
         V = draw_params(seed + 10 + n, "gaudin", n)
         det = gaudin.gaudin_det(n, U, V, t)
-        ok = True
+        failures = []
         worst = Fraction(0)
         for s in (Fraction(0), Fraction(1, 6)):
             val, tail = gaudin.gaudin_sum(n, U, V, t, s, truncation)
-            gap = val - det
-            gap = gap if gap >= 0 else -gap
-            ok = ok and gap <= tail and tail < Fraction(1, 10 ** 12)
+            if not abs(val - det) <= tail < Fraction(1, 10 ** 12):
+                failures += mismatch_items([(val, det)], None, n=n, s=format_scalar(s),
+                                           tail=format_scalar(tail))
             worst = max(worst, tail)
         checks.append(_check(f"sum vs determinant n={n}",
-                             "Gaudin determinant scalar product", ok,
+                             "Gaudin determinant scalar product", failures,
                              deviation=format_scalar(worst),
                              detail="two spin values; tail bound returned"))
     return checks
@@ -420,9 +418,9 @@ def _suite_lascoux(seed, p):
         (U, V), redraw = _redraw_past(lambda U, V: gaudin.singular_point(U, V, t), lambda d: (
             [u / 4 for u in draw_params(d + 3 * n, f"distinct-{n}")],
             [v / 4 for v in draw_params(d + 7 * n + 1, f"distinct-{n}")]), seed)
-        ok = gaudin.lascoux_reduction_check(n, U, V, t)
+        _, fails = gaudin.lascoux_reduction_check(n, U, V, t)
         checks.append(_check(f"symmetrizer reduction n={n}",
-                             "Hecke symmetrizer kernel reduction", ok,
+                             "Hecke symmetrizer kernel reduction", fails,
                              detail=_redrawn(redraw)))
     return checks
 
@@ -433,29 +431,33 @@ def _suite_adjoint(seed, p):
     x = draw_params(seed + 5, "generic", 1)[0]
     norm = {lam: state_norm(lam, t) for lam in partition_basis(p["max_weight"])}
     coeff = hl.PieriTable(t).coeff
-    ok = True
+    failures = []
     for lam in norm:  # every horizontal strip lam/mu, lam/lam included
         for mu in horizontal_strips_below(lam):
-            ok = ok and coeff("phi", lam, mu) * norm[mu] == coeff("psi", lam, mu) * norm[lam]
-    checks.append(_check("branching adjoint relation", "adjoint branching weights", ok))
+            lhs, rhs = coeff("phi", lam, mu) * norm[mu], coeff("psi", lam, mu) * norm[lam]
+            if lhs != rhs:
+                failures += mismatch_items([(lhs, rhs)], None, lam=lam, mu=mu)
+    checks.append(_check("branching adjoint relation", "adjoint branching weights", failures))
     basis6 = partition_basis(6)
+    failures = [item for family in ("L", "R")
+                for item in vertex_ops.adjoint_pair_check(family, basis6, t)[1]]
     checks.append(_check("vertex operator adjoint pairs",
-                         "norm-conjugated raising/lowering pair",
-                         vertex_ops.adjoint_pair_check("L", basis6, t) and
-                         vertex_ops.adjoint_pair_check("R", basis6, t)))
-    ok_lam = True
+                         "norm-conjugated raising/lowering pair", failures))
+    fails_lam, fails_q = [], []
     for (N, n) in [(2, 2), (3, 2), (3, 3)]:
         basis = occupation_basis(N, n)
         norms = [state_norm(occupation_to_partition(m), t) for m in basis.states]
-        ok_lam = ok_lam and lattice.hermitian_reflect_check(
-            lambda xv: lattice.periodic_transfer(N, n, xv, t), norms, N, x,
-            lambda xv: 1 / xv)
+        fails_lam += lattice.hermitian_reflect_check(
+            lambda xv: lattice.periodic_transfer(N, n, xv, t), basis, norms, N, x,
+            lambda xv: 1 / xv, N=N, n=n)[1]
+        # (-1)^n: the reflected monomial z^{n/2} is really (-z)^{n/2} in q
+        fails_q += lattice.hermitian_reflect_check(
+            lambda xv: baxter_q.build_qmatrix(N, n, xv, t), basis, norms, n, x,
+            lambda xv: (-ONE) ** n, lattice.translation_op(N, n, x), N=N, n=n)[1]
     checks.append(_check("transfer reflected conjugation",
-                         "reciprocal-parameter conjugation of the transfer matrix", ok_lam))
-    ok_q = all(baxter_q.q_hermitian_reflect_check(N, n, x, t)
-               for (N, n) in [(2, 2), (3, 2), (3, 3)])
+                         "reciprocal-parameter conjugation of the transfer matrix", fails_lam))
     checks.append(_check("Q reflected conjugation",
-                         "reciprocal-parameter conjugation of the Q matrix", ok_q))
+                         "reciprocal-parameter conjugation of the Q matrix", fails_q))
     return checks
 
 
@@ -464,15 +466,16 @@ def _suite_gauge(seed, p):
     t = _small_t(seed, 0)
     x = draw_params(seed + 5, "generic", 1)[0]
     for N in (2, 3):
-        ok, fails = lattice.toda_gauge_check(N, t, window_top=N + 2)
+        _, fails = lattice.toda_gauge_check(N, t, window_top=N + 2)
         checks.append(_check(f"gauge relations N={N}",
-                             "q-boson/Toda gauge equivalence", ok, failures=fails))
-    ok = True
+                             "q-boson/Toda gauge equivalence", fails))
+    failures = []
     for (N, n) in [(2, 2), (3, 2), (3, 3)]:
-        ok = ok and lattice.periodic_transfer(N, n, x, t) == \
-            lattice.folded_toda_transfer(N, n, x, t)
+        lam = lattice.periodic_transfer(N, n, x, t)
+        failures += graded_items(lam, lattice.folded_toda_transfer(N, n, x, t), N,
+                                 range(lam.dim), occupation_basis(N, n), N=N, n=n)
     checks.append(_check("periodic sector identification",
-                         "Toda transfer equals the q-boson transfer", ok))
+                         "Toda transfer equals the q-boson transfer", failures))
     return checks
 
 
@@ -496,9 +499,13 @@ def _suite_paper_matrices(seed, p):
             [-(1 + t) * z * x, 1 + z * z * x, -(1 + t) * z],
             [z * z * x * x, -z * x, ONE],
         ]
-        ok = lam_disp == lam_expect and q_disp == q_expect
+        failures = [item for name, got, want in (("Lambda", lam_disp, lam_expect),
+                                                 ("q", q_disp, q_expect))
+                    for r in range(3) for c in range(3) if got[r][c] != want[r][c]
+                    for item in mismatch_items([(got[r][c], want[r][c])], None,
+                                               matrix=name, entry=(r, c))]
         checks.append(_check(f"printed 3x3 matrices draw {i}",
-                             "printed transfer and Q matrices", ok,
+                             "printed transfer and Q matrices", failures,
                              detail=f"z={z} x={x} t={t}; display order reversed"))
     return checks
 

@@ -28,6 +28,7 @@ from functools import partial
 from .graded import (
     GradedOperator,
     SparseMatrix,
+    graded_items,
     mismatch_items,
     sum_of_scaled_products,
     vector_mismatches,
@@ -274,11 +275,13 @@ def skew_Q_via_ops(lam, mu, values, basis: Basis, t) -> Fraction:
     return prod.entry(basis.index[tuple(mu)], basis.index[tuple(lam)])
 
 
-def adjoint_pair_check(family: str, basis: Basis, t) -> bool:
-    """Gamma_+ block entry (mu,lam) = Gamma_- entry (lam,mu) * norm(lam)/norm(mu)."""
+def adjoint_pair_check(family: str, basis: Basis, t):
+    """Gamma_+ block entry (mu,lam) = Gamma_- entry (lam,mu) * norm(lam)/norm(mu),
+    for every degree up to the basis weight cap.  Returns (ok, failures)."""
     t = as_scalar(t)
     plus = build_gamma(family, "+", basis, t)
     minus = build_gamma(family, "-", basis, t)
     norms = [state_norm(s, t) for s in basis.states]
-    return all(plus.block(k) == minus.block(k).conjugate_by_norm(norms)
-               for k in range(plus.weight_cap + 1))
+    failures = graded_items(plus.op, minus.op.bar_adjoint(norms), plus.weight_cap,
+                            range(len(basis)), basis, family=family)
+    return not failures, failures

@@ -6,11 +6,12 @@ import pytest
 from integrable_lab.graded import (
     GradedOperator,
     SparseMatrix,
-    commutator_vanishes,
+    commutator_items,
+    graded_items,
     matrix_dump,
     mismatch_items,
 )
-from integrable_lab.partitions import partition_basis
+from integrable_lab.partitions import occupation_basis, partition_basis
 
 
 def random_sparse(dim, rng, fill=0.4):
@@ -118,7 +119,7 @@ def test_commutator_vanishes_on_powers():
     m = random_sparse(3, rng)
     A = GradedOperator(3, {0: m, 1: m.mul(m)})
     B = GradedOperator(3, {0: m.mul(m).mul(m)})
-    assert commutator_vanishes(A, B)
+    assert commutator_items(A, B, occupation_basis(3, 1)) == []
 
 
 def test_shift_and_scale():
@@ -159,13 +160,33 @@ def test_commutator_vanishes_reports_non_commuting_operators():
     e21 = SparseMatrix.from_entries(2, [(1, 0, F(1))])
     A = GradedOperator(2, {0: e12})
     B = GradedOperator(2, {1: e21})
-    assert not commutator_vanishes(A, B)
-    assert not commutator_vanishes(B, A)
-    assert commutator_vanishes(A, A)
+    basis = occupation_basis(2, 1)
+    first, second = basis.labels()
+    # e12 e21 = e11 and e21 e12 = e22: the two differ at (0, 0) and (1, 1)
+    assert commutator_items(A, B, basis, relation="AB") == [
+        {"relation": "AB", "bidegree": (0, 1), "row": first, "col": first, "lhs": "1", "rhs": "0"},
+        {"relation": "AB", "bidegree": (0, 1), "row": second, "col": second, "lhs": "0", "rhs": "1"}]
+    assert [item["bidegree"] for item in commutator_items(B, A, basis)] == [(1, 0), (1, 0)]
+    assert commutator_items(A, A, basis) == []
     # with A is B only the pair of degrees (0, 1) can decide, and it fails
     AB = GradedOperator(2, {0: e12, 1: e21})
-    assert not commutator_vanishes(AB, AB)
-    assert commutator_vanishes(AB, GradedOperator.identity(2))
+    assert [item["bidegree"] for item in commutator_items(AB, AB, basis)] == [(0, 1), (0, 1)]
+    assert commutator_items(AB, GradedOperator.identity(2), basis) == []
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        commutator_items(A, GradedOperator.identity(3), basis)
+
+
+def test_graded_items_name_the_degree_and_skip_blocks_above_top():
+    e12 = SparseMatrix.from_entries(2, [(0, 1, F(1, 3))])
+    basis = occupation_basis(2, 1)
+    first, second = basis.labels()
+    lhs = GradedOperator(2, {0: e12, 2: e12})
+    rhs = GradedOperator(2, {1: e12})
+    assert graded_items(lhs, rhs, 1, range(2), basis, side="x") == [
+        {"side": "x", "degree": 0, "row": first, "col": second, "lhs": "1/3", "rhs": "0"},
+        {"side": "x", "degree": 1, "row": first, "col": second, "lhs": "0", "rhs": "1/3"}]
+    assert graded_items(lhs, rhs, 1, [0], basis) == []  # column 1 not asserted
+    assert len(graded_items(lhs, rhs, 2, range(2), basis)) == 3
 
 
 def test_mismatch_items_label_and_format_the_first_three():

@@ -21,7 +21,8 @@ large numerators over many denominators, storing only reduced nonzero
 Fractions and no degree above the cap; `sum_of_products` of three or
 more pairs must equal the dense sum of their Cauchy products; the ungraded
 `sum_of_scaled_products` and `mul` must equal dense sums of scaled
-products, and `commutator_vanishes` must decide the dense AB - BA;
+products, and `commutator_items` must list the first three entries where
+the dense AB and BA differ, column by column;
 `scale`, `conjugate_by_norm`, `apply` and `apply_row` must equal their
 dense counterparts.  Both `from_entries` constructors must equal the
 per-entry `add_to` loop they replace on entry lists with repeats,
@@ -37,7 +38,7 @@ from hypothesis import given, settings, strategies as st
 from integrable_lab.graded import (
     GradedOperator,
     SparseMatrix,
-    commutator_vanishes,
+    commutator_items,
     sum_of_products,
     sum_of_scaled_products,
     vector_mismatches,
@@ -51,8 +52,10 @@ from integrable_lab.partitions import (
     partition_to_occupation,
     weight,
 )
+from integrable_lab.scalars import format_scalar
 
 DIM = 4
+COMMUTATOR_BASIS = Basis([(k,) for k in range(DIM, 0, -1)], "one-part states")
 INDEX = st.integers(0, DIM - 1)
 VALUES = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 NONZERO = VALUES.filter(lambda v: v != 0)
@@ -439,8 +442,13 @@ def test_sum_of_scaled_products_equals_dense_sum(terms, cancel):
                             [[-v for v in row] for row in dense_mul(dense(b), dense(a))])
     assert dense_add(dense(a.mul(b)), [[-v for v in row] for row in dense(b.mul(a))]) == \
         ab_minus_ba
-    assert commutator_vanishes(GradedOperator(DIM, {0: a}), GradedOperator(DIM, {1: b})) == \
-        (ab_minus_ba == dense_zero())
+    ab, ba = dense_mul(dense(a), dense(b)), dense_mul(dense(b), dense(a))
+    labels = COMMUTATOR_BASIS.labels()
+    want = [{"bidegree": (0, 1), "row": labels[r], "col": labels[c],
+             "lhs": format_scalar(ab[r][c]), "rhs": format_scalar(ba[r][c])}
+            for c in range(DIM) for r in range(DIM) if ab[r][c] != ba[r][c]]
+    assert commutator_items(GradedOperator(DIM, {0: a}), GradedOperator(DIM, {1: b}),
+                            COMMUTATOR_BASIS) == want[:3]
     with pytest.raises(ValueError, match="dimension mismatch"):
         sum_of_scaled_products([*terms, (F(1), a, SparseMatrix(DIM + 1))])
 

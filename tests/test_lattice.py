@@ -5,7 +5,7 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from integrable_lab.graded import GradedOperator, SparseMatrix, commutator_vanishes
+from integrable_lab.graded import GradedOperator, SparseMatrix, commutator_items
 from integrable_lab.lattice import (
     build_lax,
     build_sixvertex_r,
@@ -107,7 +107,7 @@ def test_commuting_family():
         t = F(rng.randint(2, 8), 11)
         x = F(rng.randint(2, 8), 9)
         lam1 = periodic_transfer(N, n, x, t)
-        assert commutator_vanishes(lam1, lam1)
+        assert commutator_items(lam1, lam1, occupation_basis(N, n)) == []
 
 
 def test_hermitian_reflected_form():
@@ -115,10 +115,10 @@ def test_hermitian_reflected_form():
     for (N, n) in [(2, 2), (3, 2), (3, 3)]:
         basis = occupation_basis(N, n)
         norms = [state_norm(occupation_to_partition(m), T_SAMPLE) for m in basis.states]
-        ok = hermitian_reflect_check(
+        ok, failures = hermitian_reflect_check(
             lambda xv: periodic_transfer(N, n, xv, T_SAMPLE),
-            norms, N, X_SAMPLE, lambda xv: 1 / xv)
-        assert ok
+            basis, norms, N, X_SAMPLE, lambda xv: 1 / xv)
+        assert ok and failures == [], failures
 
 
 def test_rll_qboson():

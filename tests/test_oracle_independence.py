@@ -126,10 +126,12 @@ ROWS = [
     # one accumulator, and matrices that commute still commute when scaled
     ("graded._canonical", keep_the_unreduced_denominator, ("tq", "rll"),
      "every stored matrix, scaled by the gcd it failed to take out", ()),
-    # lambda-q decides its commutators and the trace agreement by ==, so
-    # a wrong comparison in mismatches does not reach it
-    ("SparseMatrix.mismatches", compare_one_column_over, ("tq", "rll"),
-     "the comparison of every reported identity", ("lambda-q",)),
+    # every exact matrix identity, commutators and the trace agreement
+    # included, is decided through mismatches, so each suite that compares
+    # matrices fails when the comparison reads the wrong column
+    ("SparseMatrix.mismatches", compare_one_column_over,
+     ("tq", "lambda-q", "rll", "adjoint", "gamma-eigen"),
+     "the comparison of every matrix identity", ()),
     ("baxter_q.build_qmatrix", first_power_off("build_qmatrix"),
      ("tq", "lambda-q", "paper-matrices", "adjoint"),
      "q of TQ against Lambda, the closed form against the auxiliary-spin trace, "

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from integrable_lab import baxter_q, cli, hall_littlewood
+from integrable_lab import baxter_q, cli, hall_littlewood, suites
 from integrable_lab.partitions import is_horizontal_strip, occupation_basis, partition_basis
 from integrable_lab.scalars import format_scalar, parse_scalar
 from integrable_lab.suites import SUITE_NAMES, SuiteSpec, draw_params, run_suite
@@ -408,6 +409,124 @@ def test_verify_json_lists_the_failures_of_a_failing_check(monkeypatch, capsys):
     monkeypatch.setattr(baxter_q, "build_qmatrix", real)
     assert cli.main(argv) == 0
     assert "failures" not in json.loads(capsys.readouterr().out)["checks"][0]
+
+
+def bump_one_entry(real, degree=1):
+    """`real` with one off-diagonal entry of its degree block moved by 1/3."""
+    def build(*args, **kwargs):
+        op = real(*args, **kwargs)
+        block = op.block(degree)
+        r, c, _ = next((r, c, v) for r, c, v in block.entries() if r != c)
+        block.add_to(r, c, F(1, 3))
+        return op
+    return build
+
+
+def doubled_pieri_kind(kind):
+    """A PieriTable whose `kind` coefficients are doubled."""
+    class Doubled(hall_littlewood.PieriTable):
+        def coeff(self, k, lam, mu):
+            return super().coeff(k, lam, mu) * (2 if k == kind else 1)
+    return Doubled
+
+
+def plus_one(real):
+    """`real` with 1 added to its value."""
+    return lambda *args, **kwargs: real(*args, **kwargs) + 1
+
+
+def scaled(real, factor):
+    """`real` with its operator scaled by `factor`."""
+    return lambda *args, **kwargs: real(*args, **kwargs).scale(factor)
+
+
+def scaled_value(real, factor):
+    """`real` with its value multiplied by `factor`."""
+    return lambda *args, **kwargs: real(*args, **kwargs) * factor
+
+
+def omega_degree_two_off(real):
+    """`real` with 1 added to its degree-2 coefficient."""
+    def coeffs(*args):
+        out = list(real(*args))
+        out[2] += 1
+        return out
+    return coeffs
+
+
+# (suite, params, failing check, module and attribute patched, wrapper of
+# the real attribute, location keys of a failure item besides lhs and rhs)
+CONVERTED_CHECKS = [
+    ("lambda-q", {"draws": 1, "pairs": [(2, 2)]}, "transfer/Q commutation draw 0",
+     ("lattice", "periodic_transfer"), bump_one_entry, {"N", "n", "bidegree", "row", "col"}),
+    ("adjoint", {"max_weight": 3}, "branching adjoint relation",
+     ("hall_littlewood", "PieriTable"), lambda real: doubled_pieri_kind("phi"), {"lam", "mu"}),
+    ("adjoint", {"max_weight": 3}, "vertex operator adjoint pairs",
+     ("vertex_ops", "build_gamma"), bump_one_entry, {"family", "degree", "row", "col"}),
+    ("adjoint", {"max_weight": 3}, "Q reflected conjugation",
+     ("lattice", "translation_op"), lambda real: scaled(real, 2),
+     {"N", "n", "degree", "row", "col"}),
+    ("gauge", {}, "periodic sector identification",
+     ("lattice", "folded_toda_transfer"), bump_one_entry, {"N", "n", "degree", "row", "col"}),
+    ("gamma-eigen", {"D": 4, "degree": 2, "vars": 1}, "finite-size consistency N=1",
+     ("lattice", "open_transfer"), bump_one_entry, {"direction", "degree", "row", "col"}),
+    ("paper-matrices", {"draws": 1}, "printed 3x3 matrices draw 0",
+     ("baxter_q", "build_qmatrix"), bump_one_entry, {"matrix", "entry"}),
+    ("pieri", {"draws": 1, "max_weight": 3}, "Pieri rule draw 0",
+     ("hall_littlewood", "PieriTable"), lambda real: doubled_pieri_kind("psi"), {"mu", "r"}),
+    ("cauchy", {"draws": 1, "degree": 3}, "Cauchy identity draw 0",
+     ("hall_littlewood", "omega_t_pair_coeffs"), omega_degree_two_off, {"degree"}),
+    ("lascoux", {}, "symmetrizer reduction n=1",
+     ("gaudin", "gaudin_det"), lambda real: scaled_value(real, 2), {"n"}),
+    ("gaudin", {}, "sum vs determinant n=1",
+     ("gaudin", "gaudin_det"), lambda real: scaled_value(real, 2), {"n", "s", "tail"}),
+    ("bethe", {}, "interior staircase identity s=0",
+     ("bethe", "x_hat"), plus_one, {"mu"}),
+    ("bethe", {}, "integer-window graded relation",
+     ("bethe", "_integer_psi"), plus_one, {"degree"}),
+    ("bethe", {}, "two-body cancellation",
+     ("bethe", "bethe_amplitude"), plus_one, set()),
+]
+
+
+@pytest.mark.parametrize("suite, params, check_name, target, wrap, where", CONVERTED_CHECKS,
+                         ids=[f"{row[0]}: {row[2]}" for row in CONVERTED_CHECKS])
+def test_a_failing_check_names_where_and_both_sides(monkeypatch, suite, params, check_name,
+                                                    target, wrap, where):
+    module = importlib.import_module(f"integrable_lab.{target[0]}")
+    monkeypatch.setattr(module, target[1], wrap(getattr(module, target[1])))
+    report = run_suite(SuiteSpec(suite, 0, params))
+    assert report["status"] == "fail"
+    [check] = [c for c in report["checks"] if c["name"] == check_name]
+    assert check["status"] == "fail"
+    first = check["failures"][0]
+    assert set(first) == where | {"lhs", "rhs"}
+    lhs, rhs = parse_scalar(first["lhs"]), parse_scalar(first["rhs"])
+    assert lhs != rhs and (format_scalar(lhs), format_scalar(rhs)) == (first["lhs"], first["rhs"])
+    json.dumps(report)  # the items are JSON-ready
+
+
+class FirstPowerOff(F):
+    """A t whose first power reads t + 1: every route that reads t^1
+    disagrees with every route that multiplies t out."""
+
+    def __pow__(self, k):
+        return F(self) ** k + (k == 1)
+
+
+def test_no_check_fails_without_failure_items(monkeypatch):
+    # every suite that draws its t through _small_t, except cauchy (its
+    # routes never read t^1), fails at such a t; gaudin draws no t
+    real = suites._small_t
+    monkeypatch.setattr(suites, "_small_t", lambda *args: FirstPowerOff(real(*args)))
+    failing = set()
+    for name in SUITE_NAMES:
+        report = run_suite(SuiteSpec(name, 0))
+        for check in report["checks"]:
+            if check["status"] == "fail":
+                failing.add(name)
+                assert check["failures"], (name, check["name"])
+    assert failing == set(SUITE_NAMES) - {"cauchy", "gaudin"}
 
 
 @pytest.mark.parametrize("argv, unread", [

@@ -24,8 +24,7 @@ from integrable_lab.hall_littlewood import (
     hl_P,
     hl_Q,
     hl_R,
-    pieri_phi_prime,
-    pieri_psi,
+    pieri_coeff,
     skew_P,
     skew_Q_omega,
     skew_sweep,
@@ -183,7 +182,7 @@ def loop_skew_P(lam, mu, values, t):
             for nu in horizontal_strips_above(kappa, gap, max_part=lam[0] if lam else 0):
                 if not contains(lam, nu):
                     continue
-                amp = coeff * pieri_psi(nu, kappa, t) * v ** (weight(nu) - weight(kappa))
+                amp = coeff * pieri_coeff("psi", nu, kappa, t) * v ** (weight(nu) - weight(kappa))
                 if amp != 0:
                     nxt[nu] = nxt.get(nu, F(0)) + amp
         vec = nxt
@@ -201,7 +200,7 @@ def loop_skew_Q_omega(lam, mu, values, t):
             for nu in vertical_strips_above(kappa, gap, max_length=len(lam)):
                 if not contains(lam, nu):
                     continue
-                amp = coeff * pieri_phi_prime(nu, kappa, t) * v ** (weight(nu) - weight(kappa))
+                amp = coeff * pieri_coeff("phi'", nu, kappa, t) * v ** (weight(nu) - weight(kappa))
                 if amp != 0:
                     nxt[nu] = nxt.get(nu, F(0)) + amp
         vec = nxt

@@ -4,15 +4,17 @@
 
 Each (suite, seed) runs through `run_suite` at the suite's default
 parameters.  Every report that fails, and every run that raises, is
-printed as one line naming the suite, the seed and the failing checks
-(or the exception); the last line gives the number of runs and the wall
-time.  Exits 1 when any run failed or raised, 0 otherwise.  The package
+printed as one line naming the suite, the seed and the failing checks,
+each followed by its first failure item (where it failed and both
+sides), or the exception; the last line gives the number of runs and
+the wall time.  Exits 1 when any run failed or raised, 0 otherwise.  The package
 is imported from this checkout's src/.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from pathlib import Path
@@ -51,8 +53,9 @@ def main(argv=None) -> int:
                 continue
             if report["status"] != "pass":
                 bad += 1
-                failed = [c["name"] for c in report["checks"] if c["status"] != "pass"]
-                print(f"{name} seed {seed}: failed {', '.join(failed)}")
+                failed = [f"{c['name']} {json.dumps(c['failures'][0])}"
+                          for c in report["checks"] if c["status"] != "pass"]
+                print(f"{name} seed {seed}: failed {'; '.join(failed)}")
     wall = time.perf_counter() - start
     print(f"{runs} runs, {bad} failing, {wall:.1f} s wall")
     return 1 if bad else 0
