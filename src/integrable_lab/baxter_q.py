@@ -168,6 +168,7 @@ def build_LL(u, t, s_cap: int, x_cap: int):
     u, t = as_scalar(u), as_scalar(t)
     w = ONE / u
     dim = (s_cap + 1) * (x_cap + 1)
+    fact = [tfact(k, t) for k in range(max(s_cap, x_cap) + 1)]  # literal, once per order
 
     def idx(a, b):
         return a * (x_cap + 1) + b
@@ -177,10 +178,10 @@ def build_LL(u, t, s_cap: int, x_cap: int):
             for nx in range(x_cap + 1):
                 if nx < ns:
                     continue
-                base = w ** (nx - ns) / tfact(nx - ns, t)
+                base = w ** (nx - ns) / fact[nx - ns]
                 for ms in range(nx, s_cap + 1):
                     if ns <= x_cap:
-                        yield idx(ms, ns), idx(ns, nx), base / tfact(ms - nx, t)
+                        yield idx(ms, ns), idx(ns, nx), base / fact[ms - nx]
 
     return SparseMatrix.from_entries(dim, entries())
 
@@ -243,13 +244,17 @@ def ll_relations_check(u, t, cap: int):
     x_over_s = xdiag.mul(sinv)
     s_over_x = sdiag.mul(xinv)
 
+    # products are formed on the inner columns only, as (A B)[:, W] = A (B[:, W])
+    keep = set(inner)
+    Lc_w = Lc.keep_columns(keep)
+    SX = S.mul(X)
     relations = [
-        ("Lc x = x Lc", Lc.mul(xdiag), xdiag.mul(Lc)),
-        ("Lc SX = SX Lc", Lc.mul(S.mul(X)), S.mul(X).mul(Lc)),
-        ("Lc x/s = x/s (1-S) Lc", Lc.mul(x_over_s),
-         x_over_s.mul(I.add(S.scale(-1)).mul(Lc))),
-        ("u Lc (1-s/x) S = S Lc", Lc.mul(I.add(s_over_x.scale(-1)).mul(S)).scale(u),
-         S.mul(Lc)),
+        ("Lc x = x Lc", Lc.mul(xdiag.keep_columns(keep)), xdiag.mul(Lc_w)),
+        ("Lc SX = SX Lc", Lc.mul(SX.keep_columns(keep)), SX.mul(Lc_w)),
+        ("Lc x/s = x/s (1-S) Lc", Lc.mul(x_over_s.keep_columns(keep)),
+         x_over_s.mul(I.add(S.scale(-1)).mul(Lc_w))),
+        ("u Lc (1-s/x) S = S Lc",
+         Lc.mul(I.add(s_over_x.scale(-1)).mul(S.keep_columns(keep))).scale(u), S.mul(Lc_w)),
     ]
 
     failures = [item for name, lhs, rhs in relations
@@ -281,12 +286,17 @@ def toda_intertwine_check(z, u, t, cap: int):
 
     L_toda, L_tilde = lax("toda"), lax("toda_tilde")
 
+    # the rightmost factors, LL and R, keep the inner columns only, once each
+    keep = set(inner)
+    LL_w = LL.keep_columns(keep)
+    R_w = [[entry.keep_columns(keep) for entry in row] for row in R]
     failures = []
     for i in range(2):
         for j in range(2):
-            lhs = sum_of_scaled_products((ONE, R[i][k], L_toda[k][j]) for k in range(2)).mul(LL)
-            rhs = LL.mul(sum_of_scaled_products((ONE, L_tilde[i][k], R[k][j]) for k in range(2)))
-            failures += mismatch_items(lhs.mismatches(rhs, inner, inner), pair, aux=(i, j))
+            lhs = sum_of_scaled_products((ONE, R[i][k], L_toda[k][j]) for k in range(2))
+            rhs = sum_of_scaled_products((ONE, L_tilde[i][k], R_w[k][j]) for k in range(2))
+            failures += mismatch_items(lhs.mul(LL_w).mismatches(LL.mul(rhs), inner, inner),
+                                       pair, aux=(i, j))
     return not failures, failures
 
 

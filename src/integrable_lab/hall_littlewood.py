@@ -23,11 +23,12 @@ no code, so each checks the other.
 
 The four Pieri coefficients psi, phi, psi', phi' are products of lookups
 in one `scalars.TTable` through one kernel, `PieriTable.coeff`.  A
-`PieriTable` holds that table and the shapes it has read for one t, and
-serves strips that are valid by construction: a sweep and a half vertex
-operator build read one per call, a Pieri suite one per draw.  The
-one-shot `pieri_coeff`, the table's oracle, validates its pair and
-multiplies literal `tfact`s and `tbinom`s.  The symmetrized sums, which
+`PieriTable` holds that table, the shapes it has read and the product
+of each factor signature (the kind and the table indices it multiplies)
+for one t, and serves strips that are valid by construction: a sweep
+and a half vertex operator build read one per call, a Pieri suite one
+per draw.  The one-shot `pieri_coeff`, the table's oracle, validates its
+pair and multiplies literal `tfact`s and `tbinom`s.  The symmetrized sums, which
 the Pieri checks compare those coefficients against, keep the literal
 t-factorials, so a table bug cannot certify itself.
 
@@ -122,44 +123,52 @@ class PieriTable:
     """The four Pieri coefficients at one t, for strips that are valid by
     construction (as the strip enumerators of `partitions` yield them).
 
-    One `scalars.TTable` and one `pieri_shape` memo serve every
-    coefficient; the pair is not checked to be a strip.  A PieriTable
-    lives for one call or one parameter draw, as an `Alphabet` does.
+    One `scalars.TTable`, one `pieri_shape` memo and one memo of products
+    per factor signature serve every coefficient; the pair is not checked
+    to be a strip.  A PieriTable lives for one call or one parameter draw,
+    as an `Alphabet` does.
     """
 
     def __init__(self, t):
         self.table = TTable(t)
         self.shape = cache(pieri_shape)
+        self.weight = cache(partial(_pieri_weight, self.table))
 
     def coeff(self, kind: str, lam, mu) -> Fraction:
-        """The coefficient `kind` of the strip lam/mu (canonical tuples), as
-        a product of table entries read from the shapes of lam and mu;
-        factors equal to 1 are skipped."""
+        """The coefficient `kind` of the strip lam/mu (canonical tuples): the
+        signature of the strip, the table indices of its factors other than
+        1 read from the shapes of lam and mu, and their product, made once
+        per (kind, signature)."""
         _strip_of(kind)
         lp, ml = self.shape(lam)
         mp, mm = self.shape(mu)
         mm = mm + (0,) * (len(ml) - len(mm))  # mu inside lam: mu_1 <= lam_1
-        result = ONE
         if kind in ("psi", "phi"):
             # psi: a part value losing one of its m_j(mu) copies gives 1 - t^{m_j(mu)};
             # phi: one gaining a copy gives 1 - t^{m_j(lam)}
-            one_minus = self.table.one_minus
-            for m, other in (zip(mm, ml) if kind == "psi" else zip(ml, mm)):
-                if m == other + 1:
-                    result *= one_minus[m]
-            return result
+            pairs = zip(mm, ml) if kind == "psi" else zip(ml, mm)
+            return self.weight(kind, tuple(m for m, other in pairs if m == other + 1))
         d = [x - y for x, y in zip(lp, mp + (0,) * (len(lp) - len(mp)))]  # lam'_i - mu'_i
         if kind == "psi'":
-            binom = self.table.binom
-            for a, di in zip(ml, d):
-                if 0 < di < a:
-                    result *= binom[a, di]
-        else:  # phi': m_i(mu)! / ((lam'_i - mu'_i)! (mu'_i - lam'_{i+1})!)
-            fact = self.table.fact
-            for a, b, di in zip(ml, mm, d):
-                if b != a or 0 < di < a:
-                    result *= fact[b] / (fact[di] * fact[a - di])
-        return result
+            return self.weight(kind, tuple((a, di) for a, di in zip(ml, d) if 0 < di < a))
+        return self.weight(kind, tuple((a, b, di) for a, b, di in zip(ml, mm, d)
+                                       if b != a or 0 < di < a))
+
+
+def _pieri_weight(table: TTable, kind: str, signature: tuple) -> Fraction:
+    """The product of the table entries a `PieriTable` signature names:
+    1 - t^m per m (psi, phi), binom(a, d)_t per (a, d) (psi') and
+    b!_t / (d!_t (a-d)!_t) per (a, b, d) (phi')."""
+    result = ONE
+    for f in signature:
+        if kind == "psi'":
+            result *= table.binom[f]
+        elif kind == "phi'":
+            a, b, d = f
+            result *= table.fact[b] / (table.fact[d] * table.fact[a - d])
+        else:
+            result *= table.one_minus[f]
+    return result
 
 
 # ---------------------------------------------------------------------------

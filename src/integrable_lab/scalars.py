@@ -18,7 +18,9 @@ the Q-matrix, the transfer and Toda run amplitudes, the commutation
 series) build one per call; nothing is cached across calls.  The
 oracles those constructions are checked against (the auxiliary-spin
 trace, `ll_F_op`/`ll_G_op`, the symmetrized Hall-Littlewood sums) call
-the literal functions, so a table bug cannot certify itself.
+the literal functions, so a table bug cannot certify itself.  The
+auxiliary Lax operator `build_LL` also stays on the literal `tfact`,
+reading each order k!_t once per call rather than once per entry.
 """
 
 from __future__ import annotations

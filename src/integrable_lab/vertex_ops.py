@@ -9,21 +9,27 @@ grading.
 
 Matrix elements are the Pieri coefficients, read from one
 `hall_littlewood.PieriTable` per build (each basis state's conjugate and
-multiplicities computed once, one t-table).  The |L,V> states and <U|
-covectors the operators are checked on come from the symmetrized sums
-(`Alphabet`), which stay on the literal t-factorials.
+multiplicities computed once, one t-table, one product per factor
+signature) and handed to the block as integer (numerator, denominator)
+pairs.  The |L,V> states and <U| covectors the operators are checked on
+come from the symmetrized sums (`Alphabet`), which stay on the literal
+t-factorials.
 
 Truncation discipline: an identity of graded degree d is asserted only
 on matrix elements whose intermediate states provably stay inside the
 basis (the interior-window rule).  Raising operators never leak, so
 their products are exact everywhere; lowering operators leak at the top
-and get the window restriction.
+and get the window restriction: window b holds the sources mu with
+|mu| + b <= cap.  Products are formed on the window's columns only, as
+(A B)[:, W] = A (B[:, W]): the rightmost factor of every product is
+restricted to the compared columns once per (block, window) and check,
+and each side is still built from its own operators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from .graded import (
     GradedOperator,
@@ -97,12 +103,12 @@ def build_gamma(family: str, sign: str, basis: Basis, t) -> VertexOp:
                 k = weights[i] - weights[j]
                 c = coeff(lam, mu)
                 if sign == "-":
-                    yield k, i, j, c
+                    yield k, i, j, c.numerator, c.denominator
                 else:
                     # raising: matrix element (mu <- lam)
-                    yield k, j, i, c
+                    yield k, j, i, c.numerator, c.denominator
 
-    op = GradedOperator.from_entries(dim, entries(), cap)
+    op = GradedOperator.from_ratios(dim, entries(), cap)
     return VertexOp(family, sign, basis, t, op)
 
 
@@ -141,16 +147,16 @@ def gamma_commutation_check(plus: VertexOp, minus: VertexOp, max_degree: int):
             or plus.basis.states != minus.basis.states):
         raise ValueError("exchange checks take a Gamma_+ and a Gamma_- on one basis at one t")
     K = commutation_series(plus.family, minus.family, plus.t, max_degree)
-    cap = plus.weight_cap
+    # sources whose lowering intermediate of degree b would leak are outside window b
+    windows, kept = _windows(plus, lambda w, b: w + b <= plus.weight_cap, max_degree)
     failures = []
     for a in range(max_degree + 1):
         for b in range(max_degree + 1 - a):
-            lhs = plus.block(a).mul(minus.block(b))
-            rhs = sum_of_scaled_products((K[r], minus.block(b - r), plus.block(a - r))
+            lhs = plus.block(a).mul(kept(minus, b, b))
+            rhs = sum_of_scaled_products((K[r], minus.block(b - r), kept(plus, a - r, b))
                                          for r in range(min(a, b) + 1))
-            # sources whose lowering intermediate would leak are outside the window
-            cols = [j for j, mu in enumerate(plus.basis.states) if weight(mu) + b <= cap]
-            failures += mismatch_items(lhs.mismatches(rhs, cols), plus.basis, bidegree=(a, b))
+            failures += mismatch_items(lhs.mismatches(rhs, windows[b]), plus.basis,
+                                       bidegree=(a, b))
     return not failures, failures
 
 
@@ -159,16 +165,27 @@ def pair_commutation_check(vop: VertexOp, max_degree: int):
     (only a < b is visited: (b, a) is (a, b) swapped, (a, a) trivial).
     Returns (ok, failures), the entry of A_a A_b as `lhs` and of A_b A_a
     as `rhs`."""
-    cap = vop.weight_cap
+    windows, kept = _windows(vop, lambda w, b: vop.sign == "+" or w + b <= vop.weight_cap,
+                             max_degree)
     failures = []
     for a in range(max_degree + 1):
         for b in range(a + 1, max_degree + 1):
-            cols = [j for j, mu in enumerate(vop.basis.states)
-                    if vop.sign == "+" or weight(mu) + b <= cap]
-            A, B = vop.block(a), vop.block(b)
-            failures += mismatch_items(A.mul(B).mismatches(B.mul(A), cols), vop.basis,
+            lhs = vop.block(a).mul(kept(vop, b, b))
+            rhs = vop.block(b).mul(kept(vop, a, b))
+            failures += mismatch_items(lhs.mismatches(rhs, windows[b]), vop.basis,
                                        bidegree=(a, b))
     return not failures, failures
+
+
+def _windows(vop: VertexOp, inside, max_degree: int):
+    """(windows, kept): window b <= max_degree lists the source indices j
+    with inside(|mu_j|, b); kept(op, k, b) is block k of op on the columns
+    of window b only, made once and ending every product compared there,
+    as (A B)[:, W] = A (B[:, W])."""
+    weights = [weight(mu) for mu in vop.basis.states]
+    windows = [[j for j, w in enumerate(weights) if inside(w, b)] for b in range(max_degree + 1)]
+    sets = [set(w) for w in windows]
+    return windows, cache(lambda op, k, b: op.block(k).keep_columns(sets[b]))
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ large numerators over many denominators, storing only reduced nonzero
 Fractions and no degree above the cap; `sum_of_products` of three or
 more pairs must equal the dense sum of their Cauchy products; the ungraded
 `sum_of_scaled_products` and `mul` must equal dense sums of scaled
-products, and `commutator_items` must list the first three entries where
-the dense AB and BA differ, column by column;
+products, and form on the columns W kept in their right factors exactly
+the columns W of the whole product; `commutator_items` must list the
+first three entries where the dense AB and BA differ, column by column;
 `scale`, `conjugate_by_norm`, `apply` and `apply_row` must equal their
 dense counterparts.  Both `from_entries` constructors must equal the
 per-entry `add_to` loop they replace on entry lists with repeats,
@@ -451,6 +452,22 @@ def test_sum_of_scaled_products_equals_dense_sum(terms, cancel):
                             COMMUTATOR_BASIS) == want[:3]
     with pytest.raises(ValueError, match="dimension mismatch"):
         sum_of_scaled_products([*terms, (F(1), a, SparseMatrix(DIM + 1))])
+
+
+@SETTINGS
+@given(matrices(), raw_matrices(), st.lists(st.tuples(SMALL | st.just(F(0)), matrices(),
+                                                      raw_matrices()), min_size=1, max_size=3),
+       st.sets(INDEX))
+def test_a_product_on_kept_columns_equals_the_kept_columns_of_the_product(a, b, terms, window):
+    # the window checks form each product on the columns they compare only,
+    # keeping them in its rightmost factor: (A B)[:, W] = A (B[:, W])
+    got = a.mul(b.keep_columns(window))
+    assert got == a.mul(b).keep_columns(window)
+    assert_canonical(got)
+    got = sum_of_scaled_products((c, A, B.keep_columns(window)) for c, A, B in terms)
+    assert got == sum_of_scaled_products(terms).keep_columns(window)
+    assert_canonical(got)
+    assert got.stored_columns() <= window
 
 
 @st.composite

@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 import integrable_lab
-from integrable_lab import baxter_q, cli, graded, lattice, suites
+from integrable_lab import baxter_q, cli, graded, hall_littlewood, lattice, suites
 from integrable_lab.graded import SparseMatrix
 from integrable_lab.suites import SuiteSpec, run_suite
 
@@ -112,6 +112,35 @@ def first_power_off(name):
     return perturb
 
 
+def bump_one_LL_entry(monkeypatch, fired):
+    """The auxiliary Lax operator gets its first off-diagonal entry moved by 1/3."""
+    real = baxter_q.build_LL
+
+    def perturbed(*args):
+        LL = real(*args)
+        r, c, _ = next((r, c, v) for r, c, v in LL.entries() if r != c)
+        LL.add_to(r, c, Fraction(1, 3))
+        fired.append(1)
+        return LL
+
+    monkeypatch.setattr(baxter_q, "build_LL", perturbed)
+
+
+def one_psi_signature_off(monkeypatch, fired):
+    """The Pieri table reads the factor 1 - t^2 for the psi strips whose
+    only factor is 1 - t (a part value losing its single copy): one t-factor
+    index off in one signature, not a uniform scaling of psi."""
+    real = hall_littlewood._pieri_weight
+
+    def perturbed(table, kind, signature):
+        if (kind, signature) == ("psi", (1,)):
+            fired.append(1)
+            signature = (2,)
+        return real(table, kind, signature)
+
+    monkeypatch.setattr(hall_littlewood, "_pieri_weight", perturbed)
+
+
 # (kernel, perturbation, suites that must fail, identity sides it feeds,
 #  suites that run the kernel's module but never the perturbed function,
 #  which must keep passing)
@@ -144,6 +173,17 @@ ROWS = [
      ("gamma-eigen", "ar-project"),
      "the open chain against the half vertex operators, A^L of the projected "
      "intertwining", ()),
+    ("baxter_q.build_LL", bump_one_LL_entry, ("rll",),
+     "the auxiliary Lax operator of its four commutation relations and of the "
+     "Toda intertwining", ()),
+    # a uniform scaling of Gamma_- would pass the linear exchange relation;
+    # one signature off breaks it, while the suites that read only the
+    # other three kinds of the table keep passing
+    ("hall_littlewood.PieriTable", one_psi_signature_off,
+     ("pieri", "adjoint", "gamma-commute", "gamma-eigen"),
+     "psi of the Pieri rule, the psi side of the branching adjoint relation, "
+     "Gamma_{L,-} of the exchange and same-sign relations and of the covector Pieri check",
+     ("hall-pieri", "dual-cauchy", "ar-project")),
 ]
 
 

@@ -383,3 +383,43 @@ def test_pair_commutation_reports_a_non_commuting_family():
             A, B = op.block(a), op.block(b)
             ab, ba = A.mul(B).entry(r, c), B.mul(A).entry(r, c)
             assert (f["lhs"], f["rhs"]) == (format_scalar(ab), format_scalar(ba)) and ab != ba
+
+
+def test_window_checks_multiply_only_the_columns_they_compare(monkeypatch):
+    # each product a window check forms ends in a factor kept on the columns
+    # of its window b, {j : |mu_j| + b <= cap}, so the product kernel receives
+    # those columns of each right factor and never the rest of the basis
+    from integrable_lab import graded
+
+    D, deg, t = 8, 4, F(2, 7)
+    basis = partition_basis(D)
+    plus, minus = build_gamma("L", "+", basis, t), build_gamma("L", "-", basis, t)
+    window = [{j for j, mu in enumerate(basis.states) if weight(mu) + b <= D}
+              for b in range(deg + 1)]
+    received = []
+    real = graded._add_product
+
+    def counting(acc, acols, bcols, factor):
+        received.append(set(bcols))
+        real(acc, acols, bcols, factor)
+
+    monkeypatch.setattr(graded, "_add_product", counting)
+
+    assert gamma_commutation_check(plus, minus, deg) == (True, [])
+    # (right factor, window) of A_a B_b and of each term of sum_r K_r B_{b-r} A_{a-r};
+    # the L family's K_r are all nonzero, so every term reaches the kernel
+    right = [(factor, window[b]) for a in range(deg + 1) for b in range(deg + 1 - a)
+             for factor in [minus.block(b)] + [plus.block(a - r) for r in range(min(a, b) + 1)]]
+    assert len(received) == len(right)
+    assert sum(map(len, received)) == sum(len(w & m.stored_columns()) for m, w in right) \
+        < sum(len(m.stored_columns()) for m, _ in right)
+    # a lowering block stores every column of its window: B_b keeps all of window b
+    assert all(minus.block(b).stored_columns() >= window[b] for b in range(deg + 1))
+
+    received.clear()
+    assert pair_commutation_check(minus, deg) == (True, [])
+    # A_a A_b and A_b A_a for a < b, two terms on window b each
+    window_count = sum(2 * len(window[b]) for a in range(deg + 1) for b in range(a + 1, deg + 1))
+    assert sum(map(len, received)) == window_count < sum(
+        len(minus.block(a).stored_columns()) + len(minus.block(b).stored_columns())
+        for a in range(deg + 1) for b in range(a + 1, deg + 1))
