@@ -4,8 +4,9 @@ The Q-matrix is a degree-n polynomial matrix on the (N, n) occupation
 sector, built from a closed-form entry formula: a sum of per-site boson
 moves, each site k sending d_k <= m_k bosons to site k+1, weighted by
 t-binomials binom(m_k, d_k)_t, signs (-z)^{d_k}, and the twist x once
-per boson crossing the seam.  An auxiliary-spin Lax operator gives a
-second, independent construction by tracing over the spin space; the two
+per boson crossing the seam.  The auxiliary-spin Lax operator `build_LL`,
+whose own relations the `rll` suite checks, gives a second, independent
+construction, `trace_qmatrix`, by tracing over the spin space; the two
 are compared entrywise in the tests and suites.
 
 Conventions are anchored by three exact requirements: the 3x3 printed
@@ -63,52 +64,39 @@ def null_psi(a: int, b: int, c: int, z, t) -> Fraction:
 def site_null_vector_check(a: int, c: int, z, t):
     """Per-site triangularity of the gauge-transformed Lax matrix.
 
-    On the spin window b in [c, a] (x = t^b diagonal, X the raise), with
-    Psi(w) the null vector of components null_psi(a, b, c, w):
+    On the spin window b in [c, a] (x = t^b diagonal, X the raise, both
+    from `_window_ops`), with Psi(w) the null vector of components
+    null_psi(a, b, c, w):
 
         L'_12 Psi(-z)   = 0
         L'_11 Psi(-z)   = Psi(-tz)
         L'_22 Psi(-z)   = z X Psi(-z/t)
 
-    Returns (ok, failures), naming the relation and the spin b.
+    Each L' is a sparse matrix applied to the vector.  Returns (ok,
+    failures), naming the relation and the spin b.
     """
     z, t = as_scalar(z), as_scalar(t)
     if t == 0:
         raise ValueError("t must be nonzero")
-    span = list(range(c, a + 1))
+    win = Basis([(b,) for b in range(c, a + 1)], f"spin window [{c},{a}]", kind="window")
+    X, x, xinv = _window_ops(win, 1, t)
+    I = SparseMatrix.identity(len(win))
+    tc = t ** c
 
     def psi(w):
-        return {b: null_psi(a, b, c, w, t) for b in span}
+        return {j: null_psi(a, b, c, w, t) for j, (b,) in enumerate(win.states)}
 
-    ta, tc = t ** a, t ** c
-
-    def apply_X(vec, factor_fn=None):
-        out = {}
-        for b, v in vec.items():
-            if b + 1 <= a:
-                f = factor_fn(b) if factor_fn else ONE
-                out[b + 1] = out.get(b + 1, ZERO) + f * v
-        return out
-
+    hop = X.mul(I.add(xinv.scale(-t ** a)))  # X (1 - t^a x^{-1})
+    L12 = x.add(I.scale(-tc)).add(hop.scale(-tc * z))
+    L11 = I.add(hop.scale(z))
+    L22 = X.mul(xinv).scale(tc * z)
     v0 = psi(-z)
-    # L'_12 = x - t^c - t^c z X (1 - t^a x^{-1})
-    r12 = {b: (t ** b - tc) * v for b, v in v0.items()}
-    hop = apply_X(v0, lambda b: ONE - ta * t ** (-b))
-    for b, v in hop.items():
-        r12[b] = r12.get(b, ZERO) - tc * z * v
-
-    # L'_11 = 1 + z X (1 - t^a x^{-1})
-    r11 = dict(v0)
-    for b, v in hop.items():
-        r11[b] = r11.get(b, ZERO) + z * v
-
-    # L'_22 = t^c z X x^{-1}
-    r22 = apply_X(v0, lambda b: tc * z * t ** (-b))
-    want = apply_X(psi(-z / t), lambda b: z)
-    failures = [item for relation, got, expect in (("null", r12, {}), ("upper", r11, psi(-t * z)),
-                                                   ("lower", r22, want))
-                for b, lhs, rhs in vector_mismatches(got, expect)
-                for item in mismatch_items([(lhs, rhs)], None, relation=relation, b=b)]
+    checks = (("null", L12, {}), ("upper", L11, psi(-t * z)),
+              ("lower", L22, X.scale(z).apply(psi(-z / t))))
+    failures = [item for relation, op, want in checks
+                for j, lhs, rhs in vector_mismatches(op.apply(v0), want)
+                for item in mismatch_items([(lhs, rhs)], None, relation=relation,
+                                           b=win.states[j][0])]
     return not failures, failures
 
 
@@ -303,16 +291,23 @@ def toda_intertwine_check(z, u, t, cap: int):
 def trace_qmatrix(N: int, n: int, z, x, t) -> GradedOperator:
     """Independent Q-matrix from the auxiliary-spin trace, at a sample z.
 
-    Sweeps the auxiliary Lax operator across the site labels, applies the
-    spin-shift twist S^{-n}, traces the auxiliary space, folds the output
-    to the canonical momentum gauge, and multiplies back the state norms.
-    Returns a degree-0 graded operator holding q_n(z) evaluated at z.
+    Sweeps the auxiliary Lax operator `build_LL(-1/z, t, 2n, 2n)`, built
+    once per call, across the site labels, applies the spin-shift twist
+    S^{-n}, traces the auxiliary space, folds the output to the canonical
+    momentum gauge, and multiplies back the state norms.  It shares
+    nothing with `build_qmatrix`.  Returns a degree-0 graded operator
+    holding q_n(z) evaluated at z.
     """
     z, x, t = as_scalar(z), as_scalar(x), as_scalar(t)
     if z == 0:
         raise ValueError("sample z must be nonzero")
     _reject_singular_t(t, 2 * n)  # the spin labels reach 2n
-    u = -ONE / z  # so the spectral monomial base 1/u equals -z
+    # LL(u) at u = -1/z (its monomial base 1/u is -z) as steps (s label,
+    # site label) -> [(new s label, value)], the site taking the old s label
+    side = 2 * n + 1
+    steps = {}
+    for r, c, v in build_LL(-ONE / z, t, 2 * n, 2 * n).entries():
+        steps.setdefault(divmod(c, side), []).append((r // side, v))
     basis = occupation_basis(N, n)
     dim = len(basis)
     out = SparseMatrix(dim)
@@ -323,22 +318,14 @@ def trace_qmatrix(N: int, n: int, z, x, t) -> GradedOperator:
         for k in range(N, 0, -1):
             labels[k] = labels[k + 1] + rev[k - 1]
         # superposition over (s_label, site labels); apply LL_N .. LL_1
-        start = {}
-        for a in range(n, 2 * n + 1):
-            if a - n >= 0:
-                start[(a - n, tuple(labels[1:N + 1]), a)] = ONE
-        final = {}
+        start = {(a - n, tuple(labels[1:N + 1]), a): ONE for a in range(n, 2 * n + 1)}
         for k in range(N, 0, -1):
             nxt = {}
             for (s_label, sites, a), amp in start.items():
-                nx = sites[k - 1]
-                if nx < s_label:
-                    continue
-                base = amp * (ONE / u) ** (nx - s_label) / tfact(nx - s_label, t)
-                for ms in range(nx, 2 * n + 1):
-                    new_sites = sites[:k - 1] + (s_label,) + sites[k:]
+                new_sites = sites[:k - 1] + (s_label,) + sites[k:]
+                for ms, v in steps.get((s_label, sites[k - 1]), ()):
                     key = (ms, new_sites, a)
-                    nxt[key] = nxt.get(key, ZERO) + base / tfact(ms - nx, t)
+                    nxt[key] = nxt.get(key, ZERO) + amp * v
             start = nxt
         for (s_label, sites, a), amp in start.items():
             if s_label != a:

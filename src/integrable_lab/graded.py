@@ -14,7 +14,8 @@ matrices are equal exactly when their `den` and `cols` are, `entry` and
 `entries` give reduced Fractions, and no other module reads the storage.
 Every operation multiplies and adds Python ints into one accumulator over
 a common denominator and brings the result back to canonical form once,
-through `_canonical` (drop zeros, divide by one gcd).
+through `_canonical` (drop zeros, divide by one gcd), or, in
+`keep_columns`, whose kept columns hold no zero, by dividing only.
 
 Every check of the 16 suites (rll, pieri, hall-pieri, cauchy,
 dual-cauchy, gamma-commute, gamma-eigen, tq, lambda-q, ar-project,
@@ -358,9 +359,14 @@ class SparseMatrix:
 
     def keep_columns(self, cols) -> "SparseMatrix":
         """This matrix with every column outside the set `cols` zeroed, in
-        canonical form again."""
-        return _reduced(self.dim, {c: col for c, col in self.cols.items() if c in cols},
-                        self.den)
+        canonical form again: the kept columns store no zero, so only the
+        gcd with the denominator can change, and only when a column is
+        dropped."""
+        kept = {c: col for c, col in self.cols.items() if c in cols}
+        g = 1 if len(kept) == len(self.cols) else _gcd_with(self.den, kept)
+        if g != 1:
+            kept = {c: {r: v // g for r, v in col.items()} for c, col in kept.items()}
+        return SparseMatrix._wrap(self.dim, kept, self.den // g)
 
     def mul(self, other: "SparseMatrix") -> "SparseMatrix":
         """self @ other (other acts first on kets): one-term `sum_of_scaled_products`."""

@@ -527,6 +527,8 @@ def toda_gauge_check(N: int, t, window_top: int):
 
     Returns (ok, failures).  Interior columns keep one
     unit of headroom at both window edges per elementary shift involved.
+    Every side is a `monodromy` fold on its interior columns, so each
+    factor is built only on the states the fold reaches.
     """
     t = as_scalar(t)
     w = free_window_basis(N, -window_top, window_top)
@@ -535,27 +537,27 @@ def toda_gauge_check(N: int, t, window_top: int):
         return [j for j, v in enumerate(w.states)
                 if all(-window_top + pred_margin <= c <= window_top - pred_margin for c in v)]
 
-    sides = []  # (relation, lhs, rhs, top degree, asserted columns)
-    for k in range(1, N + 1):
-        U_prev = toda_U(w, k - 1, t)
-        L_toda = toda_lax("toda", w, k, t)
-        L_qb = qboson_lax_toda_vars(w, k - 1, t)
-        U_k = toda_U(w, k, t)
-        sides.append((f"local k={k}", mat2_mul(U_prev, L_toda, 2), mat2_mul(L_qb, U_k, 2),
-                      2, interior(k + 1)))
+    def U(k):
+        return partial(toda_U, w, k, t)
 
-    # monodromy level: U_0 T^Toda_N = (L_0 ... L_{N-1}) U_N, both sides
-    # folded on the interior columns only
-    cols = interior(N + 1)
-    T_toda = toda_monodromy("toda", w, N, t, cols=cols)
-    lhs = mat2_mul(toda_U(w, 0, t), T_toda, N)
-    rhs = monodromy([*(partial(qboson_lax_toda_vars, w, k, t) for k in range(N)),
-                     partial(toda_U, w, N, t)], N, cols)
-    sides.append(("monodromy", lhs, rhs, N, cols))
-    failures = [item for relation, lhs, rhs, top, cols in sides
-                for i in range(2) for j in range(2)
-                for item in graded_items(lhs[i][j], rhs[i][j], top, cols, w,
-                                         relation=relation, aux=(i, j))]
+    def L_toda(k):
+        return partial(toda_lax, "toda", w, k, t)
+
+    def L_qb(k):
+        return partial(qboson_lax_toda_vars, w, k, t)
+
+    # (relation, left factors, right factors, top degree, asserted columns);
+    # the monodromy level is U_0 T^Toda_N = (L_0 ... L_{N-1}) U_N
+    sides = [(f"local k={k}", [U(k - 1), L_toda(k)], [L_qb(k - 1), U(k)], 2, interior(k + 1))
+             for k in range(1, N + 1)]
+    sides.append(("monodromy", [U(0), *map(L_toda, range(1, N + 1))],
+                  [*map(L_qb, range(N)), U(N)], N, interior(N + 1)))
+    failures = []
+    for relation, left, right, top, cols in sides:
+        lhs, rhs = monodromy(left, top, cols), monodromy(right, top, cols)
+        failures += [item for i in range(2) for j in range(2)
+                     for item in graded_items(lhs[i][j], rhs[i][j], top, cols, w,
+                                              relation=relation, aux=(i, j))]
     return not failures, failures
 
 

@@ -20,7 +20,8 @@ oracles those constructions are checked against (the auxiliary-spin
 trace, `ll_F_op`/`ll_G_op`, the symmetrized Hall-Littlewood sums) call
 the literal functions, so a table bug cannot certify itself.  The
 auxiliary Lax operator `build_LL` also stays on the literal `tfact`,
-reading each order k!_t once per call rather than once per entry.
+reading each order k!_t once per call rather than once per entry; the
+trace reaches the literal t-factorials only through it.
 """
 
 from __future__ import annotations

@@ -284,6 +284,20 @@ def test_trace_construction_matches_closed_form():
         assert direct == traced, (N, n)
 
 
+def test_trace_builds_the_auxiliary_lax_operator_once(monkeypatch):
+    # the sweep reads the steps of one LL(-1/z) on spin labels up to 2n
+    calls = []
+
+    def recording(*args, real=baxter_q.build_LL):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(baxter_q, "build_LL", recording)
+    z = F(3, 4)
+    assert trace_qmatrix(3, 3, z, X, T).block(0) == build_qmatrix(3, 3, X, T).eval_at(z)
+    assert calls == [(-1 / z, T, 6, 6)]
+
+
 RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=9)
 
 

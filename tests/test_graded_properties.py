@@ -457,8 +457,9 @@ def test_sum_of_scaled_products_equals_dense_sum(terms, cancel):
 @SETTINGS
 @given(matrices(), raw_matrices(), st.lists(st.tuples(SMALL | st.just(F(0)), matrices(),
                                                       raw_matrices()), min_size=1, max_size=3),
-       st.sets(INDEX))
-def test_a_product_on_kept_columns_equals_the_kept_columns_of_the_product(a, b, terms, window):
+       st.sets(INDEX), st.integers(2, 6), st.integers(1, 5), st.integers(-5, 5))
+def test_a_product_on_kept_columns_equals_the_kept_columns_of_the_product(a, b, terms, window,
+                                                                          g, h, k):
     # the window checks form each product on the columns they compare only,
     # keeping them in its rightmost factor: (A B)[:, W] = A (B[:, W])
     got = a.mul(b.keep_columns(window))
@@ -468,6 +469,19 @@ def test_a_product_on_kept_columns_equals_the_kept_columns_of_the_product(a, b, 
     assert got == sum_of_scaled_products(terms).keep_columns(window)
     assert_canonical(got)
     assert got.stored_columns() <= window
+    assert dense(b.keep_columns(window)) == [[v if c in window else F(0)
+                                              for c, v in enumerate(row)] for row in dense(b)]
+    # a W that drops nothing gives the same matrix, as a new object
+    whole = b.keep_columns(window | b.stored_columns())
+    assert whole == b and whole is not b
+    assert_canonical(whole)
+    # dropping column 0, which holds the only numerator coprime to the
+    # denominator g h, leaves g k / (g h): the gcd g must come out
+    m = SparseMatrix(DIM, {0: {0: 1}, 1: {DIM - 1: g * k}}, g * h)
+    kept = m.keep_columns(window - {0})
+    assert dense(kept) == [[v if c in window - {0} else F(0) for c, v in enumerate(row)]
+                           for row in dense(m)]
+    assert_canonical(kept)
 
 
 @st.composite

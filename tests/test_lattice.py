@@ -341,6 +341,25 @@ def test_toda_gauge_relations():
         assert ok, failures
 
 
+def test_toda_gauge_builds_every_factor_on_listed_sources(monkeypatch):
+    # every relation, local or monodromy level, is a column fold: each
+    # factor is asked for the states the fold reaches, never for the window
+    from integrable_lab import lattice
+
+    seen = []
+    for name in ("toda_lax", "toda_U", "qboson_lax_toda_vars"):
+        def recording(*args, real=getattr(lattice, name), name=name, sources=None):
+            seen.append((name, sources))
+            return real(*args, sources=sources)
+
+        monkeypatch.setattr(lattice, name, recording)
+    ok, failures = toda_gauge_check(3, T_SAMPLE, window_top=5)
+    assert ok, failures
+    assert {name for name, _ in seen} == {"toda_lax", "toda_U", "qboson_lax_toda_vars"}
+    assert all(sources is not None for _, sources in seen), seen
+    assert max(len(sources) for _, sources in seen) < len(free_window_basis(3, -5, 5))
+
+
 def test_toda_gauge_reports_a_perturbed_boundary_lax(monkeypatch):
     # d added to entry 11 of the boundary q-boson Lax L_0 = [[1, z], [1, z]]
     # at the window origin e moves the right side of the k = 1 relation
