@@ -313,6 +313,7 @@ def trace_qmatrix(N: int, n: int, z, x, t) -> GradedOperator:
     out = SparseMatrix(dim)
     for j, m in enumerate(basis.states):
         rev = tuple(reversed(m))
+        norm = state_norm(occupation_to_partition(m), t)
         # canonical site labels: nu_k = sum_{l >= k} rev_l, nu_1 = n
         labels = [0] * (N + 2)
         for k in range(N, 0, -1):
@@ -338,8 +339,7 @@ def trace_qmatrix(N: int, n: int, z, x, t) -> GradedOperator:
             target = tuple(reversed(rev_target))
             if target not in basis.index:
                 continue
-            out.add_to(basis.index[target], j, amp * x ** delta * state_norm(
-                occupation_to_partition(m), t))
+            out.add_to(basis.index[target], j, amp * x ** delta * norm)
     return GradedOperator(dim, {0: out}, max_degree=0)
 
 

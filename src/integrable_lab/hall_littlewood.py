@@ -17,12 +17,13 @@ R, Q and P per argument; R_mu is an integer sum over the table with one
 Fraction at the end.  hl_R/hl_Q/hl_P build one for a single evaluation,
 and callers that evaluate many partitions at one draw build one and
 read it.  skew_P and skew_Q_omega run one strip sweep, generic over the
-strip generator and the weight; `skew_sweep` returns every lam reached
-from mu under a weight cap from a single sweep.  The two routes share
+strip generator and the weight, on integer numerators over one
+denominator per step; `skew_sweep` returns every lam reached from mu
+under a weight cap from a single sweep.  The two routes share
 no code, so each checks the other.
 
-The four Pieri coefficients psi, phi, psi', phi' are products of lookups
-in one `scalars.TTable` through one kernel, `PieriTable.coeff`.  A
+The four Pieri coefficients psi, phi, psi', phi' are integer products of
+lookups in one `scalars.TTable` through one kernel, `PieriTable.coeff`.  A
 `PieriTable` holds that table, the shapes it has read and the product
 of each factor signature (the kind and the table indices it multiplies)
 for one t, and serves strips that are valid by construction: a sweep
@@ -42,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, partial
 from itertools import permutations
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import getitem
 
 from .graded import mismatch_items
@@ -158,17 +159,20 @@ class PieriTable:
 def _pieri_weight(table: TTable, kind: str, signature: tuple) -> Fraction:
     """The product of the table entries a `PieriTable` signature names:
     1 - t^m per m (psi, phi), binom(a, d)_t per (a, d) (psi') and
-    b!_t / (d!_t (a-d)!_t) per (a, b, d) (phi')."""
-    result = ONE
+    b!_t / (d!_t (a-d)!_t) per (a, b, d) (phi'), multiplied as integer
+    numerators and denominators, with one Fraction at the end."""
+    num = den = 1
     for f in signature:
-        if kind == "psi'":
-            result *= table.binom[f]
-        elif kind == "phi'":
+        if kind == "phi'":
             a, b, d = f
-            result *= table.fact[b] / (table.fact[d] * table.fact[a - d])
+            up, down, down2 = table.fact[b], table.fact[d], table.fact[a - d]
+            num *= up.numerator * down.denominator * down2.denominator
+            den *= up.denominator * down.numerator * down2.numerator
         else:
-            result *= table.one_minus[f]
-    return result
+            x = (table.binom if kind == "psi'" else table.one_minus)[f]
+            num *= x.numerator
+            den *= x.denominator
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +310,17 @@ def _strip_sweep(mu, values, max_weight, strips, coeff, keep=None) -> dict:
     One variable per step, v_n first (the sum is symmetric anyway): a step
     adds a strip nu/kappa from strips(kappa, room) with weight
     coeff(nu, kappa) v^{|nu/kappa|}.  `keep` prunes the shapes a step may
-    reach.  Each coefficient is computed once per sweep.
+    reach.  The sweep runs on integers: each coefficient is read once per
+    sweep as a pair w_n/w_d, and at v = p/q an edge of size k adds
+    c w_n p^k over w_d q^k to the numerator c of kappa (a term that is 0
+    adds nothing).  A step sums its terms over the lcm of their
+    denominators and takes out one gcd; one Fraction is made per shape.
     """
     weights = {}
-    vec = {mu: ONE}
+    vec, den = {mu: 1}, 1
     for v in reversed(values):
-        nxt = {}
+        p, q = v.numerator, v.denominator
+        terms = []
         for kappa, c in vec.items():
             wk = weight(kappa)
             for nu in strips(kappa, max_weight - wk):
@@ -319,12 +328,18 @@ def _strip_sweep(mu, values, max_weight, strips, coeff, keep=None) -> dict:
                     continue
                 w = weights.get((nu, kappa))
                 if w is None:
-                    w = weights[nu, kappa] = coeff(nu, kappa)
-                amp = c * w * v ** (weight(nu) - wk)
-                if amp != 0:
-                    nxt[nu] = nxt.get(nu, ZERO) + amp
-        vec = nxt
-    return vec
+                    w = weights[nu, kappa] = coeff(nu, kappa).as_integer_ratio()
+                k = weight(nu) - wk
+                if num := c * w[0] * p ** k:
+                    terms.append((nu, num, w[1] * q ** k))
+        step = lcm(*{d for _, _, d in terms})
+        vec = {}
+        for nu, num, d in terms:
+            vec[nu] = vec.get(nu, 0) + num * (step // d)
+        g = gcd(den * step, *vec.values())
+        den = den * step // g
+        vec = {nu: num // g for nu, num in vec.items()}
+    return {nu: Fraction(num, den) for nu, num in vec.items()}
 
 
 def skew_P(lam, mu, values, t) -> Fraction:

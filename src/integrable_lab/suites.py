@@ -231,10 +231,11 @@ def _suite_gamma_eigen(seed, p):
     for nv in range(1, p["vars"] + 1):
         V = draw_params(seed + nv, f"distinct-{nv}")
         state_L = vertex_ops.build_eigenstate("L", V, basis, t)
+        state_R = vertex_ops.build_eigenstate("R", V, basis, t)
         _, fails = vertex_ops.gamma_eigen_check(plus_L, "L", V, deg, state_L)
         checks.append(_check(f"annihilation on the Cauchy state, {nv} vars",
                              "eigenstate of the lowering transfer matrix", fails))
-        _, fails = vertex_ops.gamma_eigen_check(plus_L, "R", V, deg)
+        _, fails = vertex_ops.gamma_eigen_check(plus_L, "R", V, deg, state_R)
         checks.append(_check(f"open Toda eigenvector, {nv} vars",
                              "open Toda chain eigenvectors", fails))
         _, fails = vertex_ops.gamma_eigen_check(plus_R, "L", V, deg, state_L)
@@ -243,11 +244,13 @@ def _suite_gamma_eigen(seed, p):
         _, fails = vertex_ops.covector_pieri_check(minus_L, V, deg)
         checks.append(_check(f"covector Pieri, {nv} vars",
                              "left eigencovector relation", fails))
-        # finite-size form: the restriction to lam_1 <= nv acts on the
-        # nv-variable dual state exactly the same way
+        # finite-size form: the restriction to lam_1 <= nv acts on state_R,
+        # read on cap_basis (also of weight cap D), exactly the same way
         cap_basis = partition_basis(D, max_part=nv)
         plus_cap = vertex_ops.build_gamma("L", "+", cap_basis, t)
-        _, fails = vertex_ops.gamma_eigen_check(plus_cap, "R", V, deg)
+        state_cap = {k: state_R[j] for k, lam in enumerate(cap_basis.states)
+                     if (j := basis.index[lam]) in state_R}
+        _, fails = vertex_ops.gamma_eigen_check(plus_cap, "R", V, deg, state_cap)
         checks.append(_check(f"finite-size open Toda eigenvector N={nv}",
                              "open Toda chain eigenvectors, finite size", fails))
         minus_cap = vertex_ops.build_gamma("L", "-", cap_basis, t)

@@ -266,9 +266,10 @@ def _series_check(vop: VertexOp, act, vec: dict, series):
     """act(degree-r block) = series[r] vec for every r < len(series), on the
     components of weight <= cap - r (one above the cap was truncated away).
     Returns (ok, failures)."""
+    weights = [weight(s) for s in vop.basis.states]
     failures = []
     for r, coeff in enumerate(series):
-        window = {j for j, s in enumerate(vop.basis.states) if weight(s) + r <= vop.weight_cap}
+        window = {j for j, w in enumerate(weights) if w + r <= vop.weight_cap}
         want = {j: coeff * v for j, v in vec.items()}
         failures += mismatch_items(vector_mismatches(act(vop.block(r)), want, window),
                                    vop.basis, degree=r)

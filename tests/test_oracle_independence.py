@@ -143,6 +143,22 @@ def one_psi_signature_off(monkeypatch, fired):
     monkeypatch.setattr(hall_littlewood, "_pieri_weight", perturbed)
 
 
+def double_the_one_box_shape(monkeypatch, fired):
+    """The strip sweep returns twice its value at the one-box shape (1)
+    and every other shape exact: one component off, not a uniform scaling
+    of the sweep."""
+    real = hall_littlewood._strip_sweep
+
+    def perturbed(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if out.get((1,)):
+            fired.append(1)
+            out[(1,)] *= 2
+        return out
+
+    monkeypatch.setattr(hall_littlewood, "_strip_sweep", perturbed)
+
+
 # (kernel, perturbation, suites that must fail, identity sides it feeds,
 #  suites that run the kernel's module but never the perturbed function,
 #  which must keep passing)
@@ -191,6 +207,14 @@ ROWS = [
      "psi of the Pieri rule, the psi side of the branching adjoint relation, "
      "Gamma_{L,-} of the exchange and same-sign relations and of the covector Pieri check",
      ("hall-pieri", "dual-cauchy", "ar-project")),
+    # gamma-eigen's eigen relations are linear in |R,V>, so a uniform
+    # scaling of the sweep would pass them; one shape off fails its six
+    # open Toda eigenvector checks.  The Pieri suites read the table, not
+    # the sweep
+    ("hall_littlewood._strip_sweep", double_the_one_box_shape,
+     ("gamma-eigen", "dual-cauchy"),
+     "|R,V> of the open Toda eigenvector checks, P^omega of the dual Cauchy identity",
+     ("pieri", "hall-pieri")),
 ]
 
 

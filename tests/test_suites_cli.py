@@ -376,6 +376,22 @@ def test_adjoint_suite_visits_every_horizontal_strip_pair_once(monkeypatch):
     assert set(seen) == scan
 
 
+def test_gamma_eigen_sweeps_each_alphabet_once(monkeypatch):
+    # |R,V> on the full basis and on the lam_1 <= #V basis, both of weight
+    # cap D, come from one strip sweep per alphabet
+    alphabets = []
+    real = hall_littlewood._strip_sweep
+
+    def counting(mu, values, *args, **kwargs):
+        alphabets.append(len(values))
+        return real(mu, values, *args, **kwargs)
+
+    monkeypatch.setattr(hall_littlewood, "_strip_sweep", counting)
+    spec = SuiteSpec("gamma-eigen")
+    assert run_suite(spec)["status"] == "pass"
+    assert alphabets == list(range(1, suites.suite_params(spec)["vars"] + 1))
+
+
 def test_verify_json_lists_the_failures_of_a_failing_check(monkeypatch, capsys):
     # q_1[r, c] += d moves lhs_1 = q_1 + Lambda_1 q_0 by d and rhs_1 = t q_1
     # (below degree N) by t d: degree 1 fails at that entry
