@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import product as iproduct
+from math import prod
 from operator import add
 
 from .graded import (
@@ -250,6 +251,8 @@ def open_transfer(basis: Basis, N: int, t, direction: str = "right") -> GradedOp
     every run end (bond k chosen, bond k+1 not or k = N), graded by
     powers of 1/z stored positively.  Either way the weighted sites are
     those that end one boson short; targets outside the basis are dropped.
+    Targets are looked up by occupation, and amplitudes are integer
+    (numerator, denominator) products of the site weights.
     """
     if direction not in ("right", "left"):
         raise ValueError(f"direction must be 'right' or 'left', not {direction!r}")
@@ -261,22 +264,20 @@ def open_transfer(basis: Basis, N: int, t, direction: str = "right") -> GradedOp
         gain = [sign * (c[k] - c[k + 1]) for k in range(N)]
         subsets.append((sum(c), gain, [k for k in range(N) if gain[k] < 0]))
 
+    index = {partition_to_occupation(lam, N): j for j, lam in enumerate(basis.states)
+             if not lam or lam[0] <= N}  # lam_1 > N: outside the projector, zero column
+
     def entries():
-        for j, lam in enumerate(basis.states):
-            if lam and lam[0] > N:
-                continue  # outside the N-site projector: zero column
-            m = partition_to_occupation(lam, N)
+        for m, j in index.items():
             weight = [ONE - t ** mk for mk in m]
             for degree, gain, short in subsets:
-                amp = ONE
-                for k in short:
-                    amp *= weight[k]
-                if amp:  # an empty weighted site weighs 0 and would go negative
-                    target = occupation_to_partition(tuple(map(add, m, gain)))
-                    if target in basis.index:
-                        yield degree, basis.index[target], j, amp
+                num = prod(weight[k].numerator for k in short)
+                if num:  # an empty weighted site weighs 0 and would go negative
+                    i = index.get(tuple(map(add, m, gain)))
+                    if i is not None:
+                        yield degree, i, j, num, prod(weight[k].denominator for k in short)
 
-    return GradedOperator.from_entries(len(basis), entries(), N)
+    return GradedOperator.from_ratios(len(basis), entries(), N)
 
 
 def open_hamiltonian(basis: Basis, N: int, t) -> SparseMatrix:

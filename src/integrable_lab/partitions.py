@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .scalars import ONE, as_scalar, tfact
+from .scalars import ONE, _poch_ratio, as_scalar
 
 
 def partition(parts) -> tuple:
@@ -101,15 +101,17 @@ def state_norm(lam, t) -> Fraction:
     """<lam|lam> = prod_{k>=1} m_k(lam)!_t ; equals 1 for the empty partition."""
     t = as_scalar(t)
     lam = partition(lam)
-    result = ONE
+    num = den = 1
     i = 0
     while i < len(lam):
         j = i
         while j < len(lam) and lam[j] == lam[i]:
             j += 1
-        result *= tfact(j - i, t)
+        n, d = _poch_ratio(t, j - i, t)
+        num *= n
+        den *= d
         i = j
-    return result
+    return Fraction(num, den)
 
 
 def dominance_leq(mu, lam) -> bool:

@@ -9,7 +9,8 @@ terms with positive denominator).  The three factors defined here,
     tbinom(a, b, t) = a!_t / (b!_t (a-b)!_t)
 
 are the building blocks of all state norms, branching coefficients and
-Q-matrix entries.  They stay the literal products above.
+Q-matrix entries.  They stay the literal products above, multiplied on
+integers with one `Fraction` per call (a state norm included).
 
 A `TTable` holds the same factors at one t, each computed once: t^m,
 1 - t^m, m!_t, (a)_m and the t-binomials.  Constructions that read many
@@ -18,10 +19,11 @@ the Q-matrix, the transfer and Toda run amplitudes, the commutation
 series) build one per call; nothing is cached across calls.  The
 oracles those constructions are checked against (the auxiliary-spin
 trace, `ll_F_op`/`ll_G_op`, the symmetrized Hall-Littlewood sums) call
-the literal functions, so a table bug cannot certify itself.  The
-auxiliary Lax operator `build_LL` also stays on the literal `tfact`,
-reading each order k!_t once per call rather than once per entry; the
-trace reaches the literal t-factorials only through it.
+the literal functions, whose integer kernel the table never reads, so a
+table bug cannot certify itself.  The auxiliary Lax operator `build_LL`
+also stays on the literal `tfact`, reading each order k!_t once per call
+rather than once per entry; the trace reaches the literal t-factorials
+only through it.
 """
 
 from __future__ import annotations
@@ -58,18 +60,24 @@ def format_scalar(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _poch_ratio(a: Fraction, m: int, t: Fraction) -> tuple:
+    """(a)_m as an unreduced (numerator, denominator) pair of ints, each
+    factor 1 - a t^j = (a_d t_d^j - a_n t_n^j) / (a_d t_d^j)."""
+    an, ad, tn, td = a.numerator, a.denominator, t.numerator, t.denominator
+    num = den = 1
+    for _ in range(m):
+        num *= ad - an
+        den *= ad
+        an *= tn
+        ad *= td
+    return num, den
+
+
 def tpoch(a, m: int, t) -> Fraction:
     """t-Pochhammer symbol (a)_m = prod_{j=0}^{m-1} (1 - a t^j); 1 for m = 0."""
     if m < 0:
         raise ValueError("tpoch needs m >= 0")
-    a = as_scalar(a)
-    t = as_scalar(t)
-    result = ONE
-    power = ONE
-    for _ in range(m):
-        result *= ONE - a * power
-        power *= t
-    return result
+    return Fraction(*_poch_ratio(as_scalar(a), m, as_scalar(t)))
 
 
 def tfact(m: int, t) -> Fraction:

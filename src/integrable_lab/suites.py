@@ -244,16 +244,19 @@ def _suite_gamma_eigen(seed, p):
         _, fails = vertex_ops.covector_pieri_check(minus_L, V, deg)
         checks.append(_check(f"covector Pieri, {nv} vars",
                              "left eigencovector relation", fails))
-        # finite-size form: the restriction to lam_1 <= nv acts on state_R,
-        # read on cap_basis (also of weight cap D), exactly the same way
+        # finite-size form: the restriction to lam_1 <= nv (cap_basis, also
+        # of weight cap D) of the Gammas and of state_R: a horizontal strip
+        # below lam keeps lam_1 <= nv, and Gamma_{L,-} loses only rows
         cap_basis = partition_basis(D, max_part=nv)
-        plus_cap = vertex_ops.build_gamma("L", "+", cap_basis, t)
-        state_cap = {k: state_R[j] for k, lam in enumerate(cap_basis.states)
-                     if (j := basis.index[lam]) in state_R}
+        to_cap = {basis.index[lam]: k for k, lam in enumerate(cap_basis.states)}
+        plus_cap, minus_cap = (
+            vertex_ops.VertexOp("L", g.sign, cap_basis, t,
+                                g.op.restrict(to_cap, len(cap_basis), D))
+            for g in (plus_L, minus_L))
+        state_cap = {k: state_R[j] for j, k in to_cap.items() if j in state_R}
         _, fails = vertex_ops.gamma_eigen_check(plus_cap, "R", V, deg, state_cap)
         checks.append(_check(f"finite-size open Toda eigenvector N={nv}",
                              "open Toda chain eigenvectors, finite size", fails))
-        minus_cap = vertex_ops.build_gamma("L", "-", cap_basis, t)
         fails = [item for direction, gamma in (("right", minus_cap), ("left", plus_cap))
                  for item in graded_items(lattice.open_transfer(cap_basis, nv, t, direction),
                                           gamma.op, nv, range(len(cap_basis)), cap_basis,

@@ -264,13 +264,13 @@ def covector_pieri_check(minus: VertexOp, values, max_degree: int):
 
 def _series_check(vop: VertexOp, act, vec: dict, series):
     """act(degree-r block) = series[r] vec for every r < len(series), on the
-    components of weight <= cap - r (one above the cap was truncated away).
-    Returns (ok, failures)."""
+    components of weight <= cap - r (one above the cap was truncated away);
+    series[r] vec is formed on those components only.  Returns (ok, failures)."""
     weights = [weight(s) for s in vop.basis.states]
     failures = []
     for r, coeff in enumerate(series):
         window = {j for j, w in enumerate(weights) if w + r <= vop.weight_cap}
-        want = {j: coeff * v for j, v in vec.items()}
+        want = vec if coeff == 1 else {j: coeff * v for j, v in vec.items() if j in window}
         failures += mismatch_items(vector_mismatches(act(vop.block(r)), want, window),
                                    vop.basis, degree=r)
     return not failures, failures

@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 import integrable_lab
-from integrable_lab import baxter_q, cli, graded, hall_littlewood, lattice, suites
+from integrable_lab import baxter_q, cli, graded, hall_littlewood, lattice, partitions, scalars, suites
 from integrable_lab.graded import SparseMatrix
 from integrable_lab.suites import SuiteSpec, run_suite
 
@@ -159,6 +159,27 @@ def double_the_one_box_shape(monkeypatch, fired):
     monkeypatch.setattr(hall_littlewood, "_strip_sweep", perturbed)
 
 
+def second_factor_squared(monkeypatch, fired):
+    """The literal t-Pochhammer kernel reads its factor 1 - a t as 1 - a t^2
+    whenever m >= 2: (a)_m = (a)_1 (a t^2)_1 (a t^2)_{m-2}.  Every literal
+    m!_t with m >= 2, and so every state norm with a repeated part, carries
+    one factor off; the t-table never reads the kernel."""
+    real = scalars._poch_ratio
+
+    def perturbed(a, m, t):
+        if m < 2:
+            return real(a, m, t)
+        at2 = a * t * t
+        if at2 != a * t:
+            fired.append(1)
+        (n0, d0), (n1, d1), (n2, d2) = real(a, 1, t), real(at2, 1, t), real(at2, m - 2, t)
+        return n0 * n1 * n2, d0 * d1 * d2
+
+    for mod in (scalars, partitions):
+        if getattr(mod, "_poch_ratio", None) is real:
+            monkeypatch.setattr(mod, "_poch_ratio", perturbed)
+
+
 # (kernel, perturbation, suites that must fail, identity sides it feeds,
 #  suites that run the kernel's module but never the perturbed function,
 #  which must keep passing)
@@ -207,6 +228,16 @@ ROWS = [
      "psi of the Pieri rule, the psi side of the branching adjoint relation, "
      "Gamma_{L,-} of the exchange and same-sign relations and of the covector Pieri check",
      ("hall-pieri", "dual-cauchy", "ar-project")),
+    # the literal side of every table-against-literal identity, and the
+    # norms of the symmetrized sums and of the adjoint relations; tq, gaudin
+    # and paper-matrices read their t-factorials from t-tables and never
+    # call the kernel at m >= 2
+    ("scalars._poch_ratio", second_factor_squared,
+     ("adjoint", "ar-project", "cauchy", "dual-cauchy", "gamma-eigen", "hall-pieri",
+      "lambda-q", "lascoux", "pieri", "rll"),
+     "pieri_coeff, build_LL and the auxiliary-spin trace, the symmetrized Hall-Littlewood "
+     "sums and their state norms, the norms of the branching adjoint relations",
+     ("gaudin", "paper-matrices", "tq")),
     # gamma-eigen's eigen relations are linear in |R,V>, so a uniform
     # scaling of the sweep would pass them; one shape off fails its six
     # open Toda eigenvector checks.  The Pieri suites read the table, not

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from integrable_lab.partitions import state_norm
 from integrable_lab.scalars import TTable, format_scalar, parse_scalar, tbinom, tfact, tpoch
 
 # wide rationals: negative, |t| > 1, large numerators and denominators
@@ -96,6 +97,40 @@ def test_table_equals_the_literal_factors(t, a):
         for b in range(m + 1):
             if tfact(b, t) * tfact(m - b, t) != 0:
                 assert table.binom[m, b] == tbinom(m, b, t)
+
+
+def literal_poch(a, m, t):
+    out = F(1)
+    for j in range(m):
+        out *= 1 - a * t**j
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(WIDE, WIDE, st.integers(0, 12))
+def test_integer_pochhammer_equals_the_fraction_product(a, t, m):
+    assert tpoch(a, m, t) == literal_poch(a, m, t)
+    assert tfact(m, t) == literal_poch(t, m, t)
+
+
+@settings(deadline=None, max_examples=40)
+@given(WIDE.filter(bool), st.integers(0, 11), st.integers(1, 12))
+def test_integer_pochhammer_vanishes_at_a_pole_of_one_factor(t, k, m):
+    # a = t^-k makes the factor 1 - a t^k zero exactly when k < m
+    value = tpoch(t**-k, m, t)
+    assert value == literal_poch(t**-k, m, t)
+    if k < m:
+        assert value == 0
+
+
+@settings(deadline=None, max_examples=60)
+@given(WIDE, st.lists(st.integers(1, 5), max_size=9))
+def test_state_norm_is_the_product_of_the_multiplicity_factorials(t, parts):
+    lam = tuple(sorted(parts, reverse=True))
+    expected = F(1)
+    for k in set(lam):
+        expected *= tfact(lam.count(k), t)
+    assert state_norm(lam, t) == expected
 
 
 def test_table_fills_out_of_order_and_rejects_what_the_literals_reject():

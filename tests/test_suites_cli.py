@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from integrable_lab import baxter_q, cli, hall_littlewood, suites
+from integrable_lab import baxter_q, cli, hall_littlewood, suites, vertex_ops
 from integrable_lab.partitions import is_horizontal_strip, occupation_basis, partition_basis
 from integrable_lab.scalars import format_scalar, parse_scalar
 from integrable_lab.suites import SUITE_NAMES, SuiteSpec, draw_params, run_suite
@@ -390,6 +390,22 @@ def test_gamma_eigen_sweeps_each_alphabet_once(monkeypatch):
     spec = SuiteSpec("gamma-eigen")
     assert run_suite(spec)["status"] == "pass"
     assert alphabets == list(range(1, suites.suite_params(spec)["vars"] + 1))
+
+
+@pytest.mark.parametrize("nvars", [1, 3])
+def test_gamma_eigen_builds_each_vertex_operator_once(monkeypatch, nvars):
+    # the finite-size checks read Gamma_{L,+-} on the lam_1 <= #V basis as
+    # restrictions of the full-basis operators, for every alphabet
+    built = []
+    real = vertex_ops.build_gamma
+
+    def counting(family, sign, *args, **kwargs):
+        built.append((family, sign))
+        return real(family, sign, *args, **kwargs)
+
+    monkeypatch.setattr(vertex_ops, "build_gamma", counting)
+    assert run_suite(SuiteSpec("gamma-eigen", params={"vars": nvars}))["status"] == "pass"
+    assert built == [("L", "+"), ("R", "+"), ("L", "-")]
 
 
 def test_verify_json_lists_the_failures_of_a_failing_check(monkeypatch, capsys):

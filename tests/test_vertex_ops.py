@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from integrable_lab.graded import GradedOperator, SparseMatrix
-from integrable_lab import scalars
+from integrable_lab import partitions, scalars
 from integrable_lab.hall_littlewood import (
     complete_q_coeffs,
     hl_Q,
@@ -79,19 +79,38 @@ def test_every_gamma_entry_is_its_pieri_coefficient(t):
 
 @pytest.mark.parametrize("sign", ["+", "-"])
 def test_build_gamma_makes_few_literal_t_factorials(monkeypatch, sign):
-    calls = []  # every literal tfact/tbinom evaluation goes through tpoch
-    literal = scalars.tpoch
+    calls = []  # every literal tpoch/tfact/tbinom/state_norm multiplies this kernel
+    literal = scalars._poch_ratio
 
     def counting(a, m, t):
         calls.append(m)
         return literal(a, m, t)
 
-    monkeypatch.setattr(scalars, "tpoch", counting)
+    monkeypatch.setattr(scalars, "_poch_ratio", counting)
+    monkeypatch.setattr(partitions, "_poch_ratio", counting)
     D = 8
     vop = build_gamma("R", sign, partition_basis(D), F(2, 7))
     assert vop.block(1).nnz() > 0
     # one t-table serves every entry: at most one literal m!_t for each m <= D
     assert len(calls) <= D + 1
+
+
+@pytest.mark.parametrize("D", [8, 10])
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_gamma_on_a_part_cap_is_the_restriction_of_the_full_gamma(sign, D):
+    # a horizontal strip below lam keeps lam_1 <= n, and the targets of
+    # Gamma_{L,-} with a part above n are the rows the restriction drops
+    basis = partition_basis(D)
+    for t in (F(2, 7), F(-5, 3)):
+        full = build_gamma("L", sign, basis, t)
+        for n in (1, 2, 3):
+            cap = partition_basis(D, max_part=n)
+            to_cap = {basis.index[lam]: k for k, lam in enumerate(cap.states)}
+            restricted = full.op.restrict(to_cap, len(cap), D)
+            built = build_gamma("L", sign, cap, t)
+            for k in range(D + 1):
+                assert built.block(k) == restricted.block(k), (sign, D, t, n, k)
+            assert built.block(1).nnz() > 0
 
 
 def test_ll_bidegree_11_two_state_oracle():
