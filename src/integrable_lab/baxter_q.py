@@ -4,10 +4,14 @@ The Q-matrix is a degree-n polynomial matrix on the (N, n) occupation
 sector, built from a closed-form entry formula: a sum of per-site boson
 moves, each site k sending d_k <= m_k bosons to site k+1, weighted by
 t-binomials binom(m_k, d_k)_t, signs (-z)^{d_k}, and the twist x once
-per boson crossing the seam.  The auxiliary-spin Lax operator `build_LL`,
-whose own relations the `rll` suite checks, gives a second, independent
-construction, `trace_qmatrix`, by tracing over the spin space; the two
-are compared entrywise in the tests and suites.
+per boson crossing the seam.  `build_qmatrix` expands each column site
+by site on integers: one row of t-binomials per occupation value, over
+one denominator, and states coded in base n + 1, so that a move shifts
+the code by a fixed step and finds its target in one dict lookup.  The
+auxiliary-spin Lax operator `build_LL` (integer ratios of the literal
+t-factorials), whose own relations the `rll` suite checks, gives a
+second, independent construction, `trace_qmatrix`, by tracing over the
+spin space; the two are compared entrywise in the tests and suites.
 
 Conventions are anchored by three exact requirements: the 3x3 printed
 example, the TQ relation Lambda(z) q(z) = q(tz) + x z^N t^n q(z/t), and
@@ -18,8 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
-from math import prod
-from operator import add, sub
+from math import lcm
+from operator import mul
 
 from .graded import (
     GradedOperator,
@@ -117,27 +121,51 @@ def build_qmatrix(N: int, n: int, x, t) -> GradedOperator:
     degree is |d| and the entry is
     (-1)^{|d|} x^{d_N} * prod_k binom(m_k, d_k)_t,
     the seam N -> 1 carrying the twist x once per boson it moves.
+
+    Built on integers, site by site: the row (-1)^d binom(m, d)_t, d <= m,
+    is read once per occupation value m from one `TTable` and kept as
+    numerators over one denominator.  A state m is coded as
+    sum_k m_k (n + 1)^k, so d_k bosons leaving site k for site k + 1 add
+    d_k ((n + 1)^{k+1 mod N} - (n + 1)^k) to the code.  Each column is
+    expanded one site at a time into (code, degree, numerator) terms over
+    the product of its sites' denominators, and each target is one dict
+    lookup of its code; the entries go to `GradedOperator.from_ratios`.
     """
     t, x = as_scalar(t), as_scalar(x)
     _reject_singular_t(t, n)  # binom(m_k, d_k)_t divides by m_k!_t, m_k <= n
     basis = occupation_basis(N, n)
-    # a sector repeats each t-binomial many times: one table per call,
-    # read as (numerator, denominator) pairs, so that an entry multiplies
-    # integers and hands its block the numerator and denominator
+    # per occupation m, the row (-1)^d binom(m, d)_t, d <= m, as numerators
+    # over one denominator, read once from one t-table; the seam row also
+    # carries x^d = xn^d xd^(m-d) / xd^m
     binom = TTable(t).binom
     xn, xd = x.as_integer_ratio()
+    rows, seam_rows = [], []
+    for m in range(n + 1):
+        row = [binom[m, d] for d in range(m + 1)]
+        den = lcm(*(b.denominator for b in row))
+        nums = [(-1) ** d * b.numerator * (den // b.denominator) for d, b in enumerate(row)]
+        rows.append((nums, den))
+        seam_rows.append(([v * xn ** d * xd ** (m - d) for d, v in enumerate(nums)], den * xd ** m))
+    # a state is coded in base n + 1, site k at weight (n + 1)^k, so d bosons
+    # moving from site k to site k + 1 add d (w_{k+1} - w_k) to the code
+    w = [(n + 1) ** k for k in range(N)]
+    step = [w[(k + 1) % N] - w[k] for k in range(N)]
+    index = {sum(map(mul, m, w)): j for j, m in enumerate(basis.states)}
+    # per site and occupation, the moves (code shift, degree, numerator)
+    # and their denominator; a move of numerator 0 (x = 0 on the seam) is left out
+    moves = [[([(d * step[k], d, v) for d, v in enumerate(nums) if v], den)
+              for nums, den in (seam_rows if k == N - 1 else rows)] for k in range(N)]
 
     def entries():
         for j, m in enumerate(basis.states):
-            # per site k, (d_k, numerator, denominator) of binom(m_k, d_k)_t,
-            # times x^{d_k} on the seam site
-            sites = [[(d, *binom[mk, d].as_integer_ratio()) for d in range(mk + 1)] for mk in m]
-            sites[-1] = [(d, p * xn ** d, q * xd ** d) for d, p, q in sites[-1]]
-            for moves in iproduct(*sites):
-                d, p, q = zip(*moves)
-                degree = sum(d)
-                target = tuple(map(add, map(sub, m, d), d[-1:] + d[:-1]))
-                yield degree, basis.index[target], j, (-1) ** degree * prod(p), prod(q)
+            # expand the column site by site as (code, degree, numerator)
+            terms, den = [(sum(map(mul, m, w)), 0, 1)], 1
+            for site, mk in zip(moves, m):
+                row, q = site[mk]
+                terms = [(c + dc, g + d, v * p) for c, g, v in terms for dc, d, p in row]
+                den *= q
+            for c, g, v in terms:
+                yield g, index[c], j, v, den
 
     return GradedOperator.from_ratios(len(basis), entries(), n)
 
@@ -154,24 +182,24 @@ def build_LL(u, t, s_cap: int, x_cap: int):
     product basis (s label major, x label minor).
     """
     u, t = as_scalar(u), as_scalar(t)
-    w = ONE / u
+    wn, wd = (ONE / u).as_integer_ratio()
     dim = (s_cap + 1) * (x_cap + 1)
-    fact = [tfact(k, t) for k in range(max(s_cap, x_cap) + 1)]  # literal, once per order
-
-    def idx(a, b):
-        return a * (x_cap + 1) + b
+    # the literal k!_t, once per order, as (numerator, denominator) pairs:
+    # 1 / k!_t and w^k / k!_t are integer ratios with no Fraction per entry
+    fact = [tfact(k, t).as_integer_ratio() for k in range(max(s_cap, x_cap) + 1)]
+    hop = [(wn ** k * q, wd ** k * p) for k, (p, q) in enumerate(fact)]  # w^k / k!_t
 
     def entries():
-        for ns in range(s_cap + 1):
-            for nx in range(x_cap + 1):
-                if nx < ns:
-                    continue
-                base = w ** (nx - ns) / fact[nx - ns]
+        # ns <= nx <= x_cap and ns <= ms <= s_cap
+        for ns in range(min(s_cap, x_cap) + 1):
+            for nx in range(ns, x_cap + 1):
+                hn, hd = hop[nx - ns]
+                col = ns * (x_cap + 1) + nx
                 for ms in range(nx, s_cap + 1):
-                    if ns <= x_cap:
-                        yield idx(ms, ns), idx(ns, nx), base / fact[ms - nx]
+                    p, q = fact[ms - nx]
+                    yield ms * (x_cap + 1) + ns, col, hn * q, hd * p
 
-    return SparseMatrix.from_entries(dim, entries())
+    return SparseMatrix.from_ratios(dim, entries())
 
 
 def ll_F_op(u, t, cap: int) -> SparseMatrix:
@@ -189,14 +217,17 @@ def ll_G_op(t, cap: int) -> SparseMatrix:
                                                for k in range(m, cap + 1)))
 
 
-def _two_windows(cap: int):
-    """The product of two spin windows [0, cap]^2 (state (a, b) at index
-    a * (cap + 1) + b) and its inner states, with two units of headroom in
-    both labels, where matrix elements cannot see the edge."""
+def _spin_windows(cap: int, t):
+    """(cap, pair, inner, S, s, sinv): the product `pair` of two spin
+    windows [0, cap]^2 (state (a, b) at index a * (cap + 1) + b), its
+    `inner` states, with two units of headroom in both labels, where
+    matrix elements cannot see the edge, and the raise, t^label and
+    t^-label on the first label: the pieces that the auxiliary Lax
+    relations and the Toda intertwining share."""
     pair = Basis(list(iproduct(range(cap + 1), repeat=2)), f"spin windows [0,{cap}]^2",
                  kind="window")
     inner = [j for j, (a, b) in enumerate(pair.states) if a <= cap - 2 and b <= cap - 2]
-    return pair, inner
+    return (cap, pair, inner, *_window_ops(pair, 1, t))
 
 
 def _window_ops(pair: Basis, k: int, t):
@@ -213,20 +244,22 @@ def ll_relations_check(u, t, cap: int):
     Returns (ok, failures).
     """
     u, t = as_scalar(u), as_scalar(t)
-    dim = (cap + 1) ** 2
+    return _ll_relations(build_LL(u, t, cap, cap), u, t, _spin_windows(cap, t))
 
-    def idx(a, b):
-        return a * (cap + 1) + b
+
+def _ll_relations(LL: SparseMatrix, u, t, windows):
+    """`ll_relations_check` on LL = build_LL(u, t, cap, cap) and
+    `_spin_windows(cap, t)`."""
+    cap, pair, inner, S, sdiag, sinv = windows
+    side = cap + 1
 
     def swapped(j):  # the index of (b, a) for the state (a, b) at j
-        a, b = divmod(j, cap + 1)
-        return idx(b, a)
+        a, b = divmod(j, side)
+        return b * side + a
 
-    LL = build_LL(u, t, cap, cap)
+    dim = len(pair)
     Lc = SparseMatrix.from_entries(dim, ((r, swapped(c), v) for r, c, v in LL.entries()))
 
-    pair, inner = _two_windows(cap)
-    S, sdiag, sinv = _window_ops(pair, 1, t)
     X, xdiag, xinv = _window_ops(pair, 2, t)
     I = SparseMatrix.identity(dim)
     x_over_s = xdiag.mul(sinv)
@@ -260,10 +293,14 @@ def toda_intertwine_check(z, u, t, cap: int):
     failures).
     """
     z, u, t = as_scalar(z), as_scalar(u), as_scalar(t)
-    pair, inner = _two_windows(cap)
-    S, sdiag, sinv = _window_ops(pair, 1, t)
+    return _toda_intertwine(build_LL(u, t, cap, cap), z, u, t, _spin_windows(cap, t))
+
+
+def _toda_intertwine(LL: SparseMatrix, z, u, t, windows):
+    """`toda_intertwine_check` on LL = build_LL(u, t, cap, cap) and
+    `_spin_windows(cap, t)`."""
+    _, pair, inner, S, sdiag, sinv = windows
     I = SparseMatrix.identity(len(pair))
-    LL = build_LL(u, t, cap, cap)
 
     w = z / u
     R = [[I.add(S.scale(w)), sdiag],

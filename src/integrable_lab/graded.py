@@ -37,11 +37,12 @@ and, given a list of source indices, builds only those columns.
 
 Every operator built entry by entry from combinatorial weights is built
 by `SparseMatrix.from_entries` or `GradedOperator.from_entries` from
-Fraction entries, or by `GradedOperator.from_ratios` from integer
-(numerator, denominator) pairs, for builders that multiply integers per
-entry (the transfer matrix and the Q-matrix): repeated positions add up
-over the lcm of the denominators of a degree and zeros are dropped once,
-at the end.
+Fraction entries, or by `SparseMatrix.from_ratios` or
+`GradedOperator.from_ratios` from integer (numerator, denominator)
+pairs, for builders that multiply integers per entry (the transfer
+matrix, the Q-matrix and the auxiliary Lax operator): repeated positions
+add up over the lcm of the denominators of a degree and zeros are
+dropped once, at the end.
 
 Sums of products are fused into one product kernel, `_add_product`:
 `sum_of_scaled_products` adds c A B over a list of terms column by column
@@ -151,12 +152,6 @@ def _sum_ratios(dim: int, entries) -> dict:
     for acc in accs.values():
         _check_indices(dim, acc)
     return {k: _reduced(dim, acc, lcms[k]) for k, acc in accs.items()}
-
-
-def _ratios_matrix(dim: int, entries) -> "SparseMatrix":
-    """The degree-0 block of `_sum_ratios`, zero when no entry is given."""
-    block = _sum_ratios(dim, entries).get(0)
-    return SparseMatrix(dim) if block is None else block
 
 
 def _products(dim: int, terms) -> "SparseMatrix":
@@ -308,11 +303,31 @@ class SparseMatrix:
 
     @classmethod
     def from_entries(cls, dim: int, entries) -> "SparseMatrix":
-        """Sum of (row, col, value) entries, values ints or Fractions: a
-        repeated position adds up, and zeros, given or cancelled, are
-        dropped once, at the end."""
-        return _ratios_matrix(dim, ((0, r, c, v.numerator, v.denominator)
-                                    for r, c, v in entries))
+        """Sum of (row, col, value) entries, values ints or Fractions, as
+        in `from_ratios`."""
+        return cls.from_ratios(dim, ((r, c, v.numerator, v.denominator) for r, c, v in entries))
+
+    @classmethod
+    def from_ratios(cls, dim: int, entries) -> "SparseMatrix":
+        """Sum of (row, col, num, den) entries, each the value num/den of
+        two ints (den nonzero): numerators add up over the lcm of the
+        denominators, so no Fraction is made per entry, and zeros, given or
+        cancelled, are dropped once, at the end.  The ungraded twin of
+        `GradedOperator.from_ratios`."""
+        entries = list(entries)
+        dens = {d for _, _, _, d in entries}
+        den = lcm(*dens)
+        scale = {d: den // d for d in dens}
+        acc = {}
+        for r, c, n, d in entries:
+            col = acc.get(c)
+            n *= scale[d]
+            if col is None:
+                acc[c] = {r: n}
+            else:
+                col[r] = col.get(r, 0) + n
+        _check_indices(dim, acc)
+        return _reduced(dim, acc, den)
 
     def entry(self, row: int, col: int) -> Fraction:
         v = self.cols.get(col, _EMPTY).get(row)
@@ -405,9 +420,9 @@ class SparseMatrix:
         p = [v.numerator for v in norms]
         q = [v.denominator for v in norms]
         den = self.den
-        return _ratios_matrix(self.dim, ((0, c, r, v * p[r] * q[c], den * q[r] * p[c])
-                                         for c, col in self.cols.items()
-                                         for r, v in col.items()))
+        return SparseMatrix.from_ratios(self.dim, ((c, r, v * p[r] * q[c], den * q[r] * p[c])
+                                                   for c, col in self.cols.items()
+                                                   for r, v in col.items()))
 
     def apply(self, vec: dict) -> dict:
         """Apply to a sparse vector {index: Fraction}, on integers: the

@@ -139,10 +139,13 @@ def _suite_rll(seed, p):
         checks.append(_check(f"six-vertex RLL draw {i}", "six-vertex RLL relation",
                              fails, detail=f"u={u} v={v} t={t} cap={cap}"))
         z, uu = draw_params(seed + 100 + i, "distinct-2")
-        _, fails = baxter_q.ll_relations_check(uu, t, cap + 1)
+        # LL(uu) and the spin windows serve both checks of the draw
+        LL = baxter_q.build_LL(uu, t, cap + 1, cap + 1)
+        windows = baxter_q._spin_windows(cap + 1, t)
+        _, fails = baxter_q._ll_relations(LL, uu, t, windows)
         checks.append(_check(f"auxiliary Lax relations draw {i}",
                              "q-Toda R-matrix commutation relations", fails))
-        _, fails = baxter_q.toda_intertwine_check(z, uu, t, cap + 1)
+        _, fails = baxter_q._toda_intertwine(LL, z, uu, t, windows)
         checks.append(_check(f"Toda intertwining draw {i}",
                              "intertwining Yang-Baxter relation", fails))
     return checks

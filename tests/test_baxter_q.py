@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from integrable_lab.baxter_q import (
     ar_project_check,
@@ -37,7 +38,7 @@ from integrable_lab.partitions import (
     state_norm,
     weight,
 )
-from integrable_lab.scalars import format_scalar, tbinom, tfact
+from integrable_lab.scalars import TTable, format_scalar, tbinom, tfact
 
 T = F(2, 7)
 X = F(3, 5)
@@ -298,6 +299,32 @@ def test_trace_builds_the_auxiliary_lax_operator_once(monkeypatch):
     assert calls == [(-1 / z, T, 6, 6)]
 
 
+def test_qmatrix_reads_each_t_binomial_once(monkeypatch):
+    # one t-table row binom(m, d)_t, d <= m, per occupation m <= n, read
+    # once per call, not once per entry: (n + 1)(n + 2) / 2 reads
+    reads = []
+
+    class RecordingTable(TTable):
+        def __init__(self, t):
+            super().__init__(t)
+            self.binom = Reads(self.binom)
+
+    class Reads:
+        def __init__(self, table):
+            self.table = table
+
+        def __getitem__(self, key):
+            reads.append(key)
+            return self.table[key]
+
+    N, n = 5, 6
+    want = build_qmatrix(N, n, X, T)
+    monkeypatch.setattr(baxter_q, "TTable", RecordingTable)
+    assert build_qmatrix(N, n, X, T) == want
+    assert sorted(reads) == [(m, d) for m in range(n + 1) for d in range(m + 1)]
+    assert sum(want.block(k).nnz() for k in want.degrees()) > 100 * len(reads)
+
+
 RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=9)
 
 
@@ -307,6 +334,50 @@ RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=9)
 def test_trace_construction_matches_closed_form_at_random_points(N, n, t, x, z):
     # off the declared loci: t = 1 and -1 (the t-factorials), z = 0
     assert build_qmatrix(N, n, x, t).eval_at(z) == trace_qmatrix(N, n, z, x, t).block(0)
+
+
+def literal_qmatrix(N, n, x, t):
+    """{(degree, row, col): value} of the docstring formula of
+    `build_qmatrix`, every move vector d enumerated and every factor the
+    literal t-binomial."""
+    basis = occupation_basis(N, n)
+    out = {}
+    for j, m in enumerate(basis.states):
+        for d in product(*(range(mk + 1) for mk in m)):
+            target = tuple(m[k] - d[k] + d[k - 1] for k in range(N))
+            value = (-1) ** sum(d) * x ** d[-1]
+            for mk, dk in zip(m, d):
+                value *= tbinom(mk, dk, t)
+            key = (sum(d), basis.index[target], j)
+            out[key] = out.get(key, 0) + value
+    return {key: v for key, v in out.items() if v}
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 4), st.integers(0, 5), RATIONAL.filter(lambda v: v not in (0, 1, -1)),
+       RATIONAL.filter(lambda v: v != 0))
+def test_qmatrix_equals_its_entry_formula(N, n, t, x):
+    q = build_qmatrix(N, n, x, t)
+    got = {(k, r, c): v for k in q.degrees() for r, c, v in q.block(k).entries()}
+    assert got == literal_qmatrix(N, n, x, t)
+
+
+@settings(deadline=None, max_examples=25)
+@given(RATIONAL.filter(lambda v: v != 0), RATIONAL.filter(lambda v: v not in (0, 1, -1)),
+       st.integers(0, 6), st.integers(0, 6))
+@example(F(5, 3), T, 2, 5)
+@example(F(-3, 2), F(4, 3), 5, 2)
+def test_LL_equals_its_entry_formula(u, t, s_cap, x_cap):
+    # |ns, nx> -> (1/u)^(nx - ns) / ((ms - nx)!_t (nx - ns)!_t) |ms, ns> for
+    # ms >= nx >= ns, with the literal t-factorials; the caps may differ
+    side = x_cap + 1
+    want = {(ms * side + ns, ns * side + nx):
+            (1 / u) ** (nx - ns) / (tfact(ms - nx, t) * tfact(nx - ns, t))
+            for ns in range(s_cap + 1) for nx in range(x_cap + 1) for ms in range(s_cap + 1)
+            if ms >= nx >= ns}
+    LL = build_LL(u, t, s_cap, x_cap)
+    assert LL.dim == (s_cap + 1) * side
+    assert {(r, c): v for r, c, v in LL.entries()} == want
 
 
 def test_ar_projected_intertwining():

@@ -392,6 +392,25 @@ def test_gamma_eigen_sweeps_each_alphabet_once(monkeypatch):
     assert alphabets == list(range(1, suites.suite_params(spec)["vars"] + 1))
 
 
+def test_rll_builds_the_auxiliary_lax_operator_once_per_draw(monkeypatch):
+    # the auxiliary Lax relations and the Toda intertwining of a draw share
+    # one LL(u) and one set of spin windows
+    calls = {"build_LL": [], "_spin_windows": []}
+    for name, seen in calls.items():
+        def recording(*args, real=getattr(baxter_q, name), seen=seen):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(baxter_q, name, recording)
+    spec = SuiteSpec("rll")
+    assert run_suite(spec)["status"] == "pass"
+    params = suites.suite_params(spec)
+    draws, cap = params["draws"], params["cap"]
+    assert len(calls["build_LL"]) == len(calls["_spin_windows"]) == draws
+    assert {args[2:] for args in calls["build_LL"]} == {(cap + 1, cap + 1)}
+    assert len(set(calls["build_LL"])) == draws
+
+
 @pytest.mark.parametrize("nvars", [1, 3])
 def test_gamma_eigen_builds_each_vertex_operator_once(monkeypatch, nvars):
     # the finite-size checks read Gamma_{L,+-} on the lam_1 <= #V basis as
