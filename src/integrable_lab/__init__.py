@@ -6,10 +6,9 @@ identity checks are run at random rational points and either hold
 exactly or fail loudly.
 """
 
-from .scalars import Scalar, format_scalar, parse_scalar, tbinom, tfact, tpoch
+from .scalars import format_scalar, parse_scalar, tbinom, tfact, tpoch
 from .partitions import (
     Basis,
-    box_basis,
     conjugate,
     is_horizontal_strip,
     is_vertical_strip,

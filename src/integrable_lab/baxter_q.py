@@ -53,7 +53,7 @@ from .partitions import (
     state_norm,
     weight,
 )
-from .scalars import ONE, ZERO, TTable, as_scalar, tbinom, tfact
+from .scalars import ONE, ZERO, TTable, as_scalar, reject_singular_t, tbinom, tfact
 from .vertex_ops import build_gamma
 
 
@@ -82,7 +82,7 @@ def site_null_vector_check(a: int, c: int, z, t):
     z, t = as_scalar(z), as_scalar(t)
     if t == 0:
         raise ValueError("t must be nonzero")
-    win = Basis([(b,) for b in range(c, a + 1)], f"spin window [{c},{a}]", kind="window")
+    win = Basis([(b,) for b in range(c, a + 1)], kind="window")
     X, x, xinv = _window_ops(win, 1, t)
     I = SparseMatrix.identity(len(win))
     tc = t ** c
@@ -104,15 +104,6 @@ def site_null_vector_check(a: int, c: int, z, t):
     return not failures, failures
 
 
-def _reject_singular_t(t, top: int) -> None:
-    """Reject the t where a Q-matrix construction dividing by the
-    t-factorials k!_t, k <= top, meets 0/0: t = 1, and t = -1 once
-    top >= 2 (k!_t has the factor 1 - t^2 from k = 2 on)."""
-    if t == 1 or t == -1 and top >= 2:
-        raise ValueError(f"t = {t} is a singular point of the Q-matrix: "
-                         "its t-factorial quotients are 0/0 there")
-
-
 def build_qmatrix(N: int, n: int, x, t) -> GradedOperator:
     """Degree-n Q-matrix on the (N, n) occupation sector.
 
@@ -132,7 +123,7 @@ def build_qmatrix(N: int, n: int, x, t) -> GradedOperator:
     lookup of its code; the entries go to `GradedOperator.from_ratios`.
     """
     t, x = as_scalar(t), as_scalar(x)
-    _reject_singular_t(t, n)  # binom(m_k, d_k)_t divides by m_k!_t, m_k <= n
+    reject_singular_t(t, max(n, 1))  # divides by m_k!_t, m_k <= n; t = 1 at every n
     basis = occupation_basis(N, n)
     # per occupation m, the row (-1)^d binom(m, d)_t, d <= m, as numerators
     # over one denominator, read once from one t-table; the seam row also
@@ -224,8 +215,7 @@ def _spin_windows(cap: int, t):
     matrix elements cannot see the edge, and the raise, t^label and
     t^-label on the first label: the pieces that the auxiliary Lax
     relations and the Toda intertwining share."""
-    pair = Basis(list(iproduct(range(cap + 1), repeat=2)), f"spin windows [0,{cap}]^2",
-                 kind="window")
+    pair = Basis(list(iproduct(range(cap + 1), repeat=2)), kind="window")
     inner = [j for j, (a, b) in enumerate(pair.states) if a <= cap - 2 and b <= cap - 2]
     return (cap, pair, inner, *_window_ops(pair, 1, t))
 
@@ -338,7 +328,7 @@ def trace_qmatrix(N: int, n: int, z, x, t) -> GradedOperator:
     z, x, t = as_scalar(z), as_scalar(x), as_scalar(t)
     if z == 0:
         raise ValueError("sample z must be nonzero")
-    _reject_singular_t(t, 2 * n)  # the spin labels reach 2n
+    reject_singular_t(t, max(2 * n, 1))  # the spin labels reach 2n
     # LL(u) at u = -1/z (its monomial base 1/u is -z) as steps (s label,
     # site label) -> [(new s label, value)], the site taking the old s label
     side = 2 * n + 1

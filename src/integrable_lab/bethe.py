@@ -138,11 +138,9 @@ class AnsatzTable:
             p = powers[e] = self.xi[i] ** e
         return p
 
-    def vector(self, mu, normalized=False):
-        """R^s_mu = sum_P B(u_P) prod_i xi(u_{P_i})^{mu_i}, mu weakly decreasing.
-
-        With normalized=True the prefactor 1/prod(1 + s u_k) is applied.
-        """
+    def vector(self, mu):
+        """R^s_mu = sum_P B(u_P) prod_i xi(u_{P_i})^{mu_i}, mu weakly decreasing,
+        without the prefactor 1/prod(1 + s u_k)."""
         mu = tuple(mu)
         if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
             raise ValueError("exponent vector must be weakly decreasing")
@@ -152,15 +150,12 @@ class AnsatzTable:
             for i, e in zip(P, mu):
                 term = term * power(i, e)
             total = total + term
-        if normalized:
-            for u in self.us:
-                total = total / (1 + self.s * u)
         return total
 
 
-def bethe_vector(mu, us, t, s, normalized=False):
+def bethe_vector(mu, us, t, s):
     """R^s_mu at the spectral alphabet `us`; see `AnsatzTable.vector`."""
-    return AnsatzTable(us, t, s).vector(mu, normalized)
+    return AnsatzTable(us, t, s).vector(mu)
 
 
 def x_hat(xv, w):

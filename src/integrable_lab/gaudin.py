@@ -132,10 +132,6 @@ def gaudin_det(n: int, U, V, t) -> Fraction:
     return pref * _det(D) / _det(d)
 
 
-def _abs(x: Fraction) -> Fraction:
-    return x if x >= 0 else -x
-
-
 def _tail_geometric(n: int, rho: Fraction, K: int) -> Fraction:
     """sum_{w > K} (w+1)^{n-1} rho^w, exactly, for n <= 3."""
     if not 0 <= rho < 1:
@@ -160,7 +156,7 @@ def spin_norm_floor(n: int, t, s) -> Fraction:
     bounds it from below even when some |f(m)| exceeds 1.
     """
     table = TTable(t)
-    smallest = min(_abs(table.fact[m] / table.poch[s * s, m]) for m in range(1, n + 1))
+    smallest = min(abs(table.fact[m] / table.poch[s * s, m]) for m in range(1, n + 1))
     return min(ONE, smallest) ** n
 
 
@@ -214,7 +210,7 @@ def gaudin_sum(n: int, U, V, t, s, truncation: int):
         return ONE, ZERO
     factors = _SpinNorms(n, t, s)
     TU, TV = AnsatzTable(U, t, s), AnsatzTable(V, t, s)
-    rho = max(map(_abs, TU.xi)) * max(map(_abs, TV.xi))
+    rho = max(map(abs, TU.xi)) * max(map(abs, TV.xi))
     if rho >= 1:
         raise ValueError("divergent draw: dominant ratio >= 1")
     RU, dU = _ansatz_numerators(TU, truncation)
@@ -238,8 +234,8 @@ def gaudin_sum(n: int, U, V, t, s, truncation: int):
     def bound_R(table):
         pref = ONE
         for a in table.us:
-            pref /= _abs(1 + s * a)
-        return pref * sum(_abs(amp) for _, amp in table.rows)
+            pref /= abs(1 + s * a)
+        return pref * sum(abs(amp) for _, amp in table.rows)
 
     const = bound_R(TU) * bound_R(TV) / spin_norm_floor(n, t, s)
     tail = const * _tail_geometric(n, rho, truncation)

@@ -512,10 +512,6 @@ class GradedOperator:
         return cls(dim, {0: SparseMatrix.identity(dim)}, max_degree=0)
 
     @classmethod
-    def zero(cls, dim: int) -> "GradedOperator":
-        return cls(dim, {}, max_degree=0)
-
-    @classmethod
     def from_entries(cls, dim: int, entries, max_degree: int) -> "GradedOperator":
         """Sum of (degree, row, col, value) entries, values ints or
         Fractions, as in `SparseMatrix.from_entries`; a degree keeps a
@@ -581,21 +577,10 @@ class GradedOperator:
         raises ValueError."""
         if any(not 0 <= j < dim for j in mapping.values()):
             raise ValueError(f"mapped index outside [0, {dim})")
-        blocks = {}
-        for k, m in self.blocks.items():
-            acc = {}
-            for c, col in m.cols.items():
-                nc = mapping.get(c)
-                if nc is not None:
-                    tgt = acc.get(nc)
-                    if tgt is None:
-                        tgt = acc[nc] = {}
-                    for r, v in col.items():
-                        nr = mapping.get(r)
-                        if nr is not None:
-                            tgt[nr] = tgt.get(nr, 0) + v
-            blocks[k] = _reduced(dim, acc, m.den)
-        return GradedOperator(dim, blocks, max_degree)
+        return GradedOperator.from_ratios(
+            dim, ((k, mapping[r], mapping[c], v, m.den) for k, m in self.blocks.items()
+                  for c, col in m.cols.items() if c in mapping
+                  for r, v in col.items() if r in mapping), max_degree)
 
     def bar_adjoint(self, norms) -> "GradedOperator":
         """Blockwise N^-1 A_k^T N.

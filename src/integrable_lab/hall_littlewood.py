@@ -52,7 +52,6 @@ from .partitions import (
     conjugate,
     contains,
     horizontal_strips_above,
-    length,
     multiplicity,
     partition,
     state_norm,
@@ -60,7 +59,7 @@ from .partitions import (
     vertical_strips_above,
     weight,
 )
-from .scalars import ONE, ZERO, TTable, as_scalar, tbinom, tfact
+from .scalars import ONE, ZERO, TTable, as_scalar, reject_singular_t, tbinom, tfact
 
 MAX_SYMMETRIZE = 7  # n! permutation sums stay desk-scale
 
@@ -267,11 +266,12 @@ class Alphabet:
                 if self._nonzero is None:
                     self._nonzero = Alphabet([v for v in self.values if v != 0], self.t)
                 value = self._nonzero.Q(lam)
-            elif len(self.values) < length(lam):
+            elif len(self.values) < len(lam):
                 value = ZERO
             else:
                 n, t = len(self.values), self.t
-                m0 = n - length(lam)
+                m0 = n - len(lam)
+                reject_singular_t(t, m0)
                 value = (ONE - t) ** n / tfact(m0, t) * self.R(lam + (0,) * m0)
             self._memo[key] = value
         return self._memo[key]
@@ -281,6 +281,7 @@ class Alphabet:
         key = ("P", tuple(lam))
         if key not in self._memo:  # validated once per new argument
             lam = partition(lam)
+            reject_singular_t(self.t, max(map(lam.count, lam), default=0))
             self._memo[key] = self.Q(lam) / state_norm(lam, self.t)
         return self._memo[key]
 
@@ -364,6 +365,8 @@ def skew_Q_omega(lam, mu, values, t) -> Fraction:
     t = as_scalar(t)
     if not contains(lam, mu):
         return ZERO
+    # phi' divides by k!_t, k <= a part multiplicity of a shape inside lam <= len(lam)
+    reject_singular_t(t, len(lam))
     vec = _strip_sweep(mu, values, weight(lam),
                        lambda kappa, room: vertical_strips_above(kappa, room,
                                                                  max_length=len(lam)),
@@ -387,6 +390,8 @@ def skew_sweep(kind: str, mu, values, t, max_weight: int) -> dict:
         return _strip_sweep(mu, values, max_weight, horizontal_strips_above,
                             partial(PieriTable(t).coeff, "psi"))
     if kind == "Qomega-skew":
+        # phi' divides by k!_t, k <= a part multiplicity of a shape reached <= max_weight
+        reject_singular_t(t, max_weight)
         return _strip_sweep(mu, values, max_weight, vertical_strips_above,
                             partial(PieriTable(t).coeff, "phi'"))
     raise ValueError(f"unknown skew kind {kind!r}")

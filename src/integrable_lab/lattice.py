@@ -44,7 +44,7 @@ from .scalars import ONE, TTable, as_scalar
 # single-site q-boson and spin algebra
 
 def single_site_basis(cap: int) -> Basis:
-    return Basis([(m,) for m in range(cap + 1)], f"site occupancy <= {cap}", kind="occupation")
+    return Basis([(m,) for m in range(cap + 1)], kind="occupation")
 
 
 def _state_occ(basis: Basis, state, N: int):
@@ -166,7 +166,7 @@ def chain_basis(N: int, total_cap: int) -> Basis:
     """Occupation tuples (m_1..m_N) with particle number <= total_cap."""
     states = [m for m in iproduct(range(total_cap + 1), repeat=N) if sum(m) <= total_cap]
     states.sort(reverse=True)
-    return Basis(states, f"chain N={N} particles<={total_cap}", kind="occupation")
+    return Basis(states, kind="occupation")
 
 
 def periodic_transfer(N: int, n: int, x, t) -> GradedOperator:
@@ -314,16 +314,6 @@ def mat2_mul(A, B, max_degree: int):
              for j in range(2)] for i in range(2)]
 
 
-def _keep_columns(L, cols):
-    """A 2x2 operator matrix with every source column outside `cols` zeroed."""
-    dim = L[0][0].dim
-    if any(not 0 <= c < dim for c in cols):
-        raise ValueError(f"source column outside the basis of {dim} states")
-    return [[GradedOperator(dim, {k: m.keep_columns(cols) for k, m in e.blocks.items()},
-                            max_degree=e.max_degree)
-             for e in row] for row in L]
-
-
 def _row_support(matrices):
     """Sorted indices of the rows stored in any of the sparse matrices."""
     return sorted(set().union(*(m.stored_rows() for m in matrices)))
@@ -335,23 +325,21 @@ def monodromy(builders, max_degree: int, cols=None):
 
     Each factor comes from a builder, called as build(sources=...) with the
     list of source indices its columns are needed on (None: the whole
-    basis).  The product is formed from the right, L_1 (L_2 (... L_N)):
-    with `cols`, the last factor is built on those source columns and
-    keeps only them, and every earlier factor is built on the rows the
-    running product reaches (the row support of its four entries, exactly
-    the columns of the factor that the next product reads) and multiplies
-    it from the left.  So the cost follows the support of the listed
-    columns, not the basis.  The result lives on the same basis and equals
-    the listed columns of the full product exactly (each factor is
-    truncated at the basis edge and the degree cap the same way either
-    way); the other columns are zero.  A builder that ignores its source
-    list only costs more.  Without `cols` every factor is built on the
-    whole basis.  A column outside the basis raises ValueError.
+    basis); it builds exactly those columns and raises ValueError for one
+    outside the basis.  The product is formed from the right, L_1 (L_2
+    (... L_N)): with `cols`, the last factor is built on those source
+    columns, and every earlier factor is built on the rows the running
+    product reaches (the row support of its four entries, exactly the
+    columns of the factor that the next product reads) and multiplies it
+    from the left.  So the cost follows the support of the listed columns,
+    not the basis.  The result lives on the same basis and equals the
+    listed columns of the full product exactly (each factor is truncated
+    at the basis edge and the degree cap the same way either way); the
+    other columns are zero.  Without `cols` every factor is built on the
+    whole basis.
     """
     *earlier, last = builders
     T = last(sources=cols)
-    if cols is not None:
-        T = _keep_columns(T, set(cols))
     for build in reversed(earlier):
         rows = None if cols is None else \
             _row_support(m for row in T for e in row for m in e.blocks.values())
@@ -389,7 +377,7 @@ def open_A_via_monodromy(basis: Basis, N: int, t):
 def free_window_basis(N: int, lo: int, hi: int) -> Basis:
     states = list(iproduct(range(lo, hi + 1), repeat=N))
     states.sort(reverse=True)
-    return Basis(states, f"free window [{lo},{hi}]^{N}", kind="window")
+    return Basis(states, kind="window")
 
 
 def toda_x_op(basis: Basis, k: int, t, power: int = 1, sources=None) -> SparseMatrix:
@@ -427,7 +415,7 @@ def toda_lax(kind: str, basis: Basis, k: int, t, sources=None):
     dim = len(basis)
     I = SparseMatrix.identity(dim, sources)
     xki = toda_x_op(basis, k, t, -1, sources)
-    Z = GradedOperator.zero(dim)
+    Z = GradedOperator(dim)
     if kind == "toda":
         X = toda_shift_op(basis, [k], +1, sources)
         xk = toda_x_op(basis, k, t, 1, sources)
@@ -453,7 +441,7 @@ def toda_U(basis: Basis, k: int, t, sources=None):
     t = as_scalar(t)
     dim = len(basis)
     I = SparseMatrix.identity(dim, sources)
-    Z = GradedOperator.zero(dim)
+    Z = GradedOperator(dim)
     if k == 0:
         return [[GradedOperator(dim, {0: I}), GradedOperator(dim, {0: SparseMatrix(dim)})],
                 [GradedOperator(dim, {0: I}), Z]]
@@ -522,16 +510,17 @@ def toda_open_A(N: int, t, max_len: int, basis_p: Basis):
     return window_to_partitions(T[0][0], w, basis_p, N)
 
 
-def toda_gauge_check(N: int, t, window_top: int):
+def toda_gauge_check(N: int, t):
     """Local gauge relations U_{k-1} L^Toda_k = L_{k-1} U_k on interior states,
     plus the monodromy-level version with the open boundary S_0 = 1, x_0 = 0.
 
-    Returns (ok, failures).  Interior columns keep one
-    unit of headroom at both window edges per elementary shift involved.
+    Returns (ok, failures).  On the window [-(N + 2), N + 2]^N, interior
+    columns keep one unit of headroom at both edges per elementary shift.
     Every side is a `monodromy` fold on its interior columns, so each
     factor is built only on the states the fold reaches.
     """
     t = as_scalar(t)
+    window_top = N + 2  # the monodromy relation needs N + 1 units of headroom
     w = free_window_basis(N, -window_top, window_top)
 
     def interior(pred_margin):

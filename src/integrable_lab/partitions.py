@@ -44,10 +44,6 @@ def weight(lam) -> int:
     return sum(lam)
 
 
-def length(lam) -> int:
-    return len(lam)
-
-
 def conjugate(lam) -> tuple:
     """lam'_i = #{j : lam_j >= i}."""
     lam = partition(lam)
@@ -262,12 +258,11 @@ class Basis:
     `shift` is the +K offset for window bases stored as shifted tuples.
     """
 
-    def __init__(self, states, descriptor: str, kind: str = "partition", shift: int = 0):
+    def __init__(self, states, kind: str = "partition", shift: int = 0):
         self.states = list(states)
         self.index = {s: i for i, s in enumerate(self.states)}
         if len(self.index) != len(self.states):
             raise ValueError("duplicate states in basis")
-        self.descriptor = descriptor
         self.kind = kind
         self.shift = shift
 
@@ -312,17 +307,7 @@ def partition_basis(max_weight: int, max_part=None, max_length=None) -> Basis:
                                     max_length if max_length is not None else d))
         block.sort(reverse=True)
         states.extend(block)
-    desc = f"partitions |lam|<={max_weight}"
-    if max_part is not None:
-        desc += f" lam1<={max_part}"
-    if max_length is not None:
-        desc += f" len<={max_length}"
-    return Basis(states, desc, kind="partition")
-
-
-def box_basis(max_part: int, max_length: int) -> Basis:
-    """All partitions inside the max_length x max_part box."""
-    return partition_basis(max_part * max_length, max_part=max_part, max_length=max_length)
+    return Basis(states, kind="partition")
 
 
 def occupation_basis(N: int, n: int) -> Basis:
@@ -340,7 +325,7 @@ def occupation_basis(N: int, n: int) -> Basis:
 
     rec([], n)
     states.sort(reverse=True)
-    return Basis(states, f"occupations N={N} n={n}", kind="occupation")
+    return Basis(states, kind="occupation")
 
 
 def window_basis(K: int, M: int) -> Basis:
@@ -368,7 +353,7 @@ def window_basis(K: int, M: int) -> Basis:
     ordered = []
     for d in sorted(grouped):
         ordered.extend(sorted(grouped[d], reverse=True))
-    return Basis(ordered, f"windows [-{K},{K}]^{M}", kind="window", shift=K)
+    return Basis(ordered, kind="window", shift=K)
 
 
 def occupation_to_partition(m) -> tuple:

@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Scalar = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -71,6 +69,15 @@ def _poch_ratio(a: Fraction, m: int, t: Fraction) -> tuple:
         an *= tn
         ad *= td
     return num, den
+
+
+def reject_singular_t(t, top: int) -> None:
+    """Reject the t where a construction dividing by the t-factorials k!_t,
+    k <= top, meets a zero denominator: t = 1 once top >= 1, and t = -1
+    once top >= 2 (k!_t has the factor 1 - t^2 from k = 2 on)."""
+    if t == 1 and top >= 1 or t == -1 and top >= 2:
+        raise ValueError(f"t = {t} is a singular point: a t-factorial k!_t, k <= {top}, "
+                         "that the construction divides by is 0 there")
 
 
 def tpoch(a, m: int, t) -> Fraction:

@@ -53,7 +53,7 @@ from .partitions import (
     vertical_strips_above,
     weight,
 )
-from .scalars import ONE, ZERO, TTable, as_scalar
+from .scalars import ONE, ZERO, TTable, as_scalar, reject_singular_t
 
 
 class VertexOp:
@@ -87,6 +87,9 @@ def build_gamma(family: str, sign: str, basis: Basis, t) -> VertexOp:
     if family not in ("L", "R") or sign not in ("+", "-"):
         raise ValueError("family must be L|R and sign +|-")
     t = as_scalar(t)
+    if family == "R":
+        # psi', phi' divide by k!_t, k <= a part multiplicity of a basis state <= its length
+        reject_singular_t(t, max(map(len, basis), default=0))
     dim = len(basis)
     cap = max((weight(s) for s in basis), default=0)
     strips = horizontal_strips_above if family == "L" else vertical_strips_above

@@ -110,7 +110,7 @@ def test_tq_report_names_rhs_only_entries(monkeypatch):
     N, n = 2, 2
     basis = occupation_basis(N, n)
     monkeypatch.setattr(baxter_q, "periodic_transfer",
-                        lambda N, n, x, t: GradedOperator.zero(len(occupation_basis(N, n))))
+                        lambda N, n, x, t: GradedOperator(len(occupation_basis(N, n))))
     ok, failures = tq_check(N, n, X, T)
     assert not ok
     q = build_qmatrix(N, n, X, T)

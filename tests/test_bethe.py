@@ -45,14 +45,6 @@ def test_bethe_vector_single_and_s0():
         assert bethe_vector(mu, us, T, F(0)) == hl_R(mu, us, T)
 
 
-def test_bethe_vector_normalization():
-    us = [F(5, 3), F(-7, 4)]
-    raw = bethe_vector((2, 1), us, T, S)
-    normed = bethe_vector((2, 1), us, T, S, normalized=True)
-    pref = (1 + S * us[0]) * (1 + S * us[1])
-    assert normed * pref == raw
-
-
 def test_xhat_yhat_product_forms():
     z, u = F(3, 4), F(5, 3)
     w = boltzmann_weights(z, S, T)

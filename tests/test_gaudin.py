@@ -150,14 +150,22 @@ def test_lascoux_rejects_singular_point():
 
 
 def literal_gaudin_sum(n, U, V, t, s, truncation):
-    """The half-line sum term by term over `AnsatzTable.vector` and the
-    literal norm, with the tail bound written out."""
+    """The half-line sum term by term over `AnsatzTable.vector`, each vector
+    times its prefactor 1/prod(1 + s u), and the literal norm, with the tail
+    bound written out."""
     TU, TV = AnsatzTable(U, t, s), AnsatzTable(V, t, s)
+
+    def prefactor(table):
+        pref = F(1)
+        for a in table.us:
+            pref /= 1 + s * a
+        return pref
+
+    pU, pV = prefactor(TU), prefactor(TV)
     value = F(0)
     for mu_inc in combinations_with_replacement(range(truncation + 1), n):
         mu = tuple(sorted(mu_inc, reverse=True))
-        value += TU.vector(mu, normalized=True) * TV.vector(mu, normalized=True) \
-            / spin_state_norm(mu, t, s)
+        value += pU * TU.vector(mu) * pV * TV.vector(mu) / spin_state_norm(mu, t, s)
 
     def bound(table):
         pref = F(1)

@@ -14,7 +14,6 @@ map on listed sources equals the whole map on those columns; `restrict`
 refuses a cap below a block it keeps); partitions,
 occupation vectors and conjugates must round-trip.  The graded algebra
 (`compose`, `lattice.mat2_mul`, `lattice.monodromy` on listed columns,
-whether or not its factor builders honour their source lists,
 `eval_at`) must equal dense truncated Cauchy products of Fraction
 lists, cancelling terms and empty operands included, on values with
 large numerators over many denominators, storing only reduced nonzero
@@ -56,7 +55,7 @@ from integrable_lab.partitions import (
 from integrable_lab.scalars import format_scalar
 
 DIM = 4
-COMMUTATOR_BASIS = Basis([(k,) for k in range(DIM, 0, -1)], "one-part states")
+COMMUTATOR_BASIS = Basis([(k,) for k in range(DIM, 0, -1)])
 INDEX = st.integers(0, DIM - 1)
 VALUES = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 NONZERO = VALUES.filter(lambda v: v != 0)
@@ -161,7 +160,7 @@ STATE_MAPS = st.dictionaries(st.integers(0, DIM - 1),
 @SETTINGS
 @given(STATE_MAPS, st.permutations(range(DIM)))
 def test_state_map_equals_the_loop_it_replaces(table, order):
-    basis = Basis([(v,) for v in order], "shuffled states")
+    basis = Basis([(v,) for v in order])
 
     def fn(state):
         hit = table.get(state[0])
@@ -184,7 +183,7 @@ def test_state_map_equals_the_loop_it_replaces(table, order):
 @SETTINGS
 @given(STATE_MAPS, st.permutations(range(DIM)), st.lists(INDEX, max_size=DIM + 1))
 def test_state_map_on_sources_equals_the_whole_map_on_those_columns(table, order, sources):
-    basis = Basis([(v,) for v in order], "shuffled states")
+    basis = Basis([(v,) for v in order])
 
     def fn(state):
         hit = table.get(state[0])
@@ -349,11 +348,10 @@ def test_mat2_mul_equals_dense_products(ops, max_degree, cancel):
         assert not got[0][0].blocks
 
 
-def builder(L, honour):
-    """A factor builder for `monodromy`: L on the source columns it is asked
-    for when `honour`, else the whole of L whatever it is asked for."""
+def builder(L):
+    """A factor builder for `monodromy`: L on the source columns it is asked for."""
     def build(sources):
-        if sources is None or not honour:
+        if sources is None:
             return L
         return [[GradedOperator(DIM, {d: SparseMatrix.from_entries(
                     DIM, (e for e in m.entries() if e[1] in sources))
@@ -364,10 +362,10 @@ def builder(L, honour):
 
 @SETTINGS
 @given(st.lists(graded_ops(1, MIXED), min_size=12, max_size=12), st.sets(INDEX),
-       st.integers(0, 4), st.booleans())
-def test_column_monodromy_equals_dense_products(ops, cols, max_degree, honour):
+       st.integers(0, 4))
+def test_column_monodromy_equals_dense_products(ops, cols, max_degree):
     laxes = [[ops[4 * f:4 * f + 2], ops[4 * f + 2:4 * f + 4]] for f in range(3)]
-    got = monodromy([builder(L, honour) for L in laxes], max_degree, cols)
+    got = monodromy([builder(L) for L in laxes], max_degree, cols)
     dense_laxes = [dense_mat2(L, max_degree) for L in laxes]
     want = dense_laxes[0]
     for L in dense_laxes[1:]:
@@ -382,7 +380,7 @@ def test_column_monodromy_equals_dense_products(ops, cols, max_degree, honour):
 def test_sum_of_products_of_empty_operands():
     M = SparseMatrix.from_entries(DIM, [(0, 3, F(5, 7))])  # only column 3
     N = SparseMatrix.from_entries(DIM, [(1, 2, F(-3, 11))])  # reads column 1 of its left
-    zero = GradedOperator.zero(DIM)
+    zero = GradedOperator(DIM)
     for A, B in [(zero, zero), (GradedOperator(DIM, {1: M}), zero),
                  (zero, GradedOperator(DIM, {0: N})),
                  (GradedOperator(DIM, {0: M}), GradedOperator(DIM, {0: N}))]:

@@ -282,11 +282,6 @@ def _fold_cases():
                                      for k in range(N)), partial(toda_U, w, N, T_SAMPLE)]
 
 
-def _whole(build):
-    # the same factor, built on the whole window whatever it is asked for
-    return lambda sources: build(sources=None)
-
-
 def test_column_fold_equals_columns_of_the_full_fold():
     rng = random.Random(8)
     for name, w, N, builders in _fold_cases():
@@ -297,9 +292,6 @@ def test_column_fold_equals_columns_of_the_full_fold():
         folded = monodromy(builders, N, cols)
         assert _columns(folded, cols) == _columns(full, cols), name
         assert _columns(folded, range(len(w))) == _columns(folded, cols), name
-        # a builder that ignores its source list changes nothing but the cost
-        ignoring = monodromy([_whole(b) for b in builders], N, cols)
-        assert _columns(ignoring, range(len(w))) == _columns(folded, range(len(w))), name
         if name == "toda":
             assert _columns(toda_monodromy("toda", w, N, T_SAMPLE, cols=cols), cols) == \
                 _columns(full, cols)
@@ -311,8 +303,6 @@ def test_column_fold_rejects_outside_columns_and_empty_is_zero():
     for bad in ([len(w)], [-1], [0, len(w) + 3]):
         with pytest.raises(ValueError):
             monodromy(builders, 2, bad)
-        with pytest.raises(ValueError):
-            monodromy([_whole(b) for b in builders], 2, bad)
         with pytest.raises(ValueError):
             toda_monodromy("toda_bar", w, 2, T_SAMPLE, cols=bad)
     empty = monodromy(builders, 2, [])
@@ -337,7 +327,7 @@ def test_window_builders_on_sources_equal_the_whole_window_factor():
 
 def test_toda_gauge_relations():
     for N in (2, 3):
-        ok, failures = toda_gauge_check(N, T_SAMPLE, window_top=N + 2)
+        ok, failures = toda_gauge_check(N, T_SAMPLE)
         assert ok, failures
 
 
@@ -353,7 +343,7 @@ def test_toda_gauge_builds_every_factor_on_listed_sources(monkeypatch):
             return real(*args, sources=sources)
 
         monkeypatch.setattr(lattice, name, recording)
-    ok, failures = toda_gauge_check(3, T_SAMPLE, window_top=5)
+    ok, failures = toda_gauge_check(3, T_SAMPLE)
     assert ok, failures
     assert {name for name, _ in seen} == {"toda_lax", "toda_U", "qboson_lax_toda_vars"}
     assert all(sources is not None for _, sources in seen), seen
@@ -380,7 +370,7 @@ def test_toda_gauge_reports_a_perturbed_boundary_lax(monkeypatch):
         return L
 
     monkeypatch.setattr(lattice, "qboson_lax_toda_vars", perturbed)
-    ok, failures = toda_gauge_check(N, T_SAMPLE, window_top=N + 2)
+    ok, failures = toda_gauge_check(N, T_SAMPLE)
     assert not ok
     label = w.label(w.states[e])
     assert [f for f in failures if f["relation"] == "local k=1"] == [

@@ -159,6 +159,20 @@ def double_the_one_box_shape(monkeypatch, fired):
     monkeypatch.setattr(hall_littlewood, "_strip_sweep", perturbed)
 
 
+def double_every_shape(monkeypatch, fired):
+    """The strip sweep returns every shape doubled: a uniform scaling of the
+    sweep, which the linear eigen relations cannot see."""
+    real = hall_littlewood._strip_sweep
+
+    def perturbed(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if out:
+            fired.append(1)
+        return {lam: 2 * v for lam, v in out.items()}
+
+    monkeypatch.setattr(hall_littlewood, "_strip_sweep", perturbed)
+
+
 def second_factor_squared(monkeypatch, fired):
     """The literal t-Pochhammer kernel reads its factor 1 - a t as 1 - a t^2
     whenever m >= 2: (a)_m = (a)_1 (a t^2)_1 (a t^2)_{m-2}.  Every literal
@@ -235,8 +249,9 @@ ROWS = [
     ("scalars._poch_ratio", second_factor_squared,
      ("adjoint", "ar-project", "cauchy", "dual-cauchy", "gamma-eigen", "hall-pieri",
       "lambda-q", "lascoux", "pieri", "rll"),
-     "pieri_coeff, build_LL and the auxiliary-spin trace, the symmetrized Hall-Littlewood "
-     "sums and their state norms, the norms of the branching adjoint relations",
+     "build_LL and the auxiliary-spin trace, the symmetrized Hall-Littlewood sums and "
+     "their state norms, the norms of the branching adjoint relations (pieri_coeff, "
+     "PieriTable's tier-1 oracle, reads it too, but no suite calls it)",
      ("gaudin", "paper-matrices", "tq")),
     # gamma-eigen's eigen relations are linear in |R,V>, so a uniform
     # scaling of the sweep would pass them; one shape off fails its six
@@ -245,6 +260,12 @@ ROWS = [
     ("hall_littlewood._strip_sweep", double_the_one_box_shape,
      ("gamma-eigen", "dual-cauchy"),
      "|R,V> of the open Toda eigenvector checks, P^omega of the dual Cauchy identity",
+     ("pieri", "hall-pieri")),
+    # a uniform scaling of the sweep passes every eigen relation of
+    # gamma-eigen; its vacuum check pins the scale of |R,V>
+    ("hall_littlewood._strip_sweep", double_every_shape,
+     ("gamma-eigen", "dual-cauchy"),
+     "the scale of |R,V>, read by the vacuum check, P^omega of the dual Cauchy identity",
      ("pieri", "hall-pieri")),
 ]
 

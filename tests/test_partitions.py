@@ -5,7 +5,6 @@ import pytest
 
 from integrable_lab.partitions import (
     Basis,
-    box_basis,
     conjugate,
     dominance_leq,
     format_occupation,
@@ -172,11 +171,6 @@ def test_monomial_sym():
     assert monomial_sym((1,), vals) == F(1, 2) + F(1, 3)
     assert monomial_sym((1, 1), vals) == F(1, 6)
     assert monomial_sym((2, 1), vals) == F(1, 4) * F(1, 3) + F(1, 9) * F(1, 2)
-
-
-def test_box_basis():
-    b = box_basis(2, 2)
-    assert set(b.states) == {(), (1,), (2,), (1, 1), (2, 1), (2, 2)}
 
 
 def test_strips_are_canonical_tuples():

@@ -20,7 +20,7 @@ SEED0_DIGESTS = {
     "cauchy": "e66f20f081bfc53fad6bced244b5f865500fa8ba72bfa4a2afb0b0258dc3945b",
     "dual-cauchy": "bd1cb6aaca53a8480511e346d8d3db1f6ecd743a4a8f684629f347243e036dbe",
     "gamma-commute": "a40fdb8af56448b06dafe91ded130a03dabbd5456ab06b087695e34314a60e8d",
-    "gamma-eigen": "6dcb99ac40e3765c691c534aee1608f1e969f1d1ee2ea0090429e4fab54d8a5c",
+    "gamma-eigen": "0e9995443a32e8d0ad5bd31d930e01a6579e56b3e04aca79702314d626eb5eb3",
     "gaudin": "2af15a0bbfc390828393dd3449fc4e0742ebe5c56f778478fbc0748213c98d60",
     "gauge": "d7a67e0750a0918495d709dae5120ae158cb40ea82dc264bf24122a7a6bc8f58",
     "hall-pieri": "0ba1033b667271f8b3686f6198bd629dab410f6b704a37602f6bfd7ebbd19dcf",

@@ -230,6 +230,26 @@ def test_cli_matrix_q_rejects_t_minus_one_from_n_2(capsys):
     assert cli.main(["matrix", "q", "--N=2", "--n=1", "--t=-1", "--x=2"]) == 0
 
 
+@pytest.mark.parametrize("argv, point", [
+    (["matrix", "gamma", "--family=R", "--sign=-", "--t=1"], "t = 1"),
+    (["eval", "skew", "--lambda=[1,1]", "--mu=[]", "--vars=1/2,1/3", "--t=-1",
+      "--family=Qomega"], "t = -1"),
+    (["eval", "P", "--lambda=[1,1]", "--vars=1/2,1/3", "--t=1"], "t = 1"),
+    (["eval", "Q", "--lambda=[1]", "--vars=1/2,1/3", "--t=1"], "t = 1"),
+    # no t-factorial divides: phi = prod (1 - t^m), and Q_(1,1) in two
+    # variables has no zero part, so it divides by 0!_t = 1 (and reads 0)
+    (["matrix", "gamma", "--family=L", "--sign=+", "--t=1"], None),
+    (["eval", "Q", "--lambda=[1,1]", "--vars=1/2,1/3", "--t=1"], None),
+])
+def test_cli_rejects_t_where_a_divided_t_factorial_vanishes(capsys, argv, point):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    if point is None:
+        assert code == 0 and out and err == ""
+    else:
+        assert code == 2 and out == "" and f"error: {point} is a singular point" in err
+
+
 def test_cli_bethe_rejects_t_one(capsys):
     assert cli.main(["bethe", "--N", "2", "--M", "1", "--t", "1"]) == 2
     assert "t = 1" in capsys.readouterr().err
