@@ -82,7 +82,7 @@ def _parse_vars(text: str):
 
 def _parse_mu(text: str):
     text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
+    if text[:1] + text[-1:] in ("()", "[]"):
         text = text[1:-1]
     return tuple(int(v) for v in text.split(",") if v.strip())
 

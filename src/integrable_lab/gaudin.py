@@ -22,6 +22,15 @@ that `bethe` also uses on complex inputs, stays the only public
 evaluator of R_mu; the determinant, which shares none of this code,
 stays the oracle.  The Hecke-symmetrizer reduction of the same kernel is
 checked as an exact operator identity expanded into shift terms.
+
+Both sides of that reduction run on integers and make one `Fraction`
+each.  The symmetrized side reads the kernel prod_l (1 - t u_i v_l) /
+(1 - u_i v_l) of each variable as an integer pair (a_i, b_i), from n^2
+pair evaluations, and sums the n! amplitudes and the word's shift terms
+over B = prod_i b_i.  `gaudin_det` clears each row of its two matrices
+to integers and expands the cofactors of integer matrices.  Each side
+rejects a pole, a zero 1 - u v or 1 - t u v, on the integers it builds,
+before any division; neither reads the other's rows.
 """
 
 from __future__ import annotations
@@ -84,18 +93,19 @@ class _SpinNorms:
         return norm
 
 
-def _det(rows) -> Fraction:
-    n = len(rows)
-    if n == 0:
-        return ONE
-    if n == 1:
+def _det(rows):
+    """The determinant of an integer matrix, by cofactors along the first row."""
+    if len(rows) == 1:
         return rows[0][0]
-    total = ZERO
-    for j in range(n):
+    total = 0
+    for j, entry in enumerate(rows[0]):
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        sign = ONE if j % 2 == 0 else -ONE
-        total += sign * rows[0][j] * _det(minor)
+        total += (-1 if j % 2 else 1) * entry * _det(minor)
     return total
+
+
+def _pole(u, v, t, name) -> str:
+    return f"u={u}, v={v}, t={t}: {name} = 1"
 
 
 def singular_point(U, V, t):
@@ -105,31 +115,72 @@ def singular_point(U, V, t):
         for v in V:
             for name, w in (("u v", u * v), ("t u v", t * u * v)):
                 if w == 1:
-                    return f"u={u}, v={v}, t={t}: {name} = 1"
+                    return _pole(u, v, t, name)
     return None
 
 
-def _reject_singular(U, V, t) -> None:
-    where = singular_point(U, V, t)
-    if where is not None:
-        raise ValueError(f"singular evaluation point {where}")
+def _reject_pole(u, v, t, one_minus_w, one_minus_tw) -> None:
+    """Raise at the pair (u, v) when the numerator of 1 - u v or of
+    1 - t u v is zero, naming it as `singular_point` does."""
+    for name, value in (("u v", one_minus_w), ("t u v", one_minus_tw)):
+        if value == 0:
+            raise ValueError(f"singular evaluation point {_pole(u, v, t, name)}")
+
+
+def _clear_row(pairs):
+    """Entries p / q of one row as integers over the product of the q;
+    returns the row and that product."""
+    common = 1
+    for _, q in pairs:
+        common *= q
+    return [p * (common // q) for p, q in pairs], common
+
+
+def _gaudin_rows(U, V, t):
+    """The matrices D = [1/((1 - u_k v_l)(1 - t u_k v_l))] and
+    d = [1/(1 - t u_k v_l)] with each row cleared to integers over the
+    product of its denominators; returns D, d and, for each, the product
+    of its row denominators.  With w = u v = wn / wd, the entries are
+    td wd^2 / ((wd - wn)(td wd - tn wn)) and td wd / (td wd - tn wn)."""
+    tn, td = t.numerator, t.denominator
+    D, d = [], []
+    den_D = den_d = 1
+    for u in U:
+        row_D, row_d = [], []
+        for v in V:
+            wn, wd = u.numerator * v.numerator, u.denominator * v.denominator
+            one_minus_w, one_minus_tw = wd - wn, td * wd - tn * wn
+            _reject_pole(u, v, t, one_minus_w, one_minus_tw)
+            row_D.append((td * wd * wd, one_minus_w * one_minus_tw))
+            row_d.append((td * wd, one_minus_tw))
+        row, common = _clear_row(row_D)
+        D.append(row)
+        den_D *= common
+        row, common = _clear_row(row_d)
+        d.append(row)
+        den_d *= common
+    return D, d, den_D, den_d
 
 
 def gaudin_det(n: int, U, V, t) -> Fraction:
-    """The determinant form of the half-line scalar product, exact."""
+    """The determinant form of the half-line scalar product, exact.
+
+    Both matrices are cleared to integers row by row (`_gaudin_rows`),
+    so the ratio t^{n(n-1)/2} / (1-t)^n det D / det d is one `Fraction`
+    of integer determinants; a pole of an entry is rejected as it is met.
+    """
     U = [as_scalar(u) for u in U]
     V = [as_scalar(v) for v in V]
     t = as_scalar(t)
     if len(U) != n or len(V) != n:
         raise ValueError("alphabet sizes must equal n")
-    _reject_singular(U, V, t)
     if n == 0:
         return ONE
-    D = [[ONE / ((1 - U[k] * V[l]) * (1 - t * U[k] * V[l])) for l in range(n)]
-         for k in range(n)]
-    d = [[ONE / (1 - t * U[k] * V[l]) for l in range(n)] for k in range(n)]
-    pref = t ** (n * (n - 1) // 2) / (1 - t) ** n
-    return pref * _det(D) / _det(d)
+    D, d, den_D, den_d = _gaudin_rows(U, V, t)
+    tn, td = t.numerator, t.denominator
+    k = n * (n - 1) // 2
+    return Fraction(tn ** k * td ** n * _det(D) * den_d,
+                    td ** k * (td - tn) ** n * _det(d) * den_D)
 
 
 def _tail_geometric(n: int, rho: Fraction, K: int) -> Fraction:
@@ -245,38 +296,80 @@ def gaudin_sum(n: int, U, V, t, s, truncation: int):
 # ---------------------------------------------------------------------------
 # Hecke symmetrizer reduction
 
-def omega_t_product(U, V, t) -> Fraction:
-    """prod_{k,l} (1 - t u_k v_l)/(1 - u_k v_l)."""
-    t = as_scalar(t)
-    out = ONE
+def _kernel_pair(u, v, t):
+    """(1 - t u v)/(1 - u v) as an integer pair (a, b): with u v = wn / wd,
+    a = td wd - tn wn and b = td (wd - wn).  A pole of the kernel, a zero
+    1 - u v or 1 - t u v, is rejected here."""
+    tn, td = t.numerator, t.denominator
+    wn, wd = u.numerator * v.numerator, u.denominator * v.denominator
+    a = td * wd - tn * wn
+    _reject_pole(u, v, t, wd - wn, a)
+    return a, td * (wd - wn)
+
+
+def _kernel_rows(U, V, t):
+    """The kernel row k_i = prod_l (1 - t u_i v_l)/(1 - u_i v_l) of each
+    variable as an integer pair (a_i, b_i), from n^2 `_kernel_pair`s."""
+    rows = []
     for u in U:
+        a = b = 1
         for v in V:
-            w = as_scalar(u) * as_scalar(v)
-            out *= (1 - t * w) / (1 - w)
-    return out
+            pa, pb = _kernel_pair(u, v, t)
+            a *= pa
+            b *= pb
+        rows.append((a, b))
+    return rows
 
 
-def hecke_symmetrize(fn, U, t) -> Fraction:
-    """f cup = (1-t)^n / n!_t * sum_P P[f * prod (u_i - t u_j)/(u_i - u_j)]."""
-    U = [as_scalar(u) for u in U]
-    t = as_scalar(t)
+def _symmetrized_kernel(U, V, t) -> Fraction:
+    """The Hecke symmetrizer (1-t)^n / n!_t sum_P B(u_P) P[...] applied to
+    the word sum_j (-1)^j t^{j(j+1)/2} [n choose j]_t tau^j on the kernel
+    prod_{k,l} (1 - t u_k v_l)/(1 - u_k v_l), on integers.
+
+    tau^j zeroes the last j variables, so term j of permutation P keeps
+    the kernel rows of its first n - j entries; over B = prod_i b_i that is
+    prod_{k<n-j} a_{P_k} prod_{k>=n-j} b_{P_k}.  The word's coefficients and
+    the n! amplitudes of `AnsatzTable` are each taken over their lcm, and
+    the prefactor (1-t)^n / n!_t is applied once, in the one `Fraction`.
+    """
     n = len(U)
-    total = ZERO
-    for P, amp in AnsatzTable(U, t).rows:
-        total += fn([U[i] for i in P]) * amp
-    return (1 - t) ** n / tfact(n, t) * total
+    rows = _kernel_rows(U, V, t)
+    coeffs = [(-ONE) ** j * t ** (j * (j + 1) // 2) * tbinom(n, j, t) for j in range(n + 1)]
+    d_c = lcm(*(c.denominator for c in coeffs))
+    # the coefficient of the term keeping m variables, j = n - m
+    keep = [c.numerator * (d_c // c.denominator) for c in reversed(coeffs)]
+    table = AnsatzTable(U, t)
+    d_B = lcm(*(amp.denominator for _, amp in table.rows))
+    total = 0
+    for P, amp in table.rows:
+        # prefix products of a and suffix products of b along P
+        prefix = [1]
+        for i in P:
+            prefix.append(prefix[-1] * rows[i][0])
+        suffix = [1] * (n + 1)
+        for k in range(n - 1, -1, -1):
+            suffix[k] = suffix[k + 1] * rows[P[k]][1]
+        word = sum(c * prefix[m] * suffix[m] for m, c in enumerate(keep))
+        total += amp.numerator * (d_B // amp.denominator) * word
+    den = d_B * d_c
+    for _, b in rows:
+        den *= b
+    pref = (1 - t) ** n / tfact(n, t)
+    return Fraction(total * pref.numerator, den * pref.denominator)
 
 
 def lascoux_reduction_check(n: int, U, V, t):
     """Exact shift-operator reduction of the kernel to the Gaudin ratio.
 
     Expands the word prod_k (1 - t^k tau) into 2^n shift terms acting on
-    the t-deformed pair kernel, symmetrizes, and compares with the
-    t^{n(n-1)/2} (1-t)^n det-ratio, which is (1-t)^{2n} `gaudin_det`.
-    tau cycles the variables with the wrapped one killed at q = 0; on the
-    symmetric kernel this amounts to zeroing the last j variables (the
-    forward-cycle reading fails the identity, so the backward one is the
-    intended normalization).  Returns (ok, failures), the item naming n.
+    the t-deformed pair kernel, symmetrizes (`_symmetrized_kernel`), and
+    compares with the t^{n(n-1)/2} (1-t)^n det-ratio, which is
+    (1-t)^{2n} `gaudin_det`.  tau cycles the variables with the wrapped
+    one killed at q = 0; on the symmetric kernel this amounts to zeroing
+    the last j variables (the forward-cycle reading fails the identity,
+    so the backward one is the intended normalization).  Each side runs
+    on integers and rejects the poles of the kernel as it meets them.
+    Returns (ok, failures), the item naming n.
     """
     if n > 3:
         raise ValueError("desk scale: n <= 3")
@@ -285,22 +378,7 @@ def lascoux_reduction_check(n: int, U, V, t):
     t = as_scalar(t)
     if len(set(U)) != len(U):
         raise ValueError("coincident values rejected")
-    _reject_singular(U, V, t)
-
-    def shifted_kernel(us, j):
-        # tau^j: the last j variables are sent to zero
-        return omega_t_product(us[: n - j], V, t)
-
-    # the word's coefficients (-1)^j t^{j(j+1)/2} [n choose j]_t do not depend on us
-    coeffs = [(-ONE) ** j * t ** (j * (j + 1) // 2) * tbinom(n, j, t) for j in range(n + 1)]
-
-    def g(us):
-        acc = ZERO
-        for j, coeff in enumerate(coeffs):
-            acc += coeff * shifted_kernel(us, j)
-        return acc
-
-    lhs = hecke_symmetrize(g, U, t)
+    lhs = _symmetrized_kernel(U, V, t)
     rhs = (1 - t) ** (2 * n) * gaudin_det(n, U, V, t)
     failures = mismatch_items([(lhs, rhs)] if lhs != rhs else [], None, n=n)
     return not failures, failures

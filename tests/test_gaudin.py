@@ -1,26 +1,26 @@
 import hashlib
 import random
 from fractions import Fraction as F
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from integrable_lab import gaudin
 from integrable_lab.bethe import AnsatzTable, bethe_vector, xi
 from integrable_lab.gaudin import (
     _SpinNorms,
+    _symmetrized_kernel,
     _tail_geometric,
     gaudin_det,
     gaudin_sum,
-    hecke_symmetrize,
     lascoux_reduction_check,
+    singular_point,
     spin_norm_floor,
     spin_state_norm,
-    omega_t_product,
 )
 from integrable_lab.hall_littlewood import hl_R
-from integrable_lab.scalars import format_scalar, tfact, tpoch
+from integrable_lab.scalars import as_scalar, format_scalar, tbinom, tfact, tpoch
 from integrable_lab.suites import draw_params
 
 T = F(2, 7)
@@ -91,6 +91,60 @@ def test_divergent_draw_rejected():
         gaudin_sum(1, [F(3)], [F(2)], T, F(0), truncation=10)
 
 
+def omega_t_product(U, V, t):
+    """prod_{k,l} (1 - t u_k v_l)/(1 - u_k v_l), literally."""
+    t = as_scalar(t)
+    out = F(1)
+    for u in U:
+        for v in V:
+            w = as_scalar(u) * as_scalar(v)
+            out *= (1 - t * w) / (1 - w)
+    return out
+
+
+def hecke_symmetrize(fn, U, t):
+    """f cup = (1-t)^n / n!_t * sum_P P[f * prod (u_i - t u_j)/(u_i - u_j)], literally."""
+    U = [as_scalar(u) for u in U]
+    t = as_scalar(t)
+    n = len(U)
+    total = F(0)
+    for P, amp in AnsatzTable(U, t).rows:
+        total += fn([U[i] for i in P]) * amp
+    return (1 - t) ** n / tfact(n, t) * total
+
+
+def literal_symmetrized_kernel(U, V, t):
+    """The left side of the Lascoux reduction term by term: the word's 2^n
+    shift terms, tau^j zeroing the last j variables, on the Fraction kernel."""
+    n = len(U)
+    coeffs = [(-1) ** j * t ** (j * (j + 1) // 2) * tbinom(n, j, t) for j in range(n + 1)]
+
+    def g(us):
+        return sum(c * omega_t_product(us[: n - j], V, t) for j, c in enumerate(coeffs))
+
+    return hecke_symmetrize(g, U, t)
+
+
+def leibniz_det(rows):
+    """The determinant as the signed sum over permutations, on Fractions."""
+    n = len(rows)
+    total = F(0)
+    for P in permutations(range(n)):
+        inversions = sum(P[i] > P[j] for i in range(n) for j in range(i + 1, n))
+        term = F(-1) ** inversions
+        for k, j in enumerate(P):
+            term *= rows[k][j]
+        total += term
+    return total
+
+
+def literal_gaudin_det(n, U, V, t):
+    """t^{n(n-1)/2} / (1-t)^n det D / det d with the Fraction entries written out."""
+    D = [[1 / ((1 - u * v) * (1 - t * u * v)) for v in V] for u in U]
+    d = [[1 / (1 - t * u * v) for v in V] for u in U]
+    return t ** (n * (n - 1) // 2) / (1 - t) ** n * leibniz_det(D) / leibniz_det(d)
+
+
 def test_hecke_symmetrizer_normalization():
     # constants are fixed points of the symmetrizer
     U = [F(1, 3), F(1, 5), F(2, 7)]
@@ -104,7 +158,65 @@ def test_lascoux_n1_hand_expansion():
     k = omega_t_product([u], [v], T)
     lhs = k - T
     assert lhs == (1 - T) / (1 - u * v)
+    assert literal_symmetrized_kernel([u], [v], T) == lhs
     assert lascoux_reduction_check(1, [u], [v], T) == (True, [])
+
+
+# the suite's t = 2/7 family, t = 0, negative t and a generic draw
+T_VALUES = st.one_of(st.sampled_from([F(2, 7), F(0), F(-1, 2), F(-7, 4), F(5, 3)]),
+                     st.integers(0, 10**6).map(lambda d: draw_params(d, "generic-t")[0]))
+
+
+def lascoux_alphabets(n, seed):
+    """U and V as the lascoux suite draws them."""
+    return ([u / 4 for u in draw_params(seed + 3 * n, f"distinct-{n}")],
+            [v / 4 for v in draw_params(seed + 7 * n + 1, f"distinct-{n}")])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 3), st.integers(0, 10**6), T_VALUES)
+def test_integer_left_side_equals_the_literal_expansion(n, seed, t):
+    U, V = lascoux_alphabets(n, seed)
+    assume(singular_point(U, V, t) is None)
+    assert _symmetrized_kernel(U, V, t) == literal_symmetrized_kernel(U, V, t)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 3), st.integers(0, 10**6), T_VALUES)
+def test_integer_gaudin_det_equals_the_literal_determinant(n, seed, t):
+    U, V = lascoux_alphabets(n, seed)
+    assume(singular_point(U, V, t) is None)
+    if t == 0 and n >= 2:
+        # d is the all-ones matrix: both forms divide by its zero determinant
+        for det in (gaudin_det, literal_gaudin_det):
+            with pytest.raises(ZeroDivisionError):
+                det(n, U, V, t)
+        return
+    assert gaudin_det(n, U, V, t) == literal_gaudin_det(n, U, V, t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lascoux_evaluates_each_kernel_pair_once(monkeypatch, n):
+    # the kernel rows come from n^2 pair evaluations, not one per
+    # permutation and word term (108 at n = 3)
+    calls = []
+    real = gaudin._kernel_pair
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gaudin, "_kernel_pair", counted)
+    U, V = lascoux_alphabets(n, 0)
+    assert lascoux_reduction_check(n, U, V, T) == (True, [])
+    assert len(calls) == n * n
+
+
+def test_gaudin_det_rejects_singular_point_with_its_name():
+    with pytest.raises(ValueError, match=r"^singular evaluation point u=2, v=1/2, t=2/7: u v = 1$"):
+        gaudin_det(2, [F(1, 3), F(2)], [F(1, 2), F(1, 7)], T)
+    with pytest.raises(ValueError, match=r"^singular evaluation point u=7/2, v=1, t=2/7: t u v = 1$"):
+        gaudin_det(1, [F(7, 2)], [F(1)], T)
 
 
 def test_lascoux_n2_n3():

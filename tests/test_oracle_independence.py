@@ -19,7 +19,8 @@ from fractions import Fraction
 import pytest
 
 import integrable_lab
-from integrable_lab import baxter_q, cli, graded, hall_littlewood, lattice, partitions, scalars, suites
+from integrable_lab import (baxter_q, cli, gaudin, graded, hall_littlewood, lattice, partitions,
+                            scalars, suites)
 from integrable_lab.graded import SparseMatrix
 from integrable_lab.suites import SuiteSpec, run_suite
 
@@ -194,6 +195,35 @@ def second_factor_squared(monkeypatch, fired):
             monkeypatch.setattr(mod, "_poch_ratio", perturbed)
 
 
+def one_cleared_entry_off(monkeypatch, fired):
+    """`gaudin_det` reads the first entry of D, cleared to integers, one too
+    high; d and every other entry of D are exact."""
+    real = gaudin._gaudin_rows
+
+    def perturbed(U, V, t):
+        D, d, den_D, den_d = real(U, V, t)
+        D[0][0] += 1
+        fired.append(1)
+        return D, d, den_D, den_d
+
+    monkeypatch.setattr(gaudin, "_gaudin_rows", perturbed)
+
+
+def one_kernel_row_off(monkeypatch, fired):
+    """The Lascoux left side reads the numerator a_0 of its first kernel row
+    one too high; every other row is exact."""
+    real = gaudin._kernel_rows
+
+    def perturbed(U, V, t):
+        rows = real(U, V, t)
+        a, b = rows[0]
+        rows[0] = (a + 1, b)
+        fired.append(1)
+        return rows
+
+    monkeypatch.setattr(gaudin, "_kernel_rows", perturbed)
+
+
 # (kernel, perturbation, suites that must fail, identity sides it feeds,
 #  suites that run the kernel's module but never the perturbed function,
 #  which must keep passing)
@@ -267,6 +297,13 @@ ROWS = [
      ("gamma-eigen", "dual-cauchy"),
      "the scale of |R,V>, read by the vacuum check, P^omega of the dual Cauchy identity",
      ("pieri", "hall-pieri")),
+    # the determinant is the one oracle of both Gaudin suites; the kernel
+    # rows feed only the symmetrized side, so the gaudin suite never reads them
+    ("gaudin.gaudin_det", one_cleared_entry_off, ("gaudin", "lascoux"),
+     "the determinant of the half-line sum and of the Hecke-symmetrizer reduction",
+     ("bethe",)),
+    ("gaudin._kernel_rows", one_kernel_row_off, ("lascoux",),
+     "the Hecke-symmetrized kernel of the Lascoux reduction", ("gaudin",)),
 ]
 
 

@@ -110,6 +110,12 @@ def test_cli_eval_examples():
     assert code == 0 and out.strip() == "5"
 
 
+@pytest.mark.parametrize("mu", ["[1,0]", "(1,0)", "1,0"])
+def test_eval_R_reads_mu_in_brackets_parentheses_or_bare(mu, capsys):
+    assert cli.main(["eval", "R", f"--mu={mu}", "--vars=1/2,1/3", "--t=1/3"]) == 0
+    assert capsys.readouterr().out.strip() == "5/6"
+
+
 def test_cli_verify_pass_and_usage():
     code, out, _ = run_cli("verify", "paper-matrices", "--json")
     assert code == 0
