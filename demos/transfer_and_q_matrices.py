@@ -34,7 +34,7 @@ for name, op in [("transfer matrix", lam), ("Q-matrix", q)]:
         print(f"  z^{k}: {rows}")
     print()
 
-ok, _ = tq_check(N, n, x, t, sample_z=F(3, 4))
+ok, _ = tq_check(N, n, x, t)
 print("TQ relation  Lambda(z) q(z) = q(tz) + x z^N t^n q(z/t):",
       "holds exactly" if ok else "FAILS")
 # each commutator lists the entries where A B and B A differ: none

@@ -53,8 +53,8 @@ for k in range(1, 5):
     print(f"  on 1^{k}: {format_scalar(comp)}   equals v^{k}/{k}!_t: {matches}")
 
 plus = build_gamma("L", "+", basis, t)
-ok1, _ = gamma_eigen_check(plus, "L", V, 3)
-ok2, _ = gamma_eigen_check(plus, "R", V, 3)
+ok1, _ = gamma_eigen_check(plus, "L", V, 3, build_eigenstate("L", V, basis, t))
+ok2, _ = gamma_eigen_check(plus, "R", V, 3, build_eigenstate("R", V, basis, t))
 ok3, _ = covector_pieri_check(minus, V, 3)
 print("\nannihilation on the Cauchy state (complete-symmetric eigenvalue):", ok1)
 print("annihilation on the dual state (elementary eigenvalue / open Toda):", ok2)

@@ -35,14 +35,15 @@ operators, window shifts, diagonals, the translation) are all built by
 `SparseMatrix.from_state_map`, which drops targets outside the basis
 and, given a list of source indices, builds only those columns.
 
-Every operator built entry by entry from combinatorial weights is built
-by `SparseMatrix.from_entries` or `GradedOperator.from_entries` from
-Fraction entries, or by `SparseMatrix.from_ratios` or
-`GradedOperator.from_ratios` from integer (numerator, denominator)
-pairs, for builders that multiply integers per entry (the transfer
-matrix, the Q-matrix and the auxiliary Lax operator): repeated positions
-add up over the lcm of the denominators of a degree and zeros are
-dropped once, at the end.
+Every operator built entry by entry from combinatorial weights goes
+through one entry accumulator, `SparseMatrix.from_ratios`, which sums
+integer (numerator, denominator) entries: repeated positions add up over
+the lcm of the denominators and zeros are dropped once, at the end.
+`GradedOperator.from_ratios` groups its entries by degree and hands each
+group to it, and `from_entries` (both classes) passes Fraction entries
+on as their numerator and denominator, so builders that multiply
+integers per entry (the transfer matrix, the Q-matrix and the auxiliary
+Lax operator) make no Fraction per entry.
 
 Sums of products are fused into one product kernel, `_add_product`:
 `sum_of_scaled_products` adds c A B over a list of terms column by column
@@ -124,34 +125,6 @@ def _check_indices(dim: int, acc: dict) -> None:
                     and 0 <= min(map(min, acc.values()))
                     and max(map(max, acc.values())) < dim):
         raise ValueError(f"index outside [0, {dim})")
-
-
-def _sum_ratios(dim: int, entries) -> dict:
-    """{degree: SparseMatrix} summing num/den over (degree, row, col, num,
-    den) integer entries: each degree adds its numerators over the lcm of
-    its denominators, and an index outside [0, dim) raises ValueError."""
-    entries = list(entries)
-    dens = {}
-    for k, _, _, _, d in entries:
-        s = dens.get(k)
-        if s is None:
-            dens[k] = {d}
-        else:
-            s.add(d)
-    lcms = {k: lcm(*s) for k, s in dens.items()}
-    scales = {k: {d: lcms[k] // d for d in s} for k, s in dens.items()}
-    accs = {k: {} for k in dens}
-    for k, r, c, n, d in entries:
-        cols = accs[k]
-        col = cols.get(c)
-        n *= scales[k][d]
-        if col is None:
-            cols[c] = {r: n}
-        else:
-            col[r] = col.get(r, 0) + n
-    for acc in accs.values():
-        _check_indices(dim, acc)
-    return {k: _reduced(dim, acc, lcms[k]) for k, acc in accs.items()}
 
 
 def _products(dim: int, terms) -> "SparseMatrix":
@@ -312,8 +285,8 @@ class SparseMatrix:
         """Sum of (row, col, num, den) entries, each the value num/den of
         two ints (den nonzero): numerators add up over the lcm of the
         denominators, so no Fraction is made per entry, and zeros, given or
-        cancelled, are dropped once, at the end.  The ungraded twin of
-        `GradedOperator.from_ratios`."""
+        cancelled, are dropped once, at the end.  The one entry accumulator:
+        `GradedOperator.from_ratios` hands it each degree."""
         entries = list(entries)
         dens = {d for _, _, _, d in entries}
         den = lcm(*dens)
@@ -508,10 +481,6 @@ class GradedOperator:
             (max(self.blocks) if self.blocks else 0)
 
     @classmethod
-    def identity(cls, dim: int) -> "GradedOperator":
-        return cls(dim, {0: SparseMatrix.identity(dim)}, max_degree=0)
-
-    @classmethod
     def from_entries(cls, dim: int, entries, max_degree: int) -> "GradedOperator":
         """Sum of (degree, row, col, value) entries, values ints or
         Fractions, as in `SparseMatrix.from_entries`; a degree keeps a
@@ -522,9 +491,13 @@ class GradedOperator:
     @classmethod
     def from_ratios(cls, dim: int, entries, max_degree: int) -> "GradedOperator":
         """Sum of (degree, row, col, num, den) entries, each the value
-        num/den of two ints: each degree adds its numerators over the lcm
-        of its denominators, so no Fraction is made per entry."""
-        return cls(dim, _sum_ratios(dim, entries), max_degree=max_degree)
+        num/den of two ints: the entries are grouped by degree and each
+        group is one `SparseMatrix.from_ratios`."""
+        groups = {}
+        for k, r, c, n, d in entries:
+            groups.setdefault(k, []).append((r, c, n, d))
+        return cls(dim, {k: SparseMatrix.from_ratios(dim, group) for k, group in groups.items()},
+                   max_degree=max_degree)
 
     def block(self, k: int) -> SparseMatrix:
         m = self.blocks.get(k)

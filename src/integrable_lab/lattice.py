@@ -44,6 +44,8 @@ from .scalars import ONE, TTable, as_scalar
 # single-site q-boson and spin algebra
 
 def single_site_basis(cap: int) -> Basis:
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     return Basis([(m,) for m in range(cap + 1)], kind="occupation")
 
 
@@ -325,24 +327,23 @@ def monodromy(builders, max_degree: int, cols=None):
 
     Each factor comes from a builder, called as build(sources=...) with the
     list of source indices its columns are needed on (None: the whole
-    basis); it builds exactly those columns and raises ValueError for one
+    basis); it builds at least those columns and raises ValueError for one
     outside the basis.  The product is formed from the right, L_1 (L_2
-    (... L_N)): with `cols`, the last factor is built on those source
-    columns, and every earlier factor is built on the rows the running
-    product reaches (the row support of its four entries, exactly the
-    columns of the factor that the next product reads) and multiplies it
-    from the left.  So the cost follows the support of the listed columns,
-    not the basis.  The result lives on the same basis and equals the
-    listed columns of the full product exactly (each factor is truncated
-    at the basis edge and the degree cap the same way either way); the
-    other columns are zero.  Without `cols` every factor is built on the
-    whole basis.
+    (... L_N)): the last factor is built on the source columns `cols`
+    (None: every column), and every earlier factor is built on the rows
+    the running product reaches (the row support of its four entries,
+    exactly the columns of the factor that the next product reads) and
+    multiplies it from the left.  So the cost follows the support of the
+    listed columns, not the basis, and a builder that ignores `sources`
+    and builds every column gives the same product.  The result lives on
+    the same basis and equals the listed columns of the full product
+    exactly (each factor is truncated at the basis edge and the degree cap
+    the same way either way); the other columns are zero.
     """
     *earlier, last = builders
     T = last(sources=cols)
     for build in reversed(earlier):
-        rows = None if cols is None else \
-            _row_support(m for row in T for e in row for m in e.blocks.values())
+        rows = _row_support(m for row in T for e in row for m in e.blocks.values())
         T = mat2_mul(build(sources=rows), T, max_degree)
     return T
 
@@ -350,7 +351,7 @@ def monodromy(builders, max_degree: int, cols=None):
 def qboson_monodromy(basis: Basis, N: int, t):
     """Product of q-boson Lax matrices over sites 1..N of a chain basis."""
     t = as_scalar(t)
-    # folded on every column, so each builder is asked for the whole basis
+    # folded on every column; each factor is built on the whole basis, `sources` unread
     return monodromy([lambda sources, site=site: build_lax("qboson", basis,
                                                            {"t": t, "site": site, "N": N})
                       for site in range(1, N + 1)], N + 1)
@@ -613,7 +614,7 @@ def spin_periodic_transfer_cleared(N: int, M: int, X, t, s) -> GradedOperator:
     t, s, X = as_scalar(t), as_scalar(s), as_scalar(X)
     # monodromy intermediates carry one extra or one missing particle
     big = chain_basis(N, M + 1)
-    # folded on every column, so each builder is asked for the whole basis
+    # folded on every column; each factor is built on the whole basis, `sources` unread
     T = monodromy([lambda sources, site=site: build_lax("spin_s", big,
                                                         {"t": t, "s": s, "site": site})
                    for site in range(1, N + 1)], N)

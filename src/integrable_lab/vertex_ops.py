@@ -229,7 +229,7 @@ def _nonzero_components(component, basis: Basis) -> dict:
     return out
 
 
-def gamma_eigen_check(vop: VertexOp, state_kind: str, values, max_degree: int, state=None):
+def gamma_eigen_check(vop: VertexOp, state_kind: str, values, max_degree: int, state: dict):
     """Check Gamma_+ |state> = (series) |state> degree by degree.
 
     Eigenvalue series: Omega_t(z V) for Gamma_{L,+} on |L,V>; the
@@ -238,18 +238,14 @@ def gamma_eigen_check(vop: VertexOp, state_kind: str, values, max_degree: int, s
     Components are compared on weights <= cap - 0 (raising never leaks,
     but the source components above the cap are absent, so the window
     restricts target weights to cap - degree).
-    `state`, when given, is `build_eigenstate(state_kind, values, vop.basis,
-    vop.t)` built once for several checks.  Returns (ok, failures).
+    `state` is `build_eigenstate(state_kind, values, vop.basis, vop.t)`,
+    built once by the caller for several checks.  Returns (ok, failures).
     """
     if vop.sign != "+":
         raise ValueError("eigen checks are for raising operators")
-    t = vop.t
-    basis = vop.basis
     values = [as_scalar(v) for v in values]
-    if state is None:
-        state = build_eigenstate(state_kind, values, basis, t)
     if vop.family == "L" and state_kind == "L":
-        series = complete_q_coeffs(values, t, max_degree)
+        series = complete_q_coeffs(values, vop.t, max_degree)
     else:
         series = elementary_e_coeffs(values, max_degree)
     return _series_check(vop, lambda block: block.apply(state), state, series)

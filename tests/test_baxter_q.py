@@ -89,7 +89,7 @@ def test_tq_relation_small():
     for (N, n) in [(1, 1), (2, 2), (3, 2), (2, 3)]:
         t = F(rng.randint(2, 9), 11)
         x = F(rng.randint(2, 9), 13)
-        ok, report = tq_check(N, n, x, t, sample_z=F(3, 4))
+        ok, report = tq_check(N, n, x, t)
         assert ok, (N, n, report)
 
 
@@ -136,17 +136,13 @@ def test_tq_report_names_a_perturbed_entry(monkeypatch):
         return q
 
     monkeypatch.setattr(baxter_q, "build_qmatrix", perturbed)
-    ok, failures = tq_check(N, n, X, T, sample_z=F(3, 4))
+    ok, failures = tq_check(N, n, X, T)
     labels = occupation_basis(N, n).labels()
     assert not ok
-    assert [f for f in failures if f.get("degree") == 1] == [
+    assert [f for f in failures if f["degree"] == 1] == [
         {"degree": 1, "row": labels[r], "col": labels[c],
          "lhs": format_scalar(T * v + d), "rhs": format_scalar(T * (v + d))}]
     assert failures[0]["degree"] == 1
-    # the sampled comparison reports the same column, without a degree
-    sampled = [f for f in failures if "sampled_z" in f]
-    assert sampled and all(f["sampled_z"] == "3/4" and f["col"] == labels[c]
-                           and f["lhs"] != f["rhs"] for f in sampled)
 
 
 def test_tq_failure_items_are_pinned(monkeypatch):
@@ -160,16 +156,12 @@ def test_tq_failure_items_are_pinned(monkeypatch):
         return q
 
     monkeypatch.setattr(baxter_q, "build_qmatrix", perturbed)
-    ok, failures = tq_check(2, 2, F(2), F(1, 3), sample_z=F(3, 4))
+    ok, failures = tq_check(2, 2, F(2), F(1, 3))
     assert not ok
     assert failures == [
         {"degree": 1, "row": "(2,0)", "col": "(1,1)", "lhs": "-7/15", "rhs": "-3/5"},
         {"degree": 2, "row": "(1,1)", "col": "(1,1)", "lhs": "28/45", "rhs": "4/9"},
-        {"degree": 3, "row": "(2,0)", "col": "(1,1)", "lhs": "-14/15", "rhs": "-6/5"},
-        {"sampled_z": "3/4", "row": "(2,0)", "col": "(1,1)", "lhs": "-119/160",
-         "rhs": "-153/160"},
-        {"sampled_z": "3/4", "row": "(1,1)", "col": "(1,1)", "lhs": "837/320",
-         "rhs": "161/64"}]
+        {"degree": 3, "row": "(2,0)", "col": "(1,1)", "lhs": "-14/15", "rhs": "-6/5"}]
     ok, failures = tq_check(3, 2, F(-3, 7), F(5, 2))
     assert not ok
     assert failures == [

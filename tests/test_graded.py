@@ -28,7 +28,7 @@ def random_graded(dim, rng, max_deg=3):
 def test_identity_compose():
     rng = random.Random(0)
     B = random_graded(4, rng)
-    I = GradedOperator.identity(4)
+    I = GradedOperator(4, {0: SparseMatrix.identity(4)}, max_degree=0)
     assert I.compose(B, 6) == B
     assert B.compose(I, 6) == B
 
@@ -77,7 +77,7 @@ def test_bar_adjoint_involution():
 
 
 def test_bar_adjoint_rejects_zero_norm():
-    A = GradedOperator.identity(2)
+    A = GradedOperator(2, {0: SparseMatrix.identity(2)}, max_degree=0)
     with pytest.raises(ValueError):
         A.bar_adjoint([F(1), F(0)])
 
@@ -133,7 +133,7 @@ def test_shift_and_scale():
 
 def test_dump_schema():
     basis = partition_basis(2)
-    A = GradedOperator.identity(len(basis))
+    A = GradedOperator(len(basis), {0: SparseMatrix.identity(len(basis))}, max_degree=0)
     d = matrix_dump(A, basis, "id")
     assert d["basis"] == ["[]", "[1]", "[2]", "[1,1]"]
     assert all(set(e) == {"degree", "row", "col", "value"} for e in d["entries"])
@@ -171,9 +171,11 @@ def test_commutator_vanishes_reports_non_commuting_operators():
     # with A is B only the pair of degrees (0, 1) can decide, and it fails
     AB = GradedOperator(2, {0: e12, 1: e21})
     assert [item["bidegree"] for item in commutator_items(AB, AB, basis)] == [(0, 1), (0, 1)]
-    assert commutator_items(AB, GradedOperator.identity(2), basis) == []
+    I2 = GradedOperator(2, {0: SparseMatrix.identity(2)}, max_degree=0)
+    assert commutator_items(AB, I2, basis) == []
+    I3 = GradedOperator(3, {0: SparseMatrix.identity(3)}, max_degree=0)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        commutator_items(A, GradedOperator.identity(3), basis)
+        commutator_items(A, I3, basis)
 
 
 def test_graded_items_name_the_degree_and_skip_blocks_above_top():

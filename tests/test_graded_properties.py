@@ -26,7 +26,11 @@ first three entries where the dense AB and BA differ, column by column;
 `scale`, `conjugate_by_norm`, `apply` and `apply_row` must equal their
 dense counterparts.  Both `from_entries` constructors must equal the
 per-entry `add_to` loop they replace on entry lists with repeats,
-cancelling pairs and explicit zeros.
+cancelling pairs and explicit zeros, and both `from_ratios` constructors
+must equal the literal Fraction sum of their integer entries, as
+builders hand them (unreduced and negative denominators, repeated
+positions across degrees, entries that cancel), store no zero and reject
+an index outside the basis.
 """
 
 from fractions import Fraction as F
@@ -511,6 +515,54 @@ def test_from_entries_equals_the_add_to_loop(entries):
         assert entry_map(plain) == entry_map(graded.block(k))
         assert_canonical(plain)
         assert_canonical(graded.block(k))
+
+
+@st.composite
+def ratio_lists(draw):
+    """(degree, row, col, num, den) integer entries in any order, as the
+    builders hand them: unreduced and negative denominators, and some
+    copies of an entry at its position in another degree or, negated over
+    a multiple of its denominator, cancelling it."""
+    dens = st.integers(-12, 12).filter(bool)
+    entries = draw(st.lists(st.tuples(st.integers(0, 2), INDEX, INDEX, st.integers(-6, 6), dens),
+                            max_size=3 * DIM))
+    extra = []
+    for k, r, c, n, d in entries:
+        s = draw(st.integers(-3, 3).filter(bool))
+        extra += [((k + 1) % 3, r, c, draw(st.integers(-6, 6)), draw(dens)),
+                  (k, r, c, -n * s, d * s)]
+    keep = draw(st.lists(st.booleans(), min_size=len(extra), max_size=len(extra)))
+    return draw(st.permutations(entries + [e for e, b in zip(extra, keep) if b]))
+
+
+@SETTINGS
+@given(ratio_lists())
+def test_from_ratios_equals_the_literal_fraction_sum(entries):
+    literal = {}
+    for k, r, c, n, d in entries:
+        literal[k, r, c] = literal.get((k, r, c), 0) + F(n, d)
+    graded = GradedOperator.from_ratios(DIM, iter(entries), 2)
+    assert graded.max_degree == 2
+    assert sorted(graded.blocks) == sorted({k for (k, _, _), v in literal.items() if v})
+    for k in range(3):
+        plain = SparseMatrix.from_ratios(DIM, ((r, c, n, d) for j, r, c, n, d in entries
+                                               if j == k))
+        assert entry_map(plain) == {(r, c): v for (j, r, c), v in literal.items() if j == k and v}
+        assert plain == graded.block(k)
+        assert_canonical(plain)
+        assert_canonical(graded.block(k))
+
+
+@SETTINGS
+@given(ratio_lists(), st.sampled_from([-1, DIM, DIM + 3]), st.booleans(), st.integers(0, 2),
+       st.integers(-3, 3))
+def test_from_ratios_rejects_an_index_outside_the_basis(entries, bad, in_row, k, n):
+    wrong = (k, bad, 0, n, 5) if in_row else (k, 0, bad, n, 5)
+    entries = entries + [wrong]
+    with pytest.raises(ValueError, match="outside"):
+        GradedOperator.from_ratios(DIM, entries, 2)
+    with pytest.raises(ValueError, match="outside"):
+        SparseMatrix.from_ratios(DIM, (e[1:] for e in entries if e[0] == k))
 
 
 @SETTINGS

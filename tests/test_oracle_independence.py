@@ -66,6 +66,21 @@ def keep_the_unreduced_denominator(monkeypatch, fired):
     monkeypatch.setattr(graded, "_canonical", perturbed)
 
 
+def skip_the_first_entry(monkeypatch, fired):
+    """The entry accumulator starts one entry late: every operator built
+    from entries, each degree of a graded one, loses the first entry it
+    hands over."""
+    real = SparseMatrix.from_ratios
+
+    def perturbed(cls, dim, entries):
+        entries = list(entries)
+        if entries:
+            fired.append(1)
+        return real(dim, entries[1:])
+
+    monkeypatch.setattr(SparseMatrix, "from_ratios", classmethod(perturbed))
+
+
 def compare_one_column_over(monkeypatch, fired):
     """`mismatches` reads the other side one column to the right."""
     real = SparseMatrix.mismatches
@@ -238,6 +253,17 @@ ROWS = [
     # one accumulator, and matrices that commute still commute when scaled
     ("graded._canonical", keep_the_unreduced_denominator, ("tq", "rll"),
      "every stored matrix, scaled by the gcd it failed to take out", ()),
+    # the one entry accumulator builds both sides of tq (Lambda and q), of
+    # lambda-q (q and the auxiliary Lax operator of the trace) and of
+    # gamma-eigen (the open transfer and Gamma).  gauge runs it on both
+    # sides of its sector identification and stays blind: the bond
+    # expansion and the folded Toda route hand over the same entry first
+    # in every degree, so dropping it drops the same entry on both sides
+    ("SparseMatrix.from_ratios", skip_the_first_entry,
+     ("tq", "lambda-q", "gamma-eigen", "rll", "adjoint", "ar-project", "gamma-commute",
+      "paper-matrices"),
+     "every operator built entry by entry: the transfer matrices, the Q-matrix, the "
+     "auxiliary Lax operator, Gamma, the bar adjoints and the restrictions", ()),
     # every exact matrix identity, commutators and the trace agreement
     # included, is decided through mismatches, so each suite that compares
     # matrices fails when the comparison reads the wrong column

@@ -214,6 +214,15 @@ def test_cli_matrix_lax_rejects_other_families(capsys):
         assert captured.out == "" and "qboson or spin_s" in captured.err
 
 
+def test_cli_matrix_lax_rejects_a_negative_cap(capsys):
+    # a cap below 0 has no site basis: a usage error, not an empty dump
+    assert cli.main(["matrix", "lax", "--cap=-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: cap must be >= 0, got -1" in captured.err
+    assert cli.main(["matrix", "lax", "--cap=0"]) == 0
+    assert json.loads(capsys.readouterr().out)["basis"] == ["(0)"]
+
+
 def test_cli_eval_input_errors_are_usage_errors(capsys):
     assert cli.main(["eval", "R", "--vars", "2,3", "--t", "1/2"]) == 2
     assert "--mu" in capsys.readouterr().err

@@ -175,7 +175,8 @@ def test_vacuum_fixed_by_raising():
     t = F(1, 3)
     basis = partition_basis(4)
     vop = build_gamma("L", "+", basis, t)
-    ok, _ = gamma_eigen_check(vop, "L", [], max_degree=3)
+    ok, _ = gamma_eigen_check(vop, "L", [], max_degree=3,
+                              state=build_eigenstate("L", [], basis, t))
     assert ok
 
 
@@ -185,7 +186,8 @@ def test_eigen_L_plus_on_L_state():
     vop = build_gamma("L", "+", basis, t)
     rng = random.Random(4)
     V = distinct_draws(rng, 2)
-    ok, report = gamma_eigen_check(vop, "L", V, max_degree=3)
+    ok, report = gamma_eigen_check(vop, "L", V, max_degree=3,
+                                   state=build_eigenstate("L", V, basis, t))
     assert ok, report
     # degree-1 eigenvalue coefficient is (1-t) * sum(V)
     from integrable_lab.hall_littlewood import complete_q_coeffs
@@ -200,7 +202,8 @@ def test_eigen_L_plus_on_R_state():
     vop = build_gamma("L", "+", basis, t)
     rng = random.Random(5)
     V = distinct_draws(rng, 2)
-    ok, report = gamma_eigen_check(vop, "R", V, max_degree=4)
+    ok, report = gamma_eigen_check(vop, "R", V, max_degree=4,
+                                   state=build_eigenstate("R", V, basis, t))
     assert ok, report
 
 
@@ -211,7 +214,8 @@ def test_eigen_R_plus_on_L_state():
     vop = build_gamma("R", "+", basis, t)
     rng = random.Random(6)
     V = distinct_draws(rng, 2)
-    ok, report = gamma_eigen_check(vop, "L", V, max_degree=3)
+    ok, report = gamma_eigen_check(vop, "L", V, max_degree=3,
+                                   state=build_eigenstate("L", V, basis, t))
     assert ok, report
 
 
@@ -237,7 +241,7 @@ def test_eigen_check_reports_a_perturbed_entry():
     q1 = complete_q_coeffs(V, t, 1)[1]
     old = vop.block(1).entry(i, j)
     vop.block(1).add_to(i, j, d)
-    ok, failures = gamma_eigen_check(vop, "L", V, max_degree=3)
+    ok, failures = gamma_eigen_check(vop, "L", V, max_degree=3, state=state)
     assert not ok
     assert failures == [{"degree": 1, "row": "[]",
                          "lhs": format_scalar((old + d) * state[j]),
