@@ -12,7 +12,6 @@ from .partitions import (
     conjugate,
     is_horizontal_strip,
     is_vertical_strip,
-    monomial_sym,
     multiplicity,
     occupation_basis,
     partition,
@@ -32,10 +31,9 @@ from .hall_littlewood import (
     hl_P,
     hl_Q,
     hl_R,
-    p_omega,
     pieri_coeff,
     skew_P,
-    skew_sweep,
+    skew_Q_omega_sweep,
 )
 from .vertex_ops import (
     VertexOp,
@@ -60,7 +58,6 @@ from .baxter_q import (
     ar_project_check,
     build_LL,
     build_qmatrix,
-    null_psi,
     tq_check,
     trace_qmatrix,
 )

@@ -9,9 +9,11 @@ by site on integers: one row of t-binomials per occupation value, over
 one denominator, and states coded in base n + 1, so that a move shifts
 the code by a fixed step and finds its target in one dict lookup.  The
 auxiliary-spin Lax operator `build_LL` (integer ratios of the literal
-t-factorials), whose own relations the `rll` suite checks, gives a
-second, independent construction, `trace_qmatrix`, by tracing over the
-spin space; the two are compared entrywise in the tests and suites.
+t-factorials) gives a second, independent construction, `trace_qmatrix`,
+by tracing over the spin space; the two are compared entrywise in the
+tests and suites.  Its own relations, `ll_relations_check` and
+`toda_intertwine_check`, take the LL they check and the `spin_windows`
+it acts on, so that the `rll` suite builds both once per draw.
 
 Conventions are anchored by three exact requirements: the 3x3 printed
 example, the TQ relation Lambda(z) q(z) = q(tz) + x z^N t^n q(z/t), and
@@ -20,7 +22,6 @@ commutation with the transfer matrix and the translation.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product as iproduct
 from math import lcm
 from operator import mul
@@ -31,7 +32,6 @@ from .graded import (
     graded_items,
     mismatch_items,
     sum_of_scaled_products,
-    vector_mismatches,
 )
 from .lattice import (
     free_window_basis,
@@ -53,55 +53,9 @@ from .partitions import (
     state_norm,
     weight,
 )
-from .scalars import ONE, ZERO, TTable, as_scalar, reject_singular_t, tbinom, tfact
+from .scalars import ONE, ZERO, TTable, as_scalar, reject_singular_t, tfact
+from .scalars import tbinom  # unread here; perfbench wraps every binding of tbinom
 from .vertex_ops import build_gamma
-
-
-def null_psi(a: int, b: int, c: int, z, t) -> Fraction:
-    """Null-vector component z^{b-c} * binom(a-c, a-b)_t, for a >= b >= c."""
-    if not a >= b >= c:
-        raise ValueError(f"need a >= b >= c, got {(a, b, c)}")
-    z = as_scalar(z)
-    return z ** (b - c) * tbinom(a - c, a - b, as_scalar(t))
-
-
-def site_null_vector_check(a: int, c: int, z, t):
-    """Per-site triangularity of the gauge-transformed Lax matrix.
-
-    On the spin window b in [c, a] (x = t^b diagonal, X the raise, both
-    from `_window_ops`), with Psi(w) the null vector of components
-    null_psi(a, b, c, w):
-
-        L'_12 Psi(-z)   = 0
-        L'_11 Psi(-z)   = Psi(-tz)
-        L'_22 Psi(-z)   = z X Psi(-z/t)
-
-    Each L' is a sparse matrix applied to the vector.  Returns (ok,
-    failures), naming the relation and the spin b.
-    """
-    z, t = as_scalar(z), as_scalar(t)
-    if t == 0:
-        raise ValueError("t must be nonzero")
-    win = Basis([(b,) for b in range(c, a + 1)], kind="window")
-    X, x, xinv = _window_ops(win, 1, t)
-    I = SparseMatrix.identity(len(win))
-    tc = t ** c
-
-    def psi(w):
-        return {j: null_psi(a, b, c, w, t) for j, (b,) in enumerate(win.states)}
-
-    hop = X.mul(I.add(xinv.scale(-t ** a)))  # X (1 - t^a x^{-1})
-    L12 = x.add(I.scale(-tc)).add(hop.scale(-tc * z))
-    L11 = I.add(hop.scale(z))
-    L22 = X.mul(xinv).scale(tc * z)
-    v0 = psi(-z)
-    checks = (("null", L12, {}), ("upper", L11, psi(-t * z)),
-              ("lower", L22, X.scale(z).apply(psi(-z / t))))
-    failures = [item for relation, op, want in checks
-                for j, lhs, rhs in vector_mismatches(op.apply(v0), want)
-                for item in mismatch_items([(lhs, rhs)], None, relation=relation,
-                                           b=win.states[j][0])]
-    return not failures, failures
 
 
 def build_qmatrix(N: int, n: int, x, t) -> GradedOperator:
@@ -208,7 +162,7 @@ def ll_G_op(t, cap: int) -> SparseMatrix:
                                                for k in range(m, cap + 1)))
 
 
-def _spin_windows(cap: int, t):
+def spin_windows(cap: int, t):
     """(cap, pair, inner, S, s, sinv): the product `pair` of two spin
     windows [0, cap]^2 (state (a, b) at index a * (cap + 1) + b), its
     `inner` states, with two units of headroom in both labels, where
@@ -225,8 +179,9 @@ def _window_ops(pair: Basis, k: int, t):
     return toda_shift_op(pair, [k], +1), toda_x_op(pair, k, t), toda_x_op(pair, k, t, -1)
 
 
-def ll_relations_check(u, t, cap: int):
-    """The four commutation relations pinning the auxiliary Lax operator.
+def ll_relations_check(LL: SparseMatrix, u, t, windows):
+    """The four commutation relations pinning the auxiliary Lax operator
+    LL = build_LL(u, t, cap, cap) on windows = spin_windows(cap, t).
 
     With Lc = LL P (the label swap), S/s on the first window, X/x on the
     second:  Lc x = x Lc;  Lc S X = S X Lc;  Lc (x/s) = (x/s)(1-S) Lc;
@@ -234,12 +189,6 @@ def ll_relations_check(u, t, cap: int):
     Returns (ok, failures).
     """
     u, t = as_scalar(u), as_scalar(t)
-    return _ll_relations(build_LL(u, t, cap, cap), u, t, _spin_windows(cap, t))
-
-
-def _ll_relations(LL: SparseMatrix, u, t, windows):
-    """`ll_relations_check` on LL = build_LL(u, t, cap, cap) and
-    `_spin_windows(cap, t)`."""
     cap, pair, inner, S, sdiag, sinv = windows
     side = cap + 1
 
@@ -274,8 +223,9 @@ def _ll_relations(LL: SparseMatrix, u, t, windows):
     return not failures, failures
 
 
-def toda_intertwine_check(z, u, t, cap: int):
-    """The intertwining relation R(z/u) L^Toda(z) LL(u) = LL(u) Ltilde(z) R(z/u).
+def toda_intertwine_check(LL: SparseMatrix, z, u, t, windows):
+    """The intertwining relation R(z/u) L^Toda(z) LL(u) = LL(u) Ltilde(z) R(z/u),
+    with LL = build_LL(u, t, cap, cap) on windows = spin_windows(cap, t).
 
     Built on the product of two spin windows (sigma entries act on the
     first label; L^Toda and Ltilde are `lattice.toda_lax` on the second,
@@ -283,12 +233,6 @@ def toda_intertwine_check(z, u, t, cap: int):
     failures).
     """
     z, u, t = as_scalar(z), as_scalar(u), as_scalar(t)
-    return _toda_intertwine(build_LL(u, t, cap, cap), z, u, t, _spin_windows(cap, t))
-
-
-def _toda_intertwine(LL: SparseMatrix, z, u, t, windows):
-    """`toda_intertwine_check` on LL = build_LL(u, t, cap, cap) and
-    `_spin_windows(cap, t)`."""
     _, pair, inner, S, sdiag, sinv = windows
     I = SparseMatrix.identity(len(pair))
 

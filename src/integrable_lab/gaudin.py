@@ -30,7 +30,9 @@ pair evaluations, and sums the n! amplitudes and the word's shift terms
 over B = prod_i b_i.  `gaudin_det` clears each row of its two matrices
 to integers and expands the cofactors of integer matrices.  Each side
 rejects a pole, a zero 1 - u v or 1 - t u v, on the integers it builds,
-before any division; neither reads the other's rows.
+before any division, and `gaudin_det` also rejects a zero of its divisor
+det[1/(1 - t u v)] (t = 0 at n >= 2, or a repeated u or v), the locus
+`singular_point` names; neither side reads the other's rows.
 """
 
 from __future__ import annotations
@@ -109,13 +111,29 @@ def _pole(u, v, t, name) -> str:
 
 
 def singular_point(U, V, t):
-    """The first pair with u v = 1 or t u v = 1, where the kernel
-    1/((1 - u v)(1 - t u v)) has a pole, described; None if there is none."""
+    """Where the Gaudin ratio is undefined, described; None if nowhere.
+
+    First the pairs with u v = 1 or t u v = 1, where the kernel
+    1/((1 - u v)(1 - t u v)) has a pole, then the zeros of the divisor
+    det[1/(1 - t u_k v_l)] (`_zero_of_divisor`)."""
     for u in U:
         for v in V:
             for name, w in (("u v", u * v), ("t u v", t * u * v)):
                 if w == 1:
                     return _pole(u, v, t, name)
+    return _zero_of_divisor(U, V, t)
+
+
+def _zero_of_divisor(U, V, t):
+    """The zero locus of det[1/(1 - t u_k v_l)] = t^{n(n-1)/2}
+    prod_{k<l} (u_k - u_l)(v_k - v_l) / prod_{k,l} (1 - t u_k v_l), off its
+    poles: for n >= 2, t = 0 or a repeated u or v; described, None if off it."""
+    if len(U) >= 2 and t == 0:
+        return "t=0: det[1/(1 - t u v)] = 0 for n >= 2"
+    for name, values in (("u", U), ("v", V)):
+        for k, w in enumerate(values):
+            if w in values[:k]:
+                return f"{name}={w} twice: det[1/(1 - t u v)] = 0"
     return None
 
 
@@ -167,7 +185,9 @@ def gaudin_det(n: int, U, V, t) -> Fraction:
 
     Both matrices are cleared to integers row by row (`_gaudin_rows`),
     so the ratio t^{n(n-1)/2} / (1-t)^n det D / det d is one `Fraction`
-    of integer determinants; a pole of an entry is rejected as it is met.
+    of integer determinants; a pole of an entry is rejected as it is met,
+    and a zero of det d before the division, each named as
+    `singular_point` names it.
     """
     U = [as_scalar(u) for u in U]
     V = [as_scalar(v) for v in V]
@@ -177,6 +197,8 @@ def gaudin_det(n: int, U, V, t) -> Fraction:
     if n == 0:
         return ONE
     D, d, den_D, den_d = _gaudin_rows(U, V, t)
+    if (where := _zero_of_divisor(U, V, t)) is not None:
+        raise ValueError(f"singular evaluation point {where}")
     tn, td = t.numerator, t.denominator
     k = n * (n - 1) // 2
     return Fraction(tn ** k * td ** n * _det(D) * den_d,

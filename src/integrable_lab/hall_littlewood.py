@@ -18,9 +18,9 @@ Fraction at the end.  hl_R/hl_Q/hl_P build one for a single evaluation,
 and callers that evaluate many partitions at one draw build one and
 read it.  skew_P and skew_Q_omega run one strip sweep, generic over the
 strip generator and the weight, on integer numerators over one
-denominator per step; `skew_sweep` returns every lam reached from mu
-under a weight cap from a single sweep.  The two routes share
-no code, so each checks the other.
+denominator per step; `skew_Q_omega_sweep` returns Q^omega_{lam'/mu'}
+for every lam reached from mu under a weight cap from a single sweep.
+The two routes share no code, so each checks the other.
 
 The four Pieri coefficients psi, phi, psi', phi' are integer products of
 lookups in one `scalars.TTable` through one kernel, `PieriTable.coeff`.  A
@@ -375,31 +375,18 @@ def skew_Q_omega(lam, mu, values, t) -> Fraction:
     return vec.get(lam, ZERO)
 
 
-def skew_sweep(kind: str, mu, values, t, max_weight: int) -> dict:
-    """{lam: the skew function of kind `kind` at lam/mu} for every lam
-    reached from mu with |lam| <= max_weight, from one sweep.
-
-    Kinds: "P-skew" gives P_{lam/mu} (as `skew_P`), "Qomega-skew" gives
-    Q^omega_{lam'/mu'} (as `skew_Q_omega`); a lam absent from the result
-    has value 0.
+def skew_Q_omega_sweep(mu, values, t, max_weight: int) -> dict:
+    """{lam: Q^omega_{lam'/mu'} (as `skew_Q_omega`)} for every lam reached
+    from mu with |lam| <= max_weight, from one sweep; a lam absent from the
+    result has value 0.
     """
     mu = partition(mu)
     values = [as_scalar(v) for v in values]
     t = as_scalar(t)
-    if kind == "P-skew":
-        return _strip_sweep(mu, values, max_weight, horizontal_strips_above,
-                            partial(PieriTable(t).coeff, "psi"))
-    if kind == "Qomega-skew":
-        # phi' divides by k!_t, k <= a part multiplicity of a shape reached <= max_weight
-        reject_singular_t(t, max_weight)
-        return _strip_sweep(mu, values, max_weight, vertical_strips_above,
-                            partial(PieriTable(t).coeff, "phi'"))
-    raise ValueError(f"unknown skew kind {kind!r}")
-
-
-def p_omega(lam, values, t) -> Fraction:
-    """P^omega_{lam'} = <lam|lam> * Q^omega_{lam'}; monic on monomials."""
-    return state_norm(lam, t) * skew_Q_omega(lam, (), values, t)
+    # phi' divides by k!_t, k <= a part multiplicity of a shape reached <= max_weight
+    reject_singular_t(t, max_weight)
+    return _strip_sweep(mu, values, max_weight, vertical_strips_above,
+                        partial(PieriTable(t).coeff, "phi'"))
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +467,7 @@ def cauchy_coeff_check(degree: int, U, V, t, kind: str = "cauchy"):
         rhs = dual_pair_coeffs(U, V, degree)
         # P^omega_{lam'} = <lam|lam> Q^omega_{lam'}, every lam from one
         # sweep; it is nonzero only for lam_1 <= #U, the shapes it reaches
-        omega = skew_sweep("Qomega-skew", (), U, t, degree)
+        omega = skew_Q_omega_sweep((), U, t, degree)
 
         def left(lam):
             return state_norm(lam, t) * omega.get(lam, ZERO)

@@ -164,13 +164,6 @@ def rll_check_qboson(u, v, t, cap: int):
 # ---------------------------------------------------------------------------
 # chain bases and projected products
 
-def chain_basis(N: int, total_cap: int) -> Basis:
-    """Occupation tuples (m_1..m_N) with particle number <= total_cap."""
-    states = [m for m in iproduct(range(total_cap + 1), repeat=N) if sum(m) <= total_cap]
-    states.sort(reverse=True)
-    return Basis(states, kind="occupation")
-
-
 def periodic_transfer(N: int, n: int, x, t) -> GradedOperator:
     """Projected product over bonds k -> k+1 (cyclic), twist x on the seam.
 
@@ -222,25 +215,6 @@ def translation_op(N: int, n: int, x) -> SparseMatrix:
                                        lambda m: ((m[-1],) + m[:-1], x ** m[-1]))
 
 
-def periodic_hamiltonian(N: int, n: int, x, t) -> SparseMatrix:
-    """Right-mover H: sum of single hops k -> k+1, seam twisted."""
-    t, x = as_scalar(t), as_scalar(x)
-    basis = occupation_basis(N, n)
-
-    def entries():
-        for j, m in enumerate(basis.states):
-            for k in range(N):
-                if m[k] == 0:
-                    continue
-                occ = list(m)
-                occ[k] -= 1
-                occ[(k + 1) % N] += 1
-                amp = (ONE - t ** m[k]) * (x if k == N - 1 else ONE)
-                yield basis.index[tuple(occ)], j, amp
-
-    return SparseMatrix.from_entries(len(basis), entries())
-
-
 def open_transfer(basis: Basis, N: int, t, direction: str = "right") -> GradedOperator:
     """Open-chain projected product on a partition basis with lam_1 <= N.
 
@@ -280,31 +254,6 @@ def open_transfer(basis: Basis, N: int, t, direction: str = "right") -> GradedOp
                         yield degree, i, j, num, prod(weight[k].denominator for k in short)
 
     return GradedOperator.from_ratios(len(basis), entries(), N)
-
-
-def open_hamiltonian(basis: Basis, N: int, t) -> SparseMatrix:
-    """S_1 + sum_{k} S_{k+1} Sbar_k, built directly from single hops."""
-    t = as_scalar(t)
-
-    def entries():
-        for j, lam in enumerate(basis.states):
-            m = partition_to_occupation(lam, N)
-            occ = list(m)
-            occ[0] += 1
-            target = occupation_to_partition(occ)
-            if target in basis.index:
-                yield basis.index[target], j, ONE
-            for k in range(N - 1):
-                if m[k] == 0:
-                    continue
-                occ = list(m)
-                occ[k] -= 1
-                occ[k + 1] += 1
-                target = occupation_to_partition(occ)
-                if target in basis.index:
-                    yield basis.index[target], j, ONE - t ** m[k]
-
-    return SparseMatrix.from_entries(len(basis), entries())
 
 
 # ---------------------------------------------------------------------------
@@ -602,26 +551,6 @@ def folded_toda_transfer(N: int, n: int, x, t) -> GradedOperator:
                     yield d, occ.index[tgt], position[src], val * x ** delta
 
     return GradedOperator.from_entries(len(occ), entries(), N)
-
-
-# ---------------------------------------------------------------------------
-# spin-s periodic transfer via the cleared monodromy
-
-def spin_periodic_transfer_cleared(N: int, M: int, X, t, s) -> GradedOperator:
-    """(1 + z s)^N Lambda^s_{N,X}(z) on the M-particle sector, via the
-    cleared spin Lax monodromy trace; exact, no truncation (particle
-    number is conserved)."""
-    t, s, X = as_scalar(t), as_scalar(s), as_scalar(X)
-    # monodromy intermediates carry one extra or one missing particle
-    big = chain_basis(N, M + 1)
-    # folded on every column; each factor is built on the whole basis, `sources` unread
-    T = monodromy([lambda sources, site=site: build_lax("spin_s", big,
-                                                        {"t": t, "s": s, "site": site})
-                   for site in range(1, N + 1)], N)
-    traced = T[0][0].add(T[1][1].scale(X))
-    sector = occupation_basis(N, M)
-    return traced.restrict({big.index[m]: j for j, m in enumerate(sector.states)},
-                           len(sector), N)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,8 @@ lexicographically descending) so matrix dumps are reproducible.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 
-from .scalars import ONE, _poch_ratio, as_scalar
+from .scalars import _poch_ratio, as_scalar
 
 
 def partition(parts) -> tuple:
@@ -110,20 +109,6 @@ def state_norm(lam, t) -> Fraction:
     return Fraction(num, den)
 
 
-def dominance_leq(mu, lam) -> bool:
-    """mu <= lam in dominance order (same weight; partial sums compared)."""
-    mu, lam = partition(mu), partition(lam)
-    if weight(mu) != weight(lam):
-        return False
-    acc_m = acc_l = 0
-    for i in range(max(len(mu), len(lam))):
-        acc_m += mu[i] if i < len(mu) else 0
-        acc_l += lam[i] if i < len(lam) else 0
-        if acc_m > acc_l:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # strip enumeration (drives vertex operators and skew tableaux)
 
@@ -171,27 +156,6 @@ def horizontal_strips_above(mu, max_size: int, max_part=None):
     if top < (mu[0] if mu else 0):
         return []
     rec(0, [], max_size)
-    return results
-
-
-def vertical_strips_below(lam):
-    """All mu with lam/mu a vertical strip."""
-    lam = partition(lam)
-    n = len(lam)
-    results = []
-
-    def rec(i, acc):
-        if i == n:
-            results.append(_trimmed(acc))
-            return
-        for delta in (0, 1):
-            v = lam[i] - delta  # >= 0: every part is >= 1
-            if acc and v > acc[-1]:
-                continue
-            rec(i + 1, acc + [v])
-
-    # distinct: each strip is a distinct length-n tuple before trimming
-    rec(0, [])
     return results
 
 
@@ -373,23 +337,3 @@ def partition_to_occupation(lam, N: int) -> tuple:
     for part in lam:
         m[part - 1] += 1
     return tuple(m)
-
-
-def monomial_sym(lam, values) -> Fraction:
-    """Monomial symmetric polynomial m_lam at a rational alphabet."""
-    lam = partition(lam)
-    values = [as_scalar(v) for v in values]
-    if len(lam) > len(values):
-        return Fraction(0)
-    exps = tuple(lam) + (0,) * (len(values) - len(lam))
-    seen = set()
-    total = Fraction(0)
-    for perm in set(permutations(exps)):
-        if perm in seen:
-            continue
-        seen.add(perm)
-        term = ONE
-        for v, e in zip(values, perm):
-            term *= v ** e
-        total += term
-    return total

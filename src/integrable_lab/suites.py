@@ -142,11 +142,11 @@ def _suite_rll(seed, p):
         z, uu = draw_params(seed + 100 + i, "distinct-2")
         # LL(uu) and the spin windows serve both checks of the draw
         LL = baxter_q.build_LL(uu, t, cap + 1, cap + 1)
-        windows = baxter_q._spin_windows(cap + 1, t)
-        _, fails = baxter_q._ll_relations(LL, uu, t, windows)
+        windows = baxter_q.spin_windows(cap + 1, t)
+        _, fails = baxter_q.ll_relations_check(LL, uu, t, windows)
         checks.append(_check(f"auxiliary Lax relations draw {i}",
                              "q-Toda R-matrix commutation relations", fails))
-        _, fails = baxter_q._toda_intertwine(LL, z, uu, t, windows)
+        _, fails = baxter_q.toda_intertwine_check(LL, z, uu, t, windows)
         checks.append(_check(f"Toda intertwining draw {i}",
                              "intertwining Yang-Baxter relation", fails))
     return checks

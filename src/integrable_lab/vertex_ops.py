@@ -44,7 +44,7 @@ from .hall_littlewood import (
     PieriTable,
     elementary_e_coeffs,
     complete_q_coeffs,
-    skew_sweep,
+    skew_Q_omega_sweep,
 )
 from .partitions import (
     Basis,
@@ -206,7 +206,7 @@ def build_eigenstate(kind: str, values, basis: Basis, t) -> dict:
         component = Alphabet(values, t).P
     elif kind == "R":
         cap = max((weight(s) for s in basis), default=0)
-        components = skew_sweep("Qomega-skew", (), values, t, cap)
+        components = skew_Q_omega_sweep((), values, t, cap)
 
         def component(lam):
             return components.get(lam, ZERO)

@@ -9,12 +9,10 @@ tail 1e-12 at truncation 60).
 import time
 from fractions import Fraction as F
 
-import pytest
-
 from integrable_lab.suites import SuiteSpec, run_suite
 from integrable_lab import baxter_q, bethe, gaudin, lattice
 from integrable_lab.graded import commutator_items
-from integrable_lab.partitions import occupation_basis, partition_basis
+from integrable_lab.partitions import occupation_basis
 from integrable_lab.suites import draw_params
 
 
@@ -69,8 +67,9 @@ def test_criterion_04_rll():
         good, _ = lattice.rll_check_qboson(u, v, t, cap=5)
         ok = ok and good
         z, uu = draw_params(900 + i, "distinct-2")
-        good2, _ = baxter_q.ll_relations_check(uu, t, cap=6)
-        good3, _ = baxter_q.toda_intertwine_check(z, uu, t, cap=6)
+        LL, windows = baxter_q.build_LL(uu, t, 6, 6), baxter_q.spin_windows(6, t)
+        good2, _ = baxter_q.ll_relations_check(LL, uu, t, windows)
+        good3, _ = baxter_q.toda_intertwine_check(LL, z, uu, t, windows)
         ok = ok and good2 and good3
     report(4, "RLL and Toda intertwining", ok, "cap 5, 5 draws, four relations")
 

@@ -14,8 +14,9 @@ from itertools import combinations_with_replacement, product
 
 from hypothesis import given, settings, strategies as st
 
-from integrable_lab.lattice import chain_basis, free_window_basis, single_site_basis
+from integrable_lab.lattice import free_window_basis, single_site_basis
 from integrable_lab.partitions import occupation_basis, partition_basis, window_basis
+from oracles import chain_basis
 
 SETTINGS = settings(deadline=None, max_examples=30)
 CAP = st.none() | st.integers(1, 4)

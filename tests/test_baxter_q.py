@@ -12,8 +12,7 @@ from integrable_lab.baxter_q import (
     ll_F_op,
     ll_G_op,
     ll_relations_check,
-    null_psi,
-    site_null_vector_check,
+    spin_windows,
     toda_intertwine_check,
     tq_check,
     trace_qmatrix,
@@ -39,6 +38,7 @@ from integrable_lab.partitions import (
     weight,
 )
 from integrable_lab.scalars import TTable, format_scalar, tbinom, tfact
+from oracles import null_psi, site_null_vector_check
 
 T = F(2, 7)
 X = F(3, 5)
@@ -235,11 +235,12 @@ def test_ll_operator_examples():
 
 
 def test_ll_four_relations():
-    ok, failures = ll_relations_check(F(5, 3), T, cap=6)
+    u = F(5, 3)
+    ok, failures = ll_relations_check(build_LL(u, T, 6, 6), u, T, spin_windows(6, T))
     assert ok, failures
 
 
-def test_ll_relations_report_a_perturbed_LL(monkeypatch):
+def test_ll_relations_report_a_perturbed_LL():
     # Lc = LL P reads LL's column (b, a) as its column (a, b); one extra entry
     # d at Lc[(1,1), (1,2)], where Lc is zero, breaks Lc x = x Lc there only:
     # the sides read d t^2 and t^1 d (x = t^label on the second window)
@@ -248,15 +249,10 @@ def test_ll_relations_report_a_perturbed_LL(monkeypatch):
     def idx(a, b):
         return a * (cap + 1) + b
 
-    assert build_LL(u, T, cap, cap).entry(idx(1, 1), idx(2, 1)) == 0
-
-    def perturbed(u, t, s_cap, x_cap):
-        LL = build_LL(u, t, s_cap, x_cap)
-        LL.add_to(idx(1, 1), idx(2, 1), d)
-        return LL
-
-    monkeypatch.setattr(baxter_q, "build_LL", perturbed)
-    ok, failures = ll_relations_check(u, T, cap=cap)
+    LL = build_LL(u, T, cap, cap)
+    assert LL.entry(idx(1, 1), idx(2, 1)) == 0
+    LL.add_to(idx(1, 1), idx(2, 1), d)
+    ok, failures = ll_relations_check(LL, u, T, spin_windows(cap, T))
     assert not ok
     assert [f for f in failures if f["relation"] == "Lc x = x Lc"] == [
         {"relation": "Lc x = x Lc", "row": "(1,1)", "col": "(1,2)",
@@ -264,7 +260,8 @@ def test_ll_relations_report_a_perturbed_LL(monkeypatch):
 
 
 def test_toda_intertwine():
-    ok, failures = toda_intertwine_check(F(3, 4), F(5, 3), T, cap=6)
+    u = F(5, 3)
+    ok, failures = toda_intertwine_check(build_LL(u, T, 6, 6), F(3, 4), u, T, spin_windows(6, T))
     assert ok, failures[:3]
 
 
@@ -408,25 +405,19 @@ def test_ar_project_reports_a_perturbed_toda_entry(monkeypatch):
 
 
 def test_toda_intertwine_reports_a_perturbed_LL(monkeypatch):
-    cap = 6
-    LLs, inner_sums = [], []  # the perturbed LL and, per aux entry, R L and Ltilde R
-
-    def perturbed(u, t, s_cap, x_cap):
-        LL = build_LL(u, t, s_cap, x_cap)
-        # one extra entry between two inner states (1, 1) -> (2, 1)
-        LLs.append(LL.add(SparseMatrix.from_entries(LL.dim, [(2 * (cap + 1) + 1, cap + 2,
-                                                                F(1))])))
-        return LLs[-1]
+    cap, u = 6, F(5, 3)
+    inner_sums = []  # per aux entry, R L and Ltilde R
+    # one extra entry between two inner states (1, 1) -> (2, 1)
+    LL = build_LL(u, T, cap, cap).add(
+        SparseMatrix.from_entries((cap + 1) ** 2, [(2 * (cap + 1) + 1, cap + 2, F(1))]))
 
     def recorded(terms):
         inner_sums.append(sum_of_scaled_products(terms))
         return inner_sums[-1]
 
-    monkeypatch.setattr(baxter_q, "build_LL", perturbed)
     monkeypatch.setattr(baxter_q, "sum_of_scaled_products", recorded)
-    ok, failures = toda_intertwine_check(F(3, 4), F(5, 3), T, cap=cap)
+    ok, failures = toda_intertwine_check(LL, F(3, 4), u, T, spin_windows(cap, T))
     assert not ok and failures
-    (LL,) = LLs
     states = [(a, b) for a in range(cap + 1) for b in range(cap + 1)]
     index = {f"({a},{b})": k for k, (a, b) in enumerate(states)}
     aux = [(i, j) for i in range(2) for j in range(2)]

@@ -1,4 +1,3 @@
-import cmath
 import random
 import re
 from fractions import Fraction as F
@@ -21,8 +20,8 @@ from integrable_lab.bethe import (
     y_hat,
 )
 from integrable_lab.hall_littlewood import hl_R
-from integrable_lab.lattice import spin_periodic_transfer_cleared
 from integrable_lab.partitions import occupation_basis
+from oracles import spin_periodic_transfer_cleared
 
 T = F(2, 7)
 S = F(1, 6)

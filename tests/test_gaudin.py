@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from fractions import Fraction as F
 from itertools import combinations_with_replacement, permutations
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from integrable_lab import gaudin
-from integrable_lab.bethe import AnsatzTable, bethe_vector, xi
+from integrable_lab.bethe import AnsatzTable
 from integrable_lab.gaudin import (
     _SpinNorms,
     _symmetrized_kernel,
@@ -19,7 +20,6 @@ from integrable_lab.gaudin import (
     spin_norm_floor,
     spin_state_norm,
 )
-from integrable_lab.hall_littlewood import hl_R
 from integrable_lab.scalars import as_scalar, format_scalar, tbinom, tfact, tpoch
 from integrable_lab.suites import draw_params
 
@@ -177,7 +177,8 @@ def lascoux_alphabets(n, seed):
 @given(st.integers(1, 3), st.integers(0, 10**6), T_VALUES)
 def test_integer_left_side_equals_the_literal_expansion(n, seed, t):
     U, V = lascoux_alphabets(n, seed)
-    assume(singular_point(U, V, t) is None)
+    # the kernel's poles only: off them the left side is defined at every t
+    assume(all(u * v != 1 and t * u * v != 1 for u in U for v in V))
     assert _symmetrized_kernel(U, V, t) == literal_symmetrized_kernel(U, V, t)
 
 
@@ -185,13 +186,16 @@ def test_integer_left_side_equals_the_literal_expansion(n, seed, t):
 @given(st.integers(1, 3), st.integers(0, 10**6), T_VALUES)
 def test_integer_gaudin_det_equals_the_literal_determinant(n, seed, t):
     U, V = lascoux_alphabets(n, seed)
-    assume(singular_point(U, V, t) is None)
-    if t == 0 and n >= 2:
-        # d is the all-ones matrix: both forms divide by its zero determinant
-        for det in (gaudin_det, literal_gaudin_det):
-            with pytest.raises(ZeroDivisionError):
-                det(n, U, V, t)
+    where = singular_point(U, V, t)
+    if where and where.startswith("t=0"):
+        # d is the all-ones matrix: gaudin_det names its zero determinant,
+        # the literal form divides by it
+        with pytest.raises(ValueError, match=r"^singular evaluation point t=0: "):
+            gaudin_det(n, U, V, t)
+        with pytest.raises(ZeroDivisionError):
+            literal_gaudin_det(n, U, V, t)
         return
+    assume(where is None)
     assert gaudin_det(n, U, V, t) == literal_gaudin_det(n, U, V, t)
 
 
@@ -217,6 +221,16 @@ def test_gaudin_det_rejects_singular_point_with_its_name():
         gaudin_det(2, [F(1, 3), F(2)], [F(1, 2), F(1, 7)], T)
     with pytest.raises(ValueError, match=r"^singular evaluation point u=7/2, v=1, t=2/7: t u v = 1$"):
         gaudin_det(1, [F(7, 2)], [F(1)], T)
+    # the zeros of det[1/(1 - t u v)], which the ratio divides by
+    for U, V, t, where in (
+            ([F(1, 3), F(1, 5)], [F(1, 2), F(1, 7)], F(0),
+             "t=0: det[1/(1 - t u v)] = 0 for n >= 2"),
+            ([F(1, 3), F(1, 3)], [F(1, 2), F(1, 7)], T, "u=1/3 twice: det[1/(1 - t u v)] = 0"),
+            ([F(1, 3), F(1, 5)], [F(1, 2), F(1, 2)], T, "v=1/2 twice: det[1/(1 - t u v)] = 0")):
+        assert singular_point(U, V, t) == where
+        with pytest.raises(ValueError, match=re.escape(f"singular evaluation point {where}")):
+            gaudin_det(2, U, V, t)
+    assert singular_point([F(1, 3)], [F(1, 2)], F(0)) is None  # n = 1 is regular at t = 0
 
 
 def test_lascoux_n2_n3():
@@ -259,6 +273,9 @@ def test_lascoux_rejects_singular_point():
         lascoux_reduction_check(2, [F(1, 3), F(2)], [F(1, 2), F(1, 7)], T)
     with pytest.raises(ValueError, match=r"t u v = 1"):
         lascoux_reduction_check(1, [F(7, 2)], [F(1)], T)
+    # a repeated v zeroes the right side's divisor
+    with pytest.raises(ValueError, match=r"v=1/2 twice"):
+        lascoux_reduction_check(2, [F(1, 3), F(1, 5)], [F(1, 2), F(1, 2)], F(2, 7))
 
 
 def literal_gaudin_sum(n, U, V, t, s, truncation):

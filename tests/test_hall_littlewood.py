@@ -13,27 +13,24 @@ from integrable_lab.hall_littlewood import (
     hl_Q,
     hl_R,
     omega_t_pair_coeffs,
-    p_omega,
     pieri_coeff,
     skew_P,
     skew_Q_omega,
 )
 from integrable_lab.partitions import (
     conjugate,
-    dominance_leq,
     horizontal_strips_above,
     horizontal_strips_below,
     is_horizontal_strip,
-    monomial_sym,
     multiplicity,
     partition,
     partition_basis,
     state_norm,
     vertical_strips_above,
-    vertical_strips_below,
     weight,
 )
 from integrable_lab.scalars import tfact
+from oracles import dominance_leq, monomial_sym
 
 
 def rational_draw(rng, lo=-9, hi=9, den=7):
@@ -144,18 +141,25 @@ def literal_pieri(kind, lam, mu, t):
     return result
 
 
+def strip_pairs(max_weight):
+    """(kinds, lam, mu) for every strip lam/mu with |lam| <= max_weight:
+    horizontal strips for psi and phi, vertical ones for psi' and phi'."""
+    for lam in partition_basis(max_weight):
+        for mu in horizontal_strips_below(lam):
+            yield ("psi", "phi"), lam, mu
+    for mu in partition_basis(max_weight):
+        for lam in vertical_strips_above(mu, max_weight - weight(mu)):
+            yield ("psi'", "phi'"), lam, mu
+
+
 @pytest.mark.parametrize("t", [F(2, 7), F(-5, 3), F(11, 4), F(0)])
 def test_table_pieri_equals_the_literal_product_on_every_strip(t):
     table = PieriTable(t)
     pairs = 0
-    for lam in partition_basis(8):
-        for kinds, below in ((("psi", "phi"), horizontal_strips_below),
-                             (("psi'", "phi'"), vertical_strips_below)):
-            for mu in below(lam):
-                pairs += 1
-                for kind in kinds:
-                    assert table.coeff(kind, lam, mu) == literal_pieri(kind, lam, mu, t), \
-                        (kind, lam, mu)
+    for kinds, lam, mu in strip_pairs(8):
+        pairs += 1
+        for kind in kinds:
+            assert table.coeff(kind, lam, mu) == literal_pieri(kind, lam, mu, t), (kind, lam, mu)
     assert pairs > 500
 
 
@@ -163,14 +167,10 @@ def test_table_pieri_equals_the_literal_product_on_every_strip(t):
 def test_pieri_table_equals_the_one_shot_coefficients(t):
     table = PieriTable(t)  # one table for every pair, as a suite draw reads it
     pairs = 0
-    for lam in partition_basis(8):
-        for kinds, below in ((("psi", "phi"), horizontal_strips_below),
-                             (("psi'", "phi'"), vertical_strips_below)):
-            for mu in below(lam):
-                pairs += 1
-                for kind in kinds:
-                    assert table.coeff(kind, lam, mu) == pieri_coeff(kind, lam, mu, t), \
-                        (kind, lam, mu)
+    for kinds, lam, mu in strip_pairs(8):
+        pairs += 1
+        for kind in kinds:
+            assert table.coeff(kind, lam, mu) == pieri_coeff(kind, lam, mu, t), (kind, lam, mu)
     assert pairs > 500
     with pytest.raises(ValueError, match="unknown Pieri coefficient kind"):
         table.coeff("nope", (1,), ())
@@ -295,7 +295,7 @@ def test_p_omega_monic_example():
     v1, v2 = F(1, 2), F(2, 5)
     lam = (1, 1)  # conjugate is (2)
     expect = monomial_sym((2,), [v1, v2]) + (1 + t) * monomial_sym((1, 1), [v1, v2])
-    assert p_omega(lam, [v1, v2], t) == expect
+    assert state_norm(lam, t) * skew_Q_omega(lam, (), [v1, v2], t) == expect
 
 
 def test_tableau_vs_product_rule():

@@ -9,16 +9,13 @@ from integrable_lab.graded import GradedOperator, SparseMatrix, commutator_items
 from integrable_lab.lattice import (
     build_lax,
     build_sixvertex_r,
-    chain_basis,
     folded_toda_transfer,
     free_window_basis,
     hermitian_reflect_check,
     mat2_mul,
     monodromy,
     open_A_via_monodromy,
-    open_hamiltonian,
     open_transfer,
-    periodic_hamiltonian,
     periodic_transfer,
     qboson_lax_toda_vars,
     qboson_monodromy,
@@ -26,7 +23,6 @@ from integrable_lab.lattice import (
     single_site_basis,
     site_op,
     sixvertex_weights,
-    spin_periodic_transfer_cleared,
     toda_gauge_check,
     toda_U,
     toda_lax,
@@ -41,10 +37,11 @@ from integrable_lab.partitions import (
     occupation_to_partition,
     partition_basis,
     state_norm,
-    weight,
 )
 from integrable_lab.scalars import format_scalar
 from integrable_lab.vertex_ops import build_gamma
+from oracles import (chain_basis, open_hamiltonian, periodic_hamiltonian,
+                     spin_periodic_transfer_cleared)
 
 
 T_SAMPLE = F(2, 7)

@@ -19,8 +19,8 @@ from fractions import Fraction
 import pytest
 
 import integrable_lab
-from integrable_lab import (baxter_q, cli, gaudin, graded, hall_littlewood, lattice, partitions,
-                            scalars, suites)
+from integrable_lab import (baxter_q, bethe, cli, gaudin, graded, hall_littlewood, lattice,
+                            partitions, scalars, suites)
 from integrable_lab.graded import SparseMatrix
 from integrable_lab.suites import SuiteSpec, run_suite
 
@@ -239,6 +239,38 @@ def one_kernel_row_off(monkeypatch, fired):
     monkeypatch.setattr(gaudin, "_kernel_rows", perturbed)
 
 
+def one_alphabet_amplitude_off(monkeypatch, fired):
+    """The permutation table of `Alphabet` reads the amplitude B_P of its
+    first permutation one too high; every other amplitude is exact."""
+    real = hall_littlewood.Alphabet._table
+
+    def perturbed(self):
+        if self._rows is None:
+            rows = real(self)
+            perm, amp = rows[0]
+            rows[0] = perm, amp + self._den  # B_P d_B over d_B
+            fired.append(1)
+        return real(self)
+
+    monkeypatch.setattr(hall_littlewood.Alphabet, "_table", perturbed)
+
+
+def one_bethe_amplitude_off(monkeypatch, fired):
+    """`bethe_amplitude` reads B one too high at the one order of its
+    alphabet that is sorted (by real, then imaginary part) and exact at
+    every other order: one row of each `AnsatzTable` off."""
+    real = bethe.bethe_amplitude
+
+    def perturbed(us, t):
+        key = [(complex(u).real, complex(u).imag) for u in us]
+        if key == sorted(key):
+            fired.append(1)
+            return real(us, t) + 1
+        return real(us, t)
+
+    monkeypatch.setattr(bethe, "bethe_amplitude", perturbed)
+
+
 # (kernel, perturbation, suites that must fail, identity sides it feeds,
 #  suites that run the kernel's module but never the perturbed function,
 #  which must keep passing)
@@ -330,6 +362,21 @@ ROWS = [
      ("bethe",)),
     ("gaudin._kernel_rows", one_kernel_row_off, ("lascoux",),
      "the Hecke-symmetrized kernel of the Lascoux reduction", ("gaudin",)),
+    # bethe reads R through the table in its graded Pieri check, but at its
+    # mu = (2, -1) and degrees <= 3 that relation holds permutation by
+    # permutation, so it cannot see an amplitude; adjoint reads only the
+    # Pieri table of the module
+    ("hall_littlewood.Alphabet", one_alphabet_amplitude_off,
+     ("cauchy", "dual-cauchy", "gamma-eigen", "hall-pieri", "pieri"),
+     "Q and P of both Cauchy identities and of both Pieri rules, the symmetrized-sum "
+     "components of the open Toda eigenvectors",
+     ("bethe", "adjoint")),
+    # the Hall-Littlewood sums keep their own amplitude table, so cauchy
+    # never reads the perturbed one
+    ("bethe.bethe_amplitude", one_bethe_amplitude_off, ("bethe", "gaudin", "lascoux"),
+     "the AnsatzTable rows of the Bethe vectors, of R_mu in the half-line sum and of the "
+     "Lascoux left side, and the two-body cancellation",
+     ("cauchy",)),
 ]
 
 

@@ -14,10 +14,16 @@ nowhere in the package: not called, not passed on (as to `partial` or
 `cache`) and not read as an attribute.  Dunder methods, which Python
 calls implicitly, and the `cli.cmd_*` handlers, which `main` dispatches
 by name, are left out.  What remains is reached only from tests, demos
-or the benchmark, so `TEST_ONLY` must name it exactly: new test-only
-code in `src/` fails here until it is named, and code that gains a
-library caller, or is deleted, must leave the list.  Each name on it is
-also on the test-only list of the ROADMAP.
+or the benchmark, so `TEST_ONLY` must name it exactly, with its reason:
+new test-only code in `src/` fails here until it is named, and code
+that gains a library caller, or is deleted, must leave the list.  Each
+name on it is also on the test-only list of the ROADMAP.
+
+Test-only code can hide behind other test-only code, so the guard is
+transitive: a function or method whose every reader in the package (the
+outermost function or method a read sits in) is test-only is test-only
+too, and `BEHIND_TEST_ONLY` must name those exactly, with their reasons.
+A read at module or class level is a library read.
 
 The options guard lists every defaulted parameter of a function or
 method that no call in the package sets, by keyword or by position
@@ -34,20 +40,26 @@ import integrable_lab
 PACKAGE = Path(integrable_lab.__file__).parent
 
 TEST_ONLY = {
-    # partitions
-    "window_basis", "monomial_sym", "vertical_strips_below", "dominance_leq",
-    # lattice
-    "open_hamiltonian", "periodic_hamiltonian", "spin_periodic_transfer_cleared",
-    "open_A_via_monodromy", "toda_open_A", "toda_open_Abar",
-    # baxter_q
-    "site_null_vector_check", "ll_F_op", "ll_G_op", "ll_relations_check",
-    "toda_intertwine_check",
-    # hall_littlewood
-    "pieri_coeff", "p_omega",
-    # vertex_ops
-    "skew_Q_via_ops",
-    # bethe
-    "bethe_vector",
+    # `perfbench/` patches or calls them
+    "window_basis": "`perfbench`'s tracer patches it",
+    "bethe_vector": "`perfbench`'s tracer patches it",
+    "skew_Q_via_ops": "`perfbench`'s CLI oracle",
+    # literal oracles beside the code they check
+    "pieri_coeff": "`PieriTable.coeff`'s literal oracle",
+    "ll_F_op": "an oracle of `build_LL`'s factorized form",
+    "ll_G_op": "as `ll_F_op`",
+    # the open-chain routes that an open-chain suite will compare
+    "toda_open_A": "the Toda route to the open transfer matrix",
+    "toda_open_Abar": "as `toda_open_A`",
+    "open_A_via_monodromy": "the monodromy route to the open transfer matrix",
+}
+
+BEHIND_TEST_ONLY = {
+    "qboson_monodromy": "read only by `open_A_via_monodromy`",
+    "strip_test": "read only by the literal `pieri_coeff`",
+    "is_horizontal_strip": "read only through `strip_test`",
+    "is_vertical_strip": "as `is_horizontal_strip`",
+    "multiplicity": "read only by the literal `pieri_coeff`",
 }
 
 UNSET_OPTIONS = {
@@ -80,13 +92,18 @@ class PackageScan(ast.NodeVisitor):
                             self.defs[qual] = item, node.name
                             self.methods.setdefault(item.name, set()).add(qual)
         methods = {id(node) for node, _ in self.defs.values()}
+        # the methods (all of `defs` so far) and the module-level functions
+        self.outermost = set(self.defs) | {node.name for tree in trees for node in tree.body
+                                           if isinstance(node, (ast.FunctionDef,
+                                                                ast.AsyncFunctionDef))}
         for tree in trees:
             for node in ast.walk(tree):
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
                         id(node) not in methods:
                     self.defs.setdefault(node.name, (node, None))
         self.reads, self.calls = set(), []  # calls: (callee, args, keywords, via class name)
-        self.enclosing = []
+        self.readers = {}  # name -> {the outermost function or method reading it, None: module}
+        self.enclosing, self.scope = [], None
         for tree in trees:
             self.visit(tree)
 
@@ -113,12 +130,27 @@ class PackageScan(ast.NodeVisitor):
         self.generic_visit(node)
         self.enclosing.pop()
 
+    def visit_FunctionDef(self, node):
+        if self.scope is not None:  # a nested function is part of its outermost one
+            return self.generic_visit(node)
+        here = self.enclosing[-1] if self.enclosing else None
+        self.scope = f"{here}.{node.name}" if here else node.name
+        self.generic_visit(node)
+        self.scope = None
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def read(self, names):
+        self.reads |= names
+        for name in names:
+            self.readers.setdefault(name, set()).add(self.scope)
+
     def visit_Name(self, node):
         if isinstance(node.ctx, ast.Load):
-            self.reads |= self.resolve(node)[0]
+            self.read(self.resolve(node)[0])
 
     def visit_Attribute(self, node):
-        self.reads |= self.resolve(node)[0]
+        self.read(self.resolve(node)[0])
         self.generic_visit(node)
 
     def visit_Call(self, node):
@@ -134,6 +166,21 @@ def unreached_functions(scan: PackageScan) -> set:
     return {name for name in set(scan.defs) - scan.reads
             if not (name.split(".")[-1].startswith("__") and name.endswith("__"))
             and not name.startswith("cmd_")}
+
+
+def behind_test_only(scan: PackageScan, test_only: set) -> set:
+    """Functions and methods of the package, outside `test_only`, whose
+    every reader in the package is test-only: in `test_only` or, in turn,
+    behind it.  A nested function is part of its outermost function, and
+    a read outside any function (module or class body) is a library read."""
+    behind = set()
+    while True:
+        more = {name for name, readers in scan.readers.items()
+                if name in scan.outermost and name not in test_only | behind
+                and readers - {name} <= test_only | behind}
+        if not more:
+            return behind
+        behind |= more
 
 
 def unset_options(scan: PackageScan) -> set:
@@ -174,7 +221,13 @@ SCAN = PackageScan(PACKAGE)
 
 
 def test_src_functions_without_a_src_caller_are_the_named_test_only_ones():
-    assert unreached_functions(SCAN) == TEST_ONLY
+    assert unreached_functions(SCAN) == set(TEST_ONLY)
+    assert all(TEST_ONLY.values())
+
+
+def test_src_functions_read_only_by_test_only_code_are_the_named_ones():
+    assert behind_test_only(SCAN, set(TEST_ONLY)) == set(BEHIND_TEST_ONLY)
+    assert all(BEHIND_TEST_ONLY.values())
 
 
 def test_src_options_no_src_call_sets_are_the_named_ones():
@@ -199,3 +252,20 @@ def test_a_qualified_read_names_its_class_only(tmp_path):
     assert unreached_functions(scan) == {"B.m", "B.j"}
     # A.m(self, 3) passes x by position, as an unbound call
     assert unset_options(scan) == {("B.j", "z")}
+
+
+def test_code_read_only_by_test_only_code_is_test_only(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def f(): return g()\n"
+        "def g():\n"
+        "    def inner(): return h() + g()\n"
+        "    return inner()\n"
+        "def h(): return 0\n"
+        "def k(): return h()\n"
+        "def j(): return h()\n"
+        "x = j()\n")
+    scan = PackageScan(tmp_path)
+    assert unreached_functions(scan) == {"f", "k"}
+    # g is read by f and by itself; h also by j, which module code reads;
+    # the nested `inner` is part of g
+    assert behind_test_only(scan, {"f", "k"}) == {"g"}

@@ -327,6 +327,14 @@ def test_cli_missing_config_file_is_usage_error(tmp_path, capsys):
     assert "absent.conf" in capsys.readouterr().err
 
 
+def test_cli_gaudin_names_the_zero_of_its_divisor(capsys):
+    # at t = 0 and n >= 2 det[1/(1 - t u v)] = 0: a usage error naming the
+    # locus, where the ratio was Fraction(0, 0)
+    assert cli.main(["gaudin", "--U", "1/3,1/5", "--V", "1/2,1/7", "--t", "0"]) == 2
+    assert capsys.readouterr().err == \
+        "error: singular evaluation point t=0: det[1/(1 - t u v)] = 0 for n >= 2\n"
+
+
 def test_cli_negative_rational_as_its_own_token(capsys):
     assert cli.main(["gaudin", "--U", "1/3", "--V", "1/2", "--t", "-1/2"]) == 0
     assert json.loads(capsys.readouterr().out)["within_bound"] is True
@@ -430,7 +438,7 @@ def test_gamma_eigen_sweeps_each_alphabet_once(monkeypatch):
 def test_rll_builds_the_auxiliary_lax_operator_once_per_draw(monkeypatch):
     # the auxiliary Lax relations and the Toda intertwining of a draw share
     # one LL(u) and one set of spin windows
-    calls = {"build_LL": [], "_spin_windows": []}
+    calls = {"build_LL": [], "spin_windows": []}
     for name, seen in calls.items():
         def recording(*args, real=getattr(baxter_q, name), seen=seen):
             seen.append(args)
@@ -441,7 +449,7 @@ def test_rll_builds_the_auxiliary_lax_operator_once_per_draw(monkeypatch):
     assert run_suite(spec)["status"] == "pass"
     params = suites.suite_params(spec)
     draws, cap = params["draws"], params["cap"]
-    assert len(calls["build_LL"]) == len(calls["_spin_windows"]) == draws
+    assert len(calls["build_LL"]) == len(calls["spin_windows"]) == draws
     assert {args[2:] for args in calls["build_LL"]} == {(cap + 1, cap + 1)}
     assert len(set(calls["build_LL"])) == draws
 

@@ -9,6 +9,7 @@ from integrable_lab.hall_littlewood import (
     complete_q_coeffs,
     hl_Q,
     pieri_coeff,
+    skew_Q_omega,
 )
 from integrable_lab.partitions import (
     horizontal_strips_above,
@@ -303,12 +304,13 @@ def test_dual_state_column_homogeneity():
     N = 3
     V = distinct_draws(rng, N)
     prod_v = V[0] * V[1] * V[2]
-    from integrable_lab.hall_littlewood import p_omega
     from integrable_lab.partitions import partition, partition_basis
 
+    # P^omega_{lam'} = <lam|lam> Q^omega_{lam'}
     for lam in partition_basis(4, max_part=N):
         lifted = partition(sorted((N,) + lam, reverse=True))
-        assert p_omega(lifted, V, t) == prod_v * p_omega(lam, V, t)
+        assert state_norm(lifted, t) * skew_Q_omega(lifted, (), V, t) == \
+            prod_v * state_norm(lam, t) * skew_Q_omega(lam, (), V, t)
 
 
 def test_top_annihilation_on_dual_state():
