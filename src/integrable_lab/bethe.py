@@ -8,8 +8,10 @@ amplitudes; its algebra is certified by an exact staircase identity that
 holds at generic rational parameters, no quantization imposed, off the
 locus `singular_point` names.  Complex floating point appears only in the
 Newton root solver and the periodic residual check; both use the standard
-library alone, and the ansatz sums take exact and complex inputs through
-one arithmetic path.
+library alone.  `AnsatzTable` is the one place that forms an alphabet's
+amplitudes, exact and complex inputs through one arithmetic path; on
+exact inputs it also puts them over one denominator and reads R_mu as
+integers, for the staircase check here and the half-line sums of `gaudin`.
 
 Positions are nonnegative integers, the chain occupying 0..N-1; the
 wrap-around image of the top particle sits at mu_M + N.
@@ -18,7 +20,8 @@ wrap-around image of the top particle sits at mu_M + N.
 from __future__ import annotations
 
 import random
-from itertools import permutations, product as iproduct
+from itertools import combinations, permutations, product as iproduct
+from math import lcm
 
 from .graded import mismatch_items
 from .scalars import ONE, ZERO, as_scalar
@@ -100,25 +103,16 @@ def spin_transfer_column(mu, N: int, w, cyclic: bool = True):
     return out
 
 
-def bethe_amplitude(us, t):
-    """B = prod_{i<j} (u_i - t u_j)/(u_i - u_j)."""
-    r = ONE
-    n = len(us)
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = r * (us[i] - t * us[j]) / (us[i] - us[j])
-    return r
-
-
 class AnsatzTable:
     """One spectral alphabet at one (t, s): the n! rows (P, B(u_P)) of the
-    ansatz sum, built once, with xi(u) and its powers tabulated per u.
+    ansatz sum, built once, and xi(u) tabulated per u.
 
-    P lists indices into `us`.  The twin of `hall_littlewood.Alphabet`
-    (both give R_mu at s = 0), kept apart so that each side checks the
-    other.  Exact and complex inputs alike (a complex factor turns the
-    Fraction start into a complex); with s = None only the rows are read
-    (no xi).
+    P lists indices into `us`; B(u_P) = prod_{i<j} (u_{P_i} - t u_{P_j}) /
+    (u_{P_i} - u_{P_j}) is multiplied out of pair ratios formed once per
+    table.  The twin of `hall_littlewood.Alphabet` (both give R_mu at
+    s = 0), kept apart so that each side checks the other.  Exact and
+    complex inputs alike (a complex factor turns the Fraction start into a
+    complex); with s = None only the rows are read (no xi).
     """
 
     def __init__(self, us, t, s=None):
@@ -126,17 +120,22 @@ class AnsatzTable:
         if len(set(us)) != len(us):
             raise ValueError("coincident spectral parameters rejected")
         self.us, self.s = us, s
-        self.rows = [(P, bethe_amplitude([us[i] for i in P], t))
-                     for P in permutations(range(len(us)))]
+        pairs = {(i, j): (u - t * v, u - v)
+                 for i, u in enumerate(us) for j, v in enumerate(us) if i != j}
+        self.rows = []
+        for P in permutations(range(len(us))):
+            amp = ONE
+            for pair in combinations(P, 2):
+                p, q = pairs[pair]
+                amp = amp * p / q
+            self.rows.append((P, amp))
         self.xi = None if s is None else [xi(u, s) for u in us]
-        self._powers = [{} for _ in us]     # index -> {e: xi(u)^e}
 
-    def xi_power(self, i, e):
-        powers = self._powers[i]
-        p = powers.get(e)
-        if p is None:
-            p = powers[e] = self.xi[i] ** e
-        return p
+    def integer_rows(self):
+        """The rows (P, B_P d_B) on integers, with d_B the lcm of the
+        amplitudes' denominators; returns them and d_B.  Exact inputs only."""
+        d_B = lcm(*(amp.denominator for _, amp in self.rows))
+        return [(P, amp.numerator * (d_B // amp.denominator)) for P, amp in self.rows], d_B
 
     def vector(self, mu):
         """R^s_mu = sum_P B(u_P) prod_i xi(u_{P_i})^{mu_i}, mu weakly decreasing,
@@ -144,13 +143,44 @@ class AnsatzTable:
         mu = tuple(mu)
         if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
             raise ValueError("exponent vector must be weakly decreasing")
-        power = self.xi_power
+        xs = self.xi
         total = ZERO
         for P, term in self.rows:
             for i, e in zip(P, mu):
-                term = term * power(i, e)
+                term = term * xs[i] ** e
             total = total + term
         return total
+
+    def numerators(self, lo: int, hi: int):
+        """`vector` as integers over one denominator, for every mu with parts
+        in [lo, hi], lo <= 0 <= hi; exact inputs only.
+
+        With xi_i = a_i / b_i and the rows over d_B (`integer_rows`),
+        c_i[e] = a_i^(e-lo) b_i^(hi-e) gives sum_P B_P d_B prod_k
+        c_{P_k}[mu_k] = R_mu d_B prod_i a_i^(-lo) b_i^hi.  Returns that
+        numerator as a function of mu, and the denominator.  Raises
+        ValueError at a part outside [lo, hi], and at xi(u) = 0 when lo < 0.
+        """
+        ab = [(x.numerator, x.denominator) for x in self.xi]
+        if lo < 0 and any(a == 0 for a, _ in ab):
+            raise ValueError("xi(u) = 0 with a negative exponent")
+        rows, denominator = self.integer_rows()
+        c = [{e: a ** (e - lo) * b ** (hi - e) for e in range(lo, hi + 1)} for a, b in ab]
+        for a, b in ab:
+            denominator *= a ** -lo * b ** hi
+
+        def numerator(mu) -> int:
+            total = 0
+            try:
+                for P, term in rows:
+                    for i, e in zip(P, mu):
+                        term *= c[i][e]
+                    total += term
+            except KeyError:  # keyed by exponent, so no part outside wraps around
+                raise ValueError(f"exponent vector {tuple(mu)} leaves [{lo}, {hi}]") from None
+            return total
+
+        return numerator, denominator
 
 
 def bethe_vector(mu, us, t, s):
@@ -219,8 +249,8 @@ def pair_cancellation_check(u1, u2, z, s, t):
         return w[0] * w[5] + w[2] * xb * cb - w[4] * ca - ca * cb * xb
 
     x1, x2 = xi(u1, s), xi(u2, s)
-    lhs = bethe_amplitude([u1, u2], t) * corrected_pair(x2, x1) \
-        + bethe_amplitude([u2, u1], t) * corrected_pair(x1, x2)
+    (_, b12), (_, b21) = AnsatzTable([u1, u2], t).rows
+    lhs = b12 * corrected_pair(x2, x1) + b21 * corrected_pair(x1, x2)
     failures = mismatch_items([(lhs, ZERO)] if lhs else [], None)
     return not failures, failures
 
@@ -236,8 +266,10 @@ def interior_staircase_check(mu, N: int, us, t, s, z):
     with L_i = mu_{i-1} - mu_i and mu_0 = mu_M + N.  At Bethe roots the
     middle terms cancel pairwise and the two ends give the eigenvalue.
     The ansatz is proven for at most doubly-occupied targets and assumed
-    beyond; these columns only reach multiplicity two.  Returns (ok,
-    failures); raises ValueError on the locus `singular_point` names.
+    beyond; these columns only reach multiplicity two.  The left side
+    reads R through `AnsatzTable.numerators`, the right side sums the
+    table's rows itself.  Returns (ok, failures); raises ValueError on the
+    locus `singular_point` names, and at xi(u) = 0 under a negative part.
     """
     mu = tuple(mu)
     M = len(mu)
@@ -248,26 +280,27 @@ def interior_staircase_check(mu, N: int, us, t, s, z):
     _reject_singular(us, z, s, t)
     w = boltzmann_weights(z, s, t)
     table = AnsatzTable(us, t, s)
-    lhs = ZERO
+    prev = [mu[-1] + N] + list(mu[:-1])
+    R, den = table.numerators(min(0, mu[-1]), max(prev))
     # bulk-only matrix: the seam substitution belongs to the periodic
     # quantization, not to the interior ansatz algebra
-    for lam, wgt in spin_transfer_column(mu, N, w, cyclic=False):
-        lhs += table.vector(lam) * wgt
-    prev = [mu[-1] + N] + list(mu[:-1])
+    lhs = sum((wgt * R(lam) for lam, wgt in spin_transfer_column(mu, N, w, cyclic=False)),
+              ZERO) / den
     L = [prev[i] - mu[i] for i in range(M)]
     if any(l < 1 for l in L):
         raise ValueError("column needs strictly interlacing boundaries")
-    X = [x_hat(xv, w) for xv in table.xi]
-    Y = [y_hat(xv, w) for xv in table.xi]
-    power = table.xi_power
+    X = [x_hat(x, w) for x in table.xi]
+    Y = [y_hat(x, w) for x in table.xi]
+    # the factor of variable j at position i, below and above the descent
+    below = [[Y[j] * w[3] ** (L[i] - 1) * x ** prev[i] for j, x in enumerate(table.xi)]
+             for i in range(M)]
+    above = [[X[j] * w[1] ** (L[i] - 1) * x ** mu[i] for j, x in enumerate(table.xi)]
+             for i in range(M)]
     rhs = ZERO
     for k in range(M + 1):
         for P, amp in table.rows:
             for i, j in enumerate(P):
-                if i < k:
-                    amp *= Y[j] * w[3] ** (L[i] - 1) * power(j, prev[i])
-                else:
-                    amp *= X[j] * w[1] ** (L[i] - 1) * power(j, mu[i])
+                amp *= below[i][j] if i < k else above[i][j]
             rhs += amp
     failures = mismatch_items([(lhs, rhs)] if lhs != rhs else [], None, mu=mu)
     return not failures, failures
@@ -465,8 +498,6 @@ def periodic_eigen_residual(system: BetheSystem, z: complex) -> float:
     tf, sf, xf = complex(float(system.t)), complex(float(system.s)), complex(float(system.x))
     zf = complex(z)
     worst = 0.0
-    from itertools import combinations
-
     columns = [tuple(sorted(c, reverse=True)) for c in combinations(range(N), M)]
     for root in system.roots:
         us = list(root)

@@ -8,20 +8,16 @@ convergent sum over weakly increasing position vectors; it equals
 independently of the spin.  The truncated sum comes with a rigorous
 geometric tail bound (parameter draws are constrained so the dominant
 ratio stays below 1/2).  It runs on integers and makes one `Fraction`
-at the end.  One `bethe.AnsatzTable` per alphabet gives the n!
-amplitudes B_P and xi_i = a_i / b_i; with the amplitudes over d_B, the
-lcm of their denominators, and c_i[e] = a_i^e b_i^(T-e) tabulated for
-e <= T = truncation, the integer sum_P B_P d_B prod_k c_{P_k}[mu_k] is
-R_mu d_B prod_i b_i^T, over a denominator shared by every term.  The
-norms are products of the <= n factors m!_t / (s^2)_m, read from one
-`TTable` per sum and memoized per multiplicity pattern of mu; a zero or
-undefined factor is rejected before the sum starts.  The integer
-products R_mu(U) R_mu(V) are summed per norm, and the inverse norms are
-put over one denominator.  `AnsatzTable.vector`, the `Fraction` route
-that `bethe` also uses on complex inputs, stays the only public
-evaluator of R_mu; the determinant, which shares none of this code,
-stays the oracle.  The Hecke-symmetrizer reduction of the same kernel is
-checked as an exact operator identity expanded into shift terms.
+at the end.  One `bethe.AnsatzTable` per alphabet reads each R_mu with
+parts <= truncation as an integer over a denominator shared by every
+term (`AnsatzTable.numerators`).  The norms are products of the <= n
+factors m!_t / (s^2)_m, read from one `TTable` per sum and memoized per
+multiplicity pattern of mu; a zero or undefined factor is rejected
+before the sum starts.  The integer products R_mu(U) R_mu(V) are summed
+per norm, and the inverse norms are put over one denominator.  The
+determinant, which shares none of this code, stays the oracle.  The
+Hecke-symmetrizer reduction of the same kernel is checked as an exact
+operator identity expanded into shift terms.
 
 Both sides of that reduction run on integers and make one `Fraction`
 each.  The symmetrized side reads the kernel prod_l (1 - t u_i v_l) /
@@ -233,34 +229,6 @@ def spin_norm_floor(n: int, t, s) -> Fraction:
     return min(ONE, smallest) ** n
 
 
-def _ansatz_numerators(table: AnsatzTable, T: int):
-    """R_mu of one exact alphabet as integers over one denominator, for
-    every mu with parts <= T.
-
-    With xi_i = a_i / b_i and the amplitudes B_P over d_B, the lcm of
-    their denominators, c_i[e] = a_i^e b_i^(T-e) gives
-    sum_P B_P d_B prod_k c_{P_k}[mu_k] = R_mu d_B prod_i b_i^T.
-    Returns that numerator as a function of mu, and the denominator.
-    """
-    d_B = lcm(*(amp.denominator for _, amp in table.rows))
-    rows = [(P, amp.numerator * (d_B // amp.denominator)) for P, amp in table.rows]
-    c = [[x.numerator ** e * x.denominator ** (T - e) for e in range(T + 1)]
-         for x in table.xi]
-    denominator = d_B
-    for x in table.xi:
-        denominator *= x.denominator ** T
-
-    def numerator(mu) -> int:
-        total = 0
-        for P, term in rows:
-            for i, e in zip(P, mu):
-                term *= c[i][e]
-            total += term
-        return total
-
-    return numerator, denominator
-
-
 def gaudin_sum(n: int, U, V, t, s, truncation: int):
     """Truncated half-line scalar product with a rigorous tail bound.
 
@@ -286,8 +254,8 @@ def gaudin_sum(n: int, U, V, t, s, truncation: int):
     rho = max(map(abs, TU.xi)) * max(map(abs, TV.xi))
     if rho >= 1:
         raise ValueError("divergent draw: dominant ratio >= 1")
-    RU, dU = _ansatz_numerators(TU, truncation)
-    RV, dV = _ansatz_numerators(TV, truncation)
+    RU, dU = TU.numerators(0, truncation)
+    RV, dV = TV.numerators(0, truncation)
     # integer sums of R_mu(U) R_mu(V) per norm p/q; each term still asks
     # spin_state_norm for its norm, which the memo answers
     by_norm = defaultdict(int)
@@ -350,9 +318,10 @@ def _symmetrized_kernel(U, V, t) -> Fraction:
 
     tau^j zeroes the last j variables, so term j of permutation P keeps
     the kernel rows of its first n - j entries; over B = prod_i b_i that is
-    prod_{k<n-j} a_{P_k} prod_{k>=n-j} b_{P_k}.  The word's coefficients and
-    the n! amplitudes of `AnsatzTable` are each taken over their lcm, and
-    the prefactor (1-t)^n / n!_t is applied once, in the one `Fraction`.
+    prod_{k<n-j} a_{P_k} prod_{k>=n-j} b_{P_k}.  The word's coefficients are
+    taken over their lcm, the n! amplitudes over the one denominator of
+    `AnsatzTable.integer_rows`, and the prefactor (1-t)^n / n!_t is applied
+    once, in the one `Fraction`.
     """
     n = len(U)
     rows = _kernel_rows(U, V, t)
@@ -360,10 +329,9 @@ def _symmetrized_kernel(U, V, t) -> Fraction:
     d_c = lcm(*(c.denominator for c in coeffs))
     # the coefficient of the term keeping m variables, j = n - m
     keep = [c.numerator * (d_c // c.denominator) for c in reversed(coeffs)]
-    table = AnsatzTable(U, t)
-    d_B = lcm(*(amp.denominator for _, amp in table.rows))
+    rows_B, d_B = AnsatzTable(U, t).integer_rows()
     total = 0
-    for P, amp in table.rows:
+    for P, amp in rows_B:
         # prefix products of a and suffix products of b along P
         prefix = [1]
         for i in P:
@@ -372,7 +340,7 @@ def _symmetrized_kernel(U, V, t) -> Fraction:
         for k in range(n - 1, -1, -1):
             suffix[k] = suffix[k + 1] * rows[P[k]][1]
         word = sum(c * prefix[m] * suffix[m] for m, c in enumerate(keep))
-        total += amp.numerator * (d_B // amp.denominator) * word
+        total += amp * word
     den = d_B * d_c
     for _, b in rows:
         den *= b

@@ -368,7 +368,7 @@ def _suite_bethe(seed, p):
                              detail=_redrawn(redraw,
                                              "ansatz assumed beyond doubly-occupied targets")))
     us = draw_params(seed + 73, "distinct-2")
-    _, fails = bethe.graded_pieri_on_integers_check((2, -1), us, t, 3)
+    _, fails = bethe.graded_pieri_on_integers_check((1, -1), us, t, 3)
     checks.append(_check("integer-window graded relation",
                          "infinite-chain eigen relation", fails))
     # periodic: solver + residual within float tolerances, the worst one reported

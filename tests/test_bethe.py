@@ -68,6 +68,7 @@ def test_interior_staircase_exact():
         ((5, 3, 1), 7, us3),
         ((4, 3, 1), 7, us3),
         ((2, 1, 0), 4, us3),
+        ((1, -1), 5, [F(1, 3), F(-2, 5)]),  # a negative part must not wrap the reader
     ]:
         ok, failures = interior_staircase_check(mu, N, us, T, S, z)
         assert ok and failures == [], (mu, N, failures)
@@ -79,6 +80,7 @@ def test_graded_pieri_on_integers():
     us = [F(5, 3), F(-7, 4)]
     assert graded_pieri_on_integers_check((2, -1), us, T, 3) == (True, [])
     assert graded_pieri_on_integers_check((1, 0), us, T, 3) == (True, [])
+    assert graded_pieri_on_integers_check((1, -1), us, T, 3) == (True, [])
 
 
 def test_column_weights_cross_check_with_monodromy():

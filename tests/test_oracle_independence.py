@@ -256,19 +256,17 @@ def one_alphabet_amplitude_off(monkeypatch, fired):
 
 
 def one_bethe_amplitude_off(monkeypatch, fired):
-    """`bethe_amplitude` reads B one too high at the one order of its
-    alphabet that is sorted (by real, then imaginary part) and exact at
-    every other order: one row of each `AnsatzTable` off."""
-    real = bethe.bethe_amplitude
+    """`AnsatzTable` reads the amplitude B_P of its first row one too high;
+    every other row is exact: one row of each table off."""
+    real = bethe.AnsatzTable.__init__
 
-    def perturbed(us, t):
-        key = [(complex(u).real, complex(u).imag) for u in us]
-        if key == sorted(key):
-            fired.append(1)
-            return real(us, t) + 1
-        return real(us, t)
+    def perturbed(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        P, amp = self.rows[0]
+        self.rows[0] = P, amp + 1
+        fired.append(1)
 
-    monkeypatch.setattr(bethe, "bethe_amplitude", perturbed)
+    monkeypatch.setattr(bethe.AnsatzTable, "__init__", perturbed)
 
 
 # (kernel, perturbation, suites that must fail, identity sides it feeds,
@@ -362,18 +360,17 @@ ROWS = [
      ("bethe",)),
     ("gaudin._kernel_rows", one_kernel_row_off, ("lascoux",),
      "the Hecke-symmetrized kernel of the Lascoux reduction", ("gaudin",)),
-    # bethe reads R through the table in its graded Pieri check, but at its
-    # mu = (2, -1) and degrees <= 3 that relation holds permutation by
-    # permutation, so it cannot see an amplitude; adjoint reads only the
-    # Pieri table of the module
+    # bethe reads R through the table in its graded Pieri check, at a mu
+    # = (1, -1) whose strips collide within degree 3; adjoint reads only
+    # the Pieri table of the module
     ("hall_littlewood.Alphabet", one_alphabet_amplitude_off,
-     ("cauchy", "dual-cauchy", "gamma-eigen", "hall-pieri", "pieri"),
+     ("bethe", "cauchy", "dual-cauchy", "gamma-eigen", "hall-pieri", "pieri"),
      "Q and P of both Cauchy identities and of both Pieri rules, the symmetrized-sum "
-     "components of the open Toda eigenvectors",
-     ("bethe", "adjoint")),
+     "components of the open Toda eigenvectors, R of the graded Pieri check",
+     ("adjoint",)),
     # the Hall-Littlewood sums keep their own amplitude table, so cauchy
     # never reads the perturbed one
-    ("bethe.bethe_amplitude", one_bethe_amplitude_off, ("bethe", "gaudin", "lascoux"),
+    ("bethe.AnsatzTable", one_bethe_amplitude_off, ("bethe", "gaudin", "lascoux"),
      "the AnsatzTable rows of the Bethe vectors, of R_mu in the half-line sum and of the "
      "Lascoux left side, and the two-body cancellation",
      ("cauchy",)),

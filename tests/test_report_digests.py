@@ -3,8 +3,9 @@
 Each digest is the sha256 of the `verify NAME --json` output at seed 0
 (`json.dumps(report, indent=2, sort_keys=True)` plus a newline), as listed
 in CHANGES.md.  A change that alters a report on purpose updates its
-digest here and says why.  Left out: `bethe`, whose float residuals tie
-its bytes to the platform's libm.
+digest here and says why.  `bethe` is pinned apart: its two float
+verdicts tie their bytes to the platform's libm, so its digest is the
+sha256 of its other checks (`json.dumps(checks, indent=2, sort_keys=True)`).
 """
 
 import hashlib
@@ -37,3 +38,15 @@ SEED0_DIGESTS = {
 def test_seed0_report_bytes_are_unchanged(name):
     text = json.dumps(run_suite(SuiteSpec(name, 0)), indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == SEED0_DIGESTS[name]
+
+
+BETHE_FLOAT_VERDICTS = {"closed-form roots M=1", "periodic residuals N=3"}
+BETHE_EXACT_DIGEST = "d677370dcc192b7e3599099bf5518f9e360c386dfb1425a30221c1a05fef1dfb"
+
+
+def test_seed0_bethe_exact_check_bytes_are_unchanged():
+    checks = [c for c in run_suite(SuiteSpec("bethe", 0))["checks"]
+              if c["name"] not in BETHE_FLOAT_VERDICTS]
+    assert len(checks) == 4
+    text = json.dumps(checks, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == BETHE_EXACT_DIGEST

@@ -579,7 +579,7 @@ CONVERTED_CHECKS = [
     ("bethe", {}, "integer-window graded relation",
      ("bethe", "_integer_psi"), plus_one, {"degree"}),
     ("bethe", {}, "two-body cancellation",
-     ("bethe", "bethe_amplitude"), plus_one, set()),
+     ("bethe", "xi"), plus_one, set()),
 ]
 
 

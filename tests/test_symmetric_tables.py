@@ -7,7 +7,8 @@ negative parts included, and reject what that loop cannot evaluate.
 per-lam tableau loop it replaces, and `skew_P` and `skew_Q_omega` their
 tableau loops.  `gaudin_sum` and `bethe_vector`, which read
 one `bethe.AnsatzTable` per alphabet, must equal the term-by-term loop,
-exactly on rationals and bit for bit on complex doubles.
+exactly on rationals and bit for bit on complex doubles, and the table's
+integer reader must equal its `Fraction` route.
 """
 
 from fractions import Fraction as F
@@ -16,7 +17,7 @@ from itertools import combinations_with_replacement, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from integrable_lab.bethe import bethe_vector, xi
+from integrable_lab.bethe import AnsatzTable, bethe_vector, xi
 from integrable_lab.gaudin import _tail_geometric, gaudin_sum, spin_norm_floor
 from integrable_lab import hall_littlewood
 from integrable_lab.hall_littlewood import (
@@ -283,6 +284,28 @@ def test_tabulated_gaudin_sum_equals_the_term_loop(n, data, t, s, truncation):
 
     rho = max(abs(xi(u, s)) for u in U) * max(abs(xi(v, s)) for v in V)
     assert tail == bound(U) * bound(V) / floor * _tail_geometric(n, rho, truncation)
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.data(), T_VALUES, st.sampled_from([F(0), F(1, 6)]),
+       st.integers(-3, 0), st.integers(0, 4))
+def test_ansatz_numerators_equal_the_vector(n, data, t, s, lo, hi):
+    us = data.draw(st.lists(RATIONALS, min_size=n, max_size=n, unique=True))
+    table = AnsatzTable(us, t, s)
+    if lo < 0 and 0 in table.xi:  # xi(-s) = 0 takes no negative part
+        with pytest.raises(ValueError, match="xi\\(u\\) = 0"):
+            table.numerators(lo, hi)
+        lo = 0
+    numerator, denominator = table.numerators(lo, hi)
+    mu = data.draw(exponent_vectors(n, lo=lo, hi=hi))
+    assert F(numerator(mu), denominator) == table.vector(mu)
+    k = data.draw(st.integers(0, n - 1))
+    for part in (lo - 1, hi + 1):
+        outside = tuple(sorted(mu[:k] + (part,) + mu[k + 1:], reverse=True))
+        with pytest.raises(ValueError, match="leaves"):
+            numerator(outside)
+    rows, d_B = table.integer_rows()
+    assert [(P, F(b, d_B)) for P, b in rows] == table.rows
 
 
 @SETTINGS
