@@ -17,21 +17,24 @@ R, Q and P per argument; R_mu is an integer sum over the table with one
 Fraction at the end.  hl_R/hl_Q/hl_P build one for a single evaluation,
 and callers that evaluate many partitions at one draw build one and
 read it.  skew_P and skew_Q_omega run one strip sweep, generic over the
-strip generator and the weight, on integer numerators over one
+kind of strip and its weight, on integer numerators over one
 denominator per step; `skew_Q_omega_sweep` returns Q^omega_{lam'/mu'}
 for every lam reached from mu under a weight cap from a single sweep.
 The two routes share no code, so each checks the other.
 
 The four Pieri coefficients psi, phi, psi', phi' are integer products of
-lookups in one `scalars.TTable` through one kernel, `PieriTable.coeff`.  A
-`PieriTable` holds that table, the shapes it has read and the product
-of each factor signature (the kind and the table indices it multiplies)
-for one t, and serves strips that are valid by construction: a sweep
-and a half vertex operator build read one per call, a Pieri suite one
-per draw.  The one-shot `pieri_coeff`, the table's oracle, validates its
-pair and multiplies literal `tfact`s and `tbinom`s.  The symmetrized sums, which
-the Pieri checks compare those coefficients against, keep the literal
-t-factorials, so a table bug cannot certify itself.
+lookups in one `scalars.TTable`, one product per factor signature (the
+kind and the table indices it multiplies).  `horizontal_pieri_strips`
+and `vertical_pieri_strips` enumerate the strips above mu in column
+coordinates and yield each with its signature, so `PieriTable.strips`
+reads each coefficient in one lookup of its per-t memo: a sweep and a
+half vertex operator build read one table per call, a Pieri suite one
+per draw.  The one-shot `pieri_coeff`, the oracle of the weights,
+validates its pair and multiplies literal `tfact`s and `tbinom`s, and the
+row-coordinate `partitions.horizontal_strips_above` and
+`vertical_strips_above` are the oracles of the strips.  The symmetrized
+sums, which the Pieri checks compare those coefficients against, keep
+the literal t-factorials, so a table bug cannot certify itself.
 
 All identity checks are exact evaluations at rational points: a bounded
 degree polynomial identity that holds at enough generic points holds
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, partial
-from itertools import permutations
+from itertools import groupby, permutations
 from math import gcd, lcm, prod
 from operator import getitem
 
@@ -51,12 +54,10 @@ from .partitions import (
     _partitions_of,
     conjugate,
     contains,
-    horizontal_strips_above,
     multiplicity,
     partition,
     state_norm,
     strip_test,
-    vertical_strips_above,
     weight,
 )
 from .scalars import ONE, ZERO, TTable, as_scalar, reject_singular_t, tbinom, tfact
@@ -72,7 +73,7 @@ _STRIPS = {"psi": "horizontal", "phi": "horizontal", "psi'": "vertical", "phi'":
 
 def pieri_coeff(kind: str, lam, mu, t) -> Fraction:
     """The Pieri coefficient `kind` of lam/mu as a literal product, the
-    oracle of `PieriTable.coeff` (m_j part multiplicities, ' conjugates):
+    oracle of `PieriTable.strips` (m_j part multiplicities, ' conjugates):
 
       psi_{lam/mu}  = prod over j with m_j(lam) = m_j(mu) - 1 of (1 - t^{m_j(mu)})
       phi_{lam/mu}  = prod over j with m_j(lam) = m_j(mu) + 1 of (1 - t^{m_j(lam)})
@@ -112,47 +113,127 @@ def _strip_of(kind: str) -> str:
     return strip
 
 
-def pieri_shape(lam) -> tuple:
-    """(lam', (m_1, ..., m_{lam_1})): the conjugate and the part
-    multiplicities m_j = lam'_j - lam'_{j+1} the Pieri coefficients read."""
-    lp = conjugate(lam)
-    return lp, tuple(a - b for a, b in zip(lp, lp[1:] + (0,)))
+def horizontal_pieri_strips(mu, max_size: int, kind: str, max_part) -> list:
+    """[(lam, signature)] for every horizontal strip lam/mu with |lam/mu| <=
+    max_size (and lam_1 <= max_part, unless None), lam in the order of
+    `partitions.horizontal_strips_above`, with the signature of `kind` (psi
+    or phi) that `_pieri_weight` reads.
+
+    A strip is one bit theta_j per column j, lam'_j = mu'_j + theta_j, with
+    theta_{j+1} <= theta_j wherever m_j(mu) = 0; the box of column j lands
+    in row mu'_j + 1.  So the columns (lo, hi] between two consecutive part
+    values of mu (0 below the last part, lam_1's cap above mu_1) hold a run
+    1^k 0^(hi - lo - k): the first row of length lo gains k boxes.  psi
+    reads m_j(mu) at each pair (theta_j, theta_{j+1}) = (0, 1), which only
+    a part value j = hi can hold; phi reads m_j(mu) + 1 at each pair (1, 0):
+    1 where a run ends inside its columns (or above mu_1), m_hi(mu) + 1
+    where a full run meets an empty one at hi.
+    """
+    top = (mu[0] if mu else 0) + max_size
+    if max_part is not None:
+        top = min(top, max_part)
+    if top < (mu[0] if mu else 0):
+        return []
+    psi = kind == "psi"
+    # (part value, multiplicity) of mu, top-down, then the empty row below it
+    blocks = [(part, len(list(run))) for part, run in groupby(mu + (0,))]
+    out, last = [], len(blocks) - 1
+
+    def rec(r, rows, sig, budget, above):
+        lo, m = blocks[r]
+        hi, m_hi = blocks[r - 1] if r else (top, None)  # the run above ends at hi
+        size, rest = hi - lo, (lo,) * (m - 1)
+        for k in range(min(size, budget), -1, -1):
+            if m_hi is None:  # above mu_1: theta_j = 0 past the run
+                local = (1,) if k and not psi else ()
+            elif psi:
+                local = (m_hi,) if above and k < size else ()
+            elif 0 < k < size:
+                local = (1,)
+            else:
+                local = (m_hi + 1,) if k and not above else ()
+            piece = (lo + k,) + rest if lo else (k,) if k else ()
+            if r == last:
+                out.append((rows + piece, local + sig))
+            else:
+                rec(r + 1, rows + piece, local + sig, budget - k, k > 0)
+
+    rec(0, (), (), max_size, False)
+    return out
+
+
+def vertical_pieri_strips(mu, max_size: int, kind: str, max_length) -> list:
+    """[(lam, signature)] for every vertical strip lam/mu with |lam/mu| <=
+    max_size (and len(lam) <= max_length, unless None), lam in the order of
+    `partitions.vertical_strips_above`, with the signature of `kind` (psi'
+    or phi') that `_pieri_weight` reads.
+
+    A strip adds e_l in [0, m_l(mu)] boxes to each block of equal parts l,
+    to its top rows, and e_0 new rows of length 1.  Then m_i(lam) = m_i(mu)
+    - e_i + e_{i-1} and d_i = lam'_i - mu'_i = e_{i-1}; psi' reads
+    (m_i(lam), d_i) where 0 < d_i < m_i(lam), and phi' reads (m_i(lam),
+    m_i(mu), d_i) where m_i(mu) != m_i(lam) or 0 < d_i < m_i(lam).  Only
+    i = l and i = l + 1 of a part l (or 0) can hold one.
+    """
+    room = max_size if max_length is None else max_length - len(mu)
+    if room < 0:
+        return []
+    psi = kind == "psi'"
+    # (part value, multiplicity) of mu, top-down, then the new rows
+    blocks = [(part, len(list(run))) for part, run in groupby(mu)] + [(0, room)]
+    out, last = [], len(blocks) - 1
+
+    def rec(r, rows, sig, budget, ea):
+        part, m = blocks[r]
+        pa, ma = blocks[r - 1] if r else (0, 0)  # the block above, with e = ea
+        for e in range(min(m, budget), -1, -1):
+            # the factors at i = part + 1 and, if the block above is not
+            # there, at its part value pa (d_pa = 0)
+            if pa == part + 1:
+                a = ma - ea + e
+                if psi:
+                    local = ((a, e),) if 0 < e < a else ()
+                else:
+                    local = ((a, ma, e),) if e != ea or 0 < e < a else ()
+            elif psi:
+                local = ()
+            else:
+                local = ((e, 0, e),) if e else ()
+                if ea:
+                    local += ((ma - ea, ma, 0),)
+            piece = (part + 1,) * e + (part,) * (m - e) if part else (1,) * e
+            if r == last:
+                out.append((rows + piece, local + sig))
+            else:
+                rec(r + 1, rows + piece, local + sig, budget - e, e)
+
+    rec(0, (), (), max_size, 0)
+    return out
 
 
 class PieriTable:
-    """The four Pieri coefficients at one t, for strips that are valid by
-    construction (as the strip enumerators of `partitions` yield them).
+    """The four Pieri coefficients at one t, strip by strip.
 
-    One `scalars.TTable`, one `pieri_shape` memo and one memo of products
-    per factor signature serve every coefficient; the pair is not checked
-    to be a strip.  A PieriTable lives for one call or one parameter draw,
-    as an `Alphabet` does.
+    One `scalars.TTable` and one memo of products per factor signature
+    serve every coefficient: a strip enumerator yields each strip with its
+    signature, so a coefficient is one memo lookup.  A PieriTable lives
+    for one call or one parameter draw, as an `Alphabet` does.
     """
 
     def __init__(self, t):
         self.table = TTable(t)
-        self.shape = cache(pieri_shape)
         self.weight = cache(partial(_pieri_weight, self.table))
 
-    def coeff(self, kind: str, lam, mu) -> Fraction:
-        """The coefficient `kind` of the strip lam/mu (canonical tuples): the
-        signature of the strip, the table indices of its factors other than
-        1 read from the shapes of lam and mu, and their product, made once
-        per (kind, signature)."""
-        _strip_of(kind)
-        lp, ml = self.shape(lam)
-        mp, mm = self.shape(mu)
-        mm = mm + (0,) * (len(ml) - len(mm))  # mu inside lam: mu_1 <= lam_1
-        if kind in ("psi", "phi"):
-            # psi: a part value losing one of its m_j(mu) copies gives 1 - t^{m_j(mu)};
-            # phi: one gaining a copy gives 1 - t^{m_j(lam)}
-            pairs = zip(mm, ml) if kind == "psi" else zip(ml, mm)
-            return self.weight(kind, tuple(m for m, other in pairs if m == other + 1))
-        d = [x - y for x, y in zip(lp, mp + (0,) * (len(lp) - len(mp)))]  # lam'_i - mu'_i
-        if kind == "psi'":
-            return self.weight(kind, tuple((a, di) for a, di in zip(ml, d) if 0 < di < a))
-        return self.weight(kind, tuple((a, b, di) for a, b, di in zip(ml, mm, d)
-                                       if b != a or 0 < di < a))
+    def strips(self, kind: str, mu, max_size: int, cap=None) -> list:
+        """[(lam, coefficient `kind` of lam/mu)] for every strip of its kind
+        above mu (a canonical tuple) with |lam/mu| <= max_size, and lam_1
+        (horizontal) or len(lam) (vertical) <= cap."""
+        if _strip_of(kind) == "horizontal":
+            strips = horizontal_pieri_strips(mu, max_size, kind, cap)
+        else:
+            strips = vertical_pieri_strips(mu, max_size, kind, cap)
+        weight = self.weight
+        return [(lam, weight(kind, sig)) for lam, sig in strips]
 
 
 def _pieri_weight(table: TTable, kind: str, signature: tuple) -> Fraction:
@@ -304,35 +385,30 @@ def hl_P(lam, values, t) -> Fraction:
 # ---------------------------------------------------------------------------
 # skew tableau route
 
-def _strip_sweep(mu, values, max_weight, strips, coeff, keep=None) -> dict:
+def _strip_sweep(mu, values, max_weight, strips, keep=None) -> dict:
     """{lam: tableau sum of shape lam/mu} for every lam reached from mu
     with |lam| <= max_weight.
 
     One variable per step, v_n first (the sum is symmetric anyway): a step
-    adds a strip nu/kappa from strips(kappa, room) with weight
-    coeff(nu, kappa) v^{|nu/kappa|}.  `keep` prunes the shapes a step may
-    reach.  The sweep runs on integers: each coefficient is read once per
-    sweep as a pair w_n/w_d, and at v = p/q an edge of size k adds
-    c w_n p^k over w_d q^k to the numerator c of kappa (a term that is 0
-    adds nothing).  A step sums its terms over the lcm of their
+    adds a strip nu/kappa with its weight w from strips(kappa, room) (a
+    `PieriTable.strips`), as w v^{|nu/kappa|}.  `keep` prunes the shapes a
+    step may reach.  The sweep runs on integers: at v = p/q an edge of
+    size k adds c w_n p^k over w_d q^k to the numerator c of kappa (a term
+    that is 0 adds nothing).  A step sums its terms over the lcm of their
     denominators and takes out one gcd; one Fraction is made per shape.
     """
-    weights = {}
     vec, den = {mu: 1}, 1
     for v in reversed(values):
         p, q = v.numerator, v.denominator
         terms = []
         for kappa, c in vec.items():
             wk = weight(kappa)
-            for nu in strips(kappa, max_weight - wk):
+            for nu, w in strips(kappa, max_weight - wk):
                 if keep is not None and not keep(nu):
                     continue
-                w = weights.get((nu, kappa))
-                if w is None:
-                    w = weights[nu, kappa] = coeff(nu, kappa).as_integer_ratio()
                 k = weight(nu) - wk
-                if num := c * w[0] * p ** k:
-                    terms.append((nu, num, w[1] * q ** k))
+                if num := c * w.numerator * p ** k:
+                    terms.append((nu, num, w.denominator * q ** k))
         step = lcm(*{d for _, _, d in terms})
         vec = {}
         for nu, num, d in terms:
@@ -351,9 +427,9 @@ def skew_P(lam, mu, values, t) -> Fraction:
     if not contains(lam, mu):
         return ZERO
     top = lam[0] if lam else 0
+    table = PieriTable(t)
     vec = _strip_sweep(mu, values, weight(lam),
-                       lambda kappa, room: horizontal_strips_above(kappa, room, max_part=top),
-                       partial(PieriTable(t).coeff, "psi"),
+                       lambda kappa, room: table.strips("psi", kappa, room, top),
                        keep=lambda nu: contains(lam, nu))
     return vec.get(lam, ZERO)
 
@@ -367,10 +443,9 @@ def skew_Q_omega(lam, mu, values, t) -> Fraction:
         return ZERO
     # phi' divides by k!_t, k <= a part multiplicity of a shape inside lam <= len(lam)
     reject_singular_t(t, len(lam))
+    table = PieriTable(t)
     vec = _strip_sweep(mu, values, weight(lam),
-                       lambda kappa, room: vertical_strips_above(kappa, room,
-                                                                 max_length=len(lam)),
-                       partial(PieriTable(t).coeff, "phi'"),
+                       lambda kappa, room: table.strips("phi'", kappa, room, len(lam)),
                        keep=lambda nu: contains(lam, nu))
     return vec.get(lam, ZERO)
 
@@ -385,8 +460,7 @@ def skew_Q_omega_sweep(mu, values, t, max_weight: int) -> dict:
     t = as_scalar(t)
     # phi' divides by k!_t, k <= a part multiplicity of a shape reached <= max_weight
     reject_singular_t(t, max_weight)
-    return _strip_sweep(mu, values, max_weight, vertical_strips_above,
-                        partial(PieriTable(t).coeff, "phi'"))
+    return _strip_sweep(mu, values, max_weight, partial(PieriTable(t).strips, "phi'"))
 
 
 # ---------------------------------------------------------------------------

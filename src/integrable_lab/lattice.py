@@ -504,13 +504,16 @@ def toda_gauge_check(N: int, t):
 # ---------------------------------------------------------------------------
 # folded periodic Toda realization
 
-def folded_toda_transfer(N: int, n: int, x, t) -> GradedOperator:
-    """tr(T^Toda D^Toda) on the momentum-x sector, folded to occupations.
+def folded_toda_columns(N: int, n: int, x, t) -> dict:
+    """tr(T^Toda D^Toda) on the momentum-x sector, folded to occupations,
+    as {degree: {column: {row: value}}} on `occupation_basis(N, n)`.
 
     Sources are the canonical label tuples (first coordinate n); the
     monodromy is folded on their columns of a free window, and targets
     with first coordinate n + d are folded down by d with a twist factor
-    x^d.
+    x^d.  The folded entries are summed as dicts, outside the entry
+    accumulator, so a comparison against an operator built entry by entry
+    sees a slip in that accumulator.
     """
     t, x = as_scalar(t), as_scalar(x)
     w = free_window_basis(N, 0, n + 1)
@@ -540,17 +543,26 @@ def folded_toda_transfer(N: int, n: int, x, t) -> GradedOperator:
         return m, delta
 
     position = {src: j for j, src in enumerate(sources)}
+    out = {}
+    # the monodromy was folded on the source columns only
+    for d, block in traced.blocks.items():
+        for r, src, val in block.entries():
+            folded = fold(w.states[r])
+            if folded is not None:
+                tgt, delta = folded
+                col = out.setdefault(d, {}).setdefault(position[src], {})
+                i = occ.index[tgt]
+                col[i] = col.get(i, 0) + val * x ** delta
+    return out
 
-    def entries():
-        # the monodromy was folded on the source columns only
-        for d, block in traced.blocks.items():
-            for r, src, val in block.entries():
-                folded = fold(w.states[r])
-                if folded is not None:
-                    tgt, delta = folded
-                    yield d, occ.index[tgt], position[src], val * x ** delta
 
-    return GradedOperator.from_entries(len(occ), entries(), N)
+def folded_toda_transfer(N: int, n: int, x, t) -> GradedOperator:
+    """`folded_toda_columns` as a graded operator on `occupation_basis(N, n)`."""
+    columns = folded_toda_columns(N, n, x, t)
+    return GradedOperator.from_entries(
+        len(occupation_basis(N, n)),
+        ((d, r, c, v) for d, cols in columns.items() for c, col in cols.items()
+         for r, v in col.items()), N)
 
 
 # ---------------------------------------------------------------------------

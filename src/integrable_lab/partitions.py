@@ -110,25 +110,8 @@ def state_norm(lam, t) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# strip enumeration (drives vertex operators and skew tableaux)
-
-def horizontal_strips_below(lam):
-    """All mu with mu ≺ lam."""
-    lam = partition(lam)
-    n = len(lam)
-    results = []
-
-    def rec(i, acc):
-        if i == n:
-            results.append(_trimmed(acc))
-            return
-        lo = lam[i + 1] if i + 1 < n else 0
-        for v in range(lam[i], lo - 1, -1):
-            rec(i + 1, acc + [v])
-
-    rec(0, [])
-    return results
-
+# strip enumeration in row coordinates (the oracles of the Pieri-signature
+# enumerators of `hall_littlewood`)
 
 def horizontal_strips_above(mu, max_size: int, max_part=None):
     """All lam with mu ≺ lam and |lam/mu| <= max_size (optionally lam_1 <= max_part).

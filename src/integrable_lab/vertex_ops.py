@@ -7,13 +7,11 @@ Lowering operators (sign -) raise the weight by their degree; raising
 operators (sign +) lower it, with powers of 1/z stored as a positive
 grading.
 
-Matrix elements are the Pieri coefficients, read from one
-`hall_littlewood.PieriTable` per build (each basis state's conjugate and
-multiplicities computed once, one t-table, one product per factor
-signature) and handed to the block as integer (numerator, denominator)
-pairs.  The |L,V> states and <U| covectors the operators are checked on
-come from the symmetrized sums (`Alphabet`), which stay on the literal
-t-factorials.
+Matrix elements are the Pieri coefficients, read strip by strip from
+one `hall_littlewood.PieriTable` per build and handed to the block as
+integer (numerator, denominator) pairs.  The |L,V> states and <U|
+covectors the operators are checked on come from the symmetrized sums
+(`Alphabet`), which stay on the literal t-factorials.
 
 Truncation discipline: an identity of graded degree d is asserted only
 on matrix elements whose intermediate states provably stay inside the
@@ -46,13 +44,7 @@ from .hall_littlewood import (
     complete_q_coeffs,
     skew_Q_omega_sweep,
 )
-from .partitions import (
-    Basis,
-    horizontal_strips_above,
-    state_norm,
-    vertical_strips_above,
-    weight,
-)
+from .partitions import Basis, state_norm, weight
 from .scalars import ONE, ZERO, TTable, as_scalar, reject_singular_t
 
 
@@ -81,8 +73,8 @@ def build_gamma(family: str, sign: str, basis: Basis, t) -> VertexOp:
     Degree-k blocks: lowering operators connect |mu> -> |lam| = |mu|+k
     with weights psi (L) or phi' (R); raising operators connect
     |lam> -> |mu| = |lam|-k with weights phi (L) or psi' (R).  Each
-    basis state's conjugate and multiplicities are read once, and every
-    weight is a product of lookups in one t-table.
+    strip comes with its Pieri signature, and every weight is one lookup
+    in the build's `PieriTable`.
     """
     if family not in ("L", "R") or sign not in ("+", "-"):
         raise ValueError("family must be L|R and sign +|-")
@@ -92,19 +84,17 @@ def build_gamma(family: str, sign: str, basis: Basis, t) -> VertexOp:
         reject_singular_t(t, max(map(len, basis), default=0))
     dim = len(basis)
     cap = max((weight(s) for s in basis), default=0)
-    strips = horizontal_strips_above if family == "L" else vertical_strips_above
     kind = {("L", "-"): "psi", ("L", "+"): "phi", ("R", "-"): "phi'", ("R", "+"): "psi'"}[family, sign]
-    coeff = partial(PieriTable(t).coeff, kind)
+    strips = partial(PieriTable(t).strips, kind)
     weights = [weight(s) for s in basis.states]
 
     def entries():
         for j, mu in enumerate(basis.states):
-            for lam in strips(mu, cap - weights[j]):
+            for lam, c in strips(mu, cap - weights[j]):
                 i = basis.index.get(lam)
                 if i is None:
                     continue
                 k = weights[i] - weights[j]
-                c = coeff(lam, mu)
                 if sign == "-":
                     yield k, i, j, c.numerator, c.denominator
                 else:

@@ -20,7 +20,6 @@ from integrable_lab.hall_littlewood import (
 from integrable_lab.partitions import (
     conjugate,
     horizontal_strips_above,
-    horizontal_strips_below,
     is_horizontal_strip,
     multiplicity,
     partition,
@@ -141,39 +140,34 @@ def literal_pieri(kind, lam, mu, t):
     return result
 
 
-def strip_pairs(max_weight):
-    """(kinds, lam, mu) for every strip lam/mu with |lam| <= max_weight:
-    horizontal strips for psi and phi, vertical ones for psi' and phi'."""
-    for lam in partition_basis(max_weight):
-        for mu in horizontal_strips_below(lam):
-            yield ("psi", "phi"), lam, mu
+def table_strips(table, max_weight):
+    """(kind, lam, mu, coefficient) for every strip lam/mu with |lam| <=
+    max_weight and both kinds of its strip type, as `table` yields them."""
     for mu in partition_basis(max_weight):
-        for lam in vertical_strips_above(mu, max_weight - weight(mu)):
-            yield ("psi'", "phi'"), lam, mu
+        for kind in ("psi", "phi", "psi'", "phi'"):
+            for lam, c in table.strips(kind, mu, max_weight - weight(mu)):
+                yield kind, lam, mu, c
 
 
 @pytest.mark.parametrize("t", [F(2, 7), F(-5, 3), F(11, 4), F(0)])
 def test_table_pieri_equals_the_literal_product_on_every_strip(t):
-    table = PieriTable(t)
-    pairs = 0
-    for kinds, lam, mu in strip_pairs(8):
-        pairs += 1
-        for kind in kinds:
-            assert table.coeff(kind, lam, mu) == literal_pieri(kind, lam, mu, t), (kind, lam, mu)
-    assert pairs > 500
+    coefficients = 0
+    for kind, lam, mu, c in table_strips(PieriTable(t), 8):
+        coefficients += 1
+        assert c == literal_pieri(kind, lam, mu, t), (kind, lam, mu)
+    assert coefficients > 1000
 
 
 @pytest.mark.parametrize("t", [F(2, 7), F(-5, 3), F(0)])
 def test_pieri_table_equals_the_one_shot_coefficients(t):
-    table = PieriTable(t)  # one table for every pair, as a suite draw reads it
-    pairs = 0
-    for kinds, lam, mu in strip_pairs(8):
-        pairs += 1
-        for kind in kinds:
-            assert table.coeff(kind, lam, mu) == pieri_coeff(kind, lam, mu, t), (kind, lam, mu)
-    assert pairs > 500
+    table = PieriTable(t)  # one table for every strip, as a suite draw reads it
+    coefficients = 0
+    for kind, lam, mu, c in table_strips(table, 8):
+        coefficients += 1
+        assert c == pieri_coeff(kind, lam, mu, t), (kind, lam, mu)
+    assert coefficients > 1000
     with pytest.raises(ValueError, match="unknown Pieri coefficient kind"):
-        table.coeff("nope", (1,), ())
+        table.strips("nope", (1,), 1)
 
 
 def test_pieri_coeff_dispatch_and_errors():

@@ -144,19 +144,24 @@ def bump_one_LL_entry(monkeypatch, fired):
     monkeypatch.setattr(baxter_q, "build_LL", perturbed)
 
 
-def one_psi_signature_off(monkeypatch, fired):
-    """The Pieri table reads the factor 1 - t^2 for the psi strips whose
-    only factor is 1 - t (a part value losing its single copy): one t-factor
-    index off in one signature, not a uniform scaling of psi."""
-    real = hall_littlewood._pieri_weight
+def one_signature_off(kind, signature, off):
+    """The Pieri table reads the factors `off` for the `kind` strips whose
+    signature is `signature`: one factor index off in one signature, not a
+    uniform scaling of the kind.  The enumerators hand every strip's
+    signature to `_pieri_weight`, so every reader of the kind sees it."""
+    def perturb(monkeypatch, fired):
+        real = hall_littlewood._pieri_weight
 
-    def perturbed(table, kind, signature):
-        if (kind, signature) == ("psi", (1,)):
-            fired.append(1)
-            signature = (2,)
-        return real(table, kind, signature)
+        def perturbed(table, k, sig):
+            if (k, sig) == (kind, signature):
+                fired.append(1)
+                sig = off
+            return real(table, k, sig)
 
-    monkeypatch.setattr(hall_littlewood, "_pieri_weight", perturbed)
+        monkeypatch.setattr(hall_littlewood, "_pieri_weight", perturbed)
+
+    perturb.__name__ = "one_" + kind.replace("'", "_prime") + "_signature_off"
+    return perturb
 
 
 def double_the_one_box_shape(monkeypatch, fired):
@@ -285,13 +290,12 @@ ROWS = [
      "every stored matrix, scaled by the gcd it failed to take out", ()),
     # the one entry accumulator builds both sides of tq (Lambda and q), of
     # lambda-q (q and the auxiliary Lax operator of the trace) and of
-    # gamma-eigen (the open transfer and Gamma).  gauge runs it on both
-    # sides of its sector identification and stays blind: the bond
-    # expansion and the folded Toda route hand over the same entry first
-    # in every degree, so dropping it drops the same entry on both sides
+    # gamma-eigen (the open transfer and Gamma).  gauge sums its folded
+    # Toda side as dicts, outside the accumulator, so the bond expansion's
+    # lost entry shows
     ("SparseMatrix.from_ratios", skip_the_first_entry,
      ("tq", "lambda-q", "gamma-eigen", "rll", "adjoint", "ar-project", "gamma-commute",
-      "paper-matrices"),
+      "paper-matrices", "gauge"),
      "every operator built entry by entry: the transfer matrices, the Q-matrix, the "
      "auxiliary Lax operator, Gamma, the bar adjoints and the restrictions", ()),
     # every exact matrix identity, commutators and the trace agreement
@@ -322,12 +326,34 @@ ROWS = [
      "the auxiliary-spin trace against the closed form", ("tq",)),
     # a uniform scaling of Gamma_- would pass the linear exchange relation;
     # one signature off breaks it, while the suites that read only the
-    # other three kinds of the table keep passing
-    ("hall_littlewood.PieriTable", one_psi_signature_off,
+    # other three kinds of the table keep passing.  psi: 1 - t read as
+    # 1 - t^2 where a part value loses its single copy
+    ("hall_littlewood.PieriTable", one_signature_off("psi", (1,), (2,)),
      ("pieri", "adjoint", "gamma-commute", "gamma-eigen"),
      "psi of the Pieri rule, the psi side of the branching adjoint relation, "
      "Gamma_{L,-} of the exchange and same-sign relations and of the covector Pieri check",
      ("hall-pieri", "dual-cauchy", "ar-project")),
+    # phi: 1 - t read as 1 - t^2 where a part value gains its first copy
+    ("hall_littlewood.PieriTable", one_signature_off("phi", (1,), (2,)),
+     ("adjoint", "gamma-commute", "gamma-eigen"),
+     "the phi side of the branching adjoint relation, Gamma_{L,+} of the adjoint pairs, "
+     "of the exchange and same-sign relations and of the eigen checks",
+     ("pieri", "hall-pieri", "dual-cauchy", "ar-project")),
+    # psi': binom(2, 1)_t read as binom(3, 1)_t where column i gains one
+    # box and lam has two parts i
+    ("hall_littlewood.PieriTable", one_signature_off("psi'", ((2, 1),), ((3, 1),)),
+     ("hall-pieri", "adjoint", "ar-project", "gamma-commute", "gamma-eigen"),
+     "psi' of the Hall Pieri rule, Gamma_{R,+} of the adjoint pairs, of the projected "
+     "intertwining, of the exchange and same-sign relations and of the eigen checks",
+     ("pieri", "dual-cauchy")),
+    # phi': 1/1!_t read as 1/(1!_t 1!_t) where column i gains one box and
+    # i is a new part value of lam (m_i(lam) = 1, m_i(mu) = 0)
+    ("hall_littlewood.PieriTable", one_signature_off("phi'", ((1, 0, 1),), ((2, 0, 1),)),
+     ("dual-cauchy", "adjoint", "gamma-commute", "gamma-eigen"),
+     "phi' of the strip sweep (P^omega of the dual Cauchy identity, |R,V> of the open "
+     "Toda eigenvector checks), Gamma_{R,-} of the adjoint pairs and of the exchange "
+     "and same-sign relations",
+     ("pieri", "hall-pieri", "ar-project")),
     # the literal side of every table-against-literal identity, and the
     # norms of the symmetrized sums and of the adjoint relations; tq, gaudin
     # and paper-matrices read their t-factorials from t-tables and never
@@ -337,7 +363,7 @@ ROWS = [
       "lambda-q", "lascoux", "pieri", "rll"),
      "build_LL and the auxiliary-spin trace, the symmetrized Hall-Littlewood sums and "
      "their state norms, the norms of the branching adjoint relations (pieri_coeff, "
-     "PieriTable's tier-1 oracle, reads it too, but no suite calls it)",
+     "the enumerators' tier-1 oracle, reads it too, but no suite calls it)",
      ("gaudin", "paper-matrices", "tq")),
     # gamma-eigen's eigen relations are linear in |R,V>, so a uniform
     # scaling of the sweep would pass them; one shape off fails its six

@@ -7,7 +7,6 @@ from integrable_lab.partitions import (
     format_occupation,
     format_partition,
     horizontal_strips_above,
-    horizontal_strips_below,
     is_horizontal_strip,
     is_vertical_strip,
     multiplicity,
@@ -103,13 +102,6 @@ def test_unbounded_rejected():
         window_basis(-1, 2)
 
 
-def test_strips_below_match_predicate():
-    for lam in all_partitions_upto(7):
-        below = set(horizontal_strips_below(lam))
-        expect = {mu for mu in all_partitions_upto(7) if is_horizontal_strip(lam, mu)}
-        assert below == expect
-
-
 def test_strips_above_match_predicate():
     univ = all_partitions_upto(9)
     for mu in all_partitions_upto(5):
@@ -169,8 +161,7 @@ def test_monomial_sym():
 def test_strips_are_canonical_tuples():
     # the enumerators build their strips without re-validating them
     for lam in all_partitions_upto(6):
-        for strips in (horizontal_strips_below(lam),
-                       horizontal_strips_above(lam, 3), horizontal_strips_above(lam, 3, max_part=4),
+        for strips in (horizontal_strips_above(lam, 3), horizontal_strips_above(lam, 3, max_part=4),
                        vertical_strips_above(lam, 3),
                        vertical_strips_above(lam, 3, max_length=len(lam) + 1)):
             assert len(set(strips)) == len(strips)

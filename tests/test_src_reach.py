@@ -44,8 +44,11 @@ TEST_ONLY = {
     "window_basis": "`perfbench`'s tracer patches it",
     "bethe_vector": "`perfbench`'s tracer patches it",
     "skew_Q_via_ops": "`perfbench`'s CLI oracle",
+    "folded_toda_transfer": "`perfbench`'s CLI oracle; `gauge` reads `folded_toda_columns`",
     # literal oracles beside the code they check
-    "pieri_coeff": "`PieriTable.coeff`'s literal oracle",
+    "pieri_coeff": "the literal oracle of the Pieri-signature enumerators' weights",
+    "horizontal_strips_above": "the row-coordinate oracle of `horizontal_pieri_strips`",
+    "vertical_strips_above": "the row-coordinate oracle of `vertical_pieri_strips`",
     "ll_F_op": "an oracle of `build_LL`'s factorized form",
     "ll_G_op": "as `ll_F_op`",
     # the open-chain routes that an open-chain suite will compare
@@ -60,6 +63,8 @@ BEHIND_TEST_ONLY = {
     "is_horizontal_strip": "read only through `strip_test`",
     "is_vertical_strip": "as `is_horizontal_strip`",
     "multiplicity": "read only by the literal `pieri_coeff`",
+    "_trimmed": "read only by `horizontal_strips_above`",
+    "GradedOperator.from_entries": "read only by `folded_toda_transfer`",
 }
 
 UNSET_OPTIONS = {
@@ -68,6 +73,9 @@ UNSET_OPTIONS = {
         "the package builds through `_wrap` and the accumulators",
     ("SparseMatrix.__init__", "den"): "as `cols`",
     ("main", "argv"): "the console entry point reads sys.argv; tests pass argv",
+    ("horizontal_strips_above", "max_part"):
+        "the caps of the row-coordinate oracles, which tests set",
+    ("vertical_strips_above", "max_length"): "as `max_part`",
     ("toda_lax", "sources"): "`monodromy` sets it as build(sources=...) through `partial`",
     ("toda_U", "sources"): "as `toda_lax`",
     ("qboson_lax_toda_vars", "sources"): "as `toda_lax`",

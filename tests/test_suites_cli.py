@@ -400,15 +400,16 @@ def test_verify_reports_a_raising_suite_as_a_failure(monkeypatch, capsys):
 
 
 def test_adjoint_suite_visits_every_horizontal_strip_pair_once(monkeypatch):
-    # the suite enumerates strips below each lam; the pairs are those of
+    # the suite enumerates strips above each mu; the pairs are those of
     # the scan over every pair of partitions, lam/lam included
     seen = []
 
     class Recording(hall_littlewood.PieriTable):
-        def coeff(self, kind, lam, mu):
+        def strips(self, kind, mu, max_size, cap=None):
+            out = super().strips(kind, mu, max_size, cap)
             if kind == "phi":
-                seen.append((lam, mu))
-            return super().coeff(kind, lam, mu)
+                seen.extend((lam, mu) for lam, _ in out)
+            return out
 
     monkeypatch.setattr(hall_littlewood, "PieriTable", Recording)
     report = run_suite(SuiteSpec("adjoint", params={"max_weight": 6}))
@@ -516,11 +517,24 @@ def bump_one_entry(real, degree=1):
     return build
 
 
+def bump_one_column_entry(real, degree=1):
+    """`real`, a {degree: {col: {row: value}}} map, with one off-diagonal
+    entry of its degree columns moved by 1/3."""
+    def build(*args, **kwargs):
+        columns = real(*args, **kwargs)
+        c, col = next((c, col) for c, col in columns[degree].items() if set(col) - {c})
+        r = min(set(col) - {c})
+        col[r] += F(1, 3)
+        return columns
+    return build
+
+
 def doubled_pieri_kind(kind):
     """A PieriTable whose `kind` coefficients are doubled."""
     class Doubled(hall_littlewood.PieriTable):
-        def coeff(self, k, lam, mu):
-            return super().coeff(k, lam, mu) * (2 if k == kind else 1)
+        def strips(self, k, mu, max_size, cap=None):
+            return [(lam, c * (2 if k == kind else 1))
+                    for lam, c in super().strips(k, mu, max_size, cap)]
     return Doubled
 
 
@@ -561,7 +575,8 @@ CONVERTED_CHECKS = [
      ("lattice", "translation_op"), lambda real: scaled(real, 2),
      {"N", "n", "degree", "row", "col"}),
     ("gauge", {}, "periodic sector identification",
-     ("lattice", "folded_toda_transfer"), bump_one_entry, {"N", "n", "degree", "row", "col"}),
+     ("lattice", "folded_toda_columns"), bump_one_column_entry,
+     {"N", "n", "degree", "row", "col"}),
     ("gamma-eigen", {"D": 4, "degree": 2, "vars": 1}, "finite-size consistency N=1",
      ("lattice", "open_transfer"), bump_one_entry, {"direction", "degree", "row", "col"}),
     ("paper-matrices", {"draws": 1}, "printed 3x3 matrices draw 0",

@@ -5,7 +5,9 @@ memoized) must equal the plain n! loop on every exponent vector,
 negative parts included, and reject what that loop cannot evaluate.
 `skew_Q_omega_sweep` (every lam from one strip sweep) must equal the
 per-lam tableau loop it replaces, and `skew_P` and `skew_Q_omega` their
-tableau loops.  `gaudin_sum` and `bethe_vector`, which read
+tableau loops, and the Pieri-signature strip enumerators the
+row-coordinate enumerators and the literal `pieri_coeff`.  `gaudin_sum`
+and `bethe_vector`, which read
 one `bethe.AnsatzTable` per alphabet, must equal the term-by-term loop,
 exactly on rationals and bit for bit on complex doubles, and the table's
 integer reader must equal its `Fraction` route.
@@ -23,13 +25,16 @@ from integrable_lab import hall_littlewood
 from integrable_lab.hall_littlewood import (
     MAX_SYMMETRIZE,
     Alphabet,
+    PieriTable,
     hl_P,
     hl_Q,
     hl_R,
+    horizontal_pieri_strips,
     pieri_coeff,
     skew_P,
     skew_Q_omega,
     skew_Q_omega_sweep,
+    vertical_pieri_strips,
 )
 from integrable_lab.partitions import (
     contains,
@@ -250,6 +255,26 @@ def literal_vector(mu, us, t, s):
 
 SMALL = st.fractions(min_value=F(-1, 2), max_value=F(1, 2), max_denominator=7).filter(
     lambda v: v != 0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(partition_basis(7).states), st.integers(0, 4),
+       st.one_of(st.none(), st.integers(0, 9)), st.sampled_from([F(2, 7), F(-5, 3)]))
+def test_signature_enumerators_equal_the_row_enumerators(mu, size, cap, t):
+    # cap: lam_1 (horizontal) or len(lam) (vertical) at most cap, None for no cap
+    table = PieriTable(t)
+    horizontal = horizontal_strips_above(mu, size, max_part=cap)
+    vertical = vertical_strips_above(mu, size, max_length=cap)
+    for kind, enumerate_strips, row in (("psi", horizontal_pieri_strips, horizontal),
+                                        ("phi", horizontal_pieri_strips, horizontal),
+                                        ("psi'", vertical_pieri_strips, vertical),
+                                        ("phi'", vertical_pieri_strips, vertical)):
+        strips = enumerate_strips(mu, size, kind, cap)
+        lams = [lam for lam, _ in strips]
+        assert len(set(lams)) == len(lams), (kind, mu)  # each strip once
+        assert set(lams) == set(row), (kind, mu)
+        for lam, signature in strips:
+            assert table.weight(kind, signature) == pieri_coeff(kind, lam, mu, t), (kind, lam, mu)
 
 
 @SETTINGS
