@@ -21,7 +21,8 @@ from .partitions import (
     weight,
     window_basis,
 )
-from .graded import GradedOperator, SparseMatrix, commutator_items, graded_items, matrix_dump
+from .graded import (GradedOperator, SparseMatrix, commutator_items, covariance_items,
+                     graded_items, matrix_dump)
 from .hall_littlewood import (
     Alphabet,
     PieriTable,
@@ -53,6 +54,7 @@ from .lattice import (
     rll_check_qboson,
     toda_gauge_check,
     translation_op,
+    translation_orbits,
 )
 from .baxter_q import (
     ar_project_check,

@@ -29,6 +29,7 @@ from operator import mul
 from .graded import (
     GradedOperator,
     SparseMatrix,
+    covariance_items,
     graded_items,
     mismatch_items,
     sum_of_scaled_products,
@@ -42,6 +43,7 @@ from .lattice import (
     toda_monodromy,
     toda_shift_op,
     toda_x_op,
+    translation_orbits,
     window_to_partitions,
 )
 from .partitions import (
@@ -318,20 +320,39 @@ def trace_qmatrix(N: int, n: int, z, x, t) -> GradedOperator:
 # TQ relation
 
 def tq_check(N: int, n: int, x, t):
-    """Lambda_N(z) q_n(z) = q_n(tz) + x z^N t^n q_n(z/t), exactly, graded.
-    Returns (ok, failures)."""
+    """Lambda_N(z) q_n(z) = q_n(tz) + x z^N t^n q_n(z/t), exactly, graded,
+    decided on one column per orbit of the twisted one-step translation U
+    (`lattice.translation_orbits`).
+
+    When Lambda and q commute with U block by block, so do both sides,
+    and so does their difference D; U is invertible (x != 0), so
+    D e_{perm c} = U D e_c / u_c vanishes on a whole orbit when it
+    vanishes on one column of it.  The check therefore asserts that
+    Lambda and q are translation covariant (`covariance_items`, one pass
+    over their entries), then forms Lambda q with q kept on the orbit
+    representatives and compares it with the right-hand side there.
+    Failure items: those of the relation, on the representative
+    columns, then those of the covariance, tagged `operator` "Lambda" or
+    "q".  Returns (ok, failures); t = 0 and x = 0 raise ValueError.
+    """
     t, x = as_scalar(t), as_scalar(x)
     if t == 0:
         raise ValueError("t must be nonzero for the z/t reparameterization")
+    perm, weights, reps = translation_orbits(N, n, x)
+    basis = occupation_basis(N, n)
     lam = periodic_transfer(N, n, x, t)
     q = build_qmatrix(N, n, x, t)
+    keep = set(reps)
+    q_reps = {k: b.keep_columns(keep) for k, b in q.blocks.items()}
     top = N + n
-    lhs = lam.compose(q, top)
+    lhs = lam.compose(GradedOperator(lam.dim, q_reps), top)
     # q(tz) + x z^N t^n q(z/t): block k of q enters degree k scaled by t^k
     # and degree k + N scaled by x t^(n-k), each a scaling of its integers
-    rhs = GradedOperator(lam.dim, {k: b.scale(t ** k) for k, b in q.blocks.items()}).add(
-        GradedOperator(lam.dim, {k + N: b.scale(x * t ** (n - k)) for k, b in q.blocks.items()}))
-    failures = graded_items(lhs, rhs, top, range(lam.dim), occupation_basis(N, n))
+    rhs = GradedOperator(lam.dim, {k: b.scale(t ** k) for k, b in q_reps.items()}).add(
+        GradedOperator(lam.dim, {k + N: b.scale(x * t ** (n - k)) for k, b in q_reps.items()}))
+    failures = graded_items(lhs, rhs, top, reps, basis)
+    for name, op in (("Lambda", lam), ("q", q)):
+        failures += covariance_items(op, perm, weights, basis, operator=name)
     return not failures, failures
 
 

@@ -22,8 +22,9 @@ dual-cauchy, gamma-commute, gamma-eigen, tq, lambda-q, ar-project,
 bethe, gaudin, lascoux, adjoint, gauge, paper-matrices) returns
 (ok, failures), each item made by `mismatch_items` from the mismatches
 of a matrix (`SparseMatrix.mismatches`), a vector (`vector_mismatches`),
-a graded family (`graded_items`), a commutator (`commutator_items`) or
-a scalar (lhs, rhs) pair, which has no basis and so no `row`/`col`.
+a graded family (`graded_items`), a commutator (`commutator_items`), a
+covariance (`covariance_items`) or a scalar (lhs, rhs) pair, which has
+no basis and so no `row`/`col`.
 Equal columns are skipped; otherwise only the
 rows stored in either column are walked, a missing entry reading as
 zero, and entries are compared by cross-multiplied numerators, so the
@@ -51,7 +52,20 @@ into one integer accumulator over the lcm of the terms' denominators,
 and `sum_of_products` does the same per degree for graded pairs.
 `GradedOperator.compose` is its one-pair case and every 2x2 monodromy
 entry is one call; `SparseMatrix.mul` is the one-term ungraded case,
-and a commutator compares AB with BA, both products through `mul`.
+and a commutator compares AB with BA, both products through `mul`, on
+the columns it is given, each right factor kept on those columns.
+
+Identities with a symmetry are decided on one column per orbit.
+`covariance_items` decides U B = B U for an invertible monomial
+U e_c = u_c e_{pi(c)} in one pass over the stored entries of B,
+comparing B[pi r, pi c] u_c with u_r B[r, c] on integers, with no
+product.  That covariance is the precondition: when every operator of
+an identity commutes with U, so does lhs - rhs = D, and with U
+invertible D e_{pi(c)} = U D e_c / u_c, so D vanishes on a whole orbit
+of pi once it vanishes on one column of it.  `commutator_items` and
+`graded_items` then need only one column per orbit (the TQ relation and
+the commutators of the transfer and Q-matrices, under the ring's
+twisted translation, are decided so).
 """
 
 from __future__ import annotations
@@ -188,17 +202,68 @@ def graded_items(lhs, rhs, top: int, cols, basis, **where) -> list:
                                        basis, **where, degree=k)]
 
 
-def commutator_items(A, B, basis, **where) -> list:
-    """Failure items of [A(z1), B(z2)] = 0: A_i B_j (`lhs`) against B_j A_i
-    (`rhs`), both through `mul`, for every block pair, tagged `bidegree`
-    (i, j).  A self-commutator visits only i < j: (j, i) is (i, j)
-    swapped, and (i, i) commutes trivially."""
+def commutator_items(A, B, cols, basis, **where) -> list:
+    """Failure items of [A(z1), B(z2)] = 0 on the columns `cols`: A_i B_j
+    (`lhs`) against B_j A_i (`rhs`), both through `mul` with the right
+    factor kept on `cols`, for every block pair, tagged `bidegree` (i, j).
+    A self-commutator visits only i < j: (j, i) is (i, j) swapped, and
+    (i, i) commutes trivially."""
     if A.dim != B.dim:
         raise ValueError("dimension mismatch")
+    cols = list(cols)
+    keep = set(cols)
+    a_kept = {i: a.keep_columns(keep) for i, a in A.blocks.items()}
+    b_kept = a_kept if A is B else {j: b.keep_columns(keep) for j, b in B.blocks.items()}
     return [item for i, a in A.blocks.items() for j, b in B.blocks.items()
             if A is not B or i < j
-            for item in mismatch_items(a.mul(b).mismatches(b.mul(a), range(A.dim)), basis,
-                                       **where, bidegree=(i, j))]
+            for item in mismatch_items(a.mul(b_kept[j]).mismatches(b.mul(a_kept[i]), cols),
+                                       basis, **where, bidegree=(i, j))]
+
+
+def _covariance_mismatches(m: "SparseMatrix", perm, nums, dens) -> list:
+    """(row, col, (U m) entry, (m U) entry) wherever a stored entry m[r, c]
+    and its image m[perm r, perm c] break U m = m U, for the monomial
+    U e_c = (nums[c] / dens[c]) e_{perm[c]}: the two sides at
+    (perm r, c) read u_r m[r, c] and m[perm r, perm c] u_c, compared
+    cross-multiplied on the numerators, column by column, rows ascending."""
+    found = []
+    den = m.den
+    for c, col in m.cols.items():
+        image = m.cols.get(perm[c], _EMPTY)
+        nc, dc = nums[c], dens[c]
+        for r, v in col.items():
+            w = image.get(perm[r], 0)
+            if v * nums[r] * dc != w * nc * dens[r]:
+                found.append((perm[r], c, Fraction(v * nums[r], den * dens[r]),
+                              Fraction(w * nc, den * dc)))
+    found.sort(key=lambda e: (e[1], e[0]))
+    return found
+
+
+def covariance_items(B, perm, weights, basis, **where) -> list:
+    """Failure items of U B(z) = B(z) U, for the invertible monomial
+    U e_c = weights[c] e_{perm[c]} (perm a permutation of the basis
+    indices, no weight zero): U B_k (`lhs`) against B_k U (`rhs`) for
+    every block, tagged `degree`, as `commutator_items` of U and B would
+    decide it, but in one pass over the stored entries of B, on integers,
+    with no product.
+
+    Each stored entry B[r, c] is compared with B[perm r, perm c] as
+    B[perm r, perm c] u_c = u_r B[r, c].  Entries that B does not store
+    need no visit: along the cycle of (r, c) under perm a nonzero entry
+    followed by a zero one breaks the relation at the stored entry, since
+    no weight is zero.  Only such mismatches are reported, so the items
+    are a subset of the commutator's; the verdict is the same.
+    """
+    if len(perm) != B.dim or set(perm) != set(range(B.dim)):
+        raise ValueError(f"perm is not a permutation of the {B.dim} basis indices")
+    if len(weights) != B.dim or any(w == 0 for w in weights):
+        raise ValueError("U must be invertible: one nonzero weight per basis index")
+    nums = [w.numerator for w in weights]
+    dens = [w.denominator for w in weights]
+    return [item for k in sorted(B.blocks)
+            for item in mismatch_items(_covariance_mismatches(B.blocks[k], perm, nums, dens),
+                                       basis, **where, degree=k)]
 
 
 class SparseMatrix:

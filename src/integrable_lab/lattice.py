@@ -215,6 +215,35 @@ def translation_op(N: int, n: int, x) -> SparseMatrix:
                                        lambda m: ((m[-1],) + m[:-1], x ** m[-1]))
 
 
+def translation_orbits(N: int, n: int, x):
+    """(perm, weights, reps): the translation `translation_op(N, n, x)` as
+    U e_c = weights[c] e_{perm[c]} on `occupation_basis(N, n)`, read from
+    the basis states (weights[c] = x^{m_N} for the state m at c), and
+    `reps`, the least index of each orbit of perm, ascending.
+
+    An operator that commutes with U, with U invertible, vanishes on a
+    whole orbit when it vanishes on one column of it, since
+    D e_{perm[c]} = U D e_c / weights[c].  U is singular at x = 0, which
+    raises ValueError.
+    """
+    x = as_scalar(x)
+    if x == 0:
+        raise ValueError("x = 0: the twisted translation is singular there, so one column "
+                         "per orbit does not decide a translation-covariant identity")
+    basis = occupation_basis(N, n)
+    perm = [basis.index[(m[-1],) + m[:-1]] for m in basis.states]
+    weights = [x ** m[-1] for m in basis.states]
+    reps, seen = [], set()
+    for j in range(len(perm)):
+        if j not in seen:
+            reps.append(j)
+            k = j
+            while k not in seen:
+                seen.add(k)
+                k = perm[k]
+    return perm, weights, reps
+
+
 def open_transfer(basis: Basis, N: int, t, direction: str = "right") -> GradedOperator:
     """Open-chain projected product on a partition basis with lam_1 <= N.
 

@@ -19,7 +19,7 @@ from itertools import count
 
 from .scalars import ONE, ZERO, format_scalar
 from . import baxter_q, bethe, gaudin, hall_littlewood as hl, lattice, vertex_ops
-from .graded import (GradedOperator, commutator_items, graded_items, mismatch_items,
+from .graded import (commutator_items, covariance_items, graded_items, mismatch_items,
                      vector_mismatches)
 from .partitions import (
     occupation_basis,
@@ -296,13 +296,16 @@ def _suite_lambda_q(seed, p):
         x = draw_params(seed + 41 * i + 6, "generic", 1)[0]
         fails_lq, fails_qq, fails_tr = [], [], []
         for N, n in p["pairs"]:  # one Q-matrix per sector for the three checks
+            # both commutators commute with the translation U when Lambda and
+            # q do, so, U invertible, one column per orbit of U decides each
+            perm, weights, reps = lattice.translation_orbits(N, n, x)
             basis = occupation_basis(N, n)
             q = baxter_q.build_qmatrix(N, n, x, t)
-            T = GradedOperator(q.dim, {0: lattice.translation_op(N, n, x)})
-            fails_lq += commutator_items(lattice.periodic_transfer(N, n, x, t), q, basis,
-                                         N=N, n=n)
-            fails_qq += commutator_items(q, q, basis, N=N, n=n)
-            fails_tr += commutator_items(T, q, basis, N=N, n=n)
+            lam = lattice.periodic_transfer(N, n, x, t)
+            fails_lq += commutator_items(lam, q, reps, basis, N=N, n=n)
+            fails_lq += covariance_items(lam, perm, weights, basis, N=N, n=n, operator="Lambda")
+            fails_qq += commutator_items(q, q, reps, basis, N=N, n=n)
+            fails_tr += covariance_items(q, perm, weights, basis, N=N, n=n)
         checks.append(_check(f"transfer/Q commutation draw {i}",
                              "commuting transfer and Q matrices", fails_lq))
         checks.append(_check(f"Q self-commutation draw {i}",

@@ -15,7 +15,10 @@ route it checks:
   * `site_null_vector_check` (with `null_psi`): the per-site
     triangularity of the gauge-transformed Toda Lax matrix on the
     window operators `lattice.toda_shift_op` and `lattice.toda_x_op`, a
-    relation of the paper that no suite checks.
+    relation of the paper that no suite checks;
+  * `translation_representatives`: one state per orbit of the rotation,
+    read from the states' rotations, against the orbit representatives
+    of `lattice.translation_orbits`.
 """
 
 from fractions import Fraction
@@ -32,6 +35,17 @@ from integrable_lab.partitions import (
     weight,
 )
 from integrable_lab.scalars import ONE, as_scalar, tbinom
+
+
+# ---------------------------------------------------------------------------
+# orbits of the one-step translation
+
+def translation_representatives(N: int, n: int) -> list:
+    """Indices of `occupation_basis(N, n)` whose state has no rotation at
+    a smaller index: the least index of each orbit of the translation."""
+    basis = occupation_basis(N, n)
+    return [j for j, m in enumerate(basis.states)
+            if all(basis.index[m[k:] + m[:k]] >= j for k in range(N))]
 
 
 # ---------------------------------------------------------------------------

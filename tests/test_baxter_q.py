@@ -17,7 +17,7 @@ from integrable_lab.baxter_q import (
     tq_check,
     trace_qmatrix,
 )
-from integrable_lab import baxter_q
+from integrable_lab import baxter_q, graded, suites
 from integrable_lab.graded import (
     GradedOperator,
     SparseMatrix,
@@ -38,7 +38,7 @@ from integrable_lab.partitions import (
     weight,
 )
 from integrable_lab.scalars import TTable, format_scalar, tbinom, tfact
-from oracles import null_psi, site_null_vector_check
+from oracles import null_psi, site_null_vector_check, translation_representatives
 
 T = F(2, 7)
 X = F(3, 5)
@@ -105,8 +105,10 @@ def test_tq_empty_sector():
 
 def test_tq_report_names_rhs_only_entries(monkeypatch):
     # a zero transfer matrix empties the lhs: every wrong entry is rhs-only,
-    # so each degree k reports the first three entries of its rhs block
-    # t^k q_k + x t^(n-k+N) q_(k-N) against a zero lhs
+    # so each degree k reports the first three entries, on the orbit
+    # representatives (2,0) and (1,1), of its rhs block
+    # t^k q_k + x t^(n-k+N) q_(k-N) against a zero lhs; a zero Lambda and
+    # the true q are translation covariant, so nothing else is reported
     N, n = 2, 2
     basis = occupation_basis(N, n)
     monkeypatch.setattr(baxter_q, "periodic_transfer",
@@ -115,20 +117,42 @@ def test_tq_report_names_rhs_only_entries(monkeypatch):
     assert not ok
     q = build_qmatrix(N, n, X, T)
     labels = basis.labels()
+    reps = translation_representatives(N, n)
+    assert reps == [0, 1]
     for k in range(N + n + 1):
         rhs = q.block(k).scale(T ** k).add(q.block(k - N).scale(X * T ** (n - k + N)))
         want = [{"degree": k, "row": labels[r], "col": labels[c], "lhs": "0",
                  "rhs": format_scalar(v)}
-                for r, c, v in sorted(rhs.entries(), key=lambda e: (e[1], e[0]))]
+                for r, c, v in sorted(rhs.entries(), key=lambda e: (e[1], e[0])) if c in reps]
         assert [f for f in failures if f["degree"] == k] == want[:3]
+    assert failures == [
+        {"degree": 0, "row": "(2,0)", "col": "(2,0)", "lhs": "0", "rhs": "1"},
+        {"degree": 0, "row": "(1,1)", "col": "(1,1)", "lhs": "0", "rhs": "1"},
+        {"degree": 1, "row": "(1,1)", "col": "(2,0)", "lhs": "0", "rhs": "-18/49"},
+        {"degree": 1, "row": "(2,0)", "col": "(1,1)", "lhs": "0", "rhs": "-6/35"},
+        {"degree": 1, "row": "(0,2)", "col": "(1,1)", "lhs": "0", "rhs": "-2/7"},
+        {"degree": 2, "row": "(2,0)", "col": "(2,0)", "lhs": "0", "rhs": "12/245"},
+        {"degree": 2, "row": "(0,2)", "col": "(2,0)", "lhs": "0", "rhs": "4/49"},
+        {"degree": 2, "row": "(1,1)", "col": "(1,1)", "lhs": "0", "rhs": "24/245"},
+        {"degree": 3, "row": "(1,1)", "col": "(2,0)", "lhs": "0", "rhs": "-54/245"},
+        {"degree": 3, "row": "(2,0)", "col": "(1,1)", "lhs": "0", "rhs": "-18/175"},
+        {"degree": 3, "row": "(0,2)", "col": "(1,1)", "lhs": "0", "rhs": "-6/35"},
+        {"degree": 4, "row": "(0,2)", "col": "(2,0)", "lhs": "0", "rhs": "3/5"},
+        {"degree": 4, "row": "(1,1)", "col": "(1,1)", "lhs": "0", "rhs": "9/25"}]
 
 
 def test_tq_report_names_a_perturbed_entry(monkeypatch):
     # q_1[r, c] += d moves lhs_1 = q_1 + Lambda_1 q_0 by d and rhs_1 = t q_1
-    # (below degree N) by t d: degree 1 is the first to fail, at that entry only
+    # (below degree N) by t d: on the representative column c degree 1
+    # fails at that entry only.  The entry also breaks U q_1 = q_1 U, U the
+    # twisted translation (perm, u): at (perm r, c) U q_1 reads u_r (v + d)
+    # and q_1 U the untouched image q_1[perm r, perm c] u_c = u_r v; and at
+    # (r, perm^-1 c) q_1 U reads (v + d) u_c' against u_r' q_1[r', c'],
+    # (r', c') = (perm^-1 r, perm^-1 c)
     N, n, d = 3, 2, F(1, 3)
     real = build_qmatrix(N, n, X, T)
     r, c, v = next((r, c, v) for r, c, v in real.block(1).entries() if r != c)
+    assert c in translation_representatives(N, n)
 
     def perturbed(*args):
         q = build_qmatrix(*args)
@@ -139,17 +163,35 @@ def test_tq_report_names_a_perturbed_entry(monkeypatch):
     ok, failures = tq_check(N, n, X, T)
     labels = occupation_basis(N, n).labels()
     assert not ok
-    assert [f for f in failures if f["degree"] == 1] == [
+    relation = [f for f in failures if "operator" not in f]
+    assert [f for f in relation if f["degree"] == 1] == [
         {"degree": 1, "row": labels[r], "col": labels[c],
          "lhs": format_scalar(T * v + d), "rhs": format_scalar(T * (v + d))}]
-    assert failures[0]["degree"] == 1
+    assert relation[0]["degree"] == 1
+    assert [f for f in relation if f["degree"] == 1] == [
+        {"degree": 1, "row": "(1,1,0)", "col": "(2,0,0)", "lhs": "-5/147", "rhs": "-40/147"}]
+    # (r, c) = ((1,1,0), (2,0,0)), v = -9/7, u_r = u_c = 1; (r', c') =
+    # ((1,0,1), (0,0,2)), u_r' = x, u_c' = x^2
+    assert [f for f in failures if "operator" in f] == [
+        {"operator": "q", "degree": 1, "row": "(0,1,1)", "col": "(2,0,0)",
+         "lhs": format_scalar(v + d), "rhs": format_scalar(v)},
+        {"operator": "q", "degree": 1, "row": "(1,1,0)", "col": "(0,0,2)",
+         "lhs": format_scalar(X * real.block(1).entry(2, 5)),
+         "rhs": format_scalar((v + d) * X ** 2)}]
+    assert [f for f in failures if "operator" in f] == [
+        {"operator": "q", "degree": 1, "row": "(0,1,1)", "col": "(2,0,0)",
+         "lhs": "-20/21", "rhs": "-9/7"},
+        {"operator": "q", "degree": 1, "row": "(1,1,0)", "col": "(0,0,2)",
+         "lhs": "-81/175", "rhs": "-12/35"}]
 
 
 def test_tq_failure_items_are_pinned(monkeypatch):
-    # q_1[(2,0), (1,1)] += 1/5 at x = 2, t = 1/3; the items below are the
-    # report of the Fraction-storage implementation, pinned literally, so a
-    # change of storage or comparison cannot move the degree, the labels
-    # or either value
+    # q_1[(2,0), (1,1)] += 1/5 at x = 2, t = 1/3; the relation items below
+    # are the report of the Fraction-storage implementation, pinned
+    # literally, so a change of storage or comparison cannot move the
+    # degree, the labels or either value.  The column (1,1) is an orbit
+    # representative, so the relation is decided there as before; the
+    # covariance items that follow name the broken U q_1 = q_1 U
     def perturbed(*args):
         q = build_qmatrix(*args)
         q.block(1).add_to(0, 1, F(1, 5))
@@ -161,15 +203,66 @@ def test_tq_failure_items_are_pinned(monkeypatch):
     assert failures == [
         {"degree": 1, "row": "(2,0)", "col": "(1,1)", "lhs": "-7/15", "rhs": "-3/5"},
         {"degree": 2, "row": "(1,1)", "col": "(1,1)", "lhs": "28/45", "rhs": "4/9"},
-        {"degree": 3, "row": "(2,0)", "col": "(1,1)", "lhs": "-14/15", "rhs": "-6/5"}]
+        {"degree": 3, "row": "(2,0)", "col": "(1,1)", "lhs": "-14/15", "rhs": "-6/5"},
+        {"operator": "q", "degree": 1, "row": "(2,0)", "col": "(1,1)", "lhs": "-4",
+         "rhs": "-18/5"},
+        {"operator": "q", "degree": 1, "row": "(0,2)", "col": "(1,1)", "lhs": "-9/5",
+         "rhs": "-2"}]
     ok, failures = tq_check(3, 2, F(-3, 7), F(5, 2))
     assert not ok
+    # the perturbed q_1[(2,0,0), (1,1,0)] was 0 (bosons move right), and so
+    # are its image q_1[(0,2,0), (0,1,1)] and its preimage
+    # q_1[(0,0,2), (1,0,1)]: only stored entries are visited, so one
+    # covariance item shows where the commutator with U would list two
     assert failures == [
         {"degree": 1, "row": "(2,0,0)", "col": "(1,1,0)", "lhs": "1/5", "rhs": "1/2"},
         {"degree": 2, "row": "(1,1,0)", "col": "(1,1,0)", "lhs": "-21/20", "rhs": "0"},
         {"degree": 3, "row": "(1,0,1)", "col": "(1,1,0)", "lhs": "-21/20", "rhs": "0"},
-        {"degree": 4, "row": "(2,0,0)", "col": "(1,1,0)", "lhs": "-3/35", "rhs": "-3/14"}]
+        {"degree": 4, "row": "(2,0,0)", "col": "(1,1,0)", "lhs": "-3/35", "rhs": "-3/14"},
+        {"operator": "q", "degree": 1, "row": "(0,2,0)", "col": "(1,1,0)", "lhs": "1/5",
+         "rhs": "0"}]
 
+
+
+
+def test_tq_and_lambda_q_multiply_only_the_representative_columns(monkeypatch):
+    # every product is formed on one column per translation orbit, kept in
+    # its right factor: at (N, n) = (5, 6) every orbit holds 5 states, so
+    # Lambda q reads 42 of the 210 columns of q
+    right = set()
+    real = graded._add_product
+
+    def recording(acc, acols, bcols, factor):
+        right.update(bcols)
+        real(acc, acols, bcols, factor)
+
+    monkeypatch.setattr(graded, "_add_product", recording)
+    ok, failures = tq_check(5, 6, X, T)
+    assert ok, failures[:3]
+    assert len(occupation_basis(5, 6)) == 210
+    assert right == set(translation_representatives(5, 6)) and len(right) == 42
+    # both commutators of lambda-q, on the sector (4, 4): 10 of 35 columns
+    right.clear()
+    report = suites.run_suite(suites.SuiteSpec("lambda-q", 0, {"pairs": [(4, 4)], "draws": 1}))
+    assert report["status"] == "pass"
+    assert right == set(translation_representatives(4, 4)) and len(right) == 10
+    assert len(occupation_basis(4, 4)) == 35
+
+def test_tq_and_lambda_q_reject_x_zero(monkeypatch):
+    # at x = 0 the twisted translation is singular, so one column per orbit
+    # decides nothing: the locus is rejected before any operator is built
+    built = []
+    for name in ("periodic_transfer", "build_qmatrix"):
+        monkeypatch.setattr(baxter_q, name, lambda *args, name=name: built.append(name))
+    with pytest.raises(ValueError, match="x = 0"):
+        tq_check(3, 2, F(0), T)
+    assert built == []
+    # the suites never draw x = 0; a draw forced there is rejected too
+    real = suites.draw_params
+    monkeypatch.setattr(suites, "draw_params", lambda seed, strategy, count=1:
+                        [F(0)] * count if strategy == "generic" else real(seed, strategy, count))
+    with pytest.raises(ValueError, match="x = 0"):
+        suites.run_suite(suites.SuiteSpec("lambda-q", 0))
 
 def test_qmatrix_rejects_t_one():
     with pytest.raises(ValueError, match="t = 1"):
@@ -196,9 +289,9 @@ def test_commutation_checks():
         basis = occupation_basis(N, n)
         q = build_qmatrix(N, n, X, T)
         shift = GradedOperator(q.dim, {0: translation_op(N, n, X)})
-        assert commutator_items(periodic_transfer(N, n, X, T), q, basis) == []
-        assert commutator_items(q, q, basis) == []
-        assert commutator_items(shift, q, basis) == []
+        assert commutator_items(periodic_transfer(N, n, X, T), q, range(q.dim), basis) == []
+        assert commutator_items(q, q, range(q.dim), basis) == []
+        assert commutator_items(shift, q, range(q.dim), basis) == []
 
 
 def test_q_hermitian_reflect():

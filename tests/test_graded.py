@@ -119,7 +119,7 @@ def test_commutator_vanishes_on_powers():
     m = random_sparse(3, rng)
     A = GradedOperator(3, {0: m, 1: m.mul(m)})
     B = GradedOperator(3, {0: m.mul(m).mul(m)})
-    assert commutator_items(A, B, occupation_basis(3, 1)) == []
+    assert commutator_items(A, B, range(3), occupation_basis(3, 1)) == []
 
 
 def test_shift_and_scale():
@@ -162,20 +162,24 @@ def test_commutator_vanishes_reports_non_commuting_operators():
     B = GradedOperator(2, {1: e21})
     basis = occupation_basis(2, 1)
     first, second = basis.labels()
+    cols = range(2)
     # e12 e21 = e11 and e21 e12 = e22: the two differ at (0, 0) and (1, 1)
-    assert commutator_items(A, B, basis, relation="AB") == [
+    assert commutator_items(A, B, cols, basis, relation="AB") == [
         {"relation": "AB", "bidegree": (0, 1), "row": first, "col": first, "lhs": "1", "rhs": "0"},
         {"relation": "AB", "bidegree": (0, 1), "row": second, "col": second, "lhs": "0", "rhs": "1"}]
-    assert [item["bidegree"] for item in commutator_items(B, A, basis)] == [(1, 0), (1, 0)]
-    assert commutator_items(A, A, basis) == []
+    # on the asserted columns only: column 1 alone holds the second item
+    assert commutator_items(A, B, [1], basis) == [
+        {"bidegree": (0, 1), "row": second, "col": second, "lhs": "0", "rhs": "1"}]
+    assert [item["bidegree"] for item in commutator_items(B, A, cols, basis)] == [(1, 0), (1, 0)]
+    assert commutator_items(A, A, cols, basis) == []
     # with A is B only the pair of degrees (0, 1) can decide, and it fails
     AB = GradedOperator(2, {0: e12, 1: e21})
-    assert [item["bidegree"] for item in commutator_items(AB, AB, basis)] == [(0, 1), (0, 1)]
+    assert [item["bidegree"] for item in commutator_items(AB, AB, cols, basis)] == [(0, 1)] * 2
     I2 = GradedOperator(2, {0: SparseMatrix.identity(2)}, max_degree=0)
-    assert commutator_items(AB, I2, basis) == []
+    assert commutator_items(AB, I2, cols, basis) == []
     I3 = GradedOperator(3, {0: SparseMatrix.identity(3)}, max_degree=0)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        commutator_items(A, I3, basis)
+        commutator_items(A, I3, cols, basis)
 
 
 def test_graded_items_name_the_degree_and_skip_blocks_above_top():

@@ -22,7 +22,10 @@ more pairs must equal the dense sum of their Cauchy products; the ungraded
 `sum_of_scaled_products` and `mul` must equal dense sums of scaled
 products, and form on the columns W kept in their right factors exactly
 the columns W of the whole product; `commutator_items` must list the
-first three entries where the dense AB and BA differ, column by column;
+first three entries where the dense AB and BA differ, column by column,
+and `covariance_items` must give the verdict of the commutator with an
+invertible monomial U, covariant blocks and bumped ones alike, naming
+only entries where the dense UB and BU differ;
 `scale`, `conjugate_by_norm`, `apply` and `apply_row` must equal their
 dense counterparts.  Both `from_entries` constructors must equal the
 per-entry `add_to` loop they replace on entry lists with repeats,
@@ -34,7 +37,7 @@ an index outside the basis.
 """
 
 from fractions import Fraction as F
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,6 +46,7 @@ from integrable_lab.graded import (
     GradedOperator,
     SparseMatrix,
     commutator_items,
+    covariance_items,
     sum_of_products,
     sum_of_scaled_products,
     vector_mismatches,
@@ -451,9 +455,88 @@ def test_sum_of_scaled_products_equals_dense_sum(terms, cancel):
              "lhs": format_scalar(ab[r][c]), "rhs": format_scalar(ba[r][c])}
             for c in range(DIM) for r in range(DIM) if ab[r][c] != ba[r][c]]
     assert commutator_items(GradedOperator(DIM, {0: a}), GradedOperator(DIM, {1: b}),
-                            COMMUTATOR_BASIS) == want[:3]
+                            range(DIM), COMMUTATOR_BASIS) == want[:3]
     with pytest.raises(ValueError, match="dimension mismatch"):
         sum_of_scaled_products([*terms, (F(1), a, SparseMatrix(DIM + 1))])
+
+
+@st.composite
+def monomials(draw):
+    """(perm, weights) of an invertible monomial U e_c = weights[c] e_{perm[c]}
+    on DIM states; with `unit_cycles` every cycle's weights multiply to 1,
+    so that entries between different cycles can be covariant too."""
+    perm = draw(st.permutations(range(DIM)))
+    weights = draw(st.lists(NONZERO, min_size=DIM, max_size=DIM))
+    if draw(st.booleans()):
+        for c in range(DIM):
+            cycle = [c]
+            while perm[cycle[-1]] != c:
+                cycle.append(perm[cycle[-1]])
+            if c == min(cycle):
+                weights[cycle[-1]] = F(1) / prod(weights[k] for k in cycle[:-1])
+    return perm, weights
+
+
+@st.composite
+def covariant_graded(draw, perm, weights):
+    """A graded operator commuting with U block by block: scaled powers of U,
+    and seed entries carried around their orbits by
+    B[perm r, perm c] = u_r B[r, c] / u_c, a seed kept when its orbit closes
+    on the value it started from."""
+    blocks = {}
+    for k in range(draw(st.integers(0, 2)) + 1):
+        acc = {}
+        for power, c0 in draw(st.lists(st.tuples(st.integers(0, 2), SMALL), max_size=2)):
+            for c in range(DIM):
+                r, v = c, c0
+                for _ in range(power):
+                    r, v = perm[r], v * weights[r]
+                acc[r, c] = acc.get((r, c), 0) + v
+        for r0, c0, v0 in draw(st.lists(st.tuples(INDEX, INDEX, NONZERO), max_size=3)):
+            orbit, (r, c, v) = {}, (r0, c0, v0)
+            while (r, c) not in orbit:
+                orbit[r, c] = v
+                r, c, v = perm[r], perm[c], weights[r] * v / weights[c]
+            if v == v0:
+                for key, value in orbit.items():
+                    acc[key] = acc.get(key, 0) + value
+        blocks[k] = SparseMatrix.from_entries(DIM, ((r, c, v) for (r, c), v in acc.items()))
+    return GradedOperator(DIM, blocks)
+
+
+@SETTINGS
+@given(monomials().flatmap(lambda u: st.tuples(st.just(u), covariant_graded(*u))),
+       st.none() | st.tuples(st.integers(0, 2), INDEX, INDEX, NONZERO))
+def test_covariance_items_decide_as_the_commutator_with_the_monomial(u_and_B, bump):
+    # the one-pass covariance check and the commutator [U, B] through `mul`
+    # give the same verdict, on covariant blocks and on blocks with one
+    # entry bumped; each item it reports is a dense mismatch of U B and B U
+    (perm, weights), B = u_and_B
+    if bump is not None:
+        k, r, c, v = bump
+        B = B.add(GradedOperator(DIM, {k: SparseMatrix.from_entries(DIM, [(r, c, v)])}))
+    U = SparseMatrix.from_entries(DIM, ((perm[c], c, w) for c, w in enumerate(weights)))
+    items = covariance_items(B, perm, weights, COMMUTATOR_BASIS)
+    if bump is None:
+        assert items == []
+    assert (items == []) == (commutator_items(GradedOperator(DIM, {0: U}), B, range(DIM),
+                                              COMMUTATOR_BASIS) == [])
+    index = {label: i for i, label in enumerate(COMMUTATOR_BASIS.labels())}
+    for item in items:
+        assert set(item) == {"degree", "row", "col", "lhs", "rhs"}
+        b = dense(B.block(item["degree"]))
+        ub, bu = dense_mul(dense(U), b), dense_mul(b, dense(U))
+        r, c = index[item["row"]], index[item["col"]]
+        assert (item["lhs"], item["rhs"]) == (format_scalar(ub[r][c]), format_scalar(bu[r][c]))
+        assert ub[r][c] != bu[r][c]
+
+
+def test_covariance_items_reject_a_monomial_that_is_not_invertible():
+    B = GradedOperator(DIM, {0: SparseMatrix.identity(DIM)})
+    with pytest.raises(ValueError, match="not a permutation"):
+        covariance_items(B, [0, 0, 1, 2], [1] * DIM, COMMUTATOR_BASIS)
+    with pytest.raises(ValueError, match="invertible"):
+        covariance_items(B, list(range(DIM)), [1, 0, 1, 1], COMMUTATOR_BASIS)
 
 
 @SETTINGS

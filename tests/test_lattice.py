@@ -31,6 +31,7 @@ from integrable_lab.lattice import (
     toda_shift_op,
     toda_x_op,
     translation_op,
+    translation_orbits,
 )
 from integrable_lab.partitions import (
     occupation_basis,
@@ -41,7 +42,7 @@ from integrable_lab.partitions import (
 from integrable_lab.scalars import format_scalar
 from integrable_lab.vertex_ops import build_gamma
 from oracles import (chain_basis, open_hamiltonian, periodic_hamiltonian,
-                     spin_periodic_transfer_cleared)
+                     spin_periodic_transfer_cleared, translation_representatives)
 
 
 T_SAMPLE = F(2, 7)
@@ -98,13 +99,29 @@ def test_translation_commutes_and_cycles():
         assert P == SparseMatrix.identity(P.dim).scale(X_SAMPLE**n)
 
 
+
+def test_translation_orbits_read_the_translation_and_one_state_per_orbit():
+    for (N, n) in [(1, 3), (2, 2), (3, 2), (4, 4), (5, 6)]:
+        perm, weights, reps = translation_orbits(N, n, X_SAMPLE)
+        assert translation_op(N, n, X_SAMPLE) == SparseMatrix.from_entries(
+            len(perm), ((perm[c], c, w) for c, w in enumerate(weights)))
+        assert reps == translation_representatives(N, n)
+    assert len(reps) == 42 and len(perm) == 210  # (5, 6): every orbit has 5 states
+
+
+def test_translation_orbits_reject_x_zero():
+    # at x = 0 the translation is singular: one column cannot decide its orbit
+    assert translation_op(3, 2, 0).nnz() < len(occupation_basis(3, 2))
+    with pytest.raises(ValueError, match="x = 0"):
+        translation_orbits(3, 2, 0)
+
 def test_commuting_family():
     rng = random.Random(17)
     for (N, n) in [(2, 2), (3, 3), (4, 2)]:
         t = F(rng.randint(2, 8), 11)
         x = F(rng.randint(2, 8), 9)
         lam1 = periodic_transfer(N, n, x, t)
-        assert commutator_items(lam1, lam1, occupation_basis(N, n)) == []
+        assert commutator_items(lam1, lam1, range(lam1.dim), occupation_basis(N, n)) == []
 
 
 def test_hermitian_reflected_form():

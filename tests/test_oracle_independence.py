@@ -23,6 +23,7 @@ from integrable_lab import (baxter_q, bethe, cli, gaudin, graded, hall_littlewoo
                             partitions, scalars, suites)
 from integrable_lab.graded import SparseMatrix
 from integrable_lab.suites import SuiteSpec, run_suite
+from oracles import translation_representatives
 
 
 def drop_left_column_0(monkeypatch, fired):
@@ -129,6 +130,33 @@ def first_power_off(name, param="t"):
     perturb.__name__ = f"{name}_first_power_off"
     return perturb
 
+
+
+def bump_off_the_representatives(name):
+    """The sector builder `name` gets its first degree-1 entry in a column
+    that is not an orbit representative of the translation (a state with
+    a rotation at a smaller basis index) moved by 1/3: a column that the
+    orbit-reduced checks never compose on, so only the translation
+    covariance they assert can see it."""
+    module = lattice if hasattr(lattice, name) else baxter_q
+    real = getattr(module, name)
+
+    def perturb(monkeypatch, fired):
+        def build(N, n, x, t):
+            op = real(N, n, x, t)
+            reps = set(translation_representatives(N, n))
+            hit = next(((r, c) for r, c, _ in op.block(1).entries() if c not in reps), None)
+            if hit is not None:
+                op.blocks[1].add_to(*hit, Fraction(1, 3))
+                fired.append(1)
+            return op
+
+        for mod in (integrable_lab, lattice, baxter_q, suites, cli):
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, build)
+
+    perturb.__name__ = f"{name}_bumped_off_the_representatives"
+    return perturb
 
 def bump_one_LL_entry(monkeypatch, fired):
     """The auxiliary Lax operator gets its first off-diagonal entry moved by 1/3."""
@@ -312,6 +340,18 @@ ROWS = [
      ("tq", "lambda-q", "gauge", "paper-matrices", "adjoint"),
      "Lambda of TQ and of the commutators, the bond expansion against the folded "
      "Toda monodromy, the printed 3x3 transfer matrix, the reflected transfer", ()),
+    # tq and lambda-q compose on one column per translation orbit and assert
+    # that Lambda and q commute with the translation; a wrong entry of q off
+    # the representative columns is seen by that covariance alone (and by
+    # the trace agreement of lambda-q), while Lambda acts on every row that
+    # those columns of q reach
+    ("baxter_q.build_qmatrix", bump_off_the_representatives("build_qmatrix"),
+     ("tq", "lambda-q"),
+     "q of TQ and of the commutators, through its asserted translation covariance", ()),
+    ("lattice.periodic_transfer", bump_off_the_representatives("periodic_transfer"),
+     ("tq", "lambda-q"),
+     "Lambda of TQ and of the commutators, which read its every column, and its asserted "
+     "translation covariance", ()),
     ("lattice.open_transfer", first_power_off("open_transfer"),
      ("gamma-eigen", "ar-project"),
      "the open chain against the half vertex operators, A^L of the projected "
