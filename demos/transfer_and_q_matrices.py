@@ -2,7 +2,8 @@
 
 Builds the smallest nontrivial pair (two sites, two bosons), prints both
 3x3 matrices degree by degree, and verifies the TQ relation and the
-commutation structure exactly.
+commutation structure exactly.  The builders take the sector's basis,
+enumerated once; the checks take the sizes (N, n).
 """
 
 from fractions import Fraction as F
@@ -23,8 +24,8 @@ basis = occupation_basis(N, n)
 print(f"sector: {N} sites, {n} bosons; states {basis.labels()}")
 print(f"parameters t = {t}, twist x = {x}\n")
 
-lam = periodic_transfer(N, n, x, t)
-q = build_qmatrix(N, n, x, t)
+lam = periodic_transfer(basis, x, t)
+q = build_qmatrix(basis, x, t)
 
 for name, op in [("transfer matrix", lam), ("Q-matrix", q)]:
     print(f"{name}, coefficient of z^k (rows are targets):")
@@ -45,6 +46,6 @@ print("\nLarger sectors (graded, exact):")
 for (NN, nn) in [(3, 2), (3, 3), (4, 2)]:
     ok, _ = tq_check(NN, nn, x, t)
     sector = occupation_basis(NN, nn)
-    commute = commutator_items(periodic_transfer(NN, nn, x, t), build_qmatrix(NN, nn, x, t),
+    commute = commutator_items(periodic_transfer(sector, x, t), build_qmatrix(sector, x, t),
                                range(len(sector)), sector) == []
     print(f"  N={NN}, n={nn}: TQ {'ok' if ok else 'FAIL'}, commute {commute}")

@@ -14,6 +14,8 @@ by tracing over the spin space; the two are compared entrywise in the
 tests and suites.  Its own relations, `ll_relations_check` and
 `toda_intertwine_check`, take the LL they check and the `spin_windows`
 it acts on, so that the `rll` suite builds both once per draw.
+Builders take their basis and checks take sizes (`tq_check` enumerates
+its sector once); `trace_qmatrix`, the independent side, takes sizes.
 
 Conventions are anchored by three exact requirements: the 3x3 printed
 example, the TQ relation Lambda(z) q(z) = q(tz) + x z^N t^n q(z/t), and
@@ -52,6 +54,7 @@ from .partitions import (
     occupation_basis,
     occupation_to_partition,
     partition_basis,
+    sector_sizes,
     state_norm,
     weight,
 )
@@ -60,8 +63,8 @@ from .scalars import tbinom  # unread here; perfbench wraps every binding of tbi
 from .vertex_ops import build_gamma
 
 
-def build_qmatrix(N: int, n: int, x, t) -> GradedOperator:
-    """Degree-n Q-matrix on the (N, n) occupation sector.
+def build_qmatrix(basis: Basis, x, t) -> GradedOperator:
+    """Degree-n Q-matrix on the occupation sector `basis` (N sites, n bosons).
 
     Each site k sends d_k of its m_k bosons to site k+1 (cyclic), for
     every d with 0 <= d_k <= m_k: the target is m_k - d_k + d_{k-1}, the
@@ -79,8 +82,8 @@ def build_qmatrix(N: int, n: int, x, t) -> GradedOperator:
     lookup of its code; the entries go to `GradedOperator.from_ratios`.
     """
     t, x = as_scalar(t), as_scalar(x)
+    N, n = sector_sizes(basis)
     reject_singular_t(t, max(n, 1))  # divides by m_k!_t, m_k <= n; t = 1 at every n
-    basis = occupation_basis(N, n)
     # per occupation m, the row (-1)^d binom(m, d)_t, d <= m, as numerators
     # over one denominator, read once from one t-table; the seam row also
     # carries x^d = xn^d xd^(m-d) / xd^m
@@ -129,6 +132,8 @@ def build_LL(u, t, s_cap: int, x_cap: int):
     product basis (s label major, x label minor).
     """
     u, t = as_scalar(u), as_scalar(t)
+    if u == 0:
+        raise ValueError("u = 0 is a pole of the auxiliary Lax operator: its entries carry 1/u")
     wn, wd = (ONE / u).as_integer_ratio()
     dim = (s_cap + 1) * (x_cap + 1)
     # the literal k!_t, once per order, as (numerator, denominator) pairs:
@@ -338,10 +343,10 @@ def tq_check(N: int, n: int, x, t):
     t, x = as_scalar(t), as_scalar(x)
     if t == 0:
         raise ValueError("t must be nonzero for the z/t reparameterization")
-    perm, weights, reps = translation_orbits(N, n, x)
     basis = occupation_basis(N, n)
-    lam = periodic_transfer(N, n, x, t)
-    q = build_qmatrix(N, n, x, t)
+    perm, weights, reps = translation_orbits(basis, x)
+    lam = periodic_transfer(basis, x, t)
+    q = build_qmatrix(basis, x, t)
     keep = set(reps)
     q_reps = {k: b.keep_columns(keep) for k, b in q.blocks.items()}
     top = N + n
@@ -376,6 +381,8 @@ def ar_project_check(N: int, z, u, t, max_weight: int, max_len: int):
         raise ValueError(f"ar_project_check asserts no column at N={N}: max_weight={max_weight}"
                          f" and max_len={max_len} must both be >= {N + 1}")
     z, u, t = as_scalar(z), as_scalar(u), as_scalar(t)
+    if u == 0:
+        raise ValueError("u = 0 is a pole of the projected intertwining: Abar^R_N is read at 1/u")
     basis = partition_basis(max_weight, max_part=N + 1, max_length=max_len)
     dim = len(basis)
     uinv = ONE / u

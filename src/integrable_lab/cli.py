@@ -212,16 +212,13 @@ def cmd_matrix(args) -> int:
         del reads["s"]  # only the spin-s Lax reads s
     _read_flags(args, f"matrix {which}", MATRIX_FLAGS, reads)
     t = parse_scalar(args.t)
-    if which == "lambda":
+    if which in ("lambda", "q"):
         basis = occupation_basis(args.N, args.n)
-        op = periodic_transfer(args.N, args.n, parse_scalar(args.x), t)
+        build, title = (periodic_transfer, "transfer") if which == "lambda" else \
+            (build_qmatrix, "qmatrix")
+        op = build(basis, parse_scalar(args.x), t)
         meta = {"display_note": "the 3x3 example appears in reversed basis order"}
-        dump = matrix_dump(op, basis, f"transfer N={args.N} n={args.n}", meta)
-    elif which == "q":
-        basis = occupation_basis(args.N, args.n)
-        op = build_qmatrix(args.N, args.n, parse_scalar(args.x), t)
-        meta = {"display_note": "the 3x3 example appears in reversed basis order"}
-        dump = matrix_dump(op, basis, f"qmatrix N={args.N} n={args.n}", meta)
+        dump = matrix_dump(op, basis, f"{title} N={args.N} n={args.n}", meta)
     elif which == "gamma":
         basis = partition_basis(args.D)
         vop = build_gamma(args.family, args.sign, basis, t)

@@ -1,6 +1,8 @@
 """Lax matrices, R-matrices, monodromies and transfer matrices.
 
-Chains live on occupation bases (site k holds m_k bosons).  The
+Chains live on occupation bases (site k holds m_k bosons).  Builders
+take their basis and checks take sizes: a ring builder reads N and n off
+its sector (`partitions.sector_sizes`), so a check enumerates it once.  The
 projected products that define the transfer matrices are expanded as
 sums of per-site boson moves: each subset of chosen bonds moves one
 boson across every chosen bond, and the projection erases the
@@ -36,6 +38,7 @@ from .partitions import (
     occupation_basis,
     occupation_to_partition,
     partition_to_occupation,
+    sector_sizes,
 )
 from .scalars import ONE, TTable, as_scalar
 
@@ -164,8 +167,8 @@ def rll_check_qboson(u, v, t, cap: int):
 # ---------------------------------------------------------------------------
 # chain bases and projected products
 
-def periodic_transfer(N: int, n: int, x, t) -> GradedOperator:
-    """Projected product over bonds k -> k+1 (cyclic), twist x on the seam.
+def periodic_transfer(basis: Basis, x, t) -> GradedOperator:
+    """Projected product over bonds k -> k+1 (cyclic) of the sector `basis`, twist x on the seam.
 
     Each subset of chosen bonds is one term of z-degree its size: every
     chosen bond k carries one boson from site k to site k+1, so site k
@@ -178,7 +181,7 @@ def periodic_transfer(N: int, n: int, x, t) -> GradedOperator:
     start, is z^N x times the identity.
     """
     t, x = as_scalar(t), as_scalar(x)
-    basis = occupation_basis(N, n)
+    N, n = sector_sizes(basis)
     # a sector repeats each run-start weight many times: one table per
     # call, read as (numerator, denominator) pairs, so that an entry
     # multiplies integers and hands its block the numerator and denominator
@@ -208,18 +211,18 @@ def periodic_transfer(N: int, n: int, x, t) -> GradedOperator:
     return GradedOperator.from_ratios(len(basis), entries(), N)
 
 
-def translation_op(N: int, n: int, x) -> SparseMatrix:
-    """One-step translation: every boson moves one site right, seam carries x."""
+def translation_op(basis: Basis, x) -> SparseMatrix:
+    """One-step translation of the sector `basis`: bosons move one site right, seam carries x."""
     x = as_scalar(x)
-    return SparseMatrix.from_state_map(occupation_basis(N, n),
-                                       lambda m: ((m[-1],) + m[:-1], x ** m[-1]))
+    sector_sizes(basis)  # a basis that is not one sector raises
+    return SparseMatrix.from_state_map(basis, lambda m: ((m[-1],) + m[:-1], x ** m[-1]))
 
 
-def translation_orbits(N: int, n: int, x):
-    """(perm, weights, reps): the translation `translation_op(N, n, x)` as
-    U e_c = weights[c] e_{perm[c]} on `occupation_basis(N, n)`, read from
-    the basis states (weights[c] = x^{m_N} for the state m at c), and
-    `reps`, the least index of each orbit of perm, ascending.
+def translation_orbits(basis: Basis, x):
+    """(perm, weights, reps): the translation `translation_op(basis, x)` as
+    U e_c = weights[c] e_{perm[c]} on the sector `basis`, read from the
+    basis states (weights[c] = x^{m_N} for the state m at c), and `reps`,
+    the least index of each orbit of perm, ascending.
 
     An operator that commutes with U, with U invertible, vanishes on a
     whole orbit when it vanishes on one column of it, since
@@ -230,7 +233,7 @@ def translation_orbits(N: int, n: int, x):
     if x == 0:
         raise ValueError("x = 0: the twisted translation is singular there, so one column "
                          "per orbit does not decide a translation-covariant identity")
-    basis = occupation_basis(N, n)
+    sector_sizes(basis)  # a basis that is not one sector raises
     perm = [basis.index[(m[-1],) + m[:-1]] for m in basis.states]
     weights = [x ** m[-1] for m in basis.states]
     reps, seen = [], set()
@@ -533,9 +536,9 @@ def toda_gauge_check(N: int, t):
 # ---------------------------------------------------------------------------
 # folded periodic Toda realization
 
-def folded_toda_columns(N: int, n: int, x, t) -> dict:
+def folded_toda_columns(basis: Basis, x, t) -> dict:
     """tr(T^Toda D^Toda) on the momentum-x sector, folded to occupations,
-    as {degree: {column: {row: value}}} on `occupation_basis(N, n)`.
+    as {degree: {column: {row: value}}} on the occupation sector `basis`.
 
     Sources are the canonical label tuples (first coordinate n); the
     monodromy is folded on their columns of a free window, and targets
@@ -545,8 +548,8 @@ def folded_toda_columns(N: int, n: int, x, t) -> dict:
     sees a slip in that accumulator.
     """
     t, x = as_scalar(t), as_scalar(x)
+    N, n = sector_sizes(basis)
     w = free_window_basis(N, 0, n + 1)
-    occ = occupation_basis(N, n)
 
     def canonical_labels(m):
         out = []
@@ -556,7 +559,7 @@ def folded_toda_columns(N: int, n: int, x, t) -> dict:
             out.append(acc)
         return tuple(reversed(out))  # nu_k = sum_{j>=k} m_j, nu_1 = n
 
-    sources = [w.index[canonical_labels(m)] for m in occ.states]
+    sources = [w.index[canonical_labels(m)] for m in basis.states]
     T = toda_monodromy("toda", w, N, t, cols=sources)
     tn = t ** n
     traced = T[0][0].add(T[1][1].scale(tn))
@@ -580,16 +583,17 @@ def folded_toda_columns(N: int, n: int, x, t) -> dict:
             if folded is not None:
                 tgt, delta = folded
                 col = out.setdefault(d, {}).setdefault(position[src], {})
-                i = occ.index[tgt]
+                i = basis.index[tgt]
                 col[i] = col.get(i, 0) + val * x ** delta
     return out
 
 
 def folded_toda_transfer(N: int, n: int, x, t) -> GradedOperator:
     """`folded_toda_columns` as a graded operator on `occupation_basis(N, n)`."""
-    columns = folded_toda_columns(N, n, x, t)
+    basis = occupation_basis(N, n)
+    columns = folded_toda_columns(basis, x, t)
     return GradedOperator.from_entries(
-        len(occupation_basis(N, n)),
+        len(basis),
         ((d, r, c, v) for d, cols in columns.items() for c, col in cols.items()
          for r, v in col.items()), N)
 

@@ -275,6 +275,14 @@ def occupation_basis(N: int, n: int) -> Basis:
     return Basis(states, kind="occupation")
 
 
+def sector_sizes(basis: Basis) -> tuple:
+    """(N, n) of the sector `occupation_basis(N, n)`; any other basis raises ValueError."""
+    first = basis.states[0]
+    if basis.kind != "occupation" or sum(first) != sum(basis.states[-1]):
+        raise ValueError(f"not one occupation sector: a {basis.kind} basis from {first}")
+    return len(first), sum(first)
+
+
 def window_basis(K: int, M: int) -> Basis:
     """Decreasing integer sequences in [-K, K]^M, stored shifted by +K.
 

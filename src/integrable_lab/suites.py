@@ -298,10 +298,10 @@ def _suite_lambda_q(seed, p):
         for N, n in p["pairs"]:  # one Q-matrix per sector for the three checks
             # both commutators commute with the translation U when Lambda and
             # q do, so, U invertible, one column per orbit of U decides each
-            perm, weights, reps = lattice.translation_orbits(N, n, x)
             basis = occupation_basis(N, n)
-            q = baxter_q.build_qmatrix(N, n, x, t)
-            lam = lattice.periodic_transfer(N, n, x, t)
+            perm, weights, reps = lattice.translation_orbits(basis, x)
+            q = baxter_q.build_qmatrix(basis, x, t)
+            lam = lattice.periodic_transfer(basis, x, t)
             fails_lq += commutator_items(lam, q, reps, basis, N=N, n=n)
             fails_lq += covariance_items(lam, perm, weights, basis, N=N, n=n, operator="Lambda")
             fails_qq += commutator_items(q, q, reps, basis, N=N, n=n)
@@ -318,10 +318,11 @@ def _suite_lambda_q(seed, p):
     z = Fraction(3, 4)
     failures = []
     for (N, n) in [(2, 2), (3, 2), (3, 3)]:
-        q = baxter_q.build_qmatrix(N, n, x, t)
+        basis = occupation_basis(N, n)
+        q = baxter_q.build_qmatrix(basis, x, t)
         found = q.eval_at(z).mismatches(baxter_q.trace_qmatrix(N, n, z, x, t).block(0),
                                         range(q.dim))
-        failures += mismatch_items(found, occupation_basis(N, n), N=N, n=n)
+        failures += mismatch_items(found, basis, N=N, n=n)
     checks.append(_check("trace construction agreement",
                          "auxiliary-spin trace vs closed form", failures))
     return checks
@@ -466,12 +467,12 @@ def _suite_adjoint(seed, p):
         basis = occupation_basis(N, n)
         norms = [state_norm(occupation_to_partition(m), t) for m in basis.states]
         fails_lam += lattice.hermitian_reflect_check(
-            lambda xv: lattice.periodic_transfer(N, n, xv, t), basis, norms, N, x,
+            lambda xv: lattice.periodic_transfer(basis, xv, t), basis, norms, N, x,
             lambda xv: 1 / xv, N=N, n=n)[1]
         # (-1)^n: the reflected monomial z^{n/2} is really (-z)^{n/2} in q
         fails_q += lattice.hermitian_reflect_check(
-            lambda xv: baxter_q.build_qmatrix(N, n, xv, t), basis, norms, n, x,
-            lambda xv: (-ONE) ** n, lattice.translation_op(N, n, x), N=N, n=n)[1]
+            lambda xv: baxter_q.build_qmatrix(basis, xv, t), basis, norms, n, x,
+            lambda xv: (-ONE) ** n, lattice.translation_op(basis, x), N=N, n=n)[1]
     checks.append(_check("transfer reflected conjugation",
                          "reciprocal-parameter conjugation of the transfer matrix", fails_lam))
     checks.append(_check("Q reflected conjugation",
@@ -491,9 +492,9 @@ def _suite_gauge(seed, p):
     for (N, n) in [(2, 2), (3, 2), (3, 3)]:
         # the Toda side is summed as dicts, so it does not share the entry
         # accumulator that builds the q-boson side
-        lam = lattice.periodic_transfer(N, n, x, t)
-        toda = lattice.folded_toda_columns(N, n, x, t)
         basis = occupation_basis(N, n)
+        lam = lattice.periodic_transfer(basis, x, t)
+        toda = lattice.folded_toda_columns(basis, x, t)
         for k in range(N + 1):  # column c of a block is its image of the basis vector c
             found = [(r, c, a, b) for c in range(lam.dim) for r, a, b in vector_mismatches(
                 lam.block(k).apply({c: ONE}), toda.get(k, {}).get(c, {}))]
@@ -505,11 +506,12 @@ def _suite_gauge(seed, p):
 
 def _suite_paper_matrices(seed, p):
     checks = []
+    basis = occupation_basis(2, 2)
     for i in range(p["draws"]):
         t = _small_t(seed, i)
         z, x = draw_params(seed + 91 * i + 8, "distinct-2")
-        lam = lattice.periodic_transfer(2, 2, x, t).eval_at(z)
-        q = baxter_q.build_qmatrix(2, 2, x, t).eval_at(z)
+        lam = lattice.periodic_transfer(basis, x, t).eval_at(z)
+        q = baxter_q.build_qmatrix(basis, x, t).eval_at(z)
         # displayed in the source layout: reversed basis order, rows=targets
         lam_disp = [[lam.entry(2 - r, 2 - c) for c in range(3)] for r in range(3)]
         q_disp = [[q.entry(2 - r, 2 - c) for c in range(3)] for r in range(3)]

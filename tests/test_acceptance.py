@@ -53,8 +53,8 @@ def test_criterion_03_commutation():
         for N in range(1, 4):
             for n in range(1, 4):
                 basis = occupation_basis(N, n)
-                q = baxter_q.build_qmatrix(N, n, x, t)
-                ok = ok and not commutator_items(lattice.periodic_transfer(N, n, x, t), q,
+                q = baxter_q.build_qmatrix(basis, x, t)
+                ok = ok and not commutator_items(lattice.periodic_transfer(basis, x, t), q,
                                                   range(q.dim), basis)
                 ok = ok and not commutator_items(q, q, range(q.dim), basis)
     report(3, "transfer/Q and Q/Q commutation", ok, "(N,n) <= (3,3), 3 draws")

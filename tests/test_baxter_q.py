@@ -70,16 +70,16 @@ def test_site_null_vector_triangularity():
 
 
 def test_qmatrix_matches_printed():
-    q = build_qmatrix(2, 2, X, T)
+    q = build_qmatrix(occupation_basis(2, 2), X, T)
     got = {d: {(2 - r, 2 - c): v for r, c, v in q.block(d).entries()} for d in q.degrees()}
     assert got == printed_q2(T, X)
 
 
 def test_qmatrix_degree_zero_identity_and_n0():
     for (N, n) in [(2, 2), (3, 2), (3, 3)]:
-        q = build_qmatrix(N, n, X, T)
-        assert q.block(0) == SparseMatrix.identity(len(occupation_basis(N, n)))
-    q0 = build_qmatrix(3, 0, X, T)
+        q = build_qmatrix(occupation_basis(N, n), X, T)
+        assert q.block(0) == SparseMatrix.identity(q.dim)
+    q0 = build_qmatrix(occupation_basis(3, 0), X, T)
     assert q0.block(0) == SparseMatrix.identity(1)
     assert q0.degrees() == [0]
 
@@ -96,7 +96,7 @@ def test_tq_relation_small():
 def test_tq_empty_sector():
     # n = 0: Lambda on the one-dimensional sector is 1 + x z^N
     N = 3
-    lam = periodic_transfer(N, 0, X, T)
+    lam = periodic_transfer(occupation_basis(N, 0), X, T)
     assert lam.block(0).entry(0, 0) == 1
     assert lam.block(N).entry(0, 0) == X
     ok, _ = tq_check(N, 0, X, T)
@@ -112,10 +112,10 @@ def test_tq_report_names_rhs_only_entries(monkeypatch):
     N, n = 2, 2
     basis = occupation_basis(N, n)
     monkeypatch.setattr(baxter_q, "periodic_transfer",
-                        lambda N, n, x, t: GradedOperator(len(occupation_basis(N, n))))
+                        lambda basis, x, t: GradedOperator(len(basis)))
     ok, failures = tq_check(N, n, X, T)
     assert not ok
-    q = build_qmatrix(N, n, X, T)
+    q = build_qmatrix(basis, X, T)
     labels = basis.labels()
     reps = translation_representatives(N, n)
     assert reps == [0, 1]
@@ -150,7 +150,7 @@ def test_tq_report_names_a_perturbed_entry(monkeypatch):
     # (r, perm^-1 c) q_1 U reads (v + d) u_c' against u_r' q_1[r', c'],
     # (r', c') = (perm^-1 r, perm^-1 c)
     N, n, d = 3, 2, F(1, 3)
-    real = build_qmatrix(N, n, X, T)
+    real = build_qmatrix(occupation_basis(N, n), X, T)
     r, c, v = next((r, c, v) for r, c, v in real.block(1).entries() if r != c)
     assert c in translation_representatives(N, n)
 
@@ -266,7 +266,7 @@ def test_tq_and_lambda_q_reject_x_zero(monkeypatch):
 
 def test_qmatrix_rejects_t_one():
     with pytest.raises(ValueError, match="t = 1"):
-        build_qmatrix(2, 0, X, F(1))
+        build_qmatrix(occupation_basis(2, 0), X, F(1))
     with pytest.raises(ValueError, match="t = 1"):
         trace_qmatrix(2, 2, F(3, 4), X, F(1))
 
@@ -274,22 +274,22 @@ def test_qmatrix_rejects_t_one():
 def test_qmatrix_rejects_t_minus_one_where_a_t_factorial_vanishes():
     # 2!_t = (1 - t)(1 - t^2) = 0 at t = -1: binom(2, 2)_t would be 0/0
     with pytest.raises(ValueError, match="t = -1"):
-        build_qmatrix(2, 2, F(2), F(-1))
+        build_qmatrix(occupation_basis(2, 2), F(2), F(-1))
     # the trace's spin labels reach 2n, so 2!_t divides already at n = 1
     with pytest.raises(ValueError, match="t = -1"):
         trace_qmatrix(2, 1, F(3, 4), F(2), F(-1))
     # below those degrees no t-factorial quotient is 0/0
     assert tq_check(2, 1, F(2), F(-1))[0] and tq_check(3, 1, F(2), F(-1))[0]
     assert trace_qmatrix(2, 0, F(3, 4), F(2), F(-1)).block(0) == \
-        build_qmatrix(2, 0, F(2), F(-1)).eval_at(F(3, 4))
+        build_qmatrix(occupation_basis(2, 0), F(2), F(-1)).eval_at(F(3, 4))
 
 
 def test_commutation_checks():
     for (N, n) in [(2, 2), (3, 2), (3, 3)]:
         basis = occupation_basis(N, n)
-        q = build_qmatrix(N, n, X, T)
-        shift = GradedOperator(q.dim, {0: translation_op(N, n, X)})
-        assert commutator_items(periodic_transfer(N, n, X, T), q, range(q.dim), basis) == []
+        q = build_qmatrix(basis, X, T)
+        shift = GradedOperator(q.dim, {0: translation_op(basis, X)})
+        assert commutator_items(periodic_transfer(basis, X, T), q, range(q.dim), basis) == []
         assert commutator_items(q, q, range(q.dim), basis) == []
         assert commutator_items(shift, q, range(q.dim), basis) == []
 
@@ -300,8 +300,8 @@ def test_q_hermitian_reflect():
         basis = occupation_basis(N, n)
         norms = [state_norm(occupation_to_partition(m), T) for m in basis.states]
         ok, failures = hermitian_reflect_check(
-            lambda xv: build_qmatrix(N, n, xv, T), basis, norms, n, X,
-            lambda xv: (-1) ** n, translation_op(N, n, X))
+            lambda xv: build_qmatrix(basis, xv, T), basis, norms, n, X,
+            lambda xv: (-1) ** n, translation_op(basis, X))
         assert ok and failures == [], failures
 
 
@@ -325,6 +325,12 @@ def test_ll_operator_examples():
         assert Fop.entry(m, m) == (1 / u) ** m / tfact(m, t)
     G = ll_G_op(t, cap)
     assert G.entry(3, 1) == 1 / tfact(2, t)
+
+
+def test_build_LL_names_the_pole_at_u_zero():
+    # its entries carry powers of 1/u: the locus is named before any division
+    with pytest.raises(ValueError, match="u = 0"):
+        build_LL(0, T, 3, 3)
 
 
 def test_ll_four_relations():
@@ -361,7 +367,7 @@ def test_toda_intertwine():
 def test_trace_construction_matches_closed_form():
     z = F(3, 4)
     for (N, n) in [(1, 1), (2, 2), (2, 3), (3, 2), (3, 3)]:
-        q = build_qmatrix(N, n, X, T)
+        q = build_qmatrix(occupation_basis(N, n), X, T)
         direct = q.eval_at(z)
         traced = trace_qmatrix(N, n, z, X, T).block(0)
         assert direct == traced, (N, n)
@@ -377,7 +383,8 @@ def test_trace_builds_the_auxiliary_lax_operator_once(monkeypatch):
 
     monkeypatch.setattr(baxter_q, "build_LL", recording)
     z = F(3, 4)
-    assert trace_qmatrix(3, 3, z, X, T).block(0) == build_qmatrix(3, 3, X, T).eval_at(z)
+    assert trace_qmatrix(3, 3, z, X, T).block(0) == \
+        build_qmatrix(occupation_basis(3, 3), X, T).eval_at(z)
     assert calls == [(-1 / z, T, 6, 6)]
 
 
@@ -399,10 +406,11 @@ def test_qmatrix_reads_each_t_binomial_once(monkeypatch):
             reads.append(key)
             return self.table[key]
 
-    N, n = 5, 6
-    want = build_qmatrix(N, n, X, T)
+    n = 6
+    basis = occupation_basis(5, n)
+    want = build_qmatrix(basis, X, T)
     monkeypatch.setattr(baxter_q, "TTable", RecordingTable)
-    assert build_qmatrix(N, n, X, T) == want
+    assert build_qmatrix(basis, X, T) == want
     assert sorted(reads) == [(m, d) for m in range(n + 1) for d in range(m + 1)]
     assert sum(want.block(k).nnz() for k in want.degrees()) > 100 * len(reads)
 
@@ -415,7 +423,8 @@ RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=9)
        RATIONAL, RATIONAL.filter(lambda v: v != 0))
 def test_trace_construction_matches_closed_form_at_random_points(N, n, t, x, z):
     # off the declared loci: t = 1 and -1 (the t-factorials), z = 0
-    assert build_qmatrix(N, n, x, t).eval_at(z) == trace_qmatrix(N, n, z, x, t).block(0)
+    assert build_qmatrix(occupation_basis(N, n), x, t).eval_at(z) == \
+        trace_qmatrix(N, n, z, x, t).block(0)
 
 
 def literal_qmatrix(N, n, x, t):
@@ -439,7 +448,7 @@ def literal_qmatrix(N, n, x, t):
 @given(st.integers(1, 4), st.integers(0, 5), RATIONAL.filter(lambda v: v not in (0, 1, -1)),
        RATIONAL.filter(lambda v: v != 0))
 def test_qmatrix_equals_its_entry_formula(N, n, t, x):
-    q = build_qmatrix(N, n, x, t)
+    q = build_qmatrix(occupation_basis(N, n), x, t)
     got = {(k, r, c): v for k in q.degrees() for r, c, v in q.block(k).entries()}
     assert got == literal_qmatrix(N, n, x, t)
 
@@ -533,3 +542,9 @@ def test_ar_project_check_rejects_caps_that_assert_no_column(N, max_weight, max_
     # one more unit on each cap asserts the empty partition
     ok, _ = ar_project_check(N, F(2), F(5), F(1, 3), N + 1, N + 1)
     assert ok
+
+
+def test_ar_project_check_names_the_pole_at_u_zero():
+    # Abar^R_N is read at 1/u: the locus is named before any division
+    with pytest.raises(ValueError, match="u = 0"):
+        ar_project_check(1, F(1, 2), 0, F(1, 3), 4, 4)

@@ -68,7 +68,7 @@ def reversed_display(entries, dim):
 
 
 def test_periodic_transfer_matches_printed_matrix():
-    lam = periodic_transfer(2, 2, X_SAMPLE, T_SAMPLE)
+    lam = periodic_transfer(occupation_basis(2, 2), X_SAMPLE, T_SAMPLE)
     got = reversed_display(as_entry_dict(lam), 3)
     expect = printed_lambda2(T_SAMPLE, X_SAMPLE)
     assert got == expect
@@ -76,24 +76,25 @@ def test_periodic_transfer_matches_printed_matrix():
 
 def test_periodic_degree_zero_identity():
     for (N, n) in [(2, 2), (3, 2), (4, 3)]:
-        lam = periodic_transfer(N, n, X_SAMPLE, T_SAMPLE)
-        assert lam.block(0) == SparseMatrix.identity(len(occupation_basis(N, n)))
+        lam = periodic_transfer(occupation_basis(N, n), X_SAMPLE, T_SAMPLE)
+        assert lam.block(0) == SparseMatrix.identity(lam.dim)
 
 
 def test_periodic_degree_one_is_hamiltonian():
     for (N, n) in [(2, 2), (3, 2), (3, 3)]:
-        lam = periodic_transfer(N, n, X_SAMPLE, T_SAMPLE)
+        lam = periodic_transfer(occupation_basis(N, n), X_SAMPLE, T_SAMPLE)
         H = periodic_hamiltonian(N, n, X_SAMPLE, T_SAMPLE)
         assert lam.block(1) == H
 
 
 def test_translation_commutes_and_cycles():
     for (N, n) in [(2, 2), (3, 2), (3, 3)]:
-        lam = periodic_transfer(N, n, X_SAMPLE, T_SAMPLE)
-        T = translation_op(N, n, X_SAMPLE)
+        basis = occupation_basis(N, n)
+        lam = periodic_transfer(basis, X_SAMPLE, T_SAMPLE)
+        T = translation_op(basis, X_SAMPLE)
         for d in lam.degrees():
             assert T.mul(lam.block(d)) == lam.block(d).mul(T)
-        P = SparseMatrix.identity(len(occupation_basis(N, n)))
+        P = SparseMatrix.identity(len(basis))
         for _ in range(N):
             P = T.mul(P)
         assert P == SparseMatrix.identity(P.dim).scale(X_SAMPLE**n)
@@ -102,8 +103,9 @@ def test_translation_commutes_and_cycles():
 
 def test_translation_orbits_read_the_translation_and_one_state_per_orbit():
     for (N, n) in [(1, 3), (2, 2), (3, 2), (4, 4), (5, 6)]:
-        perm, weights, reps = translation_orbits(N, n, X_SAMPLE)
-        assert translation_op(N, n, X_SAMPLE) == SparseMatrix.from_entries(
+        basis = occupation_basis(N, n)
+        perm, weights, reps = translation_orbits(basis, X_SAMPLE)
+        assert translation_op(basis, X_SAMPLE) == SparseMatrix.from_entries(
             len(perm), ((perm[c], c, w) for c, w in enumerate(weights)))
         assert reps == translation_representatives(N, n)
     assert len(reps) == 42 and len(perm) == 210  # (5, 6): every orbit has 5 states
@@ -111,17 +113,19 @@ def test_translation_orbits_read_the_translation_and_one_state_per_orbit():
 
 def test_translation_orbits_reject_x_zero():
     # at x = 0 the translation is singular: one column cannot decide its orbit
-    assert translation_op(3, 2, 0).nnz() < len(occupation_basis(3, 2))
+    basis = occupation_basis(3, 2)
+    assert translation_op(basis, 0).nnz() < len(basis)
     with pytest.raises(ValueError, match="x = 0"):
-        translation_orbits(3, 2, 0)
+        translation_orbits(basis, 0)
 
 def test_commuting_family():
     rng = random.Random(17)
     for (N, n) in [(2, 2), (3, 3), (4, 2)]:
         t = F(rng.randint(2, 8), 11)
         x = F(rng.randint(2, 8), 9)
-        lam1 = periodic_transfer(N, n, x, t)
-        assert commutator_items(lam1, lam1, range(lam1.dim), occupation_basis(N, n)) == []
+        basis = occupation_basis(N, n)
+        lam1 = periodic_transfer(basis, x, t)
+        assert commutator_items(lam1, lam1, range(lam1.dim), basis) == []
 
 
 def test_hermitian_reflected_form():
@@ -130,7 +134,7 @@ def test_hermitian_reflected_form():
         basis = occupation_basis(N, n)
         norms = [state_norm(occupation_to_partition(m), T_SAMPLE) for m in basis.states]
         ok, failures = hermitian_reflect_check(
-            lambda xv: periodic_transfer(N, n, xv, T_SAMPLE),
+            lambda xv: periodic_transfer(basis, xv, T_SAMPLE),
             basis, norms, N, X_SAMPLE, lambda xv: 1 / xv)
         assert ok and failures == [], failures
 
@@ -412,7 +416,7 @@ def test_toda_open_A_matches_run_expansion():
 
 def test_folded_toda_transfer_equals_qboson():
     for (N, n) in [(2, 2), (2, 3), (3, 2), (3, 3)]:
-        lam = periodic_transfer(N, n, X_SAMPLE, T_SAMPLE)
+        lam = periodic_transfer(occupation_basis(N, n), X_SAMPLE, T_SAMPLE)
         folded = folded_toda_transfer(N, n, X_SAMPLE, T_SAMPLE)
         assert lam == folded, (N, n)
 
@@ -420,12 +424,12 @@ def test_folded_toda_transfer_equals_qboson():
 @settings(deadline=None, max_examples=25)
 @given(st.integers(1, 4), st.integers(0, 4), OFF_LOCI, RATIONAL)
 def test_folded_toda_transfer_equals_qboson_at_random_points(N, n, t, x):
-    assert periodic_transfer(N, n, x, t) == folded_toda_transfer(N, n, x, t)
+    assert periodic_transfer(occupation_basis(N, n), x, t) == folded_toda_transfer(N, n, x, t)
 
 
 def test_spin_transfer_reduces_at_s0():
     for (N, M) in [(2, 2), (3, 2)]:
-        lam = periodic_transfer(N, M, X_SAMPLE, T_SAMPLE)
+        lam = periodic_transfer(occupation_basis(N, M), X_SAMPLE, T_SAMPLE)
         sp = spin_periodic_transfer_cleared(N, M, X_SAMPLE, T_SAMPLE, F(0))
         assert lam == sp
 

@@ -142,9 +142,9 @@ def bump_off_the_representatives(name):
     real = getattr(module, name)
 
     def perturb(monkeypatch, fired):
-        def build(N, n, x, t):
-            op = real(N, n, x, t)
-            reps = set(translation_representatives(N, n))
+        def build(basis, x, t):
+            op = real(basis, x, t)
+            reps = set(translation_representatives(*partitions.sector_sizes(basis)))
             hit = next(((r, c) for r, c, _ in op.block(1).entries() if c not in reps), None)
             if hit is not None:
                 op.blocks[1].add_to(*hit, Fraction(1, 3))
@@ -157,6 +157,25 @@ def bump_off_the_representatives(name):
 
     perturb.__name__ = f"{name}_bumped_off_the_representatives"
     return perturb
+
+def one_translation_weight_off(monkeypatch, fired):
+    """`translation_orbits` reads the weight x^{m_N} of the first state
+    with m_N > 0 doubled: the translation that the orbit-decided checks
+    assert covariance under is off in that one column."""
+    real = lattice.translation_orbits
+
+    def perturbed(basis, x):
+        perm, weights, reps = real(basis, x)
+        c = next((c for c, m in enumerate(basis.states) if m[-1]), None)
+        if c is not None:
+            weights[c] *= 2
+            fired.append(1)
+        return perm, weights, reps
+
+    for mod in (integrable_lab, lattice, baxter_q):
+        if getattr(mod, "translation_orbits", None) is real:
+            monkeypatch.setattr(mod, "translation_orbits", perturbed)
+
 
 def bump_one_LL_entry(monkeypatch, fired):
     """The auxiliary Lax operator gets its first off-diagonal entry moved by 1/3."""
@@ -352,6 +371,13 @@ ROWS = [
      ("tq", "lambda-q"),
      "Lambda of TQ and of the commutators, which read its every column, and its asserted "
      "translation covariance", ()),
+    # a dropped representative would only weaken the orbit-decided checks,
+    # not fail them, so the representatives are pinned against
+    # `translation_representatives` in tests/test_sector_enumeration.py;
+    # the reflected conjugation of adjoint reads `translation_op` instead
+    ("lattice.translation_orbits", one_translation_weight_off, ("tq", "lambda-q"),
+     "the translation that the TQ relation and both commutators are decided under, "
+     "one column per orbit, and their asserted covariance", ("adjoint", "gauge")),
     ("lattice.open_transfer", first_power_off("open_transfer"),
      ("gamma-eigen", "ar-project"),
      "the open chain against the half vertex operators, A^L of the projected "

@@ -6,14 +6,24 @@ in CHANGES.md.  A change that alters a report on purpose updates its
 digest here and says why.  `bethe` is pinned apart: its two float
 verdicts tie their bytes to the platform's libm, so its digest is the
 sha256 of its other checks (`json.dumps(checks, indent=2, sort_keys=True)`).
+
+The benchmark's `sector-operators` suites run at larger ring sizes than
+the seed-0 defaults ((N, n) up to (5, 6) in `tq`); their reports at the
+first pool seeds are pinned against the benchmark's own record,
+`perfbench/digests.json`, read with the params of
+`perfbench/workloads.py`, neither file edited.
 """
 
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 from integrable_lab.suites import SuiteSpec, run_suite
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 SEED0_DIGESTS = {
     "adjoint": "1128be2fb79897cb52e52fa7e08bf066c00036ec6c34678f923eca1765a865b0",
@@ -50,3 +60,24 @@ def test_seed0_bethe_exact_check_bytes_are_unchanged():
     assert len(checks) == 4
     text = json.dumps(checks, indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == BETHE_EXACT_DIGEST
+
+
+def _bench_workloads():
+    """`perfbench/workloads.py`, loaded under a private name."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _bench_workloads()
+RING_SUITES = WORKLOADS.SUITE_WORKLOADS["sector-operators"]
+
+
+@pytest.mark.parametrize("name, params", RING_SUITES, ids=[name for name, _ in RING_SUITES])
+def test_benchmark_ring_reports_match_the_recorded_digests(name, params):
+    recorded = json.loads((BENCH / "digests.json").read_text())
+    for seed in range(4):
+        report = run_suite(SuiteSpec(name, seed, params))
+        assert WORKLOADS.report_digest(report) == \
+            recorded[WORKLOADS.report_key(report)][str(seed)], (name, seed)

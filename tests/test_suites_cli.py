@@ -495,8 +495,9 @@ def test_verify_json_lists_the_failures_of_a_failing_check(monkeypatch, capsys):
     t, x = (parse_scalar(part.split("=")[1]) for part in check["detail"].split())
     _, expect = baxter_q.tq_check(N, n, x, t)
     assert check["failures"] == [{"N": N, "n": n, **f} for f in expect]
-    r, c, v = entry(real(N, n, x, t))
-    labels = occupation_basis(N, n).labels()
+    basis = occupation_basis(N, n)
+    r, c, v = entry(real(basis, x, t))
+    labels = basis.labels()
     assert {"N": N, "n": n, "degree": 1, "row": labels[r], "col": labels[c],
             "lhs": format_scalar(t * v + d), "rhs": format_scalar(t * (v + d))} \
         in check["failures"]
