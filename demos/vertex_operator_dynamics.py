@@ -37,8 +37,9 @@ for pair in [("L", "L"), ("L", "R"), ("R", "R")]:
 
 print("\nbigraded exchange check through total degree 3:")
 for fp, fm in [("L", "L"), ("L", "R"), ("R", "L"), ("R", "R")]:
+    # decided on a random projection drawn from seed 0
     ok, _ = gamma_commutation_check(build_gamma(fp, "+", basis, t),
-                                    build_gamma(fm, "-", basis, t), 3)
+                                    build_gamma(fm, "-", basis, t), 3, 0)
     print(f"  {fp}+ / {fm}-: {'exact' if ok else 'FAIL'}")
 
 V = [F(1, 2), F(1, 3)]

@@ -13,7 +13,10 @@ t-factorials) gives a second, independent construction, `trace_qmatrix`,
 by tracing over the spin space; the two are compared entrywise in the
 tests and suites.  Its own relations, `ll_relations_check` and
 `toda_intertwine_check`, take the LL they check and the `spin_windows`
-it acts on, so that the `rll` suite builds both once per draw.
+it acts on, so that the `rll` suite builds both once per draw; they are
+decided on a seeded random projection (`graded.projected_items`), each
+side applied right to left to one vector drawn on the inner states,
+with their product comparisons kept for the failure items.
 Builders take their basis and checks take sizes (`tq_check` enumerates
 its sector once); `trace_qmatrix`, the independent side, takes sizes.
 
@@ -31,9 +34,12 @@ from operator import mul
 from .graded import (
     GradedOperator,
     SparseMatrix,
+    combination,
     covariance_items,
     graded_items,
     mismatch_items,
+    projected_items,
+    random_vector,
     sum_of_scaled_products,
 )
 from .lattice import (
@@ -155,8 +161,11 @@ def build_LL(u, t, s_cap: int, x_cap: int):
 
 
 def ll_F_op(u, t, cap: int) -> SparseMatrix:
-    """Diagonal F: |m> -> (1/u)^m / m!_t |m> in the eigenbasis of the spin."""
+    """Diagonal F: |m> -> (1/u)^m / m!_t |m> in the eigenbasis of the spin;
+    u = 0, its pole, raises ValueError."""
     u, t = as_scalar(u), as_scalar(t)
+    if u == 0:
+        raise ValueError("u = 0 is a pole of F: its entries carry 1/u")
     return SparseMatrix.from_state_map(
         single_site_basis(cap), lambda v: (v, (ONE / u) ** v[0] / tfact(v[0], t)))
 
@@ -186,14 +195,17 @@ def _window_ops(pair: Basis, k: int, t):
     return toda_shift_op(pair, [k], +1), toda_x_op(pair, k, t), toda_x_op(pair, k, t, -1)
 
 
-def ll_relations_check(LL: SparseMatrix, u, t, windows):
+def ll_relations_check(LL: SparseMatrix, u, t, windows, seed: int):
     """The four commutation relations pinning the auxiliary Lax operator
     LL = build_LL(u, t, cap, cap) on windows = spin_windows(cap, t).
 
     With Lc = LL P (the label swap), S/s on the first window, X/x on the
     second:  Lc x = x Lc;  Lc S X = S X Lc;  Lc (x/s) = (x/s)(1-S) Lc;
-    u Lc (1 - s/x) S = S Lc.  Checked on interior rows/columns.
-    Returns (ok, failures).
+    u Lc (1 - s/x) S = S Lc.  Checked on interior rows/columns, projected
+    on v = graded.random_vector(inner, seed): each side is applied to v
+    right to left, Lc v formed once, so a passing check forms no product.
+    Where a projection differs, the failure items are those of the
+    products on the interior.  Returns (ok, failures).
     """
     u, t = as_scalar(u), as_scalar(t)
     cap, pair, inner, S, sdiag, sinv = windows
@@ -203,11 +215,35 @@ def ll_relations_check(LL: SparseMatrix, u, t, windows):
         a, b = divmod(j, side)
         return b * side + a
 
-    dim = len(pair)
-    Lc = SparseMatrix.from_entries(dim, ((r, swapped(c), v) for r, c, v in LL.entries()))
-
+    Lc = SparseMatrix.from_entries(len(pair), ((r, swapped(c), v) for r, c, v in LL.entries()))
     X, xdiag, xinv = _window_ops(pair, 2, t)
-    I = SparseMatrix.identity(dim)
+
+    def sides():
+        v = random_vector(inner, seed)
+        Lv = Lc.apply_ints(v)
+        yield ({"relation": "Lc x = x Lc"},
+               Lc.apply_ints(xdiag.apply_ints(v)), xdiag.apply_ints(Lv))
+        yield ({"relation": "Lc SX = SX Lc"},
+               Lc.apply_ints(S.apply_ints(X.apply_ints(v))), S.apply_ints(X.apply_ints(Lv)))
+        one_minus_S = combination([(1, Lv), (-1, S.apply_ints(Lv))])
+        yield ({"relation": "Lc x/s = x/s (1-S) Lc"},
+               Lc.apply_ints(xdiag.apply_ints(sinv.apply_ints(v))),
+               xdiag.apply_ints(sinv.apply_ints(one_minus_S)))
+        Sv = S.apply_ints(v)
+        one_minus_s_over_x = combination([(1, Sv), (-1, sdiag.apply_ints(xinv.apply_ints(Sv)))])
+        yield ({"relation": "u Lc (1-s/x) S = S Lc"},
+               combination([(u, Lc.apply_ints(one_minus_s_over_x))]), S.apply_ints(Lv))
+
+    failures = projected_items(sides(), set(inner),
+                               lambda: _ll_relation_products(Lc, u, windows, X, xdiag, xinv))
+    return not failures, failures
+
+
+def _ll_relation_products(Lc: SparseMatrix, u, windows, X, xdiag, xinv) -> list:
+    """The product route of `ll_relations_check`: both sides of each
+    relation as products, compared on the interior rows and columns."""
+    _, pair, inner, S, sdiag, sinv = windows
+    I = SparseMatrix.identity(len(pair))
     x_over_s = xdiag.mul(sinv)
     s_over_x = sdiag.mul(xinv)
 
@@ -223,34 +259,69 @@ def ll_relations_check(LL: SparseMatrix, u, t, windows):
         ("u Lc (1-s/x) S = S Lc",
          Lc.mul(I.add(s_over_x.scale(-1)).mul(S.keep_columns(keep))).scale(u), S.mul(Lc_w)),
     ]
-
-    failures = [item for name, lhs, rhs in relations
-                for item in mismatch_items(lhs.mismatches(rhs, inner, inner), pair,
-                                           relation=name)]
-    return not failures, failures
+    return [item for name, lhs, rhs in relations
+            for item in mismatch_items(lhs.mismatches(rhs, inner, inner), pair, relation=name)]
 
 
-def toda_intertwine_check(LL: SparseMatrix, z, u, t, windows):
+def toda_intertwine_check(LL: SparseMatrix, z, u, t, windows, seed: int):
     """The intertwining relation R(z/u) L^Toda(z) LL(u) = LL(u) Ltilde(z) R(z/u),
     with LL = build_LL(u, t, cap, cap) on windows = spin_windows(cap, t).
 
     Built on the product of two spin windows (sigma entries act on the
     first label; L^Toda and Ltilde are `lattice.toda_lax` on the second,
-    evaluated at z); sampled at exact rational (z, u).  Returns (ok,
-    failures).
+    evaluated at z); sampled at exact rational (z, u), u = 0, the pole
+    of R(z/u), raising ValueError.  Each entry (i, j) is projected on
+    v = graded.random_vector(inner, seed), on the interior rows:
+    sum_k R_ik (L^Toda_kj (LL v)) against LL (sum_k Ltilde_ik (R_kj v)),
+    each LL v, L^Toda_kj (LL v) and R_kj v formed once, so a passing check
+    forms no product.  Where a projection differs, the failure items are
+    those of the products on the interior.  Returns (ok, failures).
     """
     z, u, t = as_scalar(z), as_scalar(u), as_scalar(t)
+    if u == 0:
+        raise ValueError("u = 0 is a pole of the intertwining relation: R reads z/u")
     _, pair, inner, S, sdiag, sinv = windows
-    I = SparseMatrix.identity(len(pair))
-
     w = z / u
-    R = [[I.add(S.scale(w)), sdiag],
-         [sinv.mul(I.add(S.scale(-1))).scale(-1), I.scale(-1)]]
 
     def lax(kind):
         return [[entry.eval_at(z) for entry in row] for row in toda_lax(kind, pair, 2, t)]
 
     L_toda, L_tilde = lax("toda"), lax("toda_tilde")
+
+    def R(i, j, vec):  # R(z/u)_ij applied to vec
+        if (i, j) == (0, 0):
+            return combination([(1, vec), (w, S.apply_ints(vec))])
+        if (i, j) == (0, 1):
+            return sdiag.apply_ints(vec)
+        if (i, j) == (1, 0):  # -s^-1 (1 - S)
+            Sv = S.apply_ints(vec)
+            return combination([(-1, sinv.apply_ints(vec)), (1, sinv.apply_ints(Sv))])
+        return combination([(-1, vec)])
+
+    def sides():
+        v = random_vector(inner, seed)
+        LLv = LL.apply_ints(v)
+        Ly = [[L_toda[k][j].apply_ints(LLv) for j in range(2)] for k in range(2)]
+        Rv = [[R(k, j, v) for j in range(2)] for k in range(2)]
+        for i in range(2):
+            for j in range(2):
+                lhs = combination((1, R(i, k, Ly[k][j])) for k in range(2))
+                rhs = LL.apply_ints(combination((1, L_tilde[i][k].apply_ints(Rv[k][j]))
+                                                for k in range(2)))
+                yield {"aux": (i, j)}, lhs, rhs
+
+    failures = projected_items(sides(), set(inner),
+                               lambda: _intertwine_products(LL, w, L_toda, L_tilde, windows))
+    return not failures, failures
+
+
+def _intertwine_products(LL: SparseMatrix, w, L_toda, L_tilde, windows) -> list:
+    """The product route of `toda_intertwine_check`: both sides of each
+    entry (i, j) as products, compared on the interior rows and columns."""
+    _, pair, inner, S, sdiag, sinv = windows
+    I = SparseMatrix.identity(len(pair))
+    R = [[I.add(S.scale(w)), sdiag],
+         [sinv.mul(I.add(S.scale(-1))).scale(-1), I.scale(-1)]]
 
     # the rightmost factors, LL and R, keep the inner columns only, once each
     keep = set(inner)
@@ -263,7 +334,7 @@ def toda_intertwine_check(LL: SparseMatrix, z, u, t, windows):
             rhs = sum_of_scaled_products((ONE, L_tilde[i][k], R_w[k][j]) for k in range(2))
             failures += mismatch_items(lhs.mul(LL_w).mismatches(LL.mul(rhs), inner, inner),
                                        pair, aux=(i, j))
-    return not failures, failures
+    return failures
 
 
 def trace_qmatrix(N: int, n: int, z, x, t) -> GradedOperator:
@@ -272,9 +343,9 @@ def trace_qmatrix(N: int, n: int, z, x, t) -> GradedOperator:
     Sweeps the auxiliary Lax operator `build_LL(-1/z, t, 2n, 2n)`, built
     once per call, across the site labels, applies the spin-shift twist
     S^{-n}, traces the auxiliary space, folds the output to the canonical
-    momentum gauge, and multiplies back the state norms.  It shares
-    nothing with `build_qmatrix`.  Returns a degree-0 graded operator
-    holding q_n(z) evaluated at z.
+    momentum gauge, and multiplies back the state norms (a product with
+    their diagonal).  It shares nothing with `build_qmatrix`.  Returns a
+    degree-0 graded operator holding q_n(z) evaluated at z.
     """
     z, x, t = as_scalar(z), as_scalar(x), as_scalar(t)
     if z == 0:
@@ -291,7 +362,6 @@ def trace_qmatrix(N: int, n: int, z, x, t) -> GradedOperator:
     out = SparseMatrix(dim)
     for j, m in enumerate(basis.states):
         rev = tuple(reversed(m))
-        norm = state_norm(occupation_to_partition(m), t)
         # canonical site labels: nu_k = sum_{l >= k} rev_l, nu_1 = n
         labels = [0] * (N + 2)
         for k in range(N, 0, -1):
@@ -317,8 +387,11 @@ def trace_qmatrix(N: int, n: int, z, x, t) -> GradedOperator:
             target = tuple(reversed(rev_target))
             if target not in basis.index:
                 continue
-            out.add_to(basis.index[target], j, amp * x ** delta * norm)
-    return GradedOperator(dim, {0: out}, max_degree=0)
+            out.add_to(basis.index[target], j, amp * x ** delta)
+    # multiply back the state norms: column j times the norm of its source
+    norms = SparseMatrix.from_state_map(
+        basis, lambda m: (m, state_norm(occupation_to_partition(m), t)))
+    return GradedOperator(dim, {0: out.mul(norms)}, max_degree=0)
 
 
 # ---------------------------------------------------------------------------

@@ -51,9 +51,10 @@ Sums of products are fused into one product kernel, `_add_product`:
 into one integer accumulator over the lcm of the terms' denominators,
 and `sum_of_products` does the same per degree for graded pairs.
 `GradedOperator.compose` is its one-pair case and every 2x2 monodromy
-entry is one call; `SparseMatrix.mul` is the one-term ungraded case,
-and a commutator compares AB with BA, both products through `mul`, on
-the columns it is given, each right factor kept on those columns.
+entry is one call; `SparseMatrix.mul` is the one-term ungraded case.
+The product routes of the projected checks (below) compare AB with BA
+through `mul` on the columns they are given, each right factor kept on
+those columns.
 
 Identities with a symmetry are decided on one column per orbit.
 `covariance_items` decides U B = B U for an invertible monomial
@@ -66,10 +67,30 @@ of pi once it vanishes on one column of it.  `commutator_items` and
 `graded_items` then need only one column per orbit (the TQ relation and
 the commutators of the transfer and Q-matrices, under the ring's
 twisted translation, are decided so).
+
+Product identities are decided by a seeded random projection
+(Freivalds): to decide A B = C on the asserted columns W, compare
+A (B x) with C x exactly, for one integer vector x on W drawn by
+`random_vector(W, seed)`, each entry uniform on S = {1, ..., 2^30} from
+`random.Random(seed)`, so a report is reproducible from its seed.  When
+A B - C is nonzero on the asserted rows and W, some row of it is a
+nonzero linear form in x, so the two vectors agree with probability at
+most 1/|S| = 2^-30 (Schwartz-Zippel); equal products always agree,
+arithmetic being exact.  Vectors are (den, {index: int}) pairs, ints
+over den; the one mat-vec kernel `_mat_vec` applies an integer column
+map to one (`SparseMatrix.apply_ints`, which `apply` also runs on),
+`combination` adds scaled vectors over one denominator, and
+`projected_items` compares the two sides of each identity through
+`_column_mismatches`.  A passing check so forms no matrix product.
+Where a projection differs, the failure items come from the check's
+product route, the full comparison on the asserted columns, so failing
+reports carry the same items as a product comparison; should that route
+find nothing, the check still fails, with an item saying so.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -91,6 +112,19 @@ def _add_product(acc: dict, acols: dict, bcols: dict, factor: int) -> None:
                 vb *= factor
                 for r, va in acol.items():
                     tgt[r] = tgt.get(r, 0) + va * vb
+
+
+def _mat_vec(cols: dict, vec: dict) -> dict:
+    """cols @ vec on integers: an integer column map (col -> {row: int})
+    applied to an integer vector ({col: int}), as {row: int}; zeros may
+    remain.  The one mat-vec kernel."""
+    out = {}
+    for j, a in vec.items():
+        col = cols.get(j)
+        if col:
+            for r, v in col.items():
+                out[r] = out.get(r, 0) + a * v
+    return out
 
 
 def _add_scaled(acc: dict, cols: dict, factor: int) -> None:
@@ -180,6 +214,50 @@ def vector_mismatches(a: dict, b: dict, rows=None) -> list:
     return _column_mismatches(a, 1, b, 1, rows)
 
 
+# entries of a projection vector are drawn uniformly from {1, ..., 2^_DRAW_BITS}
+_DRAW_BITS = 30
+
+
+def random_vector(cols, seed: int) -> tuple:
+    """The vector (1, {c: x_c}) on the indices `cols`, each x_c drawn
+    uniformly from S = {1, ..., 2^30} by random.Random(seed), in ascending
+    index order: a nonzero difference of two products is missed by its
+    projection on x with probability at most 1/|S| (module docstring)."""
+    rng = random.Random(seed)
+    return 1, {c: 1 + rng.getrandbits(_DRAW_BITS) for c in sorted(cols)}
+
+
+def combination(terms) -> tuple:
+    """sum of c v over (c, v) in terms, c an int or Fraction and v a vector
+    (den, {index: int}), as one vector over the lcm of the c.denominator
+    den; zeros may remain."""
+    terms = [(c.numerator, c.denominator * d, ints) for c, (d, ints) in terms if c]
+    den = lcm(*(d for _, d, _ in terms))  # 1 for no term: the zero vector
+    out = {}
+    for n, d, ints in terms:
+        f = n * (den // d)
+        for r, v in ints.items():
+            out[r] = out.get(r, 0) + v * f
+    return den, out
+
+
+def projected_items(sides, rows, products) -> list:
+    """Failure items of identities decided on a random projection.
+
+    `sides` yields (where, lhs, rhs): lhs and rhs are the two sides of one
+    identity applied to the drawn vector, as vectors (den, {row: int}),
+    compared on the set `rows` (every row when None) through
+    `_column_mismatches`.  When every pair agrees there are none.  At the
+    first pair that differs the rest are not formed, and the items are
+    products(), the check's product comparison; when that finds nothing,
+    the check still fails, with one item tagged with that pair's `where`
+    keys and `projection`."""
+    for where, (da, a), (db, b) in sides:
+        if _column_mismatches(a, da, b, db, rows):
+            return products() or [dict(where, projection="differs; no product entry does")]
+    return []
+
+
 def mismatch_items(found, basis, **where) -> list:
     """The first three of `found` as report items: the `where` keys, the
     basis labels `row` (and `col` for a matrix; none for a scalar pair,
@@ -202,15 +280,29 @@ def graded_items(lhs, rhs, top: int, cols, basis, **where) -> list:
                                        basis, **where, degree=k)]
 
 
-def commutator_items(A, B, cols, basis, **where) -> list:
-    """Failure items of [A(z1), B(z2)] = 0 on the columns `cols`: A_i B_j
-    (`lhs`) against B_j A_i (`rhs`), both through `mul` with the right
-    factor kept on `cols`, for every block pair, tagged `bidegree` (i, j).
+def commutator_items(A, B, cols, basis, seed: int, **where) -> list:
+    """Failure items of [A(z1), B(z2)] = 0 on the columns `cols`, for
+    every block pair, tagged `bidegree` (i, j): A_i (B_j x) against
+    B_j (A_i x) for x = random_vector(cols, seed), each A_i x and B_j x
+    formed once, so a pair that commutes costs two mat-vecs and no
+    product.  Where a projection differs, the items are those of the
+    product route, A_i B_j (`lhs`) against B_j A_i (`rhs`) on `cols`.
     A self-commutator visits only i < j: (j, i) is (i, j) swapped, and
     (i, i) commutes trivially."""
     if A.dim != B.dim:
         raise ValueError("dimension mismatch")
     cols = list(cols)
+    x = random_vector(cols, seed)
+    ax = {i: a.apply_ints(x) for i, a in A.blocks.items()}
+    bx = ax if A is B else {j: b.apply_ints(x) for j, b in B.blocks.items()}
+    sides = ((dict(where, bidegree=(i, j)), a.apply_ints(bx[j]), b.apply_ints(ax[i]))
+             for i, a in A.blocks.items() for j, b in B.blocks.items() if A is not B or i < j)
+    return projected_items(sides, None, lambda: _commutator_products(A, B, cols, basis, **where))
+
+
+def _commutator_products(A, B, cols: list, basis, **where) -> list:
+    """The product route of `commutator_items`: A_i B_j against B_j A_i,
+    both through `mul` with the right factor kept on `cols`."""
     keep = set(cols)
     a_kept = {i: a.keep_columns(keep) for i, a in A.blocks.items()}
     b_kept = a_kept if A is B else {j: b.keep_columns(keep) for j, b in B.blocks.items()}
@@ -466,15 +558,14 @@ class SparseMatrix:
         """Apply to a sparse vector {index: Fraction}, on integers: the
         vector is taken over the lcm D of its denominators, and each output
         entry is one Fraction over den D."""
-        d, ints = _over_lcm(vec)
-        out = {}
-        for j, a in ints.items():
-            col = self.cols.get(j)
-            if col:
-                for r, v in col.items():
-                    out[r] = out.get(r, 0) + a * v
-        den = self.den * d
+        den, out = self.apply_ints(_over_lcm(vec))
         return {r: Fraction(v, den) for r, v in out.items() if v}
+
+    def apply_ints(self, vec: tuple) -> tuple:
+        """Apply to a vector (d, {index: int}), standing for ints / d, through
+        the mat-vec kernel: (den d, {row: int}), zeros may remain."""
+        d, ints = vec
+        return self.den * d, _mat_vec(self.cols, ints)
 
     def apply_row(self, covec: dict) -> dict:
         """Apply a sparse covector on the left, (covec . A), on integers as

@@ -398,23 +398,39 @@ def toda_lax(kind: str, basis: Basis, k: int, t, sources=None):
     I = SparseMatrix.identity(dim, sources)
     xki = toda_x_op(basis, k, t, -1, sources)
     Z = GradedOperator(dim)
+    x = TTable(t).power
     if kind == "toda":
         X = toda_shift_op(basis, [k], +1, sources)
         xk = toda_x_op(basis, k, t, 1, sources)
+        # -X_k x_k^{-1}: x_k^{-1} read at the source of the shift
+        hop = _weighted_shift(basis, k, +1, lambda m: -x[-m], sources)
         return [[GradedOperator(dim, {0: I, 1: X}), GradedOperator(dim, {0: xk})],
-                [GradedOperator(dim, {1: X.mul(xki).scale(-1)}), Z]]
+                [GradedOperator(dim, {1: hop}), Z]]
     if kind == "toda_bar":
         Xi = toda_shift_op(basis, [k], -1, sources)
-        xk = toda_x_op(basis, k, t, 1, sources)
-        return [[GradedOperator(dim, {0: I, 1: Xi}), GradedOperator(dim, {1: Xi.mul(xk)})],
+        hop = _weighted_shift(basis, k, -1, lambda m: x[m], sources)  # Xinv_k x_k
+        return [[GradedOperator(dim, {0: I, 1: Xi}), GradedOperator(dim, {1: hop})],
                 [GradedOperator(dim, {0: xki.scale(-1)}), Z]]
     if kind == "toda_tilde":
         X = toda_shift_op(basis, [k], +1, sources)
-        # x_k X_k reads x_k at the targets of X, not at its sources
-        xk = toda_x_op(basis, k, t, 1, _row_support([X]))
-        return [[GradedOperator(dim, {0: I, 1: X}), GradedOperator(dim, {1: xk.mul(X)})],
+        # x_k X_k reads x_k at the target of the shift, v_k + 1, not at its source
+        hop = _weighted_shift(basis, k, +1, lambda m: x[m + 1], sources)
+        return [[GradedOperator(dim, {0: I, 1: X}), GradedOperator(dim, {1: hop})],
                 [GradedOperator(dim, {0: xki.scale(-1)}), Z]]
     raise ValueError(f"unknown toda lax kind {kind!r}")
+
+
+def _weighted_shift(basis: Basis, k: int, step: int, weight, sources) -> SparseMatrix:
+    """The shift of coordinate k by step times weight(v_k), v_k read on the
+    source: one state map, so a Lax entry that is a shift times a diagonal
+    is built with no product; targets outside the window drop, as in
+    `toda_shift_op`.  With `sources`, only those columns."""
+    def hop(v):
+        w = list(v)
+        w[k - 1] += step
+        return tuple(w), weight(v[k - 1])
+
+    return SparseMatrix.from_state_map(basis, hop, sources)
 
 
 def toda_U(basis: Basis, k: int, t, sources=None):

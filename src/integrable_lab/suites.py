@@ -137,13 +137,14 @@ def _suite_rll(seed, p):
         checks.append(_check(f"six-vertex RLL draw {i}", "six-vertex RLL relation",
                              fails, detail=f"u={u} v={v} t={t} cap={cap}"))
         z, uu = draw_params(seed + 100 + i, "distinct-2")
-        # LL(uu) and the spin windows serve both checks of the draw
+        # LL(uu) and the spin windows serve both checks of the draw, each
+        # projected on a vector drawn from the draw's seed
         LL = baxter_q.build_LL(uu, t, cap + 1, cap + 1)
         windows = baxter_q.spin_windows(cap + 1, t)
-        _, fails = baxter_q.ll_relations_check(LL, uu, t, windows)
+        _, fails = baxter_q.ll_relations_check(LL, uu, t, windows, seed + 100 + i)
         checks.append(_check(f"auxiliary Lax relations draw {i}",
                              "q-Toda R-matrix commutation relations", fails))
-        _, fails = baxter_q.toda_intertwine_check(LL, z, uu, t, windows)
+        _, fails = baxter_q.toda_intertwine_check(LL, z, uu, t, windows, seed + 100 + i)
         checks.append(_check(f"Toda intertwining draw {i}",
                              "intertwining Yang-Baxter relation", fails))
     return checks
@@ -208,14 +209,15 @@ def _suite_gamma_commute(seed, p):
     basis = partition_basis(D)
     gamma = {(fam, sign): vertex_ops.build_gamma(fam, sign, basis, t)
              for fam in ("L", "R") for sign in ("+", "-")}
+    # every relation is projected on a vector drawn from the suite seed
     for fp, fm in [("L", "L"), ("L", "R"), ("R", "L"), ("R", "R")]:
-        _, fails = vertex_ops.gamma_commutation_check(gamma[fp, "+"], gamma[fm, "-"], deg)
+        _, fails = vertex_ops.gamma_commutation_check(gamma[fp, "+"], gamma[fm, "-"], deg, seed)
         checks.append(_check(f"raising/lowering exchange {fp}{fm}",
                              "half vertex operator exchange relations", fails,
                              detail=f"D={D} degree<={deg} t={t}"))
     for fam in ("L", "R"):
         failures = [{"sign": sign, **f} for sign in ("-", "+")
-                    for f in vertex_ops.pair_commutation_check(gamma[fam, sign], deg)[1]]
+                    for f in vertex_ops.pair_commutation_check(gamma[fam, sign], deg, seed)[1]]
         checks.append(_check(f"same-sign commutation {fam}",
                              "commuting half vertex operators", failures))
     return checks
@@ -293,7 +295,8 @@ def _suite_lambda_q(seed, p):
     checks = []
     for i in range(p["draws"]):
         t = _small_t(seed, i)
-        x = draw_params(seed + 41 * i + 6, "generic", 1)[0]
+        x_seed = seed + 41 * i + 6  # also draws the commutators' projection vectors
+        x = draw_params(x_seed, "generic", 1)[0]
         fails_lq, fails_qq, fails_tr = [], [], []
         for N, n in p["pairs"]:  # one Q-matrix per sector for the three checks
             # both commutators commute with the translation U when Lambda and
@@ -302,9 +305,9 @@ def _suite_lambda_q(seed, p):
             perm, weights, reps = lattice.translation_orbits(basis, x)
             q = baxter_q.build_qmatrix(basis, x, t)
             lam = lattice.periodic_transfer(basis, x, t)
-            fails_lq += commutator_items(lam, q, reps, basis, N=N, n=n)
+            fails_lq += commutator_items(lam, q, reps, basis, x_seed, N=N, n=n)
             fails_lq += covariance_items(lam, perm, weights, basis, N=N, n=n, operator="Lambda")
-            fails_qq += commutator_items(q, q, reps, basis, N=N, n=n)
+            fails_qq += commutator_items(q, q, reps, basis, x_seed, N=N, n=n)
             fails_tr += covariance_items(q, perm, weights, basis, N=N, n=n)
         checks.append(_check(f"transfer/Q commutation draw {i}",
                              "commuting transfer and Q matrices", fails_lq))

@@ -18,10 +18,15 @@ on matrix elements whose intermediate states provably stay inside the
 basis (the interior-window rule).  Raising operators never leak, so
 their products are exact everywhere; lowering operators leak at the top
 and get the window restriction: window b holds the sources mu with
-|mu| + b <= cap.  Products are formed on the window's columns only, as
+|mu| + b <= cap.  The exchange and same-sign relations are decided on a
+seeded random projection (`graded.projected_items`): one vector x is
+drawn on the sources and restricted to each window b, and each side
+applies its own operators to x_b, right to left, so every vector a
+right factor receives lies on window b and a passing check forms no
+product.  Where a projection differs, the failure items come from the
+product route, which forms products on the window's columns only, as
 (A B)[:, W] = A (B[:, W]): the rightmost factor of every product is
-restricted to the compared columns once per (block, window) and check,
-and each side is still built from its own operators.
+restricted to the compared columns once per (block, window) and check.
 """
 
 from __future__ import annotations
@@ -32,8 +37,11 @@ from functools import cache, partial
 from .graded import (
     GradedOperator,
     SparseMatrix,
+    combination,
     graded_items,
     mismatch_items,
+    projected_items,
+    random_vector,
     sum_of_scaled_products,
     vector_mismatches,
 )
@@ -129,19 +137,47 @@ def commutation_series(fam_plus: str, fam_minus: str, t, max_r: int):
     return out
 
 
-def gamma_commutation_check(plus: VertexOp, minus: VertexOp, max_degree: int):
+def gamma_commutation_check(plus: VertexOp, minus: VertexOp, max_degree: int, seed: int):
     """Bigraded check of Gamma_+(u) Gamma_-(v) = K(v/u) Gamma_-(v) Gamma_+(u).
 
     Compares blocks A_a B_b against sum_r K_r B_{b-r} A_{a-r} for all
     a + b <= max_degree, on matrix elements whose source weight keeps the
-    lowering intermediate inside the basis.  Returns (ok, failures).
+    lowering intermediate inside the basis (window b), projected on the
+    vector x_b, x = graded.random_vector(sources, seed) restricted to
+    window b: A_a (B_b x_b) against sum_r K_r B_{b-r} (A_{a-r} x_b), each
+    B_b x_b and A_k x_b formed once.  A passing check forms no product.
+    Where a projection differs, the failure items are those of the block
+    products compared on window b, tagged `bidegree` (a, b).  Returns
+    (ok, failures).
     """
     if ((plus.sign, minus.sign) != ("+", "-") or plus.t != minus.t
             or plus.basis.states != minus.basis.states):
         raise ValueError("exchange checks take a Gamma_+ and a Gamma_- on one basis at one t")
     K = commutation_series(plus.family, minus.family, plus.t, max_degree)
-    # sources whose lowering intermediate of degree b would leak are outside window b
-    windows, kept = _windows(plus, lambda w, b: w + b <= plus.weight_cap, max_degree)
+
+    def inside(w, b):  # a source whose lowering intermediate would leak is outside window b
+        return w + b <= plus.weight_cap
+
+    xs = _window_draws(plus, inside, max_degree, seed)
+    bx = [minus.block(b).apply_ints(x) for b, x in enumerate(xs)]
+    ax = _applied(plus, xs)
+
+    def sides():
+        for a in range(max_degree + 1):
+            for b in range(max_degree + 1 - a):
+                rhs = combination((K[r], minus.block(b - r).apply_ints(ax(a - r, b)))
+                                  for r in range(min(a, b) + 1) if K[r])
+                yield {"bidegree": (a, b)}, plus.block(a).apply_ints(bx[b]), rhs
+
+    failures = projected_items(sides(), None,
+                               lambda: _exchange_products(plus, minus, K, inside, max_degree))
+    return not failures, failures
+
+
+def _exchange_products(plus: VertexOp, minus: VertexOp, K, inside, max_degree: int) -> list:
+    """The product route of `gamma_commutation_check`: A_a B_b against
+    sum_r K_r B_{b-r} A_{a-r} on window b, its failure items."""
+    windows, kept = _windows(plus, inside, max_degree)
     failures = []
     for a in range(max_degree + 1):
         for b in range(max_degree + 1 - a):
@@ -150,16 +186,31 @@ def gamma_commutation_check(plus: VertexOp, minus: VertexOp, max_degree: int):
                                          for r in range(min(a, b) + 1))
             failures += mismatch_items(lhs.mismatches(rhs, windows[b]), plus.basis,
                                        bidegree=(a, b))
+    return failures
+
+
+def pair_commutation_check(vop: VertexOp, max_degree: int, seed: int):
+    """[Gamma_s(z), Gamma_s(z')] = 0: all block pairs commute on the window
+    (only a < b is visited: (b, a) is (a, b) swapped, (a, a) trivial),
+    projected as `gamma_commutation_check` is: A_a (A_b x_b) against
+    A_b (A_a x_b), each A_k x_b formed once.  Returns (ok, failures),
+    where a projection differs the entry of A_a A_b as `lhs` and of A_b A_a
+    as `rhs`."""
+    def inside(w, b):  # raising products never leak
+        return vop.sign == "+" or w + b <= vop.weight_cap
+
+    ax = _applied(vop, _window_draws(vop, inside, max_degree, seed))
+    sides = (({"bidegree": (a, b)}, vop.block(a).apply_ints(ax(b, b)),
+              vop.block(b).apply_ints(ax(a, b)))
+             for a in range(max_degree + 1) for b in range(a + 1, max_degree + 1))
+    failures = projected_items(sides, None, lambda: _pair_products(vop, inside, max_degree))
     return not failures, failures
 
 
-def pair_commutation_check(vop: VertexOp, max_degree: int):
-    """[Gamma_s(z), Gamma_s(z')] = 0: all block pairs commute on the window
-    (only a < b is visited: (b, a) is (a, b) swapped, (a, a) trivial).
-    Returns (ok, failures), the entry of A_a A_b as `lhs` and of A_b A_a
-    as `rhs`."""
-    windows, kept = _windows(vop, lambda w, b: vop.sign == "+" or w + b <= vop.weight_cap,
-                             max_degree)
+def _pair_products(vop: VertexOp, inside, max_degree: int) -> list:
+    """The product route of `pair_commutation_check`: A_a A_b against
+    A_b A_a on window b, its failure items."""
+    windows, kept = _windows(vop, inside, max_degree)
     failures = []
     for a in range(max_degree + 1):
         for b in range(a + 1, max_degree + 1):
@@ -167,7 +218,26 @@ def pair_commutation_check(vop: VertexOp, max_degree: int):
             rhs = vop.block(b).mul(kept(vop, a, b))
             failures += mismatch_items(lhs.mismatches(rhs, windows[b]), vop.basis,
                                        bidegree=(a, b))
-    return not failures, failures
+    return failures
+
+
+def _window_lists(vop: VertexOp, inside, max_degree: int) -> list:
+    """Window b <= max_degree: the source indices j with inside(|mu_j|, b)."""
+    weights = [weight(mu) for mu in vop.basis.states]
+    return [[j for j, w in enumerate(weights) if inside(w, b)] for b in range(max_degree + 1)]
+
+
+def _window_draws(vop: VertexOp, inside, max_degree: int, seed: int) -> list:
+    """x_b per window b: one `random_vector` on the sources of every
+    window, restricted to window b."""
+    windows = _window_lists(vop, inside, max_degree)
+    _, x = random_vector(set().union(*windows), seed)
+    return [(1, {c: x[c] for c in w}) for w in windows]
+
+
+def _applied(vop: VertexOp, xs: list):
+    """(k, b) -> block k of vop applied to xs[b], formed once."""
+    return cache(lambda k, b: vop.block(k).apply_ints(xs[b]))
 
 
 def _windows(vop: VertexOp, inside, max_degree: int):
@@ -175,8 +245,7 @@ def _windows(vop: VertexOp, inside, max_degree: int):
     with inside(|mu_j|, b); kept(op, k, b) is block k of op on the columns
     of window b only, made once and ending every product compared there,
     as (A B)[:, W] = A (B[:, W])."""
-    weights = [weight(mu) for mu in vop.basis.states]
-    windows = [[j for j, w in enumerate(weights) if inside(w, b)] for b in range(max_degree + 1)]
+    windows = _window_lists(vop, inside, max_degree)
     sets = [set(w) for w in windows]
     return windows, cache(lambda op, k, b: op.block(k).keep_columns(sets[b]))
 

@@ -55,8 +55,8 @@ def test_criterion_03_commutation():
                 basis = occupation_basis(N, n)
                 q = baxter_q.build_qmatrix(basis, x, t)
                 ok = ok and not commutator_items(lattice.periodic_transfer(basis, x, t), q,
-                                                  range(q.dim), basis)
-                ok = ok and not commutator_items(q, q, range(q.dim), basis)
+                                                  range(q.dim), basis, 600 + i)
+                ok = ok and not commutator_items(q, q, range(q.dim), basis, 600 + i)
     report(3, "transfer/Q and Q/Q commutation", ok, "(N,n) <= (3,3), 3 draws")
 
 
@@ -69,8 +69,8 @@ def test_criterion_04_rll():
         ok = ok and good
         z, uu = draw_params(900 + i, "distinct-2")
         LL, windows = baxter_q.build_LL(uu, t, 6, 6), baxter_q.spin_windows(6, t)
-        good2, _ = baxter_q.ll_relations_check(LL, uu, t, windows)
-        good3, _ = baxter_q.toda_intertwine_check(LL, z, uu, t, windows)
+        good2, _ = baxter_q.ll_relations_check(LL, uu, t, windows, 900 + i)
+        good3, _ = baxter_q.toda_intertwine_check(LL, z, uu, t, windows, 900 + i)
         ok = ok and good2 and good3
     report(4, "RLL and Toda intertwining", ok, "cap 5, 5 draws, four relations")
 

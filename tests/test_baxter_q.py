@@ -38,6 +38,7 @@ from integrable_lab.partitions import (
     weight,
 )
 from integrable_lab.scalars import TTable, format_scalar, tbinom, tfact
+from kernel_record import KernelRecord
 from oracles import null_psi, site_null_vector_check, translation_representatives
 
 T = F(2, 7)
@@ -226,9 +227,9 @@ def test_tq_failure_items_are_pinned(monkeypatch):
 
 
 def test_tq_and_lambda_q_multiply_only_the_representative_columns(monkeypatch):
-    # every product is formed on one column per translation orbit, kept in
-    # its right factor: at (N, n) = (5, 6) every orbit holds 5 states, so
-    # Lambda q reads 42 of the 210 columns of q
+    # every product of tq is formed on one column per translation orbit,
+    # kept in its right factor: at (N, n) = (5, 6) every orbit holds 5
+    # states, so Lambda q reads 42 of the 210 columns of q
     right = set()
     real = graded._add_product
 
@@ -241,12 +242,22 @@ def test_tq_and_lambda_q_multiply_only_the_representative_columns(monkeypatch):
     assert ok, failures[:3]
     assert len(occupation_basis(5, 6)) == 210
     assert right == set(translation_representatives(5, 6)) and len(right) == 42
-    # both commutators of lambda-q, on the sector (4, 4): 10 of 35 columns
-    right.clear()
-    report = suites.run_suite(suites.SuiteSpec("lambda-q", 0, {"pairs": [(4, 4)], "draws": 1}))
+    # both commutators of lambda-q, on the sector (4, 4), are projected on
+    # a vector drawn on one column per translation orbit, 10 of 35 columns,
+    # and form no product: the only products of the passing suite are the
+    # auxiliary-spin trace's, each a right factor of state norms (diagonal)
+    kernels = KernelRecord(monkeypatch)
+    seed = 0
+    report = suites.run_suite(suites.SuiteSpec("lambda-q", seed, {"pairs": [(4, 4)], "draws": 1}))
     assert report["status"] == "pass"
-    assert right == set(translation_representatives(4, 4)) and len(right) == 10
-    assert len(occupation_basis(4, 4)) == 35
+    reps = translation_representatives(4, 4)
+    assert len(reps) == 10 and len(occupation_basis(4, 4)) == 35
+    x = graded.random_vector(reps, seed + 6)[1]  # the suite's x draw seed, seed + 41 i + 6
+    drawn = kernels.drawn(x)
+    assert drawn and all(set(v) == set(reps) for v in drawn)
+    assert all(kernels.computed(v) for v in kernels.received if v not in drawn)
+    assert kernels.products and all(col.keys() == {c} for bcols in kernels.products
+                                    for c, col in bcols.items())
 
 def test_tq_and_lambda_q_reject_x_zero(monkeypatch):
     # at x = 0 the twisted translation is singular, so one column per orbit
@@ -289,9 +300,9 @@ def test_commutation_checks():
         basis = occupation_basis(N, n)
         q = build_qmatrix(basis, X, T)
         shift = GradedOperator(q.dim, {0: translation_op(basis, X)})
-        assert commutator_items(periodic_transfer(basis, X, T), q, range(q.dim), basis) == []
-        assert commutator_items(q, q, range(q.dim), basis) == []
-        assert commutator_items(shift, q, range(q.dim), basis) == []
+        assert commutator_items(periodic_transfer(basis, X, T), q, range(q.dim), basis, 0) == []
+        assert commutator_items(q, q, range(q.dim), basis, 0) == []
+        assert commutator_items(shift, q, range(q.dim), basis, 0) == []
 
 
 def test_q_hermitian_reflect():
@@ -333,9 +344,41 @@ def test_build_LL_names_the_pole_at_u_zero():
         build_LL(0, T, 3, 3)
 
 
+def test_ll_F_op_names_the_pole_at_u_zero():
+    # F carries (1/u)^m as build_LL does: the locus is named before any division
+    with pytest.raises(ValueError, match="u = 0"):
+        ll_F_op(0, F(1, 2), 3)
+
+
+def test_toda_intertwine_names_the_pole_at_u_zero():
+    # R(z/u) reads z/u: the locus is named before any division, whatever LL is
+    t = F(1, 3)
+    with pytest.raises(ValueError, match="u = 0"):
+        toda_intertwine_check(build_LL(F(1, 2), t, 4, 4), t, 0, t, spin_windows(4, t), 0)
+
+
+def test_lax_relation_checks_project_on_the_inner_states(monkeypatch):
+    # a passing auxiliary Lax or intertwining check forms no product: both
+    # sides are applied, right to left, to one vector drawn on the inner
+    # states, so every right factor reads those columns and no other
+    cap, u, z, seed = 6, F(5, 3), F(3, 4), 11
+    LL, windows = build_LL(u, T, cap, cap), spin_windows(cap, T)
+    inner = set(windows[2])
+    assert len(inner) == (cap - 1) ** 2 < len(windows[1])
+    x = graded.random_vector(inner, seed)[1]
+    kernels = KernelRecord(monkeypatch)
+    for check in (lambda: ll_relations_check(LL, u, T, windows, seed),
+                  lambda: toda_intertwine_check(LL, z, u, T, windows, seed)):
+        kernels.clear()
+        assert check() == (True, [])
+        assert kernels.products == []
+        drawn = kernels.drawn(x)
+        assert drawn and all(set(v) == inner for v in drawn)
+
+
 def test_ll_four_relations():
     u = F(5, 3)
-    ok, failures = ll_relations_check(build_LL(u, T, 6, 6), u, T, spin_windows(6, T))
+    ok, failures = ll_relations_check(build_LL(u, T, 6, 6), u, T, spin_windows(6, T), 0)
     assert ok, failures
 
 
@@ -351,7 +394,7 @@ def test_ll_relations_report_a_perturbed_LL():
     LL = build_LL(u, T, cap, cap)
     assert LL.entry(idx(1, 1), idx(2, 1)) == 0
     LL.add_to(idx(1, 1), idx(2, 1), d)
-    ok, failures = ll_relations_check(LL, u, T, spin_windows(cap, T))
+    ok, failures = ll_relations_check(LL, u, T, spin_windows(cap, T), 0)
     assert not ok
     assert [f for f in failures if f["relation"] == "Lc x = x Lc"] == [
         {"relation": "Lc x = x Lc", "row": "(1,1)", "col": "(1,2)",
@@ -360,7 +403,8 @@ def test_ll_relations_report_a_perturbed_LL():
 
 def test_toda_intertwine():
     u = F(5, 3)
-    ok, failures = toda_intertwine_check(build_LL(u, T, 6, 6), F(3, 4), u, T, spin_windows(6, T))
+    ok, failures = toda_intertwine_check(build_LL(u, T, 6, 6), F(3, 4), u, T, spin_windows(6, T),
+                                         0)
     assert ok, failures[:3]
 
 
@@ -518,7 +562,7 @@ def test_toda_intertwine_reports_a_perturbed_LL(monkeypatch):
         return inner_sums[-1]
 
     monkeypatch.setattr(baxter_q, "sum_of_scaled_products", recorded)
-    ok, failures = toda_intertwine_check(LL, F(3, 4), u, T, spin_windows(cap, T))
+    ok, failures = toda_intertwine_check(LL, F(3, 4), u, T, spin_windows(cap, T), 0)
     assert not ok and failures
     states = [(a, b) for a in range(cap + 1) for b in range(cap + 1)]
     index = {f"({a},{b})": k for k, (a, b) in enumerate(states)}

@@ -119,7 +119,7 @@ def test_commutator_vanishes_on_powers():
     m = random_sparse(3, rng)
     A = GradedOperator(3, {0: m, 1: m.mul(m)})
     B = GradedOperator(3, {0: m.mul(m).mul(m)})
-    assert commutator_items(A, B, range(3), occupation_basis(3, 1)) == []
+    assert commutator_items(A, B, range(3), occupation_basis(3, 1), 0) == []
 
 
 def test_shift_and_scale():
@@ -164,22 +164,22 @@ def test_commutator_vanishes_reports_non_commuting_operators():
     first, second = basis.labels()
     cols = range(2)
     # e12 e21 = e11 and e21 e12 = e22: the two differ at (0, 0) and (1, 1)
-    assert commutator_items(A, B, cols, basis, relation="AB") == [
+    assert commutator_items(A, B, cols, basis, 0, relation="AB") == [
         {"relation": "AB", "bidegree": (0, 1), "row": first, "col": first, "lhs": "1", "rhs": "0"},
         {"relation": "AB", "bidegree": (0, 1), "row": second, "col": second, "lhs": "0", "rhs": "1"}]
     # on the asserted columns only: column 1 alone holds the second item
-    assert commutator_items(A, B, [1], basis) == [
+    assert commutator_items(A, B, [1], basis, 0) == [
         {"bidegree": (0, 1), "row": second, "col": second, "lhs": "0", "rhs": "1"}]
-    assert [item["bidegree"] for item in commutator_items(B, A, cols, basis)] == [(1, 0), (1, 0)]
-    assert commutator_items(A, A, cols, basis) == []
+    assert [item["bidegree"] for item in commutator_items(B, A, cols, basis, 0)] == [(1, 0), (1, 0)]
+    assert commutator_items(A, A, cols, basis, 0) == []
     # with A is B only the pair of degrees (0, 1) can decide, and it fails
     AB = GradedOperator(2, {0: e12, 1: e21})
-    assert [item["bidegree"] for item in commutator_items(AB, AB, cols, basis)] == [(0, 1)] * 2
+    assert [item["bidegree"] for item in commutator_items(AB, AB, cols, basis, 0)] == [(0, 1)] * 2
     I2 = GradedOperator(2, {0: SparseMatrix.identity(2)}, max_degree=0)
-    assert commutator_items(AB, I2, cols, basis) == []
+    assert commutator_items(AB, I2, cols, basis, 0) == []
     I3 = GradedOperator(3, {0: SparseMatrix.identity(3)}, max_degree=0)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        commutator_items(A, I3, cols, basis)
+        commutator_items(A, I3, cols, basis, 0)
 
 
 def test_graded_items_name_the_degree_and_skip_blocks_above_top():
@@ -208,3 +208,36 @@ def test_mismatch_items_label_and_format_the_first_three():
     assert mismatch_items([(1, F(-2, 3), F(0))], basis, degree=0) == [
         {"degree": 0, "row": "[1]", "lhs": "-2/3", "rhs": "0"}]
     assert mismatch_items([], basis, degree=0) == []
+
+
+def test_a_projection_that_differs_where_the_products_agree_still_fails(monkeypatch):
+    # exact arithmetic cannot make the projections of equal products differ,
+    # so a kernel made to do it must fail the check, never pass it: the
+    # product route then finds no entry, and one item says so
+    from integrable_lab import baxter_q, graded, lattice, vertex_ops
+
+    basis = occupation_basis(3, 2)
+    lam = lattice.periodic_transfer(basis, F(3, 5), F(2, 7))
+    q = baxter_q.build_qmatrix(basis, F(3, 5), F(2, 7))
+    gbasis = partition_basis(5)
+    plus = vertex_ops.build_gamma("L", "+", gbasis, F(2, 7))
+    minus = vertex_ops.build_gamma("L", "-", gbasis, F(2, 7))
+    checks = [lambda: commutator_items(lam, q, range(q.dim), basis, 0, N=3),
+              lambda: vertex_ops.gamma_commutation_check(plus, minus, 3, 0)[1],
+              lambda: vertex_ops.pair_commutation_check(minus, 3, 0)[1]]
+    assert all(check() == [] for check in checks)
+
+    real = graded._mat_vec
+    calls = []
+
+    def first_call_off(cols, vec):  # one more at every row of the first vector returned
+        out = real(cols, vec)
+        calls.append(1)
+        return {r: v + 1 for r, v in out.items()} if len(calls) == 1 else out
+
+    monkeypatch.setattr(graded, "_mat_vec", first_call_off)
+    for check, tag in zip(checks, ({"N": 3, "bidegree": (0, 0)}, {"bidegree": (0, 0)},
+                                   {"bidegree": (0, 1)})):
+        calls.clear()
+        items = check()
+        assert calls and items == [dict(tag, projection="differs; no product entry does")]

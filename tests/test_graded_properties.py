@@ -21,7 +21,10 @@ Fractions and no degree above the cap; `sum_of_products` of three or
 more pairs must equal the dense sum of their Cauchy products; the ungraded
 `sum_of_scaled_products` and `mul` must equal dense sums of scaled
 products, and form on the columns W kept in their right factors exactly
-the columns W of the whole product; `commutator_items` must list the
+the columns W of the whole product; a seeded random projection must
+see one bumped entry of C = A B on the asserted rows and columns, at
+its row, and `projected_items` must then return the product route's
+item naming it, and nothing when C = A B; `commutator_items` must list the
 first three entries where the dense AB and BA differ, column by column,
 and `covariance_items` must give the verdict of the commutator with an
 invertible monomial U, covariant blocks and bumped ones alike, naming
@@ -45,8 +48,12 @@ from hypothesis import given, settings, strategies as st
 from integrable_lab.graded import (
     GradedOperator,
     SparseMatrix,
+    _column_mismatches,
     commutator_items,
     covariance_items,
+    mismatch_items,
+    projected_items,
+    random_vector,
     sum_of_products,
     sum_of_scaled_products,
     vector_mismatches,
@@ -455,7 +462,7 @@ def test_sum_of_scaled_products_equals_dense_sum(terms, cancel):
              "lhs": format_scalar(ab[r][c]), "rhs": format_scalar(ba[r][c])}
             for c in range(DIM) for r in range(DIM) if ab[r][c] != ba[r][c]]
     assert commutator_items(GradedOperator(DIM, {0: a}), GradedOperator(DIM, {1: b}),
-                            range(DIM), COMMUTATOR_BASIS) == want[:3]
+                            range(DIM), COMMUTATOR_BASIS, 0) == want[:3]
     with pytest.raises(ValueError, match="dimension mismatch"):
         sum_of_scaled_products([*terms, (F(1), a, SparseMatrix(DIM + 1))])
 
@@ -520,7 +527,7 @@ def test_covariance_items_decide_as_the_commutator_with_the_monomial(u_and_B, bu
     if bump is None:
         assert items == []
     assert (items == []) == (commutator_items(GradedOperator(DIM, {0: U}), B, range(DIM),
-                                              COMMUTATOR_BASIS) == [])
+                                              COMMUTATOR_BASIS, 0) == [])
     index = {label: i for i, label in enumerate(COMMUTATOR_BASIS.labels())}
     for item in items:
         assert set(item) == {"degree", "row", "col", "lhs", "rhs"}
@@ -567,6 +574,38 @@ def test_a_product_on_kept_columns_equals_the_kept_columns_of_the_product(a, b, 
     assert dense(kept) == [[v if c in window - {0} else F(0) for c, v in enumerate(row)]
                            for row in dense(m)]
     assert_canonical(kept)
+
+
+@SETTINGS
+@given(raw_matrices(), raw_matrices(), st.sets(INDEX, min_size=1), st.sets(INDEX, min_size=1),
+       NONZERO, st.integers(0, 2 ** 64), st.booleans(), st.data())
+def test_a_projection_sees_one_bumped_entry_and_the_product_route_names_it(a, b, cols, rows, v,
+                                                                          seed, bumped, data):
+    # C = A B, with one entry bumped by v inside the asserted rows and
+    # columns or not at all: A (B x) and C x differ exactly at the bumped
+    # row (x has no zero entry), and the product route names the entry
+    r, c = data.draw(st.sampled_from(sorted(rows))), data.draw(st.sampled_from(sorted(cols)))
+    ab = a.mul(b)
+    C = ab.add(SparseMatrix.from_entries(DIM, [(r, c, v)])) if bumped else copy_of(ab)
+    x = random_vector(cols, seed)
+    assert set(x[1]) == cols and all(1 <= e <= 2 ** 30 for e in x[1].values())
+    lhs, rhs = a.apply_ints(b.apply_ints(x)), C.apply_ints(x)
+    differ = [row for row, *_ in _column_mismatches(lhs[1], lhs[0], rhs[1], rhs[0], rows)]
+    assert differ == ([r] if bumped else [])
+
+    def products():
+        return mismatch_items(ab.mismatches(C, sorted(cols), rows), COMMUTATOR_BASIS, rel="AB=C")
+
+    items = projected_items([({"rel": "AB=C"}, lhs, rhs)], rows, products)
+    labels = COMMUTATOR_BASIS.labels()
+    assert items == ([{"rel": "AB=C", "row": labels[r], "col": labels[c],
+                       "lhs": format_scalar(ab.entry(r, c)),
+                       "rhs": format_scalar(ab.entry(r, c) + v)}] if bumped else [])
+    # the vectors a projection compares equal the dense products applied to x
+    xs = [F(x[1].get(k, 0)) for k in range(DIM)]
+    for (den, ints), M in ((lhs, ab), (rhs, C)):
+        assert [F(ints.get(k, 0), den) for k in range(DIM)] == \
+            [sum(M.entry(i, k) * xs[k] for k in range(DIM)) for i in range(DIM)]
 
 
 @st.composite

@@ -125,7 +125,7 @@ def test_commuting_family():
         x = F(rng.randint(2, 8), 9)
         basis = occupation_basis(N, n)
         lam1 = periodic_transfer(basis, x, t)
-        assert commutator_items(lam1, lam1, range(lam1.dim), basis) == []
+        assert commutator_items(lam1, lam1, range(lam1.dim), basis, 0) == []
 
 
 def test_hermitian_reflected_form():

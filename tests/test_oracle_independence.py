@@ -39,6 +39,28 @@ def drop_left_column_0(monkeypatch, fired):
     monkeypatch.setattr(graded, "_add_product", perturbed)
 
 
+def drop_the_last_entry_of_longer_columns(monkeypatch, fired):
+    """The mat-vec kernel drops the last stored entry of each column it
+    reads that holds two or more.  A column of one entry is kept: dropping
+    it turns a shift or a diagonal into zero, and relations between such
+    operators then read zero on both sides (the four auxiliary Lax
+    relations of rll all pass so)."""
+    real = graded._mat_vec
+
+    def perturbed(cols, vec):
+        read = {}
+        for j in vec:
+            col = cols.get(j)
+            if col and len(col) > 1:
+                fired.append(1)
+                col = dict(list(col.items())[:-1])
+            if col:
+                read[j] = col
+        return real(read, vec)
+
+    monkeypatch.setattr(graded, "_mat_vec", perturbed)
+
+
 def drop_negative_numerators(monkeypatch, fired):
     """The canonical reduction's zero test slips to a sign test: every
     negative numerator is dropped with the zeros."""
@@ -325,15 +347,26 @@ def one_bethe_amplitude_off(monkeypatch, fired):
 #  suites that run the kernel's module but never the perturbed function,
 #  which must keep passing)
 ROWS = [
+    # the projected checks reach the product kernel only where a projection
+    # differs; lambda-q fails through the trace's product with its state norms
     ("graded._add_product", drop_left_column_0, ("tq", "lambda-q", "rll"),
-     "Lambda q of TQ; both orders of every commutator; both sides of RLL and "
-     "of the Toda intertwining", ()),
+     "Lambda q of TQ; both sides of the six-vertex RLL; the state norms of the "
+     "auxiliary-spin trace", ()),
+    # every projected identity (the exchange and same-sign relations, the
+    # commutators of the transfer and Q-matrices, the auxiliary Lax
+    # relations and the Toda intertwining) and, through `apply`, the eigen
+    # relations of gamma-eigen and the folded Toda columns of gauge; tq
+    # decides its relation on products
+    ("graded._mat_vec", drop_the_last_entry_of_longer_columns,
+     ("gamma-commute", "rll", "lambda-q", "gamma-eigen", "gauge"),
+     "both sides of every projected identity; Gamma_+ on the eigenstates; Lambda on "
+     "the folded Toda columns", ("tq",)),
     ("graded._canonical", drop_negative_numerators, ("tq", "lambda-q", "rll"),
      "every stored matrix: both sides of every sparse identity, and the "
      "closed-form Q against its add_to-built trace", ()),
-    # lambda-q misses this one: both products of a commutator come out of
-    # one accumulator, and matrices that commute still commute when scaled
-    ("graded._canonical", keep_the_unreduced_denominator, ("tq", "rll"),
+    # scaled commuting matrices still commute, so lambda-q fails through its
+    # trace agreement, whose two sides are reduced along different routes
+    ("graded._canonical", keep_the_unreduced_denominator, ("tq", "rll", "lambda-q"),
      "every stored matrix, scaled by the gcd it failed to take out", ()),
     # the one entry accumulator builds both sides of tq (Lambda and q), of
     # lambda-q (q and the auxiliary Lax operator of the trace) and of

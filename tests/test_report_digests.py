@@ -8,9 +8,10 @@ verdicts tie their bytes to the platform's libm, so its digest is the
 sha256 of its other checks (`json.dumps(checks, indent=2, sort_keys=True)`).
 
 The benchmark's `sector-operators` suites run at larger ring sizes than
-the seed-0 defaults ((N, n) up to (5, 6) in `tq`); their reports at the
-first pool seeds are pinned against the benchmark's own record,
-`perfbench/digests.json`, read with the params of
+the seed-0 defaults ((N, n) up to (5, 6) in `tq`), and its
+`window-identities` suites at their own sizes (`gamma-commute` at D = 8);
+their reports at the first pool seeds are pinned against the benchmark's
+own record, `perfbench/digests.json`, read with the params of
 `perfbench/workloads.py`, neither file edited.
 """
 
@@ -71,7 +72,10 @@ def _bench_workloads():
 
 
 WORKLOADS = _bench_workloads()
-RING_SUITES = WORKLOADS.SUITE_WORKLOADS["sector-operators"]
+# the suites of both workloads, each (suite, params) once: rll runs in both
+RING_SUITES = [*WORKLOADS.SUITE_WORKLOADS["sector-operators"],
+               *(call for call in WORKLOADS.SUITE_WORKLOADS["window-identities"]
+                 if call not in WORKLOADS.SUITE_WORKLOADS["sector-operators"])]
 
 
 @pytest.mark.parametrize("name, params", RING_SUITES, ids=[name for name, _ in RING_SUITES])
