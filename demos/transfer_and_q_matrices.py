@@ -35,17 +35,18 @@ for name, op in [("transfer matrix", lam), ("Q-matrix", q)]:
         print(f"  z^{k}: {rows}")
     print()
 
-ok, _ = tq_check(N, n, x, t)
+ok, _ = tq_check(N, n, x, t, 0)
 print("TQ relation  Lambda(z) q(z) = q(tz) + x z^N t^n q(z/t):",
       "holds exactly" if ok else "FAILS")
 # each commutator lists the entries where A B and B A differ: none; it is
-# decided on a random projection drawn from the seed passed (here 0)
+# decided on a random projection drawn from the seed passed (here 0), as the
+# TQ relation above is
 print("[Lambda(z1), q(z2)] = 0:", commutator_items(lam, q, range(q.dim), basis, 0) == [])
 print("[q(z1), q(z2)] = 0:   ", commutator_items(q, q, range(q.dim), basis, 0) == [])
 
 print("\nLarger sectors (graded, exact):")
 for (NN, nn) in [(3, 2), (3, 3), (4, 2)]:
-    ok, _ = tq_check(NN, nn, x, t)
+    ok, _ = tq_check(NN, nn, x, t, 0)
     sector = occupation_basis(NN, nn)
     commute = commutator_items(periodic_transfer(sector, x, t), build_qmatrix(sector, x, t),
                                range(len(sector)), sector, 0) == []

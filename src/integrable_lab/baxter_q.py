@@ -5,10 +5,10 @@ sector, built from a closed-form entry formula: a sum of per-site boson
 moves, each site k sending d_k <= m_k bosons to site k+1, weighted by
 t-binomials binom(m_k, d_k)_t, signs (-z)^{d_k}, and the twist x once
 per boson crossing the seam.  `build_qmatrix` expands each column site
-by site on integers: one row of t-binomials per occupation value, over
-one denominator, and states coded in base n + 1, so that a move shifts
-the code by a fixed step and finds its target in one dict lookup.  The
-auxiliary-spin Lax operator `build_LL` (integer ratios of the literal
+by site on integers: one row of t-binomials per occupation value, each
+over its own denominator, and states coded in base n + 1, so that a move
+shifts the code by a fixed step and finds its target in one dict lookup.
+The auxiliary-spin Lax operator `build_LL` (integer ratios of the literal
 t-factorials) gives a second, independent construction, `trace_qmatrix`,
 by tracing over the spin space; the two are compared entrywise in the
 tests and suites.  Its own relations, `ll_relations_check` and
@@ -16,7 +16,9 @@ tests and suites.  Its own relations, `ll_relations_check` and
 it acts on, so that the `rll` suite builds both once per draw; they are
 decided on a seeded random projection (`graded.projected_items`), each
 side applied right to left to one vector drawn on the inner states,
-with their product comparisons kept for the failure items.
+with their product comparisons kept for the failure items.  The TQ
+relation `tq_check` is projected on the left, on one covector drawn on
+every row, since the transfer matrix is its large left factor.
 Builders take their basis and checks take sizes (`tq_check` enumerates
 its sector once); `trace_qmatrix`, the independent side, takes sizes.
 
@@ -28,7 +30,6 @@ commutation with the transfer matrix and the translation.
 from __future__ import annotations
 
 from itertools import product as iproduct
-from math import lcm
 from operator import mul
 
 from .graded import (
@@ -78,50 +79,53 @@ def build_qmatrix(basis: Basis, x, t) -> GradedOperator:
     (-1)^{|d|} x^{d_N} * prod_k binom(m_k, d_k)_t,
     the seam N -> 1 carrying the twist x once per boson it moves.
 
-    Built on integers, site by site: the row (-1)^d binom(m, d)_t, d <= m,
-    is read once per occupation value m from one `TTable` and kept as
-    numerators over one denominator.  A state m is coded as
-    sum_k m_k (n + 1)^k, so d_k bosons leaving site k for site k + 1 add
+    Built on integers, site by site: the weight (-1)^d binom(m, d)_t of a
+    move, d <= m, is read once per occupation value m from one `TTable`
+    and kept as its own (numerator, denominator) pair, the reduced one
+    of the t-binomial, on the seam times xn^d / xd^d for x = xn / xd.
+    binom(m, d)_t is a polynomial of degree d(m - d) in t, so a move that
+    keeps its bosons (d = 0 or m) has denominator 1 (xd^d on the seam),
+    and an entry's denominator, the product of its moves', is close to
+    what the entry needs.  A state m is coded as sum_k m_k (n + 1)^k, so
+    d_k bosons leaving site k for site k + 1 add
     d_k ((n + 1)^{k+1 mod N} - (n + 1)^k) to the code.  Each column is
-    expanded one site at a time into (code, degree, numerator) terms over
-    the product of its sites' denominators, and each target is one dict
-    lookup of its code; the entries go to `GradedOperator.from_ratios`.
+    expanded one site at a time into (code, degree, numerator,
+    denominator) terms, both multiplied along, and each target is one
+    dict lookup of its code; every entry goes to
+    `GradedOperator.from_ratios` over its own denominator.
     """
     t, x = as_scalar(t), as_scalar(x)
     N, n = sector_sizes(basis)
     reject_singular_t(t, max(n, 1))  # divides by m_k!_t, m_k <= n; t = 1 at every n
-    # per occupation m, the row (-1)^d binom(m, d)_t, d <= m, as numerators
-    # over one denominator, read once from one t-table; the seam row also
-    # carries x^d = xn^d xd^(m-d) / xd^m
+    # per occupation m, the weights (-1)^d binom(m, d)_t, d <= m, each as its
+    # own (numerator, denominator), read once from one t-table; the seam's
+    # also carry x^d = xn^d / xd^d
     binom = TTable(t).binom
     xn, xd = x.as_integer_ratio()
     rows, seam_rows = [], []
     for m in range(n + 1):
-        row = [binom[m, d] for d in range(m + 1)]
-        den = lcm(*(b.denominator for b in row))
-        nums = [(-1) ** d * b.numerator * (den // b.denominator) for d, b in enumerate(row)]
-        rows.append((nums, den))
-        seam_rows.append(([v * xn ** d * xd ** (m - d) for d, v in enumerate(nums)], den * xd ** m))
+        ratios = [binom[m, d].as_integer_ratio() for d in range(m + 1)]
+        rows.append([((-1) ** d * p, q) for d, (p, q) in enumerate(ratios)])
+        seam_rows.append([(p * xn ** d, q * xd ** d) for d, (p, q) in enumerate(rows[-1])])
     # a state is coded in base n + 1, site k at weight (n + 1)^k, so d bosons
     # moving from site k to site k + 1 add d (w_{k+1} - w_k) to the code
     w = [(n + 1) ** k for k in range(N)]
     step = [w[(k + 1) % N] - w[k] for k in range(N)]
     index = {sum(map(mul, m, w)): j for j, m in enumerate(basis.states)}
-    # per site and occupation, the moves (code shift, degree, numerator)
-    # and their denominator; a move of numerator 0 (x = 0 on the seam) is left out
-    moves = [[([(d * step[k], d, v) for d, v in enumerate(nums) if v], den)
-              for nums, den in (seam_rows if k == N - 1 else rows)] for k in range(N)]
+    # per site and occupation, the moves (code shift, degree, numerator,
+    # denominator); a move of numerator 0 (x = 0 on the seam) is left out
+    moves = [[[(d * step[k], d, p, q) for d, (p, q) in enumerate(row) if p]
+              for row in (seam_rows if k == N - 1 else rows)] for k in range(N)]
 
     def entries():
         for j, m in enumerate(basis.states):
-            # expand the column site by site as (code, degree, numerator)
-            terms, den = [(sum(map(mul, m, w)), 0, 1)], 1
+            # expand the column site by site as (code, degree, numerator, denominator)
+            terms = [(sum(map(mul, m, w)), 0, 1, 1)]
             for site, mk in zip(moves, m):
-                row, q = site[mk]
-                terms = [(c + dc, g + d, v * p) for c, g, v in terms for dc, d, p in row]
-                den *= q
-            for c, g, v in terms:
-                yield g, index[c], j, v, den
+                terms = [(c + dc, g + d, v * p, u * q)
+                         for c, g, v, u in terms for dc, d, p, q in site[mk]]
+            for c, g, v, u in terms:
+                yield g, index[c], j, v, u
 
     return GradedOperator.from_ratios(len(basis), entries(), n)
 
@@ -135,11 +139,14 @@ def build_LL(u, t, s_cap: int, x_cap: int):
     Maps |nu_s, nu_x> to sum over mu_s >= nu_x of
     (1/u)^{nu_x - nu_s} / ((mu_s - nu_x)!_t (nu_x - nu_s)!_t) |mu_s, nu_s>,
     supported on mu_s >= nu_x >= nu_s.  Returned as a SparseMatrix on the
-    product basis (s label major, x label minor).
+    product basis (s label major, x label minor).  Its poles raise
+    ValueError: u = 0, and t = 1 or -1 where a k!_t it divides by,
+    k <= max(s_cap, x_cap), is 0.
     """
     u, t = as_scalar(u), as_scalar(t)
     if u == 0:
         raise ValueError("u = 0 is a pole of the auxiliary Lax operator: its entries carry 1/u")
+    reject_singular_t(t, max(s_cap, x_cap))
     wn, wd = (ONE / u).as_integer_ratio()
     dim = (s_cap + 1) * (x_cap + 1)
     # the literal k!_t, once per order, as (numerator, denominator) pairs:
@@ -184,7 +191,8 @@ def spin_windows(cap: int, t):
     `inner` states, with two units of headroom in both labels, where
     matrix elements cannot see the edge, and the raise, t^label and
     t^-label on the first label: the pieces that the auxiliary Lax
-    relations and the Toda intertwining share."""
+    relations and the Toda intertwining share.  t = 0, where t^-label
+    has a pole, raises ValueError (`lattice.toda_x_op`)."""
     pair = Basis(list(iproduct(range(cap + 1), repeat=2)), kind="window")
     inner = [j for j, (a, b) in enumerate(pair.states) if a <= cap - 2 and b <= cap - 2]
     return (cap, pair, inner, *_window_ops(pair, 1, t))
@@ -397,21 +405,33 @@ def trace_qmatrix(N: int, n: int, z, x, t) -> GradedOperator:
 # ---------------------------------------------------------------------------
 # TQ relation
 
-def tq_check(N: int, n: int, x, t):
+def tq_check(N: int, n: int, x, t, seed: int):
     """Lambda_N(z) q_n(z) = q_n(tz) + x z^N t^n q_n(z/t), exactly, graded,
     decided on one column per orbit of the twisted one-step translation U
-    (`lattice.translation_orbits`).
+    (`lattice.translation_orbits`), by a seeded left projection.
 
     When Lambda and q commute with U block by block, so do both sides,
     and so does their difference D; U is invertible (x != 0), so
     D e_{perm c} = U D e_c / u_c vanishes on a whole orbit when it
     vanishes on one column of it.  The check therefore asserts that
     Lambda and q are translation covariant (`covariance_items`, one pass
-    over their entries), then forms Lambda q with q kept on the orbit
-    representatives and compares it with the right-hand side there.
-    Failure items: those of the relation, on the representative
-    columns, then those of the covariance, tagged `operator` "Lambda" or
-    "q".  Returns (ok, failures); t = 0 and x = 0 raise ValueError.
+    over their entries), then compares the relation on the orbit
+    representatives, q kept on those columns.
+
+    The relation is projected on the left (Freivalds, on the transpose):
+    with y = graded.random_vector(range(dim), seed) on every row and
+    u_i = y^T Lambda_i formed once per block, degree k <= N + n compares
+    the covectors sum_{i+j=k} u_i q_j and
+    t^k (y^T q_k) + x t^(n-k+N) (y^T q_{k-N}) on the representatives, so
+    a passing check forms no product.  If D_k is nonzero at some (r, c)
+    with c a representative, (y^T D_k)_c is a nonzero linear form in y,
+    so it is missed with probability at most 2^-30.  Where a degree
+    differs, the failure items are those of the products: Lambda q,
+    composed on the representative columns, against the right-hand side
+    there (and, should those agree, one item tagged `projection`).
+    Failure items: those of the relation, then those of the covariance,
+    tagged `operator` "Lambda" or "q".  Returns (ok, failures); t = 0 and
+    x = 0 raise ValueError.
     """
     t, x = as_scalar(t), as_scalar(x)
     if t == 0:
@@ -423,12 +443,28 @@ def tq_check(N: int, n: int, x, t):
     keep = set(reps)
     q_reps = {k: b.keep_columns(keep) for k, b in q.blocks.items()}
     top = N + n
-    lhs = lam.compose(GradedOperator(lam.dim, q_reps), top)
-    # q(tz) + x z^N t^n q(z/t): block k of q enters degree k scaled by t^k
-    # and degree k + N scaled by x t^(n-k), each a scaling of its integers
-    rhs = GradedOperator(lam.dim, {k: b.scale(t ** k) for k, b in q_reps.items()}).add(
-        GradedOperator(lam.dim, {k + N: b.scale(x * t ** (n - k)) for k, b in q_reps.items()}))
-    failures = graded_items(lhs, rhs, top, reps, basis)
+
+    def sides():
+        y = random_vector(range(lam.dim), seed)
+        u = {i: b.apply_row_ints(y) for i, b in lam.blocks.items()}
+        yq = {j: b.apply_row_ints(y) for j, b in q_reps.items()}
+        for k in range(top + 1):
+            lhs = combination((1, q_reps[k - i].apply_row_ints(ui))
+                              for i, ui in u.items() if k - i in q_reps)
+            # q(tz) + x z^N t^n q(z/t): block j of q enters degree j scaled
+            # by t^j and degree j + N scaled by x t^(n-j)
+            rhs = [(t ** k, yq[k])] if k in yq else []
+            if k - N in yq:
+                rhs.append((x * t ** (n - k + N), yq[k - N]))
+            yield {"degree": k}, lhs, combination(rhs)
+
+    def products():
+        lhs = lam.compose(GradedOperator(lam.dim, q_reps), top)
+        rhs = GradedOperator(lam.dim, {k: b.scale(t ** k) for k, b in q_reps.items()}).add(
+            GradedOperator(lam.dim, {k + N: b.scale(x * t ** (n - k)) for k, b in q_reps.items()}))
+        return graded_items(lhs, rhs, top, reps, basis)
+
+    failures = projected_items(sides(), None, products)
     for name, op in (("Lambda", lam), ("q", q)):
         failures += covariance_items(op, perm, weights, basis, operator=name)
     return not failures, failures
@@ -448,7 +484,8 @@ def ar_project_check(N: int, z, u, t, max_weight: int, max_len: int):
     length, and the Toda monodromy is folded on those columns only.
     Returns (ok, failures).  Caps that leave no such column raise
     ValueError: the empty partition, the last to go, needs max_weight and
-    max_len >= N + 1.
+    max_len >= N + 1.  So do its poles: u = 0, and t = 0, where the Toda
+    Lax matrices read t^-v.
     """
     if min(max_weight, max_len) < N + 1:
         raise ValueError(f"ar_project_check asserts no column at N={N}: max_weight={max_weight}"
@@ -456,6 +493,9 @@ def ar_project_check(N: int, z, u, t, max_weight: int, max_len: int):
     z, u, t = as_scalar(z), as_scalar(u), as_scalar(t)
     if u == 0:
         raise ValueError("u = 0 is a pole of the projected intertwining: Abar^R_N is read at 1/u")
+    if t == 0:
+        raise ValueError("t = 0 is a pole of the projected intertwining: the Toda Lax matrices "
+                         "read t^-v")
     basis = partition_basis(max_weight, max_part=N + 1, max_length=max_len)
     dim = len(basis)
     uinv = ONE / u

@@ -109,15 +109,26 @@ def _pole(u, v, t, name) -> str:
 def singular_point(U, V, t):
     """Where the Gaudin ratio is undefined, described; None if nowhere.
 
-    First the pairs with u v = 1 or t u v = 1, where the kernel
-    1/((1 - u v)(1 - t u v)) has a pole, then the zeros of the divisor
-    det[1/(1 - t u_k v_l)] (`_zero_of_divisor`)."""
+    First t = 1, where its prefactor 1/(1 - t)^n has a pole (n >= 1,
+    `_pole_at_t_one`), then the pairs with u v = 1 or t u v = 1, where
+    the kernel 1/((1 - u v)(1 - t u v)) has a pole, then the zeros of the
+    divisor det[1/(1 - t u_k v_l)] (`_zero_of_divisor`)."""
+    if (where := _pole_at_t_one(U, t)) is not None:
+        return where
     for u in U:
         for v in V:
             for name, w in (("u v", u * v), ("t u v", t * u * v)):
                 if w == 1:
                     return _pole(u, v, t, name)
     return _zero_of_divisor(U, V, t)
+
+
+def _pole_at_t_one(U, t):
+    """The pole of the prefactor 1/(1 - t)^n at t = 1, for n = len(U) >= 1,
+    described; None off it."""
+    if U and t == 1:
+        return "t=1: the prefactor 1/(1 - t)^n has a pole"
+    return None
 
 
 def _zero_of_divisor(U, V, t):
@@ -181,9 +192,9 @@ def gaudin_det(n: int, U, V, t) -> Fraction:
 
     Both matrices are cleared to integers row by row (`_gaudin_rows`),
     so the ratio t^{n(n-1)/2} / (1-t)^n det D / det d is one `Fraction`
-    of integer determinants; a pole of an entry is rejected as it is met,
-    and a zero of det d before the division, each named as
-    `singular_point` names it.
+    of integer determinants; t = 1 is rejected up front, a pole of an
+    entry as it is met, and a zero of det d before the division, each
+    named as `singular_point` names it.
     """
     U = [as_scalar(u) for u in U]
     V = [as_scalar(v) for v in V]
@@ -192,6 +203,8 @@ def gaudin_det(n: int, U, V, t) -> Fraction:
         raise ValueError("alphabet sizes must equal n")
     if n == 0:
         return ONE
+    if (where := _pole_at_t_one(U, t)) is not None:
+        raise ValueError(f"singular evaluation point {where}")
     D, d, den_D, den_d = _gaudin_rows(U, V, t)
     if (where := _zero_of_divisor(U, V, t)) is not None:
         raise ValueError(f"singular evaluation point {where}")
@@ -358,8 +371,9 @@ def lascoux_reduction_check(n: int, U, V, t):
     one killed at q = 0; on the symmetric kernel this amounts to zeroing
     the last j variables (the forward-cycle reading fails the identity,
     so the backward one is the intended normalization).  Each side runs
-    on integers and rejects the poles of the kernel as it meets them.
-    Returns (ok, failures), the item naming n.
+    on integers and rejects the poles of the kernel as it meets them;
+    t = 1, where the kernel's t-binomials and the ratio's prefactor have
+    poles, is rejected up front.  Returns (ok, failures), the item naming n.
     """
     if n > 3:
         raise ValueError("desk scale: n <= 3")
@@ -368,6 +382,8 @@ def lascoux_reduction_check(n: int, U, V, t):
     t = as_scalar(t)
     if len(set(U)) != len(U):
         raise ValueError("coincident values rejected")
+    if (where := _pole_at_t_one(U, t)) is not None:
+        raise ValueError(f"singular evaluation point {where}")
     lhs = _symmetrized_kernel(U, V, t)
     rhs = (1 - t) ** (2 * n) * gaudin_det(n, U, V, t)
     failures = mismatch_items([(lhs, rhs)] if lhs != rhs else [], None, n=n)

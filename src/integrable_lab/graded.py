@@ -86,6 +86,19 @@ Where a projection differs, the failure items come from the check's
 product route, the full comparison on the asserted columns, so failing
 reports carry the same items as a product comparison; should that route
 find nothing, the check still fails, with an item saying so.
+
+An identity whose left factor is the large one, A B = C with A read in
+full and B, C kept on the asserted columns W, is projected on the left
+instead (Freivalds on the transpose): y^T A is formed once, for y drawn
+on every row by `random_vector(range(dim), seed)`, and (y^T A) B is
+compared with y^T C on W.  When A B - C is nonzero at (r, c), c in W,
+(y^T (A B - C))_c is a nonzero linear form in y, missed with probability
+at most 2^-30 as above.  The one covector kernel `_vec_mat` applies an
+integer covector to an integer column map, one entry per stored column
+(`SparseMatrix.apply_row_ints`, which `apply_row` also runs on), and
+covectors are (den, {index: int}) pairs compared by `projected_items` as
+vectors are.  The TQ relation, Lambda q = q(tz) + x z^N t^n q(z/t), is
+decided so.
 """
 
 from __future__ import annotations
@@ -124,6 +137,21 @@ def _mat_vec(cols: dict, vec: dict) -> dict:
         if col:
             for r, v in col.items():
                 out[r] = out.get(r, 0) + a * v
+    return out
+
+
+def _vec_mat(cols: dict, covec: dict) -> dict:
+    """covec @ cols on integers: an integer covector ({row: int}) applied
+    on the left of an integer column map (col -> {row: int}), as
+    {col: int}, one entry per stored column; zeros may remain.  The one
+    covector kernel."""
+    out = {}
+    get = covec.get
+    for c, col in cols.items():
+        acc = 0
+        for r, v in col.items():
+            acc += get(r, 0) * v
+        out[c] = acc
     return out
 
 
@@ -568,20 +596,17 @@ class SparseMatrix:
         return self.den * d, _mat_vec(self.cols, ints)
 
     def apply_row(self, covec: dict) -> dict:
-        """Apply a sparse covector on the left, (covec . A), on integers as
-        `apply` does."""
-        d, ints = _over_lcm(covec)
-        den = self.den * d
-        out = {}
-        for c, col in self.cols.items():
-            acc = 0
-            for r, v in col.items():
-                a = ints.get(r)
-                if a is not None:
-                    acc += a * v
-            if acc:
-                out[c] = Fraction(acc, den)
-        return out
+        """Apply a sparse covector {index: Fraction} on the left, (covec . A),
+        on integers as `apply` does, through `apply_row_ints`."""
+        den, out = self.apply_row_ints(_over_lcm(covec))
+        return {c: Fraction(v, den) for c, v in out.items() if v}
+
+    def apply_row_ints(self, covec: tuple) -> tuple:
+        """Apply a covector (d, {index: int}), standing for ints / d, on the
+        left through the covector kernel: (den d, {col: int}), one entry per
+        stored column, zeros may remain."""
+        d, ints = covec
+        return self.den * d, _vec_mat(self.cols, ints)
 
     def mismatches(self, other: "SparseMatrix", cols, rows=None) -> list:
         """(row, col, self entry, other entry) for every differing entry.

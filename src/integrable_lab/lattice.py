@@ -364,7 +364,9 @@ def free_window_basis(N: int, lo: int, hi: int) -> Basis:
 
 def toda_x_op(basis: Basis, k: int, t, power: int = 1, sources=None) -> SparseMatrix:
     """Diagonal t^{power * v_k} (1-based coordinate); with `sources`, only
-    those columns."""
+    those columns.  A negative power at t = 0, its pole, raises ValueError."""
+    if power < 0 and t == 0:
+        raise ValueError(f"t = 0 is a pole of the diagonal t^({power} v_{k})")
     x = TTable(t).power  # a window repeats each v_k many times
     return SparseMatrix.from_state_map(basis, lambda v: (v, x[power * v[k - 1]]), sources)
 

@@ -284,8 +284,9 @@ def _suite_tq(seed, p):
     for i in range(p["draws"]):
         t = _small_t(seed, i)
         x = draw_params(seed + 31 * i + 5, "generic", 1)[0]
+        y_seed = seed + 31 * i + 6  # the left projection's draw, apart from x's
         failures = [{"N": N, "n": n, **f} for N in N_range for n in n_range
-                    for f in baxter_q.tq_check(N, n, x, t)[1]]
+                    for f in baxter_q.tq_check(N, n, x, t, y_seed)[1]]
         checks.append(_check(f"TQ relation draw {i}", "Baxter TQ relation", failures,
                              detail=f"t={t} x={x}"))
     return checks

@@ -1,17 +1,20 @@
-"""A recorder for the cost guards: what the mat-vec kernel and the
-product kernel of `graded` receive while a check runs."""
+"""A recorder for the cost guards: what the mat-vec kernel, the covector
+kernel and the product kernel of `graded` receive while a check runs."""
 
 from integrable_lab import graded
 
 
 class KernelRecord:
-    """Patches `graded._mat_vec` and `graded._add_product` to record, per
-    call, the vector the mat-vec kernel receives and returns and the right
-    factor the product kernel receives; both still compute."""
+    """Patches `graded._mat_vec`, `graded._vec_mat` and
+    `graded._add_product` to record, per call, the vector the mat-vec
+    kernel receives and returns, the column map and covector the covector
+    kernel receives and the covector it returns, and the right factor the
+    product kernel receives; all still compute."""
 
     def __init__(self, monkeypatch):
         self.received, self.returned, self.products = [], [], []
-        mat_vec, add_product = graded._mat_vec, graded._add_product
+        self.read, self.covectors, self.row_returned = [], [], []
+        mat_vec, vec_mat, add_product = graded._mat_vec, graded._vec_mat, graded._add_product
 
         def recording_mat_vec(cols, vec):
             out = mat_vec(cols, vec)
@@ -19,15 +22,24 @@ class KernelRecord:
             self.returned.append(out)
             return out
 
+        def recording_vec_mat(cols, covec):
+            out = vec_mat(cols, covec)
+            self.read.append(cols)
+            self.covectors.append(covec)
+            self.row_returned.append(out)
+            return out
+
         def recording_product(acc, acols, bcols, factor):
             self.products.append(bcols)
             add_product(acc, acols, bcols, factor)
 
         monkeypatch.setattr(graded, "_mat_vec", recording_mat_vec)
+        monkeypatch.setattr(graded, "_vec_mat", recording_vec_mat)
         monkeypatch.setattr(graded, "_add_product", recording_product)
 
     def clear(self):
-        for calls in (self.received, self.returned, self.products):
+        for calls in (self.received, self.returned, self.products, self.read, self.covectors,
+                      self.row_returned):
             calls.clear()
 
     def drawn(self, x: dict) -> list:
@@ -39,3 +51,7 @@ class KernelRecord:
     def computed(self, vec: dict) -> bool:
         """Whether `vec` is a vector the mat-vec kernel returned."""
         return any(vec is out for out in self.returned)
+
+    def row_computed(self, covec: dict) -> bool:
+        """Whether `covec` is a covector the covector kernel returned."""
+        return any(covec is out for out in self.row_returned)

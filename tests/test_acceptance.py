@@ -38,7 +38,7 @@ def test_criterion_02_tq_full_range():
         x = draw_params(400 + i, "generic", 1)[0]
         for N in range(1, 5):
             for n in range(0, 5):
-                good, _ = baxter_q.tq_check(N, n, x, t)
+                good, _ = baxter_q.tq_check(N, n, x, t, 500 + i)
                 ok = ok and good
     elapsed = time.time() - start
     report(2, "TQ relation (N,n) in 1..4 x 0..4", ok and elapsed < 60,

@@ -22,6 +22,8 @@ from integrable_lab.graded import (
     GradedOperator,
     SparseMatrix,
     commutator_items,
+    covariance_items,
+    graded_items,
     sum_of_scaled_products,
 )
 from integrable_lab.lattice import (
@@ -29,6 +31,7 @@ from integrable_lab.lattice import (
     periodic_transfer,
     toda_monodromy,
     translation_op,
+    translation_orbits,
 )
 from integrable_lab.partitions import (
     occupation_basis,
@@ -90,7 +93,7 @@ def test_tq_relation_small():
     for (N, n) in [(1, 1), (2, 2), (3, 2), (2, 3)]:
         t = F(rng.randint(2, 9), 11)
         x = F(rng.randint(2, 9), 13)
-        ok, report = tq_check(N, n, x, t)
+        ok, report = tq_check(N, n, x, t, N + n)
         assert ok, (N, n, report)
 
 
@@ -100,7 +103,7 @@ def test_tq_empty_sector():
     lam = periodic_transfer(occupation_basis(N, 0), X, T)
     assert lam.block(0).entry(0, 0) == 1
     assert lam.block(N).entry(0, 0) == X
-    ok, _ = tq_check(N, 0, X, T)
+    ok, _ = tq_check(N, 0, X, T, 0)
     assert ok
 
 
@@ -114,7 +117,7 @@ def test_tq_report_names_rhs_only_entries(monkeypatch):
     basis = occupation_basis(N, n)
     monkeypatch.setattr(baxter_q, "periodic_transfer",
                         lambda basis, x, t: GradedOperator(len(basis)))
-    ok, failures = tq_check(N, n, X, T)
+    ok, failures = tq_check(N, n, X, T, 0)
     assert not ok
     q = build_qmatrix(basis, X, T)
     labels = basis.labels()
@@ -161,7 +164,7 @@ def test_tq_report_names_a_perturbed_entry(monkeypatch):
         return q
 
     monkeypatch.setattr(baxter_q, "build_qmatrix", perturbed)
-    ok, failures = tq_check(N, n, X, T)
+    ok, failures = tq_check(N, n, X, T, 1)
     labels = occupation_basis(N, n).labels()
     assert not ok
     relation = [f for f in failures if "operator" not in f]
@@ -199,7 +202,7 @@ def test_tq_failure_items_are_pinned(monkeypatch):
         return q
 
     monkeypatch.setattr(baxter_q, "build_qmatrix", perturbed)
-    ok, failures = tq_check(2, 2, F(2), F(1, 3))
+    ok, failures = tq_check(2, 2, F(2), F(1, 3), 2)
     assert not ok
     assert failures == [
         {"degree": 1, "row": "(2,0)", "col": "(1,1)", "lhs": "-7/15", "rhs": "-3/5"},
@@ -209,7 +212,7 @@ def test_tq_failure_items_are_pinned(monkeypatch):
          "rhs": "-18/5"},
         {"operator": "q", "degree": 1, "row": "(0,2)", "col": "(1,1)", "lhs": "-9/5",
          "rhs": "-2"}]
-    ok, failures = tq_check(3, 2, F(-3, 7), F(5, 2))
+    ok, failures = tq_check(3, 2, F(-3, 7), F(5, 2), 3)
     assert not ok
     # the perturbed q_1[(2,0,0), (1,1,0)] was 0 (bosons move right), and so
     # are its image q_1[(0,2,0), (0,1,1)] and its preimage
@@ -227,21 +230,30 @@ def test_tq_failure_items_are_pinned(monkeypatch):
 
 
 def test_tq_and_lambda_q_multiply_only_the_representative_columns(monkeypatch):
-    # every product of tq is formed on one column per translation orbit,
-    # kept in its right factor: at (N, n) = (5, 6) every orbit holds 5
-    # states, so Lambda q reads 42 of the 210 columns of q
-    right = set()
-    real = graded._add_product
-
-    def recording(acc, acols, bcols, factor):
-        right.update(bcols)
-        real(acc, acols, bcols, factor)
-
-    monkeypatch.setattr(graded, "_add_product", recording)
-    ok, failures = tq_check(5, 6, X, T)
+    # a passing tq forms no product: it projects on the left, on y drawn on
+    # every row, and the q blocks its covectors meet keep one column per
+    # translation orbit: at (N, n) = (5, 6) every orbit holds 5 states, so
+    # 42 of the 210 columns of q
+    kernels = KernelRecord(monkeypatch)
+    seed = 7
+    ok, failures = tq_check(5, 6, X, T, seed)
     assert ok, failures[:3]
-    assert len(occupation_basis(5, 6)) == 210
-    assert right == set(translation_representatives(5, 6)) and len(right) == 42
+    basis = occupation_basis(5, 6)
+    assert len(basis) == 210
+    assert kernels.products == []
+    y = graded.random_vector(range(210), seed)[1]
+    assert kernels.covectors and all(v == y or kernels.row_computed(v)
+                                     for v in kernels.covectors)
+    reps = set(translation_representatives(5, 6))
+    assert len(reps) == 42
+    lam = periodic_transfer(basis, X, T)
+    q = build_qmatrix(basis, X, T)
+    lam_reads = [cols for cols in kernels.read if any(cols == b.cols for b in lam.blocks.values())]
+    q_reads = [cols for cols in kernels.read if cols not in lam_reads]
+    assert len(lam_reads) == len(lam.blocks)  # y^T Lambda_i, once per block
+    assert q_reads and all(any(cols.keys() == reps & b.cols.keys() for b in q.blocks.values())
+                           for cols in q_reads)
+    assert set().union(*q_reads) == reps
     # both commutators of lambda-q, on the sector (4, 4), are projected on
     # a vector drawn on one column per translation orbit, 10 of 35 columns,
     # and form no product: the only products of the passing suite are the
@@ -259,6 +271,75 @@ def test_tq_and_lambda_q_multiply_only_the_representative_columns(monkeypatch):
     assert kernels.products and all(col.keys() == {c} for bcols in kernels.products
                                     for c, col in bcols.items())
 
+def tq_product_route(N, n, x, t):
+    """The failure items of the TQ relation decided on products, as the
+    relation was before its left projection: Lambda q, q kept on the orbit
+    representatives, against q(tz) + x z^N t^n q(z/t) there, then the
+    covariance items of Lambda and q (the builders as baxter_q binds them)."""
+    basis = occupation_basis(N, n)
+    perm, weights, reps = translation_orbits(basis, x)
+    lam = baxter_q.periodic_transfer(basis, x, t)
+    q = baxter_q.build_qmatrix(basis, x, t)
+    keep = set(reps)
+    q_reps = {k: b.keep_columns(keep) for k, b in q.blocks.items()}
+    lhs = lam.compose(GradedOperator(lam.dim, q_reps), N + n)
+    rhs = GradedOperator(lam.dim, {k: b.scale(t ** k) for k, b in q_reps.items()}).add(
+        GradedOperator(lam.dim, {k + N: b.scale(x * t ** (n - k)) for k, b in q_reps.items()}))
+    items = graded_items(lhs, rhs, N + n, reps, basis)
+    for name, op in (("Lambda", lam), ("q", q)):
+        items += covariance_items(op, perm, weights, basis, operator=name)
+    return items
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from(["periodic_transfer", "build_qmatrix"]),
+       st.integers(0, 10**6), st.sampled_from([None, F(1, 3), F(-2), F(5, 7)]),
+       st.sampled_from([(F(2, 7), F(3, 5)), (F(-5, 3), F(-7, 2)), (F(3, 11), F(2))]),
+       st.integers(0, 2**16))
+def test_tq_projection_fails_a_bumped_representative_column_with_the_product_items(
+        N, n, name, where, bump, tx, seed):
+    # one entry of Lambda or q, in a column that is an orbit representative,
+    # moved by `bump`: the left projection sees it, and the failure items are
+    # those of the product route; unbumped, the check passes
+    t, x = tx
+    basis = occupation_basis(N, n)
+    reps = translation_representatives(N, n)
+    real = getattr(baxter_q, name)
+    degrees = real(basis, x, t).degrees()
+    k = degrees[where % len(degrees)]
+    r, c = where // 7 % len(basis), reps[where // 11 % len(reps)]
+
+    def bumped(basis, x, t):
+        op = real(basis, x, t)
+        if bump is not None:
+            op.blocks[k].add_to(r, c, bump)
+        return op
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baxter_q, name, bumped)
+        ok, failures = tq_check(N, n, x, t, seed)
+        assert failures == tq_product_route(N, n, x, t)
+    assert ok == (bump is None)
+
+
+def test_tq_projection_that_differs_where_the_products_agree_still_fails(monkeypatch):
+    # the covector kernel made to return y^T Lambda_0 + 1 on its first call:
+    # degree 0 differs, the products agree, and one item says so
+    assert tq_check(3, 2, X, T, 0) == (True, [])
+    real = graded._vec_mat
+    calls = []
+
+    def first_call_off(cols, covec):
+        out = real(cols, covec)
+        calls.append(1)
+        return {c: v + 1 for c, v in out.items()} if len(calls) == 1 else out
+
+    monkeypatch.setattr(graded, "_vec_mat", first_call_off)
+    assert tq_check(3, 2, X, T, 0) == (
+        False, [{"degree": 0, "projection": "differs; no product entry does"}])
+
+
 def test_tq_and_lambda_q_reject_x_zero(monkeypatch):
     # at x = 0 the twisted translation is singular, so one column per orbit
     # decides nothing: the locus is rejected before any operator is built
@@ -266,7 +347,7 @@ def test_tq_and_lambda_q_reject_x_zero(monkeypatch):
     for name in ("periodic_transfer", "build_qmatrix"):
         monkeypatch.setattr(baxter_q, name, lambda *args, name=name: built.append(name))
     with pytest.raises(ValueError, match="x = 0"):
-        tq_check(3, 2, F(0), T)
+        tq_check(3, 2, F(0), T, 0)
     assert built == []
     # the suites never draw x = 0; a draw forced there is rejected too
     real = suites.draw_params
@@ -290,7 +371,7 @@ def test_qmatrix_rejects_t_minus_one_where_a_t_factorial_vanishes():
     with pytest.raises(ValueError, match="t = -1"):
         trace_qmatrix(2, 1, F(3, 4), F(2), F(-1))
     # below those degrees no t-factorial quotient is 0/0
-    assert tq_check(2, 1, F(2), F(-1))[0] and tq_check(3, 1, F(2), F(-1))[0]
+    assert tq_check(2, 1, F(2), F(-1), 0)[0] and tq_check(3, 1, F(2), F(-1), 1)[0]
     assert trace_qmatrix(2, 0, F(3, 4), F(2), F(-1)).block(0) == \
         build_qmatrix(occupation_basis(2, 0), F(2), F(-1)).eval_at(F(3, 4))
 
@@ -497,6 +578,20 @@ def test_qmatrix_equals_its_entry_formula(N, n, t, x):
     assert got == literal_qmatrix(N, n, x, t)
 
 
+@pytest.mark.parametrize("t, x", [(F(2, 7), F(3, 5)), (F(-5, 3), F(-7, 2)), (F(3, 11), F(0)),
+                                  (F(0), F(2))])
+def test_qmatrix_over_its_entries_denominators_is_the_literal_expansion(t, x):
+    # each entry of q is summed over its own t-binomials' denominators; on
+    # every sector with N, n <= 4 it is the literal tbinom expansion of the
+    # docstring formula, which reads no t-table, x = 0 (no seam move) and
+    # t = 0 included, which the property test above does not draw
+    for N in range(1, 5):
+        for n in range(5):
+            q = build_qmatrix(occupation_basis(N, n), x, t)
+            got = {(k, r, c): v for k in q.degrees() for r, c, v in q.block(k).entries()}
+            assert got == literal_qmatrix(N, n, x, t), (N, n)
+
+
 @settings(deadline=None, max_examples=25)
 @given(RATIONAL.filter(lambda v: v != 0), RATIONAL.filter(lambda v: v not in (0, 1, -1)),
        st.integers(0, 6), st.integers(0, 6))
@@ -586,6 +681,32 @@ def test_ar_project_check_rejects_caps_that_assert_no_column(N, max_weight, max_
     # one more unit on each cap asserts the empty partition
     ok, _ = ar_project_check(N, F(2), F(5), F(1, 3), N + 1, N + 1)
     assert ok
+
+
+@pytest.mark.parametrize("t", [F(1), F(-1)])
+def test_build_LL_names_the_t_factorial_zeros(t):
+    # k!_t = 0 for k >= 1 at t = 1 and k >= 2 at t = -1: named before any division
+    with pytest.raises(ValueError, match=f"t = {t} is a singular point"):
+        build_LL(F(1, 2), t, 3, 3)
+
+
+def test_ar_project_check_names_the_pole_at_t_zero():
+    # the Toda Lax matrices read t^-v
+    with pytest.raises(ValueError, match="t = 0"):
+        ar_project_check(1, F(1, 2), F(1, 3), 0, 4, 4)
+
+
+def test_spin_windows_names_the_pole_at_t_zero():
+    # t^-label on the first label
+    with pytest.raises(ValueError, match="t = 0"):
+        spin_windows(4, 0)
+
+
+def test_ll_relations_check_names_the_pole_at_t_zero():
+    # the second window's t^-label is built at the t the check is given
+    windows = spin_windows(4, T)
+    with pytest.raises(ValueError, match="t = 0"):
+        ll_relations_check(build_LL(F(1, 2), T, 4, 4), F(1, 2), 0, windows, 0)
 
 
 def test_ar_project_check_names_the_pole_at_u_zero():

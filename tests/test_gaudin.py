@@ -369,3 +369,16 @@ def test_gaudin_sum_rejects_bad_sizes():
         gaudin_sum(1, [F(1, 3)], [F(1, 2)], T, S, truncation=-1)
     with pytest.raises(ValueError, match="alphabet sizes"):
         gaudin_sum(2, [F(1, 3)], [F(1, 2), F(1, 5)], T, S, truncation=5)
+
+
+def test_t_one_is_named_by_singular_point_and_rejected_up_front():
+    # the prefactor 1/(1 - t)^n of the ratio, and the kernel's t-binomials,
+    # have poles at t = 1: both functions name it before any division
+    where = "t=1: the prefactor 1/(1 - t)^n has a pole"
+    U, V = [F(1, 3), F(1, 5)], [F(1, 7), F(1, 9)]
+    assert singular_point(U, V, F(1)) == singular_point(U[:1], V[:1], F(1)) == where
+    assert singular_point([], [], F(1)) is None  # n = 0: no prefactor
+    with pytest.raises(ValueError, match=re.escape(f"singular evaluation point {where}")):
+        gaudin_det(2, U, V, 1)
+    with pytest.raises(ValueError, match=re.escape(f"singular evaluation point {where}")):
+        lascoux_reduction_check(1, U[:1], V[:1], 1)

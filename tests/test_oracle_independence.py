@@ -61,6 +61,19 @@ def drop_the_last_entry_of_longer_columns(monkeypatch, fired):
     monkeypatch.setattr(graded, "_mat_vec", perturbed)
 
 
+def drop_the_last_entry_of_each_column(monkeypatch, fired):
+    """The covector kernel drops the last stored entry of each column it
+    reads: y^T A reads one entry short in every column."""
+    real = graded._vec_mat
+
+    def perturbed(cols, covec):
+        if cols:
+            fired.append(1)
+        return real({c: dict(list(col.items())[:-1]) for c, col in cols.items()}, covec)
+
+    monkeypatch.setattr(graded, "_vec_mat", perturbed)
+
+
 def drop_negative_numerators(monkeypatch, fired):
     """The canonical reduction's zero test slips to a sign test: every
     negative numerator is dropped with the zeros."""
@@ -348,19 +361,27 @@ def one_bethe_amplitude_off(monkeypatch, fired):
 #  which must keep passing)
 ROWS = [
     # the projected checks reach the product kernel only where a projection
-    # differs; lambda-q fails through the trace's product with its state norms
-    ("graded._add_product", drop_left_column_0, ("tq", "lambda-q", "rll"),
-     "Lambda q of TQ; both sides of the six-vertex RLL; the state norms of the "
-     "auxiliary-spin trace", ()),
+    # differs; lambda-q fails through the trace's product with its state
+    # norms.  A passing tq projects its relation on the left and forms no
+    # product
+    ("graded._add_product", drop_left_column_0, ("lambda-q", "rll"),
+     "both sides of the six-vertex RLL; the state norms of the auxiliary-spin trace",
+     ("tq",)),
     # every projected identity (the exchange and same-sign relations, the
     # commutators of the transfer and Q-matrices, the auxiliary Lax
     # relations and the Toda intertwining) and, through `apply`, the eigen
     # relations of gamma-eigen and the folded Toda columns of gauge; tq
-    # decides its relation on products
+    # projects on the left, through the covector kernel
     ("graded._mat_vec", drop_the_last_entry_of_longer_columns,
      ("gamma-commute", "rll", "lambda-q", "gamma-eigen", "gauge"),
      "both sides of every projected identity; Gamma_+ on the eigenstates; Lambda on "
      "the folded Toda columns", ("tq",)),
+    # the left projection of TQ (y^T Lambda_i and u_i q_j against y^T q_k)
+    # and, through `apply_row`, the covector Pieri check of gamma-eigen;
+    # the right projections never read it
+    ("graded._vec_mat", drop_the_last_entry_of_each_column, ("tq", "gamma-eigen"),
+     "both sides of the left-projected TQ relation; the eigencovector of Gamma_{L,-}",
+     ("lambda-q", "gamma-commute")),
     ("graded._canonical", drop_negative_numerators, ("tq", "lambda-q", "rll"),
      "every stored matrix: both sides of every sparse identity, and the "
      "closed-form Q against its add_to-built trace", ()),
@@ -378,12 +399,14 @@ ROWS = [
       "paper-matrices", "gauge"),
      "every operator built entry by entry: the transfer matrices, the Q-matrix, the "
      "auxiliary Lax operator, Gamma, the bar adjoints and the restrictions", ()),
-    # every exact matrix identity, commutators and the trace agreement
-    # included, is decided through mismatches, so each suite that compares
-    # matrices fails when the comparison reads the wrong column
+    # every exact matrix identity decided on matrices, the trace agreement
+    # included, goes through mismatches, so each suite that compares
+    # matrices fails when the comparison reads the wrong column; the
+    # projected checks compare vectors and reach it only through their
+    # product routes, and a passing tq compares no matrix
     ("SparseMatrix.mismatches", compare_one_column_over,
-     ("tq", "lambda-q", "rll", "adjoint", "gamma-eigen"),
-     "the comparison of every matrix identity", ()),
+     ("lambda-q", "rll", "adjoint", "gamma-eigen"),
+     "the comparison of every matrix identity", ("tq",)),
     ("baxter_q.build_qmatrix", first_power_off("build_qmatrix"),
      ("tq", "lambda-q", "paper-matrices", "adjoint"),
      "q of TQ against Lambda, the closed form against the auxiliary-spin trace, "

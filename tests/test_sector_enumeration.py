@@ -70,7 +70,7 @@ def test_tq_check_enumerates_its_sector_once_and_decides_on_every_orbit(enumerat
     monkeypatch.setattr(baxter_q, "translation_orbits", recording)
     for N, n in [(1, 3), (3, 2), (4, 4), (5, 6)]:
         enumerations.clear()
-        ok, failures = baxter_q.tq_check(N, n, X, T)
+        ok, failures = baxter_q.tq_check(N, n, X, T, N * n)
         assert ok, failures[:3]
         assert enumerations == {(N, n): 1}
         assert orbits.pop()[2] == translation_representatives(N, n)

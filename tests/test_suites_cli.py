@@ -493,7 +493,7 @@ def test_verify_json_lists_the_failures_of_a_failing_check(monkeypatch, capsys):
     [check] = report["checks"]
     assert report["status"] == check["status"] == "fail"
     t, x = (parse_scalar(part.split("=")[1]) for part in check["detail"].split())
-    _, expect = baxter_q.tq_check(N, n, x, t)
+    _, expect = baxter_q.tq_check(N, n, x, t, report["seed"] + 6)  # the suite's y seed
     assert check["failures"] == [{"N": N, "n": n, **f} for f in expect]
     basis = occupation_basis(N, n)
     r, c, v = entry(real(basis, x, t))
@@ -838,3 +838,35 @@ def test_cli_malformed_seed_variable_is_a_usage_error_where_read(monkeypatch, ca
     code, out, _ = served(["eval", "Q", "--lambda", "[1]", "--vars", "1/2", "--t", "1/3"], capsys)
     assert code == 0 and out == "1/3\n"
     assert served(["verify", "paper-matrices", "--seed", "1"], capsys)[0] == 0
+
+
+def test_sweep_seeds_runs_the_suite_params_of_a_config_file(tmp_path, monkeypatch, capsys):
+    # the CLI's key=value lines, each a param or a verify flag of the suite,
+    # "a:b" a range: tq runs at N_range 1-2 and n_range 0-2; a key the
+    # suite does not read is a usage error before any run
+    path = Path(__file__).resolve().parent.parent / "tools" / "sweep_seeds.py"
+    spec = importlib.util.spec_from_file_location("sweep_seeds", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    ran = []
+
+    def recording(spec):
+        ran.append(spec)
+        return run_suite(spec)
+
+    monkeypatch.setattr(sweep, "run_suite", recording)
+    config = tmp_path / "sector.cfg"
+    config.write_text("# tq at small sizes\nN_range=1:3\nn=[0, 1, 2]\ndraws=1\n")
+    assert sweep.main(["tq", "--config", str(config), "--seeds", "0:2"]) == 0
+    assert capsys.readouterr().out.startswith("2 runs, 0 failing")
+    assert [(s.name, s.seed, s.params) for s in ran] == [
+        ("tq", seed, {"N_range": range(1, 3), "n_range": [0, 1, 2], "draws": 1})
+        for seed in (0, 1)]
+    ran.clear()
+    for line in ("pairs=[(2, 2)]", "draws=0", "draws=one"):
+        config.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            sweep.main(["tq", "--config", str(config), "--seeds", "0:2"])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+    assert ran == []
