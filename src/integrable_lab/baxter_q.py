@@ -15,10 +15,12 @@ tests and suites.  Its own relations, `ll_relations_check` and
 `toda_intertwine_check`, take the LL they check and the `spin_windows`
 it acts on, so that the `rll` suite builds both once per draw; they are
 decided on a seeded random projection (`graded.projected_items`), each
-side applied right to left to one vector drawn on the inner states,
-with their product comparisons kept for the failure items.  The TQ
-relation `tq_check` is projected on the left, on one covector drawn on
-every row, since the transfer matrix is its large left factor.
+side applied right to left to one vector drawn on the inner states, and
+a failure is located by the same sides applied to each inner unit
+vector (`graded.column_items`).  The TQ relation `tq_check` is projected
+on the left, on one covector drawn on every row, since the transfer
+matrix is its large left factor, and keeps its product comparison for
+the failure items.
 Builders take their basis and checks take sizes (`tq_check` enumerates
 its sector once); `trace_qmatrix`, the independent side, takes sizes.
 
@@ -35,13 +37,12 @@ from operator import mul
 from .graded import (
     GradedOperator,
     SparseMatrix,
+    column_items,
     combination,
     covariance_items,
     graded_items,
-    mismatch_items,
     projected_items,
     random_vector,
-    sum_of_scaled_products,
 )
 from .lattice import (
     free_window_basis,
@@ -212,11 +213,12 @@ def ll_relations_check(LL: SparseMatrix, u, t, windows, seed: int):
     u Lc (1 - s/x) S = S Lc.  Checked on interior rows/columns, projected
     on v = graded.random_vector(inner, seed): each side is applied to v
     right to left, Lc v formed once, so a passing check forms no product.
-    Where a projection differs, the failure items are those of the
-    products on the interior.  Returns (ok, failures).
+    Where a projection differs, the failure items are the entries of both
+    sides on the interior, located by `graded.column_items`.  Returns
+    (ok, failures).
     """
     u, t = as_scalar(u), as_scalar(t)
-    cap, pair, inner, S, sdiag, sinv = windows
+    cap, pair, _, S, sdiag, sinv = windows
     side = cap + 1
 
     def swapped(j):  # the index of (b, a) for the state (a, b) at j
@@ -226,8 +228,7 @@ def ll_relations_check(LL: SparseMatrix, u, t, windows, seed: int):
     Lc = SparseMatrix.from_entries(len(pair), ((r, swapped(c), v) for r, c, v in LL.entries()))
     X, xdiag, xinv = _window_ops(pair, 2, t)
 
-    def sides():
-        v = random_vector(inner, seed)
+    def sides(v):
         Lv = Lc.apply_ints(v)
         yield ({"relation": "Lc x = x Lc"},
                Lc.apply_ints(xdiag.apply_ints(v)), xdiag.apply_ints(Lv))
@@ -242,33 +243,7 @@ def ll_relations_check(LL: SparseMatrix, u, t, windows, seed: int):
         yield ({"relation": "u Lc (1-s/x) S = S Lc"},
                combination([(u, Lc.apply_ints(one_minus_s_over_x))]), S.apply_ints(Lv))
 
-    failures = projected_items(sides(), set(inner),
-                               lambda: _ll_relation_products(Lc, u, windows, X, xdiag, xinv))
-    return not failures, failures
-
-
-def _ll_relation_products(Lc: SparseMatrix, u, windows, X, xdiag, xinv) -> list:
-    """The product route of `ll_relations_check`: both sides of each
-    relation as products, compared on the interior rows and columns."""
-    _, pair, inner, S, sdiag, sinv = windows
-    I = SparseMatrix.identity(len(pair))
-    x_over_s = xdiag.mul(sinv)
-    s_over_x = sdiag.mul(xinv)
-
-    # products are formed on the inner columns only, as (A B)[:, W] = A (B[:, W])
-    keep = set(inner)
-    Lc_w = Lc.keep_columns(keep)
-    SX = S.mul(X)
-    relations = [
-        ("Lc x = x Lc", Lc.mul(xdiag.keep_columns(keep)), xdiag.mul(Lc_w)),
-        ("Lc SX = SX Lc", Lc.mul(SX.keep_columns(keep)), SX.mul(Lc_w)),
-        ("Lc x/s = x/s (1-S) Lc", Lc.mul(x_over_s.keep_columns(keep)),
-         x_over_s.mul(I.add(S.scale(-1)).mul(Lc_w))),
-        ("u Lc (1-s/x) S = S Lc",
-         Lc.mul(I.add(s_over_x.scale(-1)).mul(S.keep_columns(keep))).scale(u), S.mul(Lc_w)),
-    ]
-    return [item for name, lhs, rhs in relations
-            for item in mismatch_items(lhs.mismatches(rhs, inner, inner), pair, relation=name)]
+    return _inner_check(sides, windows, seed)
 
 
 def toda_intertwine_check(LL: SparseMatrix, z, u, t, windows, seed: int):
@@ -283,12 +258,13 @@ def toda_intertwine_check(LL: SparseMatrix, z, u, t, windows, seed: int):
     sum_k R_ik (L^Toda_kj (LL v)) against LL (sum_k Ltilde_ik (R_kj v)),
     each LL v, L^Toda_kj (LL v) and R_kj v formed once, so a passing check
     forms no product.  Where a projection differs, the failure items are
-    those of the products on the interior.  Returns (ok, failures).
+    the entries of both sides on the interior, located by
+    `graded.column_items`.  Returns (ok, failures).
     """
     z, u, t = as_scalar(z), as_scalar(u), as_scalar(t)
     if u == 0:
         raise ValueError("u = 0 is a pole of the intertwining relation: R reads z/u")
-    _, pair, inner, S, sdiag, sinv = windows
+    _, pair, _, S, sdiag, sinv = windows
     w = z / u
 
     def lax(kind):
@@ -306,8 +282,7 @@ def toda_intertwine_check(LL: SparseMatrix, z, u, t, windows, seed: int):
             return combination([(-1, sinv.apply_ints(vec)), (1, sinv.apply_ints(Sv))])
         return combination([(-1, vec)])
 
-    def sides():
-        v = random_vector(inner, seed)
+    def sides(v):
         LLv = LL.apply_ints(v)
         Ly = [[L_toda[k][j].apply_ints(LLv) for j in range(2)] for k in range(2)]
         Rv = [[R(k, j, v) for j in range(2)] for k in range(2)]
@@ -318,31 +293,19 @@ def toda_intertwine_check(LL: SparseMatrix, z, u, t, windows, seed: int):
                                                 for k in range(2)))
                 yield {"aux": (i, j)}, lhs, rhs
 
-    failures = projected_items(sides(), set(inner),
-                               lambda: _intertwine_products(LL, w, L_toda, L_tilde, windows))
+    return _inner_check(sides, windows, seed)
+
+
+def _inner_check(sides, windows, seed: int):
+    """(ok, failures) of the identities sides(v) yields, compared on the
+    inner states of windows = spin_windows(cap, t): projected on
+    v = random_vector(inner, seed), and where that differs located column
+    by column on the inner states."""
+    _, pair, inner, *_ = windows
+    rows = set(inner)
+    failures = projected_items(sides(random_vector(inner, seed)), rows,
+                               lambda: column_items(sides, inner, rows, pair))
     return not failures, failures
-
-
-def _intertwine_products(LL: SparseMatrix, w, L_toda, L_tilde, windows) -> list:
-    """The product route of `toda_intertwine_check`: both sides of each
-    entry (i, j) as products, compared on the interior rows and columns."""
-    _, pair, inner, S, sdiag, sinv = windows
-    I = SparseMatrix.identity(len(pair))
-    R = [[I.add(S.scale(w)), sdiag],
-         [sinv.mul(I.add(S.scale(-1))).scale(-1), I.scale(-1)]]
-
-    # the rightmost factors, LL and R, keep the inner columns only, once each
-    keep = set(inner)
-    LL_w = LL.keep_columns(keep)
-    R_w = [[entry.keep_columns(keep) for entry in row] for row in R]
-    failures = []
-    for i in range(2):
-        for j in range(2):
-            lhs = sum_of_scaled_products((ONE, R[i][k], L_toda[k][j]) for k in range(2))
-            rhs = sum_of_scaled_products((ONE, L_tilde[i][k], R_w[k][j]) for k in range(2))
-            failures += mismatch_items(lhs.mul(LL_w).mismatches(LL.mul(rhs), inner, inner),
-                                       pair, aux=(i, j))
-    return failures
 
 
 def trace_qmatrix(N: int, n: int, z, x, t) -> GradedOperator:
@@ -428,7 +391,11 @@ def tq_check(N: int, n: int, x, t, seed: int):
     so it is missed with probability at most 2^-30.  Where a degree
     differs, the failure items are those of the products: Lambda q,
     composed on the representative columns, against the right-hand side
-    there (and, should those agree, one item tagged `projection`).
+    there (and, should those agree, one item tagged `projection`).  The
+    products stay, unlike the column localizer of the right-projected
+    checks (`graded.column_items`): a unit covector through the covector
+    kernel visits every stored entry of Lambda, so localizing row by row
+    costs O(nnz Lambda) per row, far more than the products.
     Failure items: those of the relation, then those of the covariance,
     tagged `operator` "Lambda" or "q".  Returns (ok, failures); t = 0 and
     x = 0 raise ValueError.

@@ -52,9 +52,6 @@ into one integer accumulator over the lcm of the terms' denominators,
 and `sum_of_products` does the same per degree for graded pairs.
 `GradedOperator.compose` is its one-pair case and every 2x2 monodromy
 entry is one call; `SparseMatrix.mul` is the one-term ungraded case.
-The product routes of the projected checks (below) compare AB with BA
-through `mul` on the columns they are given, each right factor kept on
-those columns.
 
 Identities with a symmetry are decided on one column per orbit.
 `covariance_items` decides U B = B U for an invertible monomial
@@ -82,10 +79,12 @@ map to one (`SparseMatrix.apply_ints`, which `apply` also runs on),
 `combination` adds scaled vectors over one denominator, and
 `projected_items` compares the two sides of each identity through
 `_column_mismatches`.  A passing check so forms no matrix product.
-Where a projection differs, the failure items come from the check's
-product route, the full comparison on the asserted columns, so failing
-reports carry the same items as a product comparison; should that route
-find nothing, the check still fails, with an item saying so.
+Where a projection differs, `column_items` localizes the failure with the
+check's own sides: column c of A B is A (B e_c), so the sides applied to
+each unit vector e_c, c in W, are column c of both products, and the
+failure items are those of the full comparison on W, column by column,
+rows ascending, as `SparseMatrix.mismatches` lists them.  Should no
+column differ, the check still fails, with an item saying so.
 
 An identity whose left factor is the large one, A B = C with A read in
 full and B, C kept on the asserted columns W, is projected on the left
@@ -98,7 +97,9 @@ integer covector to an integer column map, one entry per stored column
 (`SparseMatrix.apply_row_ints`, which `apply_row` also runs on), and
 covectors are (den, {index: int}) pairs compared by `projected_items` as
 vectors are.  The TQ relation, Lambda q = q(tz) + x z^N t^n q(z/t), is
-decided so.
+decided so.  Its failure items still come from products: a unit covector
+through `_vec_mat` visits every stored entry of A, so localizing row by
+row would cost O(nnz A) per row.
 """
 
 from __future__ import annotations
@@ -277,13 +278,32 @@ def projected_items(sides, rows, products) -> list:
     compared on the set `rows` (every row when None) through
     `_column_mismatches`.  When every pair agrees there are none.  At the
     first pair that differs the rest are not formed, and the items are
-    products(), the check's product comparison; when that finds nothing,
-    the check still fails, with one item tagged with that pair's `where`
-    keys and `projection`."""
+    products(), the check's full comparison (`column_items` for a right
+    projection); when that finds nothing, the check still fails, with one
+    item tagged with that pair's `where` keys and `projection`."""
     for where, (da, a), (db, b) in sides:
         if _column_mismatches(a, da, b, db, rows):
             return products() or [dict(where, projection="differs; no product entry does")]
     return []
+
+
+def column_items(sides, cols, rows, basis) -> list:
+    """Failure items of the identities that sides(x) applies to a vector x,
+    as `projected_items` takes them, compared column by column: column c
+    of A B is A (B e_c), so sides((1, {c: 1})) yields column c of each
+    side, for each c in `cols`, in that order.  The two are compared on
+    the set `rows` (every row when None) through `_column_mismatches`, and
+    the differing entries are grouped by the identity's `where` keys,
+    column by column with rows ascending, as `SparseMatrix.mismatches`
+    lists them; each identity gives its `mismatch_items`, in the order
+    `sides` yields them."""
+    found = {}
+    for c in cols:
+        for where, (da, a), (db, b) in sides((1, {c: 1})):
+            entries = found.setdefault(tuple(where.items()), (where, []))[1]
+            entries += [(r, c, va, vb) for r, va, vb in _column_mismatches(a, da, b, db, rows)]
+    return [item for where, entries in found.values()
+            for item in mismatch_items(entries, basis, **where)]
 
 
 def mismatch_items(found, basis, **where) -> list:
@@ -313,31 +333,24 @@ def commutator_items(A, B, cols, basis, seed: int, **where) -> list:
     every block pair, tagged `bidegree` (i, j): A_i (B_j x) against
     B_j (A_i x) for x = random_vector(cols, seed), each A_i x and B_j x
     formed once, so a pair that commutes costs two mat-vecs and no
-    product.  Where a projection differs, the items are those of the
-    product route, A_i B_j (`lhs`) against B_j A_i (`rhs`) on `cols`.
-    A self-commutator visits only i < j: (j, i) is (i, j) swapped, and
-    (i, i) commutes trivially."""
+    product.  Where a projection differs, `column_items` gives the entries
+    of A_i B_j (`lhs`) and B_j A_i (`rhs`) on `cols`.  A self-commutator
+    visits only i < j: (j, i) is (i, j) swapped, and (i, i) commutes
+    trivially."""
     if A.dim != B.dim:
         raise ValueError("dimension mismatch")
     cols = list(cols)
-    x = random_vector(cols, seed)
-    ax = {i: a.apply_ints(x) for i, a in A.blocks.items()}
-    bx = ax if A is B else {j: b.apply_ints(x) for j, b in B.blocks.items()}
-    sides = ((dict(where, bidegree=(i, j)), a.apply_ints(bx[j]), b.apply_ints(ax[i]))
-             for i, a in A.blocks.items() for j, b in B.blocks.items() if A is not B or i < j)
-    return projected_items(sides, None, lambda: _commutator_products(A, B, cols, basis, **where))
 
+    def sides(x):
+        ax = {i: a.apply_ints(x) for i, a in A.blocks.items()}
+        bx = ax if A is B else {j: b.apply_ints(x) for j, b in B.blocks.items()}
+        for i, a in A.blocks.items():
+            for j, b in B.blocks.items():
+                if A is not B or i < j:
+                    yield dict(where, bidegree=(i, j)), a.apply_ints(bx[j]), b.apply_ints(ax[i])
 
-def _commutator_products(A, B, cols: list, basis, **where) -> list:
-    """The product route of `commutator_items`: A_i B_j against B_j A_i,
-    both through `mul` with the right factor kept on `cols`."""
-    keep = set(cols)
-    a_kept = {i: a.keep_columns(keep) for i, a in A.blocks.items()}
-    b_kept = a_kept if A is B else {j: b.keep_columns(keep) for j, b in B.blocks.items()}
-    return [item for i, a in A.blocks.items() for j, b in B.blocks.items()
-            if A is not B or i < j
-            for item in mismatch_items(a.mul(b_kept[j]).mismatches(b.mul(a_kept[i]), cols),
-                                       basis, **where, bidegree=(i, j))]
+    return projected_items(sides(random_vector(cols, seed)), None,
+                           lambda: column_items(sides, cols, None, basis))
 
 
 def _covariance_mismatches(m: "SparseMatrix", perm, nums, dens) -> list:
@@ -608,25 +621,23 @@ class SparseMatrix:
         d, ints = covec
         return self.den * d, _vec_mat(self.cols, ints)
 
-    def mismatches(self, other: "SparseMatrix", cols, rows=None) -> list:
+    def mismatches(self, other: "SparseMatrix", cols) -> list:
         """(row, col, self entry, other entry) for every differing entry.
 
-        Only the given columns are compared, and only rows in `rows` when
-        it is given.  Results come column by column in the order of
-        `cols`, rows ascending, as a dense entrywise loop would find them.
+        Only the given columns are compared.  Results come column by
+        column in the order of `cols`, rows ascending, as a dense
+        entrywise loop would find them.
         """
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         da, db = self.den, other.den
         if da == db and self.cols == other.cols:
             return []  # equal canonical forms differ nowhere
-        if rows is not None:
-            rows = set(rows)
         out = []
         for c in cols:
             a, b = self.cols.get(c, _EMPTY), other.cols.get(c, _EMPTY)
             if da != db or a != b:  # an equal column needs no sorting
-                out += [(r, c, va, vb) for r, va, vb in _column_mismatches(a, da, b, db, rows)]
+                out += [(r, c, va, vb) for r, va, vb in _column_mismatches(a, da, b, db, None)]
         return out
 
     def __eq__(self, other):

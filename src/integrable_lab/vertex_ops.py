@@ -19,14 +19,14 @@ basis (the interior-window rule).  Raising operators never leak, so
 their products are exact everywhere; lowering operators leak at the top
 and get the window restriction: window b holds the sources mu with
 |mu| + b <= cap.  The exchange and same-sign relations are decided on a
-seeded random projection (`graded.projected_items`): one vector x is
-drawn on the sources and restricted to each window b, and each side
-applies its own operators to x_b, right to left, so every vector a
-right factor receives lies on window b and a passing check forms no
-product.  Where a projection differs, the failure items come from the
-product route, which forms products on the window's columns only, as
-(A B)[:, W] = A (B[:, W]): the rightmost factor of every product is
-restricted to the compared columns once per (block, window) and check.
+seeded random projection (`graded.projected_items`): the sides of a
+check, applied to a vector x, restrict x to each window b and apply
+their own operators to x_b, right to left, so every vector a right
+factor receives lies on window b and a passing check forms no product.
+One x is drawn on the sources of every window.  Where a projection
+differs, the same sides applied to each unit vector e_c give column c of
+both products (`graded.column_items`), which is zero outside window b,
+so the failure items are those of the products compared on window b.
 """
 
 from __future__ import annotations
@@ -37,12 +37,12 @@ from functools import cache, partial
 from .graded import (
     GradedOperator,
     SparseMatrix,
+    column_items,
     combination,
     graded_items,
     mismatch_items,
     projected_items,
     random_vector,
-    sum_of_scaled_products,
     vector_mismatches,
 )
 from .hall_littlewood import (
@@ -82,14 +82,19 @@ def build_gamma(family: str, sign: str, basis: Basis, t) -> VertexOp:
     with weights psi (L) or phi' (R); raising operators connect
     |lam> -> |mu| = |lam|-k with weights phi (L) or psi' (R).  Each
     strip comes with its Pieri signature, and every weight is one lookup
-    in the build's `PieriTable`.
+    in the build's `PieriTable`.  Strips are enumerated under the basis's
+    own caps, lam_1 (L) or len(lam) (R) at most the largest of the basis
+    states', so no strip leaving the basis that way is weighed.
     """
     if family not in ("L", "R") or sign not in ("+", "-"):
         raise ValueError("family must be L|R and sign +|-")
     t = as_scalar(t)
     if family == "R":
         # psi', phi' divide by k!_t, k <= a part multiplicity of a basis state <= its length
-        reject_singular_t(t, max(map(len, basis), default=0))
+        shape_cap = max(map(len, basis), default=0)
+        reject_singular_t(t, shape_cap)
+    else:
+        shape_cap = max((s[0] for s in basis if s), default=0)
     dim = len(basis)
     cap = max((weight(s) for s in basis), default=0)
     kind = {("L", "-"): "psi", ("L", "+"): "phi", ("R", "-"): "phi'", ("R", "+"): "psi'"}[family, sign]
@@ -98,7 +103,7 @@ def build_gamma(family: str, sign: str, basis: Basis, t) -> VertexOp:
 
     def entries():
         for j, mu in enumerate(basis.states):
-            for lam, c in strips(mu, cap - weights[j]):
+            for lam, c in strips(mu, cap - weights[j], shape_cap):
                 i = basis.index.get(lam)
                 if i is None:
                     continue
@@ -125,6 +130,8 @@ def commutation_series(fam_plus: str, fam_minus: str, t, max_r: int):
     with w = v/u tracked by the bigrading.
     """
     t = as_scalar(t)
+    if fam_plus == fam_minus == "R":
+        reject_singular_t(t, max_r)  # K_r = 1/r!_t
     fact = TTable(t).fact
     out = [ONE]
     for r in range(1, max_r + 1):
@@ -146,9 +153,9 @@ def gamma_commutation_check(plus: VertexOp, minus: VertexOp, max_degree: int, se
     vector x_b, x = graded.random_vector(sources, seed) restricted to
     window b: A_a (B_b x_b) against sum_r K_r B_{b-r} (A_{a-r} x_b), each
     B_b x_b and A_k x_b formed once.  A passing check forms no product.
-    Where a projection differs, the failure items are those of the block
-    products compared on window b, tagged `bidegree` (a, b).  Returns
-    (ok, failures).
+    Where a projection differs, the failure items are the entries of the
+    block products on window b, located by `graded.column_items`, tagged
+    `bidegree` (a, b).  Returns (ok, failures).
     """
     if ((plus.sign, minus.sign) != ("+", "-") or plus.t != minus.t
             or plus.basis.states != minus.basis.states):
@@ -158,35 +165,19 @@ def gamma_commutation_check(plus: VertexOp, minus: VertexOp, max_degree: int, se
     def inside(w, b):  # a source whose lowering intermediate would leak is outside window b
         return w + b <= plus.weight_cap
 
-    xs = _window_draws(plus, inside, max_degree, seed)
-    bx = [minus.block(b).apply_ints(x) for b, x in enumerate(xs)]
-    ax = _applied(plus, xs)
+    windows = _window_sets(plus, inside, max_degree)
 
-    def sides():
+    def sides(x):
+        xs = _restricted(x, windows)
+        bx = [minus.block(b).apply_ints(xb) for b, xb in enumerate(xs)]
+        ax = _applied(plus, xs)
         for a in range(max_degree + 1):
             for b in range(max_degree + 1 - a):
                 rhs = combination((K[r], minus.block(b - r).apply_ints(ax(a - r, b)))
                                   for r in range(min(a, b) + 1) if K[r])
                 yield {"bidegree": (a, b)}, plus.block(a).apply_ints(bx[b]), rhs
 
-    failures = projected_items(sides(), None,
-                               lambda: _exchange_products(plus, minus, K, inside, max_degree))
-    return not failures, failures
-
-
-def _exchange_products(plus: VertexOp, minus: VertexOp, K, inside, max_degree: int) -> list:
-    """The product route of `gamma_commutation_check`: A_a B_b against
-    sum_r K_r B_{b-r} A_{a-r} on window b, its failure items."""
-    windows, kept = _windows(plus, inside, max_degree)
-    failures = []
-    for a in range(max_degree + 1):
-        for b in range(max_degree + 1 - a):
-            lhs = plus.block(a).mul(kept(minus, b, b))
-            rhs = sum_of_scaled_products((K[r], minus.block(b - r), kept(plus, a - r, b))
-                                         for r in range(min(a, b) + 1))
-            failures += mismatch_items(lhs.mismatches(rhs, windows[b]), plus.basis,
-                                       bidegree=(a, b))
-    return failures
+    return _projected_check(sides, windows, plus.basis, seed)
 
 
 def pair_commutation_check(vop: VertexOp, max_degree: int, seed: int):
@@ -199,40 +190,28 @@ def pair_commutation_check(vop: VertexOp, max_degree: int, seed: int):
     def inside(w, b):  # raising products never leak
         return vop.sign == "+" or w + b <= vop.weight_cap
 
-    ax = _applied(vop, _window_draws(vop, inside, max_degree, seed))
-    sides = (({"bidegree": (a, b)}, vop.block(a).apply_ints(ax(b, b)),
-              vop.block(b).apply_ints(ax(a, b)))
-             for a in range(max_degree + 1) for b in range(a + 1, max_degree + 1))
-    failures = projected_items(sides, None, lambda: _pair_products(vop, inside, max_degree))
-    return not failures, failures
+    windows = _window_sets(vop, inside, max_degree)
+
+    def sides(x):
+        ax = _applied(vop, _restricted(x, windows))
+        for a in range(max_degree + 1):
+            for b in range(a + 1, max_degree + 1):
+                lhs, rhs = vop.block(a).apply_ints(ax(b, b)), vop.block(b).apply_ints(ax(a, b))
+                yield {"bidegree": (a, b)}, lhs, rhs
+
+    return _projected_check(sides, windows, vop.basis, seed)
 
 
-def _pair_products(vop: VertexOp, inside, max_degree: int) -> list:
-    """The product route of `pair_commutation_check`: A_a A_b against
-    A_b A_a on window b, its failure items."""
-    windows, kept = _windows(vop, inside, max_degree)
-    failures = []
-    for a in range(max_degree + 1):
-        for b in range(a + 1, max_degree + 1):
-            lhs = vop.block(a).mul(kept(vop, b, b))
-            rhs = vop.block(b).mul(kept(vop, a, b))
-            failures += mismatch_items(lhs.mismatches(rhs, windows[b]), vop.basis,
-                                       bidegree=(a, b))
-    return failures
-
-
-def _window_lists(vop: VertexOp, inside, max_degree: int) -> list:
-    """Window b <= max_degree: the source indices j with inside(|mu_j|, b)."""
+def _window_sets(vop: VertexOp, inside, max_degree: int) -> list:
+    """Window b <= max_degree: the set of source indices j with inside(|mu_j|, b)."""
     weights = [weight(mu) for mu in vop.basis.states]
-    return [[j for j, w in enumerate(weights) if inside(w, b)] for b in range(max_degree + 1)]
+    return [{j for j, w in enumerate(weights) if inside(w, b)} for b in range(max_degree + 1)]
 
 
-def _window_draws(vop: VertexOp, inside, max_degree: int, seed: int) -> list:
-    """x_b per window b: one `random_vector` on the sources of every
-    window, restricted to window b."""
-    windows = _window_lists(vop, inside, max_degree)
-    _, x = random_vector(set().union(*windows), seed)
-    return [(1, {c: x[c] for c in w}) for w in windows]
+def _restricted(x: tuple, windows: list) -> list:
+    """x_b per window b: the vector x, (den, {index: int}), on window b only."""
+    d, ints = x
+    return [(d, {c: v for c, v in ints.items() if c in w}) for w in windows]
 
 
 def _applied(vop: VertexOp, xs: list):
@@ -240,14 +219,14 @@ def _applied(vop: VertexOp, xs: list):
     return cache(lambda k, b: vop.block(k).apply_ints(xs[b]))
 
 
-def _windows(vop: VertexOp, inside, max_degree: int):
-    """(windows, kept): window b <= max_degree lists the source indices j
-    with inside(|mu_j|, b); kept(op, k, b) is block k of op on the columns
-    of window b only, made once and ending every product compared there,
-    as (A B)[:, W] = A (B[:, W])."""
-    windows = _window_lists(vop, inside, max_degree)
-    sets = [set(w) for w in windows]
-    return windows, cache(lambda op, k, b: op.block(k).keep_columns(sets[b]))
+def _projected_check(sides, windows: list, basis: Basis, seed: int):
+    """(ok, failures) of the identities sides(x) yields, projected on one
+    `random_vector` drawn on the sources of every window, and where that
+    differs located column by column on those sources."""
+    cols = sorted(set().union(*windows))
+    failures = projected_items(sides(random_vector(cols, seed)), None,
+                               lambda: column_items(sides, cols, None, basis))
+    return not failures, failures
 
 
 # ---------------------------------------------------------------------------

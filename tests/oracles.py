@@ -18,14 +18,18 @@ route it checks:
     relation of the paper that no suite checks;
   * `translation_representatives`: one state per orbit of the rotation,
     read from the states' rotations, against the orbit representatives
-    of `lattice.translation_orbits`.
+    of `lattice.translation_orbits`;
+  * `intertwine_factors`: R(z/u), L^Toda(z) and Ltilde(z) of the Toda
+    intertwining as matrices, R made by products of the window
+    operators, against which `baxter_q.toda_intertwine_check`'s failure
+    items are recomputed.
 """
 
 from fractions import Fraction
 from itertools import permutations, product
 
 from integrable_lab.graded import GradedOperator, SparseMatrix, mismatch_items, vector_mismatches
-from integrable_lab.lattice import build_lax, monodromy, toda_shift_op, toda_x_op
+from integrable_lab.lattice import build_lax, monodromy, toda_lax, toda_shift_op, toda_x_op
 from integrable_lab.partitions import (
     Basis,
     occupation_basis,
@@ -46,6 +50,20 @@ def translation_representatives(N: int, n: int) -> list:
     basis = occupation_basis(N, n)
     return [j for j, m in enumerate(basis.states)
             if all(basis.index[m[k:] + m[:k]] >= j for k in range(N))]
+
+
+def intertwine_factors(windows, z, u, t):
+    """(R, L^Toda, Ltilde) of R(z/u) L^Toda(z) LL(u) = LL(u) Ltilde(z) R(z/u)
+    on windows = `baxter_q.spin_windows(cap, t)`, each a 2x2 list of
+    matrices: R(z/u) = [[1 + (z/u) S, s], [-s^-1 (1 - S), -1]] by products,
+    and L^Toda, Ltilde as `lattice.toda_lax` on the second label, at z."""
+    _, pair, _, S, sdiag, sinv = windows
+    I = SparseMatrix.identity(len(pair))
+    R = [[I.add(S.scale(as_scalar(z) / as_scalar(u))), sdiag],
+         [sinv.mul(I.add(S.scale(-1))).scale(-1), I.scale(-1)]]
+    L_toda, L_tilde = ([[entry.eval_at(z) for entry in row] for row in toda_lax(kind, pair, 2, t)]
+                       for kind in ("toda", "toda_tilde"))
+    return R, L_toda, L_tilde
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,12 @@ from integrable_lab.partitions import (
 )
 from integrable_lab.scalars import TTable, format_scalar, tbinom, tfact
 from kernel_record import KernelRecord
-from oracles import null_psi, site_null_vector_check, translation_representatives
+from oracles import (
+    intertwine_factors,
+    null_psi,
+    site_null_vector_check,
+    translation_representatives,
+)
 
 T = F(2, 7)
 X = F(3, 5)
@@ -645,29 +650,27 @@ def test_ar_project_reports_a_perturbed_toda_entry(monkeypatch):
                          "lhs": format_scalar(F(1)), "rhs": format_scalar(F(2))}]
 
 
-def test_toda_intertwine_reports_a_perturbed_LL(monkeypatch):
-    cap, u = 6, F(5, 3)
-    inner_sums = []  # per aux entry, R L and Ltilde R
+def test_toda_intertwine_reports_a_perturbed_LL():
+    cap, u, z = 6, F(5, 3), F(3, 4)
+    windows = spin_windows(cap, T)
     # one extra entry between two inner states (1, 1) -> (2, 1)
     LL = build_LL(u, T, cap, cap).add(
         SparseMatrix.from_entries((cap + 1) ** 2, [(2 * (cap + 1) + 1, cap + 2, F(1))]))
-
-    def recorded(terms):
-        inner_sums.append(sum_of_scaled_products(terms))
-        return inner_sums[-1]
-
-    monkeypatch.setattr(baxter_q, "sum_of_scaled_products", recorded)
-    ok, failures = toda_intertwine_check(LL, F(3, 4), u, T, spin_windows(cap, T), 0)
+    ok, failures = toda_intertwine_check(LL, z, u, T, windows, 0)
     assert not ok and failures
+    # per aux entry (i, j), R L^Toda and Ltilde R, built here from their factors
+    R, L_toda, L_tilde = intertwine_factors(windows, z, u, T)
+    sums = {(i, j): (sum_of_scaled_products((1, R[i][k], L_toda[k][j]) for k in range(2)),
+                     sum_of_scaled_products((1, L_tilde[i][k], R[k][j]) for k in range(2)))
+            for i in range(2) for j in range(2)}
     states = [(a, b) for a in range(cap + 1) for b in range(cap + 1)]
     index = {f"({a},{b})": k for k, (a, b) in enumerate(states)}
-    aux = [(i, j) for i in range(2) for j in range(2)]
     for f in failures:
         assert set(f) == {"aux", "row", "col", "lhs", "rhs"}
         r, c = index[f["row"]], index[f["col"]]
         assert max(states[r] + states[c]) <= cap - 2  # both inner
         # both sides recomputed densely: (R L) LL and LL (Ltilde R)
-        left, right = inner_sums[2 * aux.index(f["aux"]):][:2]
+        left, right = sums[f["aux"]]
         lhs = sum(left.entry(r, k) * LL.entry(k, c) for k in range(len(states)))
         rhs = sum(LL.entry(r, k) * right.entry(k, c) for k in range(len(states)))
         assert (f["lhs"], f["rhs"]) == (format_scalar(lhs), format_scalar(rhs))

@@ -213,18 +213,23 @@ def test_mismatch_items_label_and_format_the_first_three():
 def test_a_projection_that_differs_where_the_products_agree_still_fails(monkeypatch):
     # exact arithmetic cannot make the projections of equal products differ,
     # so a kernel made to do it must fail the check, never pass it: the
-    # product route then finds no entry, and one item says so
+    # column localizer then finds no entry, and one item says so
     from integrable_lab import baxter_q, graded, lattice, vertex_ops
 
+    t = F(2, 7)
     basis = occupation_basis(3, 2)
-    lam = lattice.periodic_transfer(basis, F(3, 5), F(2, 7))
-    q = baxter_q.build_qmatrix(basis, F(3, 5), F(2, 7))
+    lam = lattice.periodic_transfer(basis, F(3, 5), t)
+    q = baxter_q.build_qmatrix(basis, F(3, 5), t)
     gbasis = partition_basis(5)
-    plus = vertex_ops.build_gamma("L", "+", gbasis, F(2, 7))
-    minus = vertex_ops.build_gamma("L", "-", gbasis, F(2, 7))
+    plus = vertex_ops.build_gamma("L", "+", gbasis, t)
+    minus = vertex_ops.build_gamma("L", "-", gbasis, t)
+    u, windows = F(5, 3), baxter_q.spin_windows(4, t)
+    LL = baxter_q.build_LL(u, t, 4, 4)
     checks = [lambda: commutator_items(lam, q, range(q.dim), basis, 0, N=3),
               lambda: vertex_ops.gamma_commutation_check(plus, minus, 3, 0)[1],
-              lambda: vertex_ops.pair_commutation_check(minus, 3, 0)[1]]
+              lambda: vertex_ops.pair_commutation_check(minus, 3, 0)[1],
+              lambda: baxter_q.ll_relations_check(LL, u, t, windows, 0)[1],
+              lambda: baxter_q.toda_intertwine_check(LL, F(3, 4), u, t, windows, 0)[1]]
     assert all(check() == [] for check in checks)
 
     real = graded._mat_vec
@@ -237,7 +242,8 @@ def test_a_projection_that_differs_where_the_products_agree_still_fails(monkeypa
 
     monkeypatch.setattr(graded, "_mat_vec", first_call_off)
     for check, tag in zip(checks, ({"N": 3, "bidegree": (0, 0)}, {"bidegree": (0, 0)},
-                                   {"bidegree": (0, 1)})):
+                                   {"bidegree": (0, 1)}, {"relation": "Lc x = x Lc"},
+                                   {"aux": (0, 0)}), strict=True):
         calls.clear()
         items = check()
         assert calls and items == [dict(tag, projection="differs; no product entry does")]

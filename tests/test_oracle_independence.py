@@ -121,10 +121,10 @@ def compare_one_column_over(monkeypatch, fired):
     """`mismatches` reads the other side one column to the right."""
     real = SparseMatrix.mismatches
 
-    def perturbed(self, other, cols, rows=None):
+    def perturbed(self, other, cols):
         shifted = SparseMatrix.from_entries(
             other.dim, ((r, (c + 1) % other.dim, v) for r, c, v in other.entries()))
-        found = real(self, shifted, cols, rows)
+        found = real(self, shifted, cols)
         fired.extend(found)
         return found
 
@@ -402,8 +402,8 @@ ROWS = [
     # every exact matrix identity decided on matrices, the trace agreement
     # included, goes through mismatches, so each suite that compares
     # matrices fails when the comparison reads the wrong column; the
-    # projected checks compare vectors and reach it only through their
-    # product routes, and a passing tq compares no matrix
+    # projected checks compare vectors, locate a failure by unit vectors
+    # (tq alone by products), and a passing tq compares no matrix
     ("SparseMatrix.mismatches", compare_one_column_over,
      ("lambda-q", "rll", "adjoint", "gamma-eigen"),
      "the comparison of every matrix identity", ("tq",)),

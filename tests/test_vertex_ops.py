@@ -115,6 +115,63 @@ def test_gamma_on_a_part_cap_is_the_restriction_of_the_full_gamma(sign, D):
             assert built.block(1).nnz() > 0
 
 
+@pytest.mark.parametrize("family, caps", [("L", {"max_part": 2}), ("R", {"max_length": 2}),
+                                           ("R", {"max_length": 1})])
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_build_gamma_enumerates_no_strip_that_leaves_the_basis(monkeypatch, family, caps, sign):
+    # a basis capped in lam_1 (L) or len(lam) (R) hands its cap to the strip
+    # enumerator: every strip weighed is a basis state, and the build is
+    # the restriction of the uncapped one
+    from integrable_lab import vertex_ops
+
+    D, t = 7, F(2, 7)
+    real = vertex_ops.PieriTable
+    weighed = []
+
+    class Recording(real):
+        def strips(self, *args):
+            out = super().strips(*args)
+            weighed.extend(lam for lam, _ in out)
+            return out
+
+    monkeypatch.setattr(vertex_ops, "PieriTable", Recording)
+    basis, full = partition_basis(D, **caps), partition_basis(D)
+    built = build_gamma(family, sign, basis, t)
+    assert weighed and set(weighed) <= set(basis.states)
+    to_cap = {full.index[lam]: k for k, lam in enumerate(basis.states)}
+    restricted = build_gamma(family, sign, full, t).op.restrict(to_cap, len(basis), D)
+    assert all(built.block(k) == restricted.block(k) for k in range(D + 1))
+
+
+def test_build_gamma_at_t_minus_one_on_a_basis_of_length_one():
+    # t = -1 is singular only from 2!_t on, which no state of length 1 can
+    # reach: the strips longer than every state, whose psi' would read
+    # binom(2, 1)_t / 2!_t = 0/0, are never weighed.  Gamma_{R,+} then
+    # moves (k) to (k - 1) with psi' = 1
+    basis = partition_basis(3, max_length=1)
+    vop = build_gamma("R", "+", basis, -1)
+    assert vop.block(0) == SparseMatrix.identity(len(basis))
+    assert vop.block(1) == SparseMatrix.from_entries(
+        len(basis), [(basis.index[(k - 1,) if k > 1 else ()], basis.index[(k,)], 1)
+                     for k in range(1, 4)])
+    assert vop.op.degrees() == [0, 1]
+
+
+def test_rr_exchange_names_the_t_factorial_zeros():
+    # K_r = 1/r!_t, and 2!_t = 0 at t = -1: named before any division,
+    # on a basis that build_gamma accepts at t = -1
+    basis = partition_basis(1)
+    plus, minus = build_gamma("R", "+", basis, -1), build_gamma("R", "-", basis, -1)
+    with pytest.raises(ValueError, match="t = -1 is a singular point"):
+        gamma_commutation_check(plus, minus, 2, 0)
+    with pytest.raises(ValueError, match="t = 1 is a singular point"):
+        commutation_series("R", "R", F(1), 1)
+    assert gamma_commutation_check(plus, minus, 1, 0) == (True, [])
+    # the other families divide by no t-factorial
+    assert commutation_series("L", "L", F(-1), 3) == [1, 2, 2, 2]
+    assert commutation_series("L", "R", F(-1), 3) == [1, 1, 0, 0]
+
+
 def test_ll_bidegree_11_two_state_oracle():
     # on the vacuum-vacuum element: LHS = phi_{[1]/[]} psi_{[1]/[]} = 1-t,
     # RHS picks the r=1 scalar K_1 = 1-t times the identity
