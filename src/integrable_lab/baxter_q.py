@@ -31,7 +31,9 @@ commutation with the transfer matrix and the translation.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product as iproduct
+from math import lcm
 from operator import mul
 
 from .graded import (
@@ -66,7 +68,7 @@ from .partitions import (
     state_norm,
     weight,
 )
-from .scalars import ONE, ZERO, TTable, as_scalar, reject_singular_t, tfact
+from .scalars import ONE, TTable, as_scalar, reject_singular_t, tfact
 from .scalars import tbinom  # unread here; perfbench wraps every binding of tbinom
 from .vertex_ops import build_gamma
 
@@ -317,17 +319,28 @@ def trace_qmatrix(N: int, n: int, z, x, t) -> GradedOperator:
     momentum gauge, and multiplies back the state norms (a product with
     their diagonal).  It shares nothing with `build_qmatrix`.  Returns a
     degree-0 graded operator holding q_n(z) evaluated at z.
+
+    Runs on integers: LL is read as its integer numerators over its one
+    denominator D, so every amplitude of the sweep, a product of N of its
+    entries, is an int over D^N.  A column sums its traced amplitudes per
+    (target, fold delta) as ints, and each target's entry is one Fraction,
+    sum_delta (sum of amplitudes) x ** delta / D^N, added once.
     """
     z, x, t = as_scalar(z), as_scalar(x), as_scalar(t)
     if z == 0:
         raise ValueError("sample z must be nonzero")
     reject_singular_t(t, max(2 * n, 1))  # the spin labels reach 2n
-    # LL(u) at u = -1/z (its monomial base 1/u is -z) as steps (s label,
-    # site label) -> [(new s label, value)], the site taking the old s label
+    # LL(u) at u = -1/z (its monomial base 1/u is -z) as integer steps
+    # (s label, site label) -> [(new s label, numerator over D)], the site
+    # taking the old s label
     side = 2 * n + 1
+    LL = build_LL(-ONE / z, t, 2 * n, 2 * n)
     steps = {}
-    for r, c, v in build_LL(-ONE / z, t, 2 * n, 2 * n).entries():
-        steps.setdefault(divmod(c, side), []).append((r // side, v))
+    for c, col in LL.cols.items():
+        steps[divmod(c, side)] = [(r // side, v) for r, v in col.items()]
+    # the fold's twist x ** delta, each over its own denominator
+    twist = [(x ** delta).as_integer_ratio() for delta in range(n + 1)]
+    paths_den = LL.den ** N  # a traced amplitude multiplies N entries of LL
     basis = occupation_basis(N, n)
     dim = len(basis)
     out = SparseMatrix(dim)
@@ -338,15 +351,16 @@ def trace_qmatrix(N: int, n: int, z, x, t) -> GradedOperator:
         for k in range(N, 0, -1):
             labels[k] = labels[k + 1] + rev[k - 1]
         # superposition over (s_label, site labels); apply LL_N .. LL_1
-        start = {(a - n, tuple(labels[1:N + 1]), a): ONE for a in range(n, 2 * n + 1)}
+        start = {(a - n, tuple(labels[1:N + 1]), a): 1 for a in range(n, 2 * n + 1)}
         for k in range(N, 0, -1):
             nxt = {}
             for (s_label, sites, a), amp in start.items():
                 new_sites = sites[:k - 1] + (s_label,) + sites[k:]
                 for ms, v in steps.get((s_label, sites[k - 1]), ()):
                     key = (ms, new_sites, a)
-                    nxt[key] = nxt.get(key, ZERO) + amp * v
+                    nxt[key] = nxt.get(key, 0) + amp * v
             start = nxt
+        traced = {}  # target -> {delta: sum of amplitudes over D^N}
         for (s_label, sites, a), amp in start.items():
             if s_label != a:
                 continue  # trace
@@ -358,7 +372,13 @@ def trace_qmatrix(N: int, n: int, z, x, t) -> GradedOperator:
             target = tuple(reversed(rev_target))
             if target not in basis.index:
                 continue
-            out.add_to(basis.index[target], j, amp * x ** delta)
+            sums = traced.setdefault(basis.index[target], {})
+            sums[delta] = sums.get(delta, 0) + amp
+        for row, sums in traced.items():
+            den = lcm(*(twist[delta][1] for delta in sums))
+            num = sum(amp * twist[delta][0] * (den // twist[delta][1])
+                      for delta, amp in sums.items())
+            out.add_to(row, j, Fraction(num, den * paths_den))
     # multiply back the state norms: column j times the norm of its source
     norms = SparseMatrix.from_state_map(
         basis, lambda m: (m, state_norm(occupation_to_partition(m), t)))

@@ -113,11 +113,11 @@ def _strip_of(kind: str) -> str:
     return strip
 
 
-def horizontal_pieri_strips(mu, max_size: int, kind: str, max_part) -> list:
+def horizontal_pieri_strips(mu, max_size: int, kind: str, max_part, max_length=None) -> list:
     """[(lam, signature)] for every horizontal strip lam/mu with |lam/mu| <=
-    max_size (and lam_1 <= max_part, unless None), lam in the order of
-    `partitions.horizontal_strips_above`, with the signature of `kind` (psi
-    or phi) that `_pieri_weight` reads.
+    max_size (and lam_1 <= max_part, len(lam) <= max_length, each unless
+    None), lam in the order of `partitions.horizontal_strips_above`, with
+    the signature of `kind` (psi or phi) that `_pieri_weight` reads.
 
     A strip is one bit theta_j per column j, lam'_j = mu'_j + theta_j, with
     theta_{j+1} <= theta_j wherever m_j(mu) = 0; the box of column j lands
@@ -127,13 +127,15 @@ def horizontal_pieri_strips(mu, max_size: int, kind: str, max_part) -> list:
     reads m_j(mu) at each pair (theta_j, theta_{j+1}) = (0, 1), which only
     a part value j = hi can hold; phi reads m_j(mu) + 1 at each pair (1, 0):
     1 where a run ends inside its columns (or above mu_1), m_hi(mu) + 1
-    where a full run meets an empty one at hi.
+    where a full run meets an empty one at hi.  Only the empty row below
+    mu can add to len(lam), and only by 1.
     """
     top = (mu[0] if mu else 0) + max_size
     if max_part is not None:
         top = min(top, max_part)
-    if top < (mu[0] if mu else 0):
+    if top < (mu[0] if mu else 0) or max_length is not None and len(mu) > max_length:
         return []
+    new_row = max_length is None or len(mu) < max_length  # may the empty row gain boxes
     psi = kind == "psi"
     # (part value, multiplicity) of mu, top-down, then the empty row below it
     blocks = [(part, len(list(run))) for part, run in groupby(mu + (0,))]
@@ -143,7 +145,7 @@ def horizontal_pieri_strips(mu, max_size: int, kind: str, max_part) -> list:
         lo, m = blocks[r]
         hi, m_hi = blocks[r - 1] if r else (top, None)  # the run above ends at hi
         size, rest = hi - lo, (lo,) * (m - 1)
-        for k in range(min(size, budget), -1, -1):
+        for k in range(min(size, budget) if lo or new_row else 0, -1, -1):
             if m_hi is None:  # above mu_1: theta_j = 0 past the run
                 local = (1,) if k and not psi else ()
             elif psi:
@@ -162,22 +164,25 @@ def horizontal_pieri_strips(mu, max_size: int, kind: str, max_part) -> list:
     return out
 
 
-def vertical_pieri_strips(mu, max_size: int, kind: str, max_length) -> list:
+def vertical_pieri_strips(mu, max_size: int, kind: str, max_length, max_part=None) -> list:
     """[(lam, signature)] for every vertical strip lam/mu with |lam/mu| <=
-    max_size (and len(lam) <= max_length, unless None), lam in the order of
-    `partitions.vertical_strips_above`, with the signature of `kind` (psi'
-    or phi') that `_pieri_weight` reads.
+    max_size (and len(lam) <= max_length, lam_1 <= max_part, each unless
+    None), lam in the order of `partitions.vertical_strips_above`, with the
+    signature of `kind` (psi' or phi') that `_pieri_weight` reads.
 
     A strip adds e_l in [0, m_l(mu)] boxes to each block of equal parts l,
     to its top rows, and e_0 new rows of length 1.  Then m_i(lam) = m_i(mu)
     - e_i + e_{i-1} and d_i = lam'_i - mu'_i = e_{i-1}; psi' reads
     (m_i(lam), d_i) where 0 < d_i < m_i(lam), and phi' reads (m_i(lam),
     m_i(mu), d_i) where m_i(mu) != m_i(lam) or 0 < d_i < m_i(lam).  Only
-    i = l and i = l + 1 of a part l (or 0) can hold one.
+    i = l and i = l + 1 of a part l (or 0) can hold one.  Only the top
+    block can raise lam_1, and only by 1.
     """
     room = max_size if max_length is None else max_length - len(mu)
-    if room < 0:
+    top = mu[0] if mu else 0
+    if room < 0 or max_part is not None and top > max_part:
         return []
+    raise_top = max_part is None or top < max_part  # may the top block gain boxes
     psi = kind == "psi'"
     # (part value, multiplicity) of mu, top-down, then the new rows
     blocks = [(part, len(list(run))) for part, run in groupby(mu)] + [(0, room)]
@@ -186,7 +191,7 @@ def vertical_pieri_strips(mu, max_size: int, kind: str, max_length) -> list:
     def rec(r, rows, sig, budget, ea):
         part, m = blocks[r]
         pa, ma = blocks[r - 1] if r else (0, 0)  # the block above, with e = ea
-        for e in range(min(m, budget), -1, -1):
+        for e in range(min(m, budget) if r or raise_top else 0, -1, -1):
             # the factors at i = part + 1 and, if the block above is not
             # there, at its part value pa (d_pa = 0)
             if pa == part + 1:
@@ -224,14 +229,14 @@ class PieriTable:
         self.table = TTable(t)
         self.weight = cache(partial(_pieri_weight, self.table))
 
-    def strips(self, kind: str, mu, max_size: int, cap=None) -> list:
+    def strips(self, kind: str, mu, max_size: int, max_part=None, max_length=None) -> list:
         """[(lam, coefficient `kind` of lam/mu)] for every strip of its kind
-        above mu (a canonical tuple) with |lam/mu| <= max_size, and lam_1
-        (horizontal) or len(lam) (vertical) <= cap."""
+        above mu (a canonical tuple) with |lam/mu| <= max_size, lam_1 <=
+        max_part and len(lam) <= max_length (each unless None)."""
         if _strip_of(kind) == "horizontal":
-            strips = horizontal_pieri_strips(mu, max_size, kind, cap)
+            strips = horizontal_pieri_strips(mu, max_size, kind, max_part, max_length)
         else:
-            strips = vertical_pieri_strips(mu, max_size, kind, cap)
+            strips = vertical_pieri_strips(mu, max_size, kind, max_length, max_part)
         weight = self.weight
         return [(lam, weight(kind, sig)) for lam, sig in strips]
 
@@ -429,7 +434,7 @@ def skew_P(lam, mu, values, t) -> Fraction:
     top = lam[0] if lam else 0
     table = PieriTable(t)
     vec = _strip_sweep(mu, values, weight(lam),
-                       lambda kappa, room: table.strips("psi", kappa, room, top),
+                       lambda kappa, room: table.strips("psi", kappa, room, top, len(lam)),
                        keep=lambda nu: contains(lam, nu))
     return vec.get(lam, ZERO)
 
@@ -444,8 +449,9 @@ def skew_Q_omega(lam, mu, values, t) -> Fraction:
     # phi' divides by k!_t, k <= a part multiplicity of a shape inside lam <= len(lam)
     reject_singular_t(t, len(lam))
     table = PieriTable(t)
+    top = lam[0] if lam else 0
     vec = _strip_sweep(mu, values, weight(lam),
-                       lambda kappa, room: table.strips("phi'", kappa, room, len(lam)),
+                       lambda kappa, room: table.strips("phi'", kappa, room, top, len(lam)),
                        keep=lambda nu: contains(lam, nu))
     return vec.get(lam, ZERO)
 

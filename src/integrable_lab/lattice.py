@@ -9,7 +9,10 @@ boson across every chosen bond, and the projection erases the
 creation/annihilation pair at every site inside a run of chosen bonds,
 so only the sites that end one boson short carry a weight 1 - t^{m_k}.
 Naive operator multiplication would be wrong here (S Sbar is not 1 as an
-operator), so the moves are summed directly.
+operator), so the moves are summed directly.  `periodic_transfer` sums
+them per run-start class (the subsets whose weighted sites coincide) on
+integer state codes of its own, apart from `baxter_q.build_qmatrix`'s,
+whose Q-matrix the ring identities check against it.
 
 The Toda-variable realization acts on free integer-tuple windows: the
 shift operators generate a Weyl torus algebra whose products may pass
@@ -22,7 +25,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import product as iproduct
 from math import prod
-from operator import add
+from operator import add, mul
 
 from .graded import (
     GradedOperator,
@@ -179,34 +182,58 @@ def periodic_transfer(basis: Basis, x, t) -> GradedOperator:
     seam bond N -> 1 is chosen.  An empty run start weighs 1 - t^0 = 0.
     The empty subset is the identity and the full ring, with no run
     start, is z^N x times the identity.
+
+    Built per run-start class on integer codes.  The weight of a subset
+    reads only its run starts, which are never adjacent on the ring, so
+    the 2^N subsets fall into few classes (11 for N = 5, the independent
+    sets of the 5-cycle), and a column computes one product of the
+    (numerator, denominator) pairs of 1 - t^{m_k}, read from one
+    `TTable`, per class, and skips a class whose weight is 0.  Each
+    subset of the class then yields its entry at that weight, times
+    x = xn / xd when it takes the seam bond.  A state m is coded as
+    sum_k m_k (n + 1)^k, so a subset shifts the code of every state by
+    one int, and each target is one dict lookup.  The index is this
+    builder's own: `baxter_q.build_qmatrix`, which the TQ relation and
+    the commutators check against it, codes its states apart, so that a
+    bug in one lookup cannot certify itself through the other.
     """
     t, x = as_scalar(t), as_scalar(x)
     N, n = sector_sizes(basis)
-    # a sector repeats each run-start weight many times: one table per
-    # call, read as (numerator, denominator) pairs, so that an entry
-    # multiplies integers and hands its block the numerator and denominator
     one_minus = TTable(t).one_minus
     ratio = [one_minus[m].as_integer_ratio() for m in range(n + 1)]
     xn, xd = x.as_integer_ratio()
-    subsets = []  # (degree, gain per site, run starts, seam chosen)
+    w = [(n + 1) ** k for k in range(N)]
+    codes = [sum(map(mul, m, w)) for m in basis.states]
+    index = dict(zip(codes, range(len(codes))))
+    step = [w[(k + 1) % N] - w[k] for k in range(N)]  # one boson across bond k
+    # run starts -> ([(degree, code shift)] off the seam, [(degree, code shift)]
+    # on it), subsets in ascending bits; at x = 0 the seam weighs 0
+    classes = {}
     for bits in range(2 ** N):
-        c = [bits >> k & 1 for k in range(N)]
-        gain = [c[k - 1] - c[k] for k in range(N)]  # c[-1] is the seam
-        subsets.append((sum(c), gain, [k for k in range(N) if gain[k] < 0], c[-1]))
+        chosen = [k for k in range(N) if bits >> k & 1]
+        seam = bits >> (N - 1)  # bond N - 1 is the seam
+        starts = tuple(k for k in chosen if not bits >> (k - 1) % N & 1)
+        plain, seamed = classes.setdefault(starts, ([], []))
+        if xn or not seam:
+            (seamed if seam else plain).append((len(chosen), sum(step[k] for k in chosen)))
+    classes = list(classes.items())
 
     def entries():
-        for j, m in enumerate(basis.states):
-            for degree, gain, starts, seam in subsets:
+        for j, (m, code) in enumerate(zip(basis.states, codes)):
+            for starts, (plain, seam) in classes:
                 num = den = 1
                 for k in starts:
                     p, q = ratio[m[k]]
                     num *= p
                     den *= q
-                if num:  # an empty run start weighs 0 and would go negative
-                    if seam:
-                        num *= xn
-                        den *= xd
-                    yield degree, basis.index[tuple(map(add, m, gain))], j, num, den
+                if not num:  # an empty run start weighs 0 and would go negative
+                    continue
+                for degree, shift in plain:
+                    yield degree, index[code + shift], j, num, den
+                num *= xn
+                den *= xd
+                for degree, shift in seam:
+                    yield degree, index[code + shift], j, num, den
 
     return GradedOperator.from_ratios(len(basis), entries(), N)
 

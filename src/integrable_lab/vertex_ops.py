@@ -83,18 +83,17 @@ def build_gamma(family: str, sign: str, basis: Basis, t) -> VertexOp:
     |lam> -> |mu| = |lam|-k with weights phi (L) or psi' (R).  Each
     strip comes with its Pieri signature, and every weight is one lookup
     in the build's `PieriTable`.  Strips are enumerated under the basis's
-    own caps, lam_1 (L) or len(lam) (R) at most the largest of the basis
+    own caps, lam_1 and len(lam) at most the largest of the basis
     states', so no strip leaving the basis that way is weighed.
     """
     if family not in ("L", "R") or sign not in ("+", "-"):
         raise ValueError("family must be L|R and sign +|-")
     t = as_scalar(t)
+    part_cap = max((s[0] for s in basis if s), default=0)
+    length_cap = max(map(len, basis), default=0)
     if family == "R":
         # psi', phi' divide by k!_t, k <= a part multiplicity of a basis state <= its length
-        shape_cap = max(map(len, basis), default=0)
-        reject_singular_t(t, shape_cap)
-    else:
-        shape_cap = max((s[0] for s in basis if s), default=0)
+        reject_singular_t(t, length_cap)
     dim = len(basis)
     cap = max((weight(s) for s in basis), default=0)
     kind = {("L", "-"): "psi", ("L", "+"): "phi", ("R", "-"): "phi'", ("R", "+"): "psi'"}[family, sign]
@@ -103,7 +102,7 @@ def build_gamma(family: str, sign: str, basis: Basis, t) -> VertexOp:
 
     def entries():
         for j, mu in enumerate(basis.states):
-            for lam, c in strips(mu, cap - weights[j], shape_cap):
+            for lam, c in strips(mu, cap - weights[j], part_cap, length_cap):
                 i = basis.index.get(lam)
                 if i is None:
                     continue
@@ -155,11 +154,24 @@ def gamma_commutation_check(plus: VertexOp, minus: VertexOp, max_degree: int, se
     B_b x_b and A_k x_b formed once.  A passing check forms no product.
     Where a projection differs, the failure items are the entries of the
     block products on window b, located by `graded.column_items`, tagged
-    `bidegree` (a, b).  Returns (ok, failures).
+    `bidegree` (a, b).
+
+    The windows count weight only, so the basis must be capped in weight
+    only: on a basis also capped in lam_1 or in length, B_b may leave the
+    basis through that cap and A_a come back, and true identities would
+    fail.  Such a basis raises ValueError naming the cap.  Returns
+    (ok, failures).
     """
     if ((plus.sign, minus.sign) != ("+", "-") or plus.t != minus.t
             or plus.basis.states != minus.basis.states):
         raise ValueError("exchange checks take a Gamma_+ and a Gamma_- on one basis at one t")
+    states, cap = plus.basis.states, plus.weight_cap
+    for name, top in (("lam_1", max((s[0] for s in states if s), default=0)),
+                      ("len(lam)", max(map(len, states), default=0))):
+        if top < cap:
+            raise ValueError(f"exchange checks take a basis capped in weight only: this one is "
+                             f"capped at {name} <= {top} below its weight cap {cap}, and a "
+                             f"lowering intermediate that exceeds {name} = {top} is lost")
     K = commutation_series(plus.family, minus.family, plus.t, max_degree)
 
     def inside(w, b):  # a source whose lowering intermediate would leak is outside window b
@@ -186,7 +198,12 @@ def pair_commutation_check(vop: VertexOp, max_degree: int, seed: int):
     projected as `gamma_commutation_check` is: A_a (A_b x_b) against
     A_b (A_a x_b), each A_k x_b formed once.  Returns (ok, failures),
     where a projection differs the entry of A_a A_b as `lhs` and of A_b A_a
-    as `rhs`."""
+    as `rhs`.
+
+    A basis capped in lam_1 or length as well is accepted: both factors
+    move the same way, so the intermediate of a path lies between its
+    source and its target, and a path that leaves the basis through such
+    a cap ends outside it."""
     def inside(w, b):  # raising products never leak
         return vop.sign == "+" or w + b <= vop.weight_cap
 

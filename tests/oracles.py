@@ -9,6 +9,12 @@ route it checks:
   * `periodic_hamiltonian` and `open_hamiltonian`: single boson hops,
     the degree-one blocks of `lattice.periodic_transfer` and
     `lattice.open_transfer`;
+  * `literal_transfer`: the subset expansion of `periodic_transfer`
+    one subset at a time, targets found by occupation tuple, against the
+    builder's run-start classes on integer codes;
+  * `literal_trace_qmatrix`: the auxiliary-spin trace summed in
+    Fractions, one `add_to` per traced path, against
+    `baxter_q.trace_qmatrix`, which sums on integers;
   * `spin_periodic_transfer_cleared` (on `chain_basis`): the traced
     spin-s Lax monodromy, against `periodic_transfer` at s = 0 and the
     column weights of `bethe.spin_transfer_column`;
@@ -27,7 +33,9 @@ route it checks:
 
 from fractions import Fraction
 from itertools import permutations, product
+from operator import add
 
+from integrable_lab.baxter_q import build_LL
 from integrable_lab.graded import GradedOperator, SparseMatrix, mismatch_items, vector_mismatches
 from integrable_lab.lattice import build_lax, monodromy, toda_lax, toda_shift_op, toda_x_op
 from integrable_lab.partitions import (
@@ -36,9 +44,11 @@ from integrable_lab.partitions import (
     occupation_to_partition,
     partition,
     partition_to_occupation,
+    sector_sizes,
+    state_norm,
     weight,
 )
-from integrable_lab.scalars import ONE, as_scalar, tbinom
+from integrable_lab.scalars import ONE, ZERO, TTable, as_scalar, reject_singular_t, tbinom
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +154,98 @@ def open_hamiltonian(basis: Basis, N: int, t) -> SparseMatrix:
                     yield basis.index[target], j, ONE - t ** m[k]
 
     return SparseMatrix.from_entries(len(basis), entries())
+
+
+# ---------------------------------------------------------------------------
+# the literal subset expansion of the periodic transfer matrix
+
+def literal_transfer(basis: Basis, x, t) -> GradedOperator:
+    """`lattice.periodic_transfer` as the subset expansion it sums, one
+    subset at a time: each subset of chosen bonds moves one boson across
+    every chosen bond (site k gains c_{k-1} - c_k), weighs 1 - t^{m_k} at
+    each run start (bond k chosen, bond k - 1 not) and x on the seam, and
+    finds its target by its occupation tuple."""
+    t, x = as_scalar(t), as_scalar(x)
+    N, n = sector_sizes(basis)
+    one_minus = TTable(t).one_minus
+    ratio = [one_minus[m].as_integer_ratio() for m in range(n + 1)]
+    xn, xd = x.as_integer_ratio()
+    subsets = []  # (degree, gain per site, run starts, seam chosen)
+    for bits in range(2 ** N):
+        c = [bits >> k & 1 for k in range(N)]
+        gain = [c[k - 1] - c[k] for k in range(N)]  # c[-1] is the seam
+        subsets.append((sum(c), gain, [k for k in range(N) if gain[k] < 0], c[-1]))
+
+    def entries():
+        for j, m in enumerate(basis.states):
+            for degree, gain, starts, seam in subsets:
+                num = den = 1
+                for k in starts:
+                    p, q = ratio[m[k]]
+                    num *= p
+                    den *= q
+                if num:  # an empty run start weighs 0 and would go negative
+                    if seam:
+                        num *= xn
+                        den *= xd
+                    yield degree, basis.index[tuple(map(add, m, gain))], j, num, den
+
+    return GradedOperator.from_ratios(len(basis), entries(), N)
+
+
+# ---------------------------------------------------------------------------
+# the auxiliary-spin trace in Fractions
+
+def literal_trace_qmatrix(N: int, n: int, z, x, t) -> GradedOperator:
+    """`baxter_q.trace_qmatrix` as it sums in Fractions: the auxiliary
+    Lax operator LL(-1/z) read entry by entry, each amplitude of the sweep
+    a Fraction, and one `add_to` per traced path with its twist
+    x ** delta, then the product with the state norms."""
+    z, x, t = as_scalar(z), as_scalar(x), as_scalar(t)
+    if z == 0:
+        raise ValueError("sample z must be nonzero")
+    reject_singular_t(t, max(2 * n, 1))  # the spin labels reach 2n
+    # LL(u) at u = -1/z (its monomial base 1/u is -z) as steps (s label,
+    # site label) -> [(new s label, value)], the site taking the old s label
+    side = 2 * n + 1
+    steps = {}
+    for r, c, v in build_LL(-ONE / z, t, 2 * n, 2 * n).entries():
+        steps.setdefault(divmod(c, side), []).append((r // side, v))
+    basis = occupation_basis(N, n)
+    dim = len(basis)
+    out = SparseMatrix(dim)
+    for j, m in enumerate(basis.states):
+        rev = tuple(reversed(m))
+        # canonical site labels: nu_k = sum_{l >= k} rev_l, nu_1 = n
+        labels = [0] * (N + 2)
+        for k in range(N, 0, -1):
+            labels[k] = labels[k + 1] + rev[k - 1]
+        # superposition over (s_label, site labels); apply LL_N .. LL_1
+        start = {(a - n, tuple(labels[1:N + 1]), a): ONE for a in range(n, 2 * n + 1)}
+        for k in range(N, 0, -1):
+            nxt = {}
+            for (s_label, sites, a), amp in start.items():
+                new_sites = sites[:k - 1] + (s_label,) + sites[k:]
+                for ms, v in steps.get((s_label, sites[k - 1]), ()):
+                    key = (ms, new_sites, a)
+                    nxt[key] = nxt.get(key, ZERO) + amp * v
+            start = nxt
+        for (s_label, sites, a), amp in start.items():
+            if s_label != a:
+                continue  # trace
+            delta = n - sites[0]
+            if delta < 0:
+                continue
+            shifted = [v + delta for v in sites]
+            rev_target = tuple(shifted[k] - shifted[k + 1] for k in range(N - 1)) + (shifted[N - 1],)
+            target = tuple(reversed(rev_target))
+            if target not in basis.index:
+                continue
+            out.add_to(basis.index[target], j, amp * x ** delta)
+    # multiply back the state norms: column j times the norm of its source
+    norms = SparseMatrix.from_state_map(
+        basis, lambda m: (m, state_norm(occupation_to_partition(m), t)))
+    return GradedOperator(dim, {0: out.mul(norms)}, max_degree=0)
 
 
 # ---------------------------------------------------------------------------

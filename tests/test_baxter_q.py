@@ -44,6 +44,7 @@ from integrable_lab.scalars import TTable, format_scalar, tbinom, tfact
 from kernel_record import KernelRecord
 from oracles import (
     intertwine_factors,
+    literal_trace_qmatrix,
     null_psi,
     site_null_vector_check,
     translation_representatives,
@@ -501,6 +502,18 @@ def test_trace_construction_matches_closed_form():
         direct = q.eval_at(z)
         traced = trace_qmatrix(N, n, z, X, T).block(0)
         assert direct == traced, (N, n)
+
+
+@pytest.mark.parametrize("N", range(1, 5))
+def test_trace_on_integers_equals_the_fraction_sweep(N):
+    # the amplitudes over D^N summed per (target, column) as ints against
+    # the sweep in Fractions with one add_to per traced path; x = 0 keeps
+    # only the unfolded targets
+    for n in range(4):
+        for z, x, t in product((F(3, 4), F(-2, 5)), (F(3, 5), F(-7, 2), F(0)),
+                               (F(2, 7), F(-5, 3))):
+            assert trace_qmatrix(N, n, z, x, t) == literal_trace_qmatrix(N, n, z, x, t), \
+                (n, z, x, t)
 
 
 def test_trace_builds_the_auxiliary_lax_operator_once(monkeypatch):

@@ -41,7 +41,7 @@ from integrable_lab.partitions import (
 )
 from integrable_lab.scalars import format_scalar
 from integrable_lab.vertex_ops import build_gamma
-from oracles import (chain_basis, open_hamiltonian, periodic_hamiltonian,
+from oracles import (chain_basis, literal_transfer, open_hamiltonian, periodic_hamiltonian,
                      spin_periodic_transfer_cleared, translation_representatives)
 
 
@@ -85,6 +85,18 @@ def test_periodic_degree_one_is_hamiltonian():
         lam = periodic_transfer(occupation_basis(N, n), X_SAMPLE, T_SAMPLE)
         H = periodic_hamiltonian(N, n, X_SAMPLE, T_SAMPLE)
         assert lam.block(1) == H
+
+
+@pytest.mark.parametrize("N", range(1, 6))
+def test_periodic_transfer_equals_the_literal_subset_expansion(N):
+    # the run-start classes on integer codes against one subset at a time,
+    # targets found by occupation tuple.  At t = -1 the weight 1 - t^m is 0
+    # for even m, so those subsets drop out; x = 0 weighs the seam 0
+    for n in range(7):
+        basis = occupation_basis(N, n)
+        for t in (F(2, 7), F(-5, 3), F(3, 11), F(-1)):
+            for x in (F(3, 5), F(-7, 2), F(0)):
+                assert periodic_transfer(basis, x, t) == literal_transfer(basis, x, t), (n, t, x)
 
 
 def test_translation_commutes_and_cycles():

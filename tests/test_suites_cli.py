@@ -840,14 +840,20 @@ def test_cli_malformed_seed_variable_is_a_usage_error_where_read(monkeypatch, ca
     assert served(["verify", "paper-matrices", "--seed", "1"], capsys)[0] == 0
 
 
-def test_sweep_seeds_runs_the_suite_params_of_a_config_file(tmp_path, monkeypatch, capsys):
-    # the CLI's key=value lines, each a param or a verify flag of the suite,
-    # "a:b" a range: tq runs at N_range 1-2 and n_range 0-2; a key the
-    # suite does not read is a usage error before any run
+def sweep_seeds_module():
+    """`tools/sweep_seeds.py`, loaded under its own name."""
     path = Path(__file__).resolve().parent.parent / "tools" / "sweep_seeds.py"
     spec = importlib.util.spec_from_file_location("sweep_seeds", path)
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
+    return sweep
+
+
+def test_sweep_seeds_runs_the_suite_params_of_a_config_file(tmp_path, monkeypatch, capsys):
+    # the CLI's key=value lines, each a param or a verify flag of the suite,
+    # "a:b" a range: tq runs at N_range 1-2 and n_range 0-2; a key the
+    # suite does not read is a usage error before any run
+    sweep = sweep_seeds_module()
     ran = []
 
     def recording(spec):
@@ -869,4 +875,31 @@ def test_sweep_seeds_runs_the_suite_params_of_a_config_file(tmp_path, monkeypatc
             sweep.main(["tq", "--config", str(config), "--seeds", "0:2"])
         assert exc.value.code == 2
         assert "--config" in capsys.readouterr().err
+    assert ran == []
+
+
+def test_sweep_seeds_runs_each_suite_of_a_workload_at_its_params(monkeypatch, capsys):
+    # --workload reads the suites and params of perfbench/workloads.py;
+    # a name that is not a suite workload, or one given with suites or a
+    # config, is a usage error before any run
+    sweep = sweep_seeds_module()
+    ran = []
+
+    def recording(spec):
+        ran.append(spec)
+        return run_suite(spec)
+
+    monkeypatch.setattr(sweep, "run_suite", recording)
+    calls = sweep.suite_workloads()["sector-operators"]
+    assert [name for name, _ in calls] == ["tq", "lambda-q", "adjoint", "rll", "paper-matrices"]
+    assert sweep.main(["--workload", "sector-operators", "--seeds", "3"]) == 0
+    assert capsys.readouterr().out.startswith(f"{len(calls)} runs, 0 failing")
+    assert [(s.name, s.seed, s.params) for s in ran] == [(name, 3, params) for name, params in calls]
+    ran.clear()
+    for argv in (["--workload", "cli-requests"], ["--workload", "nope"],
+                 ["tq", "--workload", "sector-operators"], []):
+        with pytest.raises(SystemExit) as exc:
+            sweep.main(argv + ["--seeds", "0"])
+        assert exc.value.code == 2
+        capsys.readouterr()
     assert ran == []

@@ -259,17 +259,22 @@ SMALL = st.fractions(min_value=F(-1, 2), max_value=F(1, 2), max_denominator=7).f
 
 @settings(deadline=None, max_examples=60)
 @given(st.sampled_from(partition_basis(7).states), st.integers(0, 4),
-       st.one_of(st.none(), st.integers(0, 9)), st.sampled_from([F(2, 7), F(-5, 3)]))
-def test_signature_enumerators_equal_the_row_enumerators(mu, size, cap, t):
-    # cap: lam_1 (horizontal) or len(lam) (vertical) at most cap, None for no cap
+       st.one_of(st.none(), st.integers(0, 9)), st.one_of(st.none(), st.integers(0, 9)),
+       st.sampled_from([F(2, 7), F(-5, 3)]))
+def test_signature_enumerators_equal_the_row_enumerators(mu, size, cap, cross, t):
+    # cap: lam_1 (horizontal) or len(lam) (vertical) at most cap, the cap the
+    # row enumerator takes; cross: len(lam) (horizontal) or lam_1 (vertical)
+    # at most cross, filtered from the row enumerator's strips; None for no cap
     table = PieriTable(t)
-    horizontal = horizontal_strips_above(mu, size, max_part=cap)
-    vertical = vertical_strips_above(mu, size, max_length=cap)
+    horizontal = [lam for lam in horizontal_strips_above(mu, size, max_part=cap)
+                  if cross is None or len(lam) <= cross]
+    vertical = [lam for lam in vertical_strips_above(mu, size, max_length=cap)
+                if cross is None or not lam or lam[0] <= cross]
     for kind, enumerate_strips, row in (("psi", horizontal_pieri_strips, horizontal),
                                         ("phi", horizontal_pieri_strips, horizontal),
                                         ("psi'", vertical_pieri_strips, vertical),
                                         ("phi'", vertical_pieri_strips, vertical)):
-        strips = enumerate_strips(mu, size, kind, cap)
+        strips = enumerate_strips(mu, size, kind, cap, cross)
         lams = [lam for lam, _ in strips]
         assert len(set(lams)) == len(lams), (kind, mu)  # each strip once
         assert set(lams) == set(row), (kind, mu)

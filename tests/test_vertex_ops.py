@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -116,12 +117,14 @@ def test_gamma_on_a_part_cap_is_the_restriction_of_the_full_gamma(sign, D):
 
 
 @pytest.mark.parametrize("family, caps", [("L", {"max_part": 2}), ("R", {"max_length": 2}),
-                                           ("R", {"max_length": 1})])
+                                           ("R", {"max_length": 1}), ("R", {"max_part": 2}),
+                                           ("L", {"max_length": 2}),
+                                           ("R", {"max_part": 3, "max_length": 2})])
 @pytest.mark.parametrize("sign", ["+", "-"])
 def test_build_gamma_enumerates_no_strip_that_leaves_the_basis(monkeypatch, family, caps, sign):
-    # a basis capped in lam_1 (L) or len(lam) (R) hands its cap to the strip
-    # enumerator: every strip weighed is a basis state, and the build is
-    # the restriction of the uncapped one
+    # a basis capped in lam_1 or len(lam) hands both caps to the strip
+    # enumerator of either family: every strip weighed is a basis state,
+    # and the build is the restriction of the uncapped one
     from integrable_lab import vertex_ops
 
     D, t = 7, F(2, 7)
@@ -213,6 +216,27 @@ def test_same_sign_commutation():
         for sign in ("-", "+"):
             ok, failures = pair_commutation_check(build_gamma(fam, sign, basis, t), 3, 0)
             assert ok and failures == [], (fam, sign, failures)
+
+
+@pytest.mark.parametrize("caps, name, top", [({"max_length": 2}, "len(lam)", 2),
+                                              ({"max_part": 2}, "lam_1", 2)])
+def test_commutation_checks_on_a_basis_capped_in_part_or_length(caps, name, top):
+    # the exchange windows count weight only: on partition_basis(5, max_length=2)
+    # at t = 2/7, Gamma_- leaves through the cap and Gamma_+ comes back, and
+    # all four family pairs failed at bidegree (1, 1); such a basis is now
+    # rejected, naming its cap.  Same-sign paths stay between source and
+    # target, so they lose nothing through the cap and still pass
+    t, basis = F(2, 7), partition_basis(5, **caps)
+    for fp in ("L", "R"):
+        for fm in ("L", "R"):
+            plus, minus = build_gamma(fp, "+", basis, t), build_gamma(fm, "-", basis, t)
+            with pytest.raises(ValueError, match=rf"capped at {re.escape(name)} <= {top} "):
+                gamma_commutation_check(plus, minus, 4, 0)
+    for fam in ("L", "R"):
+        for sign in ("+", "-"):
+            vop = build_gamma(fam, sign, basis, t)
+            for seed in range(3):
+                assert pair_commutation_check(vop, 4, seed) == (True, []), (fam, sign, seed)
 
 
 def test_eigenstate_components():

@@ -2,6 +2,7 @@
 
     python tools/sweep_seeds.py tq lambda-q gauge --seeds 0:200
     python tools/sweep_seeds.py tq --config sector.cfg --seeds 0:200
+    python tools/sweep_seeds.py --workload sector-operators --seeds 0:200
 
 Each (suite, seed) runs through `run_suite` at the suite's default
 parameters, or at those of a `--config` file: the CLI's flat key=value
@@ -14,7 +15,10 @@ range(a, b), or a list or tuple literal, such as
     draws=1
 
 A key or value that a suite does not read is rejected through
-`suite_params` (exit 2) before any run.  Every report that fails, and every run that raises, is
+`suite_params` (exit 2) before any run.  `--workload NAME` instead runs
+each suite of a benchmark suite workload at that workload's params, read
+from `perfbench/workloads.py` (loaded under a private name, not edited);
+an unknown name exits 2.  Every report that fails, and every run that raises, is
 printed as one line naming the suite, the seed and the failing checks,
 each followed by its first failure item (where it failed and both
 sides), or the exception; the last line gives the number of runs and
@@ -26,12 +30,14 @@ from __future__ import annotations
 
 import argparse
 import ast
+import importlib.util
 import json
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from integrable_lab.cli import _load_config  # noqa: E402
 from integrable_lab.suites import (  # noqa: E402
@@ -61,29 +67,55 @@ def config_params(name: str, config: dict) -> dict:
     return params
 
 
+def suite_workloads() -> dict:
+    """{workload: [(suite, params)]}: `SUITE_WORKLOADS` of
+    `perfbench/workloads.py`, loaded under a private name."""
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SUITE_WORKLOADS
+
+
 def main(argv=None) -> int:
+    workloads = suite_workloads()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("suites", nargs="+", choices=SUITE_NAMES, metavar="suite",
+    # nargs="*" checks `choices` against an empty list too, so names are checked below
+    parser.add_argument("suites", nargs="*", metavar="suite",
                         help=f"one or more of: {', '.join(SUITE_NAMES)}")
     parser.add_argument("--seeds", type=seed_range, default=range(0, 200),
                         help="a:b runs seeds a..b-1 (default 0:200)")
     parser.add_argument("--config", help="a key=value file of suite params (see above)")
+    parser.add_argument("--workload", choices=list(workloads),
+                        help="run the suites of this benchmark workload at its params")
     args = parser.parse_args(argv)
     if not args.seeds:
         parser.error(f"--seeds names no seed: {args.seeds}")
-    try:
-        config = {} if args.config is None else _load_config(args.config)
-        params = {name: config_params(name, config) for name in args.suites}
-    except (OSError, SyntaxError, KeyError, ValueError) as exc:
-        parser.error(f"--config {args.config}: {exc}")
+    unknown = [name for name in args.suites if name not in SUITE_NAMES]
+    if unknown:
+        parser.error(f"argument suite: invalid choice: {unknown[0]!r} "
+                     f"(choose from {', '.join(SUITE_NAMES)})")
+    if args.workload is not None:
+        if args.suites or args.config is not None:
+            parser.error("--workload runs its own suites at its own params: name no suite "
+                         "and no --config")
+        calls = workloads[args.workload]
+    elif not args.suites:
+        parser.error("name one or more suites, or a --workload")
+    else:
+        try:
+            config = {} if args.config is None else _load_config(args.config)
+            calls = [(name, config_params(name, config)) for name in args.suites]
+        except (OSError, SyntaxError, KeyError, ValueError) as exc:
+            parser.error(f"--config {args.config}: {exc}")
 
     start = time.perf_counter()
     bad = runs = 0
-    for name in args.suites:
+    for name, params in calls:
         for seed in args.seeds:
             runs += 1
             try:
-                report = run_suite(SuiteSpec(name, seed, params[name]))
+                report = run_suite(SuiteSpec(name, seed, params))
             except Exception as exc:  # a suite that raises is a failure to list
                 bad += 1
                 print(f"{name} seed {seed}: raised {type(exc).__name__}: {exc}")
